@@ -15,8 +15,7 @@ from pathlib import Path
 from novlab import (AnalysisError, ContractError, classify, euler_fields,
                     evolve, find_crossings, fit_exponent, load_config,
                     make_grid, quick_override)
-from novlab.breaking import export_points_jsonl
-from novlab.cliio import datum_from_config
+from novlab.cliio import datum_from_config, write_points_jsonl
 from novlab.config import validate_config
 from novlab.initial import transform_with_map
 
@@ -69,7 +68,7 @@ def main(argv=None) -> int:
             continue
         rows.append((t, pts[0].x_star, len(pts), alpha, r2))
 
-    export_points_jsonl(points, out / "points.jsonl")
+    write_points_jsonl(points, out / "points.jsonl")
     fits_path = out / "slice_fits.csv"
     with open(fits_path, "w", newline="") as fh:
         w = csv.writer(fh)

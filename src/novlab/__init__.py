@@ -22,17 +22,16 @@ from .evolution import (ConservedSet, OmegaBounds, StateDeriv, Trajectory,
 from .grid import (Grid, fd_derivative, fd_truncation_orders, integrate,
                    make_grid, prefix_integral)
 from .initial import (EulerDatum, TransformedState, builtin_datum,
-                      direct_transform, invert_y0, pair_datum,
-                      transform_with_map, zero_datum)
+                      invert_y0, pair_datum, transform_with_map, zero_datum)
 from .metric import (NormInfo, PathOfStates, RatioRow, ShiftField,
                      TangentVector, distance_upper, lipschitz_experiment,
                      path_length, phi_values, straight_line_path,
                      tangent_norm, tangent_norm_info, z_shift, zero_tangent)
 from .reconstruct import (EulerField, conserved_euler, crest_position,
                           euler_fields, measure_interval, sample_at)
-from .sources import (KernelAccumulator, SourceFields, assemble_sources,
-                      exp_convolve, exp_convolve_bruteforce,
-                      half_angle_factors, kernel_accumulator)
+from .sources import (SourceFields, assemble_sources, exp_convolve,
+                      exp_convolve_bruteforce, half_angle_factors,
+                      kernel_accumulator, xi_derivatives)
 
 __version__ = "0.1.0"
 

@@ -9,12 +9,7 @@ whether its first derivative vanishes there) into eight generic cases;
 each case predicts a specific pattern of vanishing xi-derivatives of
 (y, U, V) at the point together with the first nonvanishing
 coefficient, and those predictions are checked numerically from the
-analytic first-derivative identities
-
-    y_xi = q cos^2(W/2) cos^2(Z/2)
-    U_xi = (q/2) sin W cos^2(Z/2)
-    V_xi = (q/2) cos^2(W/2) sin Z
-
+analytic first xi-derivatives of (y, U, V) (sources.xi_derivatives)
 differentiated by finite differences.  Derivatives beyond the FD
 ceiling (seventh and ninth order of y for the doubly-degenerate cases)
 are measured instead by least-squares amplitude fits of the known local
@@ -23,9 +18,9 @@ power, which is the numerically stable route.
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass, field, replace
+from types import SimpleNamespace
 
 import numpy as np
 
@@ -33,7 +28,7 @@ from .errors import AnalysisError, ContractError
 from .grid import Grid, fd_derivative, prefix_integral
 from .initial import TransformedState
 from .reconstruct import EulerField, sample_at
-from .sources import half_angle_factors
+from .sources import half_angle_factors, xi_derivatives
 
 __all__ = [
     "SingularPoint",
@@ -46,7 +41,6 @@ __all__ = [
     "min_two_point_exponent",
     "max_accessible_y_derivative",
     "synthetic_case_state",
-    "export_points_jsonl",
 ]
 
 TOL_PI = 1e-3
@@ -167,6 +161,20 @@ def find_crossings(state: TransformedState, y,
     return points
 
 
+# Case label from (on the W level, on the Z level, W_xi vanishes on its
+# level, Z_xi vanishes on its level); a point on neither level has none.
+_CASE_OF = {
+    (True, False, False, False): 1,
+    (False, True, False, False): 2,
+    (True, True, False, False): 3,
+    (True, False, True, False): 4,
+    (False, True, False, True): 5,
+    (True, True, True, False): 6,
+    (True, True, False, True): 7,
+    (True, True, True, True): 8,
+}
+
+
 def _window(grid: Grid, xi: float, half_nodes: int) -> slice:
     i = int(round((xi - grid.xi_min) / grid.dx))
     return slice(max(i - half_nodes, 0), min(i + half_nodes + 1, grid.n))
@@ -202,20 +210,8 @@ def classify(point: SingularPoint, state: TransformedState,
     on_z = _dist_to_pi(z_val) <= tol_pi
     w1_zero = abs(w1) <= tol_w1
     z1_zero = abs(z1) <= tol_z1
-    if on_w and not on_z:
-        label = 4 if w1_zero else 1
-    elif on_z and not on_w:
-        label = 5 if z1_zero else 2
-    elif on_w and on_z:
-        if not w1_zero and not z1_zero:
-            label = 3
-        elif w1_zero and not z1_zero:
-            label = 6
-        elif not w1_zero and z1_zero:
-            label = 7
-        else:
-            label = 8
-    else:
+    label = _CASE_OF.get((on_w, on_z, on_w and w1_zero, on_z and z1_zero))
+    if label is None:
         raise AnalysisError(
             f"point at xi={point.xi_star:.6g} sits on neither level "
             f"(|W-pi| dist {_dist_to_pi(w_val):.3e}, "
@@ -253,18 +249,41 @@ def _amplitude_fit(f: np.ndarray, grid: Grid, xi: float, power: int,
     return float(coef[0])
 
 
-def _analytic_first_derivatives(state: TransformedState):
-    sinW, sinZ, cw, sw, cz, sz = half_angle_factors(state)
-    y_xi = state.q * (cw * cz)
-    u_xi = 0.5 * state.q * sinW * cz
-    v_xi = 0.5 * state.q * cw * sinZ
-    return y_xi, u_xi, v_xi
-
-
-# Per-case structure: which xi-derivative orders of (y, U, V) vanish,
-# and the first nonvanishing coefficient of each as a formula in the
-# local data (q, W_xi, W_xixi, Z_xi, Z_xixi, half-angle factors).
-# Orders above 5 are reached by amplitude fits instead of FD stacks.
+# Per-case structure: which xi-derivative orders of (y, U, V) vanish and
+# the first nonvanishing coefficient of each, as a formula in the local
+# data L (q, w1 = W_xi, w2 = W_xixi, z1, z2, cw = cos^2(W/2), cz, sinW,
+# sinZ).  A row holds vanish groups (components, highest order), where a
+# group of two components interleaves them order by order, and leading
+# entries (component, derivative order, method, claimed value).  "fd"
+# reads the FD stack, which reaches order 5; "fit" measures orders past
+# it by an amplitude fit of the known local power, and leaves the row
+# incomplete because the vanishing orders below it go unchecked.
+_CASE_ROWS = {
+    1: ((("y", 2), ("U", 1), ("V", 2)),
+        (("y", 3, "fd", lambda L: 0.5 * L.q * L.w1 * L.w1 * L.cz),
+         ("U", 2, "fd", lambda L: -0.5 * L.q * L.w1 * L.cz),
+         ("V", 3, "fd", lambda L: 0.25 * L.q * L.w1 * L.w1 * L.sinZ))),
+    3: ((("y", 4), ("UV", 3)),
+        (("y", 5, "fd", lambda L: 1.5 * L.q * L.w1 * L.w1 * L.z1 * L.z1),
+         ("U", 4, "fd", lambda L: -0.75 * L.q * L.w1 * L.z1 * L.z1),
+         ("V", 4, "fd", lambda L: -0.75 * L.q * L.w1 * L.w1 * L.z1))),
+    4: ((("y", 4), ("U", 2), ("V", 4)),
+        (("y", 5, "fd", lambda L: 1.5 * L.q * L.w2 * L.w2 * L.cz),
+         ("U", 3, "fd", lambda L: -0.5 * L.q * L.w2 * L.cz),
+         ("V", 5, "fd", lambda L: 0.75 * L.q * L.w2 * L.w2 * L.sinZ))),
+    6: ((("y", 5), ("U", 4), ("V", 5)),
+        (("U", 5, "fd", lambda L: -1.5 * L.q * L.w2 * L.z1 * L.z1),
+         ("y", 7, "fit", lambda L: 11.25 * L.q * L.w2 * L.w2 * L.z1 * L.z1),
+         ("V", 6, "fit", lambda L: -3.75 * L.q * L.w2 * L.w2 * L.z1))),
+    8: ((("y", 5), ("UV", 5)),
+        (("y", 9, "fit", lambda L: 157.5 * L.q * L.w2 * L.w2 * L.z2 * L.z2),
+         ("U", 7, "fit", lambda L: -11.25 * L.q * L.w2 * L.z2 * L.z2),
+         ("V", 7, "fit", lambda L: -11.25 * L.q * L.w2 * L.w2 * L.z2))),
+}
+# Cases 2, 5 and 7 are the rows of 1, 4 and 6 with U <-> V and W <-> Z
+# exchanged, applied to component names and local-data names alike.
+_MIRROR_OF = {2: 1, 5: 4, 7: 6}
+_SWAP = str.maketrans("UVWZwz", "VUZWzw")
 
 
 def verify_cancellations(point: SingularPoint, state: TransformedState,
@@ -273,149 +292,57 @@ def verify_cancellations(point: SingularPoint, state: TransformedState,
                          fit_r_max: float = 0.25) -> CancellationReport:
     if point.case_label is None:
         raise ContractError("classify the point before verifying cancellations")
-    grid = state.grid
     label = point.case_label
+    row = _CASE_ROWS.get(_MIRROR_OF.get(label, label))
+    if row is None:
+        raise ContractError(f"case label {label} outside 1..8")
+    grid = state.grid
     xi = point.xi_star
     i_star = int(round((xi - grid.xi_min) / grid.dx))
     if i_star - window_nodes < 0 or i_star + window_nodes >= grid.n:
         return CancellationReport(case_label=label, complete=False, checks=())
 
-    y_xi, u_xi, v_xi = _analytic_first_derivatives(state)
-    sinW, sinZ, cw, sw, cz, sz = half_angle_factors(state)
     win = _window(grid, xi, window_nodes)
+    # derivs[name][k] is the (k+1)-th xi-derivative, analytic for k = 0.
+    derivs = {name: [base] + [fd_derivative(base, grid, k) for k in range(1, 5)]
+              for name, base in zip("yUV", xi_derivatives(state))}
 
-    derivs: dict[tuple[str, int], np.ndarray] = {
-        ("y", 0): y_xi, ("U", 0): u_xi, ("V", 0): v_xi}
-    for name in ("y", "U", "V"):
-        base = derivs[(name, 0)]
-        for order in (1, 2, 3, 4):
-            derivs[(name, order)] = fd_derivative(base, grid, order)
-
-    def at(name, fd_order):
-        return _interp(derivs[(name, fd_order)], grid, xi)
-
-    def scale(name, fd_order):
-        return float(np.max(np.abs(derivs[(name, fd_order)][win])))
-
-    q0 = _interp(state.q, grid, xi)
-    w1 = _interp(fd_derivative(state.W, grid, 1), grid, xi)
-    z1 = _interp(fd_derivative(state.Z, grid, 1), grid, xi)
-    w2 = _interp(fd_derivative(state.W, grid, 2), grid, xi)
-    z2 = _interp(fd_derivative(state.Z, grid, 2), grid, xi)
-    cw0 = _interp(cw, grid, xi)
-    cz0 = _interp(cz, grid, xi)
-    sinW0 = _interp(sinW, grid, xi)
-    sinZ0 = _interp(sinZ, grid, xi)
+    sinW, sinZ, cw, _, cz, _ = half_angle_factors(state)
+    local = {"q": state.q, "cw": cw, "cz": cz, "sinW": sinW, "sinZ": sinZ,
+             "w1": fd_derivative(state.W, grid, 1),
+             "z1": fd_derivative(state.Z, grid, 1),
+             "w2": fd_derivative(state.W, grid, 2),
+             "z2": fd_derivative(state.Z, grid, 2)}
+    swap = _SWAP if label in _MIRROR_OF else {}
+    L = SimpleNamespace(**{k.translate(swap): _interp(v, grid, xi)
+                           for k, v in local.items()})
+    vanish_groups, leading = row
 
     checks: list[CancellationCheck] = []
-
-    def vanish(name, fd_order, deriv_order):
-        measured = at(name, fd_order)
-        ref = scale(name, fd_order)
+    for names, top in vanish_groups:
+        for order in range(1, top + 1):
+            for name in names.translate(swap):
+                arr = derivs[name][order - 1]
+                measured = _interp(arr, grid, xi)
+                ref = float(np.max(np.abs(arr[win])))
+                checks.append(CancellationCheck(
+                    name=f"d{order}{name}_vanishes", kind="vanish",
+                    claimed=0.0, measured=measured, scale=ref,
+                    rel_err=abs(measured) / max(ref, 1e-300)))
+    for name, order, method, formula in leading:
+        name = name.translate(swap)
+        claimed = formula(L)
+        if method == "fd":
+            measured = _interp(derivs[name][order - 1], grid, xi)
+        else:
+            amp = _amplitude_fit(derivs[name][0], grid, xi, order - 1,
+                                 fit_r_min_cells * grid.dx, fit_r_max)
+            measured = math.factorial(order - 1) * amp
         checks.append(CancellationCheck(
-            name=f"d{deriv_order}{name}_vanishes", kind="vanish",
-            claimed=0.0, measured=measured, scale=ref,
-            rel_err=abs(measured) / max(ref, 1e-300)))
-
-    def leading_fd(name, fd_order, deriv_order, claimed):
-        measured = at(name, fd_order)
-        checks.append(CancellationCheck(
-            name=f"d{deriv_order}{name}_leading", kind="leading",
+            name=f"d{order}{name}_leading", kind="leading",
             claimed=claimed, measured=measured, scale=abs(claimed),
             rel_err=abs(measured - claimed) / max(abs(claimed), 1e-300)))
-
-    def leading_fit(name, power, deriv_order, claimed):
-        base = derivs[(name, 0)]
-        amp = _amplitude_fit(base, grid, xi, power,
-                             fit_r_min_cells * grid.dx, fit_r_max)
-        measured = math.factorial(power) * amp
-        checks.append(CancellationCheck(
-            name=f"d{deriv_order}{name}_leading", kind="leading",
-            claimed=claimed, measured=measured, scale=abs(claimed),
-            rel_err=abs(measured - claimed) / max(abs(claimed), 1e-300)))
-
-    complete = True
-    if label == 1:
-        for o in (1, 2):
-            vanish("y", o - 1, o)
-        vanish("U", 0, 1)
-        for o in (1, 2):
-            vanish("V", o - 1, o)
-        leading_fd("y", 2, 3, 0.5 * q0 * w1 * w1 * cz0)
-        leading_fd("U", 1, 2, -0.5 * q0 * w1 * cz0)
-        leading_fd("V", 2, 3, 0.25 * q0 * w1 * w1 * sinZ0)
-    elif label == 2:
-        for o in (1, 2):
-            vanish("y", o - 1, o)
-        vanish("V", 0, 1)
-        for o in (1, 2):
-            vanish("U", o - 1, o)
-        leading_fd("y", 2, 3, 0.5 * q0 * z1 * z1 * cw0)
-        leading_fd("V", 1, 2, -0.5 * q0 * z1 * cw0)
-        leading_fd("U", 2, 3, 0.25 * q0 * z1 * z1 * sinW0)
-    elif label == 3:
-        for o in (1, 2, 3, 4):
-            vanish("y", o - 1, o)
-        for o in (1, 2, 3):
-            vanish("U", o - 1, o)
-            vanish("V", o - 1, o)
-        leading_fd("y", 4, 5, 1.5 * q0 * w1 * w1 * z1 * z1)
-        leading_fd("U", 3, 4, -0.75 * q0 * w1 * z1 * z1)
-        leading_fd("V", 3, 4, -0.75 * q0 * w1 * w1 * z1)
-    elif label == 4:
-        for o in (1, 2, 3, 4):
-            vanish("y", o - 1, o)
-        for o in (1, 2):
-            vanish("U", o - 1, o)
-        for o in (1, 2, 3, 4):
-            vanish("V", o - 1, o)
-        leading_fd("y", 4, 5, 1.5 * q0 * w2 * w2 * cz0)
-        leading_fd("U", 2, 3, -0.5 * q0 * w2 * cz0)
-        leading_fd("V", 4, 5, 0.75 * q0 * w2 * w2 * sinZ0)
-    elif label == 5:
-        for o in (1, 2, 3, 4):
-            vanish("y", o - 1, o)
-        for o in (1, 2):
-            vanish("V", o - 1, o)
-        for o in (1, 2, 3, 4):
-            vanish("U", o - 1, o)
-        leading_fd("y", 4, 5, 1.5 * q0 * z2 * z2 * cw0)
-        leading_fd("V", 2, 3, -0.5 * q0 * z2 * cw0)
-        leading_fd("U", 4, 5, 0.75 * q0 * z2 * z2 * sinW0)
-    elif label == 6:
-        for o in (1, 2, 3, 4, 5):
-            vanish("y", o - 1, o)
-        for o in (1, 2, 3, 4):
-            vanish("U", o - 1, o)
-        for o in (1, 2, 3, 4, 5):
-            vanish("V", o - 1, o)
-        leading_fd("U", 4, 5, -1.5 * q0 * w2 * z1 * z1)
-        leading_fit("y", 6, 7, 11.25 * q0 * w2 * w2 * z1 * z1)
-        leading_fit("V", 5, 6, -3.75 * q0 * w2 * w2 * z1)
-        complete = False  # vanishing of d6y is beyond the FD ceiling
-    elif label == 7:
-        for o in (1, 2, 3, 4, 5):
-            vanish("y", o - 1, o)
-        for o in (1, 2, 3, 4):
-            vanish("V", o - 1, o)
-        for o in (1, 2, 3, 4, 5):
-            vanish("U", o - 1, o)
-        leading_fd("V", 4, 5, -1.5 * q0 * z2 * w1 * w1)
-        leading_fit("y", 6, 7, 11.25 * q0 * z2 * z2 * w1 * w1)
-        leading_fit("U", 5, 6, -3.75 * q0 * z2 * z2 * w1)
-        complete = False
-    elif label == 8:
-        for o in (1, 2, 3, 4, 5):
-            vanish("y", o - 1, o)
-        for o in (1, 2, 3, 4, 5):
-            vanish("U", o - 1, o)
-            vanish("V", o - 1, o)
-        leading_fit("y", 8, 9, 157.5 * q0 * w2 * w2 * z2 * z2)
-        leading_fit("U", 6, 7, -11.25 * q0 * w2 * z2 * z2)
-        leading_fit("V", 6, 7, -11.25 * q0 * w2 * w2 * z2)
-        complete = False  # vanishing of d6..d8 y beyond the FD ceiling
-    else:
-        raise ContractError(f"case label {label} outside 1..8")
+    complete = all(method == "fd" for _, _, method, _ in leading)
     return CancellationReport(case_label=label, complete=complete,
                               checks=tuple(checks))
 
@@ -429,7 +356,7 @@ def max_accessible_y_derivative(point: SingularPoint,
     at every detected point.
     """
     grid = state.grid
-    y_xi, _, _ = _analytic_first_derivatives(state)
+    y_xi, _, _ = xi_derivatives(state)
     win = _window(grid, point.xi_star, window_nodes)
     best_order, best_ratio = 2, 0.0
     for order in (2, 3, 4, 5):
@@ -515,65 +442,23 @@ def synthetic_case_state(case_label: int, grid: Grid) -> TransformedState:
     bump = np.exp(-xi**2)
     flat = np.exp(-((xi / 2.5) ** 8))
     pi = np.pi
-    if case_label == 1:
-        W = flat * (pi + 0.8 * xi)
-        Z = 0.4 * bump
-    elif case_label == 2:
-        W = 0.4 * bump
-        Z = flat * (pi - 0.6 * xi)
-    elif case_label == 3:
-        W = flat * (pi + 0.7 * xi)
-        Z = flat * (pi - 0.5 * xi)
-    elif case_label == 4:
-        W = pi * bump
-        Z = 0.4 * bump
-    elif case_label == 5:
-        W = 0.4 * bump
-        Z = pi * bump
-    elif case_label == 6:
-        W = pi * bump
-        Z = flat * (pi + 0.6 * xi)
-    elif case_label == 7:
-        W = flat * (pi + 0.6 * xi)
-        Z = pi * bump
-    elif case_label == 8:
-        W = pi * bump
-        Z = pi * np.exp(-1.3 * xi**2)
-    else:
+    profiles = {  # case label -> (W, Z)
+        1: lambda: (flat * (pi + 0.8 * xi), 0.4 * bump),
+        2: lambda: (0.4 * bump, flat * (pi - 0.6 * xi)),
+        3: lambda: (flat * (pi + 0.7 * xi), flat * (pi - 0.5 * xi)),
+        4: lambda: (pi * bump, 0.4 * bump),
+        5: lambda: (0.4 * bump, pi * bump),
+        6: lambda: (pi * bump, flat * (pi + 0.6 * xi)),
+        7: lambda: (flat * (pi + 0.6 * xi), pi * bump),
+        8: lambda: (pi * bump, pi * np.exp(-1.3 * xi**2)),
+    }
+    if case_label not in profiles:
         raise ContractError(f"case label must be 1..8, got {case_label}")
+    W, Z = profiles[case_label]()
     q = 1.0 + 0.05 * bump
     shell = TransformedState(t=0.0, U=np.zeros(grid.n), V=np.zeros(grid.n),
                              W=W, Z=Z, q=q, grid=grid)
-    _, u_xi, v_xi = _analytic_first_derivatives(shell)
+    _, u_xi, v_xi = xi_derivatives(shell)
     U = 0.1 + prefix_integral(u_xi, grid)
     V = 0.15 + prefix_integral(v_xi, grid)
     return shell.with_fields(U=U, V=V)
-
-
-def _json_real(x):
-    if x is None:
-        return None
-    x = float(x)
-    return x if math.isfinite(x) else None
-
-
-def export_points_jsonl(points, path) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        for p in points:
-            rec = {
-                "t": _json_real(p.t),
-                "xi_star": _json_real(p.xi_star),
-                "x_star": _json_real(p.x_star),
-                "curve": str(p.curve),
-                "tangential": bool(p.tangential),
-                "case_label": None if p.case_label is None else int(p.case_label),
-                "degenerate": bool(p.degenerate),
-                "w_value": _json_real(p.w_value),
-                "z_value": _json_real(p.z_value),
-                "w_xi": _json_real(p.w_xi),
-                "z_xi": _json_real(p.z_xi),
-                "margins": {k: _json_real(p.margins[k]) for k in sorted(p.margins)},
-                "fitted_exponent_u": _json_real(p.fitted_exponent_u),
-                "fitted_exponent_v": _json_real(p.fitted_exponent_v),
-            }
-            fh.write(json.dumps(rec, sort_keys=True) + "\n")

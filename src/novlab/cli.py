@@ -15,12 +15,13 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
+import math
 import sys
 from pathlib import Path
 
 from . import cliio
-from .breaking import (classify, export_points_jsonl, find_crossings,
-                       fit_exponent, verify_cancellations)
+from .breaking import (classify, find_crossings, fit_exponent,
+                       verify_cancellations)
 from .config import ScenarioConfig, load_config, quick_override
 from .errors import (AnalysisError, ConfigError, ContractError, EvolveAbort,
                      NumericalAbort)
@@ -77,8 +78,9 @@ def _run_trajectory(cfg: ScenarioConfig, out: Path):
     grid = make_grid(cfg.xi_min, cfg.xi_max, cfg.n)
     datum = cliio.datum_from_config(cfg)
     state, y0 = transform_with_map(datum, grid)
+    dt = math.copysign(cfg.dt, cfg.t_final)  # a negative t_final runs backward
     try:
-        return evolve(state, y0, cfg.t_final, cfg.dt,
+        return evolve(state, y0, cfg.t_final, dt,
                       record_every=cfg.record_every, bounds=_bounds(cfg))
     except EvolveAbort as err:
         files = _write_trajectory(err.partial, out)
@@ -131,7 +133,7 @@ def cmd_singular(args) -> int:
                     reports.append(verify_cancellations(point, state))
                 except AnalysisError:
                     pass
-    export_points_jsonl(points, out / "points.jsonl")
+    cliio.write_points_jsonl(points, out / "points.jsonl")
     cliio.write_cancellations_jsonl(reports, out / "cancellations.jsonl")
     print(f"found {len(points)} level events over {len(traj.times)} records")
     print(f"wrote {out / 'points.jsonl'} and {out / 'cancellations.jsonl'}")
@@ -143,8 +145,9 @@ def cmd_metric(args) -> int:
     grid = make_grid(cfg.xi_min, cfg.xi_max, cfg.n)
     datum0 = cliio.datum_from_config(cfg)
     datum1 = cliio.perturbed_datum(datum0, cfg)
+    # The experiment runs both time directions, so the horizon is |t_final|.
     rows = lipschitz_experiment(
-        datum0, datum1, grid, cfg.t_final, cfg.dt, alpha=cfg.alpha,
+        datum0, datum1, grid, abs(cfg.t_final), cfg.dt, alpha=cfg.alpha,
         m_theta=cfg.m_theta, search=cfg.search,
         record_every=cfg.record_every, bounds=_bounds(cfg),
         eta_nodes=cfg.eta_nodes, iters=cfg.descent_iters)

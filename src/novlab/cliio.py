@@ -11,8 +11,6 @@ import csv
 import json
 import math
 
-import numpy as np
-
 from .config import ScenarioConfig
 from .errors import ConfigError
 from .initial import EulerDatum, builtin_datum, pair_datum
@@ -24,12 +22,21 @@ __all__ = [
     "write_state_csv",
     "write_euler_csv",
     "write_ratios_csv",
+    "write_points_jsonl",
     "write_cancellations_jsonl",
 ]
 
 
 def _fmt(x) -> str:
     return repr(float(x))
+
+
+def _json_real(x):
+    """A float for JSON, or None (null) when absent or non-finite."""
+    if x is None:
+        return None
+    x = float(x)
+    return x if math.isfinite(x) else None
 
 
 def datum_from_config(cfg: ScenarioConfig) -> EulerDatum:
@@ -106,14 +113,29 @@ def write_ratios_csv(fileobj, rows) -> None:
                     r.search_mode, int(r.eta_iterations)])
 
 
-def write_cancellations_jsonl(reports, path) -> None:
-    def clean(x):
-        if isinstance(x, float) and not math.isfinite(x):
-            return None
-        if isinstance(x, (np.floating, np.integer)):
-            return clean(float(x))
-        return x
+def write_points_jsonl(points, path) -> None:
+    with open(path, "w", encoding="utf-8") as fh:
+        for p in points:
+            rec = {
+                "t": _json_real(p.t),
+                "xi_star": _json_real(p.xi_star),
+                "x_star": _json_real(p.x_star),
+                "curve": str(p.curve),
+                "tangential": bool(p.tangential),
+                "case_label": None if p.case_label is None else int(p.case_label),
+                "degenerate": bool(p.degenerate),
+                "w_value": _json_real(p.w_value),
+                "z_value": _json_real(p.z_value),
+                "w_xi": _json_real(p.w_xi),
+                "z_xi": _json_real(p.z_xi),
+                "margins": {k: _json_real(p.margins[k]) for k in sorted(p.margins)},
+                "fitted_exponent_u": _json_real(p.fitted_exponent_u),
+                "fitted_exponent_v": _json_real(p.fitted_exponent_v),
+            }
+            fh.write(json.dumps(rec, sort_keys=True) + "\n")
 
+
+def write_cancellations_jsonl(reports, path) -> None:
     with open(path, "w", encoding="utf-8") as fh:
         for rep in reports:
             rec = {
@@ -123,10 +145,10 @@ def write_cancellations_jsonl(reports, path) -> None:
                     {
                         "name": c.name,
                         "kind": c.kind,
-                        "claimed": clean(c.claimed),
-                        "measured": clean(c.measured),
-                        "scale": clean(c.scale),
-                        "rel_err": clean(c.rel_err),
+                        "claimed": _json_real(c.claimed),
+                        "measured": _json_real(c.measured),
+                        "scale": _json_real(c.scale),
+                        "rel_err": _json_real(c.rel_err),
                     }
                     for c in rep.checks
                 ],

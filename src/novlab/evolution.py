@@ -18,7 +18,7 @@ import numpy as np
 from .errors import ContractError, EvolveAbort, NumericalAbort
 from .grid import integrate, prefix_integral
 from .initial import TransformedState
-from .sources import assemble_sources, half_angle_factors
+from .sources import assemble_sources, half_angle_factors, xi_derivatives
 
 __all__ = [
     "OmegaBounds",
@@ -177,8 +177,7 @@ def conserved(state: TransformedState) -> ConservedSet:
 
 def y_formula_gap(state: TransformedState, y) -> float:
     """Max gap between integrated y and the static prefix formula."""
-    _, _, cw, _, cz, _ = half_angle_factors(state)
-    y_static = y[0] + prefix_integral(state.q * (cw * cz), state.grid)
+    y_static = y[0] + prefix_integral(xi_derivatives(state)[0], state.grid)
     return float(np.max(np.abs(y - y_static)))
 
 

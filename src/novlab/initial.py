@@ -25,7 +25,6 @@ __all__ = [
     "builtin_datum",
     "pair_datum",
     "invert_y0",
-    "direct_transform",
     "transform_with_map",
 ]
 
@@ -321,8 +320,3 @@ def transform_with_map(datum: EulerDatum, grid: Grid) -> tuple[TransformedState,
         grid=grid,
     )
     return state, y0
-
-
-def direct_transform(datum: EulerDatum, grid: Grid) -> TransformedState:
-    state, _ = transform_with_map(datum, grid)
-    return state

@@ -21,7 +21,7 @@ from .errors import AnalysisError, ContractError, NumericalAbort
 from .evolution import OmegaBounds, check_omega, evolve
 from .grid import Grid, fd_derivative, prefix_integral
 from .initial import EulerDatum, TransformedState, transform_with_map
-from .sources import half_angle_factors
+from .sources import half_angle_factors, xi_derivatives
 
 __all__ = [
     "TangentVector",
@@ -119,10 +119,7 @@ class RatioRow:
 
 
 def _state_derivatives(state: TransformedState):
-    sinW, sinZ, cw, sw, cz, sz = half_angle_factors(state)
-    y_xi = state.q * (cw * cz)
-    u_xi = 0.5 * state.q * sinW * cz
-    v_xi = 0.5 * state.q * cw * sinZ
+    y_xi, u_xi, v_xi = xi_derivatives(state)
     w_xi = fd_derivative(state.W, state.grid, 1)
     z_xi = fd_derivative(state.Z, state.grid, 1)
     q_xi = fd_derivative(state.q, state.grid, 1)
@@ -363,9 +360,8 @@ def lipschitz_experiment(datum0: EulerDatum, datum1: EulerDatum, grid: Grid,
         tr0 = evolve(state0, ymap0, sgn * T, sgn * dt, record_every, bounds)
         tr1 = evolve(state1, ymap1, sgn * T, sgn * dt, record_every, bounds)
         runs.append((sgn, tr0, tr1))
-    iters_field = 0 if search == "eta_zero" else DEFAULT_DESCENT_ITERS
-    if "iters" in norm_kw and search == "coarse_descent":
-        iters_field = norm_kw["iters"]
+    iters_field = (0 if search == "eta_zero"
+                   else norm_kw.get("iters", DEFAULT_DESCENT_ITERS))
     rows = {}
     d0 = None
     for sgn, tr0, tr1 in runs:

@@ -116,7 +116,7 @@ def _measure_density(state: TransformedState) -> np.ndarray:
     return state.q * (cw * sz + sw * cz + sw * sz)
 
 
-def _cut(y, nodes, value, side):
+def _cut(y, value, side):
     """Sub-cell coordinate and interpolation weight where y crosses value."""
     if side == "lo":
         i = int(np.searchsorted(y, value, side="left"))
@@ -141,11 +141,11 @@ def measure_interval(state: TransformedState, y, a: float, b: float) -> float:
     if a <= y[0]:
         cell_a, frac_a = 0, 0.0
     else:
-        cell_a, frac_a = _cut(y, state.grid.nodes, a, "lo")
+        cell_a, frac_a = _cut(y, a, "lo")
     if b >= y[-1]:
         cell_b, frac_b = y.size - 2, 1.0
     else:
-        cell_b, frac_b = _cut(y, state.grid.nodes, b, "hi")
+        cell_b, frac_b = _cut(y, b, "hi")
     m_a = m[cell_a] + frac_a * (m[cell_a + 1] - m[cell_a])
     m_b = m[cell_b] + frac_b * (m[cell_b + 1] - m[cell_b])
     if cell_a == cell_b:

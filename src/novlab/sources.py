@@ -12,7 +12,6 @@ double loop with the same trapezoid weights serves as the oracle.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Mapping
 
 import numpy as np
 
@@ -21,8 +20,9 @@ from .grid import Grid, prefix_integral
 from .initial import TransformedState
 
 __all__ = [
-    "KernelAccumulator",
     "SourceFields",
+    "half_angle_factors",
+    "xi_derivatives",
     "kernel_accumulator",
     "exp_convolve",
     "exp_convolve_bruteforce",
@@ -35,11 +35,6 @@ _BLOCK_SPAN = 30.0
 
 
 @dataclass(frozen=True)
-class KernelAccumulator:
-    G: np.ndarray
-
-
-@dataclass(frozen=True)
 class SourceFields:
     P1: np.ndarray
     dxP1: np.ndarray
@@ -49,7 +44,6 @@ class SourceFields:
     dxS1: np.ndarray
     S2: np.ndarray
     dxS2: np.ndarray
-    tail_bounds: Mapping[str, float]
 
 
 def half_angle_factors(state: TransformedState):
@@ -61,19 +55,36 @@ def half_angle_factors(state: TransformedState):
     return np.sin(state.W), np.sin(state.Z), cw, sw, cz, sz
 
 
-def kernel_accumulator(state: TransformedState) -> KernelAccumulator:
+def _y_xi(q, cw, cz):
+    # Grouping cw*cz first keeps y_xi, and with it the kernel potential,
+    # bitwise invariant under the (u,W) <-> (v,Z) swap; IEEE
+    # multiplication commutes but does not associate.
+    return q * (cw * cz)
+
+
+def xi_derivatives(state: TransformedState):
+    """Analytic first xi-derivatives (y_xi, U_xi, V_xi) of the state:
+
+        y_xi = q cos^2(W/2) cos^2(Z/2)
+        U_xi = (q/2) sin W cos^2(Z/2)
+        V_xi = (q/2) cos^2(W/2) sin Z
+    """
+    sinW, sinZ, cw, _, cz, _ = half_angle_factors(state)
+    q = state.q
+    return _y_xi(q, cw, cz), 0.5 * q * sinW * cz, 0.5 * q * cw * sinZ
+
+
+def kernel_accumulator(state: TransformedState) -> np.ndarray:
+    """G, the prefix integral of y_xi, nondecreasing in Omega."""
     _, _, cw, _, cz, _ = half_angle_factors(state)
-    # Grouping cw*cz first keeps the accumulator bitwise invariant under
-    # the (u,W) <-> (v,Z) swap; IEEE multiplication commutes but does
-    # not associate.
-    r = state.q * (cw * cz)
+    r = _y_xi(state.q, cw, cz)
     if np.any(r < 0.0):
         k = int(np.argmin(r))
         raise NumericalAbort(
             f"kernel integrand negative at node {k}; state left Omega",
             {"node": k, "value": float(r[k])},
         )
-    return KernelAccumulator(G=prefix_integral(r, state.grid))
+    return prefix_integral(r, state.grid)
 
 
 def _decay_scan(G: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -98,14 +109,13 @@ def _decay_scan(G: np.ndarray, b: np.ndarray) -> np.ndarray:
     return out
 
 
-def exp_convolve(p, acc: KernelAccumulator, grid: Grid):
+def exp_convolve(p, G: np.ndarray, grid: Grid):
     """Whole-line kernel quadratures against p, O(n).
 
     Returns (even, odd): even[k] integrates E(xi_k, eta) p(eta) over the
     window; odd[k] is the same with sign flipped left of xi_k.
     """
     p = np.asarray(p, dtype=float)
-    G = acc.G
     if p.shape != G.shape or p.shape != (grid.n,):
         raise NumericalAbort(f"exp_convolve: shape mismatch {p.shape}")
     a = np.exp(-np.diff(G))
@@ -125,10 +135,9 @@ def exp_convolve(p, acc: KernelAccumulator, grid: Grid):
     return even, odd
 
 
-def exp_convolve_bruteforce(p, acc: KernelAccumulator, grid: Grid):
+def exp_convolve_bruteforce(p, G: np.ndarray, grid: Grid):
     """Reference double-loop quadrature; identical contract, O(n^2)."""
     p = np.asarray(p, dtype=float)
-    G = acc.G
     weights = np.full(grid.n, grid.dx)
     weights[0] = weights[-1] = 0.5 * grid.dx
     kernel = np.exp(-np.abs(G[:, None] - G[None, :]))
@@ -161,19 +170,13 @@ def assemble_sources(state: TransformedState) -> SourceFields:
     grid = state.grid
     sinW, sinZ, cw, sw, cz, sz = half_angle_factors(state)
     q = state.q
-    acc = kernel_accumulator(state)
+    G = kernel_accumulator(state)
     p1, p2 = _integrand_pair(q, state.U, state.V, sinW, sinZ, cw, sw, cz)
     s1, s2 = _integrand_pair(q, state.V, state.U, sinZ, sinW, cz, sz, cw)
-    even_p1, odd_p1 = exp_convolve(p1, acc, grid)
-    even_p2, odd_p2 = exp_convolve(p2, acc, grid)
-    even_s1, odd_s1 = exp_convolve(s1, acc, grid)
-    even_s2, odd_s2 = exp_convolve(s2, acc, grid)
-    # Truncation diagnostic: mass the kernel would collect just outside
-    # the window scales with the integrand magnitude at the window edge.
-    tails = {
-        name: float(0.5 * grid.dx * (abs(f[0]) + abs(f[-1])))
-        for name, f in (("p1", p1), ("p2", p2), ("s1", s1), ("s2", s2))
-    }
+    even_p1, odd_p1 = exp_convolve(p1, G, grid)
+    even_p2, odd_p2 = exp_convolve(p2, G, grid)
+    even_s1, odd_s1 = exp_convolve(s1, G, grid)
+    even_s2, odd_s2 = exp_convolve(s2, G, grid)
     return SourceFields(
         P1=0.5 * even_p1,
         dxP1=0.5 * odd_p1,
@@ -183,5 +186,4 @@ def assemble_sources(state: TransformedState) -> SourceFields:
         dxS1=0.5 * odd_s1,
         S2=0.125 * even_s2,
         dxS2=0.125 * odd_s2,
-        tail_bounds=tails,
     )

@@ -8,7 +8,7 @@ from novlab import (AnalysisError, classify, find_crossings, fit_exponent,
                     make_grid, max_accessible_y_derivative,
                     min_two_point_exponent, synthetic_case_state,
                     verify_cancellations)
-from novlab.breaking import export_points_jsonl
+from novlab.cliio import write_points_jsonl
 from novlab.reconstruct import EulerField
 
 
@@ -53,14 +53,36 @@ def test_low_order_cases_report_complete(case):
     assert rep.complete
 
 
-@pytest.mark.parametrize("case,partner", [(1, 2), (4, 5), (6, 7), (3, 3), (8, 8)])
+SWAP_UV = str.maketrans("UV", "VU")
+
+
+@pytest.mark.parametrize("case,partner", [(1, 2), (2, 1), (3, 3), (4, 5),
+                                          (5, 4), (6, 7), (7, 6), (8, 8)])
 def test_case_labels_swap_with_components(case, partner):
-    # Exchanging the two components maps each case to its mirror.
-    state, _ = designed_point(case)
+    # Exchanging the two components maps each case to its mirror, and
+    # its cancellation report to the mirrored report: the same checks
+    # with U and V exchanged (in the same order unless the case is its
+    # own mirror) and the same leading coefficients up to rounding.
+    state, pt = designed_point(case)
     swapped = state.with_fields(U=state.V, V=state.U, W=state.Z, Z=state.W)
     pts = find_crossings(swapped, np.zeros(GRID.n))
-    best = min(pts, key=lambda p: abs(p.xi_star))
-    assert classify(best, swapped).case_label == partner
+    best = classify(min(pts, key=lambda p: abs(p.xi_star)), swapped)
+    assert best.case_label == partner
+    rep = verify_cancellations(classify(pt, state), state)
+    rep_sw = verify_cancellations(best, swapped)
+    assert rep_sw.case_label == partner
+    names = [c.name.translate(SWAP_UV) for c in rep.checks]
+    names_sw = [c.name for c in rep_sw.checks]
+    if case == partner:
+        names, names_sw = sorted(names), sorted(names_sw)
+    assert names_sw == names
+    mirror = {c.name.translate(SWAP_UV): c for c in rep.checks}
+    for c in rep_sw.checks:
+        if c.kind == "leading":
+            ref = mirror[c.name]
+            tol = 1e-12 * abs(ref.claimed)
+            assert abs(c.claimed - ref.claimed) <= tol, c.name
+            assert abs(c.measured - ref.measured) <= tol, c.name
 
 
 @pytest.mark.parametrize("case", [1, 2, 3, 4, 5])
@@ -128,11 +150,11 @@ def test_min_two_point_exponent_detects_cusp():
     assert expo == pytest.approx(0.6, abs=0.05)
 
 
-def test_export_points_jsonl_round_trip(tmp_path):
+def test_write_points_jsonl_round_trip(tmp_path):
     state, pt = designed_point(1)
     labeled = classify(pt, state)
     path = tmp_path / "points.jsonl"
-    export_points_jsonl([labeled], path)
+    write_points_jsonl([labeled], path)
     lines = path.read_text().splitlines()
     assert len(lines) == 1
     rec = json.loads(lines[0])

@@ -114,14 +114,18 @@ def write_cfg(tmp_path, text, name="scenario.cfg"):
     return str(p)
 
 
-def test_cli_evolve_writes_artifacts(tmp_path, capsys):
-    cfg = write_cfg(tmp_path, MINIMAL)
+@pytest.mark.parametrize("t_final", ["0.1", "-0.1"])
+def test_cli_evolve_writes_artifacts(tmp_path, capsys, t_final):
+    # A negative t_final runs the same steps backward in time.
+    cfg = write_cfg(tmp_path, MINIMAL.replace("t_final = 0.1",
+                                              f"t_final = {t_final}"))
     out = tmp_path / "out"
     rc = main(["evolve", "--config", cfg, "--out", str(out)])
     assert rc == 0
     cons = (out / "conserved.csv").read_text().splitlines()
     assert cons[0] == "t,E_u,E_v,G,H,y_consistency"
-    assert len(cons) == 1 + 3  # t = 0, 0.05, 0.1
+    assert len(cons) == 1 + 3  # t = 0, 0.05, 0.1 in the sign of t_final
+    assert float(cons[-1].split(",")[0]) == pytest.approx(float(t_final))
     states = sorted(out.glob("state_*.csv"))
     eulers = sorted(out.glob("euler_*.csv"))
     assert len(states) == 3 and len(eulers) == 3
@@ -160,8 +164,10 @@ def test_cli_singular_on_quiet_run(tmp_path, capsys):
     assert (out / "cancellations.jsonl").exists()
 
 
-def test_cli_metric_writes_ratios(tmp_path, capsys):
-    text = (MINIMAL
+@pytest.mark.parametrize("t_final", ["0.1", "-0.1"])
+def test_cli_metric_writes_ratios(tmp_path, capsys, t_final):
+    # Both time directions run, so the sign of t_final does not matter.
+    text = (MINIMAL.replace("t_final = 0.1", f"t_final = {t_final}")
             + "metric.perturb.family = gaussian_bump\n"
             + "metric.perturb.eps = 0.001\n"
             + "metric.perturb.width = 1.2\n"

@@ -18,10 +18,10 @@ def test_scan_matches_bruteforce_on_random_states():
     worst = 0.0
     for _ in range(20):
         state = random_state(rng, g)
-        acc = kernel_accumulator(state)
+        G = kernel_accumulator(state)
         p = bumps(rng, g.nodes, 3, 1.0)
-        fe, fo = exp_convolve(p, acc, g)
-        se, so = exp_convolve_bruteforce(p, acc, g)
+        fe, fo = exp_convolve(p, G, g)
+        se, so = exp_convolve_bruteforce(p, G, g)
         worst = max(worst, float(np.max(np.abs(fe - se))),
                     float(np.max(np.abs(fo - so))))
     assert worst < 1e-12
@@ -33,10 +33,10 @@ def test_scan_matches_bruteforce_property(seed):
     rng = np.random.default_rng(seed)
     g = make_grid(-8.0, 8.0, 128)
     state = random_state(rng, g)
-    acc = kernel_accumulator(state)
+    G = kernel_accumulator(state)
     p = bumps(rng, g.nodes, 2, 1.0)
-    fe, fo = exp_convolve(p, acc, g)
-    se, so = exp_convolve_bruteforce(p, acc, g)
+    fe, fo = exp_convolve(p, G, g)
+    se, so = exp_convolve_bruteforce(p, G, g)
     assert np.max(np.abs(fe - se)) < 1e-12
     assert np.max(np.abs(fo - so)) < 1e-12
 
@@ -49,8 +49,8 @@ def test_kernel_flat_state_has_closed_form():
     z = np.zeros(g.n)
     state = TransformedState(t=0.0, U=z, V=z, W=z, Z=z,
                              q=np.ones(g.n), grid=g)
-    acc = kernel_accumulator(state)
-    even, odd = exp_convolve(np.ones(g.n), acc, g)
+    G = kernel_accumulator(state)
+    even, odd = exp_convolve(np.ones(g.n), G, g)
     xi = g.nodes
     expected = 2.0 - np.exp(-(xi - g.xi_min)) - np.exp(-(g.xi_max - xi))
     assert np.max(np.abs(even - expected)) < 5.0 * g.dx**2
@@ -63,9 +63,9 @@ def test_accumulator_profile_properties():
     rng = np.random.default_rng(3)
     g = make_grid(-6.0, 6.0, 256)
     state = random_state(rng, g)
-    acc = kernel_accumulator(state)
+    G = kernel_accumulator(state)
     # Nondecreasing potential: the integrand q cos^2 cos^2 is >= 0.
-    assert np.all(np.diff(acc.G) >= 0)
+    assert np.all(np.diff(G) >= 0)
 
 
 def test_accumulator_rejects_negative_density():
@@ -87,10 +87,10 @@ def test_wide_domain_does_not_overflow():
     z = np.zeros(g.n)
     state = TransformedState(t=0.0, U=z, V=z, W=z, Z=z,
                              q=np.ones(g.n), grid=g)
-    acc = kernel_accumulator(state)
-    even, odd = exp_convolve(np.ones(g.n), acc, g)
+    G = kernel_accumulator(state)
+    even, odd = exp_convolve(np.ones(g.n), G, g)
     assert np.all(np.isfinite(even)) and np.all(np.isfinite(odd))
-    be, bo = exp_convolve_bruteforce(np.ones(g.n), acc, g)
+    be, bo = exp_convolve_bruteforce(np.ones(g.n), G, g)
     assert np.max(np.abs(even - be)) < 1e-12
     assert np.max(np.abs(odd - bo)) < 1e-12
 
@@ -128,7 +128,6 @@ def test_sources_finite_and_shaped(smooth_pair_state):
         arr = getattr(src, name)
         assert arr.shape == (state.grid.n,)
         assert np.all(np.isfinite(arr))
-    assert src.tail_bounds["p1"] >= 0.0
 
 
 def test_zero_state_sources_vanish():
