@@ -43,9 +43,11 @@ def main(argv=None) -> int:
     tables = []
     for k, eps in enumerate(eps_list):
         cfg_eps = dataclasses.replace(cfg, perturb_eps=eps)
+        # The experiment runs both time directions, so the horizon is
+        # |t_final|.
         rows = lipschitz_experiment(
             base, cliio.perturbed_datum(base, cfg_eps), grid,
-            cfg.t_final, cfg.dt, alpha=cfg.alpha, m_theta=cfg.m_theta,
+            abs(cfg.t_final), cfg.dt, alpha=cfg.alpha, m_theta=cfg.m_theta,
             search=cfg.search, record_every=cfg.record_every,
             eta_nodes=cfg.eta_nodes, iters=cfg.descent_iters)
         path = out / f"ratios_eps{k}.csv"

@@ -9,6 +9,7 @@ over a depth band past first detection.
 """
 import argparse
 import csv
+import math
 import sys
 from pathlib import Path
 
@@ -44,7 +45,8 @@ def main(argv=None) -> int:
 
     grid = make_grid(cfg.xi_min, cfg.xi_max, cfg.n)
     state0, y0 = transform_with_map(datum_from_config(cfg), grid)
-    traj = evolve(state0, y0, cfg.t_final, cfg.dt,
+    dt = math.copysign(cfg.dt, cfg.t_final)  # a negative t_final runs backward
+    traj = evolve(state0, y0, cfg.t_final, dt,
                   record_every=cfg.record_every)
 
     first_t = label = None

@@ -8,6 +8,7 @@ ladder levels.  The ratio table is the interesting output: it shows
 the drift floor set by the spatial resolution.
 """
 import argparse
+import math
 import sys
 from pathlib import Path
 
@@ -50,7 +51,8 @@ def main(argv=None) -> int:
 
     tables = []
     for level in range(args.levels):
-        dt = cfg.dt / 2**level
+        # A negative t_final runs backward.
+        dt = math.copysign(cfg.dt, cfg.t_final) / 2**level
         rec = cfg.record_every * 2**level
         traj = evolve(state0, y0, cfg.t_final, dt, record_every=rec)
         path = out / f"conserved_level{level}.csv"

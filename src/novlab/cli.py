@@ -154,7 +154,7 @@ def cmd_metric(args) -> int:
     path = out / "ratios.csv"
     with open(path, "w", encoding="utf-8", newline="") as fh:
         cliio.write_ratios_csv(fh, rows)
-    worst = max(r.ratio for r in rows)
+    worst = float(max(r.ratio for r in rows))
     print(f"wrote {path} ({len(rows)} rows), max ratio {worst!r}")
     return 0
 

@@ -82,8 +82,9 @@ def _angle_rate(A, B, cA, sA, drive):
 
 
 def rhs(state: TransformedState) -> StateDeriv:
-    src = assemble_sources(state)
-    sinW, sinZ, cw, sw, cz, sz = half_angle_factors(state)
+    factors = half_angle_factors(state)
+    src = assemble_sources(state, factors)
+    sinW, sinZ, cw, sw, cz, sz = factors
     U, V, q = state.U, state.V, state.q
     drive_w = src.P1 + src.dxP2
     drive_z = src.S1 + src.dxS2

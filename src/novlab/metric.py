@@ -138,9 +138,16 @@ def z_shift(state: TransformedState, tangent: TangentVector) -> np.ndarray:
 def phi_values(state: TransformedState, y, tangent: TangentVector,
                eta: ShiftField | None = None):
     """The six weighted integrand factors entering the norm."""
+    return _phis(state, tangent, eta, _state_derivatives(state),
+                 z_shift(state, tangent))
+
+
+def _phis(state: TransformedState, tangent: TangentVector,
+          eta: ShiftField | None, derivs, z):
+    # derivs and z depend only on (state, tangent); the descent computes
+    # them once and varies eta alone.
     grid = state.grid
-    y_xi, u_xi, v_xi, w_xi, z_xi, q_xi = _state_derivatives(state)
-    z = z_shift(state, tangent)
+    y_xi, u_xi, v_xi, w_xi, z_xi, q_xi = derivs
     if eta is None:
         eta_v = np.zeros(grid.n)
         eta_p = np.zeros(grid.n)
@@ -189,7 +196,9 @@ def tangent_norm_info(state: TransformedState, y, tangent: TangentVector,
         raise ContractError(f"alpha must lie strictly in (0,1), got {alpha}")
     grid = state.grid
     weights = _quad_weights(grid, y, alpha)
-    value0 = _objective(weights, phi_values(state, y, tangent, None))
+    derivs = _state_derivatives(state)
+    z = z_shift(state, tangent)
+    value0 = _objective(weights, _phis(state, tangent, None, derivs, z))
     if search == "eta_zero":
         return NormInfo(value=value0, search=search, iterations=0,
                         eta_zero_value=value0, best_coeffs=None)
@@ -199,7 +208,7 @@ def tangent_norm_info(state: TransformedState, y, tangent: TangentVector,
     shift = ShiftField.zeros(grid, eta_nodes)
     box = 0.5 * (shift.coarse[1] - shift.coarse[0])
     hat, hat_p = _hat_matrices(shift, grid)
-    y_xi, u_xi, v_xi, w_xi, z_xi, q_xi = _state_derivatives(state)
+    y_xi, u_xi, v_xi, w_xi, z_xi, q_xi = derivs
     q = state.q
 
     def subgradient(phis):
@@ -212,7 +221,7 @@ def tangent_norm_info(state: TransformedState, y, tangent: TangentVector,
     best_val = value0
     best_c = shift.coeffs.copy()
     c = shift.coeffs.copy()
-    g = subgradient(phi_values(state, y, tangent, shift))
+    g = subgradient(_phis(state, tangent, shift, derivs, z))
     gnorm = float(np.linalg.norm(g))
     if gnorm == 0.0:
         return NormInfo(value=best_val, search=search, iterations=0,
@@ -221,7 +230,7 @@ def tangent_norm_info(state: TransformedState, y, tangent: TangentVector,
     used = 0
     for k in range(1, iters + 1):
         c = np.clip(c - (step_scale / k) * g, -box, box)
-        phis = phi_values(state, y, tangent, shift.with_coeffs(c))
+        phis = _phis(state, tangent, shift.with_coeffs(c), derivs, z)
         val = _objective(weights, phis)
         used = k
         if val < best_val:

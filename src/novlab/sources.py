@@ -74,9 +74,12 @@ def xi_derivatives(state: TransformedState):
     return _y_xi(q, cw, cz), 0.5 * q * sinW * cz, 0.5 * q * cw * sinZ
 
 
-def kernel_accumulator(state: TransformedState) -> np.ndarray:
-    """G, the prefix integral of y_xi, nondecreasing in Omega."""
-    _, _, cw, _, cz, _ = half_angle_factors(state)
+def kernel_accumulator(state: TransformedState, factors) -> np.ndarray:
+    """G, the prefix integral of y_xi, nondecreasing in Omega.
+
+    factors is the tuple half_angle_factors(state) returns.
+    """
+    _, _, cw, _, cz, _ = factors
     r = _y_xi(state.q, cw, cz)
     if np.any(r < 0.0):
         k = int(np.argmin(r))
@@ -88,47 +91,52 @@ def kernel_accumulator(state: TransformedState) -> np.ndarray:
 
 
 def _decay_scan(G: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """I[0] = 0, I[k] = exp(-(G[k]-G[k-1])) I[k-1] + b[k-1].
+    """I[0] = 0, I[k] = exp(-(G[k]-G[k-1])) I[k-1] + b[k-1], row by row.
 
-    Blocked evaluation: within a block starting at s,
+    b has shape (..., n-1) and every row is scanned along the last axis
+    against the same G.  Blocked evaluation: within a block starting at s,
       I[k] = exp(-(G[k]-G[s])) * (I[s] + sum_{j<=k} b[j-1] exp(G[j]-G[s]))
-    and block boundaries are chosen so G[k]-G[s] stays bounded.
+    and block boundaries are chosen so G[k]-G[s] stays bounded; the
+    boundaries and both exponential factors are shared by all rows.
     """
     n = G.size
-    out = np.zeros(n)
-    carry = 0.0
+    out = np.zeros(b.shape[:-1] + (n,))
+    carry = np.zeros(b.shape[:-1] + (1,))
     s = 0
     while s < n - 1:
         e = int(np.searchsorted(G, G[s] + _BLOCK_SPAN, side="right")) - 1
         e = min(max(e, s + 1), n - 1)
         L = G[s:e + 1] - G[s]
-        acc = np.cumsum(b[s:e] * np.exp(L[1:]))
-        out[s + 1:e + 1] = np.exp(-L[1:]) * (carry + acc)
-        carry = out[e]
+        acc = np.cumsum(b[..., s:e] * np.exp(L[1:]), axis=-1)
+        out[..., s + 1:e + 1] = np.exp(-L[1:]) * (carry + acc)
+        carry = out[..., e:e + 1]
         s = e
     return out
 
 
 def exp_convolve(p, G: np.ndarray, grid: Grid):
-    """Whole-line kernel quadratures against p, O(n).
+    """Whole-line kernel quadratures against p, O(n) per row.
 
-    Returns (even, odd): even[k] integrates E(xi_k, eta) p(eta) over the
-    window; odd[k] is the same with sign flipped left of xi_k.
+    p has shape (n,) or (k, n); a stack shares one pass over G.
+    Returns (even, odd) of p's shape: even[..., i] integrates
+    E(xi_i, eta) p(eta) over the window; odd is the same with sign
+    flipped left of xi_i.
     """
     p = np.asarray(p, dtype=float)
-    if p.shape != G.shape or p.shape != (grid.n,):
+    if p.ndim not in (1, 2) or p.shape[-1:] != G.shape \
+            or G.shape != (grid.n,):
         raise NumericalAbort(f"exp_convolve: shape mismatch {p.shape}")
     a = np.exp(-np.diff(G))
     half_dx = 0.5 * grid.dx
-    fwd = _decay_scan(G, half_dx * (a * p[:-1] + p[1:]))
+    fwd = _decay_scan(G, half_dx * (a * p[..., :-1] + p[..., 1:]))
     G_rev = G[-1] - G[::-1]
-    b_bwd = half_dx * (a * p[1:] + p[:-1])
-    bwd = _decay_scan(G_rev, b_bwd[::-1])[::-1]
+    b_bwd = half_dx * (a * p[..., 1:] + p[..., :-1])
+    bwd = _decay_scan(G_rev, b_bwd[..., ::-1])[..., ::-1]
     even = fwd + bwd
     odd = bwd - fwd
     bad = ~(np.isfinite(even) & np.isfinite(odd))
     if bad.any():
-        k = int(np.argmax(bad))
+        k = int(np.argmax(bad.reshape(-1, grid.n).any(axis=0)))
         raise NumericalAbort(
             f"exp_convolve produced a non-finite value at node {k}", {"node": k}
         )
@@ -141,8 +149,10 @@ def exp_convolve_bruteforce(p, G: np.ndarray, grid: Grid):
     weights = np.full(grid.n, grid.dx)
     weights[0] = weights[-1] = 0.5 * grid.dx
     kernel = np.exp(-np.abs(G[:, None] - G[None, :]))
-    wp = weights * p
-    even = kernel @ wp
+    # Transposes put the node axis first for a (k, n) stack and are
+    # no-ops on a single (n,) row.
+    wp = (weights * p).T
+    even = (kernel @ wp).T
     sign = np.sign(np.arange(grid.n)[None, :] - np.arange(grid.n)[:, None])
     # Interior self-terms cancel between the two one-sided integrals,
     # but the window-edge nodes keep their half-cell: node 0 has no left
@@ -150,7 +160,7 @@ def exp_convolve_bruteforce(p, G: np.ndarray, grid: Grid):
     sign = sign.astype(float)
     sign[0, 0] = 1.0
     sign[-1, -1] = -1.0
-    odd = (kernel * sign) @ wp
+    odd = ((kernel * sign) @ wp).T
     return even, odd
 
 
@@ -166,24 +176,25 @@ def _integrand_pair(q, A, B, sinA, sinB, cA, sA, cB):
     return i1, i2
 
 
-def assemble_sources(state: TransformedState) -> SourceFields:
+def assemble_sources(state: TransformedState, factors) -> SourceFields:
+    """The eight source fields from one stacked convolution pass.
+
+    factors is the tuple half_angle_factors(state) returns.
+    """
     grid = state.grid
-    sinW, sinZ, cw, sw, cz, sz = half_angle_factors(state)
+    sinW, sinZ, cw, sw, cz, sz = factors
     q = state.q
-    G = kernel_accumulator(state)
+    G = kernel_accumulator(state, factors)
     p1, p2 = _integrand_pair(q, state.U, state.V, sinW, sinZ, cw, sw, cz)
     s1, s2 = _integrand_pair(q, state.V, state.U, sinZ, sinW, cz, sz, cw)
-    even_p1, odd_p1 = exp_convolve(p1, G, grid)
-    even_p2, odd_p2 = exp_convolve(p2, G, grid)
-    even_s1, odd_s1 = exp_convolve(s1, G, grid)
-    even_s2, odd_s2 = exp_convolve(s2, G, grid)
+    even, odd = exp_convolve(np.stack((p1, p2, s1, s2)), G, grid)
     return SourceFields(
-        P1=0.5 * even_p1,
-        dxP1=0.5 * odd_p1,
-        P2=0.125 * even_p2,
-        dxP2=0.125 * odd_p2,
-        S1=0.5 * even_s1,
-        dxS1=0.5 * odd_s1,
-        S2=0.125 * even_s2,
-        dxS2=0.125 * odd_s2,
+        P1=0.5 * even[0],
+        dxP1=0.5 * odd[0],
+        P2=0.125 * even[1],
+        dxP2=0.125 * odd[1],
+        S1=0.5 * even[2],
+        dxS1=0.5 * odd[2],
+        S2=0.125 * even[3],
+        dxS2=0.125 * odd[3],
     )

@@ -25,7 +25,7 @@ from .metric import (TangentVector, distance_upper, tangent_norm,
                      tangent_norm_info, zero_tangent)
 from .reconstruct import conserved_euler, euler_fields, measure_interval
 from .sources import (assemble_sources, exp_convolve, exp_convolve_bruteforce,
-                      kernel_accumulator, xi_derivatives)
+                      half_angle_factors, kernel_accumulator, xi_derivatives)
 
 __all__ = ["CheckResult", "run_suite"]
 
@@ -105,7 +105,7 @@ def check_scan_vs_bruteforce(cfg, rng, quick, inject=False):
     worst = 0.0
     for _ in range(trials):
         state = random_omega_state(rng, grid)
-        G = kernel_accumulator(state)
+        G = kernel_accumulator(state, half_angle_factors(state))
         p = _bumps(rng, grid, 3, 1.0)
         even, odd = _maybe_broken(*exp_convolve(p, G, grid), inject)
         even_b, odd_b = exp_convolve_bruteforce(p, G, grid)
@@ -118,7 +118,7 @@ def check_scan_vs_bruteforce(cfg, rng, quick, inject=False):
 def check_kernel_properties(cfg, rng, quick):
     grid = make_grid(-8.0, 8.0, 64 if quick else 256)
     state = random_omega_state(rng, grid)
-    G = kernel_accumulator(state)
+    G = kernel_accumulator(state, half_angle_factors(state))
     nondecreasing = bool(np.all(np.diff(G) >= 0.0))
     kernel = np.exp(-np.abs(G[:, None] - G[None, :]))
     diag_one = bool(np.all(np.diag(kernel) == 1.0))
@@ -133,8 +133,8 @@ def check_swap_symmetry(cfg, rng, quick):
     grid = make_grid(-8.0, 8.0, 64 if quick else 256)
     state = random_omega_state(rng, grid)
     swapped = state.with_fields(U=state.V, V=state.U, W=state.Z, Z=state.W)
-    src = assemble_sources(state)
-    src_sw = assemble_sources(swapped)
+    src = assemble_sources(state, half_angle_factors(state))
+    src_sw = assemble_sources(swapped, half_angle_factors(swapped))
     pairs = [(src.P1, src_sw.S1), (src.dxP1, src_sw.dxS1),
              (src.P2, src_sw.S2), (src.dxP2, src_sw.dxS2),
              (src.S1, src_sw.P1), (src.dxS1, src_sw.dxP1)]

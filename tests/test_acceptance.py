@@ -85,7 +85,7 @@ def test_criterion_02_scan_oracle_equivalence():
     worst = 0.0
     for _ in range(20):
         state = random_state(rng, grid)
-        G = kernel_accumulator(state)
+        G = kernel_accumulator(state, half_angle_factors(state))
         p = bumps(rng, grid.nodes, 3, 1.0)
         fe, fo = exp_convolve(p, G, grid)
         se, so = exp_convolve_bruteforce(p, G, grid)

@@ -181,6 +181,8 @@ def test_cli_metric_writes_ratios(tmp_path, capsys, t_final):
     ts = [float(row.split(",")[0]) for row in lines[1:]]
     assert min(ts) == pytest.approx(-0.1)
     assert max(ts) == pytest.approx(0.1)
+    # The summary prints a plain float, not a numpy scalar's repr.
+    assert "np.float64" not in capsys.readouterr().out
 
 
 def test_cli_metric_without_perturbation_is_config_error(tmp_path, capsys):

@@ -63,6 +63,23 @@ def test_rhs_symmetric_state_is_bitwise_symmetric():
     assert np.array_equal(d.W, d.Z)
 
 
+def test_rhs_computes_half_angle_factors_once(monkeypatch):
+    # rhs hands its factors down to the source pass instead of having
+    # assemble_sources and kernel_accumulator recompute them.
+    from novlab import evolution, sources
+    calls = []
+    real = sources.half_angle_factors
+
+    def counted(state):
+        calls.append(state)
+        return real(state)
+
+    monkeypatch.setattr(evolution, "half_angle_factors", counted)
+    monkeypatch.setattr(sources, "half_angle_factors", counted)
+    rhs(random_state(np.random.default_rng(6), make_grid(-8.0, 8.0, 128)))
+    assert len(calls) == 1
+
+
 def test_rk4_zero_state_unchanged():
     g = make_grid(-5.0, 5.0, 64)
     s0 = zero_state(g)

@@ -1,0 +1,61 @@
+"""The study scripts under scripts/, run on quick variants of the shipped configs."""
+import importlib.util
+import re
+from pathlib import Path
+
+import pytest
+
+REPO = Path(__file__).resolve().parents[1]
+
+
+def load_script(name):
+    spec = importlib.util.spec_from_file_location(
+        name, REPO / "scripts" / f"{name}.py")
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def backward_cfg(tmp_path, shipped):
+    # The shipped config with time.t_final = -0.1: the run goes backward.
+    text = (REPO / "configs" / shipped).read_text()
+    text, count = re.subn(r"(?m)^time\.t_final = .*$", "time.t_final = -0.1",
+                          text)
+    assert count == 1
+    path = tmp_path / shipped
+    path.write_text(text)
+    return str(path)
+
+
+def test_steep_front_breaking_runs_backward(tmp_path, capsys):
+    main = load_script("steep_front_breaking").main
+    out = tmp_path / "out"
+    rc = main(["--config", backward_cfg(tmp_path, "steep_front.cfg"),
+               "--out", str(out), "--quick"])
+    assert rc == 0
+    assert (out / "points.jsonl").exists()
+    assert (out / "slice_fits.csv").exists()
+
+
+def test_two_bump_conservation_runs_backward(tmp_path, capsys):
+    main = load_script("two_bump_conservation").main
+    out = tmp_path / "out"
+    rc = main(["--config", backward_cfg(tmp_path, "two_bump.cfg"),
+               "--out", str(out), "--quick"])
+    assert rc == 0
+    for level in (0, 1):
+        rows = (out / f"conserved_level{level}.csv").read_text().splitlines()
+        assert float(rows[-1].split(",")[0]) == pytest.approx(-0.1)
+
+
+def test_lipschitz_ratios_runs_backward(tmp_path, capsys):
+    # Both time directions run, so the sign of t_final does not matter.
+    main = load_script("lipschitz_ratios").main
+    out = tmp_path / "out"
+    rc = main(["--config", backward_cfg(tmp_path, "lipschitz.cfg"),
+               "--out", str(out), "--quick"])
+    assert rc == 0
+    rows = (out / "ratios_eps0.csv").read_text().splitlines()[1:]
+    ts = [float(row.split(",")[0]) for row in rows]
+    assert min(ts) == pytest.approx(-0.1)
+    assert max(ts) == pytest.approx(0.1)

@@ -3,8 +3,9 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from novlab import (assemble_sources, exp_convolve,
-                    exp_convolve_bruteforce, kernel_accumulator, make_grid)
+from novlab import (NumericalAbort, assemble_sources, exp_convolve,
+                    exp_convolve_bruteforce, half_angle_factors,
+                    kernel_accumulator, make_grid)
 from novlab.initial import TransformedState
 
 from conftest import bumps, random_state
@@ -18,7 +19,7 @@ def test_scan_matches_bruteforce_on_random_states():
     worst = 0.0
     for _ in range(20):
         state = random_state(rng, g)
-        G = kernel_accumulator(state)
+        G = kernel_accumulator(state, half_angle_factors(state))
         p = bumps(rng, g.nodes, 3, 1.0)
         fe, fo = exp_convolve(p, G, g)
         se, so = exp_convolve_bruteforce(p, G, g)
@@ -33,12 +34,72 @@ def test_scan_matches_bruteforce_property(seed):
     rng = np.random.default_rng(seed)
     g = make_grid(-8.0, 8.0, 128)
     state = random_state(rng, g)
-    G = kernel_accumulator(state)
+    G = kernel_accumulator(state, half_angle_factors(state))
     p = bumps(rng, g.nodes, 2, 1.0)
     fe, fo = exp_convolve(p, G, g)
     se, so = exp_convolve_bruteforce(p, G, g)
     assert np.max(np.abs(fe - se)) < 1e-12
     assert np.max(np.abs(fo - so)) < 1e-12
+
+
+def random_stack(rng, g):
+    return np.stack([bumps(rng, g.nodes, 3, 1.0) for _ in range(4)])
+
+
+def test_stacked_convolve_equals_row_by_row_bitwise():
+    # One (4, n) pass must give exactly what four 1-D passes give.
+    rng = np.random.default_rng(7)
+    g = make_grid(-20.0, 20.0, 1024)
+    state = random_state(rng, g)
+    G = kernel_accumulator(state, half_angle_factors(state))
+    p = random_stack(rng, g)
+    even, odd = exp_convolve(p, G, g)
+    assert even.shape == odd.shape == p.shape
+    for row in range(p.shape[0]):
+        e1, o1 = exp_convolve(p[row], G, g)
+        assert np.array_equal(even[row], e1)
+        assert np.array_equal(odd[row], o1)
+
+
+def test_stacked_scan_matches_bruteforce():
+    rng = np.random.default_rng(8)
+    g = make_grid(-12.0, 12.0, 512)
+    state = random_state(rng, g)
+    G = kernel_accumulator(state, half_angle_factors(state))
+    p = random_stack(rng, g)
+    fe, fo = exp_convolve(p, G, g)
+    se, so = exp_convolve_bruteforce(p, G, g)
+    assert se.shape == so.shape == p.shape
+    assert np.max(np.abs(fe - se)) < 1e-12
+    assert np.max(np.abs(fo - so)) < 1e-12
+
+
+@pytest.mark.parametrize("value, node", [
+    # A NaN spreads along both scan directions over the whole row.
+    (np.nan, 0),
+    # 1e300 overflows the forward scan only: node 250 sits 25 kernel
+    # units into a forward block (exp(25) * 1e300 > max float) but 15
+    # into a backward one, so the output is finite left of it.
+    (1e300, 250),
+])
+def test_stacked_convolve_names_first_bad_node(value, node):
+    g = make_grid(-35.0, 35.0, 701)
+    z = np.zeros(g.n)
+    state = TransformedState(t=0.0, U=z, V=z, W=z, Z=z,
+                             q=np.ones(g.n), grid=g)
+    G = kernel_accumulator(state, half_angle_factors(state))
+    p = np.ones((4, g.n))
+    p[2, 250] = value
+    with np.errstate(over="ignore", invalid="ignore"):
+        with pytest.raises(NumericalAbort) as stacked:
+            exp_convolve(p, G, g)
+        with pytest.raises(NumericalAbort) as single:
+            exp_convolve(p[2], G, g)
+        for row in (0, 1, 3):
+            exp_convolve(p[row], G, g)
+    assert stacked.value.diagnostics["node"] == node
+    assert single.value.diagnostics["node"] == node
+    assert f"at node {node}" in str(stacked.value)
 
 
 def test_kernel_flat_state_has_closed_form():
@@ -49,7 +110,7 @@ def test_kernel_flat_state_has_closed_form():
     z = np.zeros(g.n)
     state = TransformedState(t=0.0, U=z, V=z, W=z, Z=z,
                              q=np.ones(g.n), grid=g)
-    G = kernel_accumulator(state)
+    G = kernel_accumulator(state, half_angle_factors(state))
     even, odd = exp_convolve(np.ones(g.n), G, g)
     xi = g.nodes
     expected = 2.0 - np.exp(-(xi - g.xi_min)) - np.exp(-(g.xi_max - xi))
@@ -63,20 +124,19 @@ def test_accumulator_profile_properties():
     rng = np.random.default_rng(3)
     g = make_grid(-6.0, 6.0, 256)
     state = random_state(rng, g)
-    G = kernel_accumulator(state)
+    G = kernel_accumulator(state, half_angle_factors(state))
     # Nondecreasing potential: the integrand q cos^2 cos^2 is >= 0.
     assert np.all(np.diff(G) >= 0)
 
 
 def test_accumulator_rejects_negative_density():
     # Negative q means the state left its validity region at runtime.
-    from novlab import NumericalAbort
     g = make_grid(-1.0, 1.0, 16)
     z = np.zeros(g.n)
     state = TransformedState(t=0.0, U=z, V=z, W=z, Z=z,
                              q=-np.ones(g.n), grid=g)
     with pytest.raises(NumericalAbort):
-        kernel_accumulator(state)
+        kernel_accumulator(state, half_angle_factors(state))
 
 
 def test_wide_domain_does_not_overflow():
@@ -87,7 +147,7 @@ def test_wide_domain_does_not_overflow():
     z = np.zeros(g.n)
     state = TransformedState(t=0.0, U=z, V=z, W=z, Z=z,
                              q=np.ones(g.n), grid=g)
-    G = kernel_accumulator(state)
+    G = kernel_accumulator(state, half_angle_factors(state))
     even, odd = exp_convolve(np.ones(g.n), G, g)
     assert np.all(np.isfinite(even)) and np.all(np.isfinite(odd))
     be, bo = exp_convolve_bruteforce(np.ones(g.n), G, g)
@@ -102,8 +162,8 @@ def test_sources_swap_symmetry_is_bitwise():
     g = make_grid(-10.0, 10.0, 384)
     state = random_state(rng, g)
     swapped = state.with_fields(U=state.V, V=state.U, W=state.Z, Z=state.W)
-    a = assemble_sources(state)
-    b = assemble_sources(swapped)
+    a = assemble_sources(state, half_angle_factors(state))
+    b = assemble_sources(swapped, half_angle_factors(swapped))
     assert np.array_equal(a.P1, b.S1)
     assert np.array_equal(a.P2, b.S2)
     assert np.array_equal(a.dxP1, b.dxS1)
@@ -116,14 +176,14 @@ def test_symmetric_state_sources_collapse():
     g = make_grid(-10.0, 10.0, 256)
     base = random_state(rng, g)
     state = base.with_fields(V=base.U, Z=base.W)
-    src = assemble_sources(state)
+    src = assemble_sources(state, half_angle_factors(state))
     assert np.array_equal(src.P1, src.S1)
     assert np.array_equal(src.dxP2, src.dxS2)
 
 
 def test_sources_finite_and_shaped(smooth_pair_state):
     state, _ = smooth_pair_state
-    src = assemble_sources(state)
+    src = assemble_sources(state, half_angle_factors(state))
     for name in ("P1", "dxP1", "P2", "dxP2", "S1", "dxS1", "S2", "dxS2"):
         arr = getattr(src, name)
         assert arr.shape == (state.grid.n,)
@@ -135,6 +195,6 @@ def test_zero_state_sources_vanish():
     z = np.zeros(g.n)
     state = TransformedState(t=0.0, U=z, V=z, W=z, Z=z,
                              q=np.ones(g.n), grid=g)
-    src = assemble_sources(state)
+    src = assemble_sources(state, half_angle_factors(state))
     assert np.max(np.abs(src.P1)) == 0.0
     assert np.max(np.abs(src.S2)) == 0.0
