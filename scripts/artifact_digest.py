@@ -1,0 +1,84 @@
+#!/usr/bin/env python3
+"""sha256 digest of every artifact of the shipped CLI runs.
+
+Runs `novlab evolve` and `novlab singular` on the two_bump, peakon and
+steep_front configs and `novlab metric` on the lipschitz config, each
+full and `--quick` (only the 7 quick runs with --quick), every run into
+its own directory under OUT, and keeps each run's stdout next to it as
+OUT/<run>.stdout.  Prints `sha256  relative/path` for every file, sorted,
+so two trees can be compared with diff:
+
+    PYTHONPATH=src python3 scripts/artifact_digest.py OUT_A > a.txt
+    PYTHONPATH=/path/to/other/src python3 scripts/artifact_digest.py OUT_B > b.txt
+    diff a.txt b.txt
+
+novlab is imported from the path Python finds first, so PYTHONPATH picks
+the tree under test.
+"""
+import argparse
+import contextlib
+import hashlib
+import io
+import os
+import sys
+from pathlib import Path
+
+from novlab.cli import main as novlab_main
+
+REPO = Path(__file__).resolve().parents[1]
+
+RUNS = [(cfg, cmd) for cfg in ("two_bump", "peakon", "steep_front")
+        for cmd in ("evolve", "singular")] + [("lipschitz", "metric")]
+
+
+def run_all(out: Path, quick_only: bool) -> list[str]:
+    """Runs the CLI into out; returns the names of runs that exited non-zero."""
+    failed = []
+    for quick in (True,) if quick_only else (False, True):
+        for cfg, cmd in RUNS:
+            name = f"{cfg}_{cmd}" + ("_quick" if quick else "")
+            argv = [cmd, "--config", str(REPO / "configs" / f"{cfg}.cfg"),
+                    "--out", name] + (["--quick"] if quick else [])
+            buf = io.StringIO()
+            # Relative --out paths keep OUT itself out of the stdout lines.
+            cwd = os.getcwd()
+            os.chdir(out)
+            try:
+                with contextlib.redirect_stdout(buf):
+                    rc = novlab_main(argv)
+            finally:
+                os.chdir(cwd)
+            (out / f"{name}.stdout").write_text(buf.getvalue())
+            if rc != 0:
+                failed.append(f"{name} (exit {rc})")
+    return failed
+
+
+def digest_lines(out: Path) -> list[str]:
+    files = sorted(p.relative_to(out).as_posix()
+                   for p in out.rglob("*") if p.is_file())
+    return [f"{hashlib.sha256((out / f).read_bytes()).hexdigest()}  {f}"
+            for f in files]
+
+
+def main(argv=None) -> int:
+    ap = argparse.ArgumentParser(
+        description=__doc__, formatter_class=argparse.RawDescriptionHelpFormatter)
+    ap.add_argument("out", help="directory for the run outputs")
+    ap.add_argument("--quick", action="store_true",
+                    help="only the 7 --quick runs")
+    args = ap.parse_args(argv)
+    out = Path(args.out)
+    out.mkdir(parents=True, exist_ok=True)
+    if any(out.iterdir()):
+        ap.error(f"{out} is not empty")
+    failed = run_all(out, args.quick)
+    print("\n".join(digest_lines(out)))
+    if failed:
+        print("runs that failed: " + ", ".join(failed), file=sys.stderr)
+        return 1
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())

@@ -66,7 +66,8 @@ def _write_trajectory(traj, out: Path) -> list[str]:
         epath = out / f"euler_{i:04d}.csv"
         try:
             field = euler_fields(state, traj.ys[i])
-        except ContractError:
+        except ContractError as err:
+            print(f"skipped {epath.name}: {err}", file=sys.stderr)
             continue
         with open(epath, "w", encoding="utf-8", newline="") as fh:
             cliio.write_euler_csv(fh, field)

@@ -1,18 +1,19 @@
 """Config-to-datum assembly and deterministic artifact writers.
 
-All floats are serialized with repr, which round-trips exactly and
-makes artifacts byte-stable across reruns on the same platform.
-Validity flags are written as 1/0.
+All floats are serialized with repr (str of a float is its repr), which
+round-trips exactly and makes artifacts byte-stable across reruns on the
+same platform. Flags are written as 1/0; no CSV cell needs quoting.
 """
 
 from __future__ import annotations
 
-import csv
 import json
 import math
 
+import numpy as np
+
 from .config import ScenarioConfig
-from .errors import ConfigError
+from .errors import ConfigError, ContractError
 from .initial import EulerDatum, builtin_datum, pair_datum
 
 __all__ = [
@@ -25,10 +26,6 @@ __all__ = [
     "write_points_jsonl",
     "write_cancellations_jsonl",
 ]
-
-
-def _fmt(x) -> str:
-    return repr(float(x))
 
 
 def _json_real(x):
@@ -72,45 +69,46 @@ def perturbed_datum(base: EulerDatum, cfg: ScenarioConfig) -> EulerDatum:
     )
 
 
-def _writer(fileobj):
-    return csv.writer(fileobj, lineterminator="\n")
+_BLOCK_ROWS = 1024  # table rows formatted per write
+
+
+def _write_table(fileobj, header, columns) -> None:
+    """CSV from equal-length 1-D columns, one write per block of rows."""
+    columns = [c.astype(np.int8) if c.dtype == bool else c
+               for c in map(np.asarray, columns)]
+    n = columns[0].size
+    if any(c.shape != (n,) for c in columns):
+        raise ContractError("table columns differ in length")
+    fileobj.write(",".join(header) + "\n")
+    for lo in range(0, n, _BLOCK_ROWS):
+        cells = [map(str, c[lo:lo + _BLOCK_ROWS].tolist()) for c in columns]
+        fileobj.write("".join(",".join(row) + "\n" for row in zip(*cells)))
 
 
 def write_conserved_csv(fileobj, traj) -> None:
-    w = _writer(fileobj)
-    w.writerow(["t", "E_u", "E_v", "G", "H", "y_consistency"])
-    for t, c, gap in zip(traj.times, traj.conserved_log, traj.y_checks):
-        w.writerow([_fmt(t), _fmt(c.E_u), _fmt(c.E_v), _fmt(c.G), _fmt(c.H),
-                    _fmt(gap)])
+    names = ("E_u", "E_v", "G", "H")
+    log = [[getattr(c, k) for c in traj.conserved_log] for k in names]
+    _write_table(fileobj, ["t", *names, "y_consistency"],
+                 np.array([traj.times, *log, traj.y_checks], dtype=float))
 
 
 def write_state_csv(fileobj, state, y) -> None:
-    w = _writer(fileobj)
-    w.writerow(["xi", "U", "V", "W", "Z", "q", "y"])
-    xi = state.grid.nodes
-    for k in range(state.grid.n):
-        w.writerow([_fmt(xi[k]), _fmt(state.U[k]), _fmt(state.V[k]),
-                    _fmt(state.W[k]), _fmt(state.Z[k]), _fmt(state.q[k]),
-                    _fmt(y[k])])
+    _write_table(fileobj, ["xi", "U", "V", "W", "Z", "q", "y"],
+                 [state.grid.nodes, state.U, state.V, state.W, state.Z,
+                  state.q, np.asarray(y, dtype=float)])
 
 
 def write_euler_csv(fileobj, field) -> None:
-    w = _writer(fileobj)
-    w.writerow(["x", "u", "v", "ux", "ux_valid", "vx", "vx_valid"])
-    for k in range(field.x.size):
-        w.writerow([
-            _fmt(field.x[k]), _fmt(field.u[k]), _fmt(field.v[k]),
-            _fmt(field.ux[k]), int(field.ux_valid[k]),
-            _fmt(field.vx[k]), int(field.vx_valid[k]),
-        ])
+    _write_table(fileobj, ["x", "u", "v", "ux", "ux_valid", "vx", "vx_valid"],
+                 [field.x, field.u, field.v, field.ux, field.ux_valid,
+                  field.vx, field.vx_valid])
 
 
 def write_ratios_csv(fileobj, rows) -> None:
-    w = _writer(fileobj)
-    w.writerow(["t", "d_t_upper", "ratio", "search_mode", "eta_iterations"])
-    for r in rows:
-        w.writerow([_fmt(r.t), _fmt(r.d_t_upper), _fmt(r.ratio),
-                    r.search_mode, int(r.eta_iterations)])
+    header = ["t", "d_t_upper", "ratio", "search_mode", "eta_iterations"]
+    dtypes = (float, float, float, str, np.int64)
+    _write_table(fileobj, header, [np.array([getattr(r, k) for r in rows], dt)
+                                   for k, dt in zip(header, dtypes)])
 
 
 def write_points_jsonl(points, path) -> None:

@@ -138,23 +138,23 @@ def z_shift(state: TransformedState, tangent: TangentVector) -> np.ndarray:
 def phi_values(state: TransformedState, y, tangent: TangentVector,
                eta: ShiftField | None = None):
     """The six weighted integrand factors entering the norm."""
-    return _phis(state, tangent, eta, _state_derivatives(state),
-                 z_shift(state, tangent))
+    derivs = None if eta is None else _state_derivatives(state)
+    return _phis(state, tangent, eta, derivs, z_shift(state, tangent))
 
 
 def _phis(state: TransformedState, tangent: TangentVector,
           eta: ShiftField | None, derivs, z):
     # derivs and z depend only on (state, tangent); the descent computes
-    # them once and varies eta alone.
-    grid = state.grid
-    y_xi, u_xi, v_xi, w_xi, z_xi, q_xi = derivs
-    if eta is None:
-        eta_v = np.zeros(grid.n)
-        eta_p = np.zeros(grid.n)
-    else:
-        eta_v = eta.eta(grid.nodes)
-        eta_p = eta.eta_prime(grid.nodes)
+    # them once and varies eta alone.  With eta = None (eta = 0) the eta
+    # terms drop out and derivs is not read; only the signs of zeros can
+    # differ from multiplying by a zero eta, and the objective takes abs.
     q = state.q
+    if eta is None:
+        return (z * q, tangent.R * q, tangent.S * q, 0.5 * tangent.A * q,
+                0.5 * tangent.B * q, tangent.Q.copy())
+    y_xi, u_xi, v_xi, w_xi, z_xi, q_xi = derivs
+    eta_v = eta.eta(state.grid.nodes)
+    eta_p = eta.eta_prime(state.grid.nodes)
     phi1 = (z + eta_v * y_xi) * q
     phi2 = (tangent.R + eta_v * u_xi) * q
     phi3 = (tangent.S + eta_v * v_xi) * q
@@ -196,14 +196,14 @@ def tangent_norm_info(state: TransformedState, y, tangent: TangentVector,
         raise ContractError(f"alpha must lie strictly in (0,1), got {alpha}")
     grid = state.grid
     weights = _quad_weights(grid, y, alpha)
-    derivs = _state_derivatives(state)
     z = z_shift(state, tangent)
-    value0 = _objective(weights, _phis(state, tangent, None, derivs, z))
+    value0 = _objective(weights, _phis(state, tangent, None, None, z))
     if search == "eta_zero":
         return NormInfo(value=value0, search=search, iterations=0,
                         eta_zero_value=value0, best_coeffs=None)
     if search != "coarse_descent":
         raise ContractError(f"unknown search mode {search!r}")
+    derivs = _state_derivatives(state)
 
     shift = ShiftField.zeros(grid, eta_nodes)
     box = 0.5 * (shift.coarse[1] - shift.coarse[0])

@@ -136,7 +136,13 @@ def exp_convolve(p, G: np.ndarray, grid: Grid):
     odd = bwd - fwd
     bad = ~(np.isfinite(even) & np.isfinite(odd))
     if bad.any():
-        k = int(np.argmax(bad.reshape(-1, grid.n).any(axis=0)))
+        # Both scans carry a non-finite input to every node, so name the
+        # first non-finite input node, and the first bad output otherwise.
+        bad_in = ~(np.isfinite(p).reshape(-1, grid.n).all(axis=0)
+                   & np.isfinite(G))
+        if not bad_in.any():
+            bad_in = bad.reshape(-1, grid.n).any(axis=0)
+        k = int(np.argmax(bad_in))
         raise NumericalAbort(
             f"exp_convolve produced a non-finite value at node {k}", {"node": k}
         )

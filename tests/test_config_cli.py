@@ -1,13 +1,18 @@
 """Config grammar, artifact writers, and the CLI front end."""
 import json
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import novlab.cli
 from novlab import ConfigError, load_config, parse_config, quick_override
 from novlab.cli import main
 from novlab.cliio import datum_from_config, perturbed_datum
 from novlab.config import ScenarioConfig
+from novlab.errors import ContractError
+
+REPO = Path(__file__).resolve().parents[1]
 
 MINIMAL = """\
 schema = novlab-config/1
@@ -133,6 +138,33 @@ def test_cli_evolve_writes_artifacts(tmp_path, capsys, t_final):
     assert head == "xi,U,V,W,Z,q,y"
     ehead = eulers[0].read_text().splitlines()[0]
     assert ehead == "x,u,v,ux,ux_valid,vx,vx_valid"
+
+
+def test_cli_evolve_reports_skipped_euler_frame(tmp_path, capsys,
+                                                monkeypatch):
+    # A record whose map is degenerate gets no euler file, and stderr
+    # says which file was skipped and why.
+    real = novlab.cli.euler_fields
+    calls = []
+
+    def degenerate_at_record_1(state, y):
+        calls.append(state.t)
+        if len(calls) == 2:
+            raise ContractError("y decreases at cell 7")
+        return real(state, y)
+
+    monkeypatch.setattr(novlab.cli, "euler_fields", degenerate_at_record_1)
+    out = tmp_path / "out"
+    rc = main(["evolve", "--config", str(REPO / "configs" / "two_bump.cfg"),
+               "--quick", "--out", str(out)])
+    assert rc == 0
+    captured = capsys.readouterr()
+    assert "skipped euler_0001.csv: y decreases at cell 7" in captured.err
+    assert (out / "state_0001.csv").exists()
+    assert not (out / "euler_0001.csv").exists()
+    assert (out / "euler_0002.csv").exists()
+    n_files = len(list(out.iterdir()))
+    assert f"wrote {n_files} files in {out}" in captured.out
 
 
 def test_cli_evolve_byte_deterministic(tmp_path, capsys):

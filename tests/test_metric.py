@@ -6,7 +6,8 @@ from novlab import (AnalysisError, ContractError, OmegaBounds, builtin_datum,
                     distance_upper, lipschitz_experiment, make_grid,
                     pair_datum, path_length, straight_line_path, tangent_norm,
                     tangent_norm_info, transform_with_map, zero_tangent)
-from novlab.metric import TangentVector
+from novlab import metric
+from novlab.metric import ShiftField, TangentVector, phi_values
 
 from conftest import bumps, random_state
 
@@ -86,6 +87,27 @@ def test_norm_info_eta_zero_mode():
         tangent_norm_info(state, y, zero_tangent(g), alpha=1.5)
     with pytest.raises(ContractError):
         tangent_norm_info(state, y, zero_tangent(g), search="bogus")
+
+
+def test_eta_zero_mode_needs_no_state_derivatives(monkeypatch):
+    # With eta = 0 the eta terms drop out: the norm reads no
+    # xi-derivatives and equals the objective at an explicit zero shift
+    # (which multiplies them by zero) bit for bit, since only the signs
+    # of zeros can differ under the abs.
+    rng = np.random.default_rng(24)
+    g = make_grid(-8.0, 8.0, 128)
+    state = random_state(rng, g)
+    y = np.linspace(-8.0, 8.0, g.n)
+    tan = random_tangent(rng, g)
+    at_zero_shift = metric._objective(
+        metric._quad_weights(g, y, 0.5),
+        phi_values(state, y, tan, ShiftField.zeros(g)))
+
+    def no_derivatives(state):
+        raise AssertionError("eta_zero mode computed state derivatives")
+
+    monkeypatch.setattr(metric, "_state_derivatives", no_derivatives)
+    assert tangent_norm_info(state, y, tan).value == at_zero_shift
 
 
 def endpoint_states():

@@ -1,4 +1,5 @@
-"""The study scripts under scripts/, run on quick variants of the shipped configs."""
+"""The scripts under scripts/, run on quick variants of the shipped configs."""
+import hashlib
 import importlib.util
 import re
 from pathlib import Path
@@ -59,3 +60,18 @@ def test_lipschitz_ratios_runs_backward(tmp_path, capsys):
     ts = [float(row.split(",")[0]) for row in rows]
     assert min(ts) == pytest.approx(-0.1)
     assert max(ts) == pytest.approx(0.1)
+
+
+def test_artifact_digest_quick_lists_every_file(tmp_path, capsys):
+    main = load_script("artifact_digest").main
+    out = tmp_path / "digest"
+    assert main([str(out), "--quick"]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    files = sorted(p.relative_to(out).as_posix()
+                   for p in out.rglob("*") if p.is_file())
+    assert [line.split("  ", 1)[1] for line in lines] == files
+    runs = {f.split("/")[0] for f in files if "/" in f}
+    assert len(runs) == 7 and all(r.endswith("_quick") for r in runs)
+    for line in lines:
+        digest, rel = line.split("  ", 1)
+        assert digest == hashlib.sha256((out / rel).read_bytes()).hexdigest()

@@ -75,8 +75,9 @@ def test_stacked_scan_matches_bruteforce():
 
 
 @pytest.mark.parametrize("value, node", [
-    # A NaN spreads along both scan directions over the whole row.
-    (np.nan, 0),
+    # A NaN spreads along both scan directions over the whole row; the
+    # diagnostic names the input node that holds it.
+    (np.nan, 250),
     # 1e300 overflows the forward scan only: node 250 sits 25 kernel
     # units into a forward block (exp(25) * 1e300 > max float) but 15
     # into a backward one, so the output is finite left of it.
@@ -100,6 +101,19 @@ def test_stacked_convolve_names_first_bad_node(value, node):
     assert stacked.value.diagnostics["node"] == node
     assert single.value.diagnostics["node"] == node
     assert f"at node {node}" in str(stacked.value)
+
+
+def test_convolve_names_nonfinite_kernel_potential_node():
+    g = make_grid(-35.0, 35.0, 701)
+    z = np.zeros(g.n)
+    state = TransformedState(t=0.0, U=z, V=z, W=z, Z=z,
+                             q=np.ones(g.n), grid=g)
+    G = kernel_accumulator(state, half_angle_factors(state))
+    G[300] = np.nan
+    with np.errstate(invalid="ignore"):
+        with pytest.raises(NumericalAbort) as err:
+            exp_convolve(np.ones((4, g.n)), G, g)
+    assert err.value.diagnostics["node"] == 300
 
 
 def test_kernel_flat_state_has_closed_form():
