@@ -2,10 +2,11 @@
 """sha256 digest of every artifact of the shipped CLI runs.
 
 Runs `novlab evolve` and `novlab singular` on the two_bump, peakon and
-steep_front configs and `novlab metric` on the lipschitz config, each
-full and `--quick` (only the 7 quick runs with --quick), every run into
-its own directory under OUT, and keeps each run's stdout next to it as
-OUT/<run>.stdout.  Prints `sha256  relative/path` for every file, sorted,
+steep_front configs and `novlab metric` on the lipschitz config and on
+lipschitz_descent (the lipschitz config with metric.search =
+coarse_descent, written to a temporary file), each full and `--quick`
+(only the 8 quick runs with --quick), every run into its own directory
+under OUT, and keeps each run's stdout next to it as OUT/<run>.stdout.  Prints `sha256  relative/path` for every file, sorted,
 so two trees can be compared with diff:
 
     PYTHONPATH=src python3 scripts/artifact_digest.py OUT_A > a.txt
@@ -20,7 +21,9 @@ import contextlib
 import hashlib
 import io
 import os
+import re
 import sys
+import tempfile
 from pathlib import Path
 
 from novlab.cli import main as novlab_main
@@ -28,30 +31,51 @@ from novlab.cli import main as novlab_main
 REPO = Path(__file__).resolve().parents[1]
 
 RUNS = [(cfg, cmd) for cfg in ("two_bump", "peakon", "steep_front")
-        for cmd in ("evolve", "singular")] + [("lipschitz", "metric")]
+        for cmd in ("evolve", "singular")] + [("lipschitz", "metric"),
+                                              ("lipschitz_descent", "metric")]
+
+
+def descent_config(tmp: Path) -> Path:
+    """configs/lipschitz.cfg with metric.search = coarse_descent, under tmp."""
+    text, count = re.subn(r"(?m)^metric\.search = .*$",
+                          "metric.search = coarse_descent",
+                          (REPO / "configs" / "lipschitz.cfg").read_text())
+    if count != 1:
+        raise SystemExit(f"lipschitz.cfg sets metric.search {count} times")
+    path = tmp / "lipschitz_descent.cfg"
+    path.write_text(text)
+    return path
 
 
 def run_all(out: Path, quick_only: bool) -> list[str]:
     """Runs the CLI into out; returns the names of runs that exited non-zero."""
     failed = []
-    for quick in (True,) if quick_only else (False, True):
-        for cfg, cmd in RUNS:
-            name = f"{cfg}_{cmd}" + ("_quick" if quick else "")
-            argv = [cmd, "--config", str(REPO / "configs" / f"{cfg}.cfg"),
-                    "--out", name] + (["--quick"] if quick else [])
-            buf = io.StringIO()
-            # Relative --out paths keep OUT itself out of the stdout lines.
-            cwd = os.getcwd()
-            os.chdir(out)
-            try:
-                with contextlib.redirect_stdout(buf):
-                    rc = novlab_main(argv)
-            finally:
-                os.chdir(cwd)
-            (out / f"{name}.stdout").write_text(buf.getvalue())
-            if rc != 0:
-                failed.append(f"{name} (exit {rc})")
+    with tempfile.TemporaryDirectory() as tmp:
+        paths = {cfg: REPO / "configs" / f"{cfg}.cfg" for cfg, _ in RUNS}
+        paths["lipschitz_descent"] = descent_config(Path(tmp))
+        for quick in (True,) if quick_only else (False, True):
+            for cfg, cmd in RUNS:
+                name = f"{cfg}_{cmd}" + ("_quick" if quick else "")
+                argv = [cmd, "--config", str(paths[cfg]), "--out", name]
+                rc = run_one(out, name, argv + (["--quick"] if quick else []))
+                if rc != 0:
+                    failed.append(f"{name} (exit {rc})")
     return failed
+
+
+def run_one(out: Path, name: str, argv: list[str]) -> int:
+    """Runs one CLI command in out, keeps its stdout; returns the exit code."""
+    buf = io.StringIO()
+    # Relative --out paths keep OUT itself out of the stdout lines.
+    cwd = os.getcwd()
+    os.chdir(out)
+    try:
+        with contextlib.redirect_stdout(buf):
+            rc = novlab_main(argv)
+    finally:
+        os.chdir(cwd)
+    (out / f"{name}.stdout").write_text(buf.getvalue())
+    return rc
 
 
 def digest_lines(out: Path) -> list[str]:
@@ -66,7 +90,7 @@ def main(argv=None) -> int:
         description=__doc__, formatter_class=argparse.RawDescriptionHelpFormatter)
     ap.add_argument("out", help="directory for the run outputs")
     ap.add_argument("--quick", action="store_true",
-                    help="only the 7 --quick runs")
+                    help="only the 8 --quick runs")
     args = ap.parse_args(argv)
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)

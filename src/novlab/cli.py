@@ -99,6 +99,12 @@ def cmd_evolve(args) -> int:
     return 0
 
 
+def _report_skip(analysis: str, point, err: AnalysisError) -> None:
+    # The point is still written, without what the analysis would add.
+    print(f"skipped {analysis} at t={float(point.t)!r}, "
+          f"xi={float(point.xi_star)!r}: {err}", file=sys.stderr)
+
+
 def cmd_singular(args) -> int:
     cfg, out = _prepare(args)
     traj = _run_trajectory(cfg, out)
@@ -114,8 +120,8 @@ def cmd_singular(args) -> int:
             try:
                 point = classify(point, state, tol_pi=cfg.tol_pi,
                                  tol_zero_rel=cfg.tol_zero_rel)
-            except AnalysisError:
-                pass
+            except AnalysisError as err:
+                _report_skip("classify", point, err)
             if cfg.fit_exponents and field is not None:
                 fits = {}
                 for comp in ("u", "v"):
@@ -124,16 +130,16 @@ def cmd_singular(args) -> int:
                                                 cfg.side_window, cfg.min_gap,
                                                 component=comp)
                         fits[f"fitted_exponent_{comp}"] = slope
-                    except AnalysisError:
-                        pass
+                    except AnalysisError as err:
+                        _report_skip(f"fit_exponent ({comp})", point, err)
                 if fits:
                     point = dataclasses.replace(point, **fits)
             points.append(point)
             if cfg.run_cancellations and point.case_label is not None:
                 try:
                     reports.append(verify_cancellations(point, state))
-                except AnalysisError:
-                    pass
+                except AnalysisError as err:
+                    _report_skip("verify_cancellations", point, err)
     cliio.write_points_jsonl(points, out / "points.jsonl")
     cliio.write_cancellations_jsonl(reports, out / "cancellations.jsonl")
     print(f"found {len(points)} level events over {len(traj.times)} records")

@@ -88,9 +88,13 @@ class ShiftField:
 
     def eta_prime(self, nodes: np.ndarray) -> np.ndarray:
         slopes = np.diff(self.coeffs) / np.diff(self.coarse)
-        idx = np.clip(np.searchsorted(self.coarse, nodes, side="right") - 1,
-                      0, self.coarse.size - 2)
-        return slopes[idx]
+        return slopes[_cells(self.coarse, nodes)]
+
+
+def _cells(coarse: np.ndarray, nodes: np.ndarray) -> np.ndarray:
+    """Index of the coarse cell holding each node; the last cell is closed."""
+    return np.clip(np.searchsorted(coarse, nodes, side="right") - 1,
+                   0, coarse.size - 2)
 
 
 @dataclass(frozen=True)
@@ -135,33 +139,59 @@ def z_shift(state: TransformedState, tangent: TangentVector) -> np.ndarray:
     return prefix_integral(integrand, state.grid)
 
 
-def phi_values(state: TransformedState, y, tangent: TangentVector,
-               eta: ShiftField | None = None):
-    """The six weighted integrand factors entering the norm."""
+def phi_values(state: TransformedState, tangent: TangentVector,
+               eta: ShiftField | None = None) -> np.ndarray:
+    """The six weighted integrand factors entering the norm, as (6, n) rows."""
     derivs = None if eta is None else _state_derivatives(state)
-    return _phis(state, tangent, eta, derivs, z_shift(state, tangent))
-
-
-def _phis(state: TransformedState, tangent: TangentVector,
-          eta: ShiftField | None, derivs, z):
-    # derivs and z depend only on (state, tangent); the descent computes
-    # them once and varies eta alone.  With eta = None (eta = 0) the eta
-    # terms drop out and derivs is not read; only the signs of zeros can
-    # differ from multiplying by a zero eta, and the objective takes abs.
-    q = state.q
+    phis = _PhiStack(state, tangent, z_shift(state, tangent), derivs)
     if eta is None:
-        return (z * q, tangent.R * q, tangent.S * q, 0.5 * tangent.A * q,
-                0.5 * tangent.B * q, tangent.Q.copy())
-    y_xi, u_xi, v_xi, w_xi, z_xi, q_xi = derivs
-    eta_v = eta.eta(state.grid.nodes)
-    eta_p = eta.eta_prime(state.grid.nodes)
-    phi1 = (z + eta_v * y_xi) * q
-    phi2 = (tangent.R + eta_v * u_xi) * q
-    phi3 = (tangent.S + eta_v * v_xi) * q
-    phi4 = 0.5 * (tangent.A + eta_v * w_xi) * q
-    phi5 = 0.5 * (tangent.B + eta_v * z_xi) * q
-    phi6 = tangent.Q + eta_v * q_xi + eta_p * q
-    return phi1, phi2, phi3, phi4, phi5, phi6
+        return phis.fill()
+    nodes = state.grid.nodes
+    return phis.fill(eta.eta(nodes), eta.eta_prime(nodes))
+
+
+# Column scale of phi rows 0-4: phi4 and phi5 carry a factor 1/2.
+_ROW_SCALE = np.array([1.0, 1.0, 1.0, 0.5, 0.5])[:, None]
+
+
+class _PhiStack:
+    """The six phis of one (state, tangent), filled into one (6, n) array.
+
+    Rows 0-4 are ((base + eta_v * D) * _ROW_SCALE) * q with base the
+    stack (z, R, S, A, B) and D the stack (y_xi, u_xi, v_xi, w_xi, z_xi);
+    row 5 is Q + eta_v * q_xi + eta_p * q.  Only eta varies during a
+    descent, so the stacks are built once and every fill overwrites the
+    same array.  With eta = 0 (no arguments) the eta terms drop out and
+    the derivatives are not needed; only the signs of zeros can differ
+    from multiplying by a zero eta, and the objective takes abs.
+    """
+
+    def __init__(self, state: TransformedState, tangent: TangentVector,
+                 z: np.ndarray, derivs=None):
+        self.q = state.q
+        self.Q = tangent.Q
+        self.base = np.stack((z, tangent.R, tangent.S, tangent.A, tangent.B))
+        self.D = None if derivs is None else np.stack(derivs[:5])
+        self.q_xi = None if derivs is None else derivs[5]
+        self.out = np.empty((6, state.grid.n))
+        self._eta_p_q = np.empty(state.grid.n)
+
+    def fill(self, eta_v: np.ndarray | None = None,
+             eta_p: np.ndarray | None = None) -> np.ndarray:
+        rows, p6 = self.out[:5], self.out[5]
+        if eta_v is None:
+            np.multiply(self.base, _ROW_SCALE, out=rows)
+            p6[:] = self.Q
+        else:
+            np.multiply(eta_v, self.D, out=rows)
+            rows += self.base
+            rows *= _ROW_SCALE
+            np.multiply(eta_v, self.q_xi, out=p6)
+            p6 += self.Q
+            np.multiply(eta_p, self.q, out=self._eta_p_q)
+            p6 += self._eta_p_q
+        rows *= self.q
+        return self.out
 
 
 def _quad_weights(grid: Grid, y, alpha: float) -> np.ndarray:
@@ -170,21 +200,20 @@ def _quad_weights(grid: Grid, y, alpha: float) -> np.ndarray:
     return w * np.exp(-alpha * np.abs(np.asarray(y, dtype=float)))
 
 
-def _objective(weights, phis) -> float:
-    return float(sum(weights @ np.abs(p) for p in phis))
+def _objective(weights, phis, out=None) -> float:
+    # One dot per row, summed in row order.  Not abs(phis) @ weights: a
+    # matrix-vector product rounds differently from six dots.
+    return float(sum(weights @ row for row in np.abs(phis, out=out)))
 
 
-def _hat_matrices(shift: ShiftField, grid: Grid):
-    nodes = grid.nodes
-    coarse = shift.coarse
+def _hat_matrices(coarse: np.ndarray, nodes: np.ndarray, cells: np.ndarray):
     m = coarse.size
     spacing = coarse[1] - coarse[0]
     hat = np.maximum(0.0, 1.0 - np.abs(nodes[None, :] - coarse[:, None]) / spacing)
-    idx = np.clip(np.searchsorted(coarse, nodes, side="right") - 1, 0, m - 2)
     hat_p = np.zeros((m, nodes.size))
     rows = np.arange(nodes.size)
-    hat_p[idx, rows] = -1.0 / spacing
-    hat_p[idx + 1, rows] = 1.0 / spacing
+    hat_p[cells, rows] = -1.0 / spacing
+    hat_p[cells + 1, rows] = 1.0 / spacing
     return hat, hat_p
 
 
@@ -194,34 +223,55 @@ def tangent_norm_info(state: TransformedState, y, tangent: TangentVector,
                       iters: int = DEFAULT_DESCENT_ITERS) -> NormInfo:
     if not 0.0 < alpha < 1.0:
         raise ContractError(f"alpha must lie strictly in (0,1), got {alpha}")
+    if search not in ("eta_zero", "coarse_descent"):
+        raise ContractError(f"unknown search mode {search!r}")
     grid = state.grid
     weights = _quad_weights(grid, y, alpha)
-    z = z_shift(state, tangent)
-    value0 = _objective(weights, _phis(state, tangent, None, None, z))
-    if search == "eta_zero":
+    descent = search == "coarse_descent"
+    phis = _PhiStack(state, tangent, z_shift(state, tangent),
+                     _state_derivatives(state) if descent else None)
+    value0 = _objective(weights, phis.fill())
+    if not descent:
         return NormInfo(value=value0, search=search, iterations=0,
                         eta_zero_value=value0, best_coeffs=None)
-    if search != "coarse_descent":
-        raise ContractError(f"unknown search mode {search!r}")
-    derivs = _state_derivatives(state)
 
+    # Everything but the coefficients c is fixed for the call.
+    nodes = grid.nodes
     shift = ShiftField.zeros(grid, eta_nodes)
-    box = 0.5 * (shift.coarse[1] - shift.coarse[0])
-    hat, hat_p = _hat_matrices(shift, grid)
-    y_xi, u_xi, v_xi, w_xi, z_xi, q_xi = derivs
-    q = state.q
+    coarse = shift.coarse
+    box = 0.5 * (coarse[1] - coarse[0])
+    gaps = np.diff(coarse)
+    cells = _cells(coarse, nodes)
+    hat, hat_p = _hat_matrices(coarse, nodes, cells)
+    q, q_xi = state.q, phis.q_xi
+    # Regrouped products that are exact, since sign is -1, 0 or 1:
+    # sign * (0.5 * w_xi) == (0.5 * sign) * w_xi and
+    # sign * (weights * q) == weights * sign * q.
+    half_d = phis.D * _ROW_SCALE
+    wq = weights * q
+    abs_buf = np.empty_like(phis.out)
+    signs = np.empty_like(phis.out)
+    terms = np.empty_like(phis.D)
 
-    def subgradient(phis):
-        p1, p2, p3, p4, p5, p6 = phis
-        core = (np.sign(p1) * y_xi + np.sign(p2) * u_xi + np.sign(p3) * v_xi
-                + 0.5 * np.sign(p4) * w_xi + 0.5 * np.sign(p5) * z_xi) * q \
-            + np.sign(p6) * q_xi
-        return hat @ (weights * core) + hat_p @ (weights * np.sign(p6) * q)
+    def fill(c):
+        return phis.fill(np.interp(nodes, coarse, c), (np.diff(c) / gaps)[cells])
+
+    def subgradient(P):
+        np.sign(P, out=signs)
+        np.multiply(signs[:5], half_d, out=terms)
+        # Summed row by row, in the order of the unstacked formula.
+        core = terms[0] + terms[1]
+        core += terms[2]
+        core += terms[3]
+        core += terms[4]
+        core *= q
+        core += signs[5] * q_xi
+        return hat @ (weights * core) + hat_p @ (signs[5] * wq)
 
     best_val = value0
     best_c = shift.coeffs.copy()
     c = shift.coeffs.copy()
-    g = subgradient(_phis(state, tangent, shift, derivs, z))
+    g = subgradient(fill(c))
     gnorm = float(np.linalg.norm(g))
     if gnorm == 0.0:
         return NormInfo(value=best_val, search=search, iterations=0,
@@ -230,13 +280,13 @@ def tangent_norm_info(state: TransformedState, y, tangent: TangentVector,
     used = 0
     for k in range(1, iters + 1):
         c = np.clip(c - (step_scale / k) * g, -box, box)
-        phis = _phis(state, tangent, shift.with_coeffs(c), derivs, z)
-        val = _objective(weights, phis)
+        P = fill(c)
+        val = _objective(weights, P, abs_buf)
         used = k
         if val < best_val:
             best_val = val
-            best_c = c.copy()
-        g = subgradient(phis)
+            best_c = c
+        g = subgradient(P)
         if float(np.linalg.norm(g)) == 0.0:
             break
     return NormInfo(value=best_val, search=search, iterations=used,
@@ -368,19 +418,18 @@ def lipschitz_experiment(datum0: EulerDatum, datum1: EulerDatum, grid: Grid,
     for sgn in (-1.0, 1.0):
         tr0 = evolve(state0, ymap0, sgn * T, sgn * dt, record_every, bounds)
         tr1 = evolve(state1, ymap1, sgn * T, sgn * dt, record_every, bounds)
-        runs.append((sgn, tr0, tr1))
+        runs.append((tr0, tr1))
     iters_field = (0 if search == "eta_zero"
                    else norm_kw.get("iters", DEFAULT_DESCENT_ITERS))
     rows = {}
-    d0 = None
-    for sgn, tr0, tr1 in runs:
+    for tr0, tr1 in runs:
         for i, t in enumerate(tr0.times):
-            d = distance_upper(tr0.states[i], tr0.ys[i],
-                               tr1.states[i], tr1.ys[i],
-                               alpha, m_theta, search, **norm_kw)
-            rows[t] = d
-            if t == 0.0:
-                d0 = d
+            if t in rows:
+                continue  # t = 0: both directions start from the same states
+            rows[t] = distance_upper(tr0.states[i], tr0.ys[i],
+                                     tr1.states[i], tr1.ys[i],
+                                     alpha, m_theta, search, **norm_kw)
+    d0 = rows.get(0.0)
     if d0 is None:
         raise AnalysisError("no t=0 record in the Lipschitz experiment")
     table = []

@@ -6,7 +6,8 @@ import numpy as np
 import pytest
 
 import novlab.cli
-from novlab import ConfigError, load_config, parse_config, quick_override
+from novlab import (AnalysisError, ConfigError, load_config, parse_config,
+                    quick_override)
 from novlab.cli import main
 from novlab.cliio import datum_from_config, perturbed_datum
 from novlab.config import ScenarioConfig
@@ -165,6 +166,34 @@ def test_cli_evolve_reports_skipped_euler_frame(tmp_path, capsys,
     assert (out / "euler_0002.csv").exists()
     n_files = len(list(out.iterdir()))
     assert f"wrote {n_files} files in {out}" in captured.out
+
+
+def test_cli_singular_reports_skipped_analysis(tmp_path, capsys,
+                                              monkeypatch):
+    # A failed classification still writes the point, unlabelled, and
+    # stderr names the analysis, the point and the reason.
+    # Both runs write to one --out, so their stdout is comparable.
+    argv = ["singular", "--config", str(REPO / "configs" / "steep_front.cfg"),
+            "--quick", "--out", str(tmp_path / "out")]
+    assert main(argv) == 0
+    ref_out = capsys.readouterr().out
+
+    def refuse(point, state, **kw):
+        raise AnalysisError("no usable margin")
+
+    monkeypatch.setattr(novlab.cli, "classify", refuse)
+    assert main(argv) == 0
+    captured = capsys.readouterr()
+    assert captured.out == ref_out
+    points = [json.loads(line) for line in
+              (tmp_path / "out" / "points.jsonl").read_text().splitlines()]
+    assert points and all(p["case_label"] is None for p in points)
+    skips = [line for line in captured.err.splitlines()
+             if line.startswith("skipped classify at ")]
+    assert len(skips) == len(points)
+    first = points[0]
+    assert skips[0] == (f"skipped classify at t={first['t']!r}, "
+                        f"xi={first['xi_star']!r}: no usable margin")
 
 
 def test_cli_evolve_byte_deterministic(tmp_path, capsys):

@@ -3,7 +3,7 @@ import numpy as np
 import pytest
 
 from novlab import (AnalysisError, ContractError, OmegaBounds, builtin_datum,
-                    distance_upper, lipschitz_experiment, make_grid,
+                    distance_upper, evolve, lipschitz_experiment, make_grid,
                     pair_datum, path_length, straight_line_path, tangent_norm,
                     tangent_norm_info, transform_with_map, zero_tangent)
 from novlab import metric
@@ -101,13 +101,156 @@ def test_eta_zero_mode_needs_no_state_derivatives(monkeypatch):
     tan = random_tangent(rng, g)
     at_zero_shift = metric._objective(
         metric._quad_weights(g, y, 0.5),
-        phi_values(state, y, tan, ShiftField.zeros(g)))
+        phi_values(state, tan, ShiftField.zeros(g)))
 
     def no_derivatives(state):
         raise AssertionError("eta_zero mode computed state derivatives")
 
     monkeypatch.setattr(metric, "_state_derivatives", no_derivatives)
     assert tangent_norm_info(state, y, tan).value == at_zero_shift
+
+
+def oracle_coarse_descent(state, y, tangent, alpha, eta_nodes, iters):
+    # The coarse_descent loop as it was before the stacked rewrite, kept
+    # verbatim (six separate phis, a fresh ShiftField per iterate) as the
+    # bit-exact reference for tangent_norm_info.
+    def eta_of(coarse, coeffs, nodes):
+        return np.interp(nodes, coarse, coeffs)
+
+    def eta_prime_of(coarse, coeffs, nodes):
+        slopes = np.diff(coeffs) / np.diff(coarse)
+        idx = np.clip(np.searchsorted(coarse, nodes, side="right") - 1,
+                      0, coarse.size - 2)
+        return slopes[idx]
+
+    def phis_of(coeffs):
+        q = state.q
+        if coeffs is None:
+            return (z * q, tangent.R * q, tangent.S * q, 0.5 * tangent.A * q,
+                    0.5 * tangent.B * q, tangent.Q.copy())
+        eta_v = eta_of(coarse, coeffs, state.grid.nodes)
+        eta_p = eta_prime_of(coarse, coeffs, state.grid.nodes)
+        phi1 = (z + eta_v * y_xi) * q
+        phi2 = (tangent.R + eta_v * u_xi) * q
+        phi3 = (tangent.S + eta_v * v_xi) * q
+        phi4 = 0.5 * (tangent.A + eta_v * w_xi) * q
+        phi5 = 0.5 * (tangent.B + eta_v * z_xi) * q
+        phi6 = tangent.Q + eta_v * q_xi + eta_p * q
+        return phi1, phi2, phi3, phi4, phi5, phi6
+
+    def objective(phis):
+        return float(sum(weights @ np.abs(p) for p in phis))
+
+    def hat_matrices(coarse, grid):
+        nodes = grid.nodes
+        m = coarse.size
+        spacing = coarse[1] - coarse[0]
+        hat = np.maximum(0.0, 1.0 - np.abs(nodes[None, :] - coarse[:, None])
+                         / spacing)
+        idx = np.clip(np.searchsorted(coarse, nodes, side="right") - 1,
+                      0, m - 2)
+        hat_p = np.zeros((m, nodes.size))
+        rows = np.arange(nodes.size)
+        hat_p[idx, rows] = -1.0 / spacing
+        hat_p[idx + 1, rows] = 1.0 / spacing
+        return hat, hat_p
+
+    grid = state.grid
+    weights = metric._quad_weights(grid, y, alpha)
+    z = metric.z_shift(state, tangent)
+    value0 = objective(phis_of(None))
+    coarse = np.linspace(grid.xi_min, grid.xi_max, eta_nodes)
+    box = 0.5 * (coarse[1] - coarse[0])
+    hat, hat_p = hat_matrices(coarse, grid)
+    y_xi, u_xi, v_xi, w_xi, z_xi, q_xi = metric._state_derivatives(state)
+    q = state.q
+
+    def subgradient(phis):
+        p1, p2, p3, p4, p5, p6 = phis
+        core = (np.sign(p1) * y_xi + np.sign(p2) * u_xi + np.sign(p3) * v_xi
+                + 0.5 * np.sign(p4) * w_xi + 0.5 * np.sign(p5) * z_xi) * q \
+            + np.sign(p6) * q_xi
+        return hat @ (weights * core) + hat_p @ (weights * np.sign(p6) * q)
+
+    best_val = value0
+    best_c = np.zeros(eta_nodes)
+    c = np.zeros(eta_nodes)
+    g = subgradient(phis_of(c))
+    gnorm = float(np.linalg.norm(g))
+    if gnorm == 0.0:
+        return best_val, 0, value0, best_c
+    step_scale = 0.2 * box / gnorm
+    used = 0
+    for k in range(1, iters + 1):
+        c = np.clip(c - (step_scale / k) * g, -box, box)
+        phis = phis_of(c)
+        val = objective(phis)
+        used = k
+        if val < best_val:
+            best_val = val
+            best_c = c.copy()
+        g = subgradient(phis)
+        if float(np.linalg.norm(g)) == 0.0:
+            break
+    return best_val, used, value0, best_c
+
+
+def assert_matches_oracle(state, y, tangent, eta_nodes, iters):
+    info = tangent_norm_info(state, y, tangent, search="coarse_descent",
+                             eta_nodes=eta_nodes, iters=iters)
+    value, used, value0, coeffs = oracle_coarse_descent(
+        state, y, tangent, 0.5, eta_nodes, iters)
+    assert info.value == value
+    assert info.iterations == used
+    assert info.eta_zero_value == value0
+    # tobytes: bit for bit, signed zeros included.
+    assert info.best_coeffs.tobytes() == coeffs.tobytes()
+    return info
+
+
+@pytest.mark.parametrize("n", [128, 512])
+@pytest.mark.parametrize("eta_nodes", [9, 17])
+@pytest.mark.parametrize("iters", [0, 60, 200])
+def test_descent_matches_oracle_bit_for_bit(n, eta_nodes, iters):
+    for seed in range(2):
+        rng = np.random.default_rng([n, eta_nodes, iters, seed])
+        g = make_grid(-8.0, 8.0, n)
+        state = random_state(rng, g)
+        y = np.linspace(-8.0, 8.0, g.n)
+        info = assert_matches_oracle(state, y, random_tangent(rng, g),
+                                     eta_nodes, iters)
+        assert info.iterations == iters
+
+
+def test_descent_zero_gradient_returns_early():
+    # A zero tangent makes every phi zero, so the first subgradient
+    # vanishes and the descent stops before its first step.
+    rng = np.random.default_rng(25)
+    g = make_grid(-8.0, 8.0, 128)
+    state = random_state(rng, g)
+    y = np.linspace(-8.0, 8.0, g.n)
+    info = assert_matches_oracle(state, y, zero_tangent(g), 17, 200)
+    assert info.iterations == 0 and info.value == 0.0
+
+
+def test_phi_values_rows_are_the_six_phis():
+    rng = np.random.default_rng(26)
+    g = make_grid(-8.0, 8.0, 128)
+    state = random_state(rng, g)
+    tan = random_tangent(rng, g)
+    shift = ShiftField.zeros(g, 9).with_coeffs(rng.uniform(-0.5, 0.5, 9))
+    rows = phi_values(state, tan, shift)
+    assert rows.shape == (6, g.n)
+    eta_v, eta_p = shift.eta(g.nodes), shift.eta_prime(g.nodes)
+    y_xi, u_xi, v_xi, w_xi, z_xi, q_xi = metric._state_derivatives(state)
+    z = metric.z_shift(state, tan)
+    q = state.q
+    expected = ((z + eta_v * y_xi) * q, (tan.R + eta_v * u_xi) * q,
+                (tan.S + eta_v * v_xi) * q, 0.5 * (tan.A + eta_v * w_xi) * q,
+                0.5 * (tan.B + eta_v * z_xi) * q,
+                tan.Q + eta_v * q_xi + eta_p * q)
+    for row, phi in zip(rows, expected):
+        assert row.tobytes() == phi.tobytes()
 
 
 def endpoint_states():
@@ -197,3 +340,41 @@ def test_lipschitz_experiment_row_contract():
         assert np.isfinite(r.d_t_upper) and r.d_t_upper >= 0.0
         assert np.isfinite(r.ratio) and r.ratio > 0.0
         assert r.search_mode == "eta_zero"
+
+
+def test_lipschitz_experiment_computes_t0_distance_once(monkeypatch):
+    # Both time directions start from the same states, so the t = 0
+    # distance is computed once; the rows are those of a loop that
+    # evaluates every record of both directions.
+    g = make_grid(-12.0, 12.0, 128)
+    base = builtin_datum("gaussian_bump", {"a": 0.5, "width": 1.5})
+    pert = builtin_datum("gaussian_bump", {"a": 0.502, "width": 1.5})
+    d0, d1 = pair_datum(base, base), pair_datum(pert, base)
+    calls = []
+    real = metric.distance_upper
+
+    def counting(*args, **kw):
+        calls.append(args)
+        return real(*args, **kw)
+
+    monkeypatch.setattr(metric, "distance_upper", counting)
+    rows = lipschitz_experiment(d0, d1, g, 0.2, 0.01, record_every=10,
+                                bounds=BOUNDS)
+    monkeypatch.undo()
+
+    s0, y0 = transform_with_map(d0, g)
+    s1, y1 = transform_with_map(d1, g)
+    every = {}
+    records = set()
+    for sgn in (-1.0, 1.0):
+        tr0 = evolve(s0, y0, sgn * 0.2, sgn * 0.01, 10, BOUNDS)
+        tr1 = evolve(s1, y1, sgn * 0.2, sgn * 0.01, 10, BOUNDS)
+        records.add(len(tr0.times))
+        for i, t in enumerate(tr0.times):
+            every[t] = distance_upper(tr0.states[i], tr0.ys[i],
+                                      tr1.states[i], tr1.ys[i])
+    (n_records,) = records
+    assert len(calls) == 2 * (n_records - 1) + 1
+    assert [(r.t, r.d_t_upper) for r in rows] == sorted(every.items())
+    assert [r.ratio for r in rows] == [d / every[0.0] for _, d in
+                                       sorted(every.items())]

@@ -71,7 +71,8 @@ def test_artifact_digest_quick_lists_every_file(tmp_path, capsys):
                    for p in out.rglob("*") if p.is_file())
     assert [line.split("  ", 1)[1] for line in lines] == files
     runs = {f.split("/")[0] for f in files if "/" in f}
-    assert len(runs) == 7 and all(r.endswith("_quick") for r in runs)
+    assert len(runs) == 8 and all(r.endswith("_quick") for r in runs)
+    assert "lipschitz_descent_metric_quick" in runs
     for line in lines:
         digest, rel = line.split("  ", 1)
         assert digest == hashlib.sha256((out / rel).read_bytes()).hexdigest()
