@@ -6,8 +6,9 @@ steep_front configs and `novlab metric` on the lipschitz config and on
 lipschitz_descent (the lipschitz config with metric.search =
 coarse_descent, written to a temporary file), each full and `--quick`
 (only the 8 quick runs with --quick), every run into its own directory
-under OUT, and keeps each run's stdout next to it as OUT/<run>.stdout.  Prints `sha256  relative/path` for every file, sorted,
-so two trees can be compared with diff:
+under OUT, and keeps each run's stdout and stderr next to it as
+OUT/<run>.stdout and OUT/<run>.stderr.  Prints `sha256  relative/path`
+for every file, sorted, so two trees can be compared with diff:
 
     PYTHONPATH=src python3 scripts/artifact_digest.py OUT_A > a.txt
     PYTHONPATH=/path/to/other/src python3 scripts/artifact_digest.py OUT_B > b.txt
@@ -64,17 +65,20 @@ def run_all(out: Path, quick_only: bool) -> list[str]:
 
 
 def run_one(out: Path, name: str, argv: list[str]) -> int:
-    """Runs one CLI command in out, keeps its stdout; returns the exit code."""
-    buf = io.StringIO()
-    # Relative --out paths keep OUT itself out of the stdout lines.
+    """Runs one CLI command in out, keeps its stdout and stderr; returns
+    the exit code."""
+    stdout, stderr = io.StringIO(), io.StringIO()
+    # Relative --out paths keep OUT itself out of the printed lines.
     cwd = os.getcwd()
     os.chdir(out)
     try:
-        with contextlib.redirect_stdout(buf):
+        with contextlib.redirect_stdout(stdout), \
+                contextlib.redirect_stderr(stderr):
             rc = novlab_main(argv)
     finally:
         os.chdir(cwd)
-    (out / f"{name}.stdout").write_text(buf.getvalue())
+    (out / f"{name}.stdout").write_text(stdout.getvalue())
+    (out / f"{name}.stderr").write_text(stderr.getvalue())
     return rc
 
 

@@ -44,17 +44,16 @@ def main(argv=None) -> int:
     out.mkdir(parents=True, exist_ok=True)
 
     grid = make_grid(cfg.xi_min, cfg.xi_max, cfg.n)
-    state0, y0 = transform_with_map(datum_from_config(cfg), grid)
+    state0 = transform_with_map(datum_from_config(cfg), grid)
     dt = math.copysign(cfg.dt, cfg.t_final)  # a negative t_final runs backward
-    traj = evolve(state0, y0, cfg.t_final, dt,
+    traj = evolve(state0, cfg.t_final, dt,
                   record_every=cfg.record_every)
 
     first_t = label = None
     points = []
     rows = []
-    for i, t in enumerate(traj.times):
-        state, y = traj.states[i], traj.ys[i]
-        pts = find_crossings(state, y, tol_pi=cfg.tol_pi)
+    for t, state in zip(traj.times, traj.states):
+        pts = find_crossings(state, tol_pi=cfg.tol_pi)
         if not pts:
             continue
         if first_t is None:
@@ -63,7 +62,7 @@ def main(argv=None) -> int:
                              tol_zero_rel=cfg.tol_zero_rel).case_label
         points.extend(pts)
         try:
-            field = euler_fields(state, y)
+            field = euler_fields(state)
             alpha, r2 = fit_exponent(field, pts[0].x_star, cfg.side_window,
                                      cfg.min_gap, component=args.component)
         except (AnalysisError, ContractError):

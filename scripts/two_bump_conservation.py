@@ -47,14 +47,14 @@ def main(argv=None) -> int:
     out.mkdir(parents=True, exist_ok=True)
 
     grid = make_grid(cfg.xi_min, cfg.xi_max, cfg.n)
-    state0, y0 = transform_with_map(cliio.datum_from_config(cfg), grid)
+    state0 = transform_with_map(cliio.datum_from_config(cfg), grid)
 
     tables = []
     for level in range(args.levels):
         # A negative t_final runs backward.
         dt = math.copysign(cfg.dt, cfg.t_final) / 2**level
         rec = cfg.record_every * 2**level
-        traj = evolve(state0, y0, cfg.t_final, dt, record_every=rec)
+        traj = evolve(state0, cfg.t_final, dt, record_every=rec)
         path = out / f"conserved_level{level}.csv"
         with open(path, "w", newline="") as fh:
             cliio.write_conserved_csv(fh, traj)

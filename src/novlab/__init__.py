@@ -16,9 +16,8 @@ from .breaking import (CancellationCheck, CancellationReport, SingularPoint,
 from .config import ScenarioConfig, load_config, parse_config, quick_override
 from .errors import (AnalysisError, ConfigError, ContractError, EvolveAbort,
                      NovlabError, NumericalAbort, QueryError)
-from .evolution import (ConservedSet, OmegaBounds, StateDeriv, Trajectory,
-                        check_omega, conserved, evolve, rhs, rk4_step,
-                        y_formula_gap)
+from .evolution import (ConservedSet, OmegaBounds, Trajectory, check_omega,
+                        conserved, evolve, rhs, rk4_step, y_formula_gap)
 from .grid import (Grid, fd_derivative, fd_truncation_orders, integrate,
                    make_grid, prefix_integral)
 from .initial import (EulerDatum, TransformedState, builtin_datum,
@@ -26,7 +25,7 @@ from .initial import (EulerDatum, TransformedState, builtin_datum,
 from .metric import (NormInfo, PathOfStates, RatioRow, ShiftField,
                      TangentVector, distance_upper, lipschitz_experiment,
                      path_length, phi_values, straight_line_path,
-                     tangent_norm, tangent_norm_info, z_shift, zero_tangent)
+                     tangent_norm_info, z_shift, zero_tangent)
 from .reconstruct import (EulerField, conserved_euler, crest_position,
                           euler_fields, measure_interval, sample_at)
 from .sources import (SourceFields, assemble_sources, exp_convolve,

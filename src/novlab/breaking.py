@@ -124,11 +124,10 @@ def _level_events(s: np.ndarray, grid: Grid, tol_pi: float):
     return events
 
 
-def find_crossings(state: TransformedState, y,
+def find_crossings(state: TransformedState,
                    tol_pi: float = TOL_PI) -> list[SingularPoint]:
     """Locate all level events of W and Z at +-pi, sub-cell accurate."""
     grid = state.grid
-    y = np.asarray(y, dtype=float)
     dW = fd_derivative(state.W, grid, 1)
     dZ = fd_derivative(state.Z, grid, 1)
     raw = []  # (xi, which, tangential)
@@ -150,7 +149,7 @@ def find_crossings(state: TransformedState, y,
         points.append(SingularPoint(
             t=state.t,
             xi_star=xi,
-            x_star=_interp(y, grid, xi),
+            x_star=_interp(state.y, grid, xi),
             curve=which,
             tangential=tang,
             w_value=_interp(state.W, grid, xi),
@@ -432,9 +431,9 @@ def synthetic_case_state(case_label: int, grid: Grid) -> TransformedState:
 
     Local profiles are exact low-order polynomials times a flat-top
     cutoff, so the parities the case assumes hold to rounding and the
-    vanishing checks are not polluted by profile curvature.  The U and V
-    fields are integrated from the first-derivative identities, making
-    the analytic and FD routes mutually consistent.  These states are
+    vanishing checks are not polluted by profile curvature.  The U, V
+    and y fields are integrated from the first-derivative identities,
+    making the analytic and FD routes mutually consistent.  These states are
     for local analysis; they do not decay like evolved states and are
     not meant to be time stepped.
     """
@@ -456,9 +455,10 @@ def synthetic_case_state(case_label: int, grid: Grid) -> TransformedState:
         raise ContractError(f"case label must be 1..8, got {case_label}")
     W, Z = profiles[case_label]()
     q = 1.0 + 0.05 * bump
-    shell = TransformedState(t=0.0, U=np.zeros(grid.n), V=np.zeros(grid.n),
-                             W=W, Z=Z, q=q, grid=grid)
-    _, u_xi, v_xi = xi_derivatives(shell)
+    zero = np.zeros(grid.n)
+    shell = TransformedState(0.0, grid, np.stack((zero, zero, W, Z, q, zero)))
+    y_xi, u_xi, v_xi = xi_derivatives(shell)
     U = 0.1 + prefix_integral(u_xi, grid)
     V = 0.15 + prefix_integral(v_xi, grid)
-    return shell.with_fields(U=U, V=V)
+    y = grid.xi_min + prefix_integral(y_xi, grid)
+    return shell.with_fields(U=U, V=V, y=y)

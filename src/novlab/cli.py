@@ -24,7 +24,7 @@ from .breaking import (classify, find_crossings, fit_exponent,
                        verify_cancellations)
 from .config import ScenarioConfig, load_config, quick_override
 from .errors import (AnalysisError, ConfigError, ContractError, EvolveAbort,
-                     NumericalAbort)
+                     NovlabError, NumericalAbort)
 from .evolution import OmegaBounds, evolve
 from .grid import make_grid
 from .initial import transform_with_map
@@ -61,11 +61,11 @@ def _write_trajectory(traj, out: Path) -> list[str]:
     for i, state in enumerate(traj.states):
         spath = out / f"state_{i:04d}.csv"
         with open(spath, "w", encoding="utf-8", newline="") as fh:
-            cliio.write_state_csv(fh, state, traj.ys[i])
+            cliio.write_state_csv(fh, state)
         written.append(str(spath))
         epath = out / f"euler_{i:04d}.csv"
         try:
-            field = euler_fields(state, traj.ys[i])
+            field = euler_fields(state)
         except ContractError as err:
             print(f"skipped {epath.name}: {err}", file=sys.stderr)
             continue
@@ -78,10 +78,10 @@ def _write_trajectory(traj, out: Path) -> list[str]:
 def _run_trajectory(cfg: ScenarioConfig, out: Path):
     grid = make_grid(cfg.xi_min, cfg.xi_max, cfg.n)
     datum = cliio.datum_from_config(cfg)
-    state, y0 = transform_with_map(datum, grid)
+    state = transform_with_map(datum, grid)
     dt = math.copysign(cfg.dt, cfg.t_final)  # a negative t_final runs backward
     try:
-        return evolve(state, y0, cfg.t_final, dt,
+        return evolve(state, cfg.t_final, dt,
                       record_every=cfg.record_every, bounds=_bounds(cfg))
     except EvolveAbort as err:
         files = _write_trajectory(err.partial, out)
@@ -99,7 +99,7 @@ def cmd_evolve(args) -> int:
     return 0
 
 
-def _report_skip(analysis: str, point, err: AnalysisError) -> None:
+def _report_skip(analysis: str, point, err: NovlabError) -> None:
     # The point is still written, without what the analysis would add.
     print(f"skipped {analysis} at t={float(point.t)!r}, "
           f"xi={float(point.xi_star)!r}: {err}", file=sys.stderr)
@@ -110,28 +110,32 @@ def cmd_singular(args) -> int:
     traj = _run_trajectory(cfg, out)
     points = []
     reports = []
-    for i, state in enumerate(traj.states):
-        y = traj.ys[i]
+    for state in traj.states:
         try:
-            field = euler_fields(state, y)
-        except ContractError:
-            field = None
-        for point in find_crossings(state, y, tol_pi=cfg.tol_pi):
+            field, field_err = euler_fields(state), None
+        except ContractError as err:
+            field, field_err = None, err
+        for point in find_crossings(state, tol_pi=cfg.tol_pi):
             try:
                 point = classify(point, state, tol_pi=cfg.tol_pi,
                                  tol_zero_rel=cfg.tol_zero_rel)
             except AnalysisError as err:
                 _report_skip("classify", point, err)
-            if cfg.fit_exponents and field is not None:
+            if cfg.fit_exponents:
                 fits = {}
                 for comp in ("u", "v"):
+                    analysis = f"fit_exponent ({comp})"
+                    if field is None:
+                        # No graph to fit on: the map y is not monotone.
+                        _report_skip(analysis, point, field_err)
+                        continue
                     try:
                         slope, _ = fit_exponent(field, point.x_star,
                                                 cfg.side_window, cfg.min_gap,
                                                 component=comp)
                         fits[f"fitted_exponent_{comp}"] = slope
                     except AnalysisError as err:
-                        _report_skip(f"fit_exponent ({comp})", point, err)
+                        _report_skip(analysis, point, err)
                 if fits:
                     point = dataclasses.replace(point, **fits)
             points.append(point)

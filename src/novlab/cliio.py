@@ -14,7 +14,7 @@ import numpy as np
 
 from .config import ScenarioConfig
 from .errors import ConfigError, ContractError
-from .initial import EulerDatum, builtin_datum, pair_datum
+from .initial import FIELDS, EulerDatum, builtin_datum, pair_datum
 
 __all__ = [
     "datum_from_config",
@@ -92,10 +92,8 @@ def write_conserved_csv(fileobj, traj) -> None:
                  np.array([traj.times, *log, traj.y_checks], dtype=float))
 
 
-def write_state_csv(fileobj, state, y) -> None:
-    _write_table(fileobj, ["xi", "U", "V", "W", "Z", "q", "y"],
-                 [state.grid.nodes, state.U, state.V, state.W, state.Z,
-                  state.q, np.asarray(y, dtype=float)])
+def write_state_csv(fileobj, state) -> None:
+    _write_table(fileobj, ["xi", *FIELDS], [state.grid.nodes, *state.data])
 
 
 def write_euler_csv(fileobj, field) -> None:

@@ -23,7 +23,6 @@ from .sources import assemble_sources, half_angle_factors, xi_derivatives
 __all__ = [
     "OmegaBounds",
     "ConservedSet",
-    "StateDeriv",
     "Trajectory",
     "rhs",
     "rk4_step",
@@ -56,21 +55,10 @@ class ConservedSet:
     H: float
 
 
-@dataclass(frozen=True)
-class StateDeriv:
-    U: np.ndarray
-    V: np.ndarray
-    W: np.ndarray
-    Z: np.ndarray
-    q: np.ndarray
-    y: np.ndarray
-
-
 @dataclass
 class Trajectory:
     times: list[float]
     states: list[TransformedState]
-    ys: list[np.ndarray]
     conserved_log: list[ConservedSet]
     y_checks: list[float]
 
@@ -81,7 +69,8 @@ def _angle_rate(A, B, cA, sA, drive):
     return 2.0 * A * A * B * cA - B * sA - 2.0 * drive * cA
 
 
-def rhs(state: TransformedState) -> StateDeriv:
+def rhs(state: TransformedState) -> np.ndarray:
+    """Time derivative of state.data, as a (6, n) array in the same row order."""
     factors = half_angle_factors(state)
     src = assemble_sources(state, factors)
     sinW, sinZ, cw, sw, cz, sz = factors
@@ -94,13 +83,11 @@ def rhs(state: TransformedState) -> StateDeriv:
     dZ = _angle_rate(V, U, cz, sz, drive_z)
     dq = q * (U * U * V + 0.5 * V - drive_w) * sinW \
         + q * (V * V * U + 0.5 * U - drive_z) * sinZ
-    dy = U * V
-    return StateDeriv(U=dU, V=dV, W=dW, Z=dZ, q=dq, y=dy)
+    return np.stack((dU, dV, dW, dZ, dq, U * V))
 
 
 def check_omega(state: TransformedState, bounds: OmegaBounds) -> None:
-    arrays = (state.U, state.V, state.W, state.Z, state.q)
-    if not all(np.all(np.isfinite(a)) for a in arrays):
+    if not np.all(np.isfinite(state.data)):
         raise NumericalAbort("non-finite state entry", {"t": state.t})
     q_min = float(np.min(state.q))
     q_max = float(np.max(state.q))
@@ -118,43 +105,22 @@ def check_omega(state: TransformedState, bounds: OmegaBounds) -> None:
             f"max|W|={w_max:.4f}, max|Z|={z_max:.4f}", diag)
 
 
-def _shifted(state: TransformedState, y, k: StateDeriv, h: float):
-    new = state.with_fields(
-        t=state.t + h,
-        U=state.U + h * k.U,
-        V=state.V + h * k.V,
-        W=state.W + h * k.W,
-        Z=state.Z + h * k.Z,
-        q=state.q + h * k.q,
-    )
-    return new, y + h * k.y
-
-
-def rk4_step(state: TransformedState, y, dt: float,
-             bounds: OmegaBounds = OmegaBounds()):
-    """One classical RK4 step of (state, y); dt may be negative."""
+def rk4_step(state: TransformedState, dt: float,
+             bounds: OmegaBounds = OmegaBounds()) -> TransformedState:
+    """One classical RK4 step of the state, map included; dt may be negative."""
     if dt == 0.0:
         raise ContractError("rk4_step needs dt != 0")
-    y = np.asarray(y, dtype=float)
+    t, grid, x = state.t, state.grid, state.data
+    half = 0.5 * dt
     k1 = rhs(state)
-    s2, y2 = _shifted(state, y, k1, 0.5 * dt)
-    k2 = rhs(s2)
-    s3, y3 = _shifted(state, y, k2, 0.5 * dt)
-    k3 = rhs(s3)
-    s4, y4 = _shifted(state, y, k3, dt)
-    k4 = rhs(s4)
+    k2 = rhs(TransformedState(t + half, grid, x + half * k1))
+    k3 = rhs(TransformedState(t + half, grid, x + half * k2))
+    k4 = rhs(TransformedState(t + dt, grid, x + dt * k3))
     sixth = dt / 6.0
-    new = state.with_fields(
-        t=state.t + dt,
-        U=state.U + sixth * (k1.U + 2.0 * k2.U + 2.0 * k3.U + k4.U),
-        V=state.V + sixth * (k1.V + 2.0 * k2.V + 2.0 * k3.V + k4.V),
-        W=state.W + sixth * (k1.W + 2.0 * k2.W + 2.0 * k3.W + k4.W),
-        Z=state.Z + sixth * (k1.Z + 2.0 * k2.Z + 2.0 * k3.Z + k4.Z),
-        q=state.q + sixth * (k1.q + 2.0 * k2.q + 2.0 * k3.q + k4.q),
-    )
-    new_y = y + sixth * (k1.y + 2.0 * k2.y + 2.0 * k3.y + k4.y)
+    new = TransformedState(t + dt, grid,
+                           x + sixth * (k1 + 2.0 * k2 + 2.0 * k3 + k4))
     check_omega(new, bounds)
-    return new, new_y
+    return new
 
 
 def _energy(q, A, cA, sA, cOther):
@@ -176,13 +142,14 @@ def conserved(state: TransformedState) -> ConservedSet:
     return ConservedSet(E_u=e_u, E_v=e_v, G=cross, H=quartic)
 
 
-def y_formula_gap(state: TransformedState, y) -> float:
+def y_formula_gap(state: TransformedState) -> float:
     """Max gap between integrated y and the static prefix formula."""
+    y = state.y
     y_static = y[0] + prefix_integral(xi_derivatives(state)[0], state.grid)
     return float(np.max(np.abs(y - y_static)))
 
 
-def evolve(state0: TransformedState, y0, t_final: float, dt: float,
+def evolve(state0: TransformedState, t_final: float, dt: float,
            record_every: int = 1,
            bounds: OmegaBounds = OmegaBounds()) -> Trajectory:
     """Integrate to t_final, recording every record_every-th step.
@@ -199,23 +166,21 @@ def evolve(state0: TransformedState, y0, t_final: float, dt: float,
     if n_steps < 0 or abs(ratio - n_steps) > 1e-9 * max(1.0, abs(ratio)):
         raise ContractError(
             f"t_final/dt = {ratio!r} is not a nonnegative integer")
-    y = np.asarray(y0, dtype=float)
     check_omega(state0, bounds)
-    traj = Trajectory(times=[], states=[], ys=[], conserved_log=[], y_checks=[])
+    traj = Trajectory(times=[], states=[], conserved_log=[], y_checks=[])
 
-    def record(st, ym):
+    def record(st):
         traj.times.append(st.t)
         traj.states.append(st)
-        traj.ys.append(ym)
         traj.conserved_log.append(conserved(st))
-        traj.y_checks.append(y_formula_gap(st, ym))
+        traj.y_checks.append(y_formula_gap(st))
 
-    record(state0, y)
+    record(state0)
     state = state0
     t0 = state0.t
     for k in range(1, n_steps + 1):
         try:
-            state, y = rk4_step(state, y, dt, bounds)
+            state = rk4_step(state, dt, bounds)
         except NumericalAbort as err:
             raise EvolveAbort(
                 f"evolution aborted at step {k}/{n_steps}: {err}",
@@ -225,5 +190,5 @@ def evolve(state0: TransformedState, y0, t_final: float, dt: float,
             ) from err
         state = state.with_fields(t=t0 + k * dt)
         if k % record_every == 0 or k == n_steps:
-            record(state, y)
+            record(state)
     return traj

@@ -11,12 +11,12 @@ and the inversion is globally well posed.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
 
-from .errors import ConfigError, NumericalAbort
+from .errors import ConfigError, ContractError, NumericalAbort
 from .grid import Grid
 
 __all__ = [
@@ -47,9 +47,17 @@ class EulerDatum:
     kinks: tuple[float, ...] = ()
 
 
+# Row order of TransformedState.data.
+FIELDS = ("U", "V", "W", "Z", "q", "y")
+
+
 @dataclass(frozen=True)
 class TransformedState:
     """State of the characteristic-coordinate system at one time.
+
+    data is one (6, grid.n) float array with rows U, V, W, Z, q and the
+    characteristic map y; the fields are row views of it.  They evolve
+    as one semilinear ODE system, so the stepper acts on data whole.
 
     W and Z are kept unwrapped (no modular reduction); reconstruction
     formulas are periodic-safe so only level crossings of +-pi carry
@@ -57,15 +65,32 @@ class TransformedState:
     """
 
     t: float
-    U: np.ndarray
-    V: np.ndarray
-    W: np.ndarray
-    Z: np.ndarray
-    q: np.ndarray
     grid: Grid
+    data: np.ndarray
 
-    def with_fields(self, **kw) -> "TransformedState":
-        return replace(self, **kw)
+    def __post_init__(self):
+        data = np.asarray(self.data, dtype=float)
+        if data.shape != (len(FIELDS), self.grid.n):
+            raise ContractError(
+                f"state data has shape {data.shape}, expected "
+                f"({len(FIELDS)}, {self.grid.n})")
+        object.__setattr__(self, "data", data)
+
+    U = property(lambda self: self.data[0])
+    V = property(lambda self: self.data[1])
+    W = property(lambda self: self.data[2])
+    Z = property(lambda self: self.data[3])
+    q = property(lambda self: self.data[4])
+    y = property(lambda self: self.data[5])
+
+    def with_fields(self, t: float | None = None, **rows) -> "TransformedState":
+        """A copy with t and the named rows replaced."""
+        data = self.data
+        if rows:
+            data = data.copy()
+            for name, row in rows.items():
+                data[FIELDS.index(name)] = row
+        return TransformedState(self.t if t is None else t, self.grid, data)
 
 
 def _zero(x):
@@ -307,16 +332,14 @@ def invert_y0(datum: EulerDatum, grid: Grid) -> np.ndarray:
     return x
 
 
-def transform_with_map(datum: EulerDatum, grid: Grid) -> tuple[TransformedState, np.ndarray]:
-    """Initial transformed state plus the characteristic map it sits on."""
+def transform_with_map(datum: EulerDatum, grid: Grid) -> TransformedState:
+    """Initial transformed state, on the characteristic map y0 of the datum."""
     y0 = invert_y0(datum, grid)
-    state = TransformedState(
-        t=0.0,
-        U=np.asarray(datum.u0(y0), dtype=float),
-        V=np.asarray(datum.v0(y0), dtype=float),
-        W=2.0 * np.arctan(np.asarray(datum.du0(y0), dtype=float)),
-        Z=2.0 * np.arctan(np.asarray(datum.dv0(y0), dtype=float)),
-        q=np.ones(grid.n),
-        grid=grid,
-    )
-    return state, y0
+    return TransformedState(t=0.0, grid=grid, data=np.stack((
+        datum.u0(y0),
+        datum.v0(y0),
+        2.0 * np.arctan(datum.du0(y0)),
+        2.0 * np.arctan(datum.dv0(y0)),
+        np.ones(grid.n),
+        y0,
+    )))

@@ -31,7 +31,6 @@ __all__ = [
     "RatioRow",
     "z_shift",
     "phi_values",
-    "tangent_norm",
     "tangent_norm_info",
     "straight_line_path",
     "path_length",
@@ -101,7 +100,6 @@ def _cells(coarse: np.ndarray, nodes: np.ndarray) -> np.ndarray:
 class PathOfStates:
     theta_nodes: np.ndarray
     states: tuple[TransformedState, ...]
-    ys: tuple[np.ndarray, ...]
 
 
 @dataclass(frozen=True)
@@ -217,7 +215,7 @@ def _hat_matrices(coarse: np.ndarray, nodes: np.ndarray, cells: np.ndarray):
     return hat, hat_p
 
 
-def tangent_norm_info(state: TransformedState, y, tangent: TangentVector,
+def tangent_norm_info(state: TransformedState, tangent: TangentVector,
                       alpha: float = DEFAULT_ALPHA, search: str = "eta_zero",
                       eta_nodes: int = DEFAULT_ETA_NODES,
                       iters: int = DEFAULT_DESCENT_ITERS) -> NormInfo:
@@ -226,7 +224,7 @@ def tangent_norm_info(state: TransformedState, y, tangent: TangentVector,
     if search not in ("eta_zero", "coarse_descent"):
         raise ContractError(f"unknown search mode {search!r}")
     grid = state.grid
-    weights = _quad_weights(grid, y, alpha)
+    weights = _quad_weights(grid, state.y, alpha)
     descent = search == "coarse_descent"
     phis = _PhiStack(state, tangent, z_shift(state, tangent),
                      _state_derivatives(state) if descent else None)
@@ -293,40 +291,26 @@ def tangent_norm_info(state: TransformedState, y, tangent: TangentVector,
                     eta_zero_value=value0, best_coeffs=best_c)
 
 
-def tangent_norm(state: TransformedState, y, tangent: TangentVector,
-                 alpha: float = DEFAULT_ALPHA, search: str = "eta_zero",
-                 **kw) -> float:
-    return tangent_norm_info(state, y, tangent, alpha, search, **kw).value
-
-
 def straight_line_path(end0: TransformedState, end1: TransformedState,
-                       y0, y1, m_theta: int,
+                       m_theta: int,
                        bounds: OmegaBounds = OmegaBounds()) -> PathOfStates:
     if end0.grid != end1.grid:
         raise ContractError("path endpoints must share a grid")
     if m_theta < 3:
         raise ContractError(f"need m_theta >= 3 nodes, got {m_theta}")
-    y0 = np.asarray(y0, dtype=float)
-    y1 = np.asarray(y1, dtype=float)
     thetas = np.linspace(0.0, 1.0, m_theta)
-    states, ys = [], []
+    step = end1.data - end0.data
+    states = []
     for j, th in enumerate(thetas):
         if j == 0:
-            st, ym = end0, y0
+            st = end0
         elif j == m_theta - 1:
-            st, ym = end1, y1
+            st = end1
         else:
             # Anchored form: identical endpoints collapse bitwise, so the
             # self-distance is exactly zero instead of one-ulp noise.
-            st = end0.with_fields(
-                t=end0.t + th * (end1.t - end0.t),
-                U=end0.U + th * (end1.U - end0.U),
-                V=end0.V + th * (end1.V - end0.V),
-                W=end0.W + th * (end1.W - end0.W),
-                Z=end0.Z + th * (end1.Z - end0.Z),
-                q=end0.q + th * (end1.q - end0.q),
-            )
-            ym = y0 + th * (y1 - y0)
+            st = TransformedState(end0.t + th * (end1.t - end0.t), end0.grid,
+                                  end0.data + th * step)
         try:
             check_omega(st, bounds)
         except NumericalAbort as err:
@@ -334,8 +318,7 @@ def straight_line_path(end0: TransformedState, end1: TransformedState,
                 f"straight-line path leaves the validity region at "
                 f"theta={th:.4f}: {err}") from err
         states.append(st)
-        ys.append(ym)
-    return PathOfStates(theta_nodes=thetas, states=tuple(states), ys=tuple(ys))
+    return PathOfStates(theta_nodes=thetas, states=tuple(states))
 
 
 def _path_tangent(path: PathOfStates, j: int) -> TangentVector:
@@ -347,14 +330,8 @@ def _path_tangent(path: PathOfStates, j: int) -> TangentVector:
         a, b, h = m - 2, m - 1, path.theta_nodes[-1] - path.theta_nodes[-2]
     else:
         a, b, h = j - 1, j + 1, path.theta_nodes[j + 1] - path.theta_nodes[j - 1]
-    sa, sb = states[a], states[b]
-    return TangentVector(
-        R=(sb.U - sa.U) / h,
-        S=(sb.V - sa.V) / h,
-        A=(sb.W - sa.W) / h,
-        B=(sb.Z - sa.Z) / h,
-        Q=(sb.q - sa.q) / h,
-    )
+    R, S, A, B, Q, _ = (states[b].data - states[a].data) / h
+    return TangentVector(R=R, S=S, A=A, B=B, Q=Q)
 
 
 def _touches_pi(state: TransformedState, tol_pi: float) -> bool:
@@ -391,17 +368,16 @@ def path_length(path: PathOfStates, alpha: float = DEFAULT_ALPHA,
     for j in range(m):
         if not keep[j]:
             continue
-        norm = tangent_norm(path.states[j], path.ys[j], _path_tangent(path, j),
-                            alpha, search, **norm_kw)
-        length += weights[j] * norm
+        info = tangent_norm_info(path.states[j], _path_tangent(path, j),
+                                 alpha, search, **norm_kw)
+        length += weights[j] * info.value
     return length * (span / total_kept)
 
 
-def distance_upper(state0: TransformedState, y0,
-                   state1: TransformedState, y1,
+def distance_upper(state0: TransformedState, state1: TransformedState,
                    alpha: float = DEFAULT_ALPHA, m_theta: int = 9,
                    search: str = "eta_zero", **norm_kw) -> float:
-    path = straight_line_path(state0, state1, y0, y1, m_theta)
+    path = straight_line_path(state0, state1, m_theta)
     return path_length(path, alpha, search, **norm_kw)
 
 
@@ -412,12 +388,12 @@ def lipschitz_experiment(datum0: EulerDatum, datum1: EulerDatum, grid: Grid,
                          bounds: OmegaBounds = OmegaBounds(),
                          **norm_kw) -> list[RatioRow]:
     """Distance ratios d(t)/d(0) along both time directions."""
-    state0, ymap0 = transform_with_map(datum0, grid)
-    state1, ymap1 = transform_with_map(datum1, grid)
+    state0 = transform_with_map(datum0, grid)
+    state1 = transform_with_map(datum1, grid)
     runs = []
     for sgn in (-1.0, 1.0):
-        tr0 = evolve(state0, ymap0, sgn * T, sgn * dt, record_every, bounds)
-        tr1 = evolve(state1, ymap1, sgn * T, sgn * dt, record_every, bounds)
+        tr0 = evolve(state0, sgn * T, sgn * dt, record_every, bounds)
+        tr1 = evolve(state1, sgn * T, sgn * dt, record_every, bounds)
         runs.append((tr0, tr1))
     iters_field = (0 if search == "eta_zero"
                    else norm_kw.get("iters", DEFAULT_DESCENT_ITERS))
@@ -426,8 +402,7 @@ def lipschitz_experiment(datum0: EulerDatum, datum1: EulerDatum, grid: Grid,
         for i, t in enumerate(tr0.times):
             if t in rows:
                 continue  # t = 0: both directions start from the same states
-            rows[t] = distance_upper(tr0.states[i], tr0.ys[i],
-                                     tr1.states[i], tr1.ys[i],
+            rows[t] = distance_upper(tr0.states[i], tr1.states[i],
                                      alpha, m_theta, search, **norm_kw)
     d0 = rows.get(0.0)
     if d0 is None:

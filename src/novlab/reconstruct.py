@@ -46,10 +46,8 @@ class EulerField:
     Ddensity: np.ndarray
 
 
-def euler_fields(state: TransformedState, y, mask_tol: float = MASK_TOL) -> EulerField:
-    y = np.asarray(y, dtype=float)
-    if y.shape != (state.grid.n,):
-        raise ContractError(f"y shape {y.shape} does not match grid")
+def euler_fields(state: TransformedState, mask_tol: float = MASK_TOL) -> EulerField:
+    y = state.y
     drops = np.diff(y)
     # Post-breaking maps carry O(dt^4 + dx^2) integration noise in the
     # collapsed arc, so tiny dips are legitimate; order-one dips mean a
@@ -129,11 +127,11 @@ def _cut(y, value, side):
     return cell, float(np.clip(frac, 0.0, 1.0))
 
 
-def measure_interval(state: TransformedState, y, a: float, b: float) -> float:
+def measure_interval(state: TransformedState, a: float, b: float) -> float:
     """Energy-measure mass carried by characteristics landing in [a, b]."""
     if not a <= b:
         raise ContractError(f"need a <= b, got [{a}, {b}]")
-    y = np.asarray(y, dtype=float)
+    y = state.y
     m = _measure_density(state)
     dx = state.grid.dx
     if b < y[0] or a > y[-1]:

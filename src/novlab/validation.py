@@ -21,8 +21,8 @@ from .errors import NovlabError
 from .evolution import conserved, evolve, rhs
 from .grid import Grid, fd_derivative, integrate, make_grid, prefix_integral
 from .initial import builtin_datum, transform_with_map, TransformedState
-from .metric import (TangentVector, distance_upper, tangent_norm,
-                     tangent_norm_info, zero_tangent)
+from .metric import (TangentVector, distance_upper, tangent_norm_info,
+                     zero_tangent)
 from .reconstruct import conserved_euler, euler_fields, measure_interval
 from .sources import (assemble_sources, exp_convolve, exp_convolve_bruteforce,
                       half_angle_factors, kernel_accumulator, xi_derivatives)
@@ -50,16 +50,18 @@ def _bumps(rng: np.random.Generator, grid: Grid, count: int, amp: float):
 
 
 def random_omega_state(rng: np.random.Generator, grid: Grid) -> TransformedState:
-    """Smooth random state inside the validity region, decaying at the ends."""
-    return TransformedState(
-        t=0.0,
-        U=_bumps(rng, grid, 3, 0.8),
-        V=_bumps(rng, grid, 3, 0.8),
-        W=_bumps(rng, grid, 3, 1.2),
-        Z=_bumps(rng, grid, 3, 1.2),
-        q=1.0 + _bumps(rng, grid, 2, 0.3),
-        grid=grid,
-    )
+    """Smooth random state inside the validity region, decaying at the ends.
+
+    The map y is the identity xi, which the random fields do not match.
+    """
+    return TransformedState(0.0, grid, np.stack((
+        _bumps(rng, grid, 3, 0.8),
+        _bumps(rng, grid, 3, 0.8),
+        _bumps(rng, grid, 3, 1.2),
+        _bumps(rng, grid, 3, 1.2),
+        1.0 + _bumps(rng, grid, 2, 0.3),
+        grid.nodes,
+    )))
 
 
 def _datum_from_cfg(cfg: ScenarioConfig):
@@ -145,11 +147,10 @@ def check_swap_symmetry(cfg, rng, quick):
 
 def check_zero_state_rhs(cfg, rng, quick):
     grid = make_grid(-8.0, 8.0, 64 if quick else 256)
-    zero = TransformedState(t=0.0, U=np.zeros(grid.n), V=np.zeros(grid.n),
-                            W=np.zeros(grid.n), Z=np.zeros(grid.n),
-                            q=np.ones(grid.n), grid=grid)
-    d = rhs(zero)
-    worst = max(float(np.max(np.abs(getattr(d, f)))) for f in "UVWZqy")
+    zero = np.zeros(grid.n)
+    state = TransformedState(0.0, grid, np.stack(
+        (zero, zero, zero, zero, np.ones(grid.n), grid.nodes)))
+    worst = float(np.max(np.abs(rhs(state))))
     return worst == 0.0, f"max |rhs(zero)| = {worst:.3g}"
 
 
@@ -170,8 +171,9 @@ def check_transform_identity(cfg, rng, quick):
     n = 129 if quick else 1025
     grid = make_grid(cfg.xi_min, cfg.xi_max, n)
     datum = _datum_from_cfg(cfg)
-    state, y0 = transform_with_map(datum, grid)
-    err = np.max(np.abs(fd_derivative(y0, grid, 1) - xi_derivatives(state)[0]))
+    state = transform_with_map(datum, grid)
+    err = np.max(np.abs(fd_derivative(state.y, grid, 1)
+                        - xi_derivatives(state)[0]))
     tol = 5.0 * grid.dx**2
     return float(err) < tol, f"max |fd(y0) - q cos2 cos2| = {float(err):.3g} vs {tol:.3g}"
 
@@ -179,8 +181,7 @@ def check_transform_identity(cfg, rng, quick):
 def check_symmetric_evolution(cfg, rng, quick):
     grid = make_grid(-10.0, 10.0, 128 if quick else 512)
     datum = builtin_datum("gaussian_bump", {"a": 0.5, "width": 1.5})
-    state, y0 = transform_with_map(datum, grid)
-    traj = evolve(state, y0, 0.1, 0.01, record_every=5)
+    traj = evolve(transform_with_map(datum, grid), 0.1, 0.01, record_every=5)
     worst_u = max(float(np.max(np.abs(s.U - s.V))) for s in traj.states)
     worst_w = max(float(np.max(np.abs(s.W - s.Z))) for s in traj.states)
     ok = worst_u == 0.0 and worst_w == 0.0
@@ -191,8 +192,7 @@ def check_euler_round_trip(cfg, rng, quick):
     n = 129 if quick else 1025
     grid = make_grid(cfg.xi_min, cfg.xi_max, n)
     datum = _datum_from_cfg(cfg)
-    state, y0 = transform_with_map(datum, grid)
-    fld = euler_fields(state, y0)
+    fld = euler_fields(transform_with_map(datum, grid))
     err = float(np.max(np.abs(fld.u - datum.u0(fld.x))))
     tol = 10.0 * grid.dx**2 + 1e-12
     return err < tol, f"max |u(graph) - u0| = {err:.3g} vs {tol:.3g}"
@@ -202,9 +202,9 @@ def check_measure_vs_eulerian(cfg, rng, quick):
     n = 513 if quick else 8193
     grid = make_grid(-12.0, 12.0, n)
     datum = builtin_datum("gaussian_bump", {"a": 0.3, "width": 1.5})
-    state, y0 = transform_with_map(datum, grid)
-    fld = euler_fields(state, y0)
-    whole = measure_interval(state, y0, float(y0[0]), float(y0[-1]))
+    state = transform_with_map(datum, grid)
+    fld = euler_fields(state)
+    whole = measure_interval(state, float(state.y[0]), float(state.y[-1]))
     f = fld.ux**2 + fld.vx**2 + fld.ux**2 * fld.vx**2
     eulerian = float(np.sum(0.5 * (f[:-1] + f[1:]) * np.diff(fld.x)))
     rel = abs(whole - eulerian) / abs(eulerian)
@@ -215,8 +215,7 @@ def check_measure_vs_eulerian(cfg, rng, quick):
 def check_conservation_short(cfg, rng, quick):
     grid = make_grid(-12.0, 12.0, 257 if quick else 1025)
     datum = builtin_datum("gaussian_bump", {"a": 0.4, "width": 1.5})
-    state, y0 = transform_with_map(datum, grid)
-    traj = evolve(state, y0, 0.2, 0.005, record_every=10)
+    traj = evolve(transform_with_map(datum, grid), 0.2, 0.005, record_every=10)
     c0 = traj.conserved_log[0]
     worst = 0.0
     for c in traj.conserved_log[1:]:
@@ -230,19 +229,18 @@ def check_conservation_short(cfg, rng, quick):
 def check_norm_axioms(cfg, rng, quick):
     grid = make_grid(-8.0, 8.0, 64 if quick else 256)
     state = random_omega_state(rng, grid)
-    y = grid.nodes.copy()
     t1 = TangentVector(R=_bumps(rng, grid, 2, 0.5), S=_bumps(rng, grid, 2, 0.5),
                        A=_bumps(rng, grid, 2, 0.5), B=_bumps(rng, grid, 2, 0.5),
                        Q=_bumps(rng, grid, 2, 0.5))
     t2 = TangentVector(R=_bumps(rng, grid, 2, 0.5), S=_bumps(rng, grid, 2, 0.5),
                        A=_bumps(rng, grid, 2, 0.5), B=_bumps(rng, grid, 2, 0.5),
                        Q=_bumps(rng, grid, 2, 0.5))
-    n1 = tangent_norm(state, y, t1)
-    n2 = tangent_norm(state, y, t2)
-    n_zero = tangent_norm(state, y, zero_tangent(grid))
-    homog = abs(tangent_norm(state, y, t1.scaled(-2.5)) - 2.5 * n1)
-    subadd = tangent_norm(state, y, t1.plus(t2)) - (n1 + n2)
-    info = tangent_norm_info(state, y, t1, search="coarse_descent",
+    n1 = tangent_norm_info(state, t1).value
+    n2 = tangent_norm_info(state, t2).value
+    n_zero = tangent_norm_info(state, zero_tangent(grid)).value
+    homog = abs(tangent_norm_info(state, t1.scaled(-2.5)).value - 2.5 * n1)
+    subadd = tangent_norm_info(state, t1.plus(t2)).value - (n1 + n2)
+    info = tangent_norm_info(state, t1, search="coarse_descent",
                              iters=40 if quick else 120)
     descent_ok = info.value <= info.eta_zero_value
     ok = (n_zero == 0.0 and homog < 1e-12 * max(n1, 1.0)
@@ -257,8 +255,8 @@ def check_determinism(cfg, rng, quick):
     datum = builtin_datum("gaussian_bump", {"a": 0.5, "width": 1.5})
 
     def run_once() -> str:
-        state, y0 = transform_with_map(datum, grid)
-        traj = evolve(state, y0, 0.1, 0.01, record_every=5)
+        traj = evolve(transform_with_map(datum, grid), 0.1, 0.01,
+                      record_every=5)
         buf = io.StringIO()
         cliio.write_conserved_csv(buf, traj)
         return buf.getvalue()
@@ -270,8 +268,8 @@ def check_determinism(cfg, rng, quick):
 def check_distance_identity(cfg, rng, quick):
     grid = make_grid(-8.0, 8.0, 64 if quick else 256)
     datum = builtin_datum("gaussian_bump", {"a": 0.4, "width": 1.5})
-    state, y0 = transform_with_map(datum, grid)
-    d_self = distance_upper(state, y0, state, y0, m_theta=5)
+    state = transform_with_map(datum, grid)
+    d_self = distance_upper(state, state, m_theta=5)
     return d_self == 0.0, f"d(U,U) = {d_self:.3g}"
 
 

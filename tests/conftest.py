@@ -33,17 +33,28 @@ def bumps(rng: np.random.Generator, nodes: np.ndarray, count: int,
 
 
 def random_state(rng: np.random.Generator, grid) -> TransformedState:
-    """State with angles well inside (-3pi/2, 3pi/2) and q near 1."""
+    """State with angles well inside (-3pi/2, 3pi/2) and q near 1.
+
+    The map y is a linspace over the window, not integrated from the
+    random fields.
+    """
     nodes = grid.nodes
-    return TransformedState(
-        t=0.0,
-        U=bumps(rng, nodes, 3, 0.8),
-        V=bumps(rng, nodes, 3, 0.8),
-        W=bumps(rng, nodes, 3, 1.2),
-        Z=bumps(rng, nodes, 3, 1.2),
-        q=1.0 + 0.3 * bumps(rng, nodes, 2, 1.0),
-        grid=grid,
-    )
+    return TransformedState(0.0, grid, np.stack((
+        bumps(rng, nodes, 3, 0.8),
+        bumps(rng, nodes, 3, 0.8),
+        bumps(rng, nodes, 3, 1.2),
+        bumps(rng, nodes, 3, 1.2),
+        1.0 + 0.3 * bumps(rng, nodes, 2, 1.0),
+        np.linspace(grid.xi_min, grid.xi_max, grid.n),
+    )))
+
+
+def flat_state(grid, q: float = 1.0) -> TransformedState:
+    """U = V = W = Z = 0 and a constant q, on the map y = xi."""
+    z = np.zeros(grid.n)
+    return TransformedState(0.0, grid,
+                            np.stack((z, z, z, z, np.full(grid.n, q),
+                                      grid.nodes)))
 
 
 def two_bump_pair():

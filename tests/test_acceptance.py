@@ -21,7 +21,7 @@ from novlab import (AnalysisError, builtin_datum, classify, conserved,
                     find_crossings, fit_exponent, half_angle_factors,
                     invert_y0, kernel_accumulator, lipschitz_experiment,
                     make_grid, measure_interval, pair_datum,
-                    synthetic_case_state, tangent_norm, tangent_norm_info,
+                    synthetic_case_state, tangent_norm_info,
                     transform_with_map, verify_cancellations)
 from novlab.cli import main as cli_main
 
@@ -47,11 +47,11 @@ def _max_drifts(traj):
 @pytest.fixture(scope="module")
 def conservation_runs():
     grid = make_grid(-20.0, 20.0, 2048)
-    state, y0 = transform_with_map(two_bump_pair(), grid)
+    state = transform_with_map(two_bump_pair(), grid)
     start = time.perf_counter()
-    traj = evolve(state, y0, 2.0, 1e-3, record_every=250)
+    traj = evolve(state, 2.0, 1e-3, record_every=250)
     elapsed = time.perf_counter() - start
-    traj_half = evolve(state, y0, 2.0, 5e-4, record_every=500)
+    traj_half = evolve(state, 2.0, 5e-4, record_every=500)
     return traj, traj_half, elapsed
 
 
@@ -100,9 +100,9 @@ def test_criterion_03_identity_suite(conservation_runs):
     grid = traj.states[0].grid
     tol = 5.0 * grid.dx**2
     worst_y = worst_u = 0.0
-    for state, y in zip(traj.states, traj.ys):
+    for state in traj.states:
         sinW, _, cw, _, cz, _ = half_angle_factors(state)
-        gap_y = np.max(np.abs(fd_derivative(np.asarray(y), grid, 1)
+        gap_y = np.max(np.abs(fd_derivative(state.y, grid, 1)
                               - state.q * cw * cz))
         gap_u = np.max(np.abs(fd_derivative(state.U, grid, 1)
                               - 0.5 * state.q * sinW * cz))
@@ -115,10 +115,10 @@ def test_criterion_03_identity_suite(conservation_runs):
 
 def test_criterion_04_scalar_peakon():
     grid = make_grid(-20.0, 20.0, 2048)
-    state, y0 = transform_with_map(builtin_datum("peakon", {"c": 1.0}), grid)
+    state = transform_with_map(builtin_datum("peakon", {"c": 1.0}), grid)
     e_u = conserved(state).E_u
-    traj = evolve(state, y0, 1.0, 1e-3, record_every=1000)
-    field = euler_fields(traj.states[-1], traj.ys[-1])
+    traj = evolve(state, 1.0, 1e-3, record_every=1000)
+    field = euler_fields(traj.states[-1])
     x_star, _ = crest_position(field)
     _check("criterion 4 (unit-speed peaked wave)",
            abs(e_u - 2.0) < 1e-3 and abs(x_star - 1.0) < 0.01,
@@ -130,22 +130,22 @@ def test_criterion_05_symmetry_reductions():
     grid = make_grid(-16.0, 16.0, 1024)
     sym = builtin_datum("gaussian_bump",
                         {"a": 0.4, "center": 0.3, "width": 1.3})
-    state, y0 = transform_with_map(pair_datum(sym, sym), grid)
-    traj = evolve(state, y0, 1.0, 2e-3, record_every=100)
+    state = transform_with_map(pair_datum(sym, sym), grid)
+    traj = evolve(state, 1.0, 2e-3, record_every=100)
     bitwise = all(np.array_equal(s.U, s.V) and np.array_equal(s.W, s.Z)
                   for s in traj.states)
 
     mir = builtin_datum("mirrored_of", {"base": "gaussian_bump",
                                         "a": 0.3, "center": -0.8,
                                         "width": 1.2})
-    state_m, ym = transform_with_map(mir, grid)
-    fwd = evolve(state_m, ym, 1.0, 2e-3, record_every=100)
-    bwd = evolve(state_m, ym, -1.0, -2e-3, record_every=100)
+    state_m = transform_with_map(mir, grid)
+    fwd = evolve(state_m, 1.0, 2e-3, record_every=100)
+    bwd = evolve(state_m, -1.0, -2e-3, record_every=100)
     worst = worst_grid = 0.0
     for k in range(len(fwd.times)):
         assert fwd.times[k] == -bwd.times[k]
         worst_grid = max(worst_grid, float(np.max(np.abs(
-            np.asarray(fwd.ys[k]) + np.asarray(bwd.ys[k])[::-1]))))
+            fwd.states[k].y + bwd.states[k].y[::-1]))))
         worst = max(worst, float(np.max(np.abs(
             fwd.states[k].V - bwd.states[k].U[::-1]))))
     _check("criterion 5 (scalar and mirrored reductions)",
@@ -162,7 +162,7 @@ def test_criterion_05_symmetry_reductions():
 def test_criterion_06_cancellation_identities(case, required):
     grid = make_grid(-10.0, 10.0, 1601)
     state = synthetic_case_state(case, grid)
-    pts = find_crossings(state, np.zeros(grid.n))
+    pts = find_crossings(state)
     pt = classify(min(pts, key=lambda p: abs(p.xi_star)), state)
     assert pt.case_label == case
     by_name = {c.name: c for c in verify_cancellations(pt, state).checks}
@@ -187,19 +187,18 @@ def _first_event_fit(datum, t_final, band):
     to have emerged but before the window picks up neighbors.
     """
     grid = make_grid(-20.0, 20.0, 2048)
-    state, y0 = transform_with_map(datum, grid)
-    traj = evolve(state, y0, t_final, 5e-4, record_every=20)
+    state = transform_with_map(datum, grid)
+    traj = evolve(state, t_final, 5e-4, record_every=20)
     first_t = label = None
     rows = []
     for k, s in enumerate(traj.states):
-        y = traj.ys[k]
-        pts = find_crossings(s, y, tol_pi=1e-3)
+        pts = find_crossings(s, tol_pi=1e-3)
         if not pts:
             continue
         if first_t is None:
             first_t = traj.times[k]
             label = classify(pts[0], s, tol_pi=1e-3).case_label
-        field = euler_fields(s, y)
+        field = euler_fields(s)
         try:
             alpha, r2 = fit_exponent(field, pts[0].x_star, 0.05, 5e-4,
                                      component="u")
@@ -238,16 +237,14 @@ def test_criterion_07b_exponent_symmetric_front():
 def test_criterion_08_measure_consistency():
     grid = make_grid(-12.0, 12.0, 8193)
     datum = builtin_datum("gaussian_bump", {"a": 0.3, "width": 1.5})
-    state, y0 = transform_with_map(datum, grid)
-    traj = evolve(state, y0, 0.5, 1e-3, record_every=500)
+    state = transform_with_map(datum, grid)
+    traj = evolve(state, 0.5, 1e-3, record_every=500)
     worst = 0.0
-    for s, y in zip(traj.states, traj.ys):
-        fld = euler_fields(s, np.asarray(y))
+    for s in traj.states:
+        fld = euler_fields(s)
         dens = fld.ux**2 + fld.vx**2 + fld.ux**2 * fld.vx**2
         eulerian = float(np.trapezoid(dens, fld.x))
-        whole = measure_interval(s, np.asarray(y),
-                                 float(np.asarray(y)[0]),
-                                 float(np.asarray(y)[-1]))
+        whole = measure_interval(s, float(s.y[0]), float(s.y[-1]))
         worst = max(worst, abs(whole - eulerian) / abs(eulerian))
     _check("criterion 8 (measure vs physical-space integral)",
            worst < 1e-6, f"worst relative gap {worst:.3e} vs 1e-6")
@@ -257,27 +254,26 @@ def test_criterion_09a_metric_axioms():
     grid = make_grid(-16.0, 16.0, 512)
     base = builtin_datum("gaussian_bump", {"a": 0.5, "width": 1.5})
     near = builtin_datum("gaussian_bump", {"a": 0.501, "width": 1.5})
-    s0, y0 = transform_with_map(pair_datum(base, base), grid)
-    s1, y1 = transform_with_map(pair_datum(near, base), grid)
-    self_d = distance_upper(s0, y0, s0, y0)
-    d01 = distance_upper(s0, y0, s1, y1)
-    d10 = distance_upper(s1, y1, s0, y0)
+    s0 = transform_with_map(pair_datum(base, base), grid)
+    s1 = transform_with_map(pair_datum(near, base), grid)
+    self_d = distance_upper(s0, s0)
+    d01 = distance_upper(s0, s1)
+    d10 = distance_upper(s1, s0)
     sym_gap = abs(d01 - d10) / max(d01, d10)
 
     rng = np.random.default_rng(11)
     g = make_grid(-8.0, 8.0, 128)
-    ylin = np.linspace(-8.0, 8.0, g.n)
     homo_gap = 0.0
     descent_ok = True
     for _ in range(6):
         st = random_state(rng, g)
         tan = random_tangent(rng, g)
-        ref = tangent_norm(st, ylin, tan)
+        ref = tangent_norm_info(st, tan).value
         for lam in (-2.5, 0.5, 3.0):
-            scaled = tangent_norm(st, ylin, tan.scaled(lam))
+            scaled = tangent_norm_info(st, tan.scaled(lam)).value
             homo_gap = max(homo_gap, abs(scaled - abs(lam) * ref)
                            / (abs(lam) * ref))
-        info = tangent_norm_info(st, ylin, tan, search="coarse_descent",
+        info = tangent_norm_info(st, tan, search="coarse_descent",
                                  eta_nodes=9, iters=60)
         descent_ok = descent_ok and info.value <= info.eta_zero_value + 1e-12
     _check("criterion 9a (distance and norm axioms)",
@@ -343,9 +339,8 @@ def test_criterion_10a_byte_identical_reruns(tmp_path):
 def test_criterion_10b_transform_round_trip():
     grid = make_grid(-16.0, 16.0, 1024)
     datum = two_bump_pair()
-    state = transform_with_map(datum, grid)[0]
-    y0 = invert_y0(datum, grid)
-    field = euler_fields(state, y0)
+    state = transform_with_map(datum, grid)
+    field = euler_fields(state.with_fields(y=invert_y0(datum, grid)))
     tol = 10.0 * grid.dx**2
     gap_u = float(np.max(np.abs(field.u - datum.u0(field.x))))
     gap_v = float(np.max(np.abs(field.v - datum.v0(field.x))))

@@ -17,7 +17,7 @@ GRID = make_grid(-10.0, 10.0, 1601)
 
 def designed_point(case):
     state = synthetic_case_state(case, GRID)
-    pts = find_crossings(state, np.zeros(GRID.n))
+    pts = find_crossings(state)
     assert pts, f"case {case}: no crossing detected"
     best = min(pts, key=lambda p: abs(p.xi_star))
     assert abs(best.xi_star) < 2 * GRID.dx
@@ -65,7 +65,7 @@ def test_case_labels_swap_with_components(case, partner):
     # own mirror) and the same leading coefficients up to rounding.
     state, pt = designed_point(case)
     swapped = state.with_fields(U=state.V, V=state.U, W=state.Z, Z=state.W)
-    pts = find_crossings(swapped, np.zeros(GRID.n))
+    pts = find_crossings(swapped)
     best = classify(min(pts, key=lambda p: abs(p.xi_star)), swapped)
     assert best.case_label == partner
     rep = verify_cancellations(classify(pt, state), state)
@@ -165,5 +165,4 @@ def test_write_points_jsonl_round_trip(tmp_path):
 
 
 def test_find_crossings_clean_state_has_none(smooth_pair_state):
-    state, y0 = smooth_pair_state
-    assert find_crossings(state, np.asarray(y0, float)) == []
+    assert find_crossings(smooth_pair_state) == []

@@ -55,12 +55,12 @@ def written(writer, *args) -> str:
 def test_state_csv_matches_reference(drawn):
     (xi, U, V, W, Z, q, y), _ = drawn
     state = SimpleNamespace(grid=SimpleNamespace(nodes=xi),
-                            U=U, V=V, W=W, Z=Z, q=q)
+                            data=np.stack((U, V, W, Z, q, y)))
     cols = (xi, U, V, W, Z, q, y)
     expected = reference_csv(["xi", "U", "V", "W", "Z", "q", "y"],
                              ([fmt(c[k]) for c in cols]
                               for k in range(xi.size)))
-    assert written(write_state_csv, state, y) == expected
+    assert written(write_state_csv, state) == expected
 
 
 @given(float_columns(5))

@@ -148,11 +148,11 @@ def test_cli_evolve_reports_skipped_euler_frame(tmp_path, capsys,
     real = novlab.cli.euler_fields
     calls = []
 
-    def degenerate_at_record_1(state, y):
+    def degenerate_at_record_1(state):
         calls.append(state.t)
         if len(calls) == 2:
             raise ContractError("y decreases at cell 7")
-        return real(state, y)
+        return real(state)
 
     monkeypatch.setattr(novlab.cli, "euler_fields", degenerate_at_record_1)
     out = tmp_path / "out"
@@ -194,6 +194,31 @@ def test_cli_singular_reports_skipped_analysis(tmp_path, capsys,
     first = points[0]
     assert skips[0] == (f"skipped classify at t={first['t']!r}, "
                         f"xi={first['xi_star']!r}: no usable margin")
+
+
+def test_cli_singular_reports_skipped_fits(tmp_path, capsys):
+    # At t = 1.66 the quick steep_front map y dips, so euler_fields has
+    # no graph to fit on: each point is written without exponents, and
+    # stderr names every fit it skipped with the euler_fields reason.
+    out = tmp_path / "out"
+    rc = main(["singular", "--config",
+               str(REPO / "configs" / "steep_front.cfg"), "--quick",
+               "--out", str(out)])
+    assert rc == 0
+    captured = capsys.readouterr()
+    assert captured.out.startswith("found 2 level events over 6 records\n")
+    points = [json.loads(line) for line in
+              (out / "points.jsonl").read_text().splitlines()]
+    assert [p["t"] for p in points] == [1.66, 1.66]
+    assert all(p["fitted_exponent_u"] is None
+               and p["fitted_exponent_v"] is None for p in points)
+    skips = captured.err.splitlines()
+    assert len(skips) == 2 * len(points)
+    prefixes = [f"skipped fit_exponent ({comp}) at t={p['t']!r}, "
+                f"xi={p['xi_star']!r}: y decreases at cell "
+                for p in points for comp in ("u", "v")]
+    for line, prefix in zip(skips, prefixes):
+        assert line.startswith(prefix), line
 
 
 def test_cli_evolve_byte_deterministic(tmp_path, capsys):

@@ -5,28 +5,21 @@ import pytest
 from novlab import (ContractError, EvolveAbort, OmegaBounds, builtin_datum,
                     conserved, evolve, make_grid, pair_datum, rhs, rk4_step,
                     transform_with_map, y_formula_gap, zero_datum)
-from novlab.initial import TransformedState
 
-from conftest import random_state, two_bump_pair
+from conftest import flat_state, random_state, two_bump_pair
 
 BOUNDS = OmegaBounds(0.01, 100.0, 1.5)
 
 
-def zero_state(g):
-    z = np.zeros(g.n)
-    return TransformedState(t=0.0, U=z, V=z, W=z, Z=z, q=np.ones(g.n), grid=g)
-
-
 def state_sup_diff(a, b):
-    return max(float(np.max(np.abs(getattr(a, f) - getattr(b, f))))
-               for f in ("U", "V", "W", "Z", "q"))
+    return float(np.max(np.abs(a.data[:5] - b.data[:5])))
 
 
 def test_rhs_zero_state_is_fixed_point():
     g = make_grid(-5.0, 5.0, 64)
-    d = rhs(zero_state(g))
-    for f in ("U", "V", "W", "Z", "q", "y"):
-        assert np.max(np.abs(getattr(d, f))) == 0.0
+    d = rhs(flat_state(g))
+    assert d.shape == (6, g.n)
+    assert np.max(np.abs(d)) == 0.0
 
 
 def test_rhs_q_rate_vanishes_when_angles_vanish():
@@ -36,7 +29,7 @@ def test_rhs_q_rate_vanishes_when_angles_vanish():
     base = random_state(rng, g)
     state = base.with_fields(W=np.zeros(g.n), Z=np.zeros(g.n))
     d = rhs(state)
-    assert np.max(np.abs(d.q)) == 0.0
+    assert np.max(np.abs(d[4])) == 0.0
 
 
 def test_rhs_angle_rate_at_pi_node():
@@ -50,7 +43,7 @@ def test_rhs_angle_rate_at_pi_node():
     W[k] = np.pi
     state = base.with_fields(W=W)
     d = rhs(state)
-    assert d.W[k] == pytest.approx(-state.V[k], abs=1e-15)
+    assert d[2, k] == pytest.approx(-state.V[k], abs=1e-15)
 
 
 def test_rhs_symmetric_state_is_bitwise_symmetric():
@@ -59,8 +52,8 @@ def test_rhs_symmetric_state_is_bitwise_symmetric():
     base = random_state(rng, g)
     state = base.with_fields(V=base.U, Z=base.W)
     d = rhs(state)
-    assert np.array_equal(d.U, d.V)
-    assert np.array_equal(d.W, d.Z)
+    assert np.array_equal(d[0], d[1])
+    assert np.array_equal(d[2], d[3])
 
 
 def test_rhs_computes_half_angle_factors_once(monkeypatch):
@@ -82,17 +75,16 @@ def test_rhs_computes_half_angle_factors_once(monkeypatch):
 
 def test_rk4_zero_state_unchanged():
     g = make_grid(-5.0, 5.0, 64)
-    s0 = zero_state(g)
-    y0 = g.nodes.copy()
-    s1, y1 = rk4_step(s0, y0, 0.1, BOUNDS)
+    s0 = flat_state(g)
+    s1 = rk4_step(s0, 0.1, BOUNDS)
     assert state_sup_diff(s0, s1) == 0.0
-    assert np.array_equal(y0, y1)
+    assert np.array_equal(s0.y, s1.y)
 
 
 def test_rk4_rejects_zero_dt():
     g = make_grid(-5.0, 5.0, 64)
     with pytest.raises(ContractError):
-        rk4_step(zero_state(g), g.nodes, 0.0, BOUNDS)
+        rk4_step(flat_state(g), 0.0, BOUNDS)
 
 
 def strong_pair_state():
@@ -107,12 +99,12 @@ def strong_pair_state():
 def test_rk4_dt_convergence_rate():
     # Richardson oracle: errors against a dt/8 reference must shrink by
     # about 16 when dt is halved.
-    state0, y0 = strong_pair_state()
+    state0 = strong_pair_state()
 
     def advance(dt, steps):
-        s, y = state0, np.asarray(y0, dtype=float)
+        s = state0
         for _ in range(steps):
-            s, y = rk4_step(s, y, dt, BOUNDS)
+            s = rk4_step(s, dt, BOUNDS)
         return s
 
     ref = advance(0.0125, 32)
@@ -125,11 +117,11 @@ def test_rk4_dt_convergence_rate():
 def test_rk4_forward_backward_round_trip():
     # One step out and back cancels through O(dt^4); the residual is the
     # O(dt^5) local truncation mismatch between + and - steps.
-    state0, y0 = strong_pair_state()
+    state0 = strong_pair_state()
     resid = []
     for dt in (0.2, 0.1):
-        s1, y1 = rk4_step(state0, np.asarray(y0, float), dt, BOUNDS)
-        s2, _ = rk4_step(s1, y1, -dt, BOUNDS)
+        s1 = rk4_step(state0, dt, BOUNDS)
+        s2 = rk4_step(s1, -dt, BOUNDS)
         resid.append(state_sup_diff(s2, state0))
     assert resid[0] < 1e-5
     # Halving dt cuts the round-trip residual by at least 2^4.
@@ -138,31 +130,30 @@ def test_rk4_forward_backward_round_trip():
 
 def test_evolve_trajectory_shape_and_times():
     g = make_grid(-16.0, 16.0, 256)
-    state0, y0 = transform_with_map(two_bump_pair(), g)
-    traj = evolve(state0, y0, 0.2, 0.01, record_every=5, bounds=BOUNDS)
+    state0 = transform_with_map(two_bump_pair(), g)
+    traj = evolve(state0, 0.2, 0.01, record_every=5, bounds=BOUNDS)
     assert traj.times == pytest.approx([0.0, 0.05, 0.1, 0.15, 0.2])
     for t, s in zip(traj.times, traj.states):
         assert s.t == pytest.approx(t)
-    for y in traj.ys:
-        assert np.min(np.diff(y)) > -1e-9
+        assert np.min(np.diff(s.y)) > -1e-9
 
 
 def test_evolve_contract_errors():
     g = make_grid(-16.0, 16.0, 256)
-    state0, y0 = transform_with_map(two_bump_pair(), g)
+    state0 = transform_with_map(two_bump_pair(), g)
     with pytest.raises(ContractError):
-        evolve(state0, y0, 0.2, 0.0, bounds=BOUNDS)
+        evolve(state0, 0.2, 0.0, bounds=BOUNDS)
     with pytest.raises(ContractError):
-        evolve(state0, y0, 0.05, 0.02, bounds=BOUNDS)
+        evolve(state0, 0.05, 0.02, bounds=BOUNDS)
     with pytest.raises(ContractError):
-        evolve(state0, y0, 0.2, 0.01, record_every=0, bounds=BOUNDS)
+        evolve(state0, 0.2, 0.01, record_every=0, bounds=BOUNDS)
 
 
 def test_evolve_symmetric_data_stays_bitwise_symmetric():
     g = make_grid(-16.0, 16.0, 512)
     datum = builtin_datum("gaussian_bump", {"a": 0.6, "width": 1.2})
-    state0, y0 = transform_with_map(datum, g)
-    traj = evolve(state0, y0, 0.5, 0.005, record_every=20, bounds=BOUNDS)
+    state0 = transform_with_map(datum, g)
+    traj = evolve(state0, 0.5, 0.005, record_every=20, bounds=BOUNDS)
     for s in traj.states:
         assert np.array_equal(s.U, s.V)
         assert np.array_equal(s.W, s.Z)
@@ -172,8 +163,8 @@ def test_evolve_symmetric_data_stays_bitwise_symmetric():
 
 def test_evolve_backward_time():
     g = make_grid(-16.0, 16.0, 256)
-    state0, y0 = transform_with_map(two_bump_pair(), g)
-    traj = evolve(state0, y0, -0.1, -0.01, record_every=10, bounds=BOUNDS)
+    state0 = transform_with_map(two_bump_pair(), g)
+    traj = evolve(state0, -0.1, -0.01, record_every=10, bounds=BOUNDS)
     assert traj.times[-1] == pytest.approx(-0.1)
 
 
@@ -182,11 +173,11 @@ def test_evolve_guard_abort_attaches_partial():
     # a few steps, and the abort carries everything recorded so far.
     g = make_grid(-16.0, 16.0, 256)
     datum = builtin_datum("gaussian_bump", {"a": 1.0, "width": 1.0})
-    state0, y0 = transform_with_map(datum, g)
+    state0 = transform_with_map(datum, g)
     tight = OmegaBounds(q_lo=float(np.min(state0.q)),
                         q_hi=float(np.max(state0.q)), slack=1.0 + 1e-12)
     with pytest.raises(EvolveAbort) as exc:
-        evolve(state0, y0, 1.0, 0.01, record_every=1, bounds=tight)
+        evolve(state0, 1.0, 0.01, record_every=1, bounds=tight)
     partial = exc.value.partial
     assert len(partial.times) >= 1
     assert partial.times[0] == 0.0
@@ -195,7 +186,7 @@ def test_evolve_guard_abort_attaches_partial():
 
 def test_conserved_zero_state():
     g = make_grid(-5.0, 5.0, 64)
-    c = conserved(zero_state(g))
+    c = conserved(flat_state(g))
     assert (c.E_u, c.E_v, c.G, c.H) == (0.0, 0.0, 0.0, 0.0)
 
 
@@ -203,7 +194,7 @@ def test_conserved_peakon_energy_oracle():
     # Closed form: for u0 = e^{-|x|}, both integrals of u^2 and ux^2 are 1.
     g = make_grid(-20.0, 20.0, 2048)
     datum = builtin_datum("peakon", {"c": 1.0, "center": 0.0})
-    state, _ = transform_with_map(datum, g)
+    state = transform_with_map(datum, g)
     assert conserved(state).E_u == pytest.approx(2.0, abs=1e-3)
 
 
@@ -216,7 +207,7 @@ def test_conserved_positivity_combination():
         g = make_grid(-16.0, 16.0, 512)
         du = builtin_datum("gaussian_bump", {"a": a, "width": 1.2})
         dv = builtin_datum("gaussian_bump", {"a": b, "center": 0.5, "width": 0.9})
-        state, _ = transform_with_map(pair_datum(du, dv), g)
+        state = transform_with_map(pair_datum(du, dv), g)
         c = conserved(state)
         assert c.E_u >= 0.0 and c.E_v >= 0.0
         assert 7.0 * c.E_u * c.E_v - c.H >= -1e-12
@@ -224,8 +215,8 @@ def test_conserved_positivity_combination():
 
 def test_conservation_drift_short_run():
     g = make_grid(-16.0, 16.0, 1024)
-    state0, y0 = transform_with_map(two_bump_pair(), g)
-    traj = evolve(state0, y0, 0.5, 0.005, record_every=50, bounds=BOUNDS)
+    state0 = transform_with_map(two_bump_pair(), g)
+    traj = evolve(state0, 0.5, 0.005, record_every=50, bounds=BOUNDS)
     c0 = traj.conserved_log[0]
     for c in traj.conserved_log[1:]:
         for f in ("E_u", "E_v", "G", "H"):
@@ -235,14 +226,14 @@ def test_conservation_drift_short_run():
 
 def test_y_formula_gap_small_on_transformed_data():
     g = make_grid(-16.0, 16.0, 1024)
-    state0, y0 = transform_with_map(two_bump_pair(), g)
-    assert y_formula_gap(state0, y0) < 10.0 * g.dx**2
+    state0 = transform_with_map(two_bump_pair(), g)
+    assert y_formula_gap(state0) < 10.0 * g.dx**2
 
 
 def test_zero_datum_evolution_is_static():
     g = make_grid(-8.0, 8.0, 128)
-    state0, y0 = transform_with_map(zero_datum(), g)
-    traj = evolve(state0, y0, 0.3, 0.01, record_every=10, bounds=BOUNDS)
+    state0 = transform_with_map(zero_datum(), g)
+    traj = evolve(state0, 0.3, 0.01, record_every=10, bounds=BOUNDS)
     last = traj.states[-1]
     assert np.max(np.abs(last.U)) == 0.0
     assert np.max(np.abs(last.q - 1.0)) == 0.0

@@ -6,7 +6,7 @@ from hypothesis import given, strategies as st
 from novlab import (ConfigError, ContractError, builtin_datum, conserved,
                     integrate, invert_y0, make_grid, pair_datum,
                     transform_with_map, zero_datum)
-from novlab.initial import _density_table
+from novlab.initial import TransformedState, _density_table
 
 
 def test_builtin_families_cover_known_shapes():
@@ -53,8 +53,8 @@ def test_pair_datum_mixes_components():
 
 def test_zero_datum_transforms_to_identity_map():
     g = make_grid(-5.0, 5.0, 101)
-    state, y0 = transform_with_map(zero_datum(), g)
-    assert np.allclose(y0, g.nodes, atol=1e-12)
+    state = transform_with_map(zero_datum(), g)
+    assert np.allclose(state.y, g.nodes, atol=1e-12)
     assert np.all(state.q == 1.0)
     assert np.all(state.W == 0.0)
 
@@ -106,7 +106,7 @@ def test_transform_peakon_even_grid_conserves_h1_energy():
     # off the grid so the trapezoid error stays at the smooth O(dx^2).
     g = make_grid(-20.0, 20.0, 2048)
     datum = builtin_datum("peakon", {"c": 1.0, "center": 0.0})
-    state, _ = transform_with_map(datum, g)
+    state = transform_with_map(datum, g)
     c = conserved(state)
     assert c.E_u == pytest.approx(2.0, abs=1e-6)
     assert c.E_v == pytest.approx(2.0, abs=1e-6)
@@ -115,9 +115,10 @@ def test_transform_peakon_even_grid_conserves_h1_energy():
 def test_transform_fields_match_datum_composition():
     g = make_grid(-16.0, 16.0, 512)
     datum = builtin_datum("gaussian_bump", {"a": 0.9, "width": 1.3})
-    state, y0 = transform_with_map(datum, g)
-    assert np.allclose(state.U, datum.u0(y0), atol=1e-14)
-    assert np.allclose(np.tan(0.5 * state.W), datum.du0(y0), atol=1e-12)
+    state = transform_with_map(datum, g)
+    assert np.array_equal(state.y, invert_y0(datum, g))
+    assert np.allclose(state.U, datum.u0(state.y), atol=1e-14)
+    assert np.allclose(np.tan(0.5 * state.W), datum.du0(state.y), atol=1e-12)
     # q equals the reciprocal density along y0 scaled so y_xi closes.
     assert np.all(state.q > 0)
 
@@ -126,11 +127,21 @@ def test_transform_map_identity_derivative(smooth_grid, smooth_pair_state):
     # y_xi must equal q cos^2(W/2) cos^2(Z/2) up to O(dx^2).
     from novlab import fd_derivative
     from novlab.sources import half_angle_factors
-    state, y0 = smooth_pair_state
+    state = smooth_pair_state
     _, _, cw, _, cz, _ = half_angle_factors(state)
-    lhs = fd_derivative(np.asarray(y0), smooth_grid, 1)
+    lhs = fd_derivative(state.y, smooth_grid, 1)
     rhs = state.q * cw * cz
     assert np.max(np.abs(lhs - rhs)) < 5.0 * smooth_grid.dx**2
+
+
+@pytest.mark.parametrize("shape", [(5, 64), (6, 63), (6 * 64,)],
+                         ids=["wrong_rows", "wrong_length", "not_2d"])
+def test_state_rejects_mis_shaped_data(shape):
+    # The constructor is the one place that checks the state's shape; a
+    # mis-shaped array must not reach rk4_step, conserved or euler_fields.
+    g = make_grid(-5.0, 5.0, 64)
+    with pytest.raises(ContractError):
+        TransformedState(0.0, g, np.zeros(shape))
 
 
 @given(st.floats(min_value=0.2, max_value=2.0),

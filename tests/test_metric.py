@@ -4,7 +4,7 @@ import pytest
 
 from novlab import (AnalysisError, ContractError, OmegaBounds, builtin_datum,
                     distance_upper, evolve, lipschitz_experiment, make_grid,
-                    pair_datum, path_length, straight_line_path, tangent_norm,
+                    pair_datum, path_length, straight_line_path,
                     tangent_norm_info, transform_with_map, zero_tangent)
 from novlab import metric
 from novlab.metric import ShiftField, TangentVector, phi_values
@@ -28,8 +28,7 @@ def test_zero_tangent_has_zero_norm():
     rng = np.random.default_rng(20)
     g = make_grid(-8.0, 8.0, 256)
     state = random_state(rng, g)
-    y = np.linspace(-8.0, 8.0, g.n)
-    assert tangent_norm(state, y, zero_tangent(g)) == 0.0
+    assert tangent_norm_info(state, zero_tangent(g)).value == 0.0
 
 
 def test_norm_absolute_homogeneity():
@@ -38,11 +37,10 @@ def test_norm_absolute_homogeneity():
     rng = np.random.default_rng(21)
     g = make_grid(-8.0, 8.0, 256)
     state = random_state(rng, g)
-    y = np.linspace(-8.0, 8.0, g.n)
     tan = random_tangent(rng, g)
-    n1 = tangent_norm(state, y, tan)
+    n1 = tangent_norm_info(state, tan).value
     for lam in (-2.5, 0.5, 3.0):
-        nl = tangent_norm(state, y, tan.scaled(lam))
+        nl = tangent_norm_info(state, tan.scaled(lam)).value
         assert nl == pytest.approx(abs(lam) * n1, rel=1e-12)
 
 
@@ -50,12 +48,11 @@ def test_norm_subadditive_at_zero_shift():
     rng = np.random.default_rng(22)
     g = make_grid(-8.0, 8.0, 256)
     state = random_state(rng, g)
-    y = np.linspace(-8.0, 8.0, g.n)
     a = random_tangent(rng, g)
     b = random_tangent(rng, g)
-    na = tangent_norm(state, y, a)
-    nb = tangent_norm(state, y, b)
-    nab = tangent_norm(state, y, a.plus(b))
+    na = tangent_norm_info(state, a).value
+    nb = tangent_norm_info(state, b).value
+    nab = tangent_norm_info(state, a.plus(b)).value
     assert nab <= na + nb + 1e-12 * max(na, nb, 1.0)
 
 
@@ -66,9 +63,8 @@ def test_descent_never_exceeds_zero_shift_value():
         rng = np.random.default_rng(seed)
         g = make_grid(-8.0, 8.0, 128)
         state = random_state(rng, g)
-        y = np.linspace(-8.0, 8.0, g.n)
         tan = random_tangent(rng, g)
-        info = tangent_norm_info(state, y, tan, search="coarse_descent",
+        info = tangent_norm_info(state, tan, search="coarse_descent",
                                  eta_nodes=9, iters=60)
         assert info.value <= info.eta_zero_value + 1e-12
         assert info.search == "coarse_descent"
@@ -79,14 +75,13 @@ def test_norm_info_eta_zero_mode():
     rng = np.random.default_rng(23)
     g = make_grid(-8.0, 8.0, 128)
     state = random_state(rng, g)
-    y = np.linspace(-8.0, 8.0, g.n)
-    info = tangent_norm_info(state, y, random_tangent(rng, g))
+    info = tangent_norm_info(state, random_tangent(rng, g))
     assert info.iterations == 0
     assert info.value == info.eta_zero_value
     with pytest.raises(ContractError):
-        tangent_norm_info(state, y, zero_tangent(g), alpha=1.5)
+        tangent_norm_info(state, zero_tangent(g), alpha=1.5)
     with pytest.raises(ContractError):
-        tangent_norm_info(state, y, zero_tangent(g), search="bogus")
+        tangent_norm_info(state, zero_tangent(g), search="bogus")
 
 
 def test_eta_zero_mode_needs_no_state_derivatives(monkeypatch):
@@ -97,20 +92,19 @@ def test_eta_zero_mode_needs_no_state_derivatives(monkeypatch):
     rng = np.random.default_rng(24)
     g = make_grid(-8.0, 8.0, 128)
     state = random_state(rng, g)
-    y = np.linspace(-8.0, 8.0, g.n)
     tan = random_tangent(rng, g)
     at_zero_shift = metric._objective(
-        metric._quad_weights(g, y, 0.5),
+        metric._quad_weights(g, state.y, 0.5),
         phi_values(state, tan, ShiftField.zeros(g)))
 
     def no_derivatives(state):
         raise AssertionError("eta_zero mode computed state derivatives")
 
     monkeypatch.setattr(metric, "_state_derivatives", no_derivatives)
-    assert tangent_norm_info(state, y, tan).value == at_zero_shift
+    assert tangent_norm_info(state, tan).value == at_zero_shift
 
 
-def oracle_coarse_descent(state, y, tangent, alpha, eta_nodes, iters):
+def oracle_coarse_descent(state, tangent, alpha, eta_nodes, iters):
     # The coarse_descent loop as it was before the stacked rewrite, kept
     # verbatim (six separate phis, a fresh ShiftField per iterate) as the
     # bit-exact reference for tangent_norm_info.
@@ -156,7 +150,7 @@ def oracle_coarse_descent(state, y, tangent, alpha, eta_nodes, iters):
         return hat, hat_p
 
     grid = state.grid
-    weights = metric._quad_weights(grid, y, alpha)
+    weights = metric._quad_weights(grid, state.y, alpha)
     z = metric.z_shift(state, tangent)
     value0 = objective(phis_of(None))
     coarse = np.linspace(grid.xi_min, grid.xi_max, eta_nodes)
@@ -195,11 +189,11 @@ def oracle_coarse_descent(state, y, tangent, alpha, eta_nodes, iters):
     return best_val, used, value0, best_c
 
 
-def assert_matches_oracle(state, y, tangent, eta_nodes, iters):
-    info = tangent_norm_info(state, y, tangent, search="coarse_descent",
+def assert_matches_oracle(state, tangent, eta_nodes, iters):
+    info = tangent_norm_info(state, tangent, search="coarse_descent",
                              eta_nodes=eta_nodes, iters=iters)
     value, used, value0, coeffs = oracle_coarse_descent(
-        state, y, tangent, 0.5, eta_nodes, iters)
+        state, tangent, 0.5, eta_nodes, iters)
     assert info.value == value
     assert info.iterations == used
     assert info.eta_zero_value == value0
@@ -216,8 +210,7 @@ def test_descent_matches_oracle_bit_for_bit(n, eta_nodes, iters):
         rng = np.random.default_rng([n, eta_nodes, iters, seed])
         g = make_grid(-8.0, 8.0, n)
         state = random_state(rng, g)
-        y = np.linspace(-8.0, 8.0, g.n)
-        info = assert_matches_oracle(state, y, random_tangent(rng, g),
+        info = assert_matches_oracle(state, random_tangent(rng, g),
                                      eta_nodes, iters)
         assert info.iterations == iters
 
@@ -228,8 +221,7 @@ def test_descent_zero_gradient_returns_early():
     rng = np.random.default_rng(25)
     g = make_grid(-8.0, 8.0, 128)
     state = random_state(rng, g)
-    y = np.linspace(-8.0, 8.0, g.n)
-    info = assert_matches_oracle(state, y, zero_tangent(g), 17, 200)
+    info = assert_matches_oracle(state, zero_tangent(g), 17, 200)
     assert info.iterations == 0 and info.value == 0.0
 
 
@@ -259,34 +251,32 @@ def endpoint_states():
                     builtin_datum("gaussian_bump", {"a": 0.5, "width": 1.5}))
     d1 = pair_datum(builtin_datum("gaussian_bump", {"a": 0.6, "width": 1.3}),
                     builtin_datum("gaussian_bump", {"a": 0.4, "width": 1.7}))
-    s0, y0 = transform_with_map(d0, g)
-    s1, y1 = transform_with_map(d1, g)
-    return s0, np.asarray(y0, float), s1, np.asarray(y1, float)
+    return transform_with_map(d0, g), transform_with_map(d1, g)
 
 
 def test_straight_line_path_hits_endpoints_exactly():
-    s0, y0, s1, y1 = endpoint_states()
-    path = straight_line_path(s0, s1, y0, y1, 7, BOUNDS)
+    s0, s1 = endpoint_states()
+    path = straight_line_path(s0, s1, 7, BOUNDS)
     assert path.theta_nodes[0] == 0.0 and path.theta_nodes[-1] == 1.0
     assert path.states[0] is s0 and path.states[-1] is s1
-    assert np.array_equal(path.ys[0], y0)
     mid = path.states[3]
     assert np.allclose(mid.U, 0.5 * (s0.U + s1.U), atol=1e-15)
+    assert np.allclose(mid.y, 0.5 * (s0.y + s1.y), atol=1e-15)
 
 
 def test_straight_line_path_rejects_invalid_interior():
     # Force an interior angle excursion past the structural bound by
     # interpolating between wrapped and unwrapped copies of one state.
-    s0, y0, s1, y1 = endpoint_states()
+    s0, s1 = endpoint_states()
     shifted = s0.with_fields(W=s0.W + 2.9 * np.pi)
     with pytest.raises(AnalysisError):
-        straight_line_path(s0, shifted, y0, y0, 9, BOUNDS)
+        straight_line_path(s0, shifted, 9, BOUNDS)
 
 
 def test_path_length_positive_and_reversal_symmetric():
-    s0, y0, s1, y1 = endpoint_states()
-    fwd = straight_line_path(s0, s1, y0, y1, 9, BOUNDS)
-    bwd = straight_line_path(s1, s0, y1, y0, 9, BOUNDS)
+    s0, s1 = endpoint_states()
+    fwd = straight_line_path(s0, s1, 9, BOUNDS)
+    bwd = straight_line_path(s1, s0, 9, BOUNDS)
     lf = path_length(fwd)
     lb = path_length(bwd)
     assert lf > 0.0
@@ -296,29 +286,28 @@ def test_path_length_positive_and_reversal_symmetric():
 def test_path_length_excludes_angle_touching_nodes():
     # Shift one interior node's worth of angle to pi: the length must
     # still be finite and computed from the kept nodes.
-    s0, y0, s1, y1 = endpoint_states()
-    path = straight_line_path(s0, s1, y0, y1, 9, BOUNDS)
+    s0, s1 = endpoint_states()
+    path = straight_line_path(s0, s1, 9, BOUNDS)
     states = list(path.states)
     W = states[4].W.copy()
     W[128] = np.pi
     states[4] = states[4].with_fields(W=W)
     from novlab.metric import PathOfStates
-    touched = PathOfStates(path.theta_nodes, tuple(states), path.ys)
+    touched = PathOfStates(path.theta_nodes, tuple(states))
     val = path_length(touched)
     assert np.isfinite(val) and val > 0.0
     all_touched = PathOfStates(
         path.theta_nodes,
-        tuple(s.with_fields(W=np.full(s.grid.n, np.pi)) for s in states),
-        path.ys)
+        tuple(s.with_fields(W=np.full(s.grid.n, np.pi)) for s in states))
     with pytest.raises(AnalysisError):
         path_length(all_touched)
 
 
 def test_distance_self_is_zero_and_symmetric():
-    s0, y0, s1, y1 = endpoint_states()
-    assert distance_upper(s0, y0, s0, y0) == 0.0
-    dab = distance_upper(s0, y0, s1, y1)
-    dba = distance_upper(s1, y1, s0, y0)
+    s0, s1 = endpoint_states()
+    assert distance_upper(s0, s0) == 0.0
+    dab = distance_upper(s0, s1)
+    dba = distance_upper(s1, s0)
     assert dab > 0.0
     assert dab == pytest.approx(dba, rel=1e-12)
 
@@ -362,17 +351,16 @@ def test_lipschitz_experiment_computes_t0_distance_once(monkeypatch):
                                 bounds=BOUNDS)
     monkeypatch.undo()
 
-    s0, y0 = transform_with_map(d0, g)
-    s1, y1 = transform_with_map(d1, g)
+    s0 = transform_with_map(d0, g)
+    s1 = transform_with_map(d1, g)
     every = {}
     records = set()
     for sgn in (-1.0, 1.0):
-        tr0 = evolve(s0, y0, sgn * 0.2, sgn * 0.01, 10, BOUNDS)
-        tr1 = evolve(s1, y1, sgn * 0.2, sgn * 0.01, 10, BOUNDS)
+        tr0 = evolve(s0, sgn * 0.2, sgn * 0.01, 10, BOUNDS)
+        tr1 = evolve(s1, sgn * 0.2, sgn * 0.01, 10, BOUNDS)
         records.add(len(tr0.times))
         for i, t in enumerate(tr0.times):
-            every[t] = distance_upper(tr0.states[i], tr0.ys[i],
-                                      tr1.states[i], tr1.ys[i])
+            every[t] = distance_upper(tr0.states[i], tr1.states[i])
     (n_records,) = records
     assert len(calls) == 2 * (n_records - 1) + 1
     assert [(r.t, r.d_t_upper) for r in rows] == sorted(every.items())

@@ -17,35 +17,26 @@ BOUNDS = OmegaBounds(0.01, 100.0, 1.5)
 def test_euler_round_trip_recovers_datum(smooth_grid, smooth_pair_state):
     # direct transform then reconstruction returns the original profiles
     # up to the O(dx^2) solve and interpolation error.
-    state, y0 = smooth_pair_state
-    fld = euler_fields(state, y0)
+    fld = euler_fields(smooth_pair_state)
     datum = two_bump_pair()
     assert np.max(np.abs(fld.u - datum.u0(fld.x))) < 10 * smooth_grid.dx**2
     assert np.max(np.abs(fld.v - datum.v0(fld.x))) < 10 * smooth_grid.dx**2
     assert np.max(np.abs(fld.ux - datum.du0(fld.x))) < 10 * smooth_grid.dx**2
 
 
-def test_euler_fields_rejects_wrong_shape(smooth_pair_state):
-    state, _ = smooth_pair_state
-    with pytest.raises(ContractError):
-        euler_fields(state, np.zeros(7))
-
-
 def test_euler_fields_rejects_corrupt_map(smooth_pair_state):
-    state, y0 = smooth_pair_state
-    y = np.asarray(y0, dtype=float).copy()
+    y = smooth_pair_state.y.copy()
     y[100] = y[99] - 1.0
     with pytest.raises(ContractError):
-        euler_fields(state, y)
+        euler_fields(smooth_pair_state.with_fields(y=y))
 
 
 def test_euler_fields_flattens_integration_noise(smooth_pair_state):
     # Dips below the corruption threshold are treated as time-stepping
     # noise and flattened so the graph stays nondecreasing.
-    state, y0 = smooth_pair_state
-    y = np.asarray(y0, dtype=float).copy()
+    y = smooth_pair_state.y.copy()
     y[200] = y[199] - 1e-9
-    fld = euler_fields(state, y)
+    fld = euler_fields(smooth_pair_state.with_fields(y=y))
     assert np.all(np.diff(fld.x) >= 0)
 
 
@@ -58,8 +49,7 @@ def test_slope_masks_fire_near_level_crossings():
     W = base.W.copy()
     W[100:110] = np.pi
     state = base.with_fields(W=W, Z=np.zeros(g.n))
-    y = np.linspace(-8.0, 8.0, g.n)
-    fld = euler_fields(state, y)
+    fld = euler_fields(state)
     assert not fld.ux_valid[100:110].any()
     assert fld.vx_valid.all()
     assert np.all(np.isfinite(fld.ux[fld.ux_valid]))
@@ -72,25 +62,23 @@ def test_conserved_euler_requires_smooth_regime():
     W = base.W.copy()
     W[128] = np.pi
     state = base.with_fields(W=W)
-    y = np.linspace(-8.0, 8.0, g.n)
     with pytest.raises(AnalysisError):
-        conserved_euler(euler_fields(state, y))
+        conserved_euler(euler_fields(state))
 
 
 def test_conserved_matches_eulerian_route(smooth_grid, smooth_pair_state):
     # Change-of-variables oracle: the stretched-coordinate quadratures
     # must agree with integrating the reconstructed fields in x.
-    state, y0 = smooth_pair_state
+    state = smooth_pair_state
     lag = conserved(state)
-    eul = conserved_euler(euler_fields(state, y0))
+    eul = conserved_euler(euler_fields(state))
     for f in ("E_u", "E_v", "G", "H"):
         a, b = getattr(lag, f), getattr(eul, f)
         assert abs(a - b) <= 1e-5 * max(abs(a), 1e-12), f
 
 
 def test_sample_at_interpolates_and_bounds_checks(smooth_pair_state):
-    state, y0 = smooth_pair_state
-    fld = euler_fields(state, y0)
+    fld = euler_fields(smooth_pair_state)
     u0, v0 = sample_at(fld, 0.0)
     datum = two_bump_pair()
     assert u0 == pytest.approx(float(datum.u0(0.0)), abs=1e-4)
@@ -132,24 +120,22 @@ def test_measure_density_pointwise_identity():
 
 
 def test_measure_interval_additive_and_bounded(smooth_pair_state):
-    state, y0 = smooth_pair_state
-    y = np.asarray(y0, dtype=float)
+    state = smooth_pair_state
     a, b, c = -4.0, 0.5, 5.0
-    m_ab = measure_interval(state, y, a, b)
-    m_bc = measure_interval(state, y, b, c)
-    m_ac = measure_interval(state, y, a, c)
+    m_ab = measure_interval(state, a, b)
+    m_bc = measure_interval(state, b, c)
+    m_ac = measure_interval(state, a, c)
     assert m_ab >= 0.0 and m_bc >= 0.0
     assert m_ac == pytest.approx(m_ab + m_bc, abs=1e-12)
-    assert measure_interval(state, y, 1e6, 2e6) == 0.0
+    assert measure_interval(state, 1e6, 2e6) == 0.0
     with pytest.raises(ContractError):
-        measure_interval(state, y, 1.0, -1.0)
+        measure_interval(state, 1.0, -1.0)
 
 
 def test_measure_whole_line_matches_eulerian(smooth_pair_state):
-    state, y0 = smooth_pair_state
-    y = np.asarray(y0, dtype=float)
-    mu = measure_interval(state, y, float(y[0]), float(y[-1]))
-    fld = euler_fields(state, y)
+    state = smooth_pair_state
+    mu = measure_interval(state, float(state.y[0]), float(state.y[-1]))
+    fld = euler_fields(state)
     integrand = fld.ux**2 + fld.vx**2 + fld.ux**2 * fld.vx**2
     eul = float(np.trapezoid(integrand, fld.x))
     assert abs(mu - eul) / eul < 1e-4
@@ -160,8 +146,7 @@ def test_crest_position_peakon_initial():
     # magnitude on an exponential peak.
     g = make_grid(-20.0, 20.0, 2048)
     datum = builtin_datum("peakon", {"c": 1.0, "center": 0.0})
-    state, y0 = transform_with_map(datum, g)
-    fld = euler_fields(state, np.asarray(y0, float))
+    fld = euler_fields(transform_with_map(datum, g))
     x_star, f_star = crest_position(fld, "u")
     assert abs(x_star) < 1e-3
     assert f_star == pytest.approx(1.0, abs=1e-3)
@@ -171,9 +156,9 @@ def test_crest_position_tracks_traveling_peakon():
     # Traveling-wave oracle: u(t, x) = e^{-|x - t|} moves at unit speed.
     g = make_grid(-20.0, 20.0, 2048)
     datum = builtin_datum("peakon", {"c": 1.0, "center": 0.0})
-    state0, y0 = transform_with_map(datum, g)
-    traj = evolve(state0, y0, 0.5, 1e-3, record_every=500, bounds=BOUNDS)
-    fld = euler_fields(traj.states[-1], traj.ys[-1])
+    state0 = transform_with_map(datum, g)
+    traj = evolve(state0, 0.5, 1e-3, record_every=500, bounds=BOUNDS)
+    fld = euler_fields(traj.states[-1])
     x_star, f_star = crest_position(fld, "u")
     assert x_star == pytest.approx(0.5, abs=5e-3)
     assert f_star == pytest.approx(1.0, abs=5e-3)

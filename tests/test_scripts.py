@@ -73,6 +73,9 @@ def test_artifact_digest_quick_lists_every_file(tmp_path, capsys):
     runs = {f.split("/")[0] for f in files if "/" in f}
     assert len(runs) == 8 and all(r.endswith("_quick") for r in runs)
     assert "lipschitz_descent_metric_quick" in runs
+    for ext in ("stdout", "stderr"):
+        kept = {f[:-len(ext) - 1] for f in files if f.endswith("." + ext)}
+        assert kept == runs, ext
     for line in lines:
         digest, rel = line.split("  ", 1)
         assert digest == hashlib.sha256((out / rel).read_bytes()).hexdigest()

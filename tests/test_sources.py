@@ -6,9 +6,8 @@ from hypothesis import given, settings, strategies as st
 from novlab import (NumericalAbort, assemble_sources, exp_convolve,
                     exp_convolve_bruteforce, half_angle_factors,
                     kernel_accumulator, make_grid)
-from novlab.initial import TransformedState
 
-from conftest import bumps, random_state
+from conftest import bumps, flat_state, random_state
 
 
 def test_scan_matches_bruteforce_on_random_states():
@@ -85,9 +84,7 @@ def test_stacked_scan_matches_bruteforce():
 ])
 def test_stacked_convolve_names_first_bad_node(value, node):
     g = make_grid(-35.0, 35.0, 701)
-    z = np.zeros(g.n)
-    state = TransformedState(t=0.0, U=z, V=z, W=z, Z=z,
-                             q=np.ones(g.n), grid=g)
+    state = flat_state(g)
     G = kernel_accumulator(state, half_angle_factors(state))
     p = np.ones((4, g.n))
     p[2, 250] = value
@@ -105,9 +102,7 @@ def test_stacked_convolve_names_first_bad_node(value, node):
 
 def test_convolve_names_nonfinite_kernel_potential_node():
     g = make_grid(-35.0, 35.0, 701)
-    z = np.zeros(g.n)
-    state = TransformedState(t=0.0, U=z, V=z, W=z, Z=z,
-                             q=np.ones(g.n), grid=g)
+    state = flat_state(g)
     G = kernel_accumulator(state, half_angle_factors(state))
     G[300] = np.nan
     with np.errstate(invalid="ignore"):
@@ -121,9 +116,7 @@ def test_kernel_flat_state_has_closed_form():
     # convolving the constant 1 against e^{-|xi-eta|} has the closed form
     # 2 - e^{-(xi-a)} - e^{-(b-xi)} on [a, b], up to O(dx^2) quadrature.
     g = make_grid(-10.0, 10.0, 4001)
-    z = np.zeros(g.n)
-    state = TransformedState(t=0.0, U=z, V=z, W=z, Z=z,
-                             q=np.ones(g.n), grid=g)
+    state = flat_state(g)
     G = kernel_accumulator(state, half_angle_factors(state))
     even, odd = exp_convolve(np.ones(g.n), G, g)
     xi = g.nodes
@@ -146,9 +139,7 @@ def test_accumulator_profile_properties():
 def test_accumulator_rejects_negative_density():
     # Negative q means the state left its validity region at runtime.
     g = make_grid(-1.0, 1.0, 16)
-    z = np.zeros(g.n)
-    state = TransformedState(t=0.0, U=z, V=z, W=z, Z=z,
-                             q=-np.ones(g.n), grid=g)
+    state = flat_state(g, -1.0)
     with pytest.raises(NumericalAbort):
         kernel_accumulator(state, half_angle_factors(state))
 
@@ -158,9 +149,7 @@ def test_wide_domain_does_not_overflow():
     # so a wide domain must not produce inf/nan even though e^{span}
     # would overflow.
     g = make_grid(-400.0, 400.0, 2048)
-    z = np.zeros(g.n)
-    state = TransformedState(t=0.0, U=z, V=z, W=z, Z=z,
-                             q=np.ones(g.n), grid=g)
+    state = flat_state(g)
     G = kernel_accumulator(state, half_angle_factors(state))
     even, odd = exp_convolve(np.ones(g.n), G, g)
     assert np.all(np.isfinite(even)) and np.all(np.isfinite(odd))
@@ -196,7 +185,7 @@ def test_symmetric_state_sources_collapse():
 
 
 def test_sources_finite_and_shaped(smooth_pair_state):
-    state, _ = smooth_pair_state
+    state = smooth_pair_state
     src = assemble_sources(state, half_angle_factors(state))
     for name in ("P1", "dxP1", "P2", "dxP2", "S1", "dxS1", "S2", "dxS2"):
         arr = getattr(src, name)
@@ -206,9 +195,7 @@ def test_sources_finite_and_shaped(smooth_pair_state):
 
 def test_zero_state_sources_vanish():
     g = make_grid(-5.0, 5.0, 64)
-    z = np.zeros(g.n)
-    state = TransformedState(t=0.0, U=z, V=z, W=z, Z=z,
-                             q=np.ones(g.n), grid=g)
+    state = flat_state(g)
     src = assemble_sources(state, half_angle_factors(state))
     assert np.max(np.abs(src.P1)) == 0.0
     assert np.max(np.abs(src.S2)) == 0.0
