@@ -52,7 +52,6 @@ class ScenarioConfig:
     perturb_component: str = "u"
     out_dir: str = "out"
     seed: int = 0
-    inject: str = "none"
 
 
 _FLOAT_KEYS = {
@@ -93,7 +92,6 @@ _STR_KEYS = {
     "metric.perturb.family": "perturb_family",
     "metric.perturb.component": "perturb_component",
     "output.dir": "out_dir",
-    "validate.inject": "inject",
 }
 
 
@@ -182,8 +180,6 @@ def validate_config(cfg: ScenarioConfig) -> None:
         raise ConfigError("metric.search must be eta_zero or coarse_descent")
     if cfg.perturb_component not in ("u", "v", "both"):
         raise ConfigError("metric.perturb.component must be u, v, or both")
-    if cfg.inject not in ("none", "broken_scan"):
-        raise ConfigError("validate.inject must be none or broken_scan")
 
 
 def load_config(path: str) -> ScenarioConfig:

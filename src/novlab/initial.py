@@ -89,6 +89,12 @@ class TransformedState:
         if rows:
             data = data.copy()
             for name, row in rows.items():
+                if name not in FIELDS:
+                    raise ContractError(f"unknown state row {name!r}")
+                if np.shape(row) != (self.grid.n,):
+                    raise ContractError(
+                        f"row {name} has shape {np.shape(row)}, expected "
+                        f"({self.grid.n},)")
                 data[FIELDS.index(name)] = row
         return TransformedState(self.t if t is None else t, self.grid, data)
 

@@ -43,7 +43,6 @@ class EulerField:
     vx: np.ndarray
     ux_valid: np.ndarray
     vx_valid: np.ndarray
-    Ddensity: np.ndarray
 
 
 def euler_fields(state: TransformedState, mask_tol: float = MASK_TOL) -> EulerField:
@@ -63,8 +62,6 @@ def euler_fields(state: TransformedState, mask_tol: float = MASK_TOL) -> EulerFi
     vx_valid = np.abs(cos_z) >= mask_tol
     ux = np.where(ux_valid, np.tan(0.5 * state.W), np.nan)
     vx = np.where(vx_valid, np.tan(0.5 * state.Z), np.nan)
-    both = ux_valid & vx_valid
-    dens = np.where(both, (1.0 + ux * ux) * (1.0 + vx * vx), np.nan)
     return EulerField(
         x=y.copy(),
         u=state.U.copy(),
@@ -73,7 +70,6 @@ def euler_fields(state: TransformedState, mask_tol: float = MASK_TOL) -> EulerFi
         vx=vx,
         ux_valid=ux_valid,
         vx_valid=vx_valid,
-        Ddensity=dens,
     )
 
 

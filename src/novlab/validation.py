@@ -2,9 +2,9 @@
 
 Each check is a small self-contained experiment: oracle equivalences,
 exact identities, round trips, and determinism.  Checks are pure
-functions of (config, rng) so the suite is reproducible from the seed;
-the broken-scan injection hook exists so the harness itself can be
-shown to fail loudly.
+functions of (config, rng, quick) so the suite is reproducible from the
+seed.  The test suite runs every check at full size and draws its own
+random states and tangents from the builders defined here.
 """
 
 from __future__ import annotations
@@ -18,16 +18,18 @@ import numpy as np
 from . import cliio
 from .config import ScenarioConfig
 from .errors import NovlabError
-from .evolution import conserved, evolve, rhs
+from .evolution import evolve, rhs
 from .grid import Grid, fd_derivative, integrate, make_grid, prefix_integral
-from .initial import builtin_datum, transform_with_map, TransformedState
+from .initial import (TransformedState, _density_table, builtin_datum,
+                      invert_y0, transform_with_map)
 from .metric import (TangentVector, distance_upper, tangent_norm_info,
                      zero_tangent)
-from .reconstruct import conserved_euler, euler_fields, measure_interval
+from .reconstruct import euler_fields, measure_interval, sample_at
 from .sources import (assemble_sources, exp_convolve, exp_convolve_bruteforce,
                       half_angle_factors, kernel_accumulator, xi_derivatives)
 
-__all__ = ["CheckResult", "run_suite"]
+__all__ = ["CheckResult", "bumps", "random_state", "random_tangent",
+           "run_suite"]
 
 
 @dataclass(frozen=True)
@@ -37,7 +39,9 @@ class CheckResult:
     detail: str
 
 
-def _bumps(rng: np.random.Generator, grid: Grid, count: int, amp: float):
+def bumps(rng: np.random.Generator, grid: Grid, count: int,
+          amp: float) -> np.ndarray:
+    """Random sum of gaussians centred in the middle 40% of the window."""
     xi = grid.nodes
     span = grid.xi_max - grid.xi_min
     out = np.zeros(grid.n)
@@ -49,23 +53,25 @@ def _bumps(rng: np.random.Generator, grid: Grid, count: int, amp: float):
     return out
 
 
-def random_omega_state(rng: np.random.Generator, grid: Grid) -> TransformedState:
+def random_state(rng: np.random.Generator, grid: Grid) -> TransformedState:
     """Smooth random state inside the validity region, decaying at the ends.
 
     The map y is the identity xi, which the random fields do not match.
     """
     return TransformedState(0.0, grid, np.stack((
-        _bumps(rng, grid, 3, 0.8),
-        _bumps(rng, grid, 3, 0.8),
-        _bumps(rng, grid, 3, 1.2),
-        _bumps(rng, grid, 3, 1.2),
-        1.0 + _bumps(rng, grid, 2, 0.3),
+        bumps(rng, grid, 3, 0.8),
+        bumps(rng, grid, 3, 0.8),
+        bumps(rng, grid, 3, 1.2),
+        bumps(rng, grid, 3, 1.2),
+        1.0 + bumps(rng, grid, 2, 0.3),
         grid.nodes,
     )))
 
 
-def _datum_from_cfg(cfg: ScenarioConfig):
-    return cliio.datum_from_config(cfg)
+def random_tangent(rng: np.random.Generator, grid: Grid) -> TangentVector:
+    """Smooth random tangent, its rows drawn in the order R, S, A, B, Q."""
+    return TangentVector(**{name: bumps(rng, grid, 2, 0.5)
+                            for name in ("R", "S", "A", "B", "Q")})
 
 
 def check_prefix_vs_integrate(cfg, rng, quick):
@@ -94,22 +100,16 @@ def check_fd_polynomial(cfg, rng, quick):
     return ok, f"worst cubic-poly FD error = {worst_ratio:.3g}x roundoff floor"
 
 
-def _maybe_broken(even, odd, inject: bool):
-    if inject:
-        return even, odd + 1e-9
-    return even, odd
-
-
-def check_scan_vs_bruteforce(cfg, rng, quick, inject=False):
+def check_scan_vs_bruteforce(cfg, rng, quick):
     n = 128 if quick else 512
     trials = 5 if quick else 20
     grid = make_grid(-10.0, 10.0, n)
     worst = 0.0
     for _ in range(trials):
-        state = random_omega_state(rng, grid)
+        state = random_state(rng, grid)
         G = kernel_accumulator(state, half_angle_factors(state))
-        p = _bumps(rng, grid, 3, 1.0)
-        even, odd = _maybe_broken(*exp_convolve(p, G, grid), inject)
+        p = bumps(rng, grid, 3, 1.0)
+        even, odd = exp_convolve(p, G, grid)
         even_b, odd_b = exp_convolve_bruteforce(p, G, grid)
         worst = max(worst, float(np.max(np.abs(even - even_b))),
                     float(np.max(np.abs(odd - odd_b))))
@@ -119,7 +119,7 @@ def check_scan_vs_bruteforce(cfg, rng, quick, inject=False):
 
 def check_kernel_properties(cfg, rng, quick):
     grid = make_grid(-8.0, 8.0, 64 if quick else 256)
-    state = random_omega_state(rng, grid)
+    state = random_state(rng, grid)
     G = kernel_accumulator(state, half_angle_factors(state))
     nondecreasing = bool(np.all(np.diff(G) >= 0.0))
     kernel = np.exp(-np.abs(G[:, None] - G[None, :]))
@@ -133,7 +133,7 @@ def check_kernel_properties(cfg, rng, quick):
 
 def check_swap_symmetry(cfg, rng, quick):
     grid = make_grid(-8.0, 8.0, 64 if quick else 256)
-    state = random_omega_state(rng, grid)
+    state = random_state(rng, grid)
     swapped = state.with_fields(U=state.V, V=state.U, W=state.Z, Z=state.W)
     src = assemble_sources(state, half_angle_factors(state))
     src_sw = assemble_sources(swapped, half_angle_factors(swapped))
@@ -157,8 +157,7 @@ def check_zero_state_rhs(cfg, rng, quick):
 def check_y0_round_trip(cfg, rng, quick):
     n = 64 if quick else 1024
     grid = make_grid(cfg.xi_min, cfg.xi_max, n)
-    datum = _datum_from_cfg(cfg)
-    from .initial import invert_y0, _density_table
+    datum = cliio.datum_from_config(cfg)
     y0 = invert_y0(datum, grid)
     table = _density_table(datum, grid)
     resid = np.abs(table.value(y0) - grid.nodes)
@@ -170,7 +169,7 @@ def check_y0_round_trip(cfg, rng, quick):
 def check_transform_identity(cfg, rng, quick):
     n = 129 if quick else 1025
     grid = make_grid(cfg.xi_min, cfg.xi_max, n)
-    datum = _datum_from_cfg(cfg)
+    datum = cliio.datum_from_config(cfg)
     state = transform_with_map(datum, grid)
     err = np.max(np.abs(fd_derivative(state.y, grid, 1)
                         - xi_derivatives(state)[0]))
@@ -191,11 +190,17 @@ def check_symmetric_evolution(cfg, rng, quick):
 def check_euler_round_trip(cfg, rng, quick):
     n = 129 if quick else 1025
     grid = make_grid(cfg.xi_min, cfg.xi_max, n)
-    datum = _datum_from_cfg(cfg)
+    datum = cliio.datum_from_config(cfg)
     fld = euler_fields(transform_with_map(datum, grid))
-    err = float(np.max(np.abs(fld.u - datum.u0(fld.x))))
+    # Sample the graph on points of its own, not at its nodes x = y0,
+    # where u = u0(y0) holds by construction.
+    x = np.linspace(fld.x[0], fld.x[-1], 3003)[1:-1]
+    u, v = sample_at(fld, x)
+    err = float(max(np.max(np.abs(u - datum.u0(x))),
+                    np.max(np.abs(v - datum.v0(x)))))
     tol = 10.0 * grid.dx**2 + 1e-12
-    return err < tol, f"max |u(graph) - u0| = {err:.3g} vs {tol:.3g}"
+    return err < tol, (f"max |(u, v) - (u0, v0)| at {x.size} x = {err:.3g} "
+                       f"vs {tol:.3g}")
 
 
 def check_measure_vs_eulerian(cfg, rng, quick):
@@ -228,13 +233,9 @@ def check_conservation_short(cfg, rng, quick):
 
 def check_norm_axioms(cfg, rng, quick):
     grid = make_grid(-8.0, 8.0, 64 if quick else 256)
-    state = random_omega_state(rng, grid)
-    t1 = TangentVector(R=_bumps(rng, grid, 2, 0.5), S=_bumps(rng, grid, 2, 0.5),
-                       A=_bumps(rng, grid, 2, 0.5), B=_bumps(rng, grid, 2, 0.5),
-                       Q=_bumps(rng, grid, 2, 0.5))
-    t2 = TangentVector(R=_bumps(rng, grid, 2, 0.5), S=_bumps(rng, grid, 2, 0.5),
-                       A=_bumps(rng, grid, 2, 0.5), B=_bumps(rng, grid, 2, 0.5),
-                       Q=_bumps(rng, grid, 2, 0.5))
+    state = random_state(rng, grid)
+    t1 = random_tangent(rng, grid)
+    t2 = random_tangent(rng, grid)
     n1 = tangent_norm_info(state, t1).value
     n2 = tangent_norm_info(state, t2).value
     n_zero = tangent_norm_info(state, zero_tangent(grid)).value
@@ -296,12 +297,8 @@ def run_suite(cfg: ScenarioConfig, quick: bool = False) -> list[CheckResult]:
     results = []
     for name, fn in _CHECKS:
         rng = np.random.default_rng(cfg.seed + zlib.crc32(name.encode()) % 100003)
-        inject = cfg.inject == "broken_scan" and name == "scan_vs_bruteforce"
         try:
-            if name == "scan_vs_bruteforce":
-                passed, detail = fn(cfg, rng, quick, inject=inject)
-            else:
-                passed, detail = fn(cfg, rng, quick)
+            passed, detail = fn(cfg, rng, quick)
         except NovlabError as err:
             passed, detail = False, f"raised {type(err).__name__}: {err}"
         results.append(CheckResult(name=name, passed=passed, detail=detail))

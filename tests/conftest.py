@@ -1,7 +1,8 @@
 """Shared builders for the test suite.
 
-Random states are always drawn inside the validity region so that
-property tests exercise the contracts, not the guards.
+Random states and tangents come from novlab.validation, which draws
+them inside the validity region so that property tests exercise the
+contracts, not the guards.
 """
 import numpy as np
 import pytest
@@ -17,36 +18,6 @@ settings.register_profile(
     suppress_health_check=[HealthCheck.too_slow],
 )
 settings.load_profile("numerics")
-
-
-def bumps(rng: np.random.Generator, nodes: np.ndarray, count: int,
-          amp: float) -> np.ndarray:
-    """Random sum of gaussians, vanishing toward the grid ends."""
-    out = np.zeros_like(nodes)
-    span = nodes[-1] - nodes[0]
-    for _ in range(count):
-        c = rng.uniform(nodes[0] + 0.25 * span, nodes[-1] - 0.25 * span)
-        w = rng.uniform(0.3, 1.5)
-        a = rng.uniform(-amp, amp)
-        out += a * np.exp(-(((nodes - c) / w) ** 2))
-    return out
-
-
-def random_state(rng: np.random.Generator, grid) -> TransformedState:
-    """State with angles well inside (-3pi/2, 3pi/2) and q near 1.
-
-    The map y is a linspace over the window, not integrated from the
-    random fields.
-    """
-    nodes = grid.nodes
-    return TransformedState(0.0, grid, np.stack((
-        bumps(rng, nodes, 3, 0.8),
-        bumps(rng, nodes, 3, 0.8),
-        bumps(rng, nodes, 3, 1.2),
-        bumps(rng, nodes, 3, 1.2),
-        1.0 + 0.3 * bumps(rng, nodes, 2, 1.0),
-        np.linspace(grid.xi_min, grid.xi_max, grid.n),
-    )))
 
 
 def flat_state(grid, q: float = 1.0) -> TransformedState:

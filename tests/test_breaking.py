@@ -101,7 +101,7 @@ def synthetic_power_field(power, n=4001, span=2.0):
     ones = np.ones_like(x)
     tv = np.ones_like(x, dtype=bool)
     return EulerField(x=x, u=u, v=u, ux=ones, vx=ones,
-                      ux_valid=tv, vx_valid=tv, Ddensity=ones)
+                      ux_valid=tv, vx_valid=tv)
 
 
 def test_fit_exponent_power_law_oracles():
@@ -123,8 +123,7 @@ def test_fit_exponent_component_selects_field():
     fld64 = synthetic_power_field(0.5)
     v = 1.0 - np.abs(fld64.x) ** 0.9
     fld = EulerField(x=fld64.x, u=fld64.u, v=v, ux=fld64.ux, vx=fld64.vx,
-                     ux_valid=fld64.ux_valid, vx_valid=fld64.vx_valid,
-                     Ddensity=fld64.Ddensity)
+                     ux_valid=fld64.ux_valid, vx_valid=fld64.vx_valid)
     au, _ = fit_exponent(fld, 0.0, 0.5, 1e-3, component="u")
     av, _ = fit_exponent(fld, 0.0, 0.5, 1e-3, component="v")
     assert au == pytest.approx(0.5, abs=0.02)
@@ -139,7 +138,7 @@ def test_min_two_point_exponent_smooth_field_near_one():
     ones = np.ones_like(x)
     tv = np.ones_like(x, dtype=bool)
     fld = EulerField(x=x, u=u, v=u, ux=ones, vx=ones,
-                     ux_valid=tv, vx_valid=tv, Ddensity=ones)
+                     ux_valid=tv, vx_valid=tv)
     expo = min_two_point_exponent(fld, "u")
     assert expo > 0.9
 

@@ -2,10 +2,10 @@
 import json
 from pathlib import Path
 
-import numpy as np
 import pytest
 
 import novlab.cli
+import novlab.validation
 from novlab import (AnalysisError, ConfigError, load_config, parse_config,
                     quick_override)
 from novlab.cli import main
@@ -62,7 +62,7 @@ def test_parse_rejects_malformed(mutation, fragment):
     ("metric.alpha = 1.0\n", "alpha"),
     ("datum.v.mode = family\n", "datum.v.family"),
     ("metric.search = newton\n", "search"),
-    ("validate.inject = everything\n", "inject"),
+    ("validate.inject = everything\n", "inject"),  # a removed key
     ("grid.n = 2\n", "at least 3"),
 ])
 def test_validation_rules(extra, fragment):
@@ -221,16 +221,6 @@ def test_cli_singular_reports_skipped_fits(tmp_path, capsys):
         assert line.startswith(prefix), line
 
 
-def test_cli_evolve_byte_deterministic(tmp_path, capsys):
-    cfg = write_cfg(tmp_path, MINIMAL)
-    outs = []
-    for name in ("a", "b"):
-        out = tmp_path / name
-        assert main(["evolve", "--config", cfg, "--out", str(out)]) == 0
-        outs.append((out / "conserved.csv").read_bytes())
-    assert outs[0] == outs[1]
-
-
 def test_cli_quick_flag_shrinks_run(tmp_path, capsys):
     text = MINIMAL.replace("grid.n = 257", "grid.n = 1024")
     cfg = write_cfg(tmp_path, text)
@@ -305,8 +295,16 @@ def test_cli_validate_quick_passes(tmp_path, capsys):
     assert all(ln.startswith("[PASS]") for ln in checks)
 
 
-def test_cli_validate_injected_fault_fails(tmp_path, capsys):
-    cfg = write_cfg(tmp_path, MINIMAL + "validate.inject = broken_scan\n")
+def test_cli_validate_injected_fault_fails(tmp_path, capsys, monkeypatch):
+    # A scan that is off by 1e-9 must turn its check red and the exit 4.
+    real = novlab.validation.exp_convolve
+
+    def broken(p, G, grid):
+        even, odd = real(p, G, grid)
+        return even, odd + 1e-9
+
+    monkeypatch.setattr(novlab.validation, "exp_convolve", broken)
+    cfg = write_cfg(tmp_path, MINIMAL)
     rc = main(["validate", "--config", cfg, "--quick"])
     assert rc == 4
     out = capsys.readouterr().out
@@ -315,17 +313,18 @@ def test_cli_validate_injected_fault_fails(tmp_path, capsys):
 
 def test_cli_seed_override_changes_validate_draws(tmp_path, capsys):
     cfg = write_cfg(tmp_path, MINIMAL)
-    assert main(["validate", "--config", cfg, "--quick", "--seed", "3"]) == 0
-    out_a = capsys.readouterr().out
-    assert main(["validate", "--config", cfg, "--quick", "--seed", "4"]) == 0
-    out_b = capsys.readouterr().out
-    # Same checks, different random draws: detail lines may differ but
-    # the pass pattern must not.
-    names = [ln.split("]")[1].split(":")[0] for ln in out_a.splitlines()
-             if ln.startswith("[")]
-    names_b = [ln.split("]")[1].split(":")[0] for ln in out_b.splitlines()
-               if ln.startswith("[")]
-    assert names == names_b
+    outs = []
+    for seed in ("3", "3", "4"):
+        assert main(["validate", "--config", cfg, "--quick",
+                     "--seed", seed]) == 0
+        outs.append(capsys.readouterr().out)
+    # A seed repeats its draws exactly; another seed draws other random
+    # states and tangents, which shows in the norm values.
+    assert outs[0] == outs[1]
+    lines = [{ln.split(":")[0]: ln for ln in out.splitlines()}
+             for out in outs]
+    assert lines[0].keys() == lines[2].keys()
+    assert lines[0]["[PASS] norm_axioms"] != lines[2]["[PASS] norm_axioms"]
 
 
 def test_scenario_config_defaults_are_valid():

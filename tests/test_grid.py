@@ -36,13 +36,6 @@ def test_prefix_integral_matches_manual_trapezoid():
         assert pref[k] == pytest.approx(manual, abs=1e-14)
 
 
-def test_integrate_is_last_prefix_entry():
-    g = make_grid(-1.0, 4.0, 33)
-    rng = np.random.default_rng(1)
-    f = rng.normal(size=g.n)
-    assert integrate(f, g) == prefix_integral(f, g)[-1]
-
-
 def test_integrate_shape_contract():
     g = make_grid(0.0, 1.0, 9)
     with pytest.raises(ContractError):

@@ -7,68 +7,10 @@ from novlab import (AnalysisError, ContractError, OmegaBounds, builtin_datum,
                     pair_datum, path_length, straight_line_path,
                     tangent_norm_info, transform_with_map, zero_tangent)
 from novlab import metric
-from novlab.metric import ShiftField, TangentVector, phi_values
-
-from conftest import bumps, random_state
+from novlab.metric import ShiftField, phi_values
+from novlab.validation import random_state, random_tangent
 
 BOUNDS = OmegaBounds(0.01, 100.0, 1.5)
-
-
-def random_tangent(rng, g):
-    return TangentVector(
-        R=bumps(rng, g.nodes, 2, 0.5),
-        S=bumps(rng, g.nodes, 2, 0.5),
-        A=bumps(rng, g.nodes, 2, 0.5),
-        B=bumps(rng, g.nodes, 2, 0.5),
-        Q=bumps(rng, g.nodes, 2, 0.5),
-    )
-
-
-def test_zero_tangent_has_zero_norm():
-    rng = np.random.default_rng(20)
-    g = make_grid(-8.0, 8.0, 256)
-    state = random_state(rng, g)
-    assert tangent_norm_info(state, zero_tangent(g)).value == 0.0
-
-
-def test_norm_absolute_homogeneity():
-    # With the shift frozen at zero the objective is a weighted L1 form,
-    # so scaling the tangent scales the value exactly.
-    rng = np.random.default_rng(21)
-    g = make_grid(-8.0, 8.0, 256)
-    state = random_state(rng, g)
-    tan = random_tangent(rng, g)
-    n1 = tangent_norm_info(state, tan).value
-    for lam in (-2.5, 0.5, 3.0):
-        nl = tangent_norm_info(state, tan.scaled(lam)).value
-        assert nl == pytest.approx(abs(lam) * n1, rel=1e-12)
-
-
-def test_norm_subadditive_at_zero_shift():
-    rng = np.random.default_rng(22)
-    g = make_grid(-8.0, 8.0, 256)
-    state = random_state(rng, g)
-    a = random_tangent(rng, g)
-    b = random_tangent(rng, g)
-    na = tangent_norm_info(state, a).value
-    nb = tangent_norm_info(state, b).value
-    nab = tangent_norm_info(state, a.plus(b)).value
-    assert nab <= na + nb + 1e-12 * max(na, nb, 1.0)
-
-
-def test_descent_never_exceeds_zero_shift_value():
-    # The zero shift is in the feasible set, so the searched minimum is
-    # bounded by the eta = 0 objective on every draw.
-    for seed in range(6):
-        rng = np.random.default_rng(seed)
-        g = make_grid(-8.0, 8.0, 128)
-        state = random_state(rng, g)
-        tan = random_tangent(rng, g)
-        info = tangent_norm_info(state, tan, search="coarse_descent",
-                                 eta_nodes=9, iters=60)
-        assert info.value <= info.eta_zero_value + 1e-12
-        assert info.search == "coarse_descent"
-        assert info.best_coeffs is not None
 
 
 def test_norm_info_eta_zero_mode():
