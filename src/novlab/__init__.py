@@ -21,14 +21,15 @@ from .evolution import (ConservedSet, OmegaBounds, Trajectory, check_omega,
 from .grid import (Grid, fd_derivative, fd_truncation_orders, integrate,
                    make_grid, prefix_integral)
 from .initial import (EulerDatum, TransformedState, builtin_datum,
-                      invert_y0, pair_datum, transform_with_map, zero_datum)
+                      invert_y0, mirrored, pair_datum, transform_with_map,
+                      zero_datum)
 from .metric import (NormInfo, PathOfStates, RatioRow, ShiftField,
-                     TangentVector, distance_upper, lipschitz_experiment,
-                     path_length, phi_values, straight_line_path,
-                     tangent_norm_info, z_shift, zero_tangent)
+                     distance_upper, lipschitz_experiment, path_length,
+                     phi_values, straight_line_path, tangent_norm_info,
+                     z_shift)
 from .reconstruct import (EulerField, conserved_euler, crest_position,
                           euler_fields, measure_interval, sample_at)
-from .sources import (SourceFields, assemble_sources, exp_convolve,
+from .sources import (assemble_sources, exp_convolve,
                       exp_convolve_bruteforce, half_angle_factors,
                       kernel_accumulator, xi_derivatives)
 

@@ -172,7 +172,7 @@ def cmd_metric(args) -> int:
 
 def cmd_validate(args) -> int:
     cfg, _ = _prepare(args)
-    results = run_suite(cfg, quick=args.quick)
+    results = run_suite(cfg)
     failed = [r for r in results if not r.passed]
     for r in results:
         tag = "PASS" if r.passed else "FAIL"
@@ -204,7 +204,8 @@ def _build_parser() -> argparse.ArgumentParser:
         p.add_argument("--config", required=True, help="scenario config file")
         p.add_argument("--out", default=None, help="override output directory")
         p.add_argument("--quick", action="store_true",
-                       help="shrink the run for smoke testing")
+                       help="shrink the run for smoke testing; "
+                            "validate ignores it")
         p.add_argument("--seed", type=int, default=None,
                        help="override the config seed")
         p.set_defaults(fn=fn)

@@ -14,7 +14,7 @@ import numpy as np
 
 from .config import ScenarioConfig
 from .errors import ConfigError, ContractError
-from .initial import FIELDS, EulerDatum, builtin_datum, pair_datum
+from .initial import FIELDS, EulerDatum, builtin_datum, mirrored, pair_datum
 
 __all__ = [
     "datum_from_config",
@@ -41,9 +41,7 @@ def datum_from_config(cfg: ScenarioConfig) -> EulerDatum:
     if cfg.datum_v_mode == "same":
         return u
     if cfg.datum_v_mode == "mirrored":
-        params = dict(cfg.datum_u_params)
-        params["base"] = cfg.datum_u_family
-        return builtin_datum("mirrored_of", params)
+        return mirrored(u)
     v = builtin_datum(cfg.datum_v_family, cfg.datum_v_params)
     return pair_datum(u, v)
 

@@ -72,13 +72,15 @@ def _angle_rate(A, B, cA, sA, drive):
 def rhs(state: TransformedState) -> np.ndarray:
     """Time derivative of state.data, as a (6, n) array in the same row order."""
     factors = half_angle_factors(state)
-    src = assemble_sources(state, factors)
+    src, dx_src = assemble_sources(state, factors)
+    P1, P2, S1, S2 = src
+    dxP1, dxP2, dxS1, dxS2 = dx_src
     sinW, sinZ, cw, sw, cz, sz = factors
     U, V, q = state.U, state.V, state.q
-    drive_w = src.P1 + src.dxP2
-    drive_z = src.S1 + src.dxS2
-    dU = -src.dxP1 - src.P2
-    dV = -src.dxS1 - src.S2
+    drive_w = P1 + dxP2
+    drive_z = S1 + dxS2
+    dU = -dxP1 - P2
+    dV = -dxS1 - S2
     dW = _angle_rate(U, V, cw, sw, drive_w)
     dZ = _angle_rate(V, U, cz, sz, drive_z)
     dq = q * (U * U * V + 0.5 * V - drive_w) * sinW \

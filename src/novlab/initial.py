@@ -24,6 +24,7 @@ __all__ = [
     "TransformedState",
     "builtin_datum",
     "pair_datum",
+    "mirrored",
     "invert_y0",
     "transform_with_map",
 ]
@@ -166,7 +167,7 @@ def _require(cond: bool, msg: str) -> None:
 def builtin_datum(family: str, params: dict | None = None) -> EulerDatum:
     """Construct a named closed-form datum.  Unknown keys are rejected.
 
-    Families produce u0 = v0; use pair_datum or mirrored_of for
+    Families produce u0 = v0; use pair_datum or mirrored for
     asymmetric pairs.
     """
     params = dict(params or {})
@@ -204,19 +205,6 @@ def builtin_datum(family: str, params: dict | None = None) -> EulerDatum:
         width = pop_float("width", 1.0)
         _require(width > 0, f"steep_front: width must be > 0, got {width}")
         datum = _steep_front(a, center, width)
-    elif family == "mirrored_of":
-        base_family = params.pop("base", None)
-        _require(base_family is not None, "mirrored_of: missing base family")
-        _require(base_family != "mirrored_of", "mirrored_of: cannot nest")
-        base = builtin_datum(base_family, params)
-        params = {}
-        datum = EulerDatum(
-            u0=base.u0,
-            v0=lambda x: base.u0(-np.asarray(x, dtype=float)),
-            du0=base.du0,
-            dv0=lambda x: -base.du0(-np.asarray(x, dtype=float)),
-            kinks=tuple(sorted(set(base.kinks) | {-k for k in base.kinks})),
-        )
     else:
         raise ConfigError(f"unknown datum family {family!r}")
 
@@ -233,6 +221,17 @@ def pair_datum(u_datum: EulerDatum, v_datum: EulerDatum) -> EulerDatum:
         du0=u_datum.du0,
         dv0=v_datum.dv0,
         kinks=tuple(sorted(set(u_datum.kinks) | set(v_datum.kinks))),
+    )
+
+
+def mirrored(base: EulerDatum) -> EulerDatum:
+    """The u-profile of base, with v0(x) = u0(-x) its reflection."""
+    return EulerDatum(
+        u0=base.u0,
+        v0=lambda x: base.u0(-np.asarray(x, dtype=float)),
+        du0=base.du0,
+        dv0=lambda x: -base.du0(-np.asarray(x, dtype=float)),
+        kinks=tuple(sorted(set(base.kinks) | {-k for k in base.kinks})),
     )
 
 

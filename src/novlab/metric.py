@@ -24,7 +24,6 @@ from .initial import EulerDatum, TransformedState, transform_with_map
 from .sources import half_angle_factors, xi_derivatives
 
 __all__ = [
-    "TangentVector",
     "ShiftField",
     "PathOfStates",
     "NormInfo",
@@ -41,29 +40,6 @@ __all__ = [
 DEFAULT_ALPHA = 0.5
 DEFAULT_ETA_NODES = 17
 DEFAULT_DESCENT_ITERS = 200
-
-
-@dataclass(frozen=True)
-class TangentVector:
-    R: np.ndarray
-    S: np.ndarray
-    A: np.ndarray
-    B: np.ndarray
-    Q: np.ndarray
-
-    def scaled(self, lam: float) -> "TangentVector":
-        return TangentVector(lam * self.R, lam * self.S, lam * self.A,
-                             lam * self.B, lam * self.Q)
-
-    def plus(self, other: "TangentVector") -> "TangentVector":
-        return TangentVector(self.R + other.R, self.S + other.S,
-                             self.A + other.A, self.B + other.B,
-                             self.Q + other.Q)
-
-
-def zero_tangent(grid: Grid) -> TangentVector:
-    z = np.zeros(grid.n)
-    return TangentVector(z.copy(), z.copy(), z.copy(), z.copy(), z.copy())
 
 
 @dataclass(frozen=True)
@@ -128,16 +104,17 @@ def _state_derivatives(state: TransformedState):
     return y_xi, u_xi, v_xi, w_xi, z_xi, q_xi
 
 
-def z_shift(state: TransformedState, tangent: TangentVector) -> np.ndarray:
+def z_shift(state: TransformedState, tangent: np.ndarray) -> np.ndarray:
     """First variation of the characteristic map under the tangent."""
     sinW, sinZ, cw, sw, cz, sz = half_angle_factors(state)
-    integrand = (tangent.Q * (cw * cz)
-                 - 0.5 * state.q * tangent.A * sinW * cz
-                 - 0.5 * state.q * tangent.B * cw * sinZ)
+    _, _, A, B, Q = tangent
+    integrand = (Q * (cw * cz)
+                 - 0.5 * state.q * A * sinW * cz
+                 - 0.5 * state.q * B * cw * sinZ)
     return prefix_integral(integrand, state.grid)
 
 
-def phi_values(state: TransformedState, tangent: TangentVector,
+def phi_values(state: TransformedState, tangent: np.ndarray,
                eta: ShiftField | None = None) -> np.ndarray:
     """The six weighted integrand factors entering the norm, as (6, n) rows."""
     derivs = None if eta is None else _state_derivatives(state)
@@ -164,11 +141,11 @@ class _PhiStack:
     from multiplying by a zero eta, and the objective takes abs.
     """
 
-    def __init__(self, state: TransformedState, tangent: TangentVector,
+    def __init__(self, state: TransformedState, tangent: np.ndarray,
                  z: np.ndarray, derivs=None):
         self.q = state.q
-        self.Q = tangent.Q
-        self.base = np.stack((z, tangent.R, tangent.S, tangent.A, tangent.B))
+        self.Q = tangent[4]
+        self.base = np.concatenate((z[None], tangent[:4]))
         self.D = None if derivs is None else np.stack(derivs[:5])
         self.q_xi = None if derivs is None else derivs[5]
         self.out = np.empty((6, state.grid.n))
@@ -215,10 +192,18 @@ def _hat_matrices(coarse: np.ndarray, nodes: np.ndarray, cells: np.ndarray):
     return hat, hat_p
 
 
-def tangent_norm_info(state: TransformedState, tangent: TangentVector,
+def tangent_norm_info(state: TransformedState, tangent: np.ndarray,
                       alpha: float = DEFAULT_ALPHA, search: str = "eta_zero",
                       eta_nodes: int = DEFAULT_ETA_NODES,
                       iters: int = DEFAULT_DESCENT_ITERS) -> NormInfo:
+    """Finsler norm of a tangent at state.
+
+    tangent is a (5, grid.n) array with rows R, S, A, B, Q: the
+    variations of the state rows U, V, W, Z, q, in that order.
+    """
+    if np.shape(tangent) != (5, state.grid.n):
+        raise ContractError(f"tangent has shape {np.shape(tangent)}, "
+                            f"expected (5, {state.grid.n})")
     if not 0.0 < alpha < 1.0:
         raise ContractError(f"alpha must lie strictly in (0,1), got {alpha}")
     if search not in ("eta_zero", "coarse_descent"):
@@ -321,7 +306,7 @@ def straight_line_path(end0: TransformedState, end1: TransformedState,
     return PathOfStates(theta_nodes=thetas, states=tuple(states))
 
 
-def _path_tangent(path: PathOfStates, j: int) -> TangentVector:
+def _path_tangent(path: PathOfStates, j: int) -> np.ndarray:
     states = path.states
     m = len(states)
     if j == 0:
@@ -330,8 +315,7 @@ def _path_tangent(path: PathOfStates, j: int) -> TangentVector:
         a, b, h = m - 2, m - 1, path.theta_nodes[-1] - path.theta_nodes[-2]
     else:
         a, b, h = j - 1, j + 1, path.theta_nodes[j + 1] - path.theta_nodes[j - 1]
-    R, S, A, B, Q, _ = (states[b].data - states[a].data) / h
-    return TangentVector(R=R, S=S, A=A, B=B, Q=Q)
+    return (states[b].data[:5] - states[a].data[:5]) / h
 
 
 def _touches_pi(state: TransformedState, tol_pi: float) -> bool:

@@ -63,7 +63,7 @@ def euler_fields(state: TransformedState, mask_tol: float = MASK_TOL) -> EulerFi
     ux = np.where(ux_valid, np.tan(0.5 * state.W), np.nan)
     vx = np.where(vx_valid, np.tan(0.5 * state.Z), np.nan)
     return EulerField(
-        x=y.copy(),
+        x=y,
         u=state.U.copy(),
         v=state.V.copy(),
         ux=ux,

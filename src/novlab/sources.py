@@ -11,8 +11,6 @@ double loop with the same trapezoid weights serves as the oracle.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from .errors import NumericalAbort
@@ -20,7 +18,6 @@ from .grid import Grid, prefix_integral
 from .initial import TransformedState
 
 __all__ = [
-    "SourceFields",
     "half_angle_factors",
     "xi_derivatives",
     "kernel_accumulator",
@@ -32,18 +29,6 @@ __all__ = [
 # Per-block bound on the kernel exponent span.  Within a block the scan
 # forms exp(+L) with L <= span plus one cell, far below overflow.
 _BLOCK_SPAN = 30.0
-
-
-@dataclass(frozen=True)
-class SourceFields:
-    P1: np.ndarray
-    dxP1: np.ndarray
-    P2: np.ndarray
-    dxP2: np.ndarray
-    S1: np.ndarray
-    dxS1: np.ndarray
-    S2: np.ndarray
-    dxS2: np.ndarray
 
 
 def half_angle_factors(state: TransformedState):
@@ -182,10 +167,15 @@ def _integrand_pair(q, A, B, sinA, sinB, cA, sA, cB):
     return i1, i2
 
 
-def assemble_sources(state: TransformedState, factors) -> SourceFields:
-    """The eight source fields from one stacked convolution pass.
+# Kernel prefactors of the source rows P1, P2, S1, S2.
+_SCALE = np.array([0.5, 0.125, 0.5, 0.125])[:, None]
 
-    factors is the tuple half_angle_factors(state) returns.
+
+def assemble_sources(state: TransformedState, factors):
+    """(src, dx_src): the rows P1, P2, S1, S2 and their x-derivatives.
+
+    Both are (4, n) arrays from one stacked convolution pass; factors is
+    the tuple half_angle_factors(state) returns.
     """
     grid = state.grid
     sinW, sinZ, cw, sw, cz, sz = factors
@@ -194,13 +184,4 @@ def assemble_sources(state: TransformedState, factors) -> SourceFields:
     p1, p2 = _integrand_pair(q, state.U, state.V, sinW, sinZ, cw, sw, cz)
     s1, s2 = _integrand_pair(q, state.V, state.U, sinZ, sinW, cz, sz, cw)
     even, odd = exp_convolve(np.stack((p1, p2, s1, s2)), G, grid)
-    return SourceFields(
-        P1=0.5 * even[0],
-        dxP1=0.5 * odd[0],
-        P2=0.125 * even[1],
-        dxP2=0.125 * odd[1],
-        S1=0.5 * even[2],
-        dxS1=0.5 * odd[2],
-        S2=0.125 * even[3],
-        dxS2=0.125 * odd[3],
-    )
+    return _SCALE * even, _SCALE * odd

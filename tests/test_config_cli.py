@@ -101,6 +101,16 @@ def test_datum_modes():
     assert float(df.v0(0.0)) == pytest.approx(0.25)
 
 
+def test_mirrored_of_is_an_unknown_family(tmp_path, capsys):
+    # Mirroring is datum.v.mode = mirrored, not a datum family.
+    text = MINIMAL.replace("= gaussian_bump", "= mirrored_of")
+    with pytest.raises(ConfigError, match="unknown datum family 'mirrored_of'"):
+        datum_from_config(parse_config(text))
+    assert main(["evolve", "--config", write_cfg(tmp_path, text),
+                 "--out", str(tmp_path / "out")]) == 2
+    assert "mirrored_of" in capsys.readouterr().err
+
+
 def test_perturbed_datum_requires_family():
     cfg = parse_config(MINIMAL)
     with pytest.raises(ConfigError):
@@ -286,10 +296,14 @@ def test_cli_guard_abort_writes_partial(tmp_path, capsys):
 
 
 def test_cli_validate_quick_passes(tmp_path, capsys):
+    # validate has one size, so --quick prints the same lines.
     cfg = write_cfg(tmp_path, MINIMAL)
-    rc = main(["validate", "--config", cfg, "--quick"])
-    assert rc == 0
-    lines = capsys.readouterr().out.splitlines()
+    outs = []
+    for flags in ([], ["--quick"]):
+        assert main(["validate", "--config", cfg, *flags]) == 0
+        outs.append(capsys.readouterr().out)
+    assert outs[0] == outs[1]
+    lines = outs[1].splitlines()
     checks = [ln for ln in lines if ln.startswith("[")]
     assert len(checks) >= 12
     assert all(ln.startswith("[PASS]") for ln in checks)

@@ -4,8 +4,8 @@ import pytest
 from hypothesis import given, strategies as st
 
 from novlab import (ConfigError, ContractError, builtin_datum, conserved,
-                    invert_y0, make_grid, pair_datum, transform_with_map,
-                    zero_datum)
+                    invert_y0, make_grid, mirrored, pair_datum,
+                    transform_with_map, zero_datum)
 from novlab.initial import TransformedState, _density_table
 
 
@@ -35,8 +35,8 @@ def test_builtin_rejects_unknown_family_and_keys():
 
 def test_mirrored_datum_reflects_u():
     base = {"a": 1.0, "center": 0.7, "width": 1.2}
-    m = builtin_datum("mirrored_of", {"base": "gaussian_bump", **base})
     ref = builtin_datum("gaussian_bump", base)
+    m = mirrored(ref)
     x = np.linspace(-3, 3, 41)
     assert np.allclose(m.v0(x), ref.u0(-x), atol=1e-15)
     assert np.allclose(m.dv0(x), -ref.du0(-x), atol=1e-15)

@@ -5,7 +5,7 @@ import pytest
 from novlab import (AnalysisError, ContractError, OmegaBounds, builtin_datum,
                     distance_upper, evolve, lipschitz_experiment, make_grid,
                     pair_datum, path_length, straight_line_path,
-                    tangent_norm_info, transform_with_map, zero_tangent)
+                    tangent_norm_info, transform_with_map)
 from novlab import metric
 from novlab.metric import ShiftField, phi_values
 from novlab.validation import random_state, random_tangent
@@ -21,9 +21,19 @@ def test_norm_info_eta_zero_mode():
     assert info.iterations == 0
     assert info.value == info.eta_zero_value
     with pytest.raises(ContractError):
-        tangent_norm_info(state, zero_tangent(g), alpha=1.5)
+        tangent_norm_info(state, np.zeros((5, g.n)), alpha=1.5)
     with pytest.raises(ContractError):
-        tangent_norm_info(state, zero_tangent(g), search="bogus")
+        tangent_norm_info(state, np.zeros((5, g.n)), search="bogus")
+
+
+@pytest.mark.parametrize("shape", [(6, 128), (5, 127), (5,), (5, 128, 1)],
+                         ids=["state_rows", "wrong_length", "one_row",
+                              "three_d"])
+def test_norm_rejects_mis_shaped_tangent(shape):
+    g = make_grid(-8.0, 8.0, 128)
+    state = random_state(np.random.default_rng(27), g)
+    with pytest.raises(ContractError):
+        tangent_norm_info(state, np.zeros(shape))
 
 
 def test_eta_zero_mode_needs_no_state_derivatives(monkeypatch):
@@ -59,19 +69,20 @@ def oracle_coarse_descent(state, tangent, alpha, eta_nodes, iters):
                       0, coarse.size - 2)
         return slopes[idx]
 
+    R, S, A, B, Q = tangent
+
     def phis_of(coeffs):
         q = state.q
         if coeffs is None:
-            return (z * q, tangent.R * q, tangent.S * q, 0.5 * tangent.A * q,
-                    0.5 * tangent.B * q, tangent.Q.copy())
+            return (z * q, R * q, S * q, 0.5 * A * q, 0.5 * B * q, Q.copy())
         eta_v = eta_of(coarse, coeffs, state.grid.nodes)
         eta_p = eta_prime_of(coarse, coeffs, state.grid.nodes)
         phi1 = (z + eta_v * y_xi) * q
-        phi2 = (tangent.R + eta_v * u_xi) * q
-        phi3 = (tangent.S + eta_v * v_xi) * q
-        phi4 = 0.5 * (tangent.A + eta_v * w_xi) * q
-        phi5 = 0.5 * (tangent.B + eta_v * z_xi) * q
-        phi6 = tangent.Q + eta_v * q_xi + eta_p * q
+        phi2 = (R + eta_v * u_xi) * q
+        phi3 = (S + eta_v * v_xi) * q
+        phi4 = 0.5 * (A + eta_v * w_xi) * q
+        phi5 = 0.5 * (B + eta_v * z_xi) * q
+        phi6 = Q + eta_v * q_xi + eta_p * q
         return phi1, phi2, phi3, phi4, phi5, phi6
 
     def objective(phis):
@@ -163,7 +174,7 @@ def test_descent_zero_gradient_returns_early():
     rng = np.random.default_rng(25)
     g = make_grid(-8.0, 8.0, 128)
     state = random_state(rng, g)
-    info = assert_matches_oracle(state, zero_tangent(g), 17, 200)
+    info = assert_matches_oracle(state, np.zeros((5, g.n)), 17, 200)
     assert info.iterations == 0 and info.value == 0.0
 
 
@@ -179,10 +190,10 @@ def test_phi_values_rows_are_the_six_phis():
     y_xi, u_xi, v_xi, w_xi, z_xi, q_xi = metric._state_derivatives(state)
     z = metric.z_shift(state, tan)
     q = state.q
-    expected = ((z + eta_v * y_xi) * q, (tan.R + eta_v * u_xi) * q,
-                (tan.S + eta_v * v_xi) * q, 0.5 * (tan.A + eta_v * w_xi) * q,
-                0.5 * (tan.B + eta_v * z_xi) * q,
-                tan.Q + eta_v * q_xi + eta_p * q)
+    R, S, A, B, Q = tan
+    expected = ((z + eta_v * y_xi) * q, (R + eta_v * u_xi) * q,
+                (S + eta_v * v_xi) * q, 0.5 * (A + eta_v * w_xi) * q,
+                0.5 * (B + eta_v * z_xi) * q, Q + eta_v * q_xi + eta_p * q)
     for row, phi in zip(rows, expected):
         assert row.tobytes() == phi.tobytes()
 

@@ -138,23 +138,21 @@ def test_symmetric_state_sources_collapse():
     g = make_grid(-10.0, 10.0, 256)
     base = random_state(rng, g)
     state = base.with_fields(V=base.U, Z=base.W)
-    src = assemble_sources(state, half_angle_factors(state))
-    assert np.array_equal(src.P1, src.S1)
-    assert np.array_equal(src.dxP2, src.dxS2)
+    # Rows P1, P2 equal rows S1, S2 bitwise, in both stacks.
+    for stack in assemble_sources(state, half_angle_factors(state)):
+        assert np.array_equal(stack[:2], stack[2:])
 
 
 def test_sources_finite_and_shaped(smooth_pair_state):
     state = smooth_pair_state
-    src = assemble_sources(state, half_angle_factors(state))
-    for name in ("P1", "dxP1", "P2", "dxP2", "S1", "dxS1", "S2", "dxS2"):
-        arr = getattr(src, name)
-        assert arr.shape == (state.grid.n,)
-        assert np.all(np.isfinite(arr))
+    src, dx_src = assemble_sources(state, half_angle_factors(state))
+    for stack in (src, dx_src):
+        assert stack.shape == (4, state.grid.n)
+        assert np.all(np.isfinite(stack))
 
 
 def test_zero_state_sources_vanish():
     g = make_grid(-5.0, 5.0, 64)
     state = flat_state(g)
-    src = assemble_sources(state, half_angle_factors(state))
-    assert np.max(np.abs(src.P1)) == 0.0
-    assert np.max(np.abs(src.S2)) == 0.0
+    for stack in assemble_sources(state, half_angle_factors(state)):
+        assert np.max(np.abs(stack)) == 0.0
