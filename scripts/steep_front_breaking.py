@@ -17,7 +17,6 @@ from novlab import (AnalysisError, ContractError, classify, euler_fields,
                     evolve, find_crossings, fit_exponent, load_config,
                     make_grid, quick_override)
 from novlab.cliio import datum_from_config, write_points_jsonl
-from novlab.config import validate_config
 from novlab.initial import transform_with_map
 
 REPO = Path(__file__).resolve().parents[1]
@@ -39,7 +38,6 @@ def main(argv=None) -> int:
     cfg = load_config(args.config)
     if args.quick:
         cfg = quick_override(cfg)
-    validate_config(cfg)
     out = Path(args.out or cfg.out_dir)
     out.mkdir(parents=True, exist_ok=True)
 

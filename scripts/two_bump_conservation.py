@@ -13,7 +13,6 @@ import sys
 from pathlib import Path
 
 from novlab import cliio, evolve, load_config, make_grid, quick_override
-from novlab.config import validate_config
 from novlab.initial import transform_with_map
 
 REPO = Path(__file__).resolve().parents[1]
@@ -42,7 +41,6 @@ def main(argv=None) -> int:
     cfg = load_config(args.config)
     if args.quick:
         cfg = quick_override(cfg)
-    validate_config(cfg)
     out = Path(args.out or cfg.out_dir)
     out.mkdir(parents=True, exist_ok=True)
 

@@ -23,10 +23,9 @@ from .grid import (Grid, fd_derivative, fd_truncation_orders, integrate,
 from .initial import (EulerDatum, TransformedState, builtin_datum,
                       invert_y0, mirrored, pair_datum, transform_with_map,
                       zero_datum)
-from .metric import (NormInfo, PathOfStates, RatioRow, ShiftField,
-                     distance_upper, lipschitz_experiment, path_length,
-                     phi_values, straight_line_path, tangent_norm_info,
-                     z_shift)
+from .metric import (NormInfo, PathOfStates, RatioRow, distance_upper,
+                     lipschitz_experiment, path_length, straight_line_path,
+                     tangent_norm_info, z_shift)
 from .reconstruct import (EulerField, conserved_euler, crest_position,
                           euler_fields, measure_interval, sample_at)
 from .sources import (assemble_sources, exp_convolve,

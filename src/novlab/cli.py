@@ -22,7 +22,8 @@ from pathlib import Path
 from . import cliio
 from .breaking import (classify, find_crossings, fit_exponent,
                        verify_cancellations)
-from .config import ScenarioConfig, load_config, quick_override
+from .config import (ScenarioConfig, load_config, quick_override,
+                     validate_config)
 from .errors import (AnalysisError, ConfigError, ContractError, EvolveAbort,
                      NovlabError, NumericalAbort)
 from .evolution import OmegaBounds, evolve
@@ -47,6 +48,7 @@ def _prepare(args) -> tuple[ScenarioConfig, Path]:
         cfg = dataclasses.replace(cfg, seed=args.seed)
     if args.out is not None:
         cfg = dataclasses.replace(cfg, out_dir=args.out)
+    validate_config(cfg)
     out = Path(cfg.out_dir)
     out.mkdir(parents=True, exist_ok=True)
     return cfg, out

@@ -10,6 +10,7 @@ strict and unknown fixed keys are rejected.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field, replace
 
 from .errors import ConfigError
@@ -97,9 +98,12 @@ _STR_KEYS = {
 
 def _coerce_number(key: str, raw: str) -> float:
     try:
-        return float(raw)
+        num = float(raw)
     except ValueError:
         raise ConfigError(f"{key}: expected a number, got {raw!r}")
+    if not math.isfinite(num):
+        raise ConfigError(f"{key}: expected a finite number, got {raw!r}")
+    return num
 
 
 def parse_config(text: str) -> ScenarioConfig:
@@ -162,16 +166,23 @@ def validate_config(cfg: ScenarioConfig) -> None:
     if cfg.dt <= 0:
         raise ConfigError("time.dt must be positive")
     ratio = abs(cfg.t_final) / cfg.dt
-    if abs(ratio - round(ratio)) > 1e-9 * max(1.0, ratio):
+    if (not math.isfinite(ratio)
+            or abs(ratio - round(ratio)) > 1e-9 * max(1.0, ratio)):
         raise ConfigError("time.t_final must be an integer multiple of time.dt")
     if cfg.record_every < 1:
         raise ConfigError("time.record_every must be >= 1")
+    if not cfg.q_lo < cfg.q_hi:
+        raise ConfigError("omega.q_lo must be below omega.q_hi")
+    if not cfg.slack > 0:
+        raise ConfigError("omega.slack must be positive")
     if not 0.0 < cfg.alpha < 1.0:
         raise ConfigError("metric.alpha must lie strictly in (0, 1)")
     if cfg.m_theta < 3:
         raise ConfigError("metric.m_theta must be >= 3")
     if cfg.eta_nodes < 2:
         raise ConfigError("metric.eta_nodes must be >= 2")
+    if cfg.descent_iters < 0:
+        raise ConfigError("metric.iters must be >= 0")
     if cfg.datum_v_mode not in ("same", "mirrored", "family"):
         raise ConfigError("datum.v.mode must be same, mirrored, or family")
     if cfg.datum_v_mode == "family" and not cfg.datum_v_family:
@@ -180,6 +191,8 @@ def validate_config(cfg: ScenarioConfig) -> None:
         raise ConfigError("metric.search must be eta_zero or coarse_descent")
     if cfg.perturb_component not in ("u", "v", "both"):
         raise ConfigError("metric.perturb.component must be u, v, or both")
+    if cfg.seed < 0:
+        raise ConfigError("seed must be >= 0")
 
 
 def load_config(path: str) -> ScenarioConfig:

@@ -1,14 +1,17 @@
 """Finsler tangent norm, path lengths, and distance upper bounds.
 
 The norm of a tangent vector at a state is an infimum over a shift
-field eta of a weighted L1 sum of six affine expressions; since each
-integrand is |affine in eta|, the objective is convex piecewise linear
-in any finite parameterization of eta.  The search space here is an
-m-node piecewise-linear shift with box-bounded coefficients, explored
-by projected subgradient descent with step a/k; eta = 0 is always
-evaluated first, so every reported value is a certified upper bound and
-descent can only improve it.  Distances are upper bounds obtained from
-the straight-line path between states.
+field eta of a weighted L1 sum of six phis.  With eta an m-node
+piecewise-linear shift with coefficients c, the (6, n) phi stack is
+affine in c: P(c) = P0 + K c, where P0 is the stack at eta = 0 and
+column j of the (6n, m) operator K is the change that the j-th hat
+function of the shift causes.  The objective sum w |P0 + K c| is
+convex piecewise linear; it is explored over the box |c| <= box by
+projected subgradient descent with step a/k and subgradient
+(w sign P) K.  eta = 0 is always evaluated first, so every reported
+value is a certified upper bound and descent can only improve it.
+Distances are upper bounds obtained from the straight-line path
+between states.
 """
 
 from __future__ import annotations
@@ -24,12 +27,10 @@ from .initial import EulerDatum, TransformedState, transform_with_map
 from .sources import half_angle_factors, xi_derivatives
 
 __all__ = [
-    "ShiftField",
     "PathOfStates",
     "NormInfo",
     "RatioRow",
     "z_shift",
-    "phi_values",
     "tangent_norm_info",
     "straight_line_path",
     "path_length",
@@ -40,36 +41,6 @@ __all__ = [
 DEFAULT_ALPHA = 0.5
 DEFAULT_ETA_NODES = 17
 DEFAULT_DESCENT_ITERS = 200
-
-
-@dataclass(frozen=True)
-class ShiftField:
-    """Piecewise-linear shift on m coarse nodes spanning the grid."""
-
-    coarse: np.ndarray
-    coeffs: np.ndarray
-
-    @staticmethod
-    def zeros(grid: Grid, m: int = DEFAULT_ETA_NODES) -> "ShiftField":
-        if m < 2:
-            raise ContractError(f"shift field needs m >= 2 nodes, got {m}")
-        return ShiftField(np.linspace(grid.xi_min, grid.xi_max, m), np.zeros(m))
-
-    def with_coeffs(self, coeffs: np.ndarray) -> "ShiftField":
-        return ShiftField(self.coarse, np.asarray(coeffs, dtype=float))
-
-    def eta(self, nodes: np.ndarray) -> np.ndarray:
-        return np.interp(nodes, self.coarse, self.coeffs)
-
-    def eta_prime(self, nodes: np.ndarray) -> np.ndarray:
-        slopes = np.diff(self.coeffs) / np.diff(self.coarse)
-        return slopes[_cells(self.coarse, nodes)]
-
-
-def _cells(coarse: np.ndarray, nodes: np.ndarray) -> np.ndarray:
-    """Index of the coarse cell holding each node; the last cell is closed."""
-    return np.clip(np.searchsorted(coarse, nodes, side="right") - 1,
-                   0, coarse.size - 2)
 
 
 @dataclass(frozen=True)
@@ -114,59 +85,48 @@ def z_shift(state: TransformedState, tangent: np.ndarray) -> np.ndarray:
     return prefix_integral(integrand, state.grid)
 
 
-def phi_values(state: TransformedState, tangent: np.ndarray,
-               eta: ShiftField | None = None) -> np.ndarray:
-    """The six weighted integrand factors entering the norm, as (6, n) rows."""
-    derivs = None if eta is None else _state_derivatives(state)
-    phis = _PhiStack(state, tangent, z_shift(state, tangent), derivs)
-    if eta is None:
-        return phis.fill()
-    nodes = state.grid.nodes
-    return phis.fill(eta.eta(nodes), eta.eta_prime(nodes))
-
-
 # Column scale of phi rows 0-4: phi4 and phi5 carry a factor 1/2.
 _ROW_SCALE = np.array([1.0, 1.0, 1.0, 0.5, 0.5])[:, None]
 
 
-class _PhiStack:
-    """The six phis of one (state, tangent), filled into one (6, n) array.
+def _phi_zero(state: TransformedState, tangent: np.ndarray) -> np.ndarray:
+    """P0, the (6, n) phi stack at eta = 0.
 
-    Rows 0-4 are ((base + eta_v * D) * _ROW_SCALE) * q with base the
-    stack (z, R, S, A, B) and D the stack (y_xi, u_xi, v_xi, w_xi, z_xi);
-    row 5 is Q + eta_v * q_xi + eta_p * q.  Only eta varies during a
-    descent, so the stacks are built once and every fill overwrites the
-    same array.  With eta = 0 (no arguments) the eta terms drop out and
-    the derivatives are not needed; only the signs of zeros can differ
-    from multiplying by a zero eta, and the objective takes abs.
+    Rows 0-4 are (z, R, S, A, B) * _ROW_SCALE * q and row 5 is Q: the
+    eta terms drop out, so no xi-derivatives are needed.
     """
+    P0 = np.empty((6, state.grid.n))
+    P0[:5] = (np.concatenate((z_shift(state, tangent)[None], tangent[:4]))
+              * _ROW_SCALE * state.q)
+    P0[5] = tangent[4]
+    return P0
 
-    def __init__(self, state: TransformedState, tangent: np.ndarray,
-                 z: np.ndarray, derivs=None):
-        self.q = state.q
-        self.Q = tangent[4]
-        self.base = np.concatenate((z[None], tangent[:4]))
-        self.D = None if derivs is None else np.stack(derivs[:5])
-        self.q_xi = None if derivs is None else derivs[5]
-        self.out = np.empty((6, state.grid.n))
-        self._eta_p_q = np.empty(state.grid.n)
 
-    def fill(self, eta_v: np.ndarray | None = None,
-             eta_p: np.ndarray | None = None) -> np.ndarray:
-        rows, p6 = self.out[:5], self.out[5]
-        if eta_v is None:
-            np.multiply(self.base, _ROW_SCALE, out=rows)
-            p6[:] = self.Q
-        else:
-            np.multiply(eta_v, self.D, out=rows)
-            rows += self.base
-            rows *= _ROW_SCALE
-            np.multiply(eta_v, self.q_xi, out=p6)
-            p6 += self.Q
-            np.multiply(eta_p, self.q, out=self._eta_p_q)
-            p6 += self._eta_p_q
-        rows *= self.q
-        return self.out
+def _shift_operator(state: TransformedState, eta_nodes: int):
+    """K, the (6n, m) map from shift coefficients to P(c) - P0, and the box.
+
+    The shift is sum_j c_j hat_j over m equispaced hat functions that
+    span the grid.  Column j of K holds, in the rows of the flattened
+    phi stack, (y_xi, u_xi, v_xi, w_xi, z_xi) * _ROW_SCALE * q * hat_j
+    and q_xi * hat_j + q * hat_j'.
+    """
+    if eta_nodes < 2:
+        raise ContractError(f"shift field needs eta_nodes >= 2, got {eta_nodes}")
+    grid = state.grid
+    nodes = grid.nodes
+    coarse = np.linspace(grid.xi_min, grid.xi_max, eta_nodes)
+    spacing = coarse[1] - coarse[0]
+    hat = np.maximum(0.0, 1.0 - np.abs(nodes[:, None] - coarse) / spacing)
+    # hat' on the coarse cell holding each node; the last cell is closed.
+    cells = np.clip(np.searchsorted(coarse, nodes, side="right") - 1,
+                    0, eta_nodes - 2)
+    unit = np.eye(eta_nodes)
+    hat_p = (unit[cells + 1] - unit[cells]) / spacing
+    *D, q_xi = _state_derivatives(state)
+    K = np.empty((6, grid.n, eta_nodes))
+    K[:5] = (np.stack(D) * _ROW_SCALE * state.q)[:, :, None] * hat
+    K[5] = q_xi[:, None] * hat + state.q[:, None] * hat_p
+    return K.reshape(6 * grid.n, eta_nodes), 0.5 * spacing
 
 
 def _quad_weights(grid: Grid, y, alpha: float) -> np.ndarray:
@@ -175,21 +135,10 @@ def _quad_weights(grid: Grid, y, alpha: float) -> np.ndarray:
     return w * np.exp(-alpha * np.abs(np.asarray(y, dtype=float)))
 
 
-def _objective(weights, phis, out=None) -> float:
+def _objective(weights, phis) -> float:
     # One dot per row, summed in row order.  Not abs(phis) @ weights: a
     # matrix-vector product rounds differently from six dots.
-    return float(sum(weights @ row for row in np.abs(phis, out=out)))
-
-
-def _hat_matrices(coarse: np.ndarray, nodes: np.ndarray, cells: np.ndarray):
-    m = coarse.size
-    spacing = coarse[1] - coarse[0]
-    hat = np.maximum(0.0, 1.0 - np.abs(nodes[None, :] - coarse[:, None]) / spacing)
-    hat_p = np.zeros((m, nodes.size))
-    rows = np.arange(nodes.size)
-    hat_p[cells, rows] = -1.0 / spacing
-    hat_p[cells + 1, rows] = 1.0 / spacing
-    return hat, hat_p
+    return float(sum(weights @ row for row in np.abs(phis)))
 
 
 def tangent_norm_info(state: TransformedState, tangent: np.ndarray,
@@ -208,53 +157,19 @@ def tangent_norm_info(state: TransformedState, tangent: np.ndarray,
         raise ContractError(f"alpha must lie strictly in (0,1), got {alpha}")
     if search not in ("eta_zero", "coarse_descent"):
         raise ContractError(f"unknown search mode {search!r}")
-    grid = state.grid
-    weights = _quad_weights(grid, state.y, alpha)
-    descent = search == "coarse_descent"
-    phis = _PhiStack(state, tangent, z_shift(state, tangent),
-                     _state_derivatives(state) if descent else None)
-    value0 = _objective(weights, phis.fill())
-    if not descent:
+    weights = _quad_weights(state.grid, state.y, alpha)
+    P0 = _phi_zero(state, tangent)
+    value0 = _objective(weights, P0)
+    if search == "eta_zero":
         return NormInfo(value=value0, search=search, iterations=0,
                         eta_zero_value=value0, best_coeffs=None)
 
-    # Everything but the coefficients c is fixed for the call.
-    nodes = grid.nodes
-    shift = ShiftField.zeros(grid, eta_nodes)
-    coarse = shift.coarse
-    box = 0.5 * (coarse[1] - coarse[0])
-    gaps = np.diff(coarse)
-    cells = _cells(coarse, nodes)
-    hat, hat_p = _hat_matrices(coarse, nodes, cells)
-    q, q_xi = state.q, phis.q_xi
-    # Regrouped products that are exact, since sign is -1, 0 or 1:
-    # sign * (0.5 * w_xi) == (0.5 * sign) * w_xi and
-    # sign * (weights * q) == weights * sign * q.
-    half_d = phis.D * _ROW_SCALE
-    wq = weights * q
-    abs_buf = np.empty_like(phis.out)
-    signs = np.empty_like(phis.out)
-    terms = np.empty_like(phis.D)
-
-    def fill(c):
-        return phis.fill(np.interp(nodes, coarse, c), (np.diff(c) / gaps)[cells])
-
-    def subgradient(P):
-        np.sign(P, out=signs)
-        np.multiply(signs[:5], half_d, out=terms)
-        # Summed row by row, in the order of the unstacked formula.
-        core = terms[0] + terms[1]
-        core += terms[2]
-        core += terms[3]
-        core += terms[4]
-        core *= q
-        core += signs[5] * q_xi
-        return hat @ (weights * core) + hat_p @ (signs[5] * wq)
-
+    K, box = _shift_operator(state, eta_nodes)
+    p0 = P0.ravel()
+    w6 = np.tile(weights, 6)
     best_val = value0
-    best_c = shift.coeffs.copy()
-    c = shift.coeffs.copy()
-    g = subgradient(fill(c))
+    c = best_c = np.zeros(eta_nodes)
+    g = (w6 * np.sign(p0)) @ K
     gnorm = float(np.linalg.norm(g))
     if gnorm == 0.0:
         return NormInfo(value=best_val, search=search, iterations=0,
@@ -263,13 +178,13 @@ def tangent_norm_info(state: TransformedState, tangent: np.ndarray,
     used = 0
     for k in range(1, iters + 1):
         c = np.clip(c - (step_scale / k) * g, -box, box)
-        P = fill(c)
-        val = _objective(weights, P, abs_buf)
+        P = p0 + K @ c
+        val = _objective(weights, P.reshape(P0.shape))
         used = k
         if val < best_val:
             best_val = val
             best_c = c
-        g = subgradient(P)
+        g = (w6 * np.sign(P)) @ K
         if float(np.linalg.norm(g)) == 0.0:
             break
     return NormInfo(value=best_val, search=search, iterations=used,
@@ -360,8 +275,10 @@ def path_length(path: PathOfStates, alpha: float = DEFAULT_ALPHA,
 
 def distance_upper(state0: TransformedState, state1: TransformedState,
                    alpha: float = DEFAULT_ALPHA, m_theta: int = 9,
-                   search: str = "eta_zero", **norm_kw) -> float:
-    path = straight_line_path(state0, state1, m_theta)
+                   search: str = "eta_zero",
+                   bounds: OmegaBounds = OmegaBounds(), **norm_kw) -> float:
+    """Length of the straight-line path, whose states must lie in bounds."""
+    path = straight_line_path(state0, state1, m_theta, bounds)
     return path_length(path, alpha, search, **norm_kw)
 
 
@@ -386,8 +303,8 @@ def lipschitz_experiment(datum0: EulerDatum, datum1: EulerDatum, grid: Grid,
         for i, t in enumerate(tr0.times):
             if t in rows:
                 continue  # t = 0: both directions start from the same states
-            rows[t] = distance_upper(tr0.states[i], tr1.states[i],
-                                     alpha, m_theta, search, **norm_kw)
+            rows[t] = distance_upper(tr0.states[i], tr1.states[i], alpha,
+                                     m_theta, search, bounds, **norm_kw)
     d0 = rows.get(0.0)
     if d0 is None:
         raise AnalysisError("no t=0 record in the Lipschitz experiment")

@@ -3,6 +3,7 @@ import json
 from pathlib import Path
 
 import pytest
+from hypothesis import given, strategies as st
 
 import novlab.cli
 import novlab.validation
@@ -10,7 +11,8 @@ from novlab import (AnalysisError, ConfigError, load_config, parse_config,
                     quick_override)
 from novlab.cli import main
 from novlab.cliio import datum_from_config, perturbed_datum
-from novlab.config import ScenarioConfig
+from novlab.config import (_BOOL_KEYS, _FLOAT_KEYS, _INT_KEYS, _STR_KEYS,
+                           ScenarioConfig, validate_config)
 from novlab.errors import ContractError
 
 REPO = Path(__file__).resolve().parents[1]
@@ -50,6 +52,12 @@ def test_parse_comments_and_blank_lines():
     (MINIMAL + "grid.n = 2.5\n", "integer"),
     (MINIMAL + "time.dt = abc\n", "number"),
     (MINIMAL + "singular.fit = yes\n", "true or false"),
+    (MINIMAL + "time.t_final = nan\n", "finite"),
+    (MINIMAL + "time.dt = nan\n", "finite"),
+    (MINIMAL + "time.dt = inf\n", "finite"),
+    (MINIMAL + "time.record_every = nan\n", "finite"),
+    (MINIMAL + "seed = nan\n", "finite"),
+    (MINIMAL + "grid.n = inf\n", "finite"),
 ])
 def test_parse_rejects_malformed(mutation, fragment):
     with pytest.raises(ConfigError) as exc:
@@ -64,11 +72,37 @@ def test_parse_rejects_malformed(mutation, fragment):
     ("metric.search = newton\n", "search"),
     ("validate.inject = everything\n", "inject"),  # a removed key
     ("grid.n = 2\n", "at least 3"),
+    ("omega.slack = 0\n", "omega.slack"),
+    ("omega.q_lo = 2\nomega.q_hi = 2\n", "omega.q_lo"),
+    ("metric.iters = -3\n", "metric.iters"),
+    ("seed = -200000\n", "seed"),
 ])
 def test_validation_rules(extra, fragment):
     with pytest.raises(ConfigError) as exc:
         parse_config(MINIMAL + extra)
     assert fragment in str(exc.value)
+
+
+FIXED_KEYS = sorted({**_FLOAT_KEYS, **_INT_KEYS, **_BOOL_KEYS, **_STR_KEYS})
+VALUES = st.one_of(
+    st.floats().map(repr),  # nan, inf and subnormals included
+    st.integers(-10**30, 10**30).map(str),
+    st.sampled_from(["nan", "-inf", "1e308", "-1e308", "1e-320", "0",
+                     "-0", "true", "false", "abc", ""]),
+    st.text(max_size=12),
+)
+
+
+@given(st.lists(st.tuples(st.sampled_from(FIXED_KEYS), VALUES), max_size=4))
+def test_config_input_raises_only_config_error(entries):
+    # Any value for any fixed key parses or raises ConfigError, and the
+    # quick variant of a config that parses is valid too.
+    text = MINIMAL + "".join(f"{key} = {value}\n" for key, value in entries)
+    try:
+        cfg = parse_config(text)
+    except ConfigError:
+        return
+    validate_config(quick_override(cfg))
 
 
 def test_load_config_missing_file(tmp_path):
@@ -342,5 +376,11 @@ def test_cli_seed_override_changes_validate_draws(tmp_path, capsys):
 
 
 def test_scenario_config_defaults_are_valid():
-    from novlab.config import validate_config
     validate_config(ScenarioConfig())
+
+
+def test_cli_seed_override_is_validated(tmp_path, capsys):
+    # An override is checked like the config it replaces: exit 2.
+    cfg = write_cfg(tmp_path, MINIMAL)
+    assert main(["validate", "--config", cfg, "--seed", "-200000"]) == 2
+    assert capsys.readouterr().err == "config error: seed must be >= 0\n"

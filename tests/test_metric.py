@@ -7,7 +7,6 @@ from novlab import (AnalysisError, ContractError, OmegaBounds, builtin_datum,
                     pair_datum, path_length, straight_line_path,
                     tangent_norm_info, transform_with_map)
 from novlab import metric
-from novlab.metric import ShiftField, phi_values
 from novlab.validation import random_state, random_tangent
 
 BOUNDS = OmegaBounds(0.01, 100.0, 1.5)
@@ -24,6 +23,9 @@ def test_norm_info_eta_zero_mode():
         tangent_norm_info(state, np.zeros((5, g.n)), alpha=1.5)
     with pytest.raises(ContractError):
         tangent_norm_info(state, np.zeros((5, g.n)), search="bogus")
+    with pytest.raises(ContractError, match="eta_nodes"):
+        tangent_norm_info(state, np.zeros((5, g.n)),
+                          search="coarse_descent", eta_nodes=1)
 
 
 @pytest.mark.parametrize("shape", [(6, 128), (5, 127), (5,), (5, 128, 1)],
@@ -38,28 +40,25 @@ def test_norm_rejects_mis_shaped_tangent(shape):
 
 def test_eta_zero_mode_needs_no_state_derivatives(monkeypatch):
     # With eta = 0 the eta terms drop out: the norm reads no
-    # xi-derivatives and equals the objective at an explicit zero shift
-    # (which multiplies them by zero) bit for bit, since only the signs
-    # of zeros can differ under the abs.
+    # xi-derivatives and equals the oracle's eta = 0 value bit for bit.
     rng = np.random.default_rng(24)
     g = make_grid(-8.0, 8.0, 128)
     state = random_state(rng, g)
     tan = random_tangent(rng, g)
-    at_zero_shift = metric._objective(
-        metric._quad_weights(g, state.y, 0.5),
-        phi_values(state, tan, ShiftField.zeros(g)))
+    _, _, value0, _ = oracle_coarse_descent(state, tan, 0.5, 17, 0)
 
     def no_derivatives(state):
         raise AssertionError("eta_zero mode computed state derivatives")
 
     monkeypatch.setattr(metric, "_state_derivatives", no_derivatives)
-    assert tangent_norm_info(state, tan).value == at_zero_shift
+    info = tangent_norm_info(state, tan)
+    assert np.float64(info.value).tobytes() == np.float64(value0).tobytes()
 
 
 def oracle_coarse_descent(state, tangent, alpha, eta_nodes, iters):
     # The coarse_descent loop as it was before the stacked rewrite, kept
-    # verbatim (six separate phis, a fresh ShiftField per iterate) as the
-    # bit-exact reference for tangent_norm_info.
+    # verbatim (six separate phis, a fresh shift per iterate) as the
+    # reference for tangent_norm_info.
     def eta_of(coarse, coeffs, nodes):
         return np.interp(nodes, coarse, coeffs)
 
@@ -143,15 +142,17 @@ def oracle_coarse_descent(state, tangent, alpha, eta_nodes, iters):
 
 
 def assert_matches_oracle(state, tangent, eta_nodes, iters):
+    # P0 + K c rounds differently from the oracle's interp and diff, so
+    # the value and the coefficients agree to rounding; the iteration
+    # count and the eta = 0 value (the same arithmetic) are exact.
     info = tangent_norm_info(state, tangent, search="coarse_descent",
                              eta_nodes=eta_nodes, iters=iters)
     value, used, value0, coeffs = oracle_coarse_descent(
         state, tangent, 0.5, eta_nodes, iters)
-    assert info.value == value
+    assert info.value == pytest.approx(value, rel=1e-12, abs=0.0)
     assert info.iterations == used
     assert info.eta_zero_value == value0
-    # tobytes: bit for bit, signed zeros included.
-    assert info.best_coeffs.tobytes() == coeffs.tobytes()
+    np.testing.assert_allclose(info.best_coeffs, coeffs, rtol=0.0, atol=1e-12)
     return info
 
 
@@ -178,24 +179,70 @@ def test_descent_zero_gradient_returns_early():
     assert info.iterations == 0 and info.value == 0.0
 
 
-def test_phi_values_rows_are_the_six_phis():
-    rng = np.random.default_rng(26)
+def operator_case(seed, eta_nodes=9):
+    rng = np.random.default_rng(seed)
     g = make_grid(-8.0, 8.0, 128)
     state = random_state(rng, g)
     tan = random_tangent(rng, g)
-    shift = ShiftField.zeros(g, 9).with_coeffs(rng.uniform(-0.5, 0.5, 9))
-    rows = phi_values(state, tan, shift)
-    assert rows.shape == (6, g.n)
-    eta_v, eta_p = shift.eta(g.nodes), shift.eta_prime(g.nodes)
+    P0 = metric._phi_zero(state, tan)
+    K, box = metric._shift_operator(state, eta_nodes)
+    assert K.shape == (6 * g.n, eta_nodes)
+    draws = [rng.uniform(-box, box, eta_nodes) for _ in range(4)]
+    return state, tan, P0, K, draws
+
+
+def test_shift_operator_gives_the_six_phis():
+    # P0 + K c is the phi stack of the shift with coefficients c, as the
+    # oracle writes each phi, within 1e-14 of each row's scale.
+    state, tan, P0, K, draws = operator_case(26)
+    g = state.grid
     y_xi, u_xi, v_xi, w_xi, z_xi, q_xi = metric._state_derivatives(state)
     z = metric.z_shift(state, tan)
     q = state.q
     R, S, A, B, Q = tan
-    expected = ((z + eta_v * y_xi) * q, (R + eta_v * u_xi) * q,
-                (S + eta_v * v_xi) * q, 0.5 * (A + eta_v * w_xi) * q,
-                0.5 * (B + eta_v * z_xi) * q, Q + eta_v * q_xi + eta_p * q)
-    for row, phi in zip(rows, expected):
-        assert row.tobytes() == phi.tobytes()
+    for c in draws:
+        coarse = np.linspace(g.xi_min, g.xi_max, c.size)
+        cells = np.clip(np.searchsorted(coarse, g.nodes, side="right") - 1,
+                        0, c.size - 2)
+        eta_v = np.interp(g.nodes, coarse, c)
+        eta_p = (np.diff(c) / np.diff(coarse))[cells]
+        expected = np.array((
+            (z + eta_v * y_xi) * q, (R + eta_v * u_xi) * q,
+            (S + eta_v * v_xi) * q, 0.5 * (A + eta_v * w_xi) * q,
+            0.5 * (B + eta_v * z_xi) * q, Q + eta_v * q_xi + eta_p * q))
+        rows = (P0.ravel() + K @ c).reshape(6, g.n)
+        scale = np.max(np.abs(expected), axis=1, keepdims=True)
+        assert np.all(np.abs(rows - expected) <= 1e-14 * scale)
+
+
+def test_shift_operator_transpose_is_the_subgradient():
+    # (w sign P) K is the oracle's hand-assembled subgradient: the sign
+    # rows weighted by the xi-derivatives, projected on the hats and
+    # the q sign row on their slopes.
+    state, tan, P0, K, draws = operator_case(28)
+    g = state.grid
+    weights = metric._quad_weights(g, state.y, 0.5)
+    y_xi, u_xi, v_xi, w_xi, z_xi, q_xi = metric._state_derivatives(state)
+    q = state.q
+    m = K.shape[1]
+    coarse = np.linspace(g.xi_min, g.xi_max, m)
+    spacing = coarse[1] - coarse[0]
+    hat = np.maximum(0.0, 1.0 - np.abs(g.nodes[None, :] - coarse[:, None])
+                     / spacing)
+    idx = np.clip(np.searchsorted(coarse, g.nodes, side="right") - 1,
+                  0, m - 2)
+    hat_p = np.zeros((m, g.n))
+    hat_p[idx, np.arange(g.n)] = -1.0 / spacing
+    hat_p[idx + 1, np.arange(g.n)] = 1.0 / spacing
+    for c in draws:
+        signs = np.sign(P0.ravel() + K @ c)
+        s1, s2, s3, s4, s5, s6 = signs.reshape(6, g.n)
+        core = (s1 * y_xi + s2 * u_xi + s3 * v_xi
+                + 0.5 * s4 * w_xi + 0.5 * s5 * z_xi) * q + s6 * q_xi
+        expected = hat @ (weights * core) + hat_p @ (weights * s6 * q)
+        got = (np.tile(weights, 6) * signs) @ K
+        np.testing.assert_allclose(got, expected, rtol=0.0,
+                                   atol=1e-13 * np.max(np.abs(expected)))
 
 
 def endpoint_states():
@@ -319,3 +366,22 @@ def test_lipschitz_experiment_computes_t0_distance_once(monkeypatch):
     assert [(r.t, r.d_t_upper) for r in rows] == sorted(every.items())
     assert [r.ratio for r in rows] == [d / every[0.0] for _, d in
                                        sorted(every.items())]
+
+
+def test_lipschitz_experiment_checks_paths_in_its_bounds(monkeypatch):
+    # The path states are checked against the box the endpoints were
+    # evolved in, not against the default box.
+    g = make_grid(-12.0, 12.0, 128)
+    base = builtin_datum("gaussian_bump", {"a": 0.5, "width": 1.5})
+    pert = builtin_datum("gaussian_bump", {"a": 0.502, "width": 1.5})
+    seen = []
+    real = metric.straight_line_path
+
+    def spy(end0, end1, m_theta, bounds=OmegaBounds()):
+        seen.append(bounds)
+        return real(end0, end1, m_theta, bounds)
+
+    monkeypatch.setattr(metric, "straight_line_path", spy)
+    lipschitz_experiment(pair_datum(base, base), pair_datum(pert, base),
+                         g, 0.2, 0.01, record_every=10, bounds=BOUNDS)
+    assert seen and all(b is BOUNDS for b in seen)
