@@ -7,8 +7,12 @@ lipschitz_descent (the lipschitz config with metric.search =
 coarse_descent, written to a temporary file), each full and `--quick`
 (only the 8 quick runs with --quick), every run into its own directory
 under OUT, and keeps each run's stdout and stderr next to it as
-OUT/<run>.stdout and OUT/<run>.stderr.  Prints `sha256  relative/path`
-for every file, sorted, so two trees can be compared with diff:
+OUT/<run>.stdout and OUT/<run>.stderr.  It also classifies and checks
+the level events of the 8 synthetic breaking cases and of their
+component swaps, and writes them through the JSONL writers to
+OUT/synthetic/case<k>[_swapped]_{points,cancellations}.jsonl, so every
+case label reaches the writers.  Prints `sha256  relative/path` for
+every file, sorted, so two trees can be compared with diff:
 
     PYTHONPATH=src python3 scripts/artifact_digest.py OUT_A > a.txt
     PYTHONPATH=/path/to/other/src python3 scripts/artifact_digest.py OUT_B > b.txt
@@ -27,6 +31,8 @@ import sys
 import tempfile
 from pathlib import Path
 
+from novlab import (classify, cliio, find_crossings, make_grid,
+                    synthetic_case_state, verify_cancellations)
 from novlab.cli import main as novlab_main
 
 REPO = Path(__file__).resolve().parents[1]
@@ -62,6 +68,25 @@ def run_all(out: Path, quick_only: bool) -> list[str]:
                 if rc != 0:
                     failed.append(f"{name} (exit {rc})")
     return failed
+
+
+def write_synthetic(out: Path) -> None:
+    """Points and cancellation reports of the synthetic cases and their
+    component swaps, as JSONL under out/synthetic."""
+    grid = make_grid(-10.0, 10.0, 1601)
+    (out / "synthetic").mkdir()
+    for case in range(1, 9):
+        state = synthetic_case_state(case, grid)
+        swapped = state.with_fields(U=state.V, V=state.U, W=state.Z,
+                                    Z=state.W)
+        for name, st in ((f"case{case}", state),
+                         (f"case{case}_swapped", swapped)):
+            points = [classify(p, st) for p in find_crossings(st)]
+            reports = [verify_cancellations(p, st) for p in points]
+            path = out / "synthetic" / name
+            cliio.write_points_jsonl(points, f"{path}_points.jsonl")
+            cliio.write_cancellations_jsonl(reports,
+                                            f"{path}_cancellations.jsonl")
 
 
 def run_one(out: Path, name: str, argv: list[str]) -> int:
@@ -101,6 +126,7 @@ def main(argv=None) -> int:
     if any(out.iterdir()):
         ap.error(f"{out} is not empty")
     failed = run_all(out, args.quick)
+    write_synthetic(out)
     print("\n".join(digest_lines(out)))
     if failed:
         print("runs that failed: " + ", ".join(failed), file=sys.stderr)

@@ -16,7 +16,8 @@ from pathlib import Path
 from novlab import (AnalysisError, ContractError, classify, euler_fields,
                     evolve, find_crossings, fit_exponent, load_config,
                     make_grid, quick_override)
-from novlab.cliio import datum_from_config, write_points_jsonl
+from novlab.cliio import (bounds_from_config, datum_from_config,
+                          write_points_jsonl)
 from novlab.initial import transform_with_map
 
 REPO = Path(__file__).resolve().parents[1]
@@ -44,8 +45,8 @@ def main(argv=None) -> int:
     grid = make_grid(cfg.xi_min, cfg.xi_max, cfg.n)
     state0 = transform_with_map(datum_from_config(cfg), grid)
     dt = math.copysign(cfg.dt, cfg.t_final)  # a negative t_final runs backward
-    traj = evolve(state0, cfg.t_final, dt,
-                  record_every=cfg.record_every)
+    traj = evolve(state0, cfg.t_final, dt, record_every=cfg.record_every,
+                  bounds=bounds_from_config(cfg))
 
     first_t = label = None
     points = []

@@ -52,7 +52,8 @@ def main(argv=None) -> int:
         # A negative t_final runs backward.
         dt = math.copysign(cfg.dt, cfg.t_final) / 2**level
         rec = cfg.record_every * 2**level
-        traj = evolve(state0, cfg.t_final, dt, record_every=rec)
+        traj = evolve(state0, cfg.t_final, dt, record_every=rec,
+                      bounds=cliio.bounds_from_config(cfg))
         path = out / f"conserved_level{level}.csv"
         with open(path, "w", newline="") as fh:
             cliio.write_conserved_csv(fh, traj)

@@ -26,7 +26,7 @@ from .config import (ScenarioConfig, load_config, quick_override,
                      validate_config)
 from .errors import (AnalysisError, ConfigError, ContractError, EvolveAbort,
                      NovlabError, NumericalAbort)
-from .evolution import OmegaBounds, evolve
+from .evolution import evolve
 from .grid import make_grid
 from .initial import transform_with_map
 from .metric import lipschitz_experiment
@@ -34,10 +34,6 @@ from .reconstruct import euler_fields
 from .validation import run_suite
 
 __all__ = ["main"]
-
-
-def _bounds(cfg: ScenarioConfig) -> OmegaBounds:
-    return OmegaBounds(q_lo=cfg.q_lo, q_hi=cfg.q_hi, slack=cfg.slack)
 
 
 def _prepare(args) -> tuple[ScenarioConfig, Path]:
@@ -83,8 +79,8 @@ def _run_trajectory(cfg: ScenarioConfig, out: Path):
     state = transform_with_map(datum, grid)
     dt = math.copysign(cfg.dt, cfg.t_final)  # a negative t_final runs backward
     try:
-        return evolve(state, cfg.t_final, dt,
-                      record_every=cfg.record_every, bounds=_bounds(cfg))
+        return evolve(state, cfg.t_final, dt, record_every=cfg.record_every,
+                      bounds=cliio.bounds_from_config(cfg))
     except EvolveAbort as err:
         files = _write_trajectory(err.partial, out)
         print(f"numerical abort: {err}", file=sys.stderr)
@@ -162,7 +158,7 @@ def cmd_metric(args) -> int:
     rows = lipschitz_experiment(
         datum0, datum1, grid, abs(cfg.t_final), cfg.dt, alpha=cfg.alpha,
         m_theta=cfg.m_theta, search=cfg.search,
-        record_every=cfg.record_every, bounds=_bounds(cfg),
+        record_every=cfg.record_every, bounds=cliio.bounds_from_config(cfg),
         eta_nodes=cfg.eta_nodes, iters=cfg.descent_iters)
     path = out / "ratios.csv"
     with open(path, "w", encoding="utf-8", newline="") as fh:

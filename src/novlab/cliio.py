@@ -1,12 +1,14 @@
-"""Config-to-datum assembly and deterministic artifact writers.
+"""Config-to-run assembly and deterministic artifact writers.
 
 All floats are serialized with repr (str of a float is its repr), which
 round-trips exactly and makes artifacts byte-stable across reruns on the
 same platform. Flags are written as 1/0; no CSV cell needs quoting.
+JSON records are the dataclass fields, with non-finite floats as null.
 """
 
 from __future__ import annotations
 
+import dataclasses
 import json
 import math
 
@@ -14,9 +16,11 @@ import numpy as np
 
 from .config import ScenarioConfig
 from .errors import ConfigError, ContractError
+from .evolution import OmegaBounds
 from .initial import FIELDS, EulerDatum, builtin_datum, mirrored, pair_datum
 
 __all__ = [
+    "bounds_from_config",
     "datum_from_config",
     "perturbed_datum",
     "write_conserved_csv",
@@ -28,12 +32,8 @@ __all__ = [
 ]
 
 
-def _json_real(x):
-    """A float for JSON, or None (null) when absent or non-finite."""
-    if x is None:
-        return None
-    x = float(x)
-    return x if math.isfinite(x) else None
+def bounds_from_config(cfg: ScenarioConfig) -> OmegaBounds:
+    return OmegaBounds(q_lo=cfg.q_lo, q_hi=cfg.q_hi, slack=cfg.slack)
 
 
 def datum_from_config(cfg: ScenarioConfig) -> EulerDatum:
@@ -107,44 +107,34 @@ def write_ratios_csv(fileobj, rows) -> None:
                                    for k, dt in zip(header, dtypes)])
 
 
-def write_points_jsonl(points, path) -> None:
+def _plain(obj):
+    """obj as JSON-ready Python values; non-finite floats become None."""
+    if dataclasses.is_dataclass(obj):
+        obj = dataclasses.asdict(obj)
+    if isinstance(obj, dict):
+        return {k: _plain(v) for k, v in obj.items()}
+    if isinstance(obj, (list, tuple)):
+        return [_plain(v) for v in obj]
+    if isinstance(obj, (bool, np.bool_)):  # before int: bool is an int
+        return bool(obj)
+    if isinstance(obj, (int, np.integer)):
+        return int(obj)
+    if isinstance(obj, (float, np.floating)):
+        return float(obj) if math.isfinite(obj) else None
+    if obj is None or isinstance(obj, str):
+        return obj
+    raise ContractError(f"no JSON form for {type(obj).__name__}")
+
+
+def _write_jsonl(records, path) -> None:
     with open(path, "w", encoding="utf-8") as fh:
-        for p in points:
-            rec = {
-                "t": _json_real(p.t),
-                "xi_star": _json_real(p.xi_star),
-                "x_star": _json_real(p.x_star),
-                "curve": str(p.curve),
-                "tangential": bool(p.tangential),
-                "case_label": None if p.case_label is None else int(p.case_label),
-                "degenerate": bool(p.degenerate),
-                "w_value": _json_real(p.w_value),
-                "z_value": _json_real(p.z_value),
-                "w_xi": _json_real(p.w_xi),
-                "z_xi": _json_real(p.z_xi),
-                "margins": {k: _json_real(p.margins[k]) for k in sorted(p.margins)},
-                "fitted_exponent_u": _json_real(p.fitted_exponent_u),
-                "fitted_exponent_v": _json_real(p.fitted_exponent_v),
-            }
-            fh.write(json.dumps(rec, sort_keys=True) + "\n")
+        for rec in records:
+            fh.write(json.dumps(_plain(rec), sort_keys=True) + "\n")
+
+
+def write_points_jsonl(points, path) -> None:
+    _write_jsonl(points, path)
 
 
 def write_cancellations_jsonl(reports, path) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        for rep in reports:
-            rec = {
-                "case_label": rep.case_label,
-                "complete": rep.complete,
-                "checks": [
-                    {
-                        "name": c.name,
-                        "kind": c.kind,
-                        "claimed": _json_real(c.claimed),
-                        "measured": _json_real(c.measured),
-                        "scale": _json_real(c.scale),
-                        "rel_err": _json_real(c.rel_err),
-                    }
-                    for c in rep.checks
-                ],
-            }
-            fh.write(json.dumps(rec, sort_keys=True) + "\n")
+    _write_jsonl(reports, path)

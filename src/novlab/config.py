@@ -3,9 +3,10 @@
 Grammar: one `key = value` pair per line, `#` starts a comment, blank
 lines ignored.  The first meaningful line must be the schema tag
 `schema = novlab-config/1`.  Keys are dotted paths; the datum.* and
-metric.perturb.* groups accept arbitrary family parameters, everything
-else is a fixed vocabulary.  Files are diffable run records: parsing is
-strict and unknown fixed keys are rejected.
+metric.perturb.* groups accept family parameters, everything else is a
+fixed vocabulary.  Files are diffable run records: parsing is strict,
+unknown fixed keys are rejected, and validation builds the grid and
+every named datum, so their constructors' checks apply at load.
 """
 
 from __future__ import annotations
@@ -14,6 +15,8 @@ import math
 from dataclasses import dataclass, field, replace
 
 from .errors import ConfigError
+from .grid import make_grid
+from .initial import builtin_datum
 
 SCHEMA_TAG = "novlab-config/1"
 
@@ -159,10 +162,6 @@ def parse_config(text: str) -> ScenarioConfig:
 
 
 def validate_config(cfg: ScenarioConfig) -> None:
-    if not cfg.xi_max > cfg.xi_min:
-        raise ConfigError("grid.xi_max must exceed grid.xi_min")
-    if cfg.n < 3:
-        raise ConfigError("grid.n must be at least 3")
     if cfg.dt <= 0:
         raise ConfigError("time.dt must be positive")
     ratio = abs(cfg.t_final) / cfg.dt
@@ -193,6 +192,13 @@ def validate_config(cfg: ScenarioConfig) -> None:
         raise ConfigError("metric.perturb.component must be u, v, or both")
     if cfg.seed < 0:
         raise ConfigError("seed must be >= 0")
+    # What parses can be built: the grid and every named datum.
+    make_grid(cfg.xi_min, cfg.xi_max, cfg.n)
+    builtin_datum(cfg.datum_u_family, cfg.datum_u_params)
+    if cfg.datum_v_mode == "family":
+        builtin_datum(cfg.datum_v_family, cfg.datum_v_params)
+    if cfg.perturb_family:
+        builtin_datum(cfg.perturb_family, cfg.perturb_params)
 
 
 def load_config(path: str) -> ScenarioConfig:

@@ -49,6 +49,8 @@ def make_grid(xi_min: float, xi_max: float, n: int) -> Grid:
     if n < 3:
         raise ConfigError(f"need at least 3 nodes, got {n}")
     dx = (xi_max - xi_min) / (n - 1)
+    if not (np.isfinite(dx) and dx > 0):
+        raise ConfigError(f"grid spacing must be finite and positive, got {dx}")
     return Grid(float(xi_min), float(xi_max), n, dx)
 
 

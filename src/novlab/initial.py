@@ -159,9 +159,15 @@ def _steep_front(a: float, center: float, width: float) -> EulerDatum:
     return EulerDatum(u0=f, v0=f, du0=df, dv0=df)
 
 
-def _require(cond: bool, msg: str) -> None:
-    if not cond:
-        raise ConfigError(msg)
+# family -> (builder, parameter defaults, the parameter that must be > 0)
+_FAMILIES = {
+    "gaussian_bump": (_gaussian, {"a": 1.0, "center": 0.0, "width": 1.0},
+                      "width"),
+    "sech_bump": (_sech, {"a": 1.0, "center": 0.0, "width": 1.0}, "width"),
+    "peakon": (_peakon, {"c": 1.0, "center": 0.0}, "c"),
+    "steep_front": (_steep_front, {"a": 2.0, "center": 0.0, "width": 1.0},
+                    "width"),
+}
 
 
 def builtin_datum(family: str, params: dict | None = None) -> EulerDatum:
@@ -170,47 +176,24 @@ def builtin_datum(family: str, params: dict | None = None) -> EulerDatum:
     Families produce u0 = v0; use pair_datum or mirrored for
     asymmetric pairs.
     """
-    params = dict(params or {})
-
-    def pop_float(key, default):
-        val = params.pop(key, default)
+    if family not in _FAMILIES:
+        raise ConfigError(f"unknown datum family {family!r}")
+    build, defaults, positive = _FAMILIES[family]
+    params = {**defaults, **(params or {})}
+    unknown = sorted(params.keys() - defaults.keys())
+    if unknown:
+        raise ConfigError(f"{family}: unknown parameters {unknown}")
+    for key, val in params.items():
         try:
-            val = float(val)
+            params[key] = float(val)
         except (TypeError, ValueError):
             raise ConfigError(f"{family}: parameter {key!r} must be a real number")
-        if not np.isfinite(val):
+        if not np.isfinite(params[key]):
             raise ConfigError(f"{family}: parameter {key!r} must be finite")
-        return val
-
-    if family == "gaussian_bump":
-        a = pop_float("a", 1.0)
-        center = pop_float("center", 0.0)
-        width = pop_float("width", 1.0)
-        _require(width > 0, f"gaussian_bump: width must be > 0, got {width}")
-        datum = _gaussian(a, center, width)
-    elif family == "sech_bump":
-        a = pop_float("a", 1.0)
-        center = pop_float("center", 0.0)
-        width = pop_float("width", 1.0)
-        _require(width > 0, f"sech_bump: width must be > 0, got {width}")
-        datum = _sech(a, center, width)
-    elif family == "peakon":
-        c = pop_float("c", 1.0)
-        center = pop_float("center", 0.0)
-        _require(c > 0, f"peakon: speed c must be > 0, got {c}")
-        datum = _peakon(c, center)
-    elif family == "steep_front":
-        a = pop_float("a", 2.0)
-        center = pop_float("center", 0.0)
-        width = pop_float("width", 1.0)
-        _require(width > 0, f"steep_front: width must be > 0, got {width}")
-        datum = _steep_front(a, center, width)
-    else:
-        raise ConfigError(f"unknown datum family {family!r}")
-
-    if params:
-        raise ConfigError(f"{family}: unknown parameters {sorted(params)}")
-    return datum
+    if not params[positive] > 0:
+        raise ConfigError(
+            f"{family}: {positive} must be > 0, got {params[positive]}")
+    return build(**params)
 
 
 def pair_datum(u_datum: EulerDatum, v_datum: EulerDatum) -> EulerDatum:

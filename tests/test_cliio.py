@@ -1,14 +1,22 @@
-"""The CSV table writers against a csv.writer + repr(float(x)) oracle."""
+"""The artifact writers against oracles: CSV tables against a csv.writer
++ repr(float(x)) reference, JSONL records against hand-written record
+dicts."""
 import csv
 import io
+import json
 import math
+import tempfile
+from pathlib import Path
 from types import SimpleNamespace
 
 import numpy as np
 from hypothesis import given
 from hypothesis import strategies as st
 
-from novlab.cliio import (write_conserved_csv, write_euler_csv,
+from novlab.breaking import (CancellationCheck, CancellationReport,
+                             SingularPoint)
+from novlab.cliio import (write_cancellations_jsonl, write_conserved_csv,
+                          write_euler_csv, write_points_jsonl,
                           write_ratios_csv, write_state_csv)
 from novlab.evolution import ConservedSet
 from novlab.metric import RatioRow
@@ -105,3 +113,105 @@ def test_conserved_csv_matches_reference():
     assert written(write_conserved_csv, traj) == expected
     empty = SimpleNamespace(times=[], conserved_log=[], y_checks=[])
     assert written(write_conserved_csv, empty) == ",".join(header) + "\n"
+
+
+# The JSONL oracle: one hand-written record dict per dataclass, each
+# float through _json_real.
+
+
+def _json_real(x):
+    """A float for JSON, or None (null) when absent or non-finite."""
+    if x is None:
+        return None
+    x = float(x)
+    return x if math.isfinite(x) else None
+
+
+def oracle_points_jsonl(points, path) -> None:
+    with open(path, "w", encoding="utf-8") as fh:
+        for p in points:
+            rec = {
+                "t": _json_real(p.t),
+                "xi_star": _json_real(p.xi_star),
+                "x_star": _json_real(p.x_star),
+                "curve": str(p.curve),
+                "tangential": bool(p.tangential),
+                "case_label": None if p.case_label is None else int(p.case_label),
+                "degenerate": bool(p.degenerate),
+                "w_value": _json_real(p.w_value),
+                "z_value": _json_real(p.z_value),
+                "w_xi": _json_real(p.w_xi),
+                "z_xi": _json_real(p.z_xi),
+                "margins": {k: _json_real(p.margins[k]) for k in sorted(p.margins)},
+                "fitted_exponent_u": _json_real(p.fitted_exponent_u),
+                "fitted_exponent_v": _json_real(p.fitted_exponent_v),
+            }
+            fh.write(json.dumps(rec, sort_keys=True) + "\n")
+
+
+def oracle_cancellations_jsonl(reports, path) -> None:
+    with open(path, "w", encoding="utf-8") as fh:
+        for rep in reports:
+            rec = {
+                "case_label": rep.case_label,
+                "complete": rep.complete,
+                "checks": [
+                    {
+                        "name": c.name,
+                        "kind": c.kind,
+                        "claimed": _json_real(c.claimed),
+                        "measured": _json_real(c.measured),
+                        "scale": _json_real(c.scale),
+                        "rel_err": _json_real(c.rel_err),
+                    }
+                    for c in rep.checks
+                ],
+            }
+            fh.write(json.dumps(rec, sort_keys=True) + "\n")
+
+
+def _as(kind, x):
+    with np.errstate(over="ignore"):  # huge values round to float32 inf
+        return kind(x)
+
+
+# Reals from the special pool or anywhere, as Python floats and as
+# numpy scalars (np.float64 is a float subclass, np.float32 is not).
+REALS = st.builds(_as, st.sampled_from([float, np.float64, np.float32]),
+                  st.sampled_from(SPECIAL) | st.floats(width=64))
+LABELS = st.none() | st.integers(1, 8) | st.integers(1, 8).map(np.int64)
+FLAGS = st.booleans() | st.booleans().map(np.bool_)
+
+POINTS = st.builds(
+    SingularPoint, t=REALS, xi_star=REALS, x_star=REALS,
+    curve=st.sampled_from(["W", "Z", "both"]), tangential=FLAGS,
+    w_value=REALS, z_value=REALS, w_xi=REALS, z_xi=REALS,
+    case_label=LABELS, degenerate=FLAGS,
+    margins=st.dictionaries(st.text(max_size=8), REALS, max_size=6),
+    fitted_exponent_u=st.none() | REALS, fitted_exponent_v=st.none() | REALS)
+
+CHECKS = st.builds(CancellationCheck, name=st.text(max_size=12),
+                   kind=st.sampled_from(["vanish", "leading"]),
+                   claimed=REALS, measured=REALS, scale=REALS, rel_err=REALS)
+REPORTS = st.builds(CancellationReport, case_label=st.integers(1, 8),
+                    complete=st.booleans(),
+                    checks=st.lists(CHECKS, max_size=5).map(tuple))
+
+
+def written_jsonl(writer, records) -> bytes:
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "records.jsonl"
+        writer(records, path)
+        return path.read_bytes()
+
+
+@given(st.lists(POINTS, max_size=4))
+def test_points_jsonl_matches_oracle(points):
+    assert (written_jsonl(write_points_jsonl, points)
+            == written_jsonl(oracle_points_jsonl, points))
+
+
+@given(st.lists(REPORTS, max_size=4))
+def test_cancellations_jsonl_matches_oracle(reports):
+    assert (written_jsonl(write_cancellations_jsonl, reports)
+            == written_jsonl(oracle_cancellations_jsonl, reports))

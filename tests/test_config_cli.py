@@ -76,6 +76,13 @@ def test_parse_rejects_malformed(mutation, fragment):
     ("omega.q_lo = 2\nomega.q_hi = 2\n", "omega.q_lo"),
     ("metric.iters = -3\n", "metric.iters"),
     ("seed = -200000\n", "seed"),
+    # What parses must build: the grid and every named datum.
+    ("grid.xi_min = -1e308\ngrid.xi_max = 1e308\n", "grid spacing"),
+    ("datum.u.family = nope\n", "unknown datum family 'nope'"),
+    ("datum.v.mode = family\ndatum.v.family = sech_bump\n"
+     "datum.v.width = 0\n", "width must be > 0"),
+    ("metric.perturb.family = gaussian_bump\nmetric.perturb.bogus = 1\n",
+     "unknown parameters ['bogus']"),
 ])
 def test_validation_rules(extra, fragment):
     with pytest.raises(ConfigError) as exc:
@@ -377,6 +384,15 @@ def test_cli_seed_override_changes_validate_draws(tmp_path, capsys):
 
 def test_scenario_config_defaults_are_valid():
     validate_config(ScenarioConfig())
+
+
+def test_cli_validate_rejects_unknown_family(tmp_path, capsys):
+    # A family that cannot be built is a config error, not failed checks.
+    cfg = write_cfg(tmp_path, MINIMAL + "datum.u.family = nope\n")
+    assert main(["validate", "--config", cfg]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "config error: unknown datum family 'nope'\n"
 
 
 def test_cli_seed_override_is_validated(tmp_path, capsys):

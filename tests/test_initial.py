@@ -1,4 +1,6 @@
 """Initial-datum construction and the stretched-coordinate transform."""
+import re
+
 import numpy as np
 import pytest
 from hypothesis import given, strategies as st
@@ -22,15 +24,41 @@ def test_builtin_families_cover_known_shapes():
     assert f.u0(0.0) == pytest.approx(0.0, abs=1e-14)
 
 
-def test_builtin_rejects_unknown_family_and_keys():
-    with pytest.raises(ConfigError):
-        builtin_datum("no_such_family")
-    with pytest.raises(ConfigError):
-        builtin_datum("gaussian_bump", {"a": 1.0, "bogus": 2.0})
-    with pytest.raises(ConfigError):
-        builtin_datum("gaussian_bump", {"width": 0.0})
-    with pytest.raises(ConfigError):
-        builtin_datum("gaussian_bump", {"a": float("nan")})
+@pytest.mark.parametrize("family,params,fragment", [
+    ("no_such_family", {}, "unknown datum family 'no_such_family'"),
+    ("gaussian_bump", {"a": 1.0, "bogus": 2.0}, "unknown parameters"),
+    ("gaussian_bump", {"width": 0.0}, "width must be > 0"),
+    ("sech_bump", {"width": 0.0}, "width must be > 0"),
+    ("steep_front", {"width": 0.0}, "width must be > 0"),
+    ("peakon", {"c": 0.0}, "c must be > 0"),
+    ("peakon", {"c": -1.0}, "c must be > 0"),
+    ("gaussian_bump", {"a": float("nan")}, "finite"),
+    ("sech_bump", {"center": float("inf")}, "finite"),
+    ("peakon", {"c": "fast"}, "real number"),
+    ("steep_front", {"a": None}, "real number"),
+])
+def test_builtin_rejects_unknown_family_and_keys(family, params, fragment):
+    with pytest.raises(ConfigError, match=re.escape(fragment)):
+        builtin_datum(family, params)
+
+
+def test_builtin_defaults():
+    # Each family without parameters is its closed form at the defaults
+    # a = 1 (a = 2 for steep_front), c = 1, center = 0, width = 1.
+    x = np.linspace(-4.0, 4.0, 801)
+    g = np.exp(-(x**2))
+    expected = {
+        "gaussian_bump": (g, g * (-2.0 * x)),
+        "sech_bump": (1.0 / np.cosh(x), -np.tanh(x) / np.cosh(x)),
+        "peakon": (np.exp(-np.abs(x)), -np.sign(x) * np.exp(-np.abs(x))),
+        "steep_front": (-2.0 * x * g, -2.0 * (1.0 - 2.0 * x**2) * g),
+    }
+    for family, (f, df) in expected.items():
+        datum = builtin_datum(family)
+        for got, want in ((datum.u0, f), (datum.v0, f), (datum.du0, df),
+                          (datum.dv0, df)):
+            assert np.array_equal(got(x), want), family
+        assert datum.kinks == ((0.0,) if family == "peakon" else ())
 
 
 def test_mirrored_datum_reflects_u():

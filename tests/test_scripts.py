@@ -6,6 +6,8 @@ from pathlib import Path
 
 import pytest
 
+from novlab import EvolveAbort
+
 REPO = Path(__file__).resolve().parents[1]
 
 
@@ -62,6 +64,31 @@ def test_lipschitz_ratios_runs_backward(tmp_path, capsys):
     assert max(ts) == pytest.approx(0.1)
 
 
+def tight_omega_cfg(tmp_path, shipped):
+    # The shipped config with datum.u.a = 1.2 in a q-box so tight that
+    # the first step leaves it, as in the CLI abort test.
+    text = (REPO / "configs" / shipped).read_text()
+    text, count = re.subn(r"(?m)^datum\.u\.a = .*$", "datum.u.a = 1.2", text)
+    assert count == 1
+    path = tmp_path / shipped
+    path.write_text(text + "omega.q_lo = 0.999\nomega.q_hi = 1.001\n"
+                    "omega.slack = 1.0\n")
+    return str(path)
+
+
+@pytest.mark.parametrize("script,shipped", [
+    ("two_bump_conservation", "two_bump.cfg"),
+    ("steep_front_breaking", "steep_front.cfg"),
+    ("lipschitz_ratios", "lipschitz.cfg"),
+])
+def test_scripts_honour_omega_bounds(tmp_path, capsys, script, shipped):
+    # The scripts evolve under the config's omega box, as novlab does.
+    main = load_script(script).main
+    with pytest.raises(EvolveAbort):
+        main(["--config", tight_omega_cfg(tmp_path, shipped),
+              "--out", str(tmp_path / "out"), "--quick"])
+
+
 def test_artifact_digest_quick_lists_every_file(tmp_path, capsys):
     main = load_script("artifact_digest").main
     out = tmp_path / "digest"
@@ -70,8 +97,13 @@ def test_artifact_digest_quick_lists_every_file(tmp_path, capsys):
     files = sorted(p.relative_to(out).as_posix()
                    for p in out.rglob("*") if p.is_file())
     assert [line.split("  ", 1)[1] for line in lines] == files
-    runs = {f.split("/")[0] for f in files if "/" in f}
+    runs = {f.split("/")[0] for f in files if "/" in f} - {"synthetic"}
     assert len(runs) == 8 and all(r.endswith("_quick") for r in runs)
+    # Each synthetic case and its component swap, points and reports.
+    synthetic = {f for f in files if f.startswith("synthetic/")}
+    assert synthetic == {f"synthetic/case{k}{swap}_{kind}.jsonl"
+                         for k in range(1, 9) for swap in ("", "_swapped")
+                         for kind in ("points", "cancellations")}
     assert "lipschitz_descent_metric_quick" in runs
     for ext in ("stdout", "stderr"):
         kept = {f[:-len(ext) - 1] for f in files if f.endswith("." + ext)}
