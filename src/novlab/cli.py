@@ -17,6 +17,7 @@ import argparse
 import dataclasses
 import math
 import sys
+from contextlib import nullcontext
 from pathlib import Path
 
 from . import cliio
@@ -50,26 +51,29 @@ def _prepare(args) -> tuple[ScenarioConfig, Path]:
     return cfg, out
 
 
+def _create(path: Path):
+    return open(path, "w", encoding="utf-8", newline="")
+
+
 def _write_trajectory(traj, out: Path) -> list[str]:
-    written = []
     path = out / "conserved.csv"
-    with open(path, "w", encoding="utf-8", newline="") as fh:
+    with _create(path) as fh:
         cliio.write_conserved_csv(fh, traj)
-    written.append(str(path))
+    written = [str(path)]
     for i, state in enumerate(traj.states):
         spath = out / f"state_{i:04d}.csv"
-        with open(spath, "w", encoding="utf-8", newline="") as fh:
-            cliio.write_state_csv(fh, state)
-        written.append(str(spath))
         epath = out / f"euler_{i:04d}.csv"
         try:
             field = euler_fields(state)
         except ContractError as err:
             print(f"skipped {epath.name}: {err}", file=sys.stderr)
-            continue
-        with open(epath, "w", encoding="utf-8", newline="") as fh:
-            cliio.write_euler_csv(fh, field)
-        written.append(str(epath))
+            field = None
+        with _create(spath) as sfh, \
+                (nullcontext() if field is None else _create(epath)) as efh:
+            cliio.write_record_csv(sfh, efh, state, field)
+        written.append(str(spath))
+        if field is not None:
+            written.append(str(epath))
     return written
 
 

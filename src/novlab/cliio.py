@@ -4,6 +4,12 @@ All floats are serialized with repr (str of a float is its repr), which
 round-trips exactly and makes artifacts byte-stable across reruns on the
 same platform. Flags are written as 1/0; no CSV cell needs quoting.
 JSON records are the dataclass fields, with non-finite floats as null.
+
+A record's state and Euler tables are written in one pass over blocks
+of rows, and each distinct column is formatted once: the xi cells are
+formatted once per grid, and the Euler x, u, v take the cells of the
+state's y, U, V for every block where their float64 bits are equal
+(0.0 and -0.0 differ in bits, so they never share a cell).
 """
 
 from __future__ import annotations
@@ -11,6 +17,7 @@ from __future__ import annotations
 import dataclasses
 import json
 import math
+from functools import lru_cache
 
 import numpy as np
 
@@ -24,8 +31,7 @@ __all__ = [
     "datum_from_config",
     "perturbed_datum",
     "write_conserved_csv",
-    "write_state_csv",
-    "write_euler_csv",
+    "write_record_csv",
     "write_ratios_csv",
     "write_points_jsonl",
     "write_cancellations_jsonl",
@@ -70,17 +76,28 @@ def perturbed_datum(base: EulerDatum, cfg: ScenarioConfig) -> EulerDatum:
 _BLOCK_ROWS = 1024  # table rows formatted per write
 
 
+def _cells(column) -> list[str]:
+    """The cells of a 1-D array: a float's repr, a flag as 1/0, else str."""
+    if column.dtype == bool:
+        column = column.astype(np.int8)
+    return list(map(repr if column.dtype.kind == "f" else str,
+                    column.tolist()))
+
+
+def _rows(cells) -> str:
+    """CSV lines of equal-length, nonempty lists of cells."""
+    return "\n".join(map(",".join, zip(*cells))) + "\n"
+
+
 def _write_table(fileobj, header, columns) -> None:
     """CSV from equal-length 1-D columns, one write per block of rows."""
-    columns = [c.astype(np.int8) if c.dtype == bool else c
-               for c in map(np.asarray, columns)]
+    columns = list(map(np.asarray, columns))
     n = columns[0].size
     if any(c.shape != (n,) for c in columns):
         raise ContractError("table columns differ in length")
     fileobj.write(",".join(header) + "\n")
     for lo in range(0, n, _BLOCK_ROWS):
-        cells = [map(str, c[lo:lo + _BLOCK_ROWS].tolist()) for c in columns]
-        fileobj.write("".join(",".join(row) + "\n" for row in zip(*cells)))
+        fileobj.write(_rows([_cells(c[lo:lo + _BLOCK_ROWS]) for c in columns]))
 
 
 def write_conserved_csv(fileobj, traj) -> None:
@@ -90,14 +107,47 @@ def write_conserved_csv(fileobj, traj) -> None:
                  np.array([traj.times, *log, traj.y_checks], dtype=float))
 
 
-def write_state_csv(fileobj, state) -> None:
-    _write_table(fileobj, ["xi", *FIELDS], [state.grid.nodes, *state.data])
+@lru_cache(maxsize=1)
+def _xi_cells(grid) -> tuple[str, ...]:
+    """The xi column's cells: the same in every record on one grid."""
+    return tuple(_cells(grid.nodes))
 
 
-def write_euler_csv(fileobj, field) -> None:
-    _write_table(fileobj, ["x", "u", "v", "ux", "ux_valid", "vx", "vx_valid"],
-                 [field.x, field.u, field.v, field.ux, field.ux_valid,
-                  field.vx, field.vx_valid])
+# Euler column -> the state row whose cells it may share (None: its own).
+_EULER_SOURCES = {"x": FIELDS.index("y"), "u": FIELDS.index("U"),
+                  "v": FIELDS.index("V"), "ux": None, "ux_valid": None,
+                  "vx": None, "vx_valid": None}
+
+
+def _same_bits(a, b) -> bool:
+    return (a.dtype == b.dtype == np.float64
+            and np.array_equal(a.view(np.uint64), b.view(np.uint64)))
+
+
+def write_record_csv(state_fh, euler_fh, state, field) -> None:
+    """The record's state table to state_fh and its Euler table to euler_fh.
+
+    field is euler_fields(state), or None when that raised: then only
+    the state table is written and euler_fh is not touched.
+    """
+    data, xi = state.data, _xi_cells(state.grid)
+    n = len(xi)
+    euler = [] if field is None else [
+        (getattr(field, name), k) for name, k in _EULER_SOURCES.items()]
+    if data.shape != (len(FIELDS), n) or any(c.shape != (n,) for c, _ in euler):
+        raise ContractError("table columns differ in length")
+    state_fh.write(",".join(["xi", *FIELDS]) + "\n")
+    if euler:
+        euler_fh.write(",".join(_EULER_SOURCES) + "\n")
+    for lo in range(0, n, _BLOCK_ROWS):
+        hi = lo + _BLOCK_ROWS
+        rows = data[:, lo:hi]
+        cells = [_cells(row) for row in rows]
+        state_fh.write(_rows([xi[lo:hi], *cells]))
+        if euler:
+            euler_fh.write(_rows([
+                cells[k] if k is not None and _same_bits(c[lo:hi], rows[k])
+                else _cells(c[lo:hi]) for c, k in euler]))
 
 
 def write_ratios_csv(fileobj, rows) -> None:

@@ -6,7 +6,9 @@ lines ignored.  The first meaningful line must be the schema tag
 metric.perturb.* groups accept family parameters, everything else is a
 fixed vocabulary.  Files are diffable run records: parsing is strict,
 unknown fixed keys are rejected, and validation builds the grid and
-every named datum, so their constructors' checks apply at load.
+every named datum, so their constructors' checks apply at load.  A
+datum.v.* key needs datum.v.mode = family and a metric.perturb.* key
+needs metric.perturb.family: a key no built datum reads is rejected.
 """
 
 from __future__ import annotations
@@ -114,6 +116,7 @@ def parse_config(text: str) -> ScenarioConfig:
     u_params: dict = {}
     v_params: dict = {}
     p_params: dict = {}
+    profile_lines: dict = {}  # v-profile or perturbation key -> line
     seen_schema = False
     for lineno, raw_line in enumerate(text.splitlines(), start=1):
         line = raw_line.split("#", 1)[0].strip()
@@ -132,6 +135,9 @@ def parse_config(text: str) -> ScenarioConfig:
             continue
         if key == "schema":
             raise ConfigError(f"line {lineno}: duplicate schema line")
+        if (key.startswith(("datum.v.", "metric.perturb."))
+                and key not in ("datum.v.mode", "metric.perturb.family")):
+            profile_lines[key] = lineno
         if key in _FLOAT_KEYS:
             fields[_FLOAT_KEYS[key]] = _coerce_number(key, value)
         elif key in _INT_KEYS:
@@ -158,6 +164,14 @@ def parse_config(text: str) -> ScenarioConfig:
     cfg = ScenarioConfig(**fields, datum_u_params=u_params,
                          datum_v_params=v_params, perturb_params=p_params)
     validate_config(cfg)
+    # A key of a profile that is never built is an error, not a no-op.
+    for key, lineno in profile_lines.items():
+        if key.startswith("datum.v.") and cfg.datum_v_mode != "family":
+            raise ConfigError(f"line {lineno}: {key} is not read with "
+                              f"datum.v.mode = {cfg.datum_v_mode}")
+        if key.startswith("metric.perturb.") and not cfg.perturb_family:
+            raise ConfigError(f"line {lineno}: {key} is not read without "
+                              "metric.perturb.family")
     return cfg
 
 

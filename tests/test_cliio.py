@@ -16,8 +16,8 @@ from hypothesis import strategies as st
 from novlab.breaking import (CancellationCheck, CancellationReport,
                              SingularPoint)
 from novlab.cliio import (write_cancellations_jsonl, write_conserved_csv,
-                          write_euler_csv, write_points_jsonl,
-                          write_ratios_csv, write_state_csv)
+                          write_points_jsonl, write_ratios_csv,
+                          write_record_csv)
 from novlab.evolution import ConservedSet
 from novlab.metric import RatioRow
 
@@ -59,30 +59,69 @@ def written(writer, *args) -> str:
     return buf.getvalue()
 
 
-@given(float_columns(7))
-def test_state_csv_matches_reference(drawn):
-    (xi, U, V, W, Z, q, y), _ = drawn
-    state = SimpleNamespace(grid=SimpleNamespace(nodes=xi),
-                            data=np.stack((U, V, W, Z, q, y)))
+class StubGrid:
+    """A grid stand-in with drawn nodes, hashed by identity."""
+
+    def __init__(self, nodes):
+        self.nodes = nodes
+
+
+def state_reference(xi, U, V, W, Z, q, y) -> str:
     cols = (xi, U, V, W, Z, q, y)
-    expected = reference_csv(["xi", "U", "V", "W", "Z", "q", "y"],
-                             ([fmt(c[k]) for c in cols]
-                              for k in range(xi.size)))
-    assert written(write_state_csv, state) == expected
+    return reference_csv(["xi", "U", "V", "W", "Z", "q", "y"],
+                         ([fmt(c[k]) for c in cols] for k in range(xi.size)))
 
 
-@given(float_columns(5))
-def test_euler_csv_matches_reference(drawn):
-    (x, u, v, ux, vx), rng = drawn
-    ux_valid = rng.random(x.size) < 0.5
-    vx_valid = rng.random(x.size) < 0.5
-    field = SimpleNamespace(x=x, u=u, v=v, ux=ux, vx=vx,
-                            ux_valid=ux_valid, vx_valid=vx_valid)
-    expected = reference_csv(
+def euler_reference(field) -> str:
+    x, u, v, ux, vx = field.x, field.u, field.v, field.ux, field.vx
+    ux_valid, vx_valid = field.ux_valid, field.vx_valid
+    return reference_csv(
         ["x", "u", "v", "ux", "ux_valid", "vx", "vx_valid"],
         ([fmt(x[k]), fmt(u[k]), fmt(v[k]), fmt(ux[k]), int(ux_valid[k]),
           fmt(vx[k]), int(vx_valid[k])] for k in range(x.size)))
-    assert written(write_euler_csv, field) == expected
+
+
+# How the Euler x, u, v of a drawn record relate to the state's y, U, V.
+EULER_DRAWS = ["same_bits", "signed_zeros", "different", "no_field"]
+
+
+@st.composite
+def records(draw):
+    """A state stand-in and an Euler field (or None) of one drawn length."""
+    (xi, U, V, W, Z, q, y, x, u, v, ux, vx), rng = draw(float_columns(12))
+    how = draw(st.sampled_from(EULER_DRAWS))
+    if how == "same_bits":
+        x, u, v = y.copy(), U.copy(), V.copy()
+    elif how == "signed_zeros":
+        # Equal in value, not in bits: a zero of either sign in the state
+        # row faces the other sign in the Euler column.
+        for row, col in ((y, x), (U, u), (V, v)):
+            zeros = rng.random(row.size) < 0.25
+            row[zeros] = rng.choice([0.0, -0.0], size=int(zeros.sum()))
+            col[:] = row
+            col[zeros] = -row[zeros]
+    state = SimpleNamespace(grid=StubGrid(xi),
+                            data=np.stack((U, V, W, Z, q, y)))
+    if how == "no_field":
+        return state, None
+    field = SimpleNamespace(x=x, u=u, v=v, ux=ux, vx=vx,
+                            ux_valid=rng.random(x.size) < 0.5,
+                            vx_valid=rng.random(x.size) < 0.5)
+    return state, field
+
+
+@given(records())
+def test_record_csv_matches_reference(record):
+    # Both tables equal the csv.writer + repr oracles whether or not the
+    # Euler columns share bits with the state rows; without a field the
+    # Euler file object is not written to.
+    state, field = record
+    state_buf, euler_buf = io.StringIO(), io.StringIO()
+    write_record_csv(state_buf, euler_buf, state, field)
+    assert state_buf.getvalue() == state_reference(state.grid.nodes,
+                                                   *state.data)
+    expected = "" if field is None else euler_reference(field)
+    assert euler_buf.getvalue() == expected
 
 
 def test_ratios_csv_matches_reference():

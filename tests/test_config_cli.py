@@ -83,6 +83,14 @@ def test_parse_rejects_malformed(mutation, fragment):
      "datum.v.width = 0\n", "width must be > 0"),
     ("metric.perturb.family = gaussian_bump\nmetric.perturb.bogus = 1\n",
      "unknown parameters ['bogus']"),
+    # Keys of a profile that is never built.
+    ("datum.v.bogus = 0\n", "datum.v.bogus is not read with datum.v.mode = same"),
+    ("datum.v.mode = mirrored\ndatum.v.a = 0.3\n",
+     "datum.v.a is not read with datum.v.mode = mirrored"),
+    ("datum.v.family = sech_bump\n", "datum.v.family is not read"),
+    ("metric.perturb.width = 0\n",
+     "metric.perturb.width is not read without metric.perturb.family"),
+    ("metric.perturb.eps = 0.001\n", "metric.perturb.eps is not read"),
 ])
 def test_validation_rules(extra, fragment):
     with pytest.raises(ConfigError) as exc:
@@ -91,24 +99,42 @@ def test_validation_rules(extra, fragment):
 
 
 FIXED_KEYS = sorted({**_FLOAT_KEYS, **_INT_KEYS, **_BOOL_KEYS, **_STR_KEYS})
+# Family parameters, real and bogus, of each profile group.
+PROFILE_KEYS = [f"{group}.{param}"
+                for group in ("datum.u", "datum.v", "metric.perturb")
+                for param in ("a", "center", "width", "bogus")]
 VALUES = st.one_of(
     st.floats().map(repr),  # nan, inf and subnormals included
     st.integers(-10**30, 10**30).map(str),
     st.sampled_from(["nan", "-inf", "1e308", "-1e308", "1e-320", "0",
-                     "-0", "true", "false", "abc", ""]),
+                     "-0", "true", "false", "abc", "", "1.5", "family",
+                     "mirrored", "gaussian_bump", "sech_bump"]),
     st.text(max_size=12),
 )
 
 
-@given(st.lists(st.tuples(st.sampled_from(FIXED_KEYS), VALUES), max_size=4))
-def test_config_input_raises_only_config_error(entries):
-    # Any value for any fixed key parses or raises ConfigError, and the
-    # quick variant of a config that parses is valid too.
+def unread_keys(cfg, keys) -> list:
+    """The given v-profile and perturbation keys no built datum reads."""
+    return [k for k in keys
+            if (k.startswith("datum.v.") and k != "datum.v.mode"
+                and cfg.datum_v_mode != "family")
+            or (k.startswith("metric.perturb.")
+                and k != "metric.perturb.family" and not cfg.perturb_family)]
+
+
+@given(st.lists(st.tuples(st.sampled_from(FIXED_KEYS), VALUES), max_size=4),
+       st.lists(st.tuples(st.sampled_from(PROFILE_KEYS), VALUES), max_size=2))
+def test_config_input_raises_only_config_error(fixed, profile):
+    # Any value for any fixed or profile key parses or raises
+    # ConfigError; a config that parses reads every profile key given,
+    # and its quick variant is valid too.
+    entries = fixed + profile
     text = MINIMAL + "".join(f"{key} = {value}\n" for key, value in entries)
     try:
         cfg = parse_config(text)
     except ConfigError:
         return
+    assert unread_keys(cfg, [key for key, _ in entries]) == []
     validate_config(quick_override(cfg))
 
 
@@ -324,16 +350,31 @@ def test_cli_missing_config_file(tmp_path, capsys):
 
 
 def test_cli_guard_abort_writes_partial(tmp_path, capsys):
-    # A q-box much tighter than the profile needs trips immediately.
-    text = MINIMAL + "omega.q_lo = 0.999\nomega.q_hi = 1.001\nomega.slack = 1.0\n"
-    text = text.replace("datum.u.a = 0.5", "datum.u.a = 1.2")
-    cfg = write_cfg(tmp_path, text)
-    out = tmp_path / "outa"
-    rc = main(["evolve", "--config", cfg, "--out", str(out)])
-    assert rc == 3
-    assert (out / "conserved.csv").exists()
-    err = capsys.readouterr().err
-    assert "abort" in err
+    # A q-box tighter than the profile needs trips after the first record
+    # (the box around q = 1) or after the second; the bounds change no
+    # state, so the partial artifacts are, byte for byte, the same
+    # records of the run with default bounds.
+    text = MINIMAL.replace("datum.u.a = 0.5", "datum.u.a = 1.2")
+    ref = tmp_path / "ref"
+    assert main(["evolve", "--config", write_cfg(tmp_path, text, "ref.cfg"),
+                 "--out", str(ref)]) == 0
+    conserved = (ref / "conserved.csv").read_bytes().splitlines(True)
+    for q_lo, q_hi, records in (("0.999", "1.001", 1), ("0.9", "1.1", 2)):
+        boxed = text + (f"omega.q_lo = {q_lo}\nomega.q_hi = {q_hi}\n"
+                        "omega.slack = 1.0\n")
+        out = tmp_path / f"out_{records}"
+        rc = main(["evolve", "--config", write_cfg(tmp_path, boxed),
+                   "--out", str(out)])
+        assert rc == 3
+        assert "abort" in capsys.readouterr().err
+        frames = [f"{kind}_{i:04d}.csv" for kind in ("euler", "state")
+                  for i in range(records)]
+        assert sorted(p.name for p in out.iterdir()) == ["conserved.csv",
+                                                         *frames]
+        assert (out / "conserved.csv").read_bytes() == b"".join(
+            conserved[:1 + records])
+        for name in frames:
+            assert (out / name).read_bytes() == (ref / name).read_bytes()
 
 
 def test_cli_validate_quick_passes(tmp_path, capsys):
