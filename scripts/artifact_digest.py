@@ -9,9 +9,9 @@ coarse_descent, written to a temporary file), each full and `--quick`
 under OUT, and keeps each run's stdout and stderr next to it as
 OUT/<run>.stdout and OUT/<run>.stderr.  It also classifies and checks
 the level events of the 8 synthetic breaking cases and of their
-component swaps, and writes them through the JSONL writers to
+component swaps, and writes them through the JSONL writer to
 OUT/synthetic/case<k>[_swapped]_{points,cancellations}.jsonl, so every
-case label reaches the writers.  Prints `sha256  relative/path` for
+case label reaches the writer.  Prints `sha256  relative/path` for
 every file, sorted, so two trees can be compared with diff:
 
     PYTHONPATH=src python3 scripts/artifact_digest.py OUT_A > a.txt
@@ -84,9 +84,8 @@ def write_synthetic(out: Path) -> None:
             points = [classify(p, st) for p in find_crossings(st)]
             reports = [verify_cancellations(p, st) for p in points]
             path = out / "synthetic" / name
-            cliio.write_points_jsonl(points, f"{path}_points.jsonl")
-            cliio.write_cancellations_jsonl(reports,
-                                            f"{path}_cancellations.jsonl")
+            cliio.write_jsonl(points, f"{path}_points.jsonl")
+            cliio.write_jsonl(reports, f"{path}_cancellations.jsonl")
 
 
 def run_one(out: Path, name: str, argv: list[str]) -> int:

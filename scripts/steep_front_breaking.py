@@ -16,8 +16,7 @@ from pathlib import Path
 from novlab import (AnalysisError, ContractError, classify, euler_fields,
                     evolve, find_crossings, fit_exponent, load_config,
                     make_grid, quick_override)
-from novlab.cliio import (bounds_from_config, datum_from_config,
-                          write_points_jsonl)
+from novlab.cliio import bounds_from_config, datum_from_config, write_jsonl
 from novlab.initial import transform_with_map
 
 REPO = Path(__file__).resolve().parents[1]
@@ -68,7 +67,7 @@ def main(argv=None) -> int:
             continue
         rows.append((t, pts[0].x_star, len(pts), alpha, r2))
 
-    write_points_jsonl(points, out / "points.jsonl")
+    write_jsonl(points, out / "points.jsonl")
     fits_path = out / "slice_fits.csv"
     with open(fits_path, "w", newline="") as fh:
         w = csv.writer(fh)

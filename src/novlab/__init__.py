@@ -11,18 +11,15 @@ Finsler-type distance (metric).
 
 from .breaking import (CancellationCheck, CancellationReport, SingularPoint,
                        classify, find_crossings, fit_exponent,
-                       max_accessible_y_derivative, min_two_point_exponent,
                        synthetic_case_state, verify_cancellations)
 from .config import ScenarioConfig, load_config, parse_config, quick_override
 from .errors import (AnalysisError, ConfigError, ContractError, EvolveAbort,
                      NovlabError, NumericalAbort, QueryError)
 from .evolution import (ConservedSet, OmegaBounds, Trajectory, check_omega,
                         conserved, evolve, rhs, rk4_step, y_formula_gap)
-from .grid import (Grid, fd_derivative, fd_truncation_orders, integrate,
-                   make_grid, prefix_integral)
+from .grid import Grid, fd_derivative, integrate, make_grid, prefix_integral
 from .initial import (EulerDatum, TransformedState, builtin_datum,
-                      invert_y0, mirrored, pair_datum, transform_with_map,
-                      zero_datum)
+                      invert_y0, mirrored, pair_datum, transform_with_map)
 from .metric import (NormInfo, PathOfStates, RatioRow, distance_upper,
                      lipschitz_experiment, path_length, straight_line_path,
                      tangent_norm_info, z_shift)

@@ -38,8 +38,6 @@ __all__ = [
     "classify",
     "verify_cancellations",
     "fit_exponent",
-    "min_two_point_exponent",
-    "max_accessible_y_derivative",
     "synthetic_case_state",
 ]
 
@@ -346,27 +344,6 @@ def verify_cancellations(point: SingularPoint, state: TransformedState,
                               checks=tuple(checks))
 
 
-def max_accessible_y_derivative(point: SingularPoint,
-                                state: TransformedState,
-                                window_nodes: int = 40):
-    """Largest |d^i y| relative to its local scale over i = 2..5.
-
-    Supports the claim that some low-order xi-derivative of y survives
-    at every detected point.
-    """
-    grid = state.grid
-    y_xi, _, _ = xi_derivatives(state)
-    win = _window(grid, point.xi_star, window_nodes)
-    best_order, best_ratio = 2, 0.0
-    for order in (2, 3, 4, 5):
-        arr = y_xi if order == 1 else fd_derivative(y_xi, grid, order - 1)
-        val = abs(_interp(arr, grid, point.xi_star))
-        ref = max(float(np.max(np.abs(arr[win]))), 1e-300)
-        if val / ref > best_ratio:
-            best_order, best_ratio = order, val / ref
-    return best_order, best_ratio
-
-
 def fit_exponent(field: EulerField, x_star: float, side_window: float,
                  min_gap: float, component: str = "u") -> tuple[float, float]:
     """Two-sided log-log slope of |f - f(x_star)| against |x - x_star|."""
@@ -395,34 +372,6 @@ def fit_exponent(field: EulerField, x_star: float, side_window: float,
         slopes.append(float(slope))
         qualities.append(r2)
     return 0.5 * (slopes[0] + slopes[1]), 0.5 * (qualities[0] + qualities[1])
-
-
-def min_two_point_exponent(field: EulerField, component: str = "u",
-                           sep_max: float = 0.25,
-                           diff_min: float = 1e-13,
-                           diff_max: float = 0.9) -> float:
-    """Smallest two-point exponent log|df| / log|dx| over sampled pairs.
-
-    A desk-scale surrogate for a global Hoelder bound: separations are
-    kept below 1 so the log ratio estimates the exponent from above the
-    modulus, and near-equal values are skipped to stay clear of
-    rounding.
-    """
-    f = getattr(field, component)
-    x = field.x
-    best = np.inf
-    offset = 1
-    while offset < x.size:
-        dxs = x[offset:] - x[:-offset]
-        dfs = np.abs(f[offset:] - f[:-offset])
-        mask = (dxs > 0) & (dxs <= sep_max) & (dfs > diff_min) & (dfs < diff_max)
-        if mask.any():
-            ratios = np.log(dfs[mask]) / np.log(dxs[mask])
-            best = min(best, float(np.min(ratios)))
-        offset *= 2
-    if not np.isfinite(best):
-        raise AnalysisError("no usable pairs for the two-point exponent")
-    return best
 
 
 def synthetic_case_state(case_label: int, grid: Grid) -> TransformedState:

@@ -146,8 +146,8 @@ def cmd_singular(args) -> int:
                     reports.append(verify_cancellations(point, state))
                 except AnalysisError as err:
                     _report_skip("verify_cancellations", point, err)
-    cliio.write_points_jsonl(points, out / "points.jsonl")
-    cliio.write_cancellations_jsonl(reports, out / "cancellations.jsonl")
+    cliio.write_jsonl(points, out / "points.jsonl")
+    cliio.write_jsonl(reports, out / "cancellations.jsonl")
     print(f"found {len(points)} level events over {len(traj.times)} records")
     print(f"wrote {out / 'points.jsonl'} and {out / 'cancellations.jsonl'}")
     return 0

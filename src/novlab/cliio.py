@@ -33,8 +33,7 @@ __all__ = [
     "write_conserved_csv",
     "write_record_csv",
     "write_ratios_csv",
-    "write_points_jsonl",
-    "write_cancellations_jsonl",
+    "write_jsonl",
 ]
 
 
@@ -176,15 +175,8 @@ def _plain(obj):
     raise ContractError(f"no JSON form for {type(obj).__name__}")
 
 
-def _write_jsonl(records, path) -> None:
+def write_jsonl(records, path) -> None:
+    """One JSON object per dataclass record, keys sorted."""
     with open(path, "w", encoding="utf-8") as fh:
         for rec in records:
             fh.write(json.dumps(_plain(rec), sort_keys=True) + "\n")
-
-
-def write_points_jsonl(points, path) -> None:
-    _write_jsonl(points, path)
-
-
-def write_cancellations_jsonl(reports, path) -> None:
-    _write_jsonl(reports, path)

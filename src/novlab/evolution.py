@@ -103,8 +103,8 @@ def check_omega(state: TransformedState, bounds: OmegaBounds) -> None:
             f"[{q_min:.3e}, {q_max:.3e}]", diag)
     if w_max > bounds.angle_max or z_max > bounds.angle_max:
         raise NumericalAbort(
-            f"angle bound 3pi/2 exceeded at t={state.t:.6g}: "
-            f"max|W|={w_max:.4f}, max|Z|={z_max:.4f}", diag)
+            f"angle bound {bounds.angle_max / np.pi:.6g}pi exceeded at "
+            f"t={state.t:.6g}: max|W|={w_max:.4f}, max|Z|={z_max:.4f}", diag)
 
 
 def rk4_step(state: TransformedState, dt: float,

@@ -24,7 +24,6 @@ __all__ = [
     "integrate",
     "prefix_integral",
     "fd_derivative",
-    "fd_truncation_orders",
 ]
 
 
@@ -134,21 +133,3 @@ def fd_derivative(samples, grid: Grid, order: int) -> np.ndarray:
         out[grid.n - 1 - i] = right @ arr[grid.n - npts:]
     out /= grid.dx ** order
     return out
-
-
-def fd_truncation_orders(grid: Grid, order: int) -> np.ndarray:
-    """Formal accuracy order of each entry of fd_derivative's output.
-
-    Centred stencils gain one order from symmetry when npts - order is
-    odd; shifted boundary stencils do not.
-    """
-    if order not in _HALF_WIDTH:
-        raise ContractError(f"derivative order must be 1..4, got {order}")
-    w = _HALF_WIDTH[order]
-    npts = 2 * w + 1
-    side = npts - order
-    centre = side if side % 2 == 0 else side + 1
-    acc = np.full(grid.n, centre, dtype=int)
-    acc[:w] = side
-    acc[grid.n - w:] = side
-    return acc

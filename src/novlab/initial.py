@@ -100,10 +100,6 @@ class TransformedState:
         return TransformedState(self.t if t is None else t, self.grid, data)
 
 
-def _zero(x):
-    return np.zeros_like(np.asarray(x, dtype=float))
-
-
 def _gaussian(a: float, center: float, width: float) -> EulerDatum:
     def f(x):
         x = np.asarray(x, dtype=float)
@@ -216,10 +212,6 @@ def mirrored(base: EulerDatum) -> EulerDatum:
         dv0=lambda x: -base.du0(-np.asarray(x, dtype=float)),
         kinks=tuple(sorted(set(base.kinks) | {-k for k in base.kinks})),
     )
-
-
-def zero_datum() -> EulerDatum:
-    return EulerDatum(u0=_zero, v0=_zero, du0=_zero, dv0=_zero)
 
 
 # 10-point Gauss-Legendre on [-1, 1]; exact for polynomials to degree 19,

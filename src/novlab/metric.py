@@ -52,7 +52,6 @@ class PathOfStates:
 @dataclass(frozen=True)
 class NormInfo:
     value: float
-    search: str
     iterations: int
     eta_zero_value: float
     best_coeffs: np.ndarray | None
@@ -161,8 +160,8 @@ def tangent_norm_info(state: TransformedState, tangent: np.ndarray,
     P0 = _phi_zero(state, tangent)
     value0 = _objective(weights, P0)
     if search == "eta_zero":
-        return NormInfo(value=value0, search=search, iterations=0,
-                        eta_zero_value=value0, best_coeffs=None)
+        return NormInfo(value=value0, iterations=0, eta_zero_value=value0,
+                        best_coeffs=None)
 
     K, box = _shift_operator(state, eta_nodes)
     p0 = P0.ravel()
@@ -172,8 +171,8 @@ def tangent_norm_info(state: TransformedState, tangent: np.ndarray,
     g = (w6 * np.sign(p0)) @ K
     gnorm = float(np.linalg.norm(g))
     if gnorm == 0.0:
-        return NormInfo(value=best_val, search=search, iterations=0,
-                        eta_zero_value=value0, best_coeffs=best_c)
+        return NormInfo(value=best_val, iterations=0, eta_zero_value=value0,
+                        best_coeffs=best_c)
     step_scale = 0.2 * box / gnorm
     used = 0
     for k in range(1, iters + 1):
@@ -187,7 +186,7 @@ def tangent_norm_info(state: TransformedState, tangent: np.ndarray,
         g = (w6 * np.sign(P)) @ K
         if float(np.linalg.norm(g)) == 0.0:
             break
-    return NormInfo(value=best_val, search=search, iterations=used,
+    return NormInfo(value=best_val, iterations=used,
                     eta_zero_value=value0, best_coeffs=best_c)
 
 
@@ -308,10 +307,12 @@ def lipschitz_experiment(datum0: EulerDatum, datum1: EulerDatum, grid: Grid,
     d0 = rows.get(0.0)
     if d0 is None:
         raise AnalysisError("no t=0 record in the Lipschitz experiment")
+    if d0 == 0.0:
+        raise AnalysisError("the two data coincide at t = 0, so d(t)/d(0) "
+                            "is undefined")
     table = []
     for t in sorted(rows):
         d = rows[t]
-        ratio = d / d0 if d0 > 0.0 else 0.0
-        table.append(RatioRow(t=t, d_t_upper=d, ratio=ratio,
+        table.append(RatioRow(t=t, d_t_upper=d, ratio=d / d0,
                               search_mode=search, eta_iterations=iters_field))
     return table

@@ -84,9 +84,10 @@ def sample_at(field: EulerField, x_query):
     scalar = xq.ndim == 0
     xq = np.atleast_1d(xq)
     x = field.x
-    if np.any(xq < x[0]) or np.any(xq > x[-1]):
-        bad = xq[(xq < x[0]) | (xq > x[-1])][0]
-        raise QueryError(f"x={bad!r} outside graph range [{x[0]!r}, {x[-1]!r}]")
+    inside = (xq >= x[0]) & (xq <= x[-1])  # False for NaN as well
+    if not inside.all():
+        bad, lo, hi = float(xq[~inside][0]), float(x[0]), float(x[-1])
+        raise QueryError(f"x={bad!r} outside graph range [{lo!r}, {hi!r}]")
     idx = np.searchsorted(x, xq, side="left")
     idx = np.clip(idx, 0, x.size - 1)
     exact = x[idx] == xq

@@ -15,8 +15,7 @@ from hypothesis import strategies as st
 
 from novlab.breaking import (CancellationCheck, CancellationReport,
                              SingularPoint)
-from novlab.cliio import (write_cancellations_jsonl, write_conserved_csv,
-                          write_points_jsonl, write_ratios_csv,
+from novlab.cliio import (write_conserved_csv, write_jsonl, write_ratios_csv,
                           write_record_csv)
 from novlab.evolution import ConservedSet
 from novlab.metric import RatioRow
@@ -246,11 +245,11 @@ def written_jsonl(writer, records) -> bytes:
 
 @given(st.lists(POINTS, max_size=4))
 def test_points_jsonl_matches_oracle(points):
-    assert (written_jsonl(write_points_jsonl, points)
+    assert (written_jsonl(write_jsonl, points)
             == written_jsonl(oracle_points_jsonl, points))
 
 
 @given(st.lists(REPORTS, max_size=4))
 def test_cancellations_jsonl_matches_oracle(reports):
-    assert (written_jsonl(write_cancellations_jsonl, reports)
+    assert (written_jsonl(write_jsonl, reports)
             == written_jsonl(oracle_cancellations_jsonl, reports))

@@ -338,6 +338,20 @@ def test_cli_metric_writes_ratios(tmp_path, capsys, t_final):
     assert "np.float64" not in capsys.readouterr().out
 
 
+def test_cli_metric_with_zero_perturbation_is_analysis_failure(tmp_path,
+                                                               capsys):
+    # eps = 0 makes the two data equal, so d(0) = 0 and no ratio exists.
+    text = (MINIMAL + "metric.perturb.family = gaussian_bump\n"
+            + "metric.perturb.eps = 0\n" + "metric.m_theta = 5\n")
+    cfg = write_cfg(tmp_path, text)
+    out = tmp_path / "outz"
+    rc = main(["metric", "--config", cfg, "--out", str(out)])
+    assert rc == 4
+    err = capsys.readouterr().err
+    assert "analysis failure:" in err and "coincide at t = 0" in err
+    assert not (out / "ratios.csv").exists()
+
+
 def test_cli_metric_without_perturbation_is_config_error(tmp_path, capsys):
     cfg = write_cfg(tmp_path, MINIMAL)
     rc = main(["metric", "--config", cfg, "--out", str(tmp_path / "x")])

@@ -2,9 +2,10 @@
 import numpy as np
 import pytest
 
-from novlab import (ContractError, EvolveAbort, OmegaBounds, builtin_datum,
-                    conserved, evolve, make_grid, pair_datum, rhs, rk4_step,
-                    transform_with_map, y_formula_gap, zero_datum)
+from novlab import (ContractError, EvolveAbort, NumericalAbort, OmegaBounds,
+                    builtin_datum, check_omega, conserved, evolve, make_grid,
+                    pair_datum, rhs, rk4_step, transform_with_map,
+                    y_formula_gap)
 from novlab.validation import random_state
 
 from conftest import flat_state, two_bump_pair
@@ -220,10 +221,23 @@ def test_y_formula_gap_small_on_transformed_data():
     assert y_formula_gap(state0) < 10.0 * g.dx**2
 
 
-def test_zero_datum_evolution_is_static():
+def test_zero_profile_evolution_is_static():
     g = make_grid(-8.0, 8.0, 128)
-    state0 = transform_with_map(zero_datum(), g)
+    zero = builtin_datum("gaussian_bump", {"a": 0.0})
+    state0 = transform_with_map(zero, g)
     traj = evolve(state0, 0.3, 0.01, record_every=10, bounds=BOUNDS)
     last = traj.states[-1]
     assert np.max(np.abs(last.U)) == 0.0
     assert np.max(np.abs(last.q - 1.0)) == 0.0
+
+
+def test_check_omega_names_the_angle_bound_it_enforced():
+    g = make_grid(-4.0, 4.0, 64)
+    state = flat_state(g)
+    state = state.with_fields(W=np.full(g.n, 0.6 * np.pi),
+                              Z=np.full(g.n, -0.2 * np.pi))
+    check_omega(state, OmegaBounds(angle_max=0.75 * np.pi))
+    with pytest.raises(NumericalAbort, match=r"angle bound 0\.5pi") as info:
+        check_omega(state, OmegaBounds(angle_max=0.5 * np.pi))
+    assert info.value.diagnostics["w_max"] == pytest.approx(0.6 * np.pi)
+    assert info.value.diagnostics["z_max"] == pytest.approx(0.2 * np.pi)

@@ -3,9 +3,8 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
-from novlab import (ConfigError, ContractError, fd_derivative,
-                    fd_truncation_orders, integrate, make_grid,
-                    prefix_integral)
+from novlab import (ConfigError, ContractError, fd_derivative, integrate,
+                    make_grid, prefix_integral)
 
 
 def test_make_grid_basic():
@@ -77,10 +76,16 @@ def test_fd_polynomial_exactness_per_order(order):
 
 def test_fd_converges_at_advertised_rate():
     # Richardson oracle on sin(x): doubling n shrinks the interior error
-    # by about 2**acc where acc comes from fd_truncation_orders.
-    for order in (1, 2):
+    # by about 2**4. Every interior row is fourth order: the centred
+    # stencil's point excess npts - order is 4 for orders 1 and 3, and 3
+    # (plus one order from symmetry) for orders 2 and 4. Orders 3 and 4
+    # run one grid coarser, since at n = 401 order 4 already meets
+    # roundoff.
+    acc = 4
+    for order, sizes in ((1, (201, 401)), (2, (201, 401)),
+                         (3, (101, 201)), (4, (101, 201))):
         errs = []
-        for n in (201, 401):
+        for n in sizes:
             g = make_grid(-3.0, 3.0, n)
             x = g.nodes
             f = np.sin(x)
@@ -88,21 +93,8 @@ def test_fd_converges_at_advertised_rate():
             exact = np.sin(x + 0.5 * np.pi * order)
             interior = slice(8, -8)
             errs.append(np.max(np.abs((d - exact)[interior])))
-        acc = int(fd_truncation_orders(make_grid(-3, 3, 201), order)[100])
         rate = errs[0] / errs[1]
-        assert rate > 0.6 * 2**acc
-
-
-def test_fd_truncation_orders_layout():
-    g = make_grid(0.0, 1.0, 64)
-    # Order 2 on 5 points: the centred row gains the symmetry bonus,
-    # boundary rows do not.
-    acc = fd_truncation_orders(g, 2)
-    assert acc.shape == (g.n,)
-    assert acc[0] < acc[g.n // 2]
-    # Order 1 on 5 points has an even point excess, so no bonus anywhere.
-    acc1 = fd_truncation_orders(g, 1)
-    assert acc1[0] == acc1[g.n // 2]
+        assert rate > 0.6 * 2**acc, (order, rate)
 
 
 def test_fd_rejects_unsupported_order():

@@ -7,7 +7,7 @@ from hypothesis import given, strategies as st
 
 from novlab import (ConfigError, ContractError, builtin_datum, conserved,
                     invert_y0, make_grid, mirrored, pair_datum,
-                    transform_with_map, zero_datum)
+                    transform_with_map)
 from novlab.initial import TransformedState, _density_table
 
 
@@ -79,9 +79,10 @@ def test_pair_datum_mixes_components():
     assert pair.v0(0.0) == pytest.approx(2.0)
 
 
-def test_zero_datum_transforms_to_identity_map():
+def test_zero_profile_transforms_to_identity_map():
     g = make_grid(-5.0, 5.0, 101)
-    state = transform_with_map(zero_datum(), g)
+    zero = builtin_datum("gaussian_bump", {"a": 0.0})
+    state = transform_with_map(zero, g)
     assert np.allclose(state.y, g.nodes, atol=1e-12)
     assert np.all(state.q == 1.0)
     assert np.all(state.W == 0.0)

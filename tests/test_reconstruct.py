@@ -78,6 +78,10 @@ def test_sample_at_interpolates_and_bounds_checks(smooth_pair_state):
     assert us.shape == (3,)
     with pytest.raises(QueryError):
         sample_at(fld, 1e9)
+    with pytest.raises(QueryError, match=r"^x=nan outside"):
+        sample_at(fld, np.nan)
+    with pytest.raises(QueryError, match=r"^x=nan outside"):
+        sample_at(fld, np.array([0.0, np.nan]))
 
 
 def test_sample_at_plateau_resolves_leftmost():
