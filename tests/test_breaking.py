@@ -4,10 +4,12 @@ import json
 import numpy as np
 import pytest
 
-from novlab import (AnalysisError, classify, find_crossings, fit_exponent,
-                    make_grid, synthetic_case_state, verify_cancellations)
+from novlab import (AnalysisError, classify, fd_derivative, find_crossings,
+                    fit_exponent, make_grid, synthetic_case_state,
+                    verify_cancellations)
 from novlab.cliio import write_jsonl
 from novlab.reconstruct import EulerField
+from novlab.sources import xi_derivatives
 
 
 GRID = make_grid(-10.0, 10.0, 1601)
@@ -49,6 +51,23 @@ def test_low_order_cases_report_complete(case):
     state, pt = designed_point(case)
     rep = verify_cancellations(classify(pt, state), state)
     assert rep.complete
+
+
+@pytest.mark.parametrize("case", [1, 2, 3, 4, 5])
+def test_some_low_derivative_of_y_survives(case):
+    # At every detected point some xi-derivative of y of order 2..5
+    # stays at order one relative to its 40-node neighborhood, so y_xi
+    # vanishes there to finite order only.
+    state, pt = designed_point(case)
+    y_xi, _, _ = xi_derivatives(state)
+    i = int(round((pt.xi_star - GRID.xi_min) / GRID.dx))
+    win = slice(i - 40, i + 41)
+    ratios = []
+    for order in (1, 2, 3, 4):
+        d = fd_derivative(y_xi, GRID, order)
+        at_point = np.interp(pt.xi_star, GRID.nodes, d)
+        ratios.append(abs(at_point) / np.max(np.abs(d[win])))
+    assert max(ratios) > 0.05, (case, ratios)
 
 
 SWAP_UV = str.maketrans("UV", "VU")
@@ -99,6 +118,20 @@ def test_fit_exponent_power_law_oracles():
         alpha, r2 = fit_exponent(fld, 0.0, side_window=0.5, min_gap=1e-3)
         assert alpha == pytest.approx(power, abs=0.02), power
         assert r2 > 0.999
+
+
+def test_fit_exponent_smooth_field_near_one():
+    # Where the slope of a smooth field is nonzero its local exponent is
+    # 1; the fit must not report a sub-Lipschitz modulus there.
+    x = np.linspace(-2.0, 2.0, 4001)
+    u = np.exp(-(x**2))
+    ones = np.ones_like(x)
+    tv = np.ones_like(x, dtype=bool)
+    fld = EulerField(x=x, u=u, v=u, ux=ones, vx=ones,
+                     ux_valid=tv, vx_valid=tv)
+    alpha, r2 = fit_exponent(fld, 0.5, side_window=0.1, min_gap=1e-3)
+    assert alpha == pytest.approx(1.0, abs=0.02)
+    assert r2 > 0.999
 
 
 def test_fit_exponent_requires_enough_samples():
