@@ -304,7 +304,7 @@ def verify_cancellations(point: SingularPoint, state: TransformedState,
     derivs = {name: [base] + [fd_derivative(base, grid, k) for k in range(1, 5)]
               for name, base in zip("yUV", xi_derivatives(state))}
 
-    sinW, sinZ, cw, _, cz, _ = half_angle_factors(state)
+    (sinW, sinZ), (cw, cz), _ = half_angle_factors(state)
     local = {"q": state.q, "cw": cw, "cz": cz, "sinW": sinW, "sinZ": sinZ,
              "w1": fd_derivative(state.W, grid, 1),
              "z1": fd_derivative(state.Z, grid, 1),

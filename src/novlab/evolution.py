@@ -18,7 +18,8 @@ import numpy as np
 from .errors import ContractError, EvolveAbort, NumericalAbort
 from .grid import integrate, prefix_integral
 from .initial import TransformedState
-from .sources import assemble_sources, half_angle_factors, xi_derivatives
+from .sources import (assemble_sources, half_angle_factors, product_into,
+                      xi_derivatives)
 
 __all__ = [
     "OmegaBounds",
@@ -63,29 +64,29 @@ class Trajectory:
     y_checks: list[float]
 
 
-def _angle_rate(A, B, cA, sA, drive):
-    # One line of the angle equations; called for W with (U, V) and the
-    # P-sources, and for Z with the roles swapped.
-    return 2.0 * A * A * B * cA - B * sA - 2.0 * drive * cA
-
-
 def rhs(state: TransformedState) -> np.ndarray:
     """Time derivative of state.data, as a (6, n) array in the same row order."""
     factors = half_angle_factors(state)
     src, dx_src = assemble_sources(state, factors)
-    P1, P2, S1, S2 = src
-    dxP1, dxP2, dxS1, dxS2 = dx_src
-    sinW, sinZ, cw, sw, cz, sz = factors
-    U, V, q = state.U, state.V, state.q
-    drive_w = P1 + dxP2
-    drive_z = S1 + dxS2
-    dU = -dxP1 - P2
-    dV = -dxS1 - S2
-    dW = _angle_rate(U, V, cw, sw, drive_w)
-    dZ = _angle_rate(V, U, cz, sz, drive_z)
-    dq = q * (U * U * V + 0.5 * V - drive_w) * sinW \
-        + q * (V * V * U + 0.5 * U - drive_z) * sinZ
-    return np.stack((dU, dV, dW, dZ, dq, U * V))
+    sin, cos2, sin2 = factors
+    # (U, V) and (V, U): each pair of rates is one formula on row pairs.
+    A, B = state.data[:2], state.data[1::-1]
+    out = np.empty_like(state.data)
+    term = np.empty_like(A)
+    drive = np.add(src[0::2], dx_src[1::2], out=src[0::2])
+    np.negative(dx_src[0::2], out=out[:2])
+    out[:2] -= src[1::2]
+    rate = product_into(out[2:4], 2.0, A, A, B, cos2)
+    rate -= product_into(term, B, sin2)
+    rate -= product_into(term, 2.0, drive, cos2)
+    # dq = q (U^2 V + V/2 - drive_w) sinW + the same with roles swapped.
+    dq = product_into(out[4:6], A, A, B)
+    dq += product_into(term, 0.5, B)
+    dq -= drive
+    product_into(dq, dq, state.q, sin)
+    np.add(dq[0], dq[1], out=out[4])
+    np.multiply(A[0], A[1], out=out[5])
+    return out
 
 
 def check_omega(state: TransformedState, bounds: OmegaBounds) -> None:
@@ -110,30 +111,33 @@ def check_omega(state: TransformedState, bounds: OmegaBounds) -> None:
 def rk4_step(state: TransformedState, dt: float,
              bounds: OmegaBounds = OmegaBounds()) -> TransformedState:
     """One classical RK4 step of the state, map included; dt may be negative."""
-    if dt == 0.0:
-        raise ContractError("rk4_step needs dt != 0")
+    if not np.isfinite(dt) or dt == 0.0:
+        raise ContractError(f"rk4_step needs a finite nonzero dt, got {dt!r}")
     t, grid, x = state.t, state.grid, state.data
     half = 0.5 * dt
     k1 = rhs(state)
     k2 = rhs(TransformedState(t + half, grid, x + half * k1))
     k3 = rhs(TransformedState(t + half, grid, x + half * k2))
     k4 = rhs(TransformedState(t + dt, grid, x + dt * k3))
-    sixth = dt / 6.0
-    new = TransformedState(t + dt, grid,
-                           x + sixth * (k1 + 2.0 * k2 + 2.0 * k3 + k4))
+    # x + dt/6 (((k1 + 2 k2) + 2 k3) + k4), summed in place in k2.
+    k2 *= 2.0
+    k2 += k1
+    k2 += np.multiply(2.0, k3, out=k3)
+    k2 += k4
+    k2 *= dt / 6.0
+    k2 += x
+    new = TransformedState(t + dt, grid, k2)
     check_omega(new, bounds)
     return new
 
 
-def _energy(q, A, cA, sA, cOther):
-    return (A * A * cA + sA) * (q * cOther)
-
-
 def conserved(state: TransformedState) -> ConservedSet:
-    sinW, sinZ, cw, sw, cz, sz = half_angle_factors(state)
-    U, V, q, grid = state.U, state.V, state.q, state.grid
-    e_u = integrate(_energy(q, U, cw, sw, cz), grid)
-    e_v = integrate(_energy(q, V, cz, sz, cw), grid)
+    sin, cos2, sin2 = half_angle_factors(state)
+    (sinW, sinZ), (cw, cz), (sw, sz) = sin, cos2, sin2
+    A, q, grid = state.data[:2], state.q, state.grid
+    U, V = A
+    e_u, e_v = (integrate(energy, grid)
+                for energy in (A * A * cos2 + sin2) * (q * cos2[::-1]))
     cross = integrate(q * (U * V * (cw * cz) + 0.25 * (sinW * sinZ)), grid)
     quartic = integrate(
         q * (3.0 * U * U * V * V * (cw * cz)
@@ -161,8 +165,10 @@ def evolve(state0: TransformedState, t_final: float, dt: float,
     """
     if record_every < 1:
         raise ContractError(f"record_every must be >= 1, got {record_every}")
-    if dt == 0.0:
-        raise ContractError("dt must be nonzero")
+    if not np.isfinite(dt) or dt == 0.0:
+        raise ContractError(f"dt must be finite and nonzero, got {dt!r}")
+    if not np.isfinite(t_final):
+        raise ContractError(f"t_final must be finite, got {t_final!r}")
     ratio = t_final / dt
     n_steps = int(round(ratio))
     if n_steps < 0 or abs(ratio - n_steps) > 1e-9 * max(1.0, abs(ratio)):

@@ -76,7 +76,7 @@ def _state_derivatives(state: TransformedState):
 
 def z_shift(state: TransformedState, tangent: np.ndarray) -> np.ndarray:
     """First variation of the characteristic map under the tangent."""
-    sinW, sinZ, cw, sw, cz, sz = half_angle_factors(state)
+    (sinW, sinZ), (cw, cz), _ = half_angle_factors(state)
     _, _, A, B, Q = tangent
     integrand = (Q * (cw * cz)
                  - 0.5 * state.q * A * sinW * cz

@@ -107,7 +107,7 @@ def sample_at(field: EulerField, x_query):
 
 
 def _measure_density(state: TransformedState) -> np.ndarray:
-    _, _, cw, sw, cz, sz = half_angle_factors(state)
+    _, (cw, cz), (sw, sz) = half_angle_factors(state)
     return state.q * (cw * sz + sw * cz + sw * sz)
 
 

@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .errors import NumericalAbort
+from .errors import ContractError, NumericalAbort
 from .grid import Grid, prefix_integral
 from .initial import TransformedState
 
@@ -32,12 +32,20 @@ _BLOCK_SPAN = 30.0
 
 
 def half_angle_factors(state: TransformedState):
-    """sin, cos^2(angle/2), sin^2(angle/2) for W and Z in one place."""
-    cw = np.cos(0.5 * state.W) ** 2
-    sw = np.sin(0.5 * state.W) ** 2
-    cz = np.cos(0.5 * state.Z) ** 2
-    sz = np.sin(0.5 * state.Z) ** 2
-    return np.sin(state.W), np.sin(state.Z), cw, sw, cz, sz
+    """sin(angle), cos^2(angle/2), sin^2(angle/2) in one place, each a
+    (2, n) pair with rows W and Z: the swap is the reversal pair[::-1]."""
+    half = 0.5 * state.data[2:4]
+    cos2 = np.square(np.cos(half))
+    sin2 = np.square(np.sin(half, out=half), out=half)
+    return np.sin(state.data[2:4]), cos2, sin2
+
+
+def product_into(out: np.ndarray, *factors) -> np.ndarray:
+    """out = ((f0 * f1) * f2) * ..., left to right as Python evaluates it."""
+    np.multiply(factors[0], factors[1], out=out)
+    for f in factors[2:]:
+        out *= f
+    return out
 
 
 def _y_xi(q, cw, cz):
@@ -54,7 +62,7 @@ def xi_derivatives(state: TransformedState):
         U_xi = (q/2) sin W cos^2(Z/2)
         V_xi = (q/2) cos^2(W/2) sin Z
     """
-    sinW, sinZ, cw, _, cz, _ = half_angle_factors(state)
+    (sinW, sinZ), (cw, cz), _ = half_angle_factors(state)
     q = state.q
     return _y_xi(q, cw, cz), 0.5 * q * sinW * cz, 0.5 * q * cw * sinZ
 
@@ -64,8 +72,7 @@ def kernel_accumulator(state: TransformedState, factors) -> np.ndarray:
 
     factors is the tuple half_angle_factors(state) returns.
     """
-    _, _, cw, _, cz, _ = factors
-    r = _y_xi(state.q, cw, cz)
+    r = _y_xi(state.q, *factors[1])
     if np.any(r < 0.0):
         k = int(np.argmin(r))
         raise NumericalAbort(
@@ -85,18 +92,26 @@ def _decay_scan(G: np.ndarray, b: np.ndarray) -> np.ndarray:
     boundaries and both exponential factors are shared by all rows.
     """
     n = G.size
-    out = np.zeros(b.shape[:-1] + (n,))
-    carry = np.zeros(b.shape[:-1] + (1,))
+    out = np.empty(b.shape[:-1] + (n,))
+    out[..., 0] = 0.0
     s = 0
     while s < n - 1:
         e = int(np.searchsorted(G, G[s] + _BLOCK_SPAN, side="right")) - 1
         e = min(max(e, s + 1), n - 1)
-        L = G[s:e + 1] - G[s]
-        acc = np.cumsum(b[..., s:e] * np.exp(L[1:]), axis=-1)
-        out[..., s + 1:e + 1] = np.exp(-L[1:]) * (carry + acc)
-        carry = out[..., e:e + 1]
+        L = G[s + 1:e + 1] - G[s]
+        block = np.multiply(b[..., s:e], np.exp(L), out=out[..., s + 1:e + 1])
+        np.cumsum(block, axis=-1, out=block)
+        # Adding I[0] = +0.0 to the first block turns -0.0 into +0.0.
+        block += out[..., s:s + 1]
+        np.multiply(block, np.exp(-L), out=block)
         s = e
     return out
+
+
+def _check_shape(p: np.ndarray, G: np.ndarray, grid: Grid) -> None:
+    if p.ndim not in (1, 2) or (p.shape[-1], *G.shape) != (grid.n, grid.n):
+        raise ContractError(f"convolution needs p of shape (n,) or (k, n) and G "
+                            f"(n,), n = {grid.n}; got {p.shape} and {G.shape}")
 
 
 def exp_convolve(p, G: np.ndarray, grid: Grid):
@@ -108,24 +123,26 @@ def exp_convolve(p, G: np.ndarray, grid: Grid):
     flipped left of xi_i.
     """
     p = np.asarray(p, dtype=float)
-    if p.ndim not in (1, 2) or p.shape[-1:] != G.shape \
-            or G.shape != (grid.n,):
-        raise NumericalAbort(f"exp_convolve: shape mismatch {p.shape}")
+    _check_shape(p, G, grid)
     a = np.exp(-np.diff(G))
-    half_dx = 0.5 * grid.dx
-    fwd = _decay_scan(G, half_dx * (a * p[..., :-1] + p[..., 1:]))
-    G_rev = G[-1] - G[::-1]
-    b_bwd = half_dx * (a * p[..., 1:] + p[..., :-1])
-    bwd = _decay_scan(G_rev, b_bwd[..., ::-1])[..., ::-1]
+    b = a * p[..., :-1]
+    b += p[..., 1:]
+    b *= 0.5 * grid.dx
+    fwd = _decay_scan(G, b)
+    # Backward cell terms, in b again; that scan runs on the reversed line.
+    b = np.multiply(a, p[..., 1:], out=b)
+    b += p[..., :-1]
+    b *= 0.5 * grid.dx
+    bwd = _decay_scan(G[-1] - G[::-1], b[..., ::-1])[..., ::-1]
     even = fwd + bwd
-    odd = bwd - fwd
-    bad = ~(np.isfinite(even) & np.isfinite(odd))
-    if bad.any():
+    odd = np.subtract(bwd, fwd, out=fwd)
+    if not (np.isfinite(even).all() and np.isfinite(odd).all()):
         # Both scans carry a non-finite input to every node, so name the
         # first non-finite input node, and the first bad output otherwise.
         bad_in = ~(np.isfinite(p).reshape(-1, grid.n).all(axis=0)
                    & np.isfinite(G))
         if not bad_in.any():
+            bad = ~(np.isfinite(even) & np.isfinite(odd))
             bad_in = bad.reshape(-1, grid.n).any(axis=0)
         k = int(np.argmax(bad_in))
         raise NumericalAbort(
@@ -137,6 +154,7 @@ def exp_convolve(p, G: np.ndarray, grid: Grid):
 def exp_convolve_bruteforce(p, G: np.ndarray, grid: Grid):
     """Reference double-loop quadrature; identical contract, O(n^2)."""
     p = np.asarray(p, dtype=float)
+    _check_shape(p, G, grid)
     weights = np.full(grid.n, grid.dx)
     weights[0] = weights[-1] = 0.5 * grid.dx
     kernel = np.exp(-np.abs(G[:, None] - G[None, :]))
@@ -155,18 +173,6 @@ def exp_convolve_bruteforce(p, G: np.ndarray, grid: Grid):
     return even, odd
 
 
-def _integrand_pair(q, A, B, sinA, sinB, cA, sA, cB):
-    """First and second kernel integrands for one component.
-
-    Called once as written for the P family and once with every
-    (u, W) <-> (v, Z) role swapped for the S family, so the symmetry of
-    the formulas under the swap holds bitwise.
-    """
-    i1 = q * (A * A * B * cA * cB + 0.25 * A * sinA * sinB + 0.5 * B * sA * cB)
-    i2 = q * (sA * sinB)
-    return i1, i2
-
-
 # Kernel prefactors of the source rows P1, P2, S1, S2.
 _SCALE = np.array([0.5, 0.125, 0.5, 0.125])[:, None]
 
@@ -177,11 +183,18 @@ def assemble_sources(state: TransformedState, factors):
     Both are (4, n) arrays from one stacked convolution pass; factors is
     the tuple half_angle_factors(state) returns.
     """
-    grid = state.grid
-    sinW, sinZ, cw, sw, cz, sz = factors
-    q = state.q
+    sin, cos2, sin2 = factors
+    # (U, V) and (V, U): the S integrands are the P ones with roles swapped.
+    A, B = state.data[:2], state.data[1::-1]
     G = kernel_accumulator(state, factors)
-    p1, p2 = _integrand_pair(q, state.U, state.V, sinW, sinZ, cw, sw, cz)
-    s1, s2 = _integrand_pair(q, state.V, state.U, sinZ, sinW, cz, sz, cw)
-    even, odd = exp_convolve(np.stack((p1, p2, s1, s2)), G, grid)
-    return _SCALE * even, _SCALE * odd
+    p = np.empty((4, state.grid.n))
+    term = np.empty_like(A)
+    first = product_into(p[0::2], A, A, B, cos2, cos2[::-1])
+    first += product_into(term, 0.25, A, sin, sin[::-1])
+    first += product_into(term, 0.5, B, sin2, cos2[::-1])
+    first *= state.q
+    product_into(p[1::2], sin2, sin[::-1], state.q)
+    even, odd = exp_convolve(p, G, state.grid)
+    even *= _SCALE
+    odd *= _SCALE
+    return even, odd

@@ -92,7 +92,7 @@ def test_criterion_03_identity_suite(conservation_runs):
     tol = 5.0 * grid.dx**2
     worst_y = worst_u = 0.0
     for state in traj.states:
-        sinW, _, cw, _, cz, _ = half_angle_factors(state)
+        (sinW, _), (cw, cz), _ = half_angle_factors(state)
         gap_y = np.max(np.abs(fd_derivative(state.y, grid, 1)
                               - state.q * cw * cz))
         gap_u = np.max(np.abs(fd_derivative(state.U, grid, 1)

@@ -6,6 +6,8 @@ from novlab import (ContractError, EvolveAbort, NumericalAbort, OmegaBounds,
                     builtin_datum, check_omega, conserved, evolve, make_grid,
                     pair_datum, rhs, rk4_step, transform_with_map,
                     y_formula_gap)
+from novlab.grid import prefix_integral
+from novlab.sources import _BLOCK_SPAN
 from novlab.validation import random_state
 
 from conftest import flat_state, two_bump_pair
@@ -73,6 +75,106 @@ def test_rhs_computes_half_angle_factors_once(monkeypatch):
     monkeypatch.setattr(sources, "half_angle_factors", counted)
     rhs(random_state(np.random.default_rng(6), make_grid(-8.0, 8.0, 128)))
     assert len(calls) == 1
+
+
+def same_bits(a, b):
+    # array_equal treats -0.0 == 0.0; the uint64 views do not.
+    return a.shape == b.shape and np.array_equal(
+        np.ascontiguousarray(a).view(np.uint64),
+        np.ascontiguousarray(b).view(np.uint64))
+
+
+# The (u, W) <-> (v, Z) swap as a permutation of the state and rhs rows.
+SWAP = [1, 0, 3, 2, 4, 5]
+
+
+def wide_random_state(n, seed=0):
+    # The kernel potential spans about 80 units, so the decay scans
+    # cross blocks.
+    return random_state(np.random.default_rng(seed), make_grid(-40.0, 40.0, n))
+
+
+@pytest.mark.parametrize("n", [64, 512, 2048])
+def test_rhs_and_rk4_commute_with_the_swap_bitwise(n):
+    state = wide_random_state(n, seed=n)
+    swapped = state.with_fields(U=state.V, V=state.U, W=state.Z, Z=state.W)
+    assert same_bits(rhs(swapped), rhs(state)[SWAP])
+    for _ in range(3):
+        state = rk4_step(state, 0.01, BOUNDS)
+        swapped = rk4_step(swapped, 0.01, BOUNDS)
+    assert same_bits(swapped.data, state.data[SWAP])
+
+
+def _oracle_scan(G, b):
+    # The decay scan with fresh temporaries and a zero carry added to
+    # every block, the first included.
+    n = G.size
+    out = np.zeros(b.shape[:-1] + (n,))
+    carry = np.zeros(b.shape[:-1] + (1,))
+    s = 0
+    while s < n - 1:
+        e = int(np.searchsorted(G, G[s] + _BLOCK_SPAN, side="right")) - 1
+        e = min(max(e, s + 1), n - 1)
+        L = G[s:e + 1] - G[s]
+        acc = np.cumsum(b[..., s:e] * np.exp(L[1:]), axis=-1)
+        out[..., s + 1:e + 1] = np.exp(-L[1:]) * (carry + acc)
+        carry = out[..., e:e + 1]
+        s = e
+    return out
+
+
+def _oracle_integrands(q, A, B, sinA, sinB, cA, sA, cB):
+    i1 = q * (A * A * B * cA * cB + 0.25 * A * sinA * sinB + 0.5 * B * sA * cB)
+    return i1, q * (sA * sinB)
+
+
+def _oracle_angle_rate(A, B, cA, sA, drive):
+    return 2.0 * A * A * B * cA - B * sA - 2.0 * drive * cA
+
+
+def oracle_rhs(state):
+    """rhs written once per component, the roles swapped by hand."""
+    U, V, W, Z, q = state.data[:5]
+    grid = state.grid
+    sinW, sinZ = np.sin(W), np.sin(Z)
+    cw, sw = np.cos(0.5 * W) ** 2, np.sin(0.5 * W) ** 2
+    cz, sz = np.cos(0.5 * Z) ** 2, np.sin(0.5 * Z) ** 2
+    G = prefix_integral(q * (cw * cz), grid)
+    p1, p2 = _oracle_integrands(q, U, V, sinW, sinZ, cw, sw, cz)
+    s1, s2 = _oracle_integrands(q, V, U, sinZ, sinW, cz, sz, cw)
+    p = np.stack((p1, p2, s1, s2))
+    a = np.exp(-np.diff(G))
+    half_dx = 0.5 * grid.dx
+    fwd = _oracle_scan(G, half_dx * (a * p[:, :-1] + p[:, 1:]))
+    b_bwd = half_dx * (a * p[:, 1:] + p[:, :-1])
+    bwd = _oracle_scan(G[-1] - G[::-1], b_bwd[:, ::-1])[:, ::-1]
+    scale = np.array([0.5, 0.125, 0.5, 0.125])[:, None]
+    P1, P2, S1, S2 = scale * (fwd + bwd)
+    dxP1, dxP2, dxS1, dxS2 = scale * (bwd - fwd)
+    drive_w = P1 + dxP2
+    drive_z = S1 + dxS2
+    dq = q * (U * U * V + 0.5 * V - drive_w) * sinW \
+        + q * (V * V * U + 0.5 * U - drive_z) * sinZ
+    return np.stack((-dxP1 - P2, -dxS1 - S2,
+                     _oracle_angle_rate(U, V, cw, sw, drive_w),
+                     _oracle_angle_rate(V, U, cz, sz, drive_z),
+                     dq, U * V))
+
+
+@pytest.mark.parametrize("n", [64, 512, 2048])
+def test_rhs_matches_per_component_oracle_bitwise(n):
+    state = wide_random_state(n, seed=n + 1)
+    assert same_bits(rhs(state), oracle_rhs(state))
+
+
+def test_rhs_matches_oracle_on_negative_zero_angles():
+    # With U = V = 0 and Z = -0.0 the P2 integrand is -0.0 everywhere.
+    # The scan turns it into +0.0 by adding the zero carry, and that
+    # sign reaches dU = -dx P1 - P2.
+    base = wide_random_state(512)
+    zero = np.zeros(base.grid.n)
+    state = base.with_fields(U=zero, V=zero, Z=np.full(base.grid.n, -0.0))
+    assert same_bits(rhs(state), oracle_rhs(state))
 
 
 def test_rk4_zero_state_unchanged():
@@ -149,6 +251,21 @@ def test_evolve_contract_errors():
         evolve(state0, 0.05, 0.02, bounds=BOUNDS)
     with pytest.raises(ContractError):
         evolve(state0, 0.2, 0.01, record_every=0, bounds=BOUNDS)
+
+
+@pytest.mark.parametrize("step, times, name", [
+    (evolve, (1.0, np.nan), "dt"),
+    (evolve, (np.inf, 0.1), "t_final"),
+    (evolve, (1.0, np.inf), "dt"),
+    (evolve, (np.nan, 0.1), "t_final"),
+    (rk4_step, (np.nan,), "dt"),
+    (rk4_step, (-np.inf,), "dt"),
+], ids=["evolve-dt-nan", "evolve-t_final-inf", "evolve-dt-inf",
+        "evolve-t_final-nan", "rk4_step-dt-nan", "rk4_step-dt--inf"])
+def test_nonfinite_time_arguments_are_contract_errors(step, times, name):
+    state = flat_state(make_grid(-5.0, 5.0, 64))
+    with pytest.raises(ContractError, match=rf"\b{name}\b"):
+        step(state, *times)
 
 
 def test_evolve_symmetric_data_stays_bitwise_symmetric():

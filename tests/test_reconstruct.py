@@ -105,7 +105,7 @@ def test_measure_density_pointwise_identity():
     rng = np.random.default_rng(11)
     g = make_grid(-8.0, 8.0, 512)
     state = random_state(rng, g)
-    _, _, cw, sw, cz, sz = half_angle_factors(state)
+    _, (cw, cz), (sw, sz) = half_angle_factors(state)
     dens = _measure_density(state)
     ux = np.tan(0.5 * state.W)
     vx = np.tan(0.5 * state.Z)

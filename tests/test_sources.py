@@ -3,7 +3,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from novlab import (NumericalAbort, assemble_sources, exp_convolve,
+from novlab import (ContractError, NumericalAbort, assemble_sources, exp_convolve,
                     exp_convolve_bruteforce, half_angle_factors,
                     kernel_accumulator, make_grid)
 from novlab.validation import bumps, random_state
@@ -82,6 +82,17 @@ def test_stacked_convolve_names_first_bad_node(value, node):
     assert stacked.value.diagnostics["node"] == node
     assert single.value.diagnostics["node"] == node
     assert f"at node {node}" in str(stacked.value)
+
+
+@pytest.mark.parametrize("convolve", [exp_convolve, exp_convolve_bruteforce])
+@pytest.mark.parametrize("shape", [(10,), (65,), (2, 3, 64)])
+def test_convolutions_reject_a_shape_mismatch(convolve, shape):
+    # A caller's shape error is a contract violation, not a numerical abort.
+    g = make_grid(-5.0, 5.0, 64)
+    state = flat_state(g)
+    G = kernel_accumulator(state, half_angle_factors(state))
+    with pytest.raises(ContractError, match=r"shape"):
+        convolve(np.ones(shape), G, g)
 
 
 def test_convolve_names_nonfinite_kernel_potential_node():
