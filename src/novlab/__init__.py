@@ -22,7 +22,7 @@ from .initial import (EulerDatum, TransformedState, builtin_datum,
                       invert_y0, mirrored, pair_datum, transform_with_map)
 from .metric import (NormInfo, PathOfStates, RatioRow, distance_upper,
                      lipschitz_experiment, path_length, straight_line_path,
-                     tangent_norm_info, z_shift)
+                     shift_value, tangent_norm_info, z_shift)
 from .reconstruct import (EulerField, conserved_euler, crest_position,
                           euler_fields, measure_interval, sample_at)
 from .sources import (assemble_sources, exp_convolve,

@@ -208,6 +208,9 @@ def validate_config(cfg: ScenarioConfig) -> None:
         raise ConfigError("seed must be >= 0")
     # What parses can be built: the grid and every named datum.
     make_grid(cfg.xi_min, cfg.xi_max, cfg.n)
+    # A shift with more nodes than the grid leaves a coarse cell empty.
+    if cfg.eta_nodes > cfg.n:
+        raise ConfigError("metric.eta_nodes must be <= grid.n")
     builtin_datum(cfg.datum_u_family, cfg.datum_u_params)
     if cfg.datum_v_mode == "family":
         builtin_datum(cfg.datum_v_family, cfg.datum_v_params)
@@ -231,4 +234,5 @@ def quick_override(cfg: ScenarioConfig) -> ScenarioConfig:
     quick_steps = min(steps, 50)
     dt = abs(cfg.t_final) / quick_steps if cfg.t_final != 0 else cfg.dt
     return replace(cfg, n=n, dt=dt if dt > 0 else cfg.dt,
-                   record_every=max(quick_steps // 5, 1))
+                   record_every=max(quick_steps // 5, 1),
+                   eta_nodes=min(cfg.eta_nodes, n))

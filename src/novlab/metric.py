@@ -4,14 +4,19 @@ The norm of a tangent vector at a state is an infimum over a shift
 field eta of a weighted L1 sum of six phis.  With eta an m-node
 piecewise-linear shift with coefficients c, the (6, n) phi stack is
 affine in c: P(c) = P0 + K c, where P0 is the stack at eta = 0 and
-column j of the (6n, m) operator K is the change that the j-th hat
-function of the shift causes.  The objective sum w |P0 + K c| is
-convex piecewise linear; it is explored over the box |c| <= box by
-projected subgradient descent with step a/k and subgradient
-(w sign P) K.  eta = 0 is always evaluated first, so every reported
-value is a certified upper bound and descent can only improve it.
-Distances are upper bounds obtained from the straight-line path
-between states.
+column j of K is the change that the j-th hat function of the shift
+causes.  Each node lies in one coarse cell and feels only that cell's
+two hats, so K is stored as two bands.  The objective sum w |P0 + K c|
+is minimized over the box |c| <= box by iteratively reweighted least
+squares (IRLS): each pass solves the tridiagonal normal equations of
+sum w / max(|P|, floor) |P0 + K c|^2, with P from the previous pass,
+over the box.  The first pass is plain weighted least squares, and the
+passes stop when one changes the value by at most _IRLS_RTOL of it.
+One exact sweep over the coordinates then leaves no single-coefficient
+move that lowers the value.  eta = 0 is always evaluated first and the
+best iterate is kept, so every reported value is a certified upper
+bound and the search can only improve it.  Distances are upper bounds
+obtained from the straight-line path between states.
 """
 
 from __future__ import annotations
@@ -31,6 +36,7 @@ __all__ = [
     "NormInfo",
     "RatioRow",
     "z_shift",
+    "shift_value",
     "tangent_norm_info",
     "straight_line_path",
     "path_length",
@@ -41,6 +47,10 @@ __all__ = [
 DEFAULT_ALPHA = 0.5
 DEFAULT_ETA_NODES = 17
 DEFAULT_DESCENT_ITERS = 200
+# IRLS stops once a pass changes the value by at most this fraction.
+_IRLS_RTOL = 1e-7
+# Residuals below this fraction of max |P0| are weighted as if this large.
+_IRLS_FLOOR = 1e-9
 
 
 @dataclass(frozen=True)
@@ -51,6 +61,11 @@ class PathOfStates:
 
 @dataclass(frozen=True)
 class NormInfo:
+    """A tangent norm: value is the smallest phi sum found, at best_coeffs.
+
+    iterations counts the IRLS passes made.  eta_zero mode and iters = 0
+    make none and leave best_coeffs None.
+    """
     value: float
     iterations: int
     eta_zero_value: float
@@ -101,31 +116,74 @@ def _phi_zero(state: TransformedState, tangent: np.ndarray) -> np.ndarray:
     return P0
 
 
-def _shift_operator(state: TransformedState, eta_nodes: int):
-    """K, the (6n, m) map from shift coefficients to P(c) - P0, and the box.
+@dataclass(frozen=True)
+class _ShiftOperator:
+    """K, the map from shift coefficients c to P(c) - P0, and the box.
 
     The shift is sum_j c_j hat_j over m equispaced hat functions that
-    span the grid.  Column j of K holds, in the rows of the flattened
-    phi stack, (y_xi, u_xi, v_xi, w_xi, z_xi) * _ROW_SCALE * q * hat_j
-    and q_xi * hat_j + q * hat_j'.
+    span the grid.  Only the two hats of the coarse cell holding node k
+    reach it, so K is banded: index[:, k] are those two coefficients and
+    band[:, :, k] their two (6,) columns, and
+    (K c)[:, k] = band[0, :, k] c[index[0, k]] + band[1, :, k] c[index[1, k]].
+    A column is (y_xi, u_xi, v_xi, w_xi, z_xi) * _ROW_SCALE * q * hat
+    over q_xi * hat + q * hat', for the cell's lower and upper hat.
     """
+    index: np.ndarray
+    band: np.ndarray
+    box: float
+    # The band products band[0]**2, band[1]**2 and band[0] * band[1]
+    # that the normal matrix sums.
+    products: np.ndarray
+
+    @property
+    def size(self) -> int:
+        return int(self.index[1, -1]) + 1
+
+    def apply(self, c: np.ndarray) -> np.ndarray:
+        """K c as a (6, n) stack."""
+        return np.einsum("srk,sk->rk", self.band, c[self.index])
+
+    def adjoint(self, u: np.ndarray) -> np.ndarray:
+        """K^T u for a (6, n) stack u."""
+        return np.bincount(self.index.ravel(),
+                           np.einsum("srk,rk->sk", self.band, u).ravel(),
+                           self.size)
+
+    def normal_matrix(self, omega: np.ndarray) -> np.ndarray:
+        """K^T diag(omega) K, tridiagonal, for a (6, n) weight stack."""
+        m = self.size
+        lower, upper, cross = np.einsum("srk,rk->sk", self.products, omega)
+        M = np.diag(np.bincount(self.index[0], lower, m)
+                    + np.bincount(self.index[1], upper, m))
+        M.flat[1::m + 1] = M.flat[m::m + 1] = np.bincount(self.index[0],
+                                                          cross, m - 1)
+        return M
+
+
+def _shift_operator(state: TransformedState, eta_nodes: int) -> _ShiftOperator:
     if eta_nodes < 2:
         raise ContractError(f"shift field needs eta_nodes >= 2, got {eta_nodes}")
     grid = state.grid
     nodes = grid.nodes
     coarse = np.linspace(grid.xi_min, grid.xi_max, eta_nodes)
     spacing = coarse[1] - coarse[0]
-    hat = np.maximum(0.0, 1.0 - np.abs(nodes[:, None] - coarse) / spacing)
-    # hat' on the coarse cell holding each node; the last cell is closed.
+    # The coarse cell holding each node; the last cell is closed.
     cells = np.clip(np.searchsorted(coarse, nodes, side="right") - 1,
                     0, eta_nodes - 2)
-    unit = np.eye(eta_nodes)
-    hat_p = (unit[cells + 1] - unit[cells]) / spacing
+    counts = np.bincount(cells, minlength=eta_nodes - 1)
+    if not counts.all():
+        raise ContractError(
+            f"coarse cell {int(np.argmin(counts))} of the {eta_nodes}-node "
+            f"shift holds no grid node; need eta_nodes <= grid.n = {grid.n}")
+    index = np.stack((cells, cells + 1))
+    hat = np.maximum(0.0, 1.0 - np.abs(nodes - coarse[index]) / spacing)
     *D, q_xi = _state_derivatives(state)
-    K = np.empty((6, grid.n, eta_nodes))
-    K[:5] = (np.stack(D) * _ROW_SCALE * state.q)[:, :, None] * hat
-    K[5] = q_xi[:, None] * hat + state.q[:, None] * hat_p
-    return K.reshape(6 * grid.n, eta_nodes), 0.5 * spacing
+    band = np.empty((2, 6, grid.n))
+    band[:, :5] = (np.stack(D) * _ROW_SCALE * state.q) * hat[:, None]
+    band[:, 5] = q_xi * hat + np.array([[-1.0], [1.0]]) * state.q / spacing
+    products = np.stack((band[0] * band[0], band[1] * band[1],
+                         band[0] * band[1]))
+    return _ShiftOperator(index, band, 0.5 * spacing, products)
 
 
 def _quad_weights(grid: Grid, y, alpha: float) -> np.ndarray:
@@ -140,6 +198,97 @@ def _objective(weights, phis) -> float:
     return float(sum(weights @ row for row in np.abs(phis)))
 
 
+def _box_least_squares(M: np.ndarray, r: np.ndarray, box: float,
+                       bound: np.ndarray):
+    """Minimize c.M c / 2 - r.c over |c| <= box by an active-set loop.
+
+    bound[j] is -1 or +1 for a coefficient held at -box or +box and 0
+    for a free one; the bounds of the previous solve are the warm start.
+    Returns c and its bounds.  A loop that does not settle returns the
+    last solution clipped to the box.
+    """
+    for _ in range(2 * r.size):
+        # The free rows of M c = r, with the held coefficients pinned.
+        held = bound != 0.0
+        A, b = M.copy(), r.copy()
+        A[held] = 0.0
+        A[held, held] = 1.0
+        b[held] = box * bound[held]
+        c = np.linalg.solve(A, b)
+        # Hold the free coefficients that leave the box and release the
+        # held ones whose gradient points into it.
+        leave = ~held & (np.abs(c) > box)
+        release = bound * (M @ c - r) > 0.0
+        if not (leave.any() or release.any()):
+            return c, bound
+        bound = np.where(leave, np.sign(c), np.where(release, 0.0, bound))
+    return np.clip(c, -box, box), bound
+
+
+def _coordinate_sweep(op: _ShiftOperator, weights: np.ndarray,
+                      P0: np.ndarray, c: np.ndarray) -> np.ndarray:
+    """Minimize the value exactly along each coefficient of c in turn.
+
+    Along coefficient j the value is sum w |P + t K_j|, least at the
+    weighted median of the kinks -P / K_j, weighted by w |K_j|.  No two
+    even coefficients share a node, nor two odd ones, so each parity
+    moves at once.
+    """
+    m = op.size
+    c = c.copy()
+    P = P0 + op.apply(c)
+    w = np.broadcast_to(weights, P.shape).ravel()
+    for parity in (0, 1):
+        upper = op.index[0] % 2 != parity
+        coef = np.where(upper, op.index[1], op.index[0])
+        col = np.where(upper, op.band[1], op.band[0])
+        k = col.ravel()
+        live = (k != 0.0) & (w > 0.0)
+        seg = np.broadcast_to(coef, P.shape).ravel()[live]
+        kink = -P.ravel()[live] / k[live]
+        weight = w[live] * np.abs(k[live])
+        by_kink = np.argsort(kink)
+        order = by_kink[np.argsort(seg[by_kink], kind="stable")]
+        total = np.bincount(seg, weight, m)
+        js = np.arange(parity, m, 2)
+        js = js[total[js] > 0.0]
+        # First sorted kink whose cumulative weight reaches half its
+        # coefficient's total, kept inside that coefficient's run.
+        pos = np.searchsorted(np.cumsum(weight[order]),
+                              np.cumsum(total)[js] - 0.5 * total[js])
+        runs = seg[order]
+        pos = np.clip(pos, np.searchsorted(runs, js),
+                      np.searchsorted(runs, js, side="right") - 1)
+        step = np.zeros(m)
+        step[js] = np.clip(c[js] + kink[order][pos], -op.box, op.box) - c[js]
+        c += step
+        P += col * step[coef]
+    return c
+
+
+def _checked_norm_inputs(state: TransformedState, tangent: np.ndarray,
+                         alpha: float):
+    """The quadrature weights and P0 of a tangent, after the shape checks."""
+    if np.shape(tangent) != (5, state.grid.n):
+        raise ContractError(f"tangent has shape {np.shape(tangent)}, "
+                            f"expected (5, {state.grid.n})")
+    if not 0.0 < alpha < 1.0:
+        raise ContractError(f"alpha must lie strictly in (0,1), got {alpha}")
+    return _quad_weights(state.grid, state.y, alpha), _phi_zero(state, tangent)
+
+
+def shift_value(state: TransformedState, tangent: np.ndarray,
+                coeffs: np.ndarray, alpha: float = DEFAULT_ALPHA) -> float:
+    """The weighted phi sum of a tangent under one shift.
+
+    The shift is piecewise linear with value coeffs[j] at the j-th of
+    coeffs.size equispaced nodes spanning the grid; no box applies.
+    """
+    weights, P0 = _checked_norm_inputs(state, tangent, alpha)
+    op = _shift_operator(state, np.size(coeffs))
+    return _objective(weights, P0 + op.apply(np.asarray(coeffs, dtype=float)))
+
+
 def tangent_norm_info(state: TransformedState, tangent: np.ndarray,
                       alpha: float = DEFAULT_ALPHA, search: str = "eta_zero",
                       eta_nodes: int = DEFAULT_ETA_NODES,
@@ -147,45 +296,48 @@ def tangent_norm_info(state: TransformedState, tangent: np.ndarray,
     """Finsler norm of a tangent at state.
 
     tangent is a (5, grid.n) array with rows R, S, A, B, Q: the
-    variations of the state rows U, V, W, Z, q, in that order.
+    variations of the state rows U, V, W, Z, q, in that order.  In
+    coarse_descent mode iters caps the IRLS passes, and iterations in
+    the result counts the passes made.
     """
-    if np.shape(tangent) != (5, state.grid.n):
-        raise ContractError(f"tangent has shape {np.shape(tangent)}, "
-                            f"expected (5, {state.grid.n})")
-    if not 0.0 < alpha < 1.0:
-        raise ContractError(f"alpha must lie strictly in (0,1), got {alpha}")
+    weights, P0 = _checked_norm_inputs(state, tangent, alpha)
     if search not in ("eta_zero", "coarse_descent"):
         raise ContractError(f"unknown search mode {search!r}")
-    weights = _quad_weights(state.grid, state.y, alpha)
-    P0 = _phi_zero(state, tangent)
     value0 = _objective(weights, P0)
-    if search == "eta_zero":
+    if search == "eta_zero" or iters < 1:
         return NormInfo(value=value0, iterations=0, eta_zero_value=value0,
                         best_coeffs=None)
-
-    K, box = _shift_operator(state, eta_nodes)
-    p0 = P0.ravel()
-    w6 = np.tile(weights, 6)
-    best_val = value0
-    c = best_c = np.zeros(eta_nodes)
-    g = (w6 * np.sign(p0)) @ K
-    gnorm = float(np.linalg.norm(g))
-    if gnorm == 0.0:
-        return NormInfo(value=best_val, iterations=0, eta_zero_value=value0,
-                        best_coeffs=best_c)
-    step_scale = 0.2 * box / gnorm
-    used = 0
+    op = _shift_operator(state, eta_nodes)
+    best_val, best_c, used = value0, np.zeros(eta_nodes), 0
+    # A zero value is already the minimum, and a non-finite one cannot
+    # be improved on.
+    if not 0.0 < value0 < np.inf:
+        return NormInfo(value=best_val, iterations=used,
+                        eta_zero_value=value0, best_coeffs=best_c)
+    floor = _IRLS_FLOOR * float(np.max(np.abs(P0)))
+    omega = np.broadcast_to(weights, P0.shape)
+    bound = np.zeros(eta_nodes)
+    prev = np.inf
     for k in range(1, iters + 1):
-        c = np.clip(c - (step_scale / k) * g, -box, box)
-        P = p0 + K @ c
-        val = _objective(weights, P.reshape(P0.shape))
+        try:
+            c, bound = _box_least_squares(op.normal_matrix(omega),
+                                          -op.adjoint(omega * P0),
+                                          op.box, bound)
+        except np.linalg.LinAlgError:
+            break
+        P = P0 + op.apply(c)
+        val = _objective(weights, P)
         used = k
         if val < best_val:
-            best_val = val
-            best_c = c
-        g = (w6 * np.sign(P)) @ K
-        if float(np.linalg.norm(g)) == 0.0:
+            best_val, best_c = val, c
+        if not abs(prev - val) > _IRLS_RTOL * val:
             break
+        prev = val
+        omega = weights / np.maximum(np.abs(P), floor)
+    c = _coordinate_sweep(op, weights, P0, best_c)
+    val = _objective(weights, P0 + op.apply(c))
+    if val < best_val:
+        best_val, best_c = val, c
     return NormInfo(value=best_val, iterations=used,
                     eta_zero_value=value0, best_coeffs=best_c)
 

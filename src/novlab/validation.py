@@ -23,7 +23,7 @@ from .evolution import evolve, rhs
 from .grid import Grid, fd_derivative, integrate, make_grid, prefix_integral
 from .initial import (TransformedState, _density_table, builtin_datum,
                       invert_y0, transform_with_map)
-from .metric import distance_upper, tangent_norm_info
+from .metric import distance_upper, shift_value, tangent_norm_info
 from .reconstruct import euler_fields, measure_interval, sample_at
 from .sources import (assemble_sources, exp_convolve, exp_convolve_bruteforce,
                       half_angle_factors, kernel_accumulator, xi_derivatives)
@@ -243,11 +243,23 @@ def check_norm_axioms(cfg, rng):
     subadd = tangent_norm_info(state, t1 + t2).value - (n1 + n2)
     info = tangent_norm_info(state, t1, search="coarse_descent", iters=120)
     descent_ok = info.value <= info.eta_zero_value
+    # The search ends at a minimum: no step of one shift coefficient,
+    # kept in the box (half the coarse spacing), lowers the value.
+    c = info.best_coeffs
+    box = 0.5 * (grid.xi_max - grid.xi_min) / (c.size - 1)
+    gain = 0.0
+    for j in range(c.size):
+        for h in (-1e-2, -1e-4, 1e-4, 1e-2):
+            moved = c.copy()
+            moved[j] = np.clip(c[j] + h * box, -box, box)
+            gain = max(gain, 1.0 - shift_value(state, t1, moved) / info.value)
     ok = (n_zero == 0.0 and homog < 1e-12 * max(n1, 1.0)
-          and subadd < 1e-12 and descent_ok)
+          and subadd < 1e-12 and descent_ok and gain <= 1e-6)
     return ok, (f"zero={n_zero:.3g}, homogeneity gap={homog:.3g}, "
                 f"subadditivity slack={subadd:.3g}, "
-                f"descent {info.value:.6g} <= eta0 {info.eta_zero_value:.6g}")
+                f"descent {info.value:.6g} <= eta0 {info.eta_zero_value:.6g} "
+                f"in {info.iterations} IRLS passes, "
+                f"best coordinate step gain {gain:.3g} <= 1e-06")
 
 
 def check_determinism(cfg, rng):

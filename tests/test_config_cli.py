@@ -75,6 +75,7 @@ def test_parse_rejects_malformed(mutation, fragment):
     ("omega.slack = 0\n", "omega.slack"),
     ("omega.q_lo = 2\nomega.q_hi = 2\n", "omega.q_lo"),
     ("metric.iters = -3\n", "metric.iters"),
+    ("metric.eta_nodes = 258\n", "metric.eta_nodes must be <= grid.n"),
     ("seed = -200000\n", "seed"),
     # What parses must build: the grid and every named datum.
     ("grid.xi_min = -1e308\ngrid.xi_max = 1e308\n", "grid spacing"),
@@ -146,11 +147,15 @@ def test_load_config_missing_file(tmp_path):
 def test_quick_override_caps_work():
     cfg = parse_config(MINIMAL.replace("grid.n = 257", "grid.n = 4096")
                        .replace("time.t_final = 0.1", "time.t_final = 2.0")
-                       .replace("time.dt = 0.01", "time.dt = 0.001"))
+                       .replace("time.dt = 0.01", "time.dt = 0.001")
+                       + "metric.eta_nodes = 1000\n")
     q = quick_override(cfg)
     assert q.n <= 257
     assert int(round(abs(q.t_final) / q.dt)) <= 50
     assert q.t_final == cfg.t_final
+    # The shift keeps no more nodes than the reduced grid.
+    assert q.eta_nodes == q.n
+    validate_config(q)
 
 
 def test_datum_modes():
@@ -356,6 +361,21 @@ def test_cli_metric_without_perturbation_is_config_error(tmp_path, capsys):
     cfg = write_cfg(tmp_path, MINIMAL)
     rc = main(["metric", "--config", cfg, "--out", str(tmp_path / "x")])
     assert rc == 2
+
+
+def test_cli_metric_rejects_more_shift_nodes_than_grid_nodes(tmp_path,
+                                                             capsys):
+    # More coarse cells than grid nodes would leave a cell empty: exit 2
+    # before any step, and no ratios.csv.
+    text = (MINIMAL + "metric.perturb.family = gaussian_bump\n"
+            + "metric.search = coarse_descent\n" + "metric.eta_nodes = 300\n")
+    out = tmp_path / "oute"
+    rc = main(["metric", "--config", write_cfg(tmp_path, text),
+               "--out", str(out)])
+    assert rc == 2
+    assert capsys.readouterr().err == (
+        "config error: metric.eta_nodes must be <= grid.n\n")
+    assert not (out / "ratios.csv").exists()
 
 
 def test_cli_missing_config_file(tmp_path, capsys):
