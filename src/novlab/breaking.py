@@ -28,7 +28,7 @@ from .errors import AnalysisError, ContractError
 from .grid import Grid, fd_derivative, prefix_integral
 from .initial import TransformedState
 from .reconstruct import EulerField, sample_at
-from .sources import half_angle_factors, xi_derivatives
+from .sources import LEVELS, half_angle_factors, level_distance, xi_derivatives
 
 __all__ = [
     "SingularPoint",
@@ -87,10 +87,6 @@ def _interp(arr: np.ndarray, grid: Grid, xi: float) -> float:
     return float(arr[i] + frac * (arr[i + 1] - arr[i]))
 
 
-def _dist_to_pi(angle: float) -> float:
-    return min(abs(angle - np.pi), abs(angle + np.pi))
-
-
 def _level_events(s: np.ndarray, grid: Grid, tol_pi: float):
     """Crossing and touching locations of the zero level of s."""
     nodes = grid.nodes
@@ -126,11 +122,11 @@ def find_crossings(state: TransformedState,
                    tol_pi: float = TOL_PI) -> list[SingularPoint]:
     """Locate all level events of W and Z at +-pi, sub-cell accurate."""
     grid = state.grid
-    dW = fd_derivative(state.W, grid, 1)
-    dZ = fd_derivative(state.Z, grid, 1)
+    pair = state.data[2:4]
+    slope = fd_derivative(pair, grid, 1)
     raw = []  # (xi, which, tangential)
-    for which, angle in (("W", state.W), ("Z", state.Z)):
-        for level in (np.pi, -np.pi):
+    for which, angle in zip("WZ", pair):
+        for level in LEVELS:
             for xi, tang in _level_events(angle - level, grid, tol_pi):
                 raw.append((xi, which, tang))
     raw.sort()
@@ -150,10 +146,10 @@ def find_crossings(state: TransformedState,
             x_star=_interp(state.y, grid, xi),
             curve=which,
             tangential=tang,
-            w_value=_interp(state.W, grid, xi),
-            z_value=_interp(state.Z, grid, xi),
-            w_xi=_interp(dW, grid, xi),
-            z_xi=_interp(dZ, grid, xi),
+            w_value=_interp(pair[0], grid, xi),
+            z_value=_interp(pair[1], grid, xi),
+            w_xi=_interp(slope[0], grid, xi),
+            z_xi=_interp(slope[1], grid, xi),
         ))
     return points
 
@@ -182,49 +178,36 @@ def classify(point: SingularPoint, state: TransformedState,
              window_nodes: int = 25) -> SingularPoint:
     """Fill in the case label from the four level/derivative predicates.
 
-    Derivative vanishing is judged against the local scale of the same
-    derivative, since the predicates are exact statements and any
-    discrete surrogate needs a reference magnitude.
+    The angle values and slopes at the point are the ones find_crossings
+    set.  Derivative vanishing is judged against the local scale of the
+    same derivative, since the predicates are exact statements and any
+    discrete surrogate needs a reference magnitude.  Pairs below are
+    (W, Z).
     """
     grid = state.grid
     win = _window(grid, point.xi_star, window_nodes)
-    d1W = fd_derivative(state.W, grid, 1)
-    d1Z = fd_derivative(state.Z, grid, 1)
-    d2W = fd_derivative(state.W, grid, 2)
-    d2Z = fd_derivative(state.Z, grid, 2)
-    w_val = _interp(state.W, grid, point.xi_star)
-    z_val = _interp(state.Z, grid, point.xi_star)
-    w1 = _interp(d1W, grid, point.xi_star)
-    z1 = _interp(d1Z, grid, point.xi_star)
-    w2 = _interp(d2W, grid, point.xi_star)
-    z2 = _interp(d2Z, grid, point.xi_star)
-    tiny = 1e-300
-    tol_w1 = tol_zero_rel * max(float(np.max(np.abs(d1W[win]))), tiny)
-    tol_z1 = tol_zero_rel * max(float(np.max(np.abs(d1Z[win]))), tiny)
-    tol_w2 = tol_zero_rel * max(float(np.max(np.abs(d2W[win]))), tiny)
-    tol_z2 = tol_zero_rel * max(float(np.max(np.abs(d2Z[win]))), tiny)
-    on_w = _dist_to_pi(w_val) <= tol_pi
-    on_z = _dist_to_pi(z_val) <= tol_pi
-    w1_zero = abs(w1) <= tol_w1
-    z1_zero = abs(z1) <= tol_z1
-    label = _CASE_OF.get((on_w, on_z, on_w and w1_zero, on_z and z1_zero))
+    slope = np.array([point.w_xi, point.z_xi])
+    d1, d2 = (fd_derivative(state.data[2:4], grid, k) for k in (1, 2))
+    curvature = np.array([_interp(row, grid, point.xi_star) for row in d2])
+    tol1, tol2 = (tol_zero_rel * np.maximum(np.max(np.abs(d[:, win]), axis=1),
+                                            1e-300) for d in (d1, d2))
+    dist = level_distance(np.array([point.w_value, point.z_value]))
+    on_level = dist <= tol_pi
+    flat = on_level & (np.abs(slope) <= tol1)
+    label = _CASE_OF.get((*on_level.tolist(), *flat.tolist()))
     if label is None:
         raise AnalysisError(
             f"point at xi={point.xi_star:.6g} sits on neither level "
-            f"(|W-pi| dist {_dist_to_pi(w_val):.3e}, "
-            f"|Z-pi| dist {_dist_to_pi(z_val):.3e})")
-    degenerate = bool(
-        (on_w and w1_zero and abs(w2) <= tol_w2)
-        or (on_z and z1_zero and abs(z2) <= tol_z2))
+            f"(|W-pi| dist {dist[0]:.3e}, |Z-pi| dist {dist[1]:.3e})")
+    degenerate = bool(np.any(flat & (np.abs(curvature) <= tol2)))
     margins = {
-        "w_level_dist": _dist_to_pi(w_val), "z_level_dist": _dist_to_pi(z_val),
-        "tol_pi": tol_pi,
-        "w_xi": w1, "z_xi": z1, "tol_w_xi": tol_w1, "tol_z_xi": tol_z1,
-        "w_xixi": w2, "z_xixi": z2, "tol_w_xixi": tol_w2, "tol_z_xixi": tol_z2,
+        "w_level_dist": dist[0], "z_level_dist": dist[1], "tol_pi": tol_pi,
+        "w_xi": slope[0], "z_xi": slope[1], "tol_w_xi": tol1[0],
+        "tol_z_xi": tol1[1], "w_xixi": curvature[0], "z_xixi": curvature[1],
+        "tol_w_xixi": tol2[0], "tol_z_xixi": tol2[1],
     }
     return replace(point, case_label=label, degenerate=degenerate,
-                   margins=margins, w_value=w_val, z_value=z_val,
-                   w_xi=w1, z_xi=z1)
+                   margins=margins)
 
 
 def _amplitude_fit(f: np.ndarray, grid: Grid, xi: float, power: int,
@@ -305,11 +288,10 @@ def verify_cancellations(point: SingularPoint, state: TransformedState,
               for name, base in zip("yUV", xi_derivatives(state))}
 
     (sinW, sinZ), (cw, cz), _ = half_angle_factors(state)
+    w1, z1 = fd_derivative(state.data[2:4], grid, 1)
+    w2, z2 = fd_derivative(state.data[2:4], grid, 2)
     local = {"q": state.q, "cw": cw, "cz": cz, "sinW": sinW, "sinZ": sinZ,
-             "w1": fd_derivative(state.W, grid, 1),
-             "z1": fd_derivative(state.Z, grid, 1),
-             "w2": fd_derivative(state.W, grid, 2),
-             "z2": fd_derivative(state.Z, grid, 2)}
+             "w1": w1, "z1": z1, "w2": w2, "z2": z2}
     swap = _SWAP if label in _MIRROR_OF else {}
     L = SimpleNamespace(**{k.translate(swap): _interp(v, grid, xi)
                            for k, v in local.items()})

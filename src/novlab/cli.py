@@ -113,11 +113,15 @@ def cmd_singular(args) -> int:
     points = []
     reports = []
     for state in traj.states:
-        try:
-            field, field_err = euler_fields(state), None
-        except ContractError as err:
-            field, field_err = None, err
-        for point in find_crossings(state, tol_pi=cfg.tol_pi):
+        found = find_crossings(state, tol_pi=cfg.tol_pi)
+        field = field_err = None
+        if found and cfg.fit_exponents:
+            # The graph the exponent fits run on.
+            try:
+                field = euler_fields(state)
+            except ContractError as err:
+                field_err = err
+        for point in found:
             try:
                 point = classify(point, state, tol_pi=cfg.tol_pi,
                                  tol_zero_rel=cfg.tol_zero_rel)

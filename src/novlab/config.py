@@ -1,14 +1,15 @@
 """Plain-text scenario configuration.
 
 Grammar: one `key = value` pair per line, `#` starts a comment, blank
-lines ignored.  The first meaningful line must be the schema tag
-`schema = novlab-config/1`.  Keys are dotted paths; the datum.* and
-metric.perturb.* groups accept family parameters, everything else is a
-fixed vocabulary.  Files are diffable run records: parsing is strict,
-unknown fixed keys are rejected, and validation builds the grid and
-every named datum, so their constructors' checks apply at load.  A
-datum.v.* key needs datum.v.mode = family and a metric.perturb.* key
-needs metric.perturb.family: a key no built datum reads is rejected.
+lines ignored, and each key may appear once.  The first meaningful line
+must be the schema tag `schema = novlab-config/1`.  Keys are dotted
+paths; the datum.* and metric.perturb.* groups accept family
+parameters, everything else is a fixed vocabulary.  Files are diffable
+run records: parsing is strict, unknown fixed keys are rejected, and
+validation builds the grid and every named datum, so their
+constructors' checks apply at load.  A datum.v.* key needs
+datum.v.mode = family and a metric.perturb.* key needs
+metric.perturb.family: a key no built datum reads is rejected.
 """
 
 from __future__ import annotations
@@ -116,8 +117,7 @@ def parse_config(text: str) -> ScenarioConfig:
     u_params: dict = {}
     v_params: dict = {}
     p_params: dict = {}
-    profile_lines: dict = {}  # v-profile or perturbation key -> line
-    seen_schema = False
+    lines: dict = {}  # key -> the line that set it
     for lineno, raw_line in enumerate(text.splitlines(), start=1):
         line = raw_line.split("#", 1)[0].strip()
         if not line:
@@ -127,17 +127,15 @@ def parse_config(text: str) -> ScenarioConfig:
         key, _, value = line.partition("=")
         key = key.strip()
         value = value.strip()
-        if not seen_schema:
-            if key != "schema" or value != SCHEMA_TAG:
-                raise ConfigError(
-                    f"line {lineno}: first entry must be 'schema = {SCHEMA_TAG}'")
-            seen_schema = True
-            continue
+        if not lines and (key != "schema" or value != SCHEMA_TAG):
+            raise ConfigError(
+                f"line {lineno}: first entry must be 'schema = {SCHEMA_TAG}'")
+        if key in lines:
+            raise ConfigError(f"line {lineno}: duplicate key {key!r}, "
+                              f"first set on line {lines[key]}")
+        lines[key] = lineno
         if key == "schema":
-            raise ConfigError(f"line {lineno}: duplicate schema line")
-        if (key.startswith(("datum.v.", "metric.perturb."))
-                and key not in ("datum.v.mode", "metric.perturb.family")):
-            profile_lines[key] = lineno
+            continue
         if key in _FLOAT_KEYS:
             fields[_FLOAT_KEYS[key]] = _coerce_number(key, value)
         elif key in _INT_KEYS:
@@ -159,13 +157,15 @@ def parse_config(text: str) -> ScenarioConfig:
             p_params[key[len("metric.perturb."):]] = _coerce_number(key, value)
         else:
             raise ConfigError(f"line {lineno}: unknown key {key!r}")
-    if not seen_schema:
+    if not lines:
         raise ConfigError(f"missing schema line 'schema = {SCHEMA_TAG}'")
     cfg = ScenarioConfig(**fields, datum_u_params=u_params,
                          datum_v_params=v_params, perturb_params=p_params)
     validate_config(cfg)
     # A key of a profile that is never built is an error, not a no-op.
-    for key, lineno in profile_lines.items():
+    for key, lineno in lines.items():
+        if key in ("datum.v.mode", "metric.perturb.family"):
+            continue
         if key.startswith("datum.v.") and cfg.datum_v_mode != "family":
             raise ConfigError(f"line {lineno}: {key} is not read with "
                               f"datum.v.mode = {cfg.datum_v_mode}")

@@ -73,9 +73,9 @@ def rhs(state: TransformedState) -> np.ndarray:
     A, B = state.data[:2], state.data[1::-1]
     out = np.empty_like(state.data)
     term = np.empty_like(A)
-    drive = np.add(src[0::2], dx_src[1::2], out=src[0::2])
-    np.negative(dx_src[0::2], out=out[:2])
-    out[:2] -= src[1::2]
+    drive = np.add(src[:2], dx_src[2:], out=src[:2])
+    np.negative(dx_src[:2], out=out[:2])
+    out[:2] -= src[2:]
     rate = product_into(out[2:4], 2.0, A, A, B, cos2)
     rate -= product_into(term, B, sin2)
     rate -= product_into(term, 2.0, drive, cos2)
@@ -94,8 +94,7 @@ def check_omega(state: TransformedState, bounds: OmegaBounds) -> None:
         raise NumericalAbort("non-finite state entry", {"t": state.t})
     q_min = float(np.min(state.q))
     q_max = float(np.max(state.q))
-    w_max = float(np.max(np.abs(state.W)))
-    z_max = float(np.max(np.abs(state.Z)))
+    w_max, z_max = np.max(np.abs(state.data[2:4]), axis=1).tolist()
     diag = {"t": state.t, "q_min": q_min, "q_max": q_max,
             "w_max": w_max, "z_max": z_max}
     if q_min < bounds.q_lo / bounds.slack or q_max > bounds.q_hi * bounds.slack:

@@ -53,10 +53,12 @@ def make_grid(xi_min: float, xi_max: float, n: int) -> Grid:
     return Grid(float(xi_min), float(xi_max), n, dx)
 
 
-def _as_samples(samples, grid: Grid) -> np.ndarray:
+def _as_samples(samples, grid: Grid, max_ndim: int = 1) -> np.ndarray:
+    """samples as floats: shape (n,), or (k, n) when max_ndim is 2."""
     arr = np.asarray(samples, dtype=float)
-    if arr.shape != (grid.n,):
-        raise ContractError(f"expected {grid.n} samples, got shape {arr.shape}")
+    if not 1 <= arr.ndim <= max_ndim or arr.shape[-1] != grid.n:
+        raise ContractError(f"expected {grid.n} samples per row, got shape "
+                            f"{arr.shape}")
     return arr
 
 
@@ -114,6 +116,11 @@ _HALF_WIDTH = {1: 2, 2: 2, 3: 3, 4: 3}
 
 
 def fd_derivative(samples, grid: Grid, order: int) -> np.ndarray:
+    """order-th xi-derivative of samples, shape (n,) or a (k, n) stack.
+
+    A stack is differentiated row by row, each row bit for bit its 1-D
+    result.
+    """
     if order not in _HALF_WIDTH:
         raise ContractError(f"derivative order must be 1..4, got {order}")
     w = _HALF_WIDTH[order]
@@ -121,15 +128,16 @@ def fd_derivative(samples, grid: Grid, order: int) -> np.ndarray:
     if grid.n < 2 * order + 5 or grid.n < npts:
         raise ContractError(
             f"grid too small for order-{order} derivative: n={grid.n}")
-    arr = _as_samples(samples, grid)
-    out = np.empty(grid.n)
+    arr = _as_samples(samples, grid, max_ndim=2)
+    out = np.empty(arr.shape)
     centre = _fornberg_weights(tuple(range(-w, w + 1)), order)
-    # correlate(arr, centre) at full stencils covers nodes w .. n-1-w
-    out[w:grid.n - w] = np.correlate(arr, centre, mode="valid")
-    for i in range(w):
-        left = _fornberg_weights(tuple(range(-i, npts - i)), order)
-        out[i] = left @ arr[:npts]
-        right = _fornberg_weights(tuple(range(-(npts - 1 - i), i + 1)), order)
-        out[grid.n - 1 - i] = right @ arr[grid.n - npts:]
+    for row, res in zip(arr.reshape(-1, grid.n), out.reshape(-1, grid.n)):
+        # correlate(row, centre) at full stencils covers nodes w .. n-1-w
+        res[w:grid.n - w] = np.correlate(row, centre, mode="valid")
+        for i in range(w):
+            left = _fornberg_weights(tuple(range(-i, npts - i)), order)
+            res[i] = left @ row[:npts]
+            right = _fornberg_weights(tuple(range(i + 1 - npts, i + 1)), order)
+            res[grid.n - 1 - i] = right @ row[grid.n - npts:]
     out /= grid.dx ** order
     return out

@@ -29,7 +29,7 @@ from .errors import AnalysisError, ContractError, NumericalAbort
 from .evolution import OmegaBounds, check_omega, evolve
 from .grid import Grid, fd_derivative, prefix_integral
 from .initial import EulerDatum, TransformedState, transform_with_map
-from .sources import half_angle_factors, xi_derivatives
+from .sources import half_angle_factors, level_distance, xi_derivatives
 
 __all__ = [
     "PathOfStates",
@@ -83,9 +83,7 @@ class RatioRow:
 
 def _state_derivatives(state: TransformedState):
     y_xi, u_xi, v_xi = xi_derivatives(state)
-    w_xi = fd_derivative(state.W, state.grid, 1)
-    z_xi = fd_derivative(state.Z, state.grid, 1)
-    q_xi = fd_derivative(state.q, state.grid, 1)
+    w_xi, z_xi, q_xi = fd_derivative(state.data[2:5], state.grid, 1)
     return y_xi, u_xi, v_xi, w_xi, z_xi, q_xi
 
 
@@ -384,14 +382,6 @@ def _path_tangent(path: PathOfStates, j: int) -> np.ndarray:
     return (states[b].data[:5] - states[a].data[:5]) / h
 
 
-def _touches_pi(state: TransformedState, tol_pi: float) -> bool:
-    for angle in (state.W, state.Z):
-        dist = np.minimum(np.abs(angle - np.pi), np.abs(angle + np.pi))
-        if float(np.min(dist)) < tol_pi:
-            return True
-    return False
-
-
 def path_length(path: PathOfStates, alpha: float = DEFAULT_ALPHA,
                 search: str = "eta_zero", tol_pi: float = 1e-3,
                 **norm_kw) -> float:
@@ -409,7 +399,8 @@ def path_length(path: PathOfStates, alpha: float = DEFAULT_ALPHA,
     weights[0] = 0.5 * gaps[0]
     weights[-1] = 0.5 * gaps[-1]
     weights[1:-1] = 0.5 * (gaps[:-1] + gaps[1:])
-    keep = np.array([not _touches_pi(st, tol_pi) for st in path.states])
+    keep = ~np.array([np.min(level_distance(st.data[2:4])) < tol_pi
+                      for st in path.states])
     if not keep.any():
         raise AnalysisError("every theta node touches an angle level")
     total_kept = float(np.sum(weights[keep]))

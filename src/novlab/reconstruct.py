@@ -56,20 +56,18 @@ def euler_fields(state: TransformedState, mask_tol: float = MASK_TOL) -> EulerFi
         k = int(np.argmin(drops))
         raise ContractError(f"y decreases at cell {k}: delta={drops[k]:.3e}")
     y = np.maximum.accumulate(y)
-    cos_w = np.cos(0.5 * state.W)
-    cos_z = np.cos(0.5 * state.Z)
-    ux_valid = np.abs(cos_w) >= mask_tol
-    vx_valid = np.abs(cos_z) >= mask_tol
-    ux = np.where(ux_valid, np.tan(0.5 * state.W), np.nan)
-    vx = np.where(vx_valid, np.tan(0.5 * state.Z), np.nan)
+    # Slopes tan(angle/2) and their masks, rows u and v from W and Z.
+    half = 0.5 * state.data[2:4]
+    valid = np.abs(np.cos(half)) >= mask_tol
+    slope = np.where(valid, np.tan(half), np.nan)
     return EulerField(
         x=y,
         u=state.U.copy(),
         v=state.V.copy(),
-        ux=ux,
-        vx=vx,
-        ux_valid=ux_valid,
-        vx_valid=vx_valid,
+        ux=slope[0],
+        vx=slope[1],
+        ux_valid=valid[0],
+        vx_valid=valid[1],
     )
 
 

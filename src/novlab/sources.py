@@ -18,7 +18,9 @@ from .grid import Grid, prefix_integral
 from .initial import TransformedState
 
 __all__ = [
+    "LEVELS",
     "half_angle_factors",
+    "level_distance",
     "xi_derivatives",
     "kernel_accumulator",
     "exp_convolve",
@@ -38,6 +40,16 @@ def half_angle_factors(state: TransformedState):
     cos2 = np.square(np.cos(half))
     sin2 = np.square(np.sin(half, out=half), out=half)
     return np.sin(state.data[2:4]), cos2, sin2
+
+
+# The breaking levels: W or Z at +pi or -pi.  Angles stay unwrapped, so
+# both are physical.
+LEVELS = (np.pi, -np.pi)
+
+
+def level_distance(angle):
+    """Distance of angle (a scalar or an array) to the nearest level."""
+    return np.min([np.abs(angle - level) for level in LEVELS], axis=0)
 
 
 def product_into(out: np.ndarray, *factors) -> np.ndarray:
@@ -173,15 +185,16 @@ def exp_convolve_bruteforce(p, G: np.ndarray, grid: Grid):
     return even, odd
 
 
-# Kernel prefactors of the source rows P1, P2, S1, S2.
-_SCALE = np.array([0.5, 0.125, 0.5, 0.125])[:, None]
+# Kernel prefactors of the source rows P1, S1, P2, S2.
+_SCALE = np.array([0.5, 0.5, 0.125, 0.125])[:, None]
 
 
 def assemble_sources(state: TransformedState, factors):
-    """(src, dx_src): the rows P1, P2, S1, S2 and their x-derivatives.
+    """(src, dx_src): the rows P1, S1, P2, S2 and their x-derivatives.
 
-    Both are (4, n) arrays from one stacked convolution pass; factors is
-    the tuple half_angle_factors(state) returns.
+    Both are (4, n) arrays from one stacked convolution pass, each the
+    row pairs (P1, S1) and (P2, S2); factors is the tuple
+    half_angle_factors(state) returns.
     """
     sin, cos2, sin2 = factors
     # (U, V) and (V, U): the S integrands are the P ones with roles swapped.
@@ -189,11 +202,11 @@ def assemble_sources(state: TransformedState, factors):
     G = kernel_accumulator(state, factors)
     p = np.empty((4, state.grid.n))
     term = np.empty_like(A)
-    first = product_into(p[0::2], A, A, B, cos2, cos2[::-1])
+    first = product_into(p[:2], A, A, B, cos2, cos2[::-1])
     first += product_into(term, 0.25, A, sin, sin[::-1])
     first += product_into(term, 0.5, B, sin2, cos2[::-1])
     first *= state.q
-    product_into(p[1::2], sin2, sin[::-1], state.q)
+    product_into(p[2:], sin2, sin[::-1], state.q)
     even, odd = exp_convolve(p, G, state.grid)
     even *= _SCALE
     odd *= _SCALE

@@ -135,8 +135,8 @@ def check_swap_symmetry(cfg, rng):
     swapped = state.with_fields(U=state.V, V=state.U, W=state.Z, Z=state.W)
     stacks = assemble_sources(state, half_angle_factors(state))
     stacks_sw = assemble_sources(swapped, half_angle_factors(swapped))
-    # Rows P1, P2, S1, S2 of one are rows S1, S2, P1, P2 of the other.
-    ok = all(np.array_equal(a, b[[2, 3, 0, 1]])
+    # Rows P1, S1, P2, S2 of one are rows S1, P1, S2, P2 of the other.
+    ok = all(np.array_equal(a, b[[1, 0, 3, 2]])
              for a, b in zip(stacks, stacks_sw))
     return ok, "P<->S exchange under the variable swap is bitwise" if ok \
         else "swap symmetry broken"

@@ -70,6 +70,20 @@ def test_some_low_derivative_of_y_survives(case):
     assert max(ratios) > 0.05, (case, ratios)
 
 
+@pytest.mark.parametrize("case", range(1, 9))
+def test_classify_keeps_the_values_find_crossings_set(case):
+    # classify reads the angle values and slopes at the point and
+    # changes none of them; its margins report the same slopes.
+    state, pt = designed_point(case)
+    labeled = classify(pt, state)
+    for name in ("w_value", "z_value", "w_xi", "z_xi"):
+        bits = np.float64(getattr(pt, name)).tobytes()
+        assert np.float64(getattr(labeled, name)).tobytes() == bits, name
+    for name in ("w_xi", "z_xi"):
+        assert (np.float64(labeled.margins[name]).tobytes()
+                == np.float64(getattr(pt, name)).tobytes()), name
+
+
 SWAP_UV = str.maketrans("UV", "VU")
 
 

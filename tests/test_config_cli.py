@@ -31,6 +31,14 @@ time.record_every = 5
 """
 
 
+def minimal_with(*lines: str) -> str:
+    """MINIMAL with each `key = value` line set: a key MINIMAL has keeps
+    its line with the new value, a new key is appended."""
+    keys = dict(line.split(" = ", 1)
+                for line in MINIMAL.splitlines() + list(lines))
+    return "".join(f"{key} = {value}\n" for key, value in keys.items())
+
+
 def test_parse_minimal_config():
     cfg = parse_config(MINIMAL)
     assert cfg.n == 257
@@ -49,15 +57,15 @@ def test_parse_comments_and_blank_lines():
     ("schema = wrong/9\n", "schema"),                 # wrong tag
     (MINIMAL + "schema = novlab-config/1\n", "duplicate"),
     (MINIMAL + "no_such = 1\n", "unknown key"),
-    (MINIMAL + "grid.n = 2.5\n", "integer"),
-    (MINIMAL + "time.dt = abc\n", "number"),
+    (minimal_with("grid.n = 2.5"), "integer"),
+    (minimal_with("time.dt = abc"), "number"),
     (MINIMAL + "singular.fit = yes\n", "true or false"),
-    (MINIMAL + "time.t_final = nan\n", "finite"),
-    (MINIMAL + "time.dt = nan\n", "finite"),
-    (MINIMAL + "time.dt = inf\n", "finite"),
-    (MINIMAL + "time.record_every = nan\n", "finite"),
+    (minimal_with("time.t_final = nan"), "finite"),
+    (minimal_with("time.dt = nan"), "finite"),
+    (minimal_with("time.dt = inf"), "finite"),
+    (minimal_with("time.record_every = nan"), "finite"),
     (MINIMAL + "seed = nan\n", "finite"),
-    (MINIMAL + "grid.n = inf\n", "finite"),
+    (minimal_with("grid.n = inf"), "finite"),
 ])
 def test_parse_rejects_malformed(mutation, fragment):
     with pytest.raises(ConfigError) as exc:
@@ -95,8 +103,26 @@ def test_parse_rejects_malformed(mutation, fragment):
 ])
 def test_validation_rules(extra, fragment):
     with pytest.raises(ConfigError) as exc:
-        parse_config(MINIMAL + extra)
+        parse_config(minimal_with(*extra.splitlines()))
     assert fragment in str(exc.value)
+
+
+@pytest.mark.parametrize("extra,message", [
+    ("grid.n = 64", "line 11: duplicate key 'grid.n', first set on line 4"),
+    ("datum.u.a = 0.5", "line 11: duplicate key 'datum.u.a', first set on "
+     "line 6"),
+    ("schema = novlab-config/1", "line 11: duplicate key 'schema', first "
+     "set on line 1"),
+    ("# a comment\n\n  datum.u.width=2  # spaced", "line 13: duplicate key "
+     "'datum.u.width', first set on line 7"),
+])
+def test_parse_rejects_a_repeated_key(extra, message):
+    # A repeated key is an error even when both values are valid: the
+    # file would otherwise read as its last value.
+    with pytest.raises(ConfigError) as exc:
+        parse_config(MINIMAL.replace("grid.n = 257", "grid.n = 512")
+                     + extra + "\n")
+    assert str(exc.value) == message
 
 
 FIXED_KEYS = sorted({**_FLOAT_KEYS, **_INT_KEYS, **_BOOL_KEYS, **_STR_KEYS})
@@ -129,8 +155,10 @@ def test_config_input_raises_only_config_error(fixed, profile):
     # Any value for any fixed or profile key parses or raises
     # ConfigError; a config that parses reads every profile key given,
     # and its quick variant is valid too.
+    # A drawn key that MINIMAL sets replaces its line, so every key
+    # reaches the parser as a value and not as a repeated key.
     entries = fixed + profile
-    text = MINIMAL + "".join(f"{key} = {value}\n" for key, value in entries)
+    text = minimal_with(*(f"{key} = {value}" for key, value in entries))
     try:
         cfg = parse_config(text)
     except ConfigError:
@@ -276,6 +304,31 @@ def test_cli_singular_reports_skipped_analysis(tmp_path, capsys,
     first = points[0]
     assert skips[0] == (f"skipped classify at t={first['t']!r}, "
                         f"xi={first['xi_star']!r}: no usable margin")
+
+
+@pytest.mark.parametrize("fit,calls", [("true", 1), ("false", 0)])
+def test_cli_singular_builds_euler_fields_only_for_fits(tmp_path, capsys,
+                                                      monkeypatch, fit,
+                                                      calls):
+    # Only the exponent fits read the Euler graph, and only at a record
+    # with a level event: the quick steep_front run has 6 records, and
+    # both of its events are at the last one.
+    real = novlab.cli.euler_fields
+    seen = []
+
+    def counted(state):
+        seen.append(state.t)
+        return real(state)
+
+    monkeypatch.setattr(novlab.cli, "euler_fields", counted)
+    text = (REPO / "configs" / "steep_front.cfg").read_text()
+    cfg = write_cfg(tmp_path, text.replace("singular.fit = true",
+                                           f"singular.fit = {fit}"))
+    assert main(["singular", "--config", cfg, "--quick",
+                 "--out", str(tmp_path / "out")]) == 0
+    assert capsys.readouterr().out.startswith(
+        "found 2 level events over 6 records\n")
+    assert seen == [1.66] * calls
 
 
 def test_cli_singular_reports_skipped_fits(tmp_path, capsys):
@@ -463,7 +516,7 @@ def test_scenario_config_defaults_are_valid():
 
 def test_cli_validate_rejects_unknown_family(tmp_path, capsys):
     # A family that cannot be built is a config error, not failed checks.
-    cfg = write_cfg(tmp_path, MINIMAL + "datum.u.family = nope\n")
+    cfg = write_cfg(tmp_path, minimal_with("datum.u.family = nope"))
     assert main(["validate", "--config", cfg]) == 2
     captured = capsys.readouterr()
     assert captured.out == ""

@@ -97,6 +97,27 @@ def test_fd_converges_at_advertised_rate():
         assert rate > 0.6 * 2**acc, (order, rate)
 
 
+@pytest.mark.parametrize("order", [1, 2, 3, 4])
+def test_fd_derivative_of_a_stack_is_its_rows_bitwise(order):
+    # A (k, n) stack, also one with strided rows, is differentiated row
+    # by row, each row bit for bit its 1-D result.
+    g = make_grid(-3.0, 2.0, 57)
+    data = np.random.default_rng(order).normal(size=(6, g.n))
+    for rows in (data[2:5], data[::2]):
+        stack = fd_derivative(rows, g, order)
+        assert stack.shape == rows.shape
+        for row, res in zip(rows, stack):
+            assert np.array_equal(res.view(np.uint64),
+                                  fd_derivative(row, g, order).view(np.uint64))
+
+
+@pytest.mark.parametrize("shape", [(2, 2, 16), (15,), (2, 17), ()])
+def test_fd_derivative_rejects_bad_shapes(shape):
+    g = make_grid(0.0, 1.0, 16)
+    with pytest.raises(ContractError):
+        fd_derivative(np.zeros(shape), g, 1)
+
+
 def test_fd_rejects_unsupported_order():
     g = make_grid(0.0, 1.0, 16)
     with pytest.raises(ContractError):

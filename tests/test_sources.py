@@ -5,7 +5,7 @@ from hypothesis import given, settings, strategies as st
 
 from novlab import (ContractError, NumericalAbort, assemble_sources, exp_convolve,
                     exp_convolve_bruteforce, half_angle_factors,
-                    kernel_accumulator, make_grid)
+                    kernel_accumulator, level_distance, make_grid)
 from novlab.validation import bumps, random_state
 
 from conftest import flat_state
@@ -144,6 +144,14 @@ def test_wide_domain_does_not_overflow():
     assert np.max(np.abs(odd - bo)) < 1e-12
 
 
+def test_level_distance_is_the_distance_to_plus_or_minus_pi():
+    angles = np.array([np.pi, -np.pi, 0.0, 3.0, -3.5, 2.0 * np.pi])
+    expected = np.minimum(np.abs(angles - np.pi), np.abs(angles + np.pi))
+    assert np.array_equal(level_distance(angles), expected)
+    assert level_distance(np.stack((angles, -angles))).shape == (2, 6)
+    assert level_distance(-np.pi) == 0.0
+
+
 def test_symmetric_state_sources_collapse():
     rng = np.random.default_rng(12)
     g = make_grid(-10.0, 10.0, 256)
@@ -151,7 +159,7 @@ def test_symmetric_state_sources_collapse():
     state = base.with_fields(V=base.U, Z=base.W)
     # Rows P1, P2 equal rows S1, S2 bitwise, in both stacks.
     for stack in assemble_sources(state, half_angle_factors(state)):
-        assert np.array_equal(stack[:2], stack[2:])
+        assert np.array_equal(stack[0::2], stack[1::2])
 
 
 def test_sources_finite_and_shaped(smooth_pair_state):
