@@ -17,6 +17,13 @@ move that lowers the value.  eta = 0 is always evaluated first and the
 best iterate is kept, so every reported value is a certified upper
 bound and the search can only improve it.  Distances are upper bounds
 obtained from the straight-line path between states.
+
+The theta nodes of one path share a tangent and nearly a state, so
+path_length warm-starts each kept node's search from the previous kept
+node's best coefficients: the seed is evaluated as a candidate, its
+coefficients held at the box are the first active set, and its
+residual at the new node gives the first IRLS weights.  The first kept
+node starts cold.  The seed lives inside one path_length call only.
 """
 
 from __future__ import annotations
@@ -63,8 +70,9 @@ class PathOfStates:
 class NormInfo:
     """A tangent norm: value is the smallest phi sum found, at best_coeffs.
 
-    iterations counts the IRLS passes made.  eta_zero mode and iters = 0
-    make none and leave best_coeffs None.
+    iterations counts the IRLS passes made; evaluating a seed is not a
+    pass.  eta_zero mode and iters = 0 make none and leave best_coeffs
+    None.
     """
     value: float
     iterations: int
@@ -290,13 +298,15 @@ def shift_value(state: TransformedState, tangent: np.ndarray,
 def tangent_norm_info(state: TransformedState, tangent: np.ndarray,
                       alpha: float = DEFAULT_ALPHA, search: str = "eta_zero",
                       eta_nodes: int = DEFAULT_ETA_NODES,
-                      iters: int = DEFAULT_DESCENT_ITERS) -> NormInfo:
+                      iters: int = DEFAULT_DESCENT_ITERS,
+                      seed: np.ndarray | None = None) -> NormInfo:
     """Finsler norm of a tangent at state.
 
     tangent is a (5, grid.n) array with rows R, S, A, B, Q: the
     variations of the state rows U, V, W, Z, q, in that order.  In
     coarse_descent mode iters caps the IRLS passes, and iterations in
-    the result counts the passes made.
+    the result counts the passes made.  seed, eta_nodes coefficients
+    clipped to the box, warm-starts the passes; None starts them cold.
     """
     weights, P0 = _checked_norm_inputs(state, tangent, alpha)
     if search not in ("eta_zero", "coarse_descent"):
@@ -313,9 +323,24 @@ def tangent_norm_info(state: TransformedState, tangent: np.ndarray,
         return NormInfo(value=best_val, iterations=used,
                         eta_zero_value=value0, best_coeffs=best_c)
     floor = _IRLS_FLOOR * float(np.max(np.abs(P0)))
-    omega = np.broadcast_to(weights, P0.shape)
-    bound = np.zeros(eta_nodes)
-    prev = np.inf
+    if seed is None:
+        # Cold: the first pass is plain weighted least squares.
+        omega = np.broadcast_to(weights, P0.shape)
+        bound = np.zeros(eta_nodes)
+        prev = np.inf
+    else:
+        if np.shape(seed) != (eta_nodes,):
+            raise ContractError(f"seed has shape {np.shape(seed)}, "
+                                f"expected ({eta_nodes},)")
+        seed = np.clip(seed, -op.box, op.box)
+        # Warm: the seed is a candidate, its held coefficients the first
+        # active set and its residual the first weights.
+        P = P0 + op.apply(seed)
+        prev = _objective(weights, P)
+        if prev < best_val:
+            best_val, best_c = prev, seed
+        omega = weights / np.maximum(np.abs(P), floor)
+        bound = np.where(np.abs(seed) == op.box, np.sign(seed), 0.0)
     for k in range(1, iters + 1):
         try:
             c, bound = _box_least_squares(op.normal_matrix(omega),
@@ -406,12 +431,14 @@ def path_length(path: PathOfStates, alpha: float = DEFAULT_ALPHA,
     total_kept = float(np.sum(weights[keep]))
     span = float(np.sum(weights))
     length = 0.0
+    seed = None
     for j in range(m):
         if not keep[j]:
             continue
         info = tangent_norm_info(path.states[j], _path_tangent(path, j),
-                                 alpha, search, **norm_kw)
+                                 alpha, search, seed=seed, **norm_kw)
         length += weights[j] * info.value
+        seed = info.best_coeffs
     return length * (span / total_kept)
 
 

@@ -281,8 +281,13 @@ def check_distance_identity(cfg, rng):
     grid = make_grid(-8.0, 8.0, 256)
     datum = builtin_datum("gaussian_bump", {"a": 0.4, "width": 1.5})
     state = transform_with_map(datum, grid)
-    d_self = distance_upper(state, state, m_theta=5)
-    return d_self == 0.0, f"d(U,U) = {d_self:.3g}"
+    # Every node of the self-path has a zero tangent, so the shift
+    # search must return exactly 0 too, seeds carried along the path
+    # included.
+    d_zero = distance_upper(state, state, m_theta=5)
+    d_desc = distance_upper(state, state, m_theta=5, search="coarse_descent")
+    return (d_zero == d_desc == 0.0,
+            f"d(U,U) = {d_zero:.3g} at eta = 0, {d_desc:.3g} by coarse descent")
 
 
 _CHECKS = [

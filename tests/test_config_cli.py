@@ -331,10 +331,27 @@ def test_cli_singular_builds_euler_fields_only_for_fits(tmp_path, capsys,
     assert seen == [1.66] * calls
 
 
-def test_cli_singular_reports_skipped_fits(tmp_path, capsys):
-    # At t = 1.66 the quick steep_front map y dips, so euler_fields has
+def test_cli_quick_steep_front_writes_every_euler_frame(tmp_path, capsys):
+    # At t = 1.66 the quick map y dips by 6.5e-5 at cell 149, O(dx^3)
+    # spatial noise on its 257 nodes, so the last frame has its graph.
+    out = tmp_path / "out"
+    rc = main(["evolve", "--config",
+               str(REPO / "configs" / "steep_front.cfg"), "--quick",
+               "--out", str(out)])
+    assert rc == 0
+    assert "skipped" not in capsys.readouterr().err
+    assert sorted(p.name for p in out.glob("euler_*.csv")) == [
+        f"euler_{i:04d}.csv" for i in range(6)]
+
+
+def test_cli_singular_reports_skipped_fits(tmp_path, capsys, monkeypatch):
+    # When euler_fields refuses the map y at the event record there is
     # no graph to fit on: each point is written without exponents, and
     # stderr names every fit it skipped with the euler_fields reason.
+    def corrupt_map(state):
+        raise ContractError("y decreases at cell 149: delta=-1.000e+00")
+
+    monkeypatch.setattr(novlab.cli, "euler_fields", corrupt_map)
     out = tmp_path / "out"
     rc = main(["singular", "--config",
                str(REPO / "configs" / "steep_front.cfg"), "--quick",

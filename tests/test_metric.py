@@ -432,6 +432,88 @@ def test_distance_self_is_zero_and_symmetric():
     assert dab == pytest.approx(dba, rel=1e-12)
 
 
+def lipschitz_path():
+    """The 9-node path between the lipschitz config's datum pair at t = 0."""
+    cfg = load_config(REPO / "configs" / "lipschitz.cfg")
+    g = make_grid(cfg.xi_min, cfg.xi_max, cfg.n)
+    datum0 = datum_from_config(cfg)
+    s0 = transform_with_map(datum0, g)
+    s1 = transform_with_map(perturbed_datum(datum0, cfg), g)
+    return straight_line_path(s0, s1, 9)
+
+
+def warm_chain(monkeypatch, path):
+    """path_length in coarse_descent mode, with each norm call's seed and
+    result."""
+    calls = []
+    real = metric.tangent_norm_info
+
+    def spy(state, tangent, *args, seed=None, **kw):
+        info = real(state, tangent, *args, seed=seed, **kw)
+        calls.append((state, seed, info))
+        return info
+
+    monkeypatch.setattr(metric, "tangent_norm_info", spy)
+    length = path_length(path, search="coarse_descent")
+    monkeypatch.undo()
+    return length, calls
+
+
+def test_path_length_warm_starts_each_node(monkeypatch):
+    # The nodes of one path share a tangent and nearly a state: seeded
+    # with the previous node's shift, each norm is its cold value (or
+    # below it) in a fraction of the passes, and never above eta = 0.
+    path = lipschitz_path()
+    length, calls = warm_chain(monkeypatch, path)
+    assert all(st is node for (st, _, _), node in zip(calls, path.states))
+    assert len(calls) == len(path.states)
+    assert calls[0][1] is None
+    cold_passes = warm_passes = 0
+    for j, (state, _, warm) in enumerate(calls):
+        cold = tangent_norm_info(state, metric._path_tangent(path, j),
+                                 search="coarse_descent")
+        assert warm.value <= cold.value * (1.0 + 1e-6)
+        assert warm.value <= warm.eta_zero_value
+        cold_passes += cold.iterations
+        warm_passes += warm.iterations
+    assert 3 * warm_passes <= cold_passes
+    again = path_length(path, search="coarse_descent")
+    assert np.float64(again).tobytes() == np.float64(length).tobytes()
+
+
+def test_warm_chain_resumes_after_an_excluded_node(monkeypatch):
+    # The middle node touches an angle level and is skipped: the node
+    # after it is seeded from the last kept node, not started cold.
+    path = lipschitz_path()
+    states = list(path.states)
+    W = states[4].W.copy()
+    W[256] = np.pi
+    states[4] = states[4].with_fields(W=W)
+    touched = metric.PathOfStates(path.theta_nodes, tuple(states))
+    _, calls = warm_chain(monkeypatch, touched)
+    kept = states[:4] + states[5:]
+    assert len(calls) == len(kept)
+    assert all(st is node for (st, _, _), node in zip(calls, kept))
+    assert calls[0][1] is None
+    for (_, _, before), (_, seed, _) in zip(calls, calls[1:]):
+        assert seed is before.best_coeffs
+
+
+def test_seed_is_checked_and_held_in_the_box():
+    path = lipschitz_path()
+    state, tan = path.states[0], metric._path_tangent(path, 0)
+    with pytest.raises(ContractError, match="seed"):
+        tangent_norm_info(state, tan, search="coarse_descent",
+                          seed=np.zeros(9))
+    # A seed far outside the box is clipped into it, so the value stays
+    # a feasible upper bound.
+    wild = tangent_norm_info(state, tan, search="coarse_descent",
+                             seed=np.full(17, 1e3))
+    assert np.all(np.abs(wild.best_coeffs) <= metric._shift_operator(
+        state, 17).box)
+    assert wild.value <= wild.eta_zero_value
+
+
 def test_lipschitz_experiment_row_contract():
     g = make_grid(-12.0, 12.0, 128)
     base = builtin_datum("gaussian_bump", {"a": 0.5, "width": 1.5})

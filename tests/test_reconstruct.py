@@ -5,7 +5,7 @@ import pytest
 from novlab import (AnalysisError, ContractError, OmegaBounds, QueryError,
                     builtin_datum, conserved, conserved_euler, euler_fields,
                     crest_position, evolve, make_grid, measure_interval,
-                    sample_at, transform_with_map)
+                    pair_datum, sample_at, transform_with_map)
 from novlab.reconstruct import _measure_density
 from novlab.sources import half_angle_factors
 from novlab.validation import random_state
@@ -29,6 +29,32 @@ def test_euler_fields_flattens_integration_noise(smooth_pair_state):
     y[200] = y[199] - 1e-9
     fld = euler_fields(smooth_pair_state.with_fields(y=y))
     assert np.all(np.diff(fld.x) >= 0)
+
+
+def steep_front_state(n):
+    u = builtin_datum("gaussian_bump", {"a": 2.0, "width": 1.0})
+    v = builtin_datum("gaussian_bump", {"a": 0.7, "width": 2.0})
+    return transform_with_map(pair_datum(u, v), make_grid(-20.0, 20.0, n))
+
+
+def with_dip(state, cell, delta):
+    y = state.y.copy()
+    y[cell + 1] = y[cell] - delta
+    return state.with_fields(y=y)
+
+
+def test_euler_fields_dip_tolerance_follows_the_grid():
+    # The quick steep_front map dips by 6.5e-5 at n = 257, spatial noise
+    # of order dx^3 that the 257-node graph accepts.  On a grid 8x finer
+    # the same dip is above both dx^3 and 1e-6 of the span and raises,
+    # and so do an order-one dip and one of 2 dx^3 on the coarse grid.
+    coarse, fine = steep_front_state(257), steep_front_state(2049)
+    fld = euler_fields(with_dip(coarse, 149, 6.521e-5))
+    assert np.all(np.diff(fld.x) >= 0)
+    for state, delta in ((fine, 6.521e-5), (coarse, 1.0),
+                         (coarse, 2.0 * coarse.grid.dx ** 3)):
+        with pytest.raises(ContractError, match="y decreases at cell"):
+            euler_fields(with_dip(state, state.grid.n // 2, delta))
 
 
 def test_slope_masks_fire_near_level_crossings():
