@@ -80,11 +80,13 @@ class CancellationReport:
     checks: tuple[CancellationCheck, ...]
 
 
-def _interp(arr: np.ndarray, grid: Grid, xi: float) -> float:
+def _interp(arr: np.ndarray, grid: Grid, xi: float, lo: int = 0) -> float:
+    """arr at xi, linear between nodes; arr holds the nodes lo, lo+1, ..."""
     pos = (xi - grid.xi_min) / grid.dx
     i = int(np.clip(np.floor(pos), 0, grid.n - 2))
     frac = pos - i
-    return float(arr[i] + frac * (arr[i + 1] - arr[i]))
+    a, b = arr[i - lo], arr[i + 1 - lo]
+    return float(a + frac * (b - a))
 
 
 def _level_events(s: np.ndarray, grid: Grid, tol_pi: float):
@@ -173,6 +175,28 @@ def _window(grid: Grid, xi: float, half_nodes: int) -> slice:
     return slice(max(i - half_nodes, 0), min(i + half_nodes + 1, grid.n))
 
 
+# A point's derivatives are taken on a patch: its window and 12 more
+# nodes a side, clipped to the grid.  A value more than 3 nodes (the
+# widest stencil's reach) from an end cut inside the grid reads the same
+# samples with the same stencil as on the full grid, so it is the
+# full-row value bit for bit; 13 nodes are the fewest that fd_derivative
+# takes at order 4.
+_PATCH_MARGIN = 12
+
+
+def _patch_derivatives(rows: np.ndarray, grid: Grid, xi: float,
+                       window_nodes: int, orders):
+    """(patch, win, derivs): the patch around xi, its window as a slice
+    of it, and fd_derivative of rows on the patch alone for each order."""
+    win = _window(grid, xi, window_nodes)
+    patch = _window(grid, xi, window_nodes + _PATCH_MARGIN)
+    lo, n = patch.start, patch.stop - patch.start
+    sub = Grid(grid.xi_min + lo * grid.dx, grid.xi_min + (lo + n - 1) * grid.dx,
+               n, grid.dx)
+    return patch, slice(win.start - lo, win.stop - lo), [
+        fd_derivative(rows[..., patch], sub, k) for k in orders]
+
+
 def classify(point: SingularPoint, state: TransformedState,
              tol_pi: float = TOL_PI, tol_zero_rel: float = TOL_ZERO_REL,
              window_nodes: int = 25) -> SingularPoint:
@@ -185,10 +209,11 @@ def classify(point: SingularPoint, state: TransformedState,
     (W, Z).
     """
     grid = state.grid
-    win = _window(grid, point.xi_star, window_nodes)
+    patch, win, (d1, d2) = _patch_derivatives(
+        state.data[2:4], grid, point.xi_star, window_nodes, (1, 2))
     slope = np.array([point.w_xi, point.z_xi])
-    d1, d2 = (fd_derivative(state.data[2:4], grid, k) for k in (1, 2))
-    curvature = np.array([_interp(row, grid, point.xi_star) for row in d2])
+    curvature = np.array([_interp(row, grid, point.xi_star, patch.start)
+                          for row in d2])
     tol1, tol2 = (tol_zero_rel * np.maximum(np.max(np.abs(d[:, win]), axis=1),
                                             1e-300) for d in (d1, d2))
     dist = level_distance(np.array([point.w_value, point.z_value]))
@@ -282,18 +307,22 @@ def verify_cancellations(point: SingularPoint, state: TransformedState,
     if i_star - window_nodes < 0 or i_star + window_nodes >= grid.n:
         return CancellationReport(case_label=label, complete=False, checks=())
 
-    win = _window(grid, xi, window_nodes)
-    # derivs[name][k] is the (k+1)-th xi-derivative, analytic for k = 0.
-    derivs = {name: [base] + [fd_derivative(base, grid, k) for k in range(1, 5)]
-              for name, base in zip("yUV", xi_derivatives(state))}
+    analytic = dict(zip("yUV", xi_derivatives(state)))
+    patch, win, fd = _patch_derivatives(np.stack(list(analytic.values())),
+                                        grid, xi, window_nodes, (1, 2, 3, 4))
+    # derivs[name][k] is the (k+1)-th xi-derivative on the patch, analytic
+    # for k = 0; the amplitude fits read the analytic rows whole.
+    derivs = {name: [row[patch]] + [d[j] for d in fd]
+              for j, (name, row) in enumerate(analytic.items())}
 
     (sinW, sinZ), (cw, cz), _ = half_angle_factors(state)
-    w1, z1 = fd_derivative(state.data[2:4], grid, 1)
-    w2, z2 = fd_derivative(state.data[2:4], grid, 2)
-    local = {"q": state.q, "cw": cw, "cz": cz, "sinW": sinW, "sinZ": sinZ,
+    _, _, ((w1, z1), (w2, z2)) = _patch_derivatives(
+        state.data[2:4], grid, xi, window_nodes, (1, 2))
+    local = {"q": state.q[patch], "cw": cw[patch], "cz": cz[patch],
+             "sinW": sinW[patch], "sinZ": sinZ[patch],
              "w1": w1, "z1": z1, "w2": w2, "z2": z2}
     swap = _SWAP if label in _MIRROR_OF else {}
-    L = SimpleNamespace(**{k.translate(swap): _interp(v, grid, xi)
+    L = SimpleNamespace(**{k.translate(swap): _interp(v, grid, xi, patch.start)
                            for k, v in local.items()})
     vanish_groups, leading = row
 
@@ -302,7 +331,7 @@ def verify_cancellations(point: SingularPoint, state: TransformedState,
         for order in range(1, top + 1):
             for name in names.translate(swap):
                 arr = derivs[name][order - 1]
-                measured = _interp(arr, grid, xi)
+                measured = _interp(arr, grid, xi, patch.start)
                 ref = float(np.max(np.abs(arr[win])))
                 checks.append(CancellationCheck(
                     name=f"d{order}{name}_vanishes", kind="vanish",
@@ -312,9 +341,9 @@ def verify_cancellations(point: SingularPoint, state: TransformedState,
         name = name.translate(swap)
         claimed = formula(L)
         if method == "fd":
-            measured = _interp(derivs[name][order - 1], grid, xi)
+            measured = _interp(derivs[name][order - 1], grid, xi, patch.start)
         else:
-            amp = _amplitude_fit(derivs[name][0], grid, xi, order - 1,
+            amp = _amplitude_fit(analytic[name], grid, xi, order - 1,
                                  fit_r_min_cells * grid.dx, fit_r_max)
             measured = math.factorial(order - 1) * amp
         checks.append(CancellationCheck(

@@ -67,15 +67,15 @@ class Trajectory:
 def rhs(state: TransformedState) -> np.ndarray:
     """Time derivative of state.data, as a (6, n) array in the same row order."""
     factors = half_angle_factors(state)
-    src, dx_src = assemble_sources(state, factors)
+    fwd, bwd = assemble_sources(state, factors)
     sin, cos2, sin2 = factors
     # (U, V) and (V, U): each pair of rates is one formula on row pairs.
     A, B = state.data[:2], state.data[1::-1]
     out = np.empty_like(state.data)
     term = np.empty_like(A)
-    drive = np.add(src[:2], dx_src[2:], out=src[:2])
-    np.negative(dx_src[:2], out=out[:2])
-    out[:2] -= src[2:]
+    # -dx P1 - P2 and the drive P1 + dx P2, with S in row 1.
+    np.subtract(fwd, bwd, out=out[:2])
+    drive = np.add(fwd, bwd, out=fwd)
     rate = product_into(out[2:4], 2.0, A, A, B, cos2)
     rate -= product_into(term, B, sin2)
     rate -= product_into(term, 2.0, drive, cos2)

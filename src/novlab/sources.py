@@ -3,8 +3,10 @@
 The kernel between two nodes is exp(-|G[i] - G[j]|) where G is the
 prefix integral of q cos^2(W/2) cos^2(Z/2).  Convolutions against it
 split into a causal and an anticausal half, each satisfying a one-step
-recursion with per-cell decay factors exp(-(G[k+1]-G[k])).  The scan
-below vectorizes that recursion in blocks of bounded G-span, so no
+recursion with per-cell decay factors exp(-(G[k+1]-G[k])).  The rates
+read the sources only through sums and differences of one half of each
+kind, so each half scans just the integrand pair it needs.  The scan
+vectorizes the recursion in blocks of bounded G-span, so no
 exponential of an unbounded argument is ever formed; a quadratic-time
 double loop with the same trapezoid weights serves as the oracle.
 """
@@ -120,94 +122,88 @@ def _decay_scan(G: np.ndarray, b: np.ndarray) -> np.ndarray:
     return out
 
 
-def _check_shape(p: np.ndarray, G: np.ndarray, grid: Grid) -> None:
-    if p.ndim not in (1, 2) or (p.shape[-1], *G.shape) != (grid.n, grid.n):
-        raise ContractError(f"convolution needs p of shape (n,) or (k, n) and G "
-                            f"(n,), n = {grid.n}; got {p.shape} and {G.shape}")
+def _as_halves(p_fwd, p_bwd, G: np.ndarray, grid: Grid):
+    p_fwd, p_bwd = np.asarray(p_fwd, dtype=float), np.asarray(p_bwd, dtype=float)
+    if (p_fwd.ndim not in (1, 2) or p_bwd.shape != p_fwd.shape
+            or (p_fwd.shape[-1], *G.shape) != (grid.n, grid.n)):
+        raise ContractError(f"convolution needs p_fwd and p_bwd of one shape "
+                            f"(n,) or (k, n) and G (n,), n = {grid.n}; got "
+                            f"{p_fwd.shape}, {p_bwd.shape} and {G.shape}")
+    return p_fwd, p_bwd
 
 
-def exp_convolve(p, G: np.ndarray, grid: Grid):
-    """Whole-line kernel quadratures against p, O(n) per row.
+def exp_convolve(p_fwd, p_bwd, G: np.ndarray, grid: Grid):
+    """Forward and backward halves of the kernel quadrature, O(n) per row.
 
-    p has shape (n,) or (k, n); a stack shares one pass over G.
-    Returns (even, odd) of p's shape: even[..., i] integrates
-    E(xi_i, eta) p(eta) over the window; odd is the same with sign
-    flipped left of xi_i.
+    p_fwd and p_bwd have one shape, (n,) or (k, n); a stack shares one
+    pass over G.  Returns (fwd, bwd): fwd[..., i] integrates
+    E(xi_i, eta) p_fwd(eta) over the window left of xi_i, and bwd[..., i]
+    E(xi_i, eta) p_bwd(eta) right of it.
     """
-    p = np.asarray(p, dtype=float)
-    _check_shape(p, G, grid)
+    p_fwd, p_bwd = _as_halves(p_fwd, p_bwd, G, grid)
     a = np.exp(-np.diff(G))
-    b = a * p[..., :-1]
-    b += p[..., 1:]
+    b = a * p_fwd[..., :-1]
+    b += p_fwd[..., 1:]
     b *= 0.5 * grid.dx
     fwd = _decay_scan(G, b)
     # Backward cell terms, in b again; that scan runs on the reversed line.
-    b = np.multiply(a, p[..., 1:], out=b)
-    b += p[..., :-1]
+    b = np.multiply(a, p_bwd[..., 1:], out=b)
+    b += p_bwd[..., :-1]
     b *= 0.5 * grid.dx
     bwd = _decay_scan(G[-1] - G[::-1], b[..., ::-1])[..., ::-1]
-    even = fwd + bwd
-    odd = np.subtract(bwd, fwd, out=fwd)
-    if not (np.isfinite(even).all() and np.isfinite(odd).all()):
-        # Both scans carry a non-finite input to every node, so name the
-        # first non-finite input node, and the first bad output otherwise.
-        bad_in = ~(np.isfinite(p).reshape(-1, grid.n).all(axis=0)
-                   & np.isfinite(G))
+    if not (np.isfinite(fwd).all() and np.isfinite(bwd).all()):
+        # A scan carries a non-finite input to every node past it, so name
+        # the first non-finite input node, and the first bad output else.
+        bad_in = ~((np.isfinite(p_fwd) & np.isfinite(p_bwd))
+                   .reshape(-1, grid.n).all(axis=0) & np.isfinite(G))
         if not bad_in.any():
-            bad = ~(np.isfinite(even) & np.isfinite(odd))
+            bad = ~(np.isfinite(fwd) & np.isfinite(bwd))
             bad_in = bad.reshape(-1, grid.n).any(axis=0)
         k = int(np.argmax(bad_in))
         raise NumericalAbort(
             f"exp_convolve produced a non-finite value at node {k}", {"node": k}
         )
-    return even, odd
+    return fwd, bwd
 
 
-def exp_convolve_bruteforce(p, G: np.ndarray, grid: Grid):
+def exp_convolve_bruteforce(p_fwd, p_bwd, G: np.ndarray, grid: Grid):
     """Reference double-loop quadrature; identical contract, O(n^2)."""
-    p = np.asarray(p, dtype=float)
-    _check_shape(p, G, grid)
+    p_fwd, p_bwd = _as_halves(p_fwd, p_bwd, G, grid)
     weights = np.full(grid.n, grid.dx)
     weights[0] = weights[-1] = 0.5 * grid.dx
     kernel = np.exp(-np.abs(G[:, None] - G[None, :]))
+    # left[i, j] is +1 where eta_j lies left of xi_i.  Each half takes an
+    # interior self-term at half weight, but node 0 has no left integral
+    # and node n-1 no right one, so each keeps its half-cell in the other.
+    idx = np.arange(grid.n)
+    left = np.sign(np.subtract.outer(idx, idx), dtype=float)
+    left[0, 0], left[-1, -1] = -1.0, 1.0
     # Transposes put the node axis first for a (k, n) stack and are
     # no-ops on a single (n,) row.
-    wp = (weights * p).T
-    even = (kernel @ wp).T
-    sign = np.sign(np.arange(grid.n)[None, :] - np.arange(grid.n)[:, None])
-    # Interior self-terms cancel between the two one-sided integrals,
-    # but the window-edge nodes keep their half-cell: node 0 has no left
-    # integral and node n-1 no right one.
-    sign = sign.astype(float)
-    sign[0, 0] = 1.0
-    sign[-1, -1] = -1.0
-    odd = ((kernel * sign) @ wp).T
-    return even, odd
-
-
-# Kernel prefactors of the source rows P1, S1, P2, S2.
-_SCALE = np.array([0.5, 0.5, 0.125, 0.125])[:, None]
+    fwd = ((kernel * (0.5 + 0.5 * left)) @ (weights * p_fwd).T).T
+    bwd = ((kernel * (0.5 - 0.5 * left)) @ (weights * p_bwd).T).T
+    return fwd, bwd
 
 
 def assemble_sources(state: TransformedState, factors):
-    """(src, dx_src): the rows P1, S1, P2, S2 and their x-derivatives.
+    """(fwd, bwd), the kernel halves the rates read, as (2, n) pairs with
+    rows for U and V; factors is half_angle_factors(state).
 
-    Both are (4, n) arrays from one stacked convolution pass, each the
-    row pairs (P1, S1) and (P2, S2); factors is the tuple
-    half_angle_factors(state) returns.
+    fwd is the forward half of first/2 - second/8 and bwd the backward
+    half of first/2 + second/8, so fwd - bwd = -dx P1 - P2 and
+    fwd + bwd = P1 + dx P2 in row 0, and the same of S in row 1.
     """
     sin, cos2, sin2 = factors
     # (U, V) and (V, U): the S integrands are the P ones with roles swapped.
     A, B = state.data[:2], state.data[1::-1]
     G = kernel_accumulator(state, factors)
-    p = np.empty((4, state.grid.n))
+    p = np.empty((2,) + A.shape)
     term = np.empty_like(A)
-    first = product_into(p[:2], A, A, B, cos2, cos2[::-1])
+    first = product_into(p[1], A, A, B, cos2, cos2[::-1])
     first += product_into(term, 0.25, A, sin, sin[::-1])
     first += product_into(term, 0.5, B, sin2, cos2[::-1])
-    first *= state.q
-    product_into(p[2:], sin2, sin[::-1], state.q)
-    even, odd = exp_convolve(p, G, state.grid)
-    even *= _SCALE
-    odd *= _SCALE
-    return even, odd
+    product_into(first, first, state.q, 0.5)
+    second = product_into(term, sin2, sin[::-1], state.q, 0.125)
+    np.subtract(first, second, out=p[0])
+    first += second
+    return exp_convolve(p[0], p[1], G, state.grid)

@@ -28,6 +28,13 @@ def flat_state(grid, q: float = 1.0) -> TransformedState:
                                       grid.nodes)))
 
 
+def same_bits(a, b):
+    # array_equal treats -0.0 == 0.0; the uint64 views do not.
+    return a.shape == b.shape and np.array_equal(
+        np.ascontiguousarray(a).view(np.uint64),
+        np.ascontiguousarray(b).view(np.uint64))
+
+
 def two_bump_pair():
     u = builtin_datum("gaussian_bump", {"a": 0.25, "center": -1.0, "width": 1.4})
     v = builtin_datum("gaussian_bump", {"a": 0.2, "center": 1.0, "width": 1.6})

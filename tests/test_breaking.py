@@ -4,12 +4,15 @@ import json
 import numpy as np
 import pytest
 
+from novlab import breaking
 from novlab import (AnalysisError, classify, fd_derivative, find_crossings,
                     fit_exponent, make_grid, synthetic_case_state,
                     verify_cancellations)
 from novlab.cliio import write_jsonl
 from novlab.reconstruct import EulerField
 from novlab.sources import xi_derivatives
+
+from conftest import same_bits
 
 
 GRID = make_grid(-10.0, 10.0, 1601)
@@ -22,6 +25,42 @@ def designed_point(case):
     best = min(pts, key=lambda p: abs(p.xi_star))
     assert abs(best.xi_star) < 2 * GRID.dx
     return state, best
+
+
+@pytest.mark.parametrize("case", range(1, 9))
+def test_patch_reports_equal_full_row_reports_bitwise(case, monkeypatch):
+    # A margin as wide as the grid makes every patch the whole grid, so
+    # the second pass differentiates full rows.
+    state = synthetic_case_state(case, GRID)
+    swapped = state.with_fields(U=state.V, V=state.U, W=state.Z, Z=state.W)
+    runs = []
+    for margin in (breaking._PATCH_MARGIN, GRID.n):
+        monkeypatch.setattr(breaking, "_PATCH_MARGIN", margin)
+        run = []
+        for st in (state, swapped):
+            points = [classify(p, st) for p in find_crossings(st)]
+            run.append((points, [verify_cancellations(p, st) for p in points]))
+        runs.append(repr(run))
+    # repr spells every float exactly, the sign of zero included.
+    assert runs[0] == runs[1]
+
+
+@pytest.mark.parametrize("center, half", [(0, 3), (2, 5), (30, 4), (61, 6),
+                                          (63, 0), (20, 40)])
+def test_patch_derivatives_equal_full_rows_bitwise(center, half):
+    # Patches inside the grid, at either edge and wider than the grid;
+    # only the 3 nodes next to an end cut inside the grid may differ.
+    g = make_grid(-3.0, 3.0, 64)
+    rows = np.random.default_rng(center).normal(size=(2, g.n))
+    orders = (1, 2, 3, 4)
+    patch, win, derivs = breaking._patch_derivatives(
+        rows, g, float(g.nodes[center]), half, orders)
+    lo = patch.start + (3 if patch.start > 0 else 0)
+    hi = patch.stop - (3 if patch.stop < g.n else 0)
+    assert lo <= patch.start + win.start and patch.start + win.stop <= hi
+    for order, local in zip(orders, derivs):
+        assert same_bits(local[:, lo - patch.start:hi - patch.start],
+                         fd_derivative(rows, g, order)[:, lo:hi])
 
 
 @pytest.mark.parametrize("case", range(1, 9))

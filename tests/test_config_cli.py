@@ -499,9 +499,9 @@ def test_cli_validate_injected_fault_fails(tmp_path, capsys, monkeypatch):
     # A scan that is off by 1e-9 must turn its check red and the exit 4.
     real = novlab.validation.exp_convolve
 
-    def broken(p, G, grid):
-        even, odd = real(p, G, grid)
-        return even, odd + 1e-9
+    def broken(p_fwd, p_bwd, G, grid):
+        fwd, bwd = real(p_fwd, p_bwd, G, grid)
+        return fwd, bwd + 1e-9
 
     monkeypatch.setattr(novlab.validation, "exp_convolve", broken)
     cfg = write_cfg(tmp_path, MINIMAL)

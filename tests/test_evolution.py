@@ -10,7 +10,7 @@ from novlab.grid import prefix_integral
 from novlab.sources import _BLOCK_SPAN
 from novlab.validation import random_state
 
-from conftest import flat_state, two_bump_pair
+from conftest import flat_state, same_bits, two_bump_pair
 
 BOUNDS = OmegaBounds(0.01, 100.0, 1.5)
 
@@ -77,13 +77,6 @@ def test_rhs_computes_half_angle_factors_once(monkeypatch):
     assert len(calls) == 1
 
 
-def same_bits(a, b):
-    # array_equal treats -0.0 == 0.0; the uint64 views do not.
-    return a.shape == b.shape and np.array_equal(
-        np.ascontiguousarray(a).view(np.uint64),
-        np.ascontiguousarray(b).view(np.uint64))
-
-
 # The (u, W) <-> (v, Z) swap as a permutation of the state and rhs rows.
 SWAP = [1, 0, 3, 2, 4, 5]
 
@@ -132,33 +125,65 @@ def _oracle_angle_rate(A, B, cA, sA, drive):
     return 2.0 * A * A * B * cA - B * sA - 2.0 * drive * cA
 
 
-def oracle_rhs(state):
-    """rhs written once per component, the roles swapped by hand."""
+def _oracle_fields(state):
     U, V, W, Z, q = state.data[:5]
-    grid = state.grid
     sinW, sinZ = np.sin(W), np.sin(Z)
     cw, sw = np.cos(0.5 * W) ** 2, np.sin(0.5 * W) ** 2
     cz, sz = np.cos(0.5 * Z) ** 2, np.sin(0.5 * Z) ** 2
-    G = prefix_integral(q * (cw * cz), grid)
-    p1, p2 = _oracle_integrands(q, U, V, sinW, sinZ, cw, sw, cz)
-    s1, s2 = _oracle_integrands(q, V, U, sinZ, sinW, cz, sz, cw)
-    p = np.stack((p1, p2, s1, s2))
+    G = prefix_integral(q * (cw * cz), state.grid)
+    return U, V, q, sinW, sinZ, cw, sw, cz, sz, G
+
+
+def _oracle_halves(G, grid, p_fwd, p_bwd):
     a = np.exp(-np.diff(G))
     half_dx = 0.5 * grid.dx
-    fwd = _oracle_scan(G, half_dx * (a * p[:, :-1] + p[:, 1:]))
-    b_bwd = half_dx * (a * p[:, 1:] + p[:, :-1])
+    fwd = _oracle_scan(G, half_dx * (a * p_fwd[:, :-1] + p_fwd[:, 1:]))
+    b_bwd = half_dx * (a * p_bwd[:, 1:] + p_bwd[:, :-1])
     bwd = _oracle_scan(G[-1] - G[::-1], b_bwd[:, ::-1])[:, ::-1]
-    scale = np.array([0.5, 0.125, 0.5, 0.125])[:, None]
-    P1, P2, S1, S2 = scale * (fwd + bwd)
-    dxP1, dxP2, dxS1, dxS2 = scale * (bwd - fwd)
-    drive_w = P1 + dxP2
-    drive_z = S1 + dxS2
+    return fwd, bwd
+
+
+def _oracle_rates(U, V, q, sinW, sinZ, cw, sw, cz, sz, rate_u, rate_v,
+                  drive_w, drive_z):
     dq = q * (U * U * V + 0.5 * V - drive_w) * sinW \
         + q * (V * V * U + 0.5 * U - drive_z) * sinZ
-    return np.stack((-dxP1 - P2, -dxS1 - S2,
+    return np.stack((rate_u, rate_v,
                      _oracle_angle_rate(U, V, cw, sw, drive_w),
                      _oracle_angle_rate(V, U, cz, sz, drive_z),
                      dq, U * V))
+
+
+def oracle_rhs(state):
+    """rhs written once per component, the roles swapped by hand.
+
+    P1 = E * i1 / 2 and P2 = E * i2 / 8, so the U rate -dx P1 - P2 and
+    the drive P1 + dx P2 are F - B and F + B, with F the forward half of
+    i1/2 - i2/8 and B the backward half of i1/2 + i2/8.
+    """
+    U, V, q, sinW, sinZ, cw, sw, cz, sz, G = _oracle_fields(state)
+    p1, p2 = _oracle_integrands(q, U, V, sinW, sinZ, cw, sw, cz)
+    s1, s2 = _oracle_integrands(q, V, U, sinZ, sinW, cz, sz, cw)
+    p1, p2, s1, s2 = p1 * 0.5, p2 * 0.125, s1 * 0.5, s2 * 0.125
+    (Fp, Fs), (Bp, Bs) = _oracle_halves(G, state.grid,
+                                        np.stack((p1 - p2, s1 - s2)),
+                                        np.stack((p1 + p2, s1 + s2)))
+    return _oracle_rates(U, V, q, sinW, sinZ, cw, sw, cz, sz,
+                         Fp - Bp, Fs - Bs, Fp + Bp, Fs + Bs)
+
+
+def four_source_rhs(state):
+    """rhs from the four sources P1, P2, S1, S2 and their x-derivatives,
+    each the sum and difference of its two halves."""
+    U, V, q, sinW, sinZ, cw, sw, cz, sz, G = _oracle_fields(state)
+    p1, p2 = _oracle_integrands(q, U, V, sinW, sinZ, cw, sw, cz)
+    s1, s2 = _oracle_integrands(q, V, U, sinZ, sinW, cz, sz, cw)
+    p = np.stack((p1, p2, s1, s2))
+    fwd, bwd = _oracle_halves(G, state.grid, p, p)
+    scale = np.array([0.5, 0.125, 0.5, 0.125])[:, None]
+    P1, P2, S1, S2 = scale * (fwd + bwd)
+    dxP1, dxP2, dxS1, dxS2 = scale * (bwd - fwd)
+    return _oracle_rates(U, V, q, sinW, sinZ, cw, sw, cz, sz,
+                         -dxP1 - P2, -dxS1 - S2, P1 + dxP2, S1 + dxS2)
 
 
 @pytest.mark.parametrize("n", [64, 512, 2048])
@@ -167,10 +192,21 @@ def test_rhs_matches_per_component_oracle_bitwise(n):
     assert same_bits(rhs(state), oracle_rhs(state))
 
 
+@pytest.mark.parametrize("n", [64, 512, 2048])
+def test_rhs_matches_four_source_oracle_to_roundoff(n):
+    # Forming the two halves first regroups sums of the same terms, so
+    # only rounding separates the two formulas.
+    state = wide_random_state(n, seed=n + 1)
+    ref = four_source_rhs(state)
+    bound = 64.0 * np.finfo(float).eps * np.max(np.abs(ref), axis=1)
+    assert np.all(np.max(np.abs(rhs(state) - ref), axis=1) <= bound)
+
+
 def test_rhs_matches_oracle_on_negative_zero_angles():
-    # With U = V = 0 and Z = -0.0 the P2 integrand is -0.0 everywhere.
-    # The scan turns it into +0.0 by adding the zero carry, and that
-    # sign reaches dU = -dx P1 - P2.
+    # With U = V = 0 and Z = -0.0 the P2 integrand is -0.0 everywhere,
+    # and the S2 one wherever sin W < 0.  The P1 and S1 integrands are
+    # +0.0, so the halves' integrands i1/2 - i2/8 and i1/2 + i2/8 are
+    # +0.0 either way: the scans see only +0.0 and dU = F - B is +0.0.
     base = wide_random_state(512)
     zero = np.zeros(base.grid.n)
     state = base.with_fields(U=zero, V=zero, Z=np.full(base.grid.n, -0.0))

@@ -6,9 +6,10 @@ from hypothesis import given, settings, strategies as st
 from novlab import (ContractError, NumericalAbort, assemble_sources, exp_convolve,
                     exp_convolve_bruteforce, half_angle_factors,
                     kernel_accumulator, level_distance, make_grid)
+from novlab.sources import _BLOCK_SPAN
 from novlab.validation import bumps, random_state
 
-from conftest import flat_state
+from conftest import flat_state, same_bits
 
 
 @given(st.integers(min_value=0, max_value=2**32 - 1))
@@ -19,10 +20,9 @@ def test_scan_matches_bruteforce_property(seed):
     state = random_state(rng, g)
     G = kernel_accumulator(state, half_angle_factors(state))
     p = bumps(rng, g, 2, 1.0)
-    fe, fo = exp_convolve(p, G, g)
-    se, so = exp_convolve_bruteforce(p, G, g)
-    assert np.max(np.abs(fe - se)) < 1e-12
-    assert np.max(np.abs(fo - so)) < 1e-12
+    for fast, slow in zip(exp_convolve(p, p, G, g),
+                          exp_convolve_bruteforce(p, p, G, g)):
+        assert np.max(np.abs(fast - slow)) < 1e-12
 
 
 def random_stack(rng, g):
@@ -36,12 +36,12 @@ def test_stacked_convolve_equals_row_by_row_bitwise():
     state = random_state(rng, g)
     G = kernel_accumulator(state, half_angle_factors(state))
     p = random_stack(rng, g)
-    even, odd = exp_convolve(p, G, g)
-    assert even.shape == odd.shape == p.shape
+    fwd, bwd = exp_convolve(p, p[::-1], G, g)
+    assert fwd.shape == bwd.shape == p.shape
     for row in range(p.shape[0]):
-        e1, o1 = exp_convolve(p[row], G, g)
-        assert np.array_equal(even[row], e1)
-        assert np.array_equal(odd[row], o1)
+        f1, b1 = exp_convolve(p[row], p[3 - row], G, g)
+        assert same_bits(fwd[row], f1)
+        assert same_bits(bwd[row], b1)
 
 
 def test_stacked_scan_matches_bruteforce():
@@ -50,11 +50,28 @@ def test_stacked_scan_matches_bruteforce():
     state = random_state(rng, g)
     G = kernel_accumulator(state, half_angle_factors(state))
     p = random_stack(rng, g)
-    fe, fo = exp_convolve(p, G, g)
-    se, so = exp_convolve_bruteforce(p, G, g)
-    assert se.shape == so.shape == p.shape
-    assert np.max(np.abs(fe - se)) < 1e-12
-    assert np.max(np.abs(fo - so)) < 1e-12
+    fast = exp_convolve(p, p, G, g)
+    slow = exp_convolve_bruteforce(p, p, G, g)
+    for f, s in zip(fast, slow):
+        assert s.shape == p.shape
+        assert np.max(np.abs(f - s)) < 1e-12
+
+
+def test_distinct_halves_match_bruteforce_across_blocks():
+    # Each half reads only its own integrand, on a potential long
+    # enough that both scans cross block boundaries.
+    rng = np.random.default_rng(9)
+    g = make_grid(-40.0, 40.0, 1024)
+    state = random_state(rng, g)
+    G = kernel_accumulator(state, half_angle_factors(state))
+    assert G[-1] > 2.0 * _BLOCK_SPAN
+    p_fwd = random_stack(rng, g)[:2]
+    p_bwd = random_stack(rng, g)[:2]
+    fast = exp_convolve(p_fwd, p_bwd, G, g)
+    slow = exp_convolve_bruteforce(p_fwd, p_bwd, G, g)
+    for f, s in zip(fast, slow):
+        assert np.max(np.abs(f - s)) < 1e-12
+    assert not np.array_equal(fast[1], exp_convolve(p_fwd, p_fwd, G, g)[1])
 
 
 @pytest.mark.parametrize("value, node", [
@@ -74,14 +91,28 @@ def test_stacked_convolve_names_first_bad_node(value, node):
     p[2, 250] = value
     with np.errstate(over="ignore", invalid="ignore"):
         with pytest.raises(NumericalAbort) as stacked:
-            exp_convolve(p, G, g)
+            exp_convolve(p, p, G, g)
         with pytest.raises(NumericalAbort) as single:
-            exp_convolve(p[2], G, g)
+            exp_convolve(p[2], p[2], G, g)
         for row in (0, 1, 3):
-            exp_convolve(p[row], G, g)
+            exp_convolve(p[row], p[row], G, g)
     assert stacked.value.diagnostics["node"] == node
     assert single.value.diagnostics["node"] == node
     assert f"at node {node}" in str(stacked.value)
+
+
+def test_convolve_names_a_nan_in_the_backward_input_only():
+    # The NaN reaches only the backward half, at nodes 0..250, yet the
+    # diagnostic names its input node, not the first bad output.
+    g = make_grid(-35.0, 35.0, 701)
+    state = flat_state(g)
+    G = kernel_accumulator(state, half_angle_factors(state))
+    p_bwd = np.ones((4, g.n))
+    p_bwd[2, 250] = np.nan
+    with np.errstate(invalid="ignore"):
+        with pytest.raises(NumericalAbort) as err:
+            exp_convolve(np.ones((4, g.n)), p_bwd, G, g)
+    assert err.value.diagnostics["node"] == 250
 
 
 @pytest.mark.parametrize("convolve", [exp_convolve, exp_convolve_bruteforce])
@@ -92,7 +123,17 @@ def test_convolutions_reject_a_shape_mismatch(convolve, shape):
     state = flat_state(g)
     G = kernel_accumulator(state, half_angle_factors(state))
     with pytest.raises(ContractError, match=r"shape"):
-        convolve(np.ones(shape), G, g)
+        convolve(np.ones(shape), np.ones(shape), G, g)
+
+
+@pytest.mark.parametrize("convolve", [exp_convolve, exp_convolve_bruteforce])
+@pytest.mark.parametrize("shapes", [((64,), (2, 64)), ((2, 64), (3, 64))])
+def test_convolutions_reject_halves_of_two_shapes(convolve, shapes):
+    g = make_grid(-5.0, 5.0, 64)
+    state = flat_state(g)
+    G = kernel_accumulator(state, half_angle_factors(state))
+    with pytest.raises(ContractError, match=r"one shape"):
+        convolve(*(np.ones(shape) for shape in shapes), G, g)
 
 
 def test_convolve_names_nonfinite_kernel_potential_node():
@@ -102,24 +143,22 @@ def test_convolve_names_nonfinite_kernel_potential_node():
     G[300] = np.nan
     with np.errstate(invalid="ignore"):
         with pytest.raises(NumericalAbort) as err:
-            exp_convolve(np.ones((4, g.n)), G, g)
+            exp_convolve(np.ones((4, g.n)), np.ones((4, g.n)), G, g)
     assert err.value.diagnostics["node"] == 300
 
 
 def test_kernel_flat_state_has_closed_form():
     # With W = Z = 0 and q = 1 the kernel weight is |xi - eta| itself, so
-    # convolving the constant 1 against e^{-|xi-eta|} has the closed form
-    # 2 - e^{-(xi-a)} - e^{-(b-xi)} on [a, b], up to O(dx^2) quadrature.
+    # convolving the constant 1 against e^{-|xi-eta|} over [a, b] has the
+    # halves 1 - e^{-(xi-a)} left of xi and 1 - e^{-(b-xi)} right of it,
+    # up to O(dx^2) quadrature.
     g = make_grid(-10.0, 10.0, 4001)
     state = flat_state(g)
     G = kernel_accumulator(state, half_angle_factors(state))
-    even, odd = exp_convolve(np.ones(g.n), G, g)
+    fwd, bwd = exp_convolve(np.ones(g.n), np.ones(g.n), G, g)
     xi = g.nodes
-    expected = 2.0 - np.exp(-(xi - g.xi_min)) - np.exp(-(g.xi_max - xi))
-    assert np.max(np.abs(even - expected)) < 5.0 * g.dx**2
-    # The signed variant integrates sign(eta - xi) e^{-|xi-eta|}.
-    expected_odd = np.exp(-(xi - g.xi_min)) - np.exp(-(g.xi_max - xi))
-    assert np.max(np.abs(odd - expected_odd)) < 5.0 * g.dx**2
+    assert np.max(np.abs(fwd - (1.0 - np.exp(-(xi - g.xi_min))))) < 5.0 * g.dx**2
+    assert np.max(np.abs(bwd - (1.0 - np.exp(-(g.xi_max - xi))))) < 5.0 * g.dx**2
 
 
 def test_accumulator_rejects_negative_density():
@@ -137,11 +176,11 @@ def test_wide_domain_does_not_overflow():
     g = make_grid(-400.0, 400.0, 2048)
     state = flat_state(g)
     G = kernel_accumulator(state, half_angle_factors(state))
-    even, odd = exp_convolve(np.ones(g.n), G, g)
-    assert np.all(np.isfinite(even)) and np.all(np.isfinite(odd))
-    be, bo = exp_convolve_bruteforce(np.ones(g.n), G, g)
-    assert np.max(np.abs(even - be)) < 1e-12
-    assert np.max(np.abs(odd - bo)) < 1e-12
+    ones = np.ones(g.n)
+    for fast, slow in zip(exp_convolve(ones, ones, G, g),
+                          exp_convolve_bruteforce(ones, ones, G, g)):
+        assert np.all(np.isfinite(fast))
+        assert np.max(np.abs(fast - slow)) < 1e-12
 
 
 def test_level_distance_is_the_distance_to_plus_or_minus_pi():
@@ -157,21 +196,20 @@ def test_symmetric_state_sources_collapse():
     g = make_grid(-10.0, 10.0, 256)
     base = random_state(rng, g)
     state = base.with_fields(V=base.U, Z=base.W)
-    # Rows P1, P2 equal rows S1, S2 bitwise, in both stacks.
-    for stack in assemble_sources(state, half_angle_factors(state)):
-        assert np.array_equal(stack[0::2], stack[1::2])
+    # The U and V rows of both halves are equal bitwise.
+    for half in assemble_sources(state, half_angle_factors(state)):
+        assert same_bits(half[0], half[1])
 
 
 def test_sources_finite_and_shaped(smooth_pair_state):
     state = smooth_pair_state
-    src, dx_src = assemble_sources(state, half_angle_factors(state))
-    for stack in (src, dx_src):
-        assert stack.shape == (4, state.grid.n)
-        assert np.all(np.isfinite(stack))
+    for half in assemble_sources(state, half_angle_factors(state)):
+        assert half.shape == (2, state.grid.n)
+        assert np.all(np.isfinite(half))
 
 
 def test_zero_state_sources_vanish():
     g = make_grid(-5.0, 5.0, 64)
     state = flat_state(g)
-    for stack in assemble_sources(state, half_angle_factors(state)):
-        assert np.max(np.abs(stack)) == 0.0
+    for half in assemble_sources(state, half_angle_factors(state)):
+        assert same_bits(half, np.zeros((2, g.n)))
