@@ -20,6 +20,14 @@ every file, sorted, so two trees can be compared with diff:
 
 novlab is imported from the path Python finds first, so PYTHONPATH picks
 the tree under test.
+
+`--compare OUT_A OUT_B` runs nothing: it compares two such directories
+and prints, for each artifact that differs, the largest relative change
+of its numbers.  Integers are counts, labels and indices (row, record
+and event counts, case labels, frame numbers), so a changed integer is a
+structural change, and so are a changed file list, line count or any
+text between the numbers.  Each structural change is printed and makes
+the exit status 1.
 """
 import argparse
 import contextlib
@@ -113,13 +121,69 @@ def digest_lines(out: Path) -> list[str]:
             for f in files]
 
 
+# A float has a point or an exponent; a bare digit string is an integer.
+NUMBER = re.compile(r"[-+]?(?:\d+\.\d*|\.\d+|\d+)(?:[eE][-+]?\d+)?")
+
+
+def file_change(text_a: str, text_b: str):
+    """(largest relative change of the numbers, first structural change
+    or None) between two versions of one text artifact."""
+    lines_a, lines_b = text_a.splitlines(), text_b.splitlines()
+    if len(lines_a) != len(lines_b):
+        return 0.0, f"{len(lines_a)} lines -> {len(lines_b)}"
+    worst = 0.0
+    for row, (a, b) in enumerate(zip(lines_a, lines_b), 1):
+        if NUMBER.split(a) != NUMBER.split(b):
+            return worst, f"line {row}: text between the numbers differs"
+        for x, y in zip(NUMBER.findall(a), NUMBER.findall(b)):
+            if x == y:
+                continue
+            if not any(c in x + y for c in ".eE"):
+                return worst, f"line {row}: integer {x} -> {y}"
+            fx, fy = float(x), float(y)
+            if fx != fy:
+                worst = max(worst, abs(fx - fy) / max(abs(fx), abs(fy)))
+    return worst, None
+
+
+def compare(out_a: Path, out_b: Path) -> int:
+    """Prints the change of every differing artifact; 1 on a structural one."""
+    files = [{p.relative_to(out).as_posix() for p in out.rglob("*")
+              if p.is_file()} for out in (out_a, out_b)]
+    structural = [f"only in {out}: {f}" for out, only in
+                  ((out_a, files[0] - files[1]), (out_b, files[1] - files[0]))
+                  for f in sorted(only)]
+    same = 0
+    for f in sorted(files[0] & files[1]):
+        a, b = ((out / f).read_text() for out in (out_a, out_b))
+        if a == b:
+            same += 1
+            continue
+        worst, problem = file_change(a, b)
+        print(f"{worst:.3g}  {f}")
+        if problem:
+            structural.append(f"{f}: {problem}")
+    print(f"{same} of {len(files[0] & files[1])} common files identical")
+    for line in structural:
+        print(f"structural change: {line}")
+    return 1 if structural else 0
+
+
 def main(argv=None) -> int:
     ap = argparse.ArgumentParser(
         description=__doc__, formatter_class=argparse.RawDescriptionHelpFormatter)
-    ap.add_argument("out", help="directory for the run outputs")
+    ap.add_argument("out", nargs="?", help="directory for the run outputs")
     ap.add_argument("--quick", action="store_true",
                     help="only the 8 --quick runs")
+    ap.add_argument("--compare", nargs=2, type=Path, metavar=("OUT_A", "OUT_B"),
+                    help="compare two output directories instead of running")
     args = ap.parse_args(argv)
+    if args.compare:
+        if args.out or args.quick:
+            ap.error("--compare takes no OUT and no --quick")
+        return compare(*args.compare)
+    if args.out is None:
+        ap.error("OUT is required")
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     if any(out.iterdir()):

@@ -307,7 +307,8 @@ def verify_cancellations(point: SingularPoint, state: TransformedState,
     if i_star - window_nodes < 0 or i_star + window_nodes >= grid.n:
         return CancellationReport(case_label=label, complete=False, checks=())
 
-    analytic = dict(zip("yUV", xi_derivatives(state)))
+    factors = half_angle_factors(state)
+    analytic = dict(zip("yUV", xi_derivatives(state, factors)))
     patch, win, fd = _patch_derivatives(np.stack(list(analytic.values())),
                                         grid, xi, window_nodes, (1, 2, 3, 4))
     # derivs[name][k] is the (k+1)-th xi-derivative on the patch, analytic
@@ -315,7 +316,7 @@ def verify_cancellations(point: SingularPoint, state: TransformedState,
     derivs = {name: [row[patch]] + [d[j] for d in fd]
               for j, (name, row) in enumerate(analytic.items())}
 
-    (sinW, sinZ), (cw, cz), _ = half_angle_factors(state)
+    (sinW, sinZ), (cw, cz), _ = factors
     _, _, ((w1, z1), (w2, z2)) = _patch_derivatives(
         state.data[2:4], grid, xi, window_nodes, (1, 2))
     local = {"q": state.q[patch], "cw": cw[patch], "cz": cz[patch],

@@ -2,13 +2,13 @@
 
 The kernel between two nodes is exp(-|G[i] - G[j]|) where G is the
 prefix integral of q cos^2(W/2) cos^2(Z/2).  Convolutions against it
-split into a causal and an anticausal half, each satisfying a one-step
-recursion with per-cell decay factors exp(-(G[k+1]-G[k])).  The rates
-read the sources only through sums and differences of one half of each
-kind, so each half scans just the integrand pair it needs.  The scan
-vectorizes the recursion in blocks of bounded G-span, so no
-exponential of an unbounded argument is ever formed; a quadratic-time
-double loop with the same trapezoid weights serves as the oracle.
+split into a forward and a backward half, and each half convolves just
+the integrand pair the rates read.  One blocked pass serves both: it
+forms the blocks of G and exp(+-(G - G[s])), anchored at each block
+start s, once; each half is an inclusive prefix sum, reversed for the
+backward one, started from an end node's half cell, and half of each
+node's own term comes off after the sums: the trapezoid weights.  A
+quadratic-time double loop with the same weights serves as the oracle.
 """
 
 from __future__ import annotations
@@ -30,18 +30,20 @@ __all__ = [
     "assemble_sources",
 ]
 
-# Per-block bound on the kernel exponent span.  Within a block the scan
-# forms exp(+L) with L <= span plus one cell, far below overflow.
-_BLOCK_SPAN = 30.0
+# Bound on L = G - G[block start], set by overflow alone: the forward
+# sum scales the integrand by exp(L) <= e^100 (2.7e43) past one cell.
+# Every shipped config's G spans less, so its sums run in one block.
+_BLOCK_SPAN = 100.0
 
 
 def half_angle_factors(state: TransformedState):
     """sin(angle), cos^2(angle/2), sin^2(angle/2) in one place, each a
-    (2, n) pair with rows W and Z: the swap is the reversal pair[::-1]."""
+    (2, n) pair with rows W and Z: the swap is the reversal pair[::-1].
+    Two trig calls: sin(angle) is 2 sin(angle/2) cos(angle/2)."""
     half = 0.5 * state.data[2:4]
-    cos2 = np.square(np.cos(half))
-    sin2 = np.square(np.sin(half, out=half), out=half)
-    return np.sin(state.data[2:4]), cos2, sin2
+    cos, sin_half = np.cos(half), np.sin(half, out=half)
+    sin = 2.0 * sin_half * cos
+    return sin, np.square(cos, out=cos), np.square(sin_half, out=sin_half)
 
 
 # The breaking levels: W or Z at +pi or -pi.  Angles stay unwrapped, so
@@ -69,14 +71,16 @@ def _y_xi(q, cw, cz):
     return q * (cw * cz)
 
 
-def xi_derivatives(state: TransformedState):
+def xi_derivatives(state: TransformedState, factors=None):
     """Analytic first xi-derivatives (y_xi, U_xi, V_xi) of the state:
 
         y_xi = q cos^2(W/2) cos^2(Z/2)
         U_xi = (q/2) sin W cos^2(Z/2)
         V_xi = (q/2) cos^2(W/2) sin Z
+
+    factors is half_angle_factors(state), evaluated here if not given.
     """
-    (sinW, sinZ), (cw, cz), _ = half_angle_factors(state)
+    (sinW, sinZ), (cw, cz), _ = factors or half_angle_factors(state)
     q = state.q
     return _y_xi(q, cw, cz), 0.5 * q * sinW * cz, 0.5 * q * cw * sinZ
 
@@ -94,32 +98,6 @@ def kernel_accumulator(state: TransformedState, factors) -> np.ndarray:
             {"node": k, "value": float(r[k])},
         )
     return prefix_integral(r, state.grid)
-
-
-def _decay_scan(G: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """I[0] = 0, I[k] = exp(-(G[k]-G[k-1])) I[k-1] + b[k-1], row by row.
-
-    b has shape (..., n-1) and every row is scanned along the last axis
-    against the same G.  Blocked evaluation: within a block starting at s,
-      I[k] = exp(-(G[k]-G[s])) * (I[s] + sum_{j<=k} b[j-1] exp(G[j]-G[s]))
-    and block boundaries are chosen so G[k]-G[s] stays bounded; the
-    boundaries and both exponential factors are shared by all rows.
-    """
-    n = G.size
-    out = np.empty(b.shape[:-1] + (n,))
-    out[..., 0] = 0.0
-    s = 0
-    while s < n - 1:
-        e = int(np.searchsorted(G, G[s] + _BLOCK_SPAN, side="right")) - 1
-        e = min(max(e, s + 1), n - 1)
-        L = G[s + 1:e + 1] - G[s]
-        block = np.multiply(b[..., s:e], np.exp(L), out=out[..., s + 1:e + 1])
-        np.cumsum(block, axis=-1, out=block)
-        # Adding I[0] = +0.0 to the first block turns -0.0 into +0.0.
-        block += out[..., s:s + 1]
-        np.multiply(block, np.exp(-L), out=block)
-        s = e
-    return out
 
 
 def _as_halves(p_fwd, p_bwd, G: np.ndarray, grid: Grid):
@@ -141,16 +119,37 @@ def exp_convolve(p_fwd, p_bwd, G: np.ndarray, grid: Grid):
     E(xi_i, eta) p_bwd(eta) right of it.
     """
     p_fwd, p_bwd = _as_halves(p_fwd, p_bwd, G, grid)
-    a = np.exp(-np.diff(G))
-    b = a * p_fwd[..., :-1]
-    b += p_fwd[..., 1:]
-    b *= 0.5 * grid.dx
-    fwd = _decay_scan(G, b)
-    # Backward cell terms, in b again; that scan runs on the reversed line.
-    b = np.multiply(a, p_bwd[..., 1:], out=b)
-    b += p_bwd[..., :-1]
-    b *= 0.5 * grid.dx
-    bwd = _decay_scan(G[-1] - G[::-1], b[..., ::-1])[..., ::-1]
+    n, dx = grid.n, grid.dx
+    # Both halves share the blocks and exp(+-L), L = G - G[block start s].
+    blocks, s = [], 0
+    while s < n - 1:
+        e = int(np.searchsorted(G, G[s] + _BLOCK_SPAN, side="right")) - 1
+        e = min(max(e, s + 1), n - 1)
+        L = G[s:e + 1] - G[s]
+        blocks.append((s, e, np.exp(L), np.exp(-L)))
+        s = e
+    # Running sums at weight dx, from the half cell of node 0 or n-1.
+    fwd, bwd = np.multiply(p_fwd, dx), np.multiply(p_bwd, dx)
+    fwd[..., 0] *= 0.5
+    bwd[..., -1] *= 0.5
+    for s, e, up, down in blocks:
+        # F[k] = exp(-L[k]) (F[s] + sum_{s<j<=k} dx p[j] exp(L[j])).
+        block = fwd[..., s:e + 1]
+        block[..., 1:] *= up[1:]
+        np.cumsum(block, axis=-1, out=block)
+        block[..., 1:] *= down[1:]
+    for s, e, up, down in reversed(blocks):
+        # B[k] = exp(L[k]) (sum_{k<=j<e} dx p[j] exp(-L[j]) + B[e] exp(-L[e]));
+        # the carry B[e] joins the sum at slot e-1, so slot e keeps it.
+        block = bwd[..., s:e + 1]
+        block[..., :-1] *= down[:-1]
+        block[..., -2] += block[..., -1] * down[-1]
+        rev = block[..., -2::-1]
+        np.cumsum(rev, axis=-1, out=rev)
+        block[..., :-1] *= up[:-1]
+    # Each node's own term belongs at half weight: dx p / 2 comes off.
+    fwd -= np.multiply(p_fwd, 0.5 * dx)
+    bwd -= np.multiply(p_bwd, 0.5 * dx)
     if not (np.isfinite(fwd).all() and np.isfinite(bwd).all()):
         # A scan carries a non-finite input to every node past it, so name
         # the first non-finite input node, and the first bad output else.

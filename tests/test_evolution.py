@@ -7,7 +7,7 @@ from novlab import (ContractError, EvolveAbort, NumericalAbort, OmegaBounds,
                     pair_datum, rhs, rk4_step, transform_with_map,
                     y_formula_gap)
 from novlab.grid import prefix_integral
-from novlab.sources import _BLOCK_SPAN
+from novlab import sources
 from novlab.validation import random_state
 
 from conftest import flat_state, same_bits, two_bump_pair
@@ -82,13 +82,21 @@ SWAP = [1, 0, 3, 2, 4, 5]
 
 
 def wide_random_state(n, seed=0):
-    # The kernel potential spans about 80 units, so the decay scans
-    # cross blocks.
+    # The kernel potential spans about 80 units: one scan block at the
+    # shipped span, 16 or more at a span of 5.
     return random_state(np.random.default_rng(seed), make_grid(-40.0, 40.0, n))
 
 
-@pytest.mark.parametrize("n", [64, 512, 2048])
-def test_rhs_and_rk4_commute_with_the_swap_bitwise(n):
+# Grid sizes at the shipped block span, and at a span of 5 kernel units.
+SIZES_AND_SPANS = pytest.mark.parametrize(
+    "n, span", [(64, None), (512, None), (2048, None), (512, 5.0)],
+    ids=["64", "512", "2048", "512-span5"])
+
+
+@SIZES_AND_SPANS
+def test_rhs_and_rk4_commute_with_the_swap_bitwise(n, span, monkeypatch):
+    if span is not None:
+        monkeypatch.setattr(sources, "_BLOCK_SPAN", span)
     state = wide_random_state(n, seed=n)
     swapped = state.with_fields(U=state.V, V=state.U, W=state.Z, Z=state.W)
     assert same_bits(rhs(swapped), rhs(state)[SWAP])
@@ -98,22 +106,66 @@ def test_rhs_and_rk4_commute_with_the_swap_bitwise(n):
     assert same_bits(swapped.data, state.data[SWAP])
 
 
-def _oracle_scan(G, b):
-    # The decay scan with fresh temporaries and a zero carry added to
-    # every block, the first included.
+def _blocks(G, span):
+    # Node ranges [s, e] of at most span in G past one cell, sharing ends.
+    s, out = 0, []
+    while s < G.size - 1:
+        e = int(np.searchsorted(G, G[s] + span, side="right")) - 1
+        e = min(max(e, s + 1), G.size - 1)
+        out.append((s, e))
+        s = e
+    return out
+
+
+def _oracle_halves(G, grid, p_fwd, p_bwd):
+    """Both halves from one set of blocks, with fresh temporaries.
+
+    In a block [s, e] with L = G - G[s], F[k] = exp(-L[k]) (F[s] + the
+    inclusive sum of dx p_fwd exp(L) past s) and B[k] = exp(L[k]) (the
+    inclusive sum of dx p_bwd exp(-L) from k to e-1 + B[e] exp(-L[e])).
+    The sums start from the half cell of node 0 and of node n-1, and
+    half of each node's own term comes off at the end.
+    """
+    dx = grid.dx
+    F, B = np.zeros(p_fwd.shape), np.zeros(p_bwd.shape)
+    F[:, 0] = (dx * p_fwd[:, 0]) * 0.5
+    B[:, -1] = (dx * p_bwd[:, -1]) * 0.5
+    blocks = [(s, e, G[s:e + 1] - G[s])
+              for s, e in _blocks(G, sources._BLOCK_SPAN)]
+    for s, e, L in blocks:
+        terms = np.concatenate(
+            (F[:, s:s + 1], dx * p_fwd[:, s + 1:e + 1] * np.exp(L[1:])), axis=1)
+        F[:, s + 1:e + 1] = np.cumsum(terms, axis=1)[:, 1:] * np.exp(-L[1:])
+    for s, e, L in reversed(blocks):
+        terms = dx * p_bwd[:, s:e] * np.exp(-L[:-1])
+        terms[:, -1] += B[:, e] * np.exp(-L[-1])
+        B[:, s:e] = np.cumsum(terms[:, ::-1], axis=1)[:, ::-1] * np.exp(L[:-1])
+    return F - 0.5 * dx * p_fwd, B - 0.5 * dx * p_bwd
+
+
+def _cell_scan(G, b):
+    # I[0] = 0, I[k] = exp(-(G[k]-G[k-1])) I[k-1] + b[k-1], in blocks of
+    # 30 kernel units with a zero carry added to every block.
     n = G.size
     out = np.zeros(b.shape[:-1] + (n,))
     carry = np.zeros(b.shape[:-1] + (1,))
-    s = 0
-    while s < n - 1:
-        e = int(np.searchsorted(G, G[s] + _BLOCK_SPAN, side="right")) - 1
-        e = min(max(e, s + 1), n - 1)
+    for s, e in _blocks(G, 30.0):
         L = G[s:e + 1] - G[s]
         acc = np.cumsum(b[..., s:e] * np.exp(L[1:]), axis=-1)
         out[..., s + 1:e + 1] = np.exp(-L[1:]) * (carry + acc)
         carry = out[..., e:e + 1]
-        s = e
     return out
+
+
+def _cell_trapezoid_halves(G, grid, p_fwd, p_bwd):
+    """The halves as two recursions over trapezoid cells, the backward
+    one on the reversed line, each cell decaying by exp(-diff(G))."""
+    a = np.exp(-np.diff(G))
+    half_dx = 0.5 * grid.dx
+    fwd = _cell_scan(G, half_dx * (a * p_fwd[:, :-1] + p_fwd[:, 1:]))
+    b_bwd = half_dx * (a * p_bwd[:, 1:] + p_bwd[:, :-1])
+    bwd = _cell_scan(G[-1] - G[::-1], b_bwd[:, ::-1])[:, ::-1]
+    return fwd, bwd
 
 
 def _oracle_integrands(q, A, B, sinA, sinB, cA, sA, cB):
@@ -127,20 +179,13 @@ def _oracle_angle_rate(A, B, cA, sA, drive):
 
 def _oracle_fields(state):
     U, V, W, Z, q = state.data[:5]
-    sinW, sinZ = np.sin(W), np.sin(Z)
+    # The sines by the double-angle formula.
+    sinW = 2.0 * np.sin(0.5 * W) * np.cos(0.5 * W)
+    sinZ = 2.0 * np.sin(0.5 * Z) * np.cos(0.5 * Z)
     cw, sw = np.cos(0.5 * W) ** 2, np.sin(0.5 * W) ** 2
     cz, sz = np.cos(0.5 * Z) ** 2, np.sin(0.5 * Z) ** 2
     G = prefix_integral(q * (cw * cz), state.grid)
     return U, V, q, sinW, sinZ, cw, sw, cz, sz, G
-
-
-def _oracle_halves(G, grid, p_fwd, p_bwd):
-    a = np.exp(-np.diff(G))
-    half_dx = 0.5 * grid.dx
-    fwd = _oracle_scan(G, half_dx * (a * p_fwd[:, :-1] + p_fwd[:, 1:]))
-    b_bwd = half_dx * (a * p_bwd[:, 1:] + p_bwd[:, :-1])
-    bwd = _oracle_scan(G[-1] - G[::-1], b_bwd[:, ::-1])[:, ::-1]
-    return fwd, bwd
 
 
 def _oracle_rates(U, V, q, sinW, sinZ, cw, sw, cz, sz, rate_u, rate_v,
@@ -173,12 +218,13 @@ def oracle_rhs(state):
 
 def four_source_rhs(state):
     """rhs from the four sources P1, P2, S1, S2 and their x-derivatives,
-    each the sum and difference of its two halves."""
+    each the sum and difference of its two halves, with the halves from
+    the cell-trapezoid recursions."""
     U, V, q, sinW, sinZ, cw, sw, cz, sz, G = _oracle_fields(state)
     p1, p2 = _oracle_integrands(q, U, V, sinW, sinZ, cw, sw, cz)
     s1, s2 = _oracle_integrands(q, V, U, sinZ, sinW, cz, sz, cw)
     p = np.stack((p1, p2, s1, s2))
-    fwd, bwd = _oracle_halves(G, state.grid, p, p)
+    fwd, bwd = _cell_trapezoid_halves(G, state.grid, p, p)
     scale = np.array([0.5, 0.125, 0.5, 0.125])[:, None]
     P1, P2, S1, S2 = scale * (fwd + bwd)
     dxP1, dxP2, dxS1, dxS2 = scale * (bwd - fwd)
@@ -186,16 +232,19 @@ def four_source_rhs(state):
                          -dxP1 - P2, -dxS1 - S2, P1 + dxP2, S1 + dxS2)
 
 
-@pytest.mark.parametrize("n", [64, 512, 2048])
-def test_rhs_matches_per_component_oracle_bitwise(n):
+@SIZES_AND_SPANS
+def test_rhs_matches_per_component_oracle_bitwise(n, span, monkeypatch):
+    if span is not None:
+        monkeypatch.setattr(sources, "_BLOCK_SPAN", span)
     state = wide_random_state(n, seed=n + 1)
     assert same_bits(rhs(state), oracle_rhs(state))
 
 
 @pytest.mark.parametrize("n", [64, 512, 2048])
 def test_rhs_matches_four_source_oracle_to_roundoff(n):
-    # Forming the two halves first regroups sums of the same terms, so
-    # only rounding separates the two formulas.
+    # Forming the two halves first regroups sums of the same terms, and
+    # the cell recursions weight the same trapezoid nodes in another
+    # order, so only rounding separates the two formulas.
     state = wide_random_state(n, seed=n + 1)
     ref = four_source_rhs(state)
     bound = 64.0 * np.finfo(float).eps * np.max(np.abs(ref), axis=1)
@@ -206,7 +255,8 @@ def test_rhs_matches_oracle_on_negative_zero_angles():
     # With U = V = 0 and Z = -0.0 the P2 integrand is -0.0 everywhere,
     # and the S2 one wherever sin W < 0.  The P1 and S1 integrands are
     # +0.0, so the halves' integrands i1/2 - i2/8 and i1/2 + i2/8 are
-    # +0.0 either way: the scans see only +0.0 and dU = F - B is +0.0.
+    # +0.0 either way: the sums see only +0.0, so do the half-weight
+    # terms taken off them, and dU = F - B is +0.0.
     base = wide_random_state(512)
     zero = np.zeros(base.grid.n)
     state = base.with_fields(U=zero, V=zero, Z=np.full(base.grid.n, -0.0))

@@ -111,3 +111,38 @@ def test_artifact_digest_quick_lists_every_file(tmp_path, capsys):
     for line in lines:
         digest, rel = line.split("  ", 1)
         assert digest == hashlib.sha256((out / rel).read_bytes()).hexdigest()
+
+
+def write_tree(root, files):
+    for rel, text in files.items():
+        (root / rel).parent.mkdir(parents=True, exist_ok=True)
+        (root / rel).write_text(text)
+    return root
+
+
+def test_artifact_digest_compare_reports_numbers_and_structure(tmp_path,
+                                                               capsys):
+    main = load_script("artifact_digest").main
+    base = {"run/conserved.csv": "t,E\n0.0,2.0\n0.5,-0.0\n",
+            "run/points.jsonl": '{"case_label": 1, "t": 1.5}\n',
+            "run.stdout": "found 3 level events over 2 records\n"}
+    a = write_tree(tmp_path / "a", base)
+    moved = dict(base, **{"run/conserved.csv": "t,E\n0.0,2.000000000000001\n"
+                                               "0.5,0.0\n"})
+    b = write_tree(tmp_path / "b", moved)
+    assert main(["--compare", str(a), str(b)]) == 0
+    out = capsys.readouterr().out
+    assert "4.44e-16  run/conserved.csv" in out
+    assert "2 of 3 common files identical" in out
+    assert "structural" not in out
+    # A case label, an event count, a row count, a null and a file list.
+    changes = [("run/points.jsonl", '{"case_label": 2, "t": 1.5}\n'),
+               ("run.stdout", "found 4 level events over 2 records\n"),
+               ("run/conserved.csv", "t,E\n0.0,2.0\n"),
+               ("run/points.jsonl", '{"case_label": 1, "t": null}\n'),
+               ("run/extra.csv", "t\n")]
+    for k, (rel, text) in enumerate(changes):
+        c = write_tree(tmp_path / f"c{k}", dict(base, **{rel: text}))
+        assert main(["--compare", str(a), str(c)]) == 1
+        out = capsys.readouterr().out
+        assert "structural change: " in out and rel in out

@@ -6,7 +6,7 @@ from hypothesis import given, settings, strategies as st
 from novlab import (ContractError, NumericalAbort, assemble_sources, exp_convolve,
                     exp_convolve_bruteforce, half_angle_factors,
                     kernel_accumulator, level_distance, make_grid)
-from novlab.sources import _BLOCK_SPAN
+from novlab import sources
 from novlab.validation import bumps, random_state
 
 from conftest import flat_state, same_bits
@@ -57,14 +57,15 @@ def test_stacked_scan_matches_bruteforce():
         assert np.max(np.abs(f - s)) < 1e-12
 
 
-def test_distinct_halves_match_bruteforce_across_blocks():
-    # Each half reads only its own integrand, on a potential long
-    # enough that both scans cross block boundaries.
+def test_distinct_halves_match_bruteforce_across_blocks(monkeypatch):
+    # Each half reads only its own integrand; at a span of 5 kernel
+    # units both sums carry across many block boundaries.
+    monkeypatch.setattr(sources, "_BLOCK_SPAN", 5.0)
     rng = np.random.default_rng(9)
     g = make_grid(-40.0, 40.0, 1024)
     state = random_state(rng, g)
     G = kernel_accumulator(state, half_angle_factors(state))
-    assert G[-1] > 2.0 * _BLOCK_SPAN
+    assert G[-1] > 10.0 * sources._BLOCK_SPAN
     p_fwd = random_stack(rng, g)[:2]
     p_bwd = random_stack(rng, g)[:2]
     fast = exp_convolve(p_fwd, p_bwd, G, g)
@@ -78,9 +79,10 @@ def test_distinct_halves_match_bruteforce_across_blocks():
     # A NaN spreads along both scan directions over the whole row; the
     # diagnostic names the input node that holds it.
     (np.nan, 250),
-    # 1e300 overflows the forward scan only: node 250 sits 25 kernel
-    # units into a forward block (exp(25) * 1e300 > max float) but 15
-    # into a backward one, so the output is finite left of it.
+    # 1e300 overflows the forward sum only.  The one block starts at
+    # node 0 and node 250 sits 25 kernel units into it, so the forward
+    # sum scales dx * 1e300 by exp(25) past max float, while the backward
+    # sum scales it by exp(-25) and the output left of it stays finite.
     (1e300, 250),
 ])
 def test_stacked_convolve_names_first_bad_node(value, node):
@@ -145,6 +147,19 @@ def test_convolve_names_nonfinite_kernel_potential_node():
         with pytest.raises(NumericalAbort) as err:
             exp_convolve(np.ones((4, g.n)), np.ones((4, g.n)), G, g)
     assert err.value.diagnostics["node"] == 300
+
+
+def test_double_angle_sine_stays_within_4_eps_of_np_sin():
+    # sin(angle) is 2 sin(angle/2) cos(angle/2); the sign of zero holds.
+    special = [0.0, -0.0, np.pi, -np.pi, 1.5 * np.pi, -1.5 * np.pi]
+    angles = np.concatenate((special, np.linspace(-1.5, 1.5, 58) * np.pi))
+    state = flat_state(make_grid(-1.0, 1.0, angles.size))
+    state = state.with_fields(W=angles, Z=angles[::-1])
+    sin = half_angle_factors(state)[0]
+    ref = np.sin(state.data[2:4])
+    assert np.max(np.abs(sin - ref)) <= 4.0 * np.finfo(float).eps
+    assert same_bits(sin[0, :2], np.array([0.0, -0.0]))
+    assert same_bits(sin[1, -2:], np.array([-0.0, 0.0]))
 
 
 def test_kernel_flat_state_has_closed_form():
