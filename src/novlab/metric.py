@@ -89,15 +89,19 @@ class RatioRow:
     eta_iterations: int
 
 
-def _state_derivatives(state: TransformedState):
-    y_xi, u_xi, v_xi = xi_derivatives(state)
+def _state_derivatives(state: TransformedState, factors=None):
+    y_xi, u_xi, v_xi = xi_derivatives(state, factors)
     w_xi, z_xi, q_xi = fd_derivative(state.data[2:5], state.grid, 1)
     return y_xi, u_xi, v_xi, w_xi, z_xi, q_xi
 
 
-def z_shift(state: TransformedState, tangent: np.ndarray) -> np.ndarray:
-    """First variation of the characteristic map under the tangent."""
-    (sinW, sinZ), (cw, cz), _ = half_angle_factors(state)
+def z_shift(state: TransformedState, tangent: np.ndarray,
+            factors=None) -> np.ndarray:
+    """First variation of the characteristic map under the tangent.
+
+    factors is half_angle_factors(state), evaluated here if not given.
+    """
+    (sinW, sinZ), (cw, cz), _ = factors or half_angle_factors(state)
     _, _, A, B, Q = tangent
     integrand = (Q * (cw * cz)
                  - 0.5 * state.q * A * sinW * cz
@@ -109,14 +113,16 @@ def z_shift(state: TransformedState, tangent: np.ndarray) -> np.ndarray:
 _ROW_SCALE = np.array([1.0, 1.0, 1.0, 0.5, 0.5])[:, None]
 
 
-def _phi_zero(state: TransformedState, tangent: np.ndarray) -> np.ndarray:
+def _phi_zero(state: TransformedState, tangent: np.ndarray,
+              factors=None) -> np.ndarray:
     """P0, the (6, n) phi stack at eta = 0.
 
     Rows 0-4 are (z, R, S, A, B) * _ROW_SCALE * q and row 5 is Q: the
     eta terms drop out, so no xi-derivatives are needed.
     """
     P0 = np.empty((6, state.grid.n))
-    P0[:5] = (np.concatenate((z_shift(state, tangent)[None], tangent[:4]))
+    P0[:5] = (np.concatenate((z_shift(state, tangent, factors)[None],
+                              tangent[:4]))
               * _ROW_SCALE * state.q)
     P0[5] = tangent[4]
     return P0
@@ -166,7 +172,8 @@ class _ShiftOperator:
         return M
 
 
-def _shift_operator(state: TransformedState, eta_nodes: int) -> _ShiftOperator:
+def _shift_operator(state: TransformedState, eta_nodes: int,
+                    factors=None) -> _ShiftOperator:
     if eta_nodes < 2:
         raise ContractError(f"shift field needs eta_nodes >= 2, got {eta_nodes}")
     grid = state.grid
@@ -183,7 +190,7 @@ def _shift_operator(state: TransformedState, eta_nodes: int) -> _ShiftOperator:
             f"shift holds no grid node; need eta_nodes <= grid.n = {grid.n}")
     index = np.stack((cells, cells + 1))
     hat = np.maximum(0.0, 1.0 - np.abs(nodes - coarse[index]) / spacing)
-    *D, q_xi = _state_derivatives(state)
+    *D, q_xi = _state_derivatives(state, factors)
     band = np.empty((2, 6, grid.n))
     band[:, :5] = (np.stack(D) * _ROW_SCALE * state.q) * hat[:, None]
     band[:, 5] = q_xi * hat + np.array([[-1.0], [1.0]]) * state.q / spacing
@@ -273,14 +280,16 @@ def _coordinate_sweep(op: _ShiftOperator, weights: np.ndarray,
 
 
 def _checked_norm_inputs(state: TransformedState, tangent: np.ndarray,
-                         alpha: float):
-    """The quadrature weights and P0 of a tangent, after the shape checks."""
+                         alpha: float, factors):
+    """The quadrature weights and P0 of a tangent, after the shape checks;
+    factors is half_angle_factors(state)."""
     if np.shape(tangent) != (5, state.grid.n):
         raise ContractError(f"tangent has shape {np.shape(tangent)}, "
                             f"expected (5, {state.grid.n})")
     if not 0.0 < alpha < 1.0:
         raise ContractError(f"alpha must lie strictly in (0,1), got {alpha}")
-    return _quad_weights(state.grid, state.y, alpha), _phi_zero(state, tangent)
+    return (_quad_weights(state.grid, state.y, alpha),
+            _phi_zero(state, tangent, factors))
 
 
 def shift_value(state: TransformedState, tangent: np.ndarray,
@@ -290,8 +299,9 @@ def shift_value(state: TransformedState, tangent: np.ndarray,
     The shift is piecewise linear with value coeffs[j] at the j-th of
     coeffs.size equispaced nodes spanning the grid; no box applies.
     """
-    weights, P0 = _checked_norm_inputs(state, tangent, alpha)
-    op = _shift_operator(state, np.size(coeffs))
+    factors = half_angle_factors(state)
+    weights, P0 = _checked_norm_inputs(state, tangent, alpha, factors)
+    op = _shift_operator(state, np.size(coeffs), factors)
     return _objective(weights, P0 + op.apply(np.asarray(coeffs, dtype=float)))
 
 
@@ -308,14 +318,16 @@ def tangent_norm_info(state: TransformedState, tangent: np.ndarray,
     the result counts the passes made.  seed, eta_nodes coefficients
     clipped to the box, warm-starts the passes; None starts them cold.
     """
-    weights, P0 = _checked_norm_inputs(state, tangent, alpha)
+    # z_shift and the shift operator share one evaluation of the factors.
+    factors = half_angle_factors(state)
+    weights, P0 = _checked_norm_inputs(state, tangent, alpha, factors)
     if search not in ("eta_zero", "coarse_descent"):
         raise ContractError(f"unknown search mode {search!r}")
     value0 = _objective(weights, P0)
     if search == "eta_zero" or iters < 1:
         return NormInfo(value=value0, iterations=0, eta_zero_value=value0,
                         best_coeffs=None)
-    op = _shift_operator(state, eta_nodes)
+    op = _shift_operator(state, eta_nodes, factors)
     best_val, best_c, used = value0, np.zeros(eta_nodes), 0
     # A zero value is already the minimum, and a non-finite one cannot
     # be improved on.

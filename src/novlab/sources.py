@@ -1,5 +1,9 @@
 """Nonlocal source fields under the state-dependent exponential kernel.
 
+The rates read W and Z only through the half-angle factors, and those
+come from one tangent, T = tan(W/2) = u_x: cos^2(W/2) = 1/(1 + T^2),
+sin^2(W/2) = T^2/(1 + T^2) and sin W = 2T/(1 + T^2).
+
 The kernel between two nodes is exp(-|G[i] - G[j]|) where G is the
 prefix integral of q cos^2(W/2) cos^2(Z/2).  Convolutions against it
 split into a forward and a backward half, and each half convolves just
@@ -39,11 +43,19 @@ _BLOCK_SPAN = 100.0
 def half_angle_factors(state: TransformedState):
     """sin(angle), cos^2(angle/2), sin^2(angle/2) in one place, each a
     (2, n) pair with rows W and Z: the swap is the reversal pair[::-1].
-    Two trig calls: sin(angle) is 2 sin(angle/2) cos(angle/2)."""
-    half = 0.5 * state.data[2:4]
-    cos, sin_half = np.cos(half), np.sin(half, out=half)
-    sin = 2.0 * sin_half * cos
-    return sin, np.square(cos, out=cos), np.square(sin_half, out=sin_half)
+
+    One tan call: with T = tan(angle/2), the slope u_x or v_x,
+    cos^2 = 1/(1 + T^2), sin^2 = T^2 cos^2 and sin = 2T cos^2.  At the
+    double nearest +-pi, T is about 1.6e16, so T^2 stays finite.
+    """
+    T = np.multiply(0.5, state.data[2:4])
+    np.tan(T, out=T)
+    sin2 = np.square(T)
+    cos2 = np.add(sin2, 1.0)
+    np.divide(1.0, cos2, out=cos2)
+    sin2 *= cos2
+    T *= 2.0
+    return np.multiply(T, cos2, out=T), cos2, sin2
 
 
 # The breaking levels: W or Z at +pi or -pi.  Angles stay unwrapped, so
@@ -128,8 +140,11 @@ def exp_convolve(p_fwd, p_bwd, G: np.ndarray, grid: Grid):
         L = G[s:e + 1] - G[s]
         blocks.append((s, e, np.exp(L), np.exp(-L)))
         s = e
-    # Running sums at weight dx, from the half cell of node 0 or n-1.
-    fwd, bwd = np.multiply(p_fwd, dx), np.multiply(p_bwd, dx)
+    # Running sums at weight dx, from the half cell of node 0 or n-1;
+    # both halves live in one buffer, so one scan screens them.
+    halves = np.empty((2,) + p_fwd.shape)
+    fwd = np.multiply(p_fwd, dx, out=halves[0])
+    bwd = np.multiply(p_bwd, dx, out=halves[1])
     fwd[..., 0] *= 0.5
     bwd[..., -1] *= 0.5
     for s, e, up, down in blocks:
@@ -150,7 +165,7 @@ def exp_convolve(p_fwd, p_bwd, G: np.ndarray, grid: Grid):
     # Each node's own term belongs at half weight: dx p / 2 comes off.
     fwd -= np.multiply(p_fwd, 0.5 * dx)
     bwd -= np.multiply(p_bwd, 0.5 * dx)
-    if not (np.isfinite(fwd).all() and np.isfinite(bwd).all()):
+    if not np.isfinite(halves).all():
         # A scan carries a non-finite input to every node past it, so name
         # the first non-finite input node, and the first bad output else.
         bad_in = ~((np.isfinite(p_fwd) & np.isfinite(p_bwd))

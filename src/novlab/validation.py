@@ -114,6 +114,23 @@ def check_scan_vs_bruteforce(cfg, rng):
     return ok, f"max scan-vs-bruteforce diff = {worst:.3g} over {trials} states"
 
 
+def check_half_angle_factors(cfg, rng):
+    special = np.pi * np.array([0.0, -0.0, 1.0, -1.0, 1.5, -1.5, 2.0, -2.0,
+                                3.0, -3.0])
+    angles = np.concatenate((special, np.linspace(-7.0, 7.0, 2001),
+                             rng.uniform(-7.0, 7.0, 2001)))
+    grid = make_grid(-1.0, 1.0, angles.size)
+    state = TransformedState(0.0, grid, np.stack(
+        (np.zeros(grid.n), np.zeros(grid.n), angles, angles[::-1],
+         np.ones(grid.n), grid.nodes)))
+    half = 0.5 * state.data[2:4]
+    refs = np.sin(state.data[2:4]), np.cos(half) ** 2, np.sin(half) ** 2
+    worst = max(float(np.max(np.abs(got - ref) / np.finfo(float).eps))
+                for got, ref in zip(half_angle_factors(state), refs))
+    return worst <= 4.0, (f"max |factor - libm| = {worst:.3g} eps vs 4 eps "
+                          f"over {angles.size} angles in [-7, 7]")
+
+
 def check_kernel_properties(cfg, rng):
     grid = make_grid(-8.0, 8.0, 256)
     state = random_state(rng, grid)
@@ -294,6 +311,7 @@ _CHECKS = [
     ("prefix_vs_integrate", check_prefix_vs_integrate),
     ("fd_polynomial_exactness", check_fd_polynomial),
     ("scan_vs_bruteforce", check_scan_vs_bruteforce),
+    ("half_angle_factors_vs_libm", check_half_angle_factors),
     ("kernel_properties", check_kernel_properties),
     ("swap_symmetry_bitwise", check_swap_symmetry),
     ("zero_state_fixed_point", check_zero_state_rhs),

@@ -1,4 +1,6 @@
 """Time stepping, guards, and conserved quantities."""
+import warnings
+
 import numpy as np
 import pytest
 
@@ -7,6 +9,7 @@ from novlab import (ContractError, EvolveAbort, NumericalAbort, OmegaBounds,
                     pair_datum, rhs, rk4_step, transform_with_map,
                     y_formula_gap)
 from novlab.grid import prefix_integral
+from novlab.initial import TransformedState
 from novlab import sources
 from novlab.validation import random_state
 
@@ -177,13 +180,18 @@ def _oracle_angle_rate(A, B, cA, sA, drive):
     return 2.0 * A * A * B * cA - B * sA - 2.0 * drive * cA
 
 
+def _oracle_slope_factors(angle):
+    # With the slope T = tan(angle/2): sin = 2T/(1+T^2),
+    # cos^2(angle/2) = 1/(1+T^2) and sin^2(angle/2) = T^2/(1+T^2).
+    T = np.tan(0.5 * angle)
+    c = 1.0 / (T * T + 1.0)
+    return (2.0 * T) * c, c, (T * T) * c
+
+
 def _oracle_fields(state):
     U, V, W, Z, q = state.data[:5]
-    # The sines by the double-angle formula.
-    sinW = 2.0 * np.sin(0.5 * W) * np.cos(0.5 * W)
-    sinZ = 2.0 * np.sin(0.5 * Z) * np.cos(0.5 * Z)
-    cw, sw = np.cos(0.5 * W) ** 2, np.sin(0.5 * W) ** 2
-    cz, sz = np.cos(0.5 * Z) ** 2, np.sin(0.5 * Z) ** 2
+    sinW, cw, sw = _oracle_slope_factors(W)
+    sinZ, cz, sz = _oracle_slope_factors(Z)
     G = prefix_integral(q * (cw * cz), state.grid)
     return U, V, q, sinW, sinZ, cw, sw, cz, sz, G
 
@@ -444,3 +452,42 @@ def test_check_omega_names_the_angle_bound_it_enforced():
         check_omega(state, OmegaBounds(angle_max=0.5 * np.pi))
     assert info.value.diagnostics["w_max"] == pytest.approx(0.6 * np.pi)
     assert info.value.diagnostics["z_max"] == pytest.approx(0.2 * np.pi)
+
+
+@pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+def test_check_omega_rejects_a_non_finite_entry(value):
+    g = make_grid(-4.0, 4.0, 64)
+    state = flat_state(g)
+    for row in range(6):
+        data = state.data.copy()
+        data[row, 17] = value
+        bad = TransformedState(0.25, g, data)
+        with pytest.raises(NumericalAbort, match="non-finite state entry") as info:
+            check_omega(bad, BOUNDS)
+        assert info.value.diagnostics == {"t": 0.25}
+
+
+def test_check_omega_passes_a_finite_state_whose_sum_overflows():
+    # U is not bounded by Omega; two entries of 1e308 overflow a sum of
+    # the state, but no entry is non-finite, so the guard passes, and
+    # without a warning.
+    g = make_grid(-4.0, 4.0, 64)
+    U = np.zeros(g.n)
+    U[[3, 40]] = 1e308
+    state = flat_state(g).with_fields(U=U)
+    with np.errstate(over="ignore"):
+        assert np.sum(state.data) == np.inf
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        check_omega(state, BOUNDS)
+
+
+def test_check_omega_reads_max_abs_angle_from_either_sign():
+    g = make_grid(-4.0, 4.0, 64)
+    W = np.linspace(-0.7, 0.3, g.n) * np.pi
+    state = flat_state(g).with_fields(W=W, Z=np.full(g.n, -0.0))
+    with pytest.raises(NumericalAbort, match="angle bound") as info:
+        check_omega(state, OmegaBounds(angle_max=0.5 * np.pi))
+    assert info.value.diagnostics["w_max"] == np.max(np.abs(W))
+    # max |Z| of a row of -0.0 is +0.0, as abs gives it.
+    assert np.copysign(1.0, info.value.diagnostics["z_max"]) == 1.0

@@ -60,6 +60,29 @@ def test_eta_zero_mode_needs_no_state_derivatives(monkeypatch):
     assert np.float64(info.value).tobytes() == np.float64(value0).tobytes()
 
 
+@pytest.mark.parametrize("search", ["eta_zero", "coarse_descent"])
+def test_tangent_norm_computes_half_angle_factors_once(monkeypatch, search):
+    # z_shift and the shift operator's xi-derivatives share one
+    # evaluation of the factors.
+    from novlab import sources
+    rng = np.random.default_rng(26)
+    g = make_grid(-8.0, 8.0, 128)
+    state = random_state(rng, g)
+    tan = random_tangent(rng, g)
+    calls = []
+    real = sources.half_angle_factors
+
+    def counted(st):
+        calls.append(st)
+        return real(st)
+
+    monkeypatch.setattr(metric, "half_angle_factors", counted)
+    monkeypatch.setattr(sources, "half_angle_factors", counted)
+    info = tangent_norm_info(state, tan, search=search, iters=5)
+    assert len(calls) == 1
+    assert (info.iterations > 0) == (search == "coarse_descent")
+
+
 def oracle_coarse_descent(state, tangent, alpha, eta_nodes, iters):
     # The coarse_descent loop as it was before the stacked rewrite, kept
     # verbatim (six separate phis, a fresh shift per iterate) as the

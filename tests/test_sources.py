@@ -1,4 +1,6 @@
 """Nonlocal source assembly and the exponential-kernel convolution."""
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -117,6 +119,36 @@ def test_convolve_names_a_nan_in_the_backward_input_only():
     assert err.value.diagnostics["node"] == 250
 
 
+@pytest.mark.parametrize("value", [np.inf, -np.inf])
+def test_convolve_names_an_infinite_input_node(value):
+    g = make_grid(-35.0, 35.0, 701)
+    state = flat_state(g)
+    G = kernel_accumulator(state, half_angle_factors(state))
+    p_fwd = np.ones((2, g.n))
+    p_fwd[1, 400] = value
+    with np.errstate(invalid="ignore"):
+        with pytest.raises(NumericalAbort, match="at node 400") as err:
+            exp_convolve(p_fwd, np.ones((2, g.n)), G, g)
+    assert err.value.diagnostics["node"] == 400
+
+
+def test_convolve_passes_finite_halves_whose_sum_overflows():
+    # Every output is below 1e306 and finite, but their sum is not: the
+    # guard looks at the entries, not at a sum of them.
+    g = make_grid(-2.0, 2.0, 401)
+    state = flat_state(g)
+    G = kernel_accumulator(state, half_angle_factors(state))
+    p = np.full((4, g.n), 1e306)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        fwd, bwd = exp_convolve(p, p, G, g)
+    with np.errstate(over="ignore"):
+        assert np.sum(fwd) + np.sum(bwd) == np.inf
+    assert np.all(np.isfinite(fwd)) and np.all(np.isfinite(bwd))
+    for fast, slow in zip((fwd, bwd), exp_convolve_bruteforce(p, p, G, g)):
+        assert np.max(np.abs(fast - slow)) <= 1e-12 * 1e306
+
+
 @pytest.mark.parametrize("convolve", [exp_convolve, exp_convolve_bruteforce])
 @pytest.mark.parametrize("shape", [(10,), (65,), (2, 3, 64)])
 def test_convolutions_reject_a_shape_mismatch(convolve, shape):
@@ -149,17 +181,55 @@ def test_convolve_names_nonfinite_kernel_potential_node():
     assert err.value.diagnostics["node"] == 300
 
 
-def test_double_angle_sine_stays_within_4_eps_of_np_sin():
-    # sin(angle) is 2 sin(angle/2) cos(angle/2); the sign of zero holds.
-    special = [0.0, -0.0, np.pi, -np.pi, 1.5 * np.pi, -1.5 * np.pi]
-    angles = np.concatenate((special, np.linspace(-1.5, 1.5, 58) * np.pi))
+def angle_state(angles):
+    # W runs through the angles and Z through them reversed.
     state = flat_state(make_grid(-1.0, 1.0, angles.size))
-    state = state.with_fields(W=angles, Z=angles[::-1])
-    sin = half_angle_factors(state)[0]
-    ref = np.sin(state.data[2:4])
-    assert np.max(np.abs(sin - ref)) <= 4.0 * np.finfo(float).eps
+    return state.with_fields(W=angles, Z=angles[::-1])
+
+
+SPECIAL_ANGLES = np.array([0.0, -0.0, np.pi, -np.pi, 1.5 * np.pi, -1.5 * np.pi,
+                           2.0 * np.pi, -2.0 * np.pi, 3.0 * np.pi, -3.0 * np.pi])
+
+
+def test_half_angle_factors_stay_within_4_eps_of_np_trig():
+    # The factors come from tan(angle/2), one call, and still match
+    # sin(angle), cos^2(angle/2) and sin^2(angle/2) from libm.
+    angles = np.concatenate((SPECIAL_ANGLES, np.linspace(-7.0, 7.0, 4001)))
+    state = angle_state(angles)
+    half = 0.5 * state.data[2:4]
+    refs = np.sin(state.data[2:4]), np.cos(half) ** 2, np.sin(half) ** 2
+    for got, ref in zip(half_angle_factors(state), refs):
+        assert got.shape == (2, angles.size)
+        assert np.max(np.abs(got - ref)) <= 4.0 * np.finfo(float).eps
+
+
+def test_half_angle_factors_keep_the_sign_of_zero_and_the_pole():
+    sin, cos2, sin2 = half_angle_factors(angle_state(SPECIAL_ANGLES))
+    # sin(-0.0) is -0.0, and sin^2 of either zero is +0.0.
     assert same_bits(sin[0, :2], np.array([0.0, -0.0]))
     assert same_bits(sin[1, -2:], np.array([-0.0, 0.0]))
+    assert same_bits(sin2[0, :2], np.zeros(2))
+    assert same_bits(cos2[0, :2], np.ones(2))
+    # At the double nearest +-pi, tan(angle/2) is about 1.6e16: finite,
+    # and so is its square.
+    at_pi = (0, slice(2, 4))
+    for factor in (sin, cos2, sin2):
+        assert np.all(np.isfinite(factor))
+    assert np.all(cos2[at_pi] < 1e-32)
+    assert np.all(sin2[at_pi] == 1.0)
+    assert np.allclose(sin[at_pi], np.sin(SPECIAL_ANGLES[2:4]), rtol=1e-15,
+                       atol=0.0)
+
+
+def test_half_angle_factors_are_2pi_periodic():
+    angles = np.linspace(-3.5, 3.5, 1001)
+    base = half_angle_factors(angle_state(angles))
+    for shift in (-2.0 * np.pi, 2.0 * np.pi):
+        moved = half_angle_factors(angle_state(angles + shift))
+        for got, ref in zip(moved, base):
+            # The shifted angle carries one rounding, at most half an ulp
+            # of 10 (4 eps), which the factors see at slope <= 1.
+            assert np.max(np.abs(got - ref)) <= 32.0 * np.finfo(float).eps
 
 
 def test_kernel_flat_state_has_closed_form():
