@@ -18,8 +18,7 @@ import numpy as np
 from .errors import ContractError, EvolveAbort, NumericalAbort
 from .grid import integrate, prefix_integral
 from .initial import TransformedState
-from .sources import (assemble_sources, half_angle_factors, product_into,
-                      xi_derivatives)
+from .sources import assemble_sources, half_angle_factors, xi_derivatives
 
 __all__ = [
     "OmegaBounds",
@@ -77,14 +76,18 @@ def rhs(state: TransformedState) -> np.ndarray:
     np.subtract(fwd, bwd, out=out[:2])
     drive = np.add(fwd, bwd, out=fwd)
     # A A B feeds both rates; 2 (A A B) equals (2 A) A B bitwise.
-    dq = product_into(out[4:6], A, A, B)
-    rate = product_into(out[2:4], 2.0, dq, cos2)
-    rate -= product_into(term, B, sin2)
-    rate -= product_into(term, 2.0, drive, cos2)
+    dq = np.multiply(A, A, out=out[4:6])
+    dq *= B
+    rate = np.multiply(2.0, dq, out=out[2:4])
+    rate *= cos2
+    rate -= np.multiply(B, sin2, out=term)
+    np.multiply(2.0, drive, out=term)
+    rate -= np.multiply(term, cos2, out=term)
     # dq = q (U^2 V + V/2 - drive_w) sinW + the same with roles swapped.
-    dq += product_into(term, 0.5, B)
+    dq += np.multiply(0.5, B, out=term)
     dq -= drive
-    product_into(dq, dq, state.q, sin)
+    dq *= state.q
+    dq *= sin
     np.add(dq[0], dq[1], out=out[4])
     np.multiply(A[0], A[1], out=out[5])
     return out
@@ -93,19 +96,21 @@ def rhs(state: TransformedState) -> np.ndarray:
 def check_omega(state: TransformedState, bounds: OmegaBounds) -> None:
     # Row maxima and minima carry a NaN or an infinity of their row, so
     # they screen for non-finite entries and give the bounds at once.
-    hi, lo = np.max(state.data, axis=1), np.min(state.data, axis=1)
+    hi, lo = state.data.max(axis=1), state.data.min(axis=1)
     if not (np.isfinite(hi).all() and np.isfinite(lo).all()):
         raise NumericalAbort("non-finite state entry", {"t": state.t})
-    q_min, q_max = float(lo[4]), float(hi[4])
+    hi, lo = hi.tolist(), lo.tolist()
+    q_min, q_max = lo[4], hi[4]
     # max |W| is max(max W, -min W); abs only turns a -0.0 into +0.0.
-    w_max, z_max = np.abs(np.maximum(hi[2:4], -lo[2:4])).tolist()
-    diag = {"t": state.t, "q_min": q_min, "q_max": q_max,
-            "w_max": w_max, "z_max": z_max}
-    if q_min < bounds.q_lo / bounds.slack or q_max > bounds.q_hi * bounds.slack:
-        raise NumericalAbort(
-            f"q left its validity box at t={state.t:.6g}: "
-            f"[{q_min:.3e}, {q_max:.3e}]", diag)
-    if w_max > bounds.angle_max or z_max > bounds.angle_max:
+    w_max, z_max = abs(max(hi[2], -lo[2])), abs(max(hi[3], -lo[3]))
+    q_out = q_min < bounds.q_lo / bounds.slack or q_max > bounds.q_hi * bounds.slack
+    if q_out or w_max > bounds.angle_max or z_max > bounds.angle_max:
+        diag = {"t": state.t, "q_min": q_min, "q_max": q_max,
+                "w_max": w_max, "z_max": z_max}
+        if q_out:
+            raise NumericalAbort(
+                f"q left its validity box at t={state.t:.6g}: "
+                f"[{q_min:.3e}, {q_max:.3e}]", diag)
         raise NumericalAbort(
             f"angle bound {bounds.angle_max / np.pi:.6g}pi exceeded at "
             f"t={state.t:.6g}: max|W|={w_max:.4f}, max|Z|={z_max:.4f}", diag)

@@ -68,7 +68,7 @@ def prefix_integral(samples, grid: Grid) -> np.ndarray:
     out = np.empty(grid.n)
     out[0] = 0.0
     cells = (0.5 * grid.dx) * (arr[:-1] + arr[1:])
-    np.cumsum(cells, out=out[1:])
+    cells.cumsum(out=out[1:])
     return out
 
 

@@ -60,10 +60,11 @@ def euler_fields(state: TransformedState, mask_tol: float = MASK_TOL) -> EulerFi
         k = int(np.argmin(drops))
         raise ContractError(f"y decreases at cell {k}: delta={drops[k]:.3e}")
     y = np.maximum.accumulate(y)
-    # Slopes tan(angle/2) and their masks, rows u and v from W and Z.
-    half = 0.5 * state.data[2:4]
-    valid = np.abs(np.cos(half)) >= mask_tol
-    slope = np.where(valid, np.tan(half), np.nan)
+    # Slopes T = tan(angle/2), rows u and v from W and Z, masked where
+    # |cos(angle/2)| < mask_tol: where T^2 > 1/mask_tol^2 - 1, or T is NaN.
+    T = np.tan(0.5 * state.data[2:4])
+    valid = T * T <= (1.0 / mask_tol**2 - 1.0 if mask_tol else np.inf)
+    slope = np.where(valid, T, np.nan)
     return EulerField(
         x=y,
         u=state.U.copy(),

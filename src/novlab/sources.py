@@ -7,12 +7,13 @@ sin^2(W/2) = T^2/(1 + T^2) and sin W = 2T/(1 + T^2).
 The kernel between two nodes is exp(-|G[i] - G[j]|) where G is the
 prefix integral of q cos^2(W/2) cos^2(Z/2).  Convolutions against it
 split into a forward and a backward half, and each half convolves just
-the integrand pair the rates read.  One blocked pass serves both: it
-forms the blocks of G and exp(+-(G - G[s])), anchored at each block
-start s, once; each half is an inclusive prefix sum, reversed for the
-backward one, started from an end node's half cell, and half of each
-node's own term comes off after the sums: the trapezoid weights.  A
-quadratic-time double loop with the same weights serves as the oracle.
+the integrand pair the rates read; exp_convolve takes and returns the
+two as one (2, ..., n) stack.  One blocked pass serves both: it forms
+the blocks of G and exp(+-(G - G[s])), anchored at each block start s,
+once; each half is an inclusive prefix sum, reversed for the backward
+one, started from an end node's half cell, and half of each node's own
+term comes off after the sums: the trapezoid weights.  A quadratic-time
+double loop with the same weights serves as the oracle.
 """
 
 from __future__ import annotations
@@ -68,14 +69,6 @@ def level_distance(angle):
     return np.min([np.abs(angle - level) for level in LEVELS], axis=0)
 
 
-def product_into(out: np.ndarray, *factors) -> np.ndarray:
-    """out = ((f0 * f1) * f2) * ..., left to right as Python evaluates it."""
-    np.multiply(factors[0], factors[1], out=out)
-    for f in factors[2:]:
-        out *= f
-    return out
-
-
 def _y_xi(q, cw, cz):
     # Grouping cw*cz first keeps y_xi, and with it the kernel potential,
     # bitwise invariant under the (u,W) <-> (v,Z) swap; IEEE
@@ -103,7 +96,7 @@ def kernel_accumulator(state: TransformedState, factors) -> np.ndarray:
     factors is the tuple half_angle_factors(state) returns.
     """
     r = _y_xi(state.q, *factors[1])
-    if np.any(r < 0.0):
+    if (r < 0.0).any():
         k = int(np.argmin(r))
         raise NumericalAbort(
             f"kernel integrand negative at node {k}; state left Omega",
@@ -112,77 +105,75 @@ def kernel_accumulator(state: TransformedState, factors) -> np.ndarray:
     return prefix_integral(r, state.grid)
 
 
-def _as_halves(p_fwd, p_bwd, G: np.ndarray, grid: Grid):
-    p_fwd, p_bwd = np.asarray(p_fwd, dtype=float), np.asarray(p_bwd, dtype=float)
-    if (p_fwd.ndim not in (1, 2) or p_bwd.shape != p_fwd.shape
-            or (p_fwd.shape[-1], *G.shape) != (grid.n, grid.n)):
-        raise ContractError(f"convolution needs p_fwd and p_bwd of one shape "
-                            f"(n,) or (k, n) and G (n,), n = {grid.n}; got "
-                            f"{p_fwd.shape}, {p_bwd.shape} and {G.shape}")
-    return p_fwd, p_bwd
+def _as_stack(p, G: np.ndarray, grid: Grid) -> np.ndarray:
+    p = np.asarray(p, dtype=float)
+    if (p.ndim not in (2, 3) or p.shape[0] != 2
+            or (p.shape[-1], *G.shape) != (grid.n, grid.n)):
+        raise ContractError(f"convolution needs a stack p of shape (2, n) or "
+                            f"(2, k, n) and G (n,), n = {grid.n}; got "
+                            f"{p.shape} and {G.shape}")
+    return p
 
 
-def exp_convolve(p_fwd, p_bwd, G: np.ndarray, grid: Grid):
+def exp_convolve(p, G: np.ndarray, grid: Grid) -> np.ndarray:
     """Forward and backward halves of the kernel quadrature, O(n) per row.
 
-    p_fwd and p_bwd have one shape, (n,) or (k, n); a stack shares one
-    pass over G.  Returns (fwd, bwd): fwd[..., i] integrates
-    E(xi_i, eta) p_fwd(eta) over the window left of xi_i, and bwd[..., i]
-    E(xi_i, eta) p_bwd(eta) right of it.
+    p stacks the forward integrand p[0] on the backward one p[1], each
+    (n,) or (k, n).  Returns (fwd, bwd) stacked like p: fwd[..., i]
+    integrates E(xi_i, eta) p[0](eta) left of xi_i, bwd[..., i] p[1] right.
     """
-    p_fwd, p_bwd = _as_halves(p_fwd, p_bwd, G, grid)
+    p = _as_stack(p, G, grid)
     n, dx = grid.n, grid.dx
-    # Both halves share the blocks and exp(+-L), L = G - G[block start s].
-    blocks, s = [], 0
-    while s < n - 1:
-        e = int(np.searchsorted(G, G[s] + _BLOCK_SPAN, side="right")) - 1
-        e = min(max(e, s + 1), n - 1)
-        L = G[s:e + 1] - G[s]
-        blocks.append((s, e, np.exp(L), np.exp(-L)))
-        s = e
     # Running sums at weight dx, from the half cell of node 0 or n-1;
     # both halves live in one buffer, so one scan screens them.
-    halves = np.empty((2,) + p_fwd.shape)
-    fwd = np.multiply(p_fwd, dx, out=halves[0])
-    bwd = np.multiply(p_bwd, dx, out=halves[1])
-    fwd[..., 0] *= 0.5
-    bwd[..., -1] *= 0.5
-    for s, e, up, down in blocks:
-        # F[k] = exp(-L[k]) (F[s] + sum_{s<j<=k} dx p[j] exp(L[j])).
-        block = fwd[..., s:e + 1]
-        block[..., 1:] *= up[1:]
-        np.cumsum(block, axis=-1, out=block)
-        block[..., 1:] *= down[1:]
+    halves = np.multiply(p, dx)
+    fwd, bwd = halves.reshape(2, -1, n)
+    fwd[:, 0] *= 0.5
+    bwd[:, -1] *= 0.5
+    # Both halves share the blocks and exp(+-L), L = G - G[block start s].
+    # A block ends at n - 1 by the comparison searchsorted would make.
+    blocks, s, last = [], 0, G[-1]
+    while s < n - 1:
+        top = G[s] + _BLOCK_SPAN
+        e = n - 1 if last <= top else max(
+            int(G.searchsorted(top, side="right")) - 1, s + 1)
+        L = G[s:e + 1] - G[s]
+        up, down = np.exp(L), np.exp(-L)
+        # F[k] = exp(-L[k]) (F[s] + sum_{s<j<=k} dx p[j] exp(L[j])); the
+        # carry F[s] is scaled by up[0] = down[0] = exp(0.0) = 1.0 exactly.
+        block = fwd[:, s:e + 1]
+        block *= up
+        block.cumsum(axis=1, out=block)
+        block *= down
+        blocks.append((s, e, up, down))
+        s = e
     for s, e, up, down in reversed(blocks):
         # B[k] = exp(L[k]) (sum_{k<=j<e} dx p[j] exp(-L[j]) + B[e] exp(-L[e]));
         # the carry B[e] joins the sum at slot e-1, so slot e keeps it.
-        block = bwd[..., s:e + 1]
-        block[..., :-1] *= down[:-1]
-        block[..., -2] += block[..., -1] * down[-1]
-        rev = block[..., -2::-1]
-        np.cumsum(rev, axis=-1, out=rev)
-        block[..., :-1] *= up[:-1]
+        block = bwd[:, s:e]
+        block *= down[:-1]
+        block[:, -1] += bwd[:, e] * down[-1]
+        rev = block[:, ::-1]
+        rev.cumsum(axis=1, out=rev)
+        block *= up[:-1]
     # Each node's own term belongs at half weight: dx p / 2 comes off.
-    fwd -= np.multiply(p_fwd, 0.5 * dx)
-    bwd -= np.multiply(p_bwd, 0.5 * dx)
+    halves -= np.multiply(p, 0.5 * dx)
     if not np.isfinite(halves).all():
         # A scan carries a non-finite input to every node past it, so name
         # the first non-finite input node, and the first bad output else.
-        bad_in = ~((np.isfinite(p_fwd) & np.isfinite(p_bwd))
-                   .reshape(-1, grid.n).all(axis=0) & np.isfinite(G))
+        bad_in = ~(np.isfinite(p).reshape(-1, n).all(axis=0) & np.isfinite(G))
         if not bad_in.any():
-            bad = ~(np.isfinite(fwd) & np.isfinite(bwd))
-            bad_in = bad.reshape(-1, grid.n).any(axis=0)
+            bad_in = ~np.isfinite(halves).reshape(-1, n).all(axis=0)
         k = int(np.argmax(bad_in))
         raise NumericalAbort(
             f"exp_convolve produced a non-finite value at node {k}", {"node": k}
         )
-    return fwd, bwd
+    return halves
 
 
-def exp_convolve_bruteforce(p_fwd, p_bwd, G: np.ndarray, grid: Grid):
+def exp_convolve_bruteforce(p, G: np.ndarray, grid: Grid) -> np.ndarray:
     """Reference double-loop quadrature; identical contract, O(n^2)."""
-    p_fwd, p_bwd = _as_halves(p_fwd, p_bwd, G, grid)
+    p = _as_stack(p, G, grid)
     weights = np.full(grid.n, grid.dx)
     weights[0] = weights[-1] = 0.5 * grid.dx
     kernel = np.exp(-np.abs(G[:, None] - G[None, :]))
@@ -194,14 +185,14 @@ def exp_convolve_bruteforce(p_fwd, p_bwd, G: np.ndarray, grid: Grid):
     left[0, 0], left[-1, -1] = -1.0, 1.0
     # Transposes put the node axis first for a (k, n) stack and are
     # no-ops on a single (n,) row.
-    fwd = ((kernel * (0.5 + 0.5 * left)) @ (weights * p_fwd).T).T
-    bwd = ((kernel * (0.5 - 0.5 * left)) @ (weights * p_bwd).T).T
-    return fwd, bwd
+    fwd = ((kernel * (0.5 + 0.5 * left)) @ (weights * p[0]).T).T
+    bwd = ((kernel * (0.5 - 0.5 * left)) @ (weights * p[1]).T).T
+    return np.stack((fwd, bwd))
 
 
-def assemble_sources(state: TransformedState, factors):
-    """(fwd, bwd), the kernel halves the rates read, as (2, n) pairs with
-    rows for U and V; factors is half_angle_factors(state).
+def assemble_sources(state: TransformedState, factors) -> np.ndarray:
+    """The kernel halves the rates read, as a (2, 2, n) stack (fwd, bwd)
+    of pairs with rows for U and V; factors is half_angle_factors(state).
 
     fwd is the forward half of first/2 - second/8 and bwd the backward
     half of first/2 + second/8, so fwd - bwd = -dx P1 - P2 and
@@ -209,15 +200,28 @@ def assemble_sources(state: TransformedState, factors):
     """
     sin, cos2, sin2 = factors
     # (U, V) and (V, U): the S integrands are the P ones with roles swapped.
-    A, B = state.data[:2], state.data[1::-1]
+    A, B, q = state.data[:2], state.data[1::-1], state.q
+    sin_r, cos2_r = sin[::-1], cos2[::-1]
     G = kernel_accumulator(state, factors)
     p = np.empty((2,) + A.shape)
+    p_fwd, first = p
     term = np.empty_like(A)
-    first = product_into(p[1], A, A, B, cos2, cos2[::-1])
-    first += product_into(term, 0.25, A, sin, sin[::-1])
-    first += product_into(term, 0.5, B, sin2, cos2[::-1])
-    product_into(first, first, state.q, 0.5)
-    second = product_into(term, sin2, sin[::-1], state.q, 0.125)
-    np.subtract(first, second, out=p[0])
+    # Each product runs left to right, in place: first builds in p[1].
+    np.multiply(A, A, out=first)
+    first *= B
+    first *= cos2
+    first *= cos2_r
+    np.multiply(0.25, A, out=term)
+    term *= sin
+    first += np.multiply(term, sin_r, out=term)
+    np.multiply(0.5, B, out=term)
+    term *= sin2
+    first += np.multiply(term, cos2_r, out=term)
+    first *= q
+    first *= 0.5
+    second = np.multiply(sin2, sin_r, out=term)
+    second *= q
+    second *= 0.125
+    np.subtract(first, second, out=p_fwd)
     first += second
-    return exp_convolve(p[0], p[1], G, state.grid)
+    return exp_convolve(p, G, state.grid)

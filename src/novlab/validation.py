@@ -106,9 +106,9 @@ def check_scan_vs_bruteforce(cfg, rng):
     for _ in range(trials):
         state = random_state(rng, grid)
         G = kernel_accumulator(state, half_angle_factors(state))
-        p = bumps(rng, grid, 3, 1.0)
-        for fast, slow in zip(exp_convolve(p, p, G, grid),
-                              exp_convolve_bruteforce(p, p, G, grid)):
+        p = np.stack([bumps(rng, grid, 3, 1.0)] * 2)
+        for fast, slow in zip(exp_convolve(p, G, grid),
+                              exp_convolve_bruteforce(p, G, grid)):
             worst = max(worst, float(np.max(np.abs(fast - slow))))
     ok = worst < 1e-12
     return ok, f"max scan-vs-bruteforce diff = {worst:.3g} over {trials} states"

@@ -499,8 +499,8 @@ def test_cli_validate_injected_fault_fails(tmp_path, capsys, monkeypatch):
     # A scan that is off by 1e-9 must turn its check red and the exit 4.
     real = novlab.validation.exp_convolve
 
-    def broken(p_fwd, p_bwd, G, grid):
-        fwd, bwd = real(p_fwd, p_bwd, G, grid)
+    def broken(p, G, grid):
+        fwd, bwd = real(p, G, grid)
         return fwd, bwd + 1e-9
 
     monkeypatch.setattr(novlab.validation, "exp_convolve", broken)

@@ -5,9 +5,9 @@ import numpy as np
 import pytest
 
 from novlab import (ContractError, EvolveAbort, NumericalAbort, OmegaBounds,
-                    builtin_datum, check_omega, conserved, evolve, make_grid,
-                    pair_datum, rhs, rk4_step, transform_with_map,
-                    y_formula_gap)
+                    builtin_datum, check_omega, conserved, evolve,
+                    half_angle_factors, make_grid, pair_datum, rhs, rk4_step,
+                    transform_with_map, y_formula_gap)
 from novlab.grid import prefix_integral
 from novlab.initial import TransformedState
 from novlab import sources
@@ -78,6 +78,22 @@ def test_rhs_computes_half_angle_factors_once(monkeypatch):
     monkeypatch.setattr(sources, "half_angle_factors", counted)
     rhs(random_state(np.random.default_rng(6), make_grid(-8.0, 8.0, 128)))
     assert len(calls) == 1
+
+
+def test_rhs_calls_each_source_layer_once(monkeypatch):
+    # The kernel potential and the one stacked convolution stay separate
+    # calls through the sources module attributes.
+    calls = []
+    for name in ("kernel_accumulator", "exp_convolve"):
+        real = getattr(sources, name)
+
+        def counted(*args, _name=name, _real=real):
+            calls.append(_name)
+            return _real(*args)
+
+        monkeypatch.setattr(sources, name, counted)
+    rhs(random_state(np.random.default_rng(6), make_grid(-8.0, 8.0, 128)))
+    assert calls == ["kernel_accumulator", "exp_convolve"]
 
 
 # The (u, W) <-> (v, Z) swap as a permutation of the state and rhs rows.
@@ -246,6 +262,24 @@ def test_rhs_matches_per_component_oracle_bitwise(n, span, monkeypatch):
         monkeypatch.setattr(sources, "_BLOCK_SPAN", span)
     state = wide_random_state(n, seed=n + 1)
     assert same_bits(rhs(state), oracle_rhs(state))
+
+
+def test_block_partition_matches_the_oracle_at_an_exact_tie(monkeypatch):
+    # At a span of exactly G[-1] the oracle's searchsorted ends the first
+    # block at n - 1; one ulp less, at n - 2, with [n-2, n-1] after it.
+    # Offsets in U and V keep the integrands nonzero at the right end.
+    base = wide_random_state(512, seed=1)
+    state = base.with_fields(U=base.U + 0.3, V=base.V - 0.15)
+    _, cos2, _ = half_angle_factors(state)
+    G = prefix_integral(state.q * (cos2[0] * cos2[1]), state.grid)
+    results = []
+    for span, blocks in [(G[-1], 1), (np.nextafter(G[-1], 0.0), 2)]:
+        monkeypatch.setattr(sources, "_BLOCK_SPAN", span)
+        assert len(_blocks(G, span)) == blocks
+        results.append(rhs(state))
+        assert same_bits(results[-1], oracle_rhs(state))
+    # The two partitions round differently, so a match pins each one.
+    assert not same_bits(*results)
 
 
 @pytest.mark.parametrize("n", [64, 512, 2048])

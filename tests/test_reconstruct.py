@@ -6,11 +6,11 @@ from novlab import (AnalysisError, ContractError, OmegaBounds, QueryError,
                     builtin_datum, conserved, conserved_euler, euler_fields,
                     crest_position, evolve, make_grid, measure_interval,
                     pair_datum, sample_at, transform_with_map)
-from novlab.reconstruct import _measure_density
+from novlab.reconstruct import MASK_TOL, _measure_density
 from novlab.sources import half_angle_factors
 from novlab.validation import random_state
 
-from conftest import two_bump_pair
+from conftest import flat_state, same_bits, two_bump_pair
 
 BOUNDS = OmegaBounds(0.01, 100.0, 1.5)
 
@@ -70,6 +70,29 @@ def test_slope_masks_fire_near_level_crossings():
     assert not fld.ux_valid[100:110].any()
     assert fld.vx_valid.all()
     assert np.all(np.isfinite(fld.ux[fld.ux_valid]))
+
+
+def test_slope_masks_equal_the_cosine_test():
+    # The masks come from the tangent the slopes need, T^2 against
+    # 1/MASK_TOL^2 - 1, and must flag exactly the nodes where
+    # |cos(angle/2)| < MASK_TOL: thousands of ulps around each threshold
+    # angle, at and near +-pi, at non-finite angles and at random ones.
+    edge = 2.0 * np.arccos(MASK_TOL)
+    ulps = np.arange(-2000, 2001)
+    angles = np.concatenate(
+        [c + ulps * np.spacing(c)
+         for c in (edge, 2.0 * np.pi - edge, 2.0 * np.pi + edge, np.pi)]
+        + [np.array([np.nan, np.inf, -np.inf, 0.0, -0.0]),
+           np.random.default_rng(4).uniform(-10.0, 10.0, 20000)])
+    g = make_grid(-1.0, 1.0, angles.size)
+    with np.errstate(invalid="ignore"):
+        fld = euler_fields(flat_state(g).with_fields(W=angles, Z=-angles))
+        expected = np.abs(np.cos(0.5 * angles)) >= MASK_TOL
+        assert same_bits(fld.ux, np.where(expected, np.tan(0.5 * angles),
+                                          np.nan))
+    assert np.array_equal(fld.ux_valid, expected)
+    assert np.array_equal(fld.vx_valid, expected)
+    assert 0 < expected.sum() < expected.size
 
 
 def test_conserved_euler_requires_smooth_regime():

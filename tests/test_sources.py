@@ -1,4 +1,5 @@
 """Nonlocal source assembly and the exponential-kernel convolution."""
+import re
 import warnings
 
 import numpy as np
@@ -21,9 +22,9 @@ def test_scan_matches_bruteforce_property(seed):
     g = make_grid(-8.0, 8.0, 128)
     state = random_state(rng, g)
     G = kernel_accumulator(state, half_angle_factors(state))
-    p = bumps(rng, g, 2, 1.0)
-    for fast, slow in zip(exp_convolve(p, p, G, g),
-                          exp_convolve_bruteforce(p, p, G, g)):
+    p = np.stack([bumps(rng, g, 2, 1.0)] * 2)
+    for fast, slow in zip(exp_convolve(p, G, g),
+                          exp_convolve_bruteforce(p, G, g)):
         assert np.max(np.abs(fast - slow)) < 1e-12
 
 
@@ -38,10 +39,10 @@ def test_stacked_convolve_equals_row_by_row_bitwise():
     state = random_state(rng, g)
     G = kernel_accumulator(state, half_angle_factors(state))
     p = random_stack(rng, g)
-    fwd, bwd = exp_convolve(p, p[::-1], G, g)
+    fwd, bwd = exp_convolve(np.stack((p, p[::-1])), G, g)
     assert fwd.shape == bwd.shape == p.shape
     for row in range(p.shape[0]):
-        f1, b1 = exp_convolve(p[row], p[3 - row], G, g)
+        f1, b1 = exp_convolve(np.stack((p[row], p[3 - row])), G, g)
         assert same_bits(fwd[row], f1)
         assert same_bits(bwd[row], b1)
 
@@ -52,8 +53,8 @@ def test_stacked_scan_matches_bruteforce():
     state = random_state(rng, g)
     G = kernel_accumulator(state, half_angle_factors(state))
     p = random_stack(rng, g)
-    fast = exp_convolve(p, p, G, g)
-    slow = exp_convolve_bruteforce(p, p, G, g)
+    fast = exp_convolve(np.stack((p, p)), G, g)
+    slow = exp_convolve_bruteforce(np.stack((p, p)), G, g)
     for f, s in zip(fast, slow):
         assert s.shape == p.shape
         assert np.max(np.abs(f - s)) < 1e-12
@@ -70,11 +71,12 @@ def test_distinct_halves_match_bruteforce_across_blocks(monkeypatch):
     assert G[-1] > 10.0 * sources._BLOCK_SPAN
     p_fwd = random_stack(rng, g)[:2]
     p_bwd = random_stack(rng, g)[:2]
-    fast = exp_convolve(p_fwd, p_bwd, G, g)
-    slow = exp_convolve_bruteforce(p_fwd, p_bwd, G, g)
+    fast = exp_convolve(np.stack((p_fwd, p_bwd)), G, g)
+    slow = exp_convolve_bruteforce(np.stack((p_fwd, p_bwd)), G, g)
     for f, s in zip(fast, slow):
         assert np.max(np.abs(f - s)) < 1e-12
-    assert not np.array_equal(fast[1], exp_convolve(p_fwd, p_fwd, G, g)[1])
+    assert not np.array_equal(fast[1],
+                              exp_convolve(np.stack((p_fwd, p_fwd)), G, g)[1])
 
 
 @pytest.mark.parametrize("value, node", [
@@ -95,11 +97,11 @@ def test_stacked_convolve_names_first_bad_node(value, node):
     p[2, 250] = value
     with np.errstate(over="ignore", invalid="ignore"):
         with pytest.raises(NumericalAbort) as stacked:
-            exp_convolve(p, p, G, g)
+            exp_convolve(np.stack((p, p)), G, g)
         with pytest.raises(NumericalAbort) as single:
-            exp_convolve(p[2], p[2], G, g)
+            exp_convolve(np.stack((p[2], p[2])), G, g)
         for row in (0, 1, 3):
-            exp_convolve(p[row], p[row], G, g)
+            exp_convolve(np.stack((p[row], p[row])), G, g)
     assert stacked.value.diagnostics["node"] == node
     assert single.value.diagnostics["node"] == node
     assert f"at node {node}" in str(stacked.value)
@@ -115,7 +117,7 @@ def test_convolve_names_a_nan_in_the_backward_input_only():
     p_bwd[2, 250] = np.nan
     with np.errstate(invalid="ignore"):
         with pytest.raises(NumericalAbort) as err:
-            exp_convolve(np.ones((4, g.n)), p_bwd, G, g)
+            exp_convolve(np.stack((np.ones((4, g.n)), p_bwd)), G, g)
     assert err.value.diagnostics["node"] == 250
 
 
@@ -128,7 +130,7 @@ def test_convolve_names_an_infinite_input_node(value):
     p_fwd[1, 400] = value
     with np.errstate(invalid="ignore"):
         with pytest.raises(NumericalAbort, match="at node 400") as err:
-            exp_convolve(p_fwd, np.ones((2, g.n)), G, g)
+            exp_convolve(np.stack((p_fwd, np.ones((2, g.n)))), G, g)
     assert err.value.diagnostics["node"] == 400
 
 
@@ -138,14 +140,14 @@ def test_convolve_passes_finite_halves_whose_sum_overflows():
     g = make_grid(-2.0, 2.0, 401)
     state = flat_state(g)
     G = kernel_accumulator(state, half_angle_factors(state))
-    p = np.full((4, g.n), 1e306)
+    p = np.full((2, 4, g.n), 1e306)
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        fwd, bwd = exp_convolve(p, p, G, g)
+        fwd, bwd = exp_convolve(p, G, g)
     with np.errstate(over="ignore"):
         assert np.sum(fwd) + np.sum(bwd) == np.inf
     assert np.all(np.isfinite(fwd)) and np.all(np.isfinite(bwd))
-    for fast, slow in zip((fwd, bwd), exp_convolve_bruteforce(p, p, G, g)):
+    for fast, slow in zip((fwd, bwd), exp_convolve_bruteforce(p, G, g)):
         assert np.max(np.abs(fast - slow)) <= 1e-12 * 1e306
 
 
@@ -157,17 +159,18 @@ def test_convolutions_reject_a_shape_mismatch(convolve, shape):
     state = flat_state(g)
     G = kernel_accumulator(state, half_angle_factors(state))
     with pytest.raises(ContractError, match=r"shape"):
-        convolve(np.ones(shape), np.ones(shape), G, g)
+        convolve(np.ones((2,) + shape), G, g)
 
 
 @pytest.mark.parametrize("convolve", [exp_convolve, exp_convolve_bruteforce])
-@pytest.mark.parametrize("shapes", [((64,), (2, 64)), ((2, 64), (3, 64))])
-def test_convolutions_reject_halves_of_two_shapes(convolve, shapes):
+@pytest.mark.parametrize("shape", [(64,), (1, 64), (3, 64), (4, 2, 64)])
+def test_convolutions_reject_a_stack_not_of_two_halves(convolve, shape):
+    # The leading axis holds the forward and the backward integrand.
     g = make_grid(-5.0, 5.0, 64)
     state = flat_state(g)
     G = kernel_accumulator(state, half_angle_factors(state))
-    with pytest.raises(ContractError, match=r"one shape"):
-        convolve(*(np.ones(shape) for shape in shapes), G, g)
+    with pytest.raises(ContractError, match=re.escape(f"got {shape}")):
+        convolve(np.ones(shape), G, g)
 
 
 def test_convolve_names_nonfinite_kernel_potential_node():
@@ -177,7 +180,7 @@ def test_convolve_names_nonfinite_kernel_potential_node():
     G[300] = np.nan
     with np.errstate(invalid="ignore"):
         with pytest.raises(NumericalAbort) as err:
-            exp_convolve(np.ones((4, g.n)), np.ones((4, g.n)), G, g)
+            exp_convolve(np.ones((2, 4, g.n)), G, g)
     assert err.value.diagnostics["node"] == 300
 
 
@@ -240,7 +243,7 @@ def test_kernel_flat_state_has_closed_form():
     g = make_grid(-10.0, 10.0, 4001)
     state = flat_state(g)
     G = kernel_accumulator(state, half_angle_factors(state))
-    fwd, bwd = exp_convolve(np.ones(g.n), np.ones(g.n), G, g)
+    fwd, bwd = exp_convolve(np.ones((2, g.n)), G, g)
     xi = g.nodes
     assert np.max(np.abs(fwd - (1.0 - np.exp(-(xi - g.xi_min))))) < 5.0 * g.dx**2
     assert np.max(np.abs(bwd - (1.0 - np.exp(-(g.xi_max - xi))))) < 5.0 * g.dx**2
@@ -248,10 +251,15 @@ def test_kernel_flat_state_has_closed_form():
 
 def test_accumulator_rejects_negative_density():
     # Negative q means the state left its validity region at runtime.
+    # With W = Z = 0 the integrand is q itself, negative at node 5 only.
     g = make_grid(-1.0, 1.0, 16)
-    state = flat_state(g, -1.0)
-    with pytest.raises(NumericalAbort):
+    q = np.ones(g.n)
+    q[5] = -0.5
+    state = flat_state(g).with_fields(q=q)
+    with pytest.raises(NumericalAbort,
+                       match="kernel integrand negative at node 5") as err:
         kernel_accumulator(state, half_angle_factors(state))
+    assert err.value.diagnostics == {"node": 5, "value": -0.5}
 
 
 def test_wide_domain_does_not_overflow():
@@ -261,9 +269,9 @@ def test_wide_domain_does_not_overflow():
     g = make_grid(-400.0, 400.0, 2048)
     state = flat_state(g)
     G = kernel_accumulator(state, half_angle_factors(state))
-    ones = np.ones(g.n)
-    for fast, slow in zip(exp_convolve(ones, ones, G, g),
-                          exp_convolve_bruteforce(ones, ones, G, g)):
+    ones = np.ones((2, g.n))
+    for fast, slow in zip(exp_convolve(ones, G, g),
+                          exp_convolve_bruteforce(ones, G, g)):
         assert np.all(np.isfinite(fast))
         assert np.max(np.abs(fast - slow)) < 1e-12
 
