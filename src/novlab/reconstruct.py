@@ -61,9 +61,11 @@ def euler_fields(state: TransformedState, mask_tol: float = MASK_TOL) -> EulerFi
         raise ContractError(f"y decreases at cell {k}: delta={drops[k]:.3e}")
     y = np.maximum.accumulate(y)
     # Slopes T = tan(angle/2), rows u and v from W and Z, masked where
-    # |cos(angle/2)| < mask_tol: where T^2 > 1/mask_tol^2 - 1, or T is NaN.
+    # cos^2 = 1/(1 + T^2) < mask_tol |mask_tol| (no finite T for a negative
+    # mask_tol) or T is NaN: |cos| < mask_tol exactly for mask_tol <= 0.05 or
+    # outside (0, 1); nearer 1, a node ulps from the edge may round across.
     T = np.tan(0.5 * state.data[2:4])
-    valid = T * T <= (1.0 / mask_tol**2 - 1.0 if mask_tol else np.inf)
+    valid = mask_tol * abs(mask_tol) * (1.0 + T * T) <= 1.0
     slope = np.where(valid, T, np.nan)
     return EulerField(
         x=y,

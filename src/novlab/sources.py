@@ -131,12 +131,10 @@ def exp_convolve(p, G: np.ndarray, grid: Grid) -> np.ndarray:
     fwd[:, 0] *= 0.5
     bwd[:, -1] *= 0.5
     # Both halves share the blocks and exp(+-L), L = G - G[block start s].
-    # A block ends at n - 1 by the comparison searchsorted would make.
-    blocks, s, last = [], 0, G[-1]
+    blocks, s = [], 0
     while s < n - 1:
-        top = G[s] + _BLOCK_SPAN
-        e = n - 1 if last <= top else max(
-            int(G.searchsorted(top, side="right")) - 1, s + 1)
+        e = max(int(G.searchsorted(G[s] + _BLOCK_SPAN, side="right")) - 1,
+                s + 1)
         L = G[s:e + 1] - G[s]
         up, down = np.exp(L), np.exp(-L)
         # F[k] = exp(-L[k]) (F[s] + sum_{s<j<=k} dx p[j] exp(L[j])); the

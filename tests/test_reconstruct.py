@@ -72,12 +72,17 @@ def test_slope_masks_fire_near_level_crossings():
     assert np.all(np.isfinite(fld.ux[fld.ux_valid]))
 
 
-def test_slope_masks_equal_the_cosine_test():
-    # The masks come from the tangent the slopes need, T^2 against
-    # 1/MASK_TOL^2 - 1, and must flag exactly the nodes where
-    # |cos(angle/2)| < MASK_TOL: thousands of ulps around each threshold
-    # angle, at and near +-pi, at non-finite angles and at random ones.
-    edge = 2.0 * np.arccos(MASK_TOL)
+@pytest.mark.parametrize(
+    "tol", [MASK_TOL, 1e-3, 1e-12, 0.05, 0.0, -MASK_TOL, 1e-170, 1.0, 2.0,
+            1e200])
+def test_slope_masks_equal_the_cosine_test(tol):
+    # The masks come from the tangent the slopes need, tol |tol| (1 + T^2)
+    # against 1, and must flag exactly the nodes where |cos(angle/2)| < tol:
+    # thousands of ulps around each threshold angle, at and near +-pi, at
+    # non-finite angles and at random ones.  The tolerances cover the
+    # negative one that accepts every finite slope, one whose square
+    # underflows and one whose square overflows.
+    edge = 2.0 * np.arccos(np.clip(tol, 0.0, 1.0))
     ulps = np.arange(-2000, 2001)
     angles = np.concatenate(
         [c + ulps * np.spacing(c)
@@ -86,13 +91,15 @@ def test_slope_masks_equal_the_cosine_test():
            np.random.default_rng(4).uniform(-10.0, 10.0, 20000)])
     g = make_grid(-1.0, 1.0, angles.size)
     with np.errstate(invalid="ignore"):
-        fld = euler_fields(flat_state(g).with_fields(W=angles, Z=-angles))
-        expected = np.abs(np.cos(0.5 * angles)) >= MASK_TOL
+        fld = euler_fields(flat_state(g).with_fields(W=angles, Z=-angles),
+                           mask_tol=tol)
+        expected = np.abs(np.cos(0.5 * angles)) >= tol
         assert same_bits(fld.ux, np.where(expected, np.tan(0.5 * angles),
                                           np.nan))
     assert np.array_equal(fld.ux_valid, expected)
     assert np.array_equal(fld.vx_valid, expected)
-    assert 0 < expected.sum() < expected.size
+    assert expected.sum() < expected.size
+    assert (expected.sum() > 0) == (tol <= 1.0)
 
 
 def test_conserved_euler_requires_smooth_regime():
