@@ -46,7 +46,7 @@ def main(argv=None) -> int:
         rows = lipschitz_experiment(
             base, cliio.perturbed_datum(base, cfg_eps), grid,
             abs(cfg.t_final), cfg.dt, alpha=cfg.alpha, m_theta=cfg.m_theta,
-            search=cfg.search, record_every=cfg.record_every,
+            record_every=cfg.record_every,
             bounds=cliio.bounds_from_config(cfg), eta_nodes=cfg.eta_nodes,
             iters=cfg.descent_iters)
         path = out / f"ratios_eps{k}.csv"

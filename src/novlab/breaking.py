@@ -28,7 +28,8 @@ from .errors import AnalysisError, ContractError
 from .grid import Grid, fd_derivative, prefix_integral
 from .initial import TransformedState
 from .reconstruct import EulerField, sample_at
-from .sources import LEVELS, half_angle_factors, level_distance, xi_derivatives
+from .sources import (LEVELS, TOL_PI, half_angle_factors, level_distance,
+                      xi_derivatives)
 
 __all__ = [
     "SingularPoint",
@@ -41,7 +42,6 @@ __all__ = [
     "synthetic_case_state",
 ]
 
-TOL_PI = 1e-3
 TOL_ZERO_REL = 1e-3
 
 

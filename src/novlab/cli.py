@@ -165,9 +165,9 @@ def cmd_metric(args) -> int:
     # The experiment runs both time directions, so the horizon is |t_final|.
     rows = lipschitz_experiment(
         datum0, datum1, grid, abs(cfg.t_final), cfg.dt, alpha=cfg.alpha,
-        m_theta=cfg.m_theta, search=cfg.search,
-        record_every=cfg.record_every, bounds=cliio.bounds_from_config(cfg),
-        eta_nodes=cfg.eta_nodes, iters=cfg.descent_iters)
+        m_theta=cfg.m_theta, record_every=cfg.record_every,
+        bounds=cliio.bounds_from_config(cfg), eta_nodes=cfg.eta_nodes,
+        iters=cfg.descent_iters)
     path = out / "ratios.csv"
     with open(path, "w", encoding="utf-8", newline="") as fh:
         cliio.write_ratios_csv(fh, rows)

@@ -151,9 +151,12 @@ def write_record_csv(state_fh, euler_fh, state, field) -> None:
 
 def write_ratios_csv(fileobj, rows) -> None:
     header = ["t", "d_t_upper", "ratio", "search_mode", "eta_iterations"]
-    dtypes = (float, float, float, str, np.int64)
-    _write_table(fileobj, header, [np.array([getattr(r, k) for r in rows], dt)
-                                   for k, dt in zip(header, dtypes)])
+    iters = np.array([r.eta_iterations for r in rows], np.int64)
+    # search_mode names the search that the pass cap makes.
+    _write_table(fileobj, header,
+                 [*(np.array([getattr(r, k) for r in rows], float)
+                    for k in header[:3]),
+                  np.where(iters > 0, "coarse_descent", "eta_zero"), iters])
 
 
 def _plain(obj):

@@ -17,9 +17,14 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field, replace
 
+from .breaking import TOL_ZERO_REL
 from .errors import ConfigError
+from .evolution import OmegaBounds
 from .grid import make_grid
 from .initial import builtin_datum
+from .metric import (DEFAULT_ALPHA, DEFAULT_DESCENT_ITERS, DEFAULT_ETA_NODES,
+                     DEFAULT_M_THETA)
+from .sources import TOL_PI
 
 SCHEMA_TAG = "novlab-config/1"
 
@@ -39,20 +44,20 @@ class ScenarioConfig:
     t_final: float = 1.0
     dt: float = 1e-3
     record_every: int = 100
-    q_lo: float = 0.01
-    q_hi: float = 100.0
-    slack: float = 1.5
-    tol_pi: float = 1e-3
-    tol_zero_rel: float = 1e-3
+    q_lo: float = OmegaBounds.q_lo
+    q_hi: float = OmegaBounds.q_hi
+    slack: float = OmegaBounds.slack
+    tol_pi: float = TOL_PI
+    tol_zero_rel: float = TOL_ZERO_REL
     fit_exponents: bool = True
     side_window: float = 0.4
     min_gap: float = 0.02
     run_cancellations: bool = True
-    alpha: float = 0.5
-    m_theta: int = 9
-    search: str = "eta_zero"
-    eta_nodes: int = 17
-    descent_iters: int = 200
+    alpha: float = DEFAULT_ALPHA
+    m_theta: int = DEFAULT_M_THETA
+    eta_nodes: int = DEFAULT_ETA_NODES
+    # The IRLS pass cap of every tangent norm; 0 searches no shift.
+    descent_iters: int = 0
     perturb_family: str = ""
     perturb_params: dict = field(default_factory=dict)
     perturb_eps: float = 0.0
@@ -159,8 +164,18 @@ def parse_config(text: str) -> ScenarioConfig:
             raise ConfigError(f"line {lineno}: unknown key {key!r}")
     if not lines:
         raise ConfigError(f"missing schema line 'schema = {SCHEMA_TAG}'")
+    # metric.search is read here only: coarse_descent caps the IRLS
+    # passes at metric.iters, and eta_zero, the default, makes none.
+    search = fields.pop("search", "eta_zero")
+    if search not in ("eta_zero", "coarse_descent"):
+        raise ConfigError("metric.search must be eta_zero or coarse_descent")
+    iters = fields.pop("descent_iters", DEFAULT_DESCENT_ITERS)
+    if iters < 0:
+        raise ConfigError("metric.iters must be >= 0")
     cfg = ScenarioConfig(**fields, datum_u_params=u_params,
-                         datum_v_params=v_params, perturb_params=p_params)
+                         datum_v_params=v_params, perturb_params=p_params,
+                         descent_iters=iters if search == "coarse_descent"
+                         else 0)
     validate_config(cfg)
     # A key of a profile that is never built is an error, not a no-op.
     for key, lineno in lines.items():
@@ -194,16 +209,17 @@ def validate_config(cfg: ScenarioConfig) -> None:
         raise ConfigError("metric.m_theta must be >= 3")
     if cfg.eta_nodes < 2:
         raise ConfigError("metric.eta_nodes must be >= 2")
-    if cfg.descent_iters < 0:
-        raise ConfigError("metric.iters must be >= 0")
     if cfg.datum_v_mode not in ("same", "mirrored", "family"):
         raise ConfigError("datum.v.mode must be same, mirrored, or family")
     if cfg.datum_v_mode == "family" and not cfg.datum_v_family:
         raise ConfigError("datum.v.mode=family requires datum.v.family")
-    if cfg.search not in ("eta_zero", "coarse_descent"):
-        raise ConfigError("metric.search must be eta_zero or coarse_descent")
     if cfg.perturb_component not in ("u", "v", "both"):
         raise ConfigError("metric.perturb.component must be u, v, or both")
+    for key in ("tol_pi", "tol_zero_rel", "side_window", "min_gap"):
+        if getattr(cfg, key) < 0:
+            raise ConfigError(f"singular.{key} must be >= 0")
+    if not cfg.side_window > cfg.min_gap:
+        raise ConfigError("singular.side_window must exceed singular.min_gap")
     if cfg.seed < 0:
         raise ConfigError("seed must be >= 0")
     # What parses can be built: the grid and every named datum.

@@ -15,8 +15,10 @@ passes stop when one changes the value by at most _IRLS_RTOL of it.
 One exact sweep over the coordinates then leaves no single-coefficient
 move that lowers the value.  eta = 0 is always evaluated first and the
 best iterate is kept, so every reported value is a certified upper
-bound and the search can only improve it.  Distances are upper bounds
-obtained from the straight-line path between states.
+bound and the search can only improve it.  The pass cap iters is the
+one search knob: iters = 0, the default, returns the eta = 0 value.
+Distances are upper bounds obtained from the straight-line path
+between states.
 
 The theta nodes of one path share a tangent and nearly a state, so
 path_length warm-starts each kept node's search from the previous kept
@@ -36,7 +38,7 @@ from .errors import AnalysisError, ContractError, NumericalAbort
 from .evolution import OmegaBounds, check_omega, evolve
 from .grid import Grid, fd_derivative, prefix_integral
 from .initial import EulerDatum, TransformedState, transform_with_map
-from .sources import half_angle_factors, level_distance, xi_derivatives
+from .sources import TOL_PI, half_angle_factors, level_distance, xi_derivatives
 
 __all__ = [
     "PathOfStates",
@@ -53,6 +55,8 @@ __all__ = [
 
 DEFAULT_ALPHA = 0.5
 DEFAULT_ETA_NODES = 17
+DEFAULT_M_THETA = 9
+# The IRLS pass cap of a shift search that names none.
 DEFAULT_DESCENT_ITERS = 200
 # IRLS stops once a pass changes the value by at most this fraction.
 _IRLS_RTOL = 1e-7
@@ -70,9 +74,9 @@ class PathOfStates:
 class NormInfo:
     """A tangent norm: value is the smallest phi sum found, at best_coeffs.
 
-    iterations counts the IRLS passes made; evaluating a seed is not a
-    pass.  eta_zero mode and iters = 0 make none and leave best_coeffs
-    None.
+    eta_zero_value is the sum at eta = 0.  iterations counts the IRLS
+    passes made; evaluating a seed is not a pass.  iters = 0 makes none
+    and leaves best_coeffs None.
     """
     value: float
     iterations: int
@@ -85,7 +89,7 @@ class RatioRow:
     t: float
     d_t_upper: float
     ratio: float
-    search_mode: str
+    # The IRLS pass cap of every norm, not the passes a norm used.
     eta_iterations: int
 
 
@@ -306,25 +310,23 @@ def shift_value(state: TransformedState, tangent: np.ndarray,
 
 
 def tangent_norm_info(state: TransformedState, tangent: np.ndarray,
-                      alpha: float = DEFAULT_ALPHA, search: str = "eta_zero",
-                      eta_nodes: int = DEFAULT_ETA_NODES,
-                      iters: int = DEFAULT_DESCENT_ITERS,
+                      alpha: float = DEFAULT_ALPHA,
+                      eta_nodes: int = DEFAULT_ETA_NODES, iters: int = 0,
                       seed: np.ndarray | None = None) -> NormInfo:
     """Finsler norm of a tangent at state.
 
     tangent is a (5, grid.n) array with rows R, S, A, B, Q: the
-    variations of the state rows U, V, W, Z, q, in that order.  In
-    coarse_descent mode iters caps the IRLS passes, and iterations in
-    the result counts the passes made.  seed, eta_nodes coefficients
-    clipped to the box, warm-starts the passes; None starts them cold.
+    variations of the state rows U, V, W, Z, q, in that order.  iters
+    caps the IRLS passes over an eta_nodes-coefficient shift, and
+    iterations in the result counts the passes made; iters < 1 returns
+    the eta = 0 value.  seed, eta_nodes coefficients clipped to the
+    box, warm-starts the passes; None starts them cold.
     """
     # z_shift and the shift operator share one evaluation of the factors.
     factors = half_angle_factors(state)
     weights, P0 = _checked_norm_inputs(state, tangent, alpha, factors)
-    if search not in ("eta_zero", "coarse_descent"):
-        raise ContractError(f"unknown search mode {search!r}")
     value0 = _objective(weights, P0)
-    if search == "eta_zero" or iters < 1:
+    if iters < 1:
         return NormInfo(value=value0, iterations=0, eta_zero_value=value0,
                         best_coeffs=None)
     op = _shift_operator(state, eta_nodes, factors)
@@ -420,8 +422,7 @@ def _path_tangent(path: PathOfStates, j: int) -> np.ndarray:
 
 
 def path_length(path: PathOfStates, alpha: float = DEFAULT_ALPHA,
-                search: str = "eta_zero", tol_pi: float = 1e-3,
-                **norm_kw) -> float:
+                tol_pi: float = TOL_PI, **norm_kw) -> float:
     """Trapezoid theta-integral of the tangent norm along the path.
 
     Nodes whose state touches an angle level within tol_pi are excluded
@@ -448,28 +449,29 @@ def path_length(path: PathOfStates, alpha: float = DEFAULT_ALPHA,
         if not keep[j]:
             continue
         info = tangent_norm_info(path.states[j], _path_tangent(path, j),
-                                 alpha, search, seed=seed, **norm_kw)
+                                 alpha, seed=seed, **norm_kw)
         length += weights[j] * info.value
         seed = info.best_coeffs
     return length * (span / total_kept)
 
 
 def distance_upper(state0: TransformedState, state1: TransformedState,
-                   alpha: float = DEFAULT_ALPHA, m_theta: int = 9,
-                   search: str = "eta_zero",
+                   alpha: float = DEFAULT_ALPHA,
+                   m_theta: int = DEFAULT_M_THETA,
                    bounds: OmegaBounds = OmegaBounds(), **norm_kw) -> float:
     """Length of the straight-line path, whose states must lie in bounds."""
     path = straight_line_path(state0, state1, m_theta, bounds)
-    return path_length(path, alpha, search, **norm_kw)
+    return path_length(path, alpha, **norm_kw)
 
 
 def lipschitz_experiment(datum0: EulerDatum, datum1: EulerDatum, grid: Grid,
                          T: float, dt: float, alpha: float = DEFAULT_ALPHA,
-                         m_theta: int = 9, search: str = "eta_zero",
+                         m_theta: int = DEFAULT_M_THETA,
                          record_every: int = 50,
-                         bounds: OmegaBounds = OmegaBounds(),
+                         bounds: OmegaBounds = OmegaBounds(), iters: int = 0,
                          **norm_kw) -> list[RatioRow]:
-    """Distance ratios d(t)/d(0) along both time directions."""
+    """Distance ratios d(t)/d(0) along both time directions; every norm
+    caps its IRLS passes at iters."""
     state0 = transform_with_map(datum0, grid)
     state1 = transform_with_map(datum1, grid)
     runs = []
@@ -477,15 +479,14 @@ def lipschitz_experiment(datum0: EulerDatum, datum1: EulerDatum, grid: Grid,
         tr0 = evolve(state0, sgn * T, sgn * dt, record_every, bounds)
         tr1 = evolve(state1, sgn * T, sgn * dt, record_every, bounds)
         runs.append((tr0, tr1))
-    iters_field = (0 if search == "eta_zero"
-                   else norm_kw.get("iters", DEFAULT_DESCENT_ITERS))
     rows = {}
     for tr0, tr1 in runs:
         for i, t in enumerate(tr0.times):
             if t in rows:
                 continue  # t = 0: both directions start from the same states
             rows[t] = distance_upper(tr0.states[i], tr1.states[i], alpha,
-                                     m_theta, search, bounds, **norm_kw)
+                                     m_theta, bounds, iters=iters,
+                                     **norm_kw)
     d0 = rows.get(0.0)
     if d0 is None:
         raise AnalysisError("no t=0 record in the Lipschitz experiment")
@@ -496,5 +497,5 @@ def lipschitz_experiment(datum0: EulerDatum, datum1: EulerDatum, grid: Grid,
     for t in sorted(rows):
         d = rows[t]
         table.append(RatioRow(t=t, d_t_upper=d, ratio=d / d0,
-                              search_mode=search, eta_iterations=iters_field))
+                              eta_iterations=iters))
     return table

@@ -26,6 +26,7 @@ from .initial import TransformedState
 
 __all__ = [
     "LEVELS",
+    "TOL_PI",
     "half_angle_factors",
     "level_distance",
     "xi_derivatives",
@@ -62,6 +63,8 @@ def half_angle_factors(state: TransformedState):
 # The breaking levels: W or Z at +pi or -pi.  Angles stay unwrapped, so
 # both are physical.
 LEVELS = (np.pi, -np.pi)
+# An angle within this distance of a level touches it.
+TOL_PI = 1e-3
 
 
 def level_distance(angle):

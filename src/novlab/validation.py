@@ -23,7 +23,8 @@ from .evolution import evolve, rhs
 from .grid import Grid, fd_derivative, integrate, make_grid, prefix_integral
 from .initial import (TransformedState, _density_table, builtin_datum,
                       invert_y0, transform_with_map)
-from .metric import distance_upper, shift_value, tangent_norm_info
+from .metric import (DEFAULT_DESCENT_ITERS, distance_upper, shift_value,
+                     tangent_norm_info)
 from .reconstruct import euler_fields, measure_interval, sample_at
 from .sources import (assemble_sources, exp_convolve, exp_convolve_bruteforce,
                       half_angle_factors, kernel_accumulator, xi_derivatives)
@@ -258,7 +259,7 @@ def check_norm_axioms(cfg, rng):
     n_zero = tangent_norm_info(state, np.zeros((5, grid.n))).value
     homog = abs(tangent_norm_info(state, -2.5 * t1).value - 2.5 * n1)
     subadd = tangent_norm_info(state, t1 + t2).value - (n1 + n2)
-    info = tangent_norm_info(state, t1, search="coarse_descent", iters=120)
+    info = tangent_norm_info(state, t1, iters=120)
     descent_ok = info.value <= info.eta_zero_value
     # The search ends at a minimum: no step of one shift coefficient,
     # kept in the box (half the coarse spacing), lowers the value.
@@ -302,7 +303,8 @@ def check_distance_identity(cfg, rng):
     # search must return exactly 0 too, seeds carried along the path
     # included.
     d_zero = distance_upper(state, state, m_theta=5)
-    d_desc = distance_upper(state, state, m_theta=5, search="coarse_descent")
+    d_desc = distance_upper(state, state, m_theta=5,
+                            iters=DEFAULT_DESCENT_ITERS)
     return (d_zero == d_desc == 0.0,
             f"d(U,U) = {d_zero:.3g} at eta = 0, {d_desc:.3g} by coarse descent")
 

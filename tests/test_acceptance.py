@@ -263,8 +263,7 @@ def test_criterion_09a_metric_axioms():
             scaled = tangent_norm_info(st, lam * tan).value
             homo_gap = max(homo_gap, abs(scaled - abs(lam) * ref)
                            / (abs(lam) * ref))
-        info = tangent_norm_info(st, tan, search="coarse_descent",
-                                 eta_nodes=9, iters=60)
+        info = tangent_norm_info(st, tan, eta_nodes=9, iters=60)
         descent_ok = descent_ok and info.value <= info.eta_zero_value + 1e-12
     _check("criterion 9a (distance and norm axioms)",
            self_d == 0.0 and sym_gap < 1e-12 and homo_gap < 1e-12

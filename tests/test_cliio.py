@@ -124,17 +124,17 @@ def test_record_csv_matches_reference(record):
 
 
 def test_ratios_csv_matches_reference():
-    rows = [RatioRow(t=-0.0, d_t_upper=1e-16, ratio=1.0,
-                     search_mode="eta_zero", eta_iterations=0),
+    # search_mode is written from the pass cap: eta_zero for 0 only.
+    rows = [RatioRow(t=-0.0, d_t_upper=1e-16, ratio=1.0, eta_iterations=0),
             RatioRow(t=0.1, d_t_upper=np.float64(2.5e-3),
-                     ratio=np.float64(1.3062665291664561),
-                     search_mode="coarse_descent", eta_iterations=200),
+                     ratio=np.float64(1.3062665291664561), eta_iterations=200),
             RatioRow(t=np.float64(-1.0), d_t_upper=math.inf, ratio=math.nan,
-                     search_mode="coarse_descent", eta_iterations=np.int64(7))]
+                     eta_iterations=np.int64(7))]
+    modes = ["eta_zero", "coarse_descent", "coarse_descent"]
     header = ["t", "d_t_upper", "ratio", "search_mode", "eta_iterations"]
     expected = reference_csv(header, (
-        [fmt(r.t), fmt(r.d_t_upper), fmt(r.ratio), r.search_mode,
-         int(r.eta_iterations)] for r in rows))
+        [fmt(r.t), fmt(r.d_t_upper), fmt(r.ratio), mode,
+         int(r.eta_iterations)] for r, mode in zip(rows, modes)))
     assert written(write_ratios_csv, rows) == expected
     assert written(write_ratios_csv, []) == ",".join(header) + "\n"
 

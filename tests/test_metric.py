@@ -17,20 +17,31 @@ BOUNDS = OmegaBounds(0.01, 100.0, 1.5)
 REPO = Path(__file__).resolve().parents[1]
 
 
-def test_norm_info_eta_zero_mode():
-    rng = np.random.default_rng(23)
+def test_norm_without_passes_is_the_eta_zero_value(monkeypatch):
+    # iters = 0, the default, searches no shift: the eta terms drop out,
+    # so the norm builds no shift operator, reads no xi-derivatives and
+    # equals the oracle's eta = 0 value bit for bit.
+    rng = np.random.default_rng(24)
     g = make_grid(-8.0, 8.0, 128)
     state = random_state(rng, g)
-    info = tangent_norm_info(state, random_tangent(rng, g))
-    assert info.iterations == 0
-    assert info.value == info.eta_zero_value
+    tan = random_tangent(rng, g)
+    _, _, value0, _ = oracle_coarse_descent(state, tan, 0.5, 17, 0)
     with pytest.raises(ContractError):
         tangent_norm_info(state, np.zeros((5, g.n)), alpha=1.5)
-    with pytest.raises(ContractError):
-        tangent_norm_info(state, np.zeros((5, g.n)), search="bogus")
     with pytest.raises(ContractError, match="eta_nodes"):
-        tangent_norm_info(state, np.zeros((5, g.n)),
-                          search="coarse_descent", eta_nodes=1)
+        tangent_norm_info(state, np.zeros((5, g.n)), eta_nodes=1, iters=1)
+
+    def unused(*args):
+        raise AssertionError("a norm without passes searched a shift")
+
+    monkeypatch.setattr(metric, "_state_derivatives", unused)
+    monkeypatch.setattr(metric, "_shift_operator", unused)
+    for info in (tangent_norm_info(state, tan),
+                 tangent_norm_info(state, tan, iters=0)):
+        assert info.iterations == 0 and info.best_coeffs is None
+        assert info.value == info.eta_zero_value
+        assert (np.float64(info.value).tobytes()
+                == np.float64(value0).tobytes())
 
 
 @pytest.mark.parametrize("shape", [(6, 128), (5, 127), (5,), (5, 128, 1)],
@@ -43,25 +54,8 @@ def test_norm_rejects_mis_shaped_tangent(shape):
         tangent_norm_info(state, np.zeros(shape))
 
 
-def test_eta_zero_mode_needs_no_state_derivatives(monkeypatch):
-    # With eta = 0 the eta terms drop out: the norm reads no
-    # xi-derivatives and equals the oracle's eta = 0 value bit for bit.
-    rng = np.random.default_rng(24)
-    g = make_grid(-8.0, 8.0, 128)
-    state = random_state(rng, g)
-    tan = random_tangent(rng, g)
-    _, _, value0, _ = oracle_coarse_descent(state, tan, 0.5, 17, 0)
-
-    def no_derivatives(state):
-        raise AssertionError("eta_zero mode computed state derivatives")
-
-    monkeypatch.setattr(metric, "_state_derivatives", no_derivatives)
-    info = tangent_norm_info(state, tan)
-    assert np.float64(info.value).tobytes() == np.float64(value0).tobytes()
-
-
-@pytest.mark.parametrize("search", ["eta_zero", "coarse_descent"])
-def test_tangent_norm_computes_half_angle_factors_once(monkeypatch, search):
+@pytest.mark.parametrize("iters", [0, 5])
+def test_tangent_norm_computes_half_angle_factors_once(monkeypatch, iters):
     # z_shift and the shift operator's xi-derivatives share one
     # evaluation of the factors.
     from novlab import sources
@@ -78,9 +72,9 @@ def test_tangent_norm_computes_half_angle_factors_once(monkeypatch, search):
 
     monkeypatch.setattr(metric, "half_angle_factors", counted)
     monkeypatch.setattr(sources, "half_angle_factors", counted)
-    info = tangent_norm_info(state, tan, search=search, iters=5)
+    info = tangent_norm_info(state, tan, iters=iters)
     assert len(calls) == 1
-    assert (info.iterations > 0) == (search == "coarse_descent")
+    assert (info.iterations > 0) == (iters > 0)
 
 
 def oracle_coarse_descent(state, tangent, alpha, eta_nodes, iters):
@@ -204,8 +198,7 @@ def test_descent_reaches_the_exact_optimum(n, eta_nodes):
         state = random_state(rng, g)
         tan = random_tangent(rng, g)
         best = exact_optimum(state, tan, eta_nodes)
-        info = tangent_norm_info(state, tan, search="coarse_descent",
-                                 eta_nodes=eta_nodes)
+        info = tangent_norm_info(state, tan, eta_nodes=eta_nodes, iters=200)
         assert best <= info.value <= best * (1.0 + 1e-6)
         assert info.value == metric.shift_value(state, tan, info.best_coeffs)
 
@@ -219,8 +212,7 @@ def test_descent_never_worse_than_the_subgradient_loop(n, eta_nodes, iters):
         g = make_grid(-8.0, 8.0, n)
         state = random_state(rng, g)
         tan = random_tangent(rng, g)
-        info = tangent_norm_info(state, tan, search="coarse_descent",
-                                 eta_nodes=eta_nodes, iters=iters)
+        info = tangent_norm_info(state, tan, eta_nodes=eta_nodes, iters=iters)
         value, _, value0, _ = oracle_coarse_descent(state, tan, 0.5,
                                                     eta_nodes, iters)
         assert info.eta_zero_value == value0
@@ -239,8 +231,7 @@ def test_descent_moves_off_eta_zero_at_t0():
     datum0 = datum_from_config(cfg)
     s0 = transform_with_map(datum0, g)
     s1 = transform_with_map(perturbed_datum(datum0, cfg), g)
-    info = tangent_norm_info(s0, s1.data[:5] - s0.data[:5],
-                             search="coarse_descent")
+    info = tangent_norm_info(s0, s1.data[:5] - s0.data[:5], iters=200)
     assert info.value <= 0.82 * info.eta_zero_value
 
 
@@ -248,8 +239,7 @@ def test_descent_of_a_zero_tangent_is_zero_at_once():
     rng = np.random.default_rng(25)
     g = make_grid(-8.0, 8.0, 128)
     state = random_state(rng, g)
-    info = tangent_norm_info(state, np.zeros((5, g.n)),
-                             search="coarse_descent")
+    info = tangent_norm_info(state, np.zeros((5, g.n)), iters=200)
     assert info.value == 0.0 and info.iterations == 0
 
 
@@ -260,27 +250,11 @@ def test_descent_of_a_non_finite_tangent_stops_at_once(bad):
     state = random_state(rng, g)
     tan = random_tangent(rng, g)
     tan[2, 40] = bad
-    info = tangent_norm_info(state, tan, search="coarse_descent")
+    info = tangent_norm_info(state, tan, iters=200)
     plain = tangent_norm_info(state, tan)
     assert not np.isfinite(info.value) and info.iterations == 0
     assert (np.float64(info.value).tobytes()
             == np.float64(plain.value).tobytes())
-
-
-def test_descent_without_iterations_builds_no_operator(monkeypatch):
-    rng = np.random.default_rng(30)
-    g = make_grid(-8.0, 8.0, 128)
-    state = random_state(rng, g)
-    tan = random_tangent(rng, g)
-
-    def no_operator(state, eta_nodes):
-        raise AssertionError("iters = 0 built the shift operator")
-
-    monkeypatch.setattr(metric, "_shift_operator", no_operator)
-    info = tangent_norm_info(state, tan, search="coarse_descent", iters=0)
-    assert info.iterations == 0 and info.best_coeffs is None
-    assert info.value == info.eta_zero_value == tangent_norm_info(
-        state, tan).value
 
 
 @pytest.mark.parametrize("eta_nodes", [40, 65])
@@ -291,8 +265,8 @@ def test_descent_rejects_an_empty_coarse_cell(eta_nodes):
     g = make_grid(-8.0, 8.0, 33)
     state = random_state(rng, g)
     with pytest.raises(ContractError, match="holds no grid node"):
-        tangent_norm_info(state, random_tangent(rng, g),
-                          search="coarse_descent", eta_nodes=eta_nodes)
+        tangent_norm_info(state, random_tangent(rng, g), eta_nodes=eta_nodes,
+                          iters=200)
 
 
 def test_descent_with_a_singular_normal_matrix_keeps_its_best():
@@ -303,7 +277,7 @@ def test_descent_with_a_singular_normal_matrix_keeps_its_best():
     g = make_grid(-4000.0, 4000.0, 257)
     state = random_state(np.random.default_rng(32), g)
     tan = random_tangent(np.random.default_rng(33), g)
-    info = tangent_norm_info(state, tan, search="coarse_descent")
+    info = tangent_norm_info(state, tan, iters=200)
     assert info.iterations == 0
     assert info.value <= info.eta_zero_value
     assert info.value == metric.shift_value(state, tan, info.best_coeffs)
@@ -466,7 +440,7 @@ def lipschitz_path():
 
 
 def warm_chain(monkeypatch, path):
-    """path_length in coarse_descent mode, with each norm call's seed and
+    """path_length with a shift search, with each norm call's seed and
     result."""
     calls = []
     real = metric.tangent_norm_info
@@ -477,7 +451,7 @@ def warm_chain(monkeypatch, path):
         return info
 
     monkeypatch.setattr(metric, "tangent_norm_info", spy)
-    length = path_length(path, search="coarse_descent")
+    length = path_length(path, iters=200)
     monkeypatch.undo()
     return length, calls
 
@@ -494,13 +468,13 @@ def test_path_length_warm_starts_each_node(monkeypatch):
     cold_passes = warm_passes = 0
     for j, (state, _, warm) in enumerate(calls):
         cold = tangent_norm_info(state, metric._path_tangent(path, j),
-                                 search="coarse_descent")
+                                 iters=200)
         assert warm.value <= cold.value * (1.0 + 1e-6)
         assert warm.value <= warm.eta_zero_value
         cold_passes += cold.iterations
         warm_passes += warm.iterations
     assert 3 * warm_passes <= cold_passes
-    again = path_length(path, search="coarse_descent")
+    again = path_length(path, iters=200)
     assert np.float64(again).tobytes() == np.float64(length).tobytes()
 
 
@@ -526,87 +500,59 @@ def test_seed_is_checked_and_held_in_the_box():
     path = lipschitz_path()
     state, tan = path.states[0], metric._path_tangent(path, 0)
     with pytest.raises(ContractError, match="seed"):
-        tangent_norm_info(state, tan, search="coarse_descent",
-                          seed=np.zeros(9))
+        tangent_norm_info(state, tan, iters=200, seed=np.zeros(9))
     # A seed far outside the box is clipped into it, so the value stays
     # a feasible upper bound.
-    wild = tangent_norm_info(state, tan, search="coarse_descent",
-                             seed=np.full(17, 1e3))
+    wild = tangent_norm_info(state, tan, iters=200, seed=np.full(17, 1e3))
     assert np.all(np.abs(wild.best_coeffs) <= metric._shift_operator(
         state, 17).box)
     assert wild.value <= wild.eta_zero_value
 
 
-def test_lipschitz_experiment_row_contract():
-    g = make_grid(-12.0, 12.0, 128)
-    base = builtin_datum("gaussian_bump", {"a": 0.5, "width": 1.5})
-    pert = builtin_datum("gaussian_bump", {"a": 0.502, "width": 1.5})
-    rows = lipschitz_experiment(pair_datum(base, base), pair_datum(pert, base),
-                                g, 0.2, 0.01, record_every=10, bounds=BOUNDS)
-    ts = [r.t for r in rows]
-    assert ts == sorted(ts)
-    assert ts[0] == pytest.approx(-0.2)
-    assert ts[-1] == pytest.approx(0.2)
-    zero_rows = [r for r in rows if abs(r.t) < 1e-12]
-    assert len(zero_rows) == 1
-    assert zero_rows[0].ratio == pytest.approx(1.0, rel=1e-12)
-    for r in rows:
-        assert np.isfinite(r.d_t_upper) and r.d_t_upper >= 0.0
-        assert np.isfinite(r.ratio) and r.ratio > 0.0
-        assert r.search_mode == "eta_zero"
-
-
-def test_lipschitz_experiment_computes_t0_distance_once(monkeypatch):
+def test_lipschitz_experiment_rows(monkeypatch):
     # Both time directions start from the same states, so the t = 0
-    # distance is computed once; the rows are those of a loop that
-    # evaluates every record of both directions.
+    # distance is computed once, and its ratio is 1; the rows are those
+    # of a loop that evaluates every record of both directions, ordered
+    # from -T to T.  The path states are checked against the box the
+    # endpoints were evolved in, not against the default box.
     g = make_grid(-12.0, 12.0, 128)
     base = builtin_datum("gaussian_bump", {"a": 0.5, "width": 1.5})
     pert = builtin_datum("gaussian_bump", {"a": 0.502, "width": 1.5})
     d0, d1 = pair_datum(base, base), pair_datum(pert, base)
-    calls = []
-    real = metric.distance_upper
+    calls, seen = [], []
+    real_distance, real_path = metric.distance_upper, metric.straight_line_path
 
     def counting(*args, **kw):
         calls.append(args)
-        return real(*args, **kw)
+        return real_distance(*args, **kw)
+
+    def spy(end0, end1, m_theta, bounds=OmegaBounds()):
+        seen.append(bounds)
+        return real_path(end0, end1, m_theta, bounds)
 
     monkeypatch.setattr(metric, "distance_upper", counting)
+    monkeypatch.setattr(metric, "straight_line_path", spy)
     rows = lipschitz_experiment(d0, d1, g, 0.2, 0.01, record_every=10,
                                 bounds=BOUNDS)
     monkeypatch.undo()
+    assert seen and all(b is BOUNDS for b in seen)
 
     s0 = transform_with_map(d0, g)
     s1 = transform_with_map(d1, g)
     every = {}
-    records = set()
     for sgn in (-1.0, 1.0):
         tr0 = evolve(s0, sgn * 0.2, sgn * 0.01, 10, BOUNDS)
         tr1 = evolve(s1, sgn * 0.2, sgn * 0.01, 10, BOUNDS)
-        records.add(len(tr0.times))
+        assert len(tr0.times) == 3
         for i, t in enumerate(tr0.times):
             every[t] = distance_upper(tr0.states[i], tr1.states[i])
-    (n_records,) = records
-    assert len(calls) == 2 * (n_records - 1) + 1
+    assert len(calls) == len(every) == 2 * (3 - 1) + 1
     assert [(r.t, r.d_t_upper) for r in rows] == sorted(every.items())
     assert [r.ratio for r in rows] == [d / every[0.0] for _, d in
                                        sorted(every.items())]
-
-
-def test_lipschitz_experiment_checks_paths_in_its_bounds(monkeypatch):
-    # The path states are checked against the box the endpoints were
-    # evolved in, not against the default box.
-    g = make_grid(-12.0, 12.0, 128)
-    base = builtin_datum("gaussian_bump", {"a": 0.5, "width": 1.5})
-    pert = builtin_datum("gaussian_bump", {"a": 0.502, "width": 1.5})
-    seen = []
-    real = metric.straight_line_path
-
-    def spy(end0, end1, m_theta, bounds=OmegaBounds()):
-        seen.append(bounds)
-        return real(end0, end1, m_theta, bounds)
-
-    monkeypatch.setattr(metric, "straight_line_path", spy)
-    lipschitz_experiment(pair_datum(base, base), pair_datum(pert, base),
-                         g, 0.2, 0.01, record_every=10, bounds=BOUNDS)
-    assert seen and all(b is BOUNDS for b in seen)
+    assert (rows[0].t, rows[-1].t) == pytest.approx((-0.2, 0.2))
+    assert [r.ratio for r in rows if r.t == 0.0] == [1.0]
+    for r in rows:
+        assert np.isfinite(r.d_t_upper) and r.d_t_upper >= 0.0
+        assert np.isfinite(r.ratio) and r.ratio > 0.0
+        assert r.eta_iterations == 0

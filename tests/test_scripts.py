@@ -1,22 +1,49 @@
-"""The scripts under scripts/, run on quick variants of the shipped configs."""
+"""The scripts under scripts/, run on quick variants of the shipped configs,
+and the bench tracer's bindings into novlab."""
 import hashlib
 import importlib.util
 import re
+import sys
+from collections import Counter
 from pathlib import Path
 
 import pytest
 
-from novlab import EvolveAbort
+import novlab.cli
+from novlab import EvolveAbort, builtin_datum, make_grid
 
 REPO = Path(__file__).resolve().parents[1]
 
 
-def load_script(name):
+def load_script(name, folder="scripts"):
     spec = importlib.util.spec_from_file_location(
-        name, REPO / "scripts" / f"{name}.py")
+        name, REPO / folder / f"{name}.py")
     module = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(module)
     return module
+
+
+def test_bench_bindings_resolve_and_see_every_metric_call(monkeypatch):
+    # bench/tracing.py rebinds module attributes to count and time the
+    # calls, and an untraced run observes evolve and tangent_norm_info
+    # through them: each binding must resolve, and the metric must call
+    # through them.  The one stale binding is known and pinned.
+    monkeypatch.setattr(sys, "dont_write_bytecode", True)  # read-only
+    tracing = load_script("tracing", folder="bench")
+    grid = make_grid(-12.0, 12.0, 64)
+    base = builtin_datum("gaussian_bump", {"a": 0.5, "width": 1.5})
+    pert = builtin_datum("gaussian_bump", {"a": 0.502, "width": 1.5})
+    with tracing.Tracer() as tracer:
+        rows = novlab.cli.lipschitz_experiment(base, pert, grid, 0.02, 0.01,
+                                               m_theta=3, record_every=1,
+                                               iters=2)
+    assert tracer.missing == ["novlab.cli.export_points_jsonl"]
+    calls = Counter(span[0] for span in tracer.spans)
+    assert calls["metric.lipschitz_experiment"] == 1
+    assert calls["evolution.evolve"] == 4
+    assert (calls["metric.distance_upper"]
+            == calls["metric.straight_line_path"] == len(rows) == 5)
+    assert calls["metric.tangent_norm_info"] == 3 * len(rows)
 
 
 def backward_cfg(tmp_path, shipped):
