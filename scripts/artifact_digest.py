@@ -23,11 +23,15 @@ the tree under test.
 
 `--compare OUT_A OUT_B` runs nothing: it compares two such directories
 and prints, for each artifact that differs, the largest relative change
-of its numbers.  Integers are counts, labels and indices (row, record
-and event counts, case labels, frame numbers), so a changed integer is a
-structural change, and so are a changed file list, line count or any
-text between the numbers.  Each structural change is printed and makes
-the exit status 1.
+of its numbers, and the largest change of a field over the largest
+|value| of that field in either file.  A field is one position in one
+line skeleton (the line with its numbers taken out), such as a CSV
+column or a JSONL key, so a value that moves from 4e-16 to 0.0 reads 1
+pointwise but its roundoff against the field.  Integers are counts,
+labels and indices (row, record and event counts, case labels, frame
+numbers), so a changed integer is a structural change, and so are a
+changed file list, line count or any text between the numbers.  Each
+structural change is printed and makes the exit status 1.
 """
 import argparse
 import contextlib
@@ -126,24 +130,36 @@ NUMBER = re.compile(r"[-+]?(?:\d+\.\d*|\.\d+|\d+)(?:[eE][-+]?\d+)?")
 
 
 def file_change(text_a: str, text_b: str):
-    """(largest relative change of the numbers, first structural change
-    or None) between two versions of one text artifact."""
+    """(largest relative change of the numbers, largest field-scaled
+    change, first structural change or None) between two versions of one
+    text artifact."""
     lines_a, lines_b = text_a.splitlines(), text_b.splitlines()
     if len(lines_a) != len(lines_b):
-        return 0.0, f"{len(lines_a)} lines -> {len(lines_b)}"
-    worst = 0.0
+        return 0.0, 0.0, f"{len(lines_a)} lines -> {len(lines_b)}"
+    worst, problem = 0.0, None
+    # (skeleton, position) -> [largest change, largest |value|]
+    fields = {}
     for row, (a, b) in enumerate(zip(lines_a, lines_b), 1):
-        if NUMBER.split(a) != NUMBER.split(b):
-            return worst, f"line {row}: text between the numbers differs"
-        for x, y in zip(NUMBER.findall(a), NUMBER.findall(b)):
-            if x == y:
-                continue
-            if not any(c in x + y for c in ".eE"):
-                return worst, f"line {row}: integer {x} -> {y}"
+        skeleton = NUMBER.sub("#", a)
+        if skeleton != NUMBER.sub("#", b):
+            problem = f"line {row}: text between the numbers differs"
+            break
+        for pos, (x, y) in enumerate(zip(NUMBER.findall(a),
+                                         NUMBER.findall(b))):
+            if x != y and not any(c in x + y for c in ".eE"):
+                problem = f"line {row}: integer {x} -> {y}"
+                break
             fx, fy = float(x), float(y)
+            field = fields.setdefault((skeleton, pos), [0.0, 0.0])
+            field[1] = max(field[1], abs(fx), abs(fy))
             if fx != fy:
                 worst = max(worst, abs(fx - fy) / max(abs(fx), abs(fy)))
-    return worst, None
+                field[0] = max(field[0], abs(fx - fy))
+        if problem:
+            break
+    scaled = max((change / top for change, top in fields.values() if change),
+                 default=0.0)
+    return worst, scaled, problem
 
 
 def compare(out_a: Path, out_b: Path) -> int:
@@ -159,8 +175,8 @@ def compare(out_a: Path, out_b: Path) -> int:
         if a == b:
             same += 1
             continue
-        worst, problem = file_change(a, b)
-        print(f"{worst:.3g}  {f}")
+        worst, scaled, problem = file_change(a, b)
+        print(f"{worst:.3g}  {f}  field-scaled {scaled:.3g}")
         if problem:
             structural.append(f"{f}: {problem}")
     print(f"{same} of {len(files[0] & files[1])} common files identical")

@@ -18,7 +18,8 @@ import numpy as np
 from .errors import ContractError, EvolveAbort, NumericalAbort
 from .grid import integrate, prefix_integral
 from .initial import TransformedState
-from .sources import assemble_sources, half_angle_factors, xi_derivatives
+from .sources import (assemble_sources, half_angle_factors, slope_factors,
+                      xi_derivatives)
 
 __all__ = [
     "OmegaBounds",
@@ -65,30 +66,30 @@ class Trajectory:
 
 def rhs(state: TransformedState) -> np.ndarray:
     """Time derivative of state.data, as a (6, n) array in the same row order."""
-    factors = half_angle_factors(state)
-    fwd, bwd = assemble_sources(state, factors)
-    sin, cos2, sin2 = factors
+    T, c = slopes = slope_factors(state)
     # (U, V) and (V, U): each pair of rates is one formula on row pairs.
     A, B = state.data[:2], state.data[1::-1]
+    # A A B feeds the integrands and both rates.
+    a2b = np.multiply(A, A)
+    a2b *= B
+    fwd, bwd = assemble_sources(state, slopes, a2b)
     out = np.empty_like(state.data)
-    term = np.empty_like(A)
-    # -dx P1 - P2 and the drive P1 + dx P2, with S in row 1.
+    # -dx P1 - P2, and e = A^2 B - drive with the drive P1 + dx P2 (S in
+    # row 1): the angle rate is c (2 e - B T^2) and the q rate
+    # q (T c (2 e + B) + the same with roles swapped).  Both c products
+    # run on the stack of rows 2-5.
     np.subtract(fwd, bwd, out=out[:2])
-    drive = np.add(fwd, bwd, out=fwd)
-    # A A B feeds both rates; 2 (A A B) equals (2 A) A B bitwise.
-    dq = np.multiply(A, A, out=out[4:6])
-    dq *= B
-    rate = np.multiply(2.0, dq, out=out[2:4])
-    rate *= cos2
-    rate -= np.multiply(B, sin2, out=term)
-    np.multiply(2.0, drive, out=term)
-    rate -= np.multiply(term, cos2, out=term)
-    # dq = q (U^2 V + V/2 - drive_w) sinW + the same with roles swapped.
-    dq += np.multiply(0.5, B, out=term)
-    dq -= drive
-    dq *= state.q
-    dq *= sin
+    e = np.subtract(a2b, np.add(fwd, bwd, out=fwd), out=a2b)
+    rates = out[2:6].reshape(2, *A.shape)
+    rate, dq = rates
+    np.multiply(2.0, e, out=rate)
+    np.add(rate, B, out=dq)
+    np.multiply(B, T, out=fwd)
+    rate -= np.multiply(fwd, T, out=fwd)
+    dq *= T
+    rates *= c
     np.add(dq[0], dq[1], out=out[4])
+    out[4] *= state.q
     np.multiply(A[0], A[1], out=out[5])
     return out
 

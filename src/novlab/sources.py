@@ -1,19 +1,22 @@
 """Nonlocal source fields under the state-dependent exponential kernel.
 
-The rates read W and Z only through the half-angle factors, and those
-come from one tangent, T = tan(W/2) = u_x: cos^2(W/2) = 1/(1 + T^2),
-sin^2(W/2) = T^2/(1 + T^2) and sin W = 2T/(1 + T^2).
+In Eulerian variables the two-component Novikov system reads
 
-The kernel between two nodes is exp(-|G[i] - G[j]|) where G is the
-prefix integral of q cos^2(W/2) cos^2(Z/2).  Convolutions against it
-split into a forward and a backward half, and each half convolves just
-the integrand pair the rates read; exp_convolve takes and returns the
-two as one (2, ..., n) stack.  One blocked pass serves both: it forms
-the blocks of G and exp(+-(G - G[s])), anchored at each block start s,
-once; each half is an inclusive prefix sum, reversed for the backward
-one, started from an end node's half cell, and half of each node's own
-term comes off after the sums: the trapezoid weights.  A quadratic-time
-double loop with the same weights serves as the oracle.
+    u_t + u v u_x = -dx K*(u^2 v + u u_x v_x + v u_x^2/2) - K*(u_x^2 v_x)/2
+
+with K = exp(-|x|)/2, and the same with u <-> v.  With the slopes
+T = tan(W/2) = u_x and tan(Z/2) = v_x, c = cos^2(angle/2) = 1/(1 + T^2)
+and dx = y_xi dxi, y_xi = q c_W c_Z, each kernel integrand the code
+forms is y_xi times an Eulerian density: y_xi (f1/2 -+ f2/4), with
+f1 = u^2 v + u u_x v_x + v u_x^2/2 and f2 = u_x^2 v_x, and the same with
+u <-> v.  The rates read W and Z only through T and c.
+
+The kernel between two nodes is exp(-|G[i] - G[j]|), with G the prefix
+integral of y_xi.  Convolutions against it split into a forward and a
+backward half; exp_convolve scans both halves of the integrand pairs the
+rates read as one (2, ..., n) stack, in one blocked O(n) pass with the
+trapezoid weights.  A quadratic-time double loop with the same weights
+serves as the oracle.
 """
 
 from __future__ import annotations
@@ -27,6 +30,7 @@ from .initial import TransformedState
 __all__ = [
     "LEVELS",
     "TOL_PI",
+    "slope_factors",
     "half_angle_factors",
     "level_distance",
     "xi_derivatives",
@@ -42,22 +46,24 @@ __all__ = [
 _BLOCK_SPAN = 100.0
 
 
-def half_angle_factors(state: TransformedState):
-    """sin(angle), cos^2(angle/2), sin^2(angle/2) in one place, each a
-    (2, n) pair with rows W and Z: the swap is the reversal pair[::-1].
-
-    One tan call: with T = tan(angle/2), the slope u_x or v_x,
-    cos^2 = 1/(1 + T^2), sin^2 = T^2 cos^2 and sin = 2T cos^2.  At the
+def slope_factors(state: TransformedState):
+    """The slopes T = tan(angle/2) (u_x in row W, v_x in row Z) and
+    c = cos^2(angle/2) = 1/(1 + T^2), each a (2, n) pair whose reversal
+    pair[::-1] is the swap, from the package's one tan call.  At the
     double nearest +-pi, T is about 1.6e16, so T^2 stays finite.
     """
     T = np.multiply(0.5, state.data[2:4])
     np.tan(T, out=T)
-    sin2 = np.square(T)
-    cos2 = np.add(sin2, 1.0)
-    np.divide(1.0, cos2, out=cos2)
-    sin2 *= cos2
-    T *= 2.0
-    return np.multiply(T, cos2, out=T), cos2, sin2
+    c = np.square(T)
+    c += 1.0
+    return T, np.divide(1.0, c, out=c)
+
+
+def half_angle_factors(state: TransformedState):
+    """sin(angle) = 2T c, cos^2(angle/2) = c and sin^2(angle/2) = T^2 c,
+    each a (2, n) pair with rows W and Z, from slope_factors."""
+    T, c = slope_factors(state)
+    return (2.0 * T) * c, c, np.square(T) * c
 
 
 # The breaking levels: W or Z at +pi or -pi.  Angles stay unwrapped, so
@@ -93,19 +99,15 @@ def xi_derivatives(state: TransformedState, factors=None):
     return _y_xi(q, cw, cz), 0.5 * q * sinW * cz, 0.5 * q * cw * sinZ
 
 
-def kernel_accumulator(state: TransformedState, factors) -> np.ndarray:
-    """G, the prefix integral of y_xi, nondecreasing in Omega.
-
-    factors is the tuple half_angle_factors(state) returns.
-    """
-    r = _y_xi(state.q, *factors[1])
-    if (r < 0.0).any():
-        k = int(np.argmin(r))
+def kernel_accumulator(y_xi: np.ndarray, grid: Grid) -> np.ndarray:
+    """G, the prefix integral of the row y_xi, nondecreasing in Omega."""
+    if (y_xi < 0.0).any():
+        k = int(np.argmin(y_xi))
         raise NumericalAbort(
             f"kernel integrand negative at node {k}; state left Omega",
-            {"node": k, "value": float(r[k])},
+            {"node": k, "value": float(y_xi[k])},
         )
-    return prefix_integral(r, state.grid)
+    return prefix_integral(y_xi, grid)
 
 
 def _as_stack(p, G: np.ndarray, grid: Grid) -> np.ndarray:
@@ -191,38 +193,33 @@ def exp_convolve_bruteforce(p, G: np.ndarray, grid: Grid) -> np.ndarray:
     return np.stack((fwd, bwd))
 
 
-def assemble_sources(state: TransformedState, factors) -> np.ndarray:
+def assemble_sources(state: TransformedState, slopes, a2b) -> np.ndarray:
     """The kernel halves the rates read, as a (2, 2, n) stack (fwd, bwd)
-    of pairs with rows for U and V; factors is half_angle_factors(state).
+    of pairs with rows for U and V; slopes is slope_factors(state) and
+    a2b the pair A^2 B, with (A, B) = (U, V) in row 0 and (V, U) in row 1.
 
-    fwd is the forward half of first/2 - second/8 and bwd the backward
-    half of first/2 + second/8, so fwd - bwd = -dx P1 - P2 and
+    fwd is the forward half of y_xi (f1/2 - f2/4) and bwd the backward
+    half of y_xi (f1/2 + f2/4), so fwd - bwd = -dx P1 - P2 and
     fwd + bwd = P1 + dx P2 in row 0, and the same of S in row 1.
     """
-    sin, cos2, sin2 = factors
+    T, c = slopes
     # (U, V) and (V, U): the S integrands are the P ones with roles swapped.
-    A, B, q = state.data[:2], state.data[1::-1], state.q
-    sin_r, cos2_r = sin[::-1], cos2[::-1]
-    G = kernel_accumulator(state, factors)
+    A, B, T_r = state.data[:2], state.data[1::-1], T[::-1]
+    y_xi = _y_xi(state.q, *c)
+    G = kernel_accumulator(y_xi, state.grid)
     p = np.empty((2,) + A.shape)
-    p_fwd, first = p
-    term = np.empty_like(A)
-    # Each product runs left to right, in place: first builds in p[1].
-    np.multiply(A, A, out=first)
-    first *= B
-    first *= cos2
-    first *= cos2_r
-    np.multiply(0.25, A, out=term)
-    term *= sin
-    first += np.multiply(term, sin_r, out=term)
-    np.multiply(0.5, B, out=term)
-    term *= sin2
-    first += np.multiply(term, cos2_r, out=term)
-    first *= q
-    first *= 0.5
-    second = np.multiply(sin2, sin_r, out=term)
-    second *= q
-    second *= 0.125
-    np.subtract(first, second, out=p_fwd)
-    first += second
+    p_fwd, f1 = p
+    # f1 = (A T T_r + A^2 B) + B T^2/2 builds in p[1], and
+    # f2/2 = (T^2/2) T_r in half_t2.
+    np.multiply(A, T, out=f1)
+    f1 *= T_r
+    f1 += a2b
+    half_t2 = np.multiply(0.5, T)
+    half_t2 *= T
+    f1 += np.multiply(B, half_t2, out=p_fwd)
+    half_t2 *= T_r
+    np.subtract(f1, half_t2, out=p_fwd)
+    f1 += half_t2
+    p *= y_xi
+    p *= 0.5
     return exp_convolve(p, G, state.grid)

@@ -27,7 +27,8 @@ from .metric import (DEFAULT_DESCENT_ITERS, distance_upper, shift_value,
                      tangent_norm_info)
 from .reconstruct import euler_fields, measure_interval, sample_at
 from .sources import (assemble_sources, exp_convolve, exp_convolve_bruteforce,
-                      half_angle_factors, kernel_accumulator, xi_derivatives)
+                      half_angle_factors, kernel_accumulator, slope_factors,
+                      xi_derivatives)
 
 __all__ = ["CheckResult", "bumps", "random_state", "random_tangent",
            "run_suite"]
@@ -106,7 +107,7 @@ def check_scan_vs_bruteforce(cfg, rng):
     worst = 0.0
     for _ in range(trials):
         state = random_state(rng, grid)
-        G = kernel_accumulator(state, half_angle_factors(state))
+        G = kernel_accumulator(xi_derivatives(state)[0], grid)
         p = np.stack([bumps(rng, grid, 3, 1.0)] * 2)
         for fast, slow in zip(exp_convolve(p, G, grid),
                               exp_convolve_bruteforce(p, G, grid)):
@@ -135,7 +136,7 @@ def check_half_angle_factors(cfg, rng):
 def check_kernel_properties(cfg, rng):
     grid = make_grid(-8.0, 8.0, 256)
     state = random_state(rng, grid)
-    G = kernel_accumulator(state, half_angle_factors(state))
+    G = kernel_accumulator(xi_derivatives(state)[0], grid)
     nondecreasing = bool(np.all(np.diff(G) >= 0.0))
     kernel = np.exp(-np.abs(G[:, None] - G[None, :]))
     diag_one = bool(np.all(np.diag(kernel) == 1.0))
@@ -150,8 +151,9 @@ def check_swap_symmetry(cfg, rng):
     grid = make_grid(-8.0, 8.0, 256)
     state = random_state(rng, grid)
     swapped = state.with_fields(U=state.V, V=state.U, W=state.Z, Z=state.W)
-    halves = assemble_sources(state, half_angle_factors(state))
-    halves_sw = assemble_sources(swapped, half_angle_factors(swapped))
+    A, B = state.data[:2], state.data[1::-1]
+    halves = assemble_sources(state, slope_factors(state), A * A * B)
+    halves_sw = assemble_sources(swapped, slope_factors(swapped), B * B * A)
     # The U and V rows of each half are the V and U rows of the other's,
     # compared as bits so that a signed zero counts too.
     ok = all(np.array_equal(a.view(np.uint64), b[::-1].view(np.uint64))

@@ -63,37 +63,42 @@ def test_rhs_symmetric_state_is_bitwise_symmetric():
     assert np.array_equal(d[2], d[3])
 
 
-def test_rhs_computes_half_angle_factors_once(monkeypatch):
-    # rhs hands its factors down to the source pass instead of having
-    # assemble_sources and kernel_accumulator recompute them.
-    from novlab import evolution, sources
-    calls = []
-    real = sources.half_angle_factors
+def test_rhs_forms_the_slopes_once(monkeypatch):
+    # One tan per rhs: slope_factors hands T and c down to the source
+    # pass, and nothing on the stepping path asks for the trig factors.
+    from novlab import evolution
+    calls = {"slope_factors": 0, "half_angle_factors": 0}
+    for name in calls:
+        real = getattr(sources, name)
 
-    def counted(state):
-        calls.append(state)
-        return real(state)
+        def counted(state, _name=name, _real=real):
+            calls[_name] += 1
+            return _real(state)
 
-    monkeypatch.setattr(evolution, "half_angle_factors", counted)
-    monkeypatch.setattr(sources, "half_angle_factors", counted)
+        monkeypatch.setattr(sources, name, counted)
+        monkeypatch.setattr(evolution, name, counted)
     rhs(random_state(np.random.default_rng(6), make_grid(-8.0, 8.0, 128)))
-    assert len(calls) == 1
+    assert calls == {"slope_factors": 1, "half_angle_factors": 0}
 
 
 def test_rhs_calls_each_source_layer_once(monkeypatch):
-    # The kernel potential and the one stacked convolution stay separate
-    # calls through the sources module attributes.
+    # The source pass through the evolution module attribute, then the
+    # kernel potential and the one stacked convolution through the
+    # sources module attributes, each once and in this order.
+    from novlab import evolution
     calls = []
-    for name in ("kernel_accumulator", "exp_convolve"):
-        real = getattr(sources, name)
+    for module, name in ((evolution, "assemble_sources"),
+                         (sources, "kernel_accumulator"),
+                         (sources, "exp_convolve")):
+        real = getattr(module, name)
 
         def counted(*args, _name=name, _real=real):
             calls.append(_name)
             return _real(*args)
 
-        monkeypatch.setattr(sources, name, counted)
+        monkeypatch.setattr(module, name, counted)
     rhs(random_state(np.random.default_rng(6), make_grid(-8.0, 8.0, 128)))
-    assert calls == ["kernel_accumulator", "exp_convolve"]
+    assert calls == ["assemble_sources", "kernel_accumulator", "exp_convolve"]
 
 
 # The (u, W) <-> (v, Z) swap as a permutation of the state and rhs rows.
@@ -222,22 +227,43 @@ def _oracle_rates(U, V, q, sinW, sinZ, cw, sw, cz, sz, rate_u, rate_v,
                      dq, U * V))
 
 
-def oracle_rhs(state):
-    """rhs written once per component, the roles swapped by hand.
+def _slope_integrands(y, A, B, TA, TB):
+    # y_xi (f1/2 -+ f2/4), f1 = A^2 B + A TA TB + B TA^2/2, f2 = TA^2 TB.
+    half_t2 = (0.5 * TA) * TA
+    f1 = (A * TA * TB + A * A * B) + B * half_t2
+    f2_half = half_t2 * TB
+    return ((f1 - f2_half) * y) * 0.5, ((f1 + f2_half) * y) * 0.5
 
-    P1 = E * i1 / 2 and P2 = E * i2 / 8, so the U rate -dx P1 - P2 and
-    the drive P1 + dx P2 are F - B and F + B, with F the forward half of
-    i1/2 - i2/8 and B the backward half of i1/2 + i2/8.
+
+def _slope_rates(U, V, q, TW, TZ, cw, cz, rate_u, rate_v, drive_w, drive_z):
+    # With e2 = 2 (A^2 B - drive): the angle rate c (e2 - B T^2) and the
+    # q rate q (T c (e2 + B) + the same with roles swapped).
+    e2_w, e2_z = 2.0 * (U * U * V - drive_w), 2.0 * (V * V * U - drive_z)
+    dq = ((e2_w + V) * TW * cw + (e2_z + U) * TZ * cz) * q
+    return np.stack((rate_u, rate_v, (e2_w - V * TW * TW) * cw,
+                     (e2_z - U * TZ * TZ) * cz, dq, U * V))
+
+
+def oracle_rhs(state):
+    """rhs written once per component in the slopes T = tan(angle/2) and
+    c = 1/(1 + T^2), the roles swapped by hand.
+
+    P1 = E * y_xi f1 / 2 and P2 = E * y_xi f2 / 4, so the U rate
+    -dx P1 - P2 and the drive P1 + dx P2 are F - B and F + B, with F the
+    forward half of y_xi (f1/2 - f2/4) and B the backward half of
+    y_xi (f1/2 + f2/4).
     """
-    U, V, q, sinW, sinZ, cw, sw, cz, sz, G = _oracle_fields(state)
-    p1, p2 = _oracle_integrands(q, U, V, sinW, sinZ, cw, sw, cz)
-    s1, s2 = _oracle_integrands(q, V, U, sinZ, sinW, cz, sz, cw)
-    p1, p2, s1, s2 = p1 * 0.5, p2 * 0.125, s1 * 0.5, s2 * 0.125
-    (Fp, Fs), (Bp, Bs) = _oracle_halves(G, state.grid,
-                                        np.stack((p1 - p2, s1 - s2)),
-                                        np.stack((p1 + p2, s1 + s2)))
-    return _oracle_rates(U, V, q, sinW, sinZ, cw, sw, cz, sz,
-                         Fp - Bp, Fs - Bs, Fp + Bp, Fs + Bs)
+    U, V, W, Z, q = state.data[:5]
+    TW, TZ = np.tan(0.5 * W), np.tan(0.5 * Z)
+    cw, cz = 1.0 / (TW * TW + 1.0), 1.0 / (TZ * TZ + 1.0)
+    y = q * (cw * cz)
+    p_fwd, p_bwd = _slope_integrands(y, U, V, TW, TZ)
+    s_fwd, s_bwd = _slope_integrands(y, V, U, TZ, TW)
+    (Fp, Fs), (Bp, Bs) = _oracle_halves(prefix_integral(y, state.grid),
+                                        state.grid, np.stack((p_fwd, s_fwd)),
+                                        np.stack((p_bwd, s_bwd)))
+    return _slope_rates(U, V, q, TW, TZ, cw, cz,
+                        Fp - Bp, Fs - Bs, Fp + Bp, Fs + Bs)
 
 
 def four_source_rhs(state):
@@ -291,6 +317,28 @@ def test_rhs_matches_four_source_oracle_to_roundoff(n):
     ref = four_source_rhs(state)
     bound = 64.0 * np.finfo(float).eps * np.max(np.abs(ref), axis=1)
     assert np.all(np.max(np.abs(rhs(state) - ref), axis=1) <= bound)
+
+
+@pytest.mark.parametrize("n", [64, 512, 2048])
+def test_rhs_near_the_levels_and_the_guard(n):
+    # At every 7th node W and Z sit at a level, one ulp above pi or one
+    # ulp inside the guard 3pi/2: there T reaches about 1.6e16 and c
+    # about 4e-33.
+    base = wide_random_state(n, seed=n + 2)
+    near = np.array([np.pi, -np.pi, np.nextafter(np.pi, 4.0),
+                     np.nextafter(1.5 * np.pi, 0.0),
+                     np.nextafter(-1.5 * np.pi, 0.0)])
+    W, Z = base.W.copy(), base.Z.copy()
+    k = np.arange(0, n, 7)
+    W[k], Z[k] = near[k % 5], near[(k // 7 + 2) % 5]
+    state = base.with_fields(W=W, Z=Z)
+    got = rhs(state)
+    assert np.all(np.isfinite(got))
+    ref = four_source_rhs(state)
+    bound = 64.0 * np.finfo(float).eps * np.max(np.abs(ref), axis=1)
+    assert np.all(np.max(np.abs(got - ref), axis=1) <= bound)
+    swapped = state.with_fields(U=state.V, V=state.U, W=state.Z, Z=state.W)
+    assert same_bits(rhs(swapped), got[SWAP])
 
 
 def test_rhs_matches_oracle_on_negative_zero_angles():

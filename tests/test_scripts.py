@@ -162,6 +162,15 @@ def test_artifact_digest_compare_reports_numbers_and_structure(tmp_path,
     assert "4.44e-16  run/conserved.csv" in out
     assert "2 of 3 common files identical" in out
     assert "structural" not in out
+    # Near zero the pointwise change reads 1; against the largest |value|
+    # of its column it reads the roundoff it is.
+    near = write_tree(tmp_path / "near", dict(base, **{
+        "run/conserved.csv": "t,E\n0.0,2.0\n0.5,4.4e-16\n"}))
+    zero = write_tree(tmp_path / "zero", dict(base, **{
+        "run/conserved.csv": "t,E\n0.0,2.0\n0.5,0.0\n"}))
+    assert main(["--compare", str(near), str(zero)]) == 0
+    assert ("1  run/conserved.csv  field-scaled 2.2e-16"
+            in capsys.readouterr().out)
     # A case label, an event count, a row count, a null and a file list.
     changes = [("run/points.jsonl", '{"case_label": 2, "t": 1.5}\n'),
                ("run.stdout", "found 4 level events over 2 records\n"),

@@ -8,11 +8,17 @@ from hypothesis import given, settings, strategies as st
 
 from novlab import (ContractError, NumericalAbort, assemble_sources, exp_convolve,
                     exp_convolve_bruteforce, half_angle_factors,
-                    kernel_accumulator, level_distance, make_grid)
+                    kernel_accumulator, level_distance, make_grid,
+                    slope_factors, xi_derivatives)
 from novlab import sources
 from novlab.validation import bumps, random_state
 
 from conftest import flat_state, same_bits
+
+
+def a2b(state):
+    # The pair A^2 B with (A, B) = (U, V) in row 0 and (V, U) in row 1.
+    return state.data[:2] * state.data[:2] * state.data[1::-1]
 
 
 @given(st.integers(min_value=0, max_value=2**32 - 1))
@@ -21,7 +27,7 @@ def test_scan_matches_bruteforce_property(seed):
     rng = np.random.default_rng(seed)
     g = make_grid(-8.0, 8.0, 128)
     state = random_state(rng, g)
-    G = kernel_accumulator(state, half_angle_factors(state))
+    G = kernel_accumulator(xi_derivatives(state)[0], state.grid)
     p = np.stack([bumps(rng, g, 2, 1.0)] * 2)
     for fast, slow in zip(exp_convolve(p, G, g),
                           exp_convolve_bruteforce(p, G, g)):
@@ -37,7 +43,7 @@ def test_stacked_convolve_equals_row_by_row_bitwise():
     rng = np.random.default_rng(7)
     g = make_grid(-20.0, 20.0, 1024)
     state = random_state(rng, g)
-    G = kernel_accumulator(state, half_angle_factors(state))
+    G = kernel_accumulator(xi_derivatives(state)[0], state.grid)
     p = random_stack(rng, g)
     fwd, bwd = exp_convolve(np.stack((p, p[::-1])), G, g)
     assert fwd.shape == bwd.shape == p.shape
@@ -51,7 +57,7 @@ def test_stacked_scan_matches_bruteforce():
     rng = np.random.default_rng(8)
     g = make_grid(-12.0, 12.0, 512)
     state = random_state(rng, g)
-    G = kernel_accumulator(state, half_angle_factors(state))
+    G = kernel_accumulator(xi_derivatives(state)[0], state.grid)
     p = random_stack(rng, g)
     fast = exp_convolve(np.stack((p, p)), G, g)
     slow = exp_convolve_bruteforce(np.stack((p, p)), G, g)
@@ -67,7 +73,7 @@ def test_distinct_halves_match_bruteforce_across_blocks(monkeypatch):
     rng = np.random.default_rng(9)
     g = make_grid(-40.0, 40.0, 1024)
     state = random_state(rng, g)
-    G = kernel_accumulator(state, half_angle_factors(state))
+    G = kernel_accumulator(xi_derivatives(state)[0], state.grid)
     assert G[-1] > 10.0 * sources._BLOCK_SPAN
     p_fwd = random_stack(rng, g)[:2]
     p_bwd = random_stack(rng, g)[:2]
@@ -92,7 +98,7 @@ def test_distinct_halves_match_bruteforce_across_blocks(monkeypatch):
 def test_stacked_convolve_names_first_bad_node(value, node):
     g = make_grid(-35.0, 35.0, 701)
     state = flat_state(g)
-    G = kernel_accumulator(state, half_angle_factors(state))
+    G = kernel_accumulator(xi_derivatives(state)[0], state.grid)
     p = np.ones((4, g.n))
     p[2, 250] = value
     with np.errstate(over="ignore", invalid="ignore"):
@@ -112,7 +118,7 @@ def test_convolve_names_a_nan_in_the_backward_input_only():
     # diagnostic names its input node, not the first bad output.
     g = make_grid(-35.0, 35.0, 701)
     state = flat_state(g)
-    G = kernel_accumulator(state, half_angle_factors(state))
+    G = kernel_accumulator(xi_derivatives(state)[0], state.grid)
     p_bwd = np.ones((4, g.n))
     p_bwd[2, 250] = np.nan
     with np.errstate(invalid="ignore"):
@@ -125,7 +131,7 @@ def test_convolve_names_a_nan_in_the_backward_input_only():
 def test_convolve_names_an_infinite_input_node(value):
     g = make_grid(-35.0, 35.0, 701)
     state = flat_state(g)
-    G = kernel_accumulator(state, half_angle_factors(state))
+    G = kernel_accumulator(xi_derivatives(state)[0], state.grid)
     p_fwd = np.ones((2, g.n))
     p_fwd[1, 400] = value
     with np.errstate(invalid="ignore"):
@@ -139,7 +145,7 @@ def test_convolve_passes_finite_halves_whose_sum_overflows():
     # guard looks at the entries, not at a sum of them.
     g = make_grid(-2.0, 2.0, 401)
     state = flat_state(g)
-    G = kernel_accumulator(state, half_angle_factors(state))
+    G = kernel_accumulator(xi_derivatives(state)[0], state.grid)
     p = np.full((2, 4, g.n), 1e306)
     with warnings.catch_warnings():
         warnings.simplefilter("error")
@@ -157,7 +163,7 @@ def test_convolutions_reject_a_shape_mismatch(convolve, shape):
     # A caller's shape error is a contract violation, not a numerical abort.
     g = make_grid(-5.0, 5.0, 64)
     state = flat_state(g)
-    G = kernel_accumulator(state, half_angle_factors(state))
+    G = kernel_accumulator(xi_derivatives(state)[0], state.grid)
     with pytest.raises(ContractError, match=r"shape"):
         convolve(np.ones((2,) + shape), G, g)
 
@@ -168,7 +174,7 @@ def test_convolutions_reject_a_stack_not_of_two_halves(convolve, shape):
     # The leading axis holds the forward and the backward integrand.
     g = make_grid(-5.0, 5.0, 64)
     state = flat_state(g)
-    G = kernel_accumulator(state, half_angle_factors(state))
+    G = kernel_accumulator(xi_derivatives(state)[0], state.grid)
     with pytest.raises(ContractError, match=re.escape(f"got {shape}")):
         convolve(np.ones(shape), G, g)
 
@@ -176,7 +182,7 @@ def test_convolutions_reject_a_stack_not_of_two_halves(convolve, shape):
 def test_convolve_names_nonfinite_kernel_potential_node():
     g = make_grid(-35.0, 35.0, 701)
     state = flat_state(g)
-    G = kernel_accumulator(state, half_angle_factors(state))
+    G = kernel_accumulator(xi_derivatives(state)[0], state.grid)
     G[300] = np.nan
     with np.errstate(invalid="ignore"):
         with pytest.raises(NumericalAbort) as err:
@@ -242,7 +248,7 @@ def test_kernel_flat_state_has_closed_form():
     # up to O(dx^2) quadrature.
     g = make_grid(-10.0, 10.0, 4001)
     state = flat_state(g)
-    G = kernel_accumulator(state, half_angle_factors(state))
+    G = kernel_accumulator(xi_derivatives(state)[0], state.grid)
     fwd, bwd = exp_convolve(np.ones((2, g.n)), G, g)
     xi = g.nodes
     assert np.max(np.abs(fwd - (1.0 - np.exp(-(xi - g.xi_min))))) < 5.0 * g.dx**2
@@ -258,7 +264,7 @@ def test_accumulator_rejects_negative_density():
     state = flat_state(g).with_fields(q=q)
     with pytest.raises(NumericalAbort,
                        match="kernel integrand negative at node 5") as err:
-        kernel_accumulator(state, half_angle_factors(state))
+        kernel_accumulator(xi_derivatives(state)[0], state.grid)
     assert err.value.diagnostics == {"node": 5, "value": -0.5}
 
 
@@ -268,7 +274,7 @@ def test_wide_domain_does_not_overflow():
     # would overflow.
     g = make_grid(-400.0, 400.0, 2048)
     state = flat_state(g)
-    G = kernel_accumulator(state, half_angle_factors(state))
+    G = kernel_accumulator(xi_derivatives(state)[0], state.grid)
     ones = np.ones((2, g.n))
     for fast, slow in zip(exp_convolve(ones, G, g),
                           exp_convolve_bruteforce(ones, G, g)):
@@ -290,13 +296,13 @@ def test_symmetric_state_sources_collapse():
     base = random_state(rng, g)
     state = base.with_fields(V=base.U, Z=base.W)
     # The U and V rows of both halves are equal bitwise.
-    for half in assemble_sources(state, half_angle_factors(state)):
+    for half in assemble_sources(state, slope_factors(state), a2b(state)):
         assert same_bits(half[0], half[1])
 
 
 def test_sources_finite_and_shaped(smooth_pair_state):
     state = smooth_pair_state
-    for half in assemble_sources(state, half_angle_factors(state)):
+    for half in assemble_sources(state, slope_factors(state), a2b(state)):
         assert half.shape == (2, state.grid.n)
         assert np.all(np.isfinite(half))
 
@@ -304,5 +310,5 @@ def test_sources_finite_and_shaped(smooth_pair_state):
 def test_zero_state_sources_vanish():
     g = make_grid(-5.0, 5.0, 64)
     state = flat_state(g)
-    for half in assemble_sources(state, half_angle_factors(state)):
+    for half in assemble_sources(state, slope_factors(state), a2b(state)):
         assert same_bits(half, np.zeros((2, g.n)))
