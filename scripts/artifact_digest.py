@@ -27,11 +27,15 @@ of its numbers, and the largest change of a field over the largest
 |value| of that field in either file.  A field is one position in one
 line skeleton (the line with its numbers taken out), such as a CSV
 column or a JSONL key, so a value that moves from 4e-16 to 0.0 reads 1
-pointwise but its roundoff against the field.  Integers are counts,
-labels and indices (row, record and event counts, case labels, frame
-numbers), so a changed integer is a structural change, and so are a
-changed file list, line count or any text between the numbers.  Each
-structural change is printed and makes the exit status 1.
+pointwise but its roundoff against the field.  Next to the
+field-scaled change stand its line, its field (JSON key, CSV column,
+or else the number's position in the line) and that field's largest
+|value|, so a field that only ever holds roundoff reads as one.
+Integers are counts, labels and indices (row, record and event counts,
+case labels, frame numbers), so a changed integer is a structural
+change, and so are a changed file list, line count or any text between
+the numbers.  Each structural change is printed and makes the exit
+status 1.
 """
 import argparse
 import contextlib
@@ -129,37 +133,60 @@ def digest_lines(out: Path) -> list[str]:
 NUMBER = re.compile(r"[-+]?(?:\d+\.\d*|\.\d+|\d+)(?:[eE][-+]?\d+)?")
 
 
+def field_name(line: str, start: int, header: list[str] | None) -> str:
+    """The JSON key or CSV column of the number at line[start:], else its
+    position among the line's numbers."""
+    key = re.findall(r'"(\w+)":', line[:start])
+    if key:
+        return key[-1]
+    column = line.count(",", 0, start)
+    if header and column < len(header):
+        return header[column]
+    return f"number {len(NUMBER.findall(line[:start])) + 1}"
+
+
 def file_change(text_a: str, text_b: str):
     """(largest relative change of the numbers, largest field-scaled
-    change, first structural change or None) between two versions of one
-    text artifact."""
+    change, where that change is, first structural change or None)
+    between two versions of one text artifact.  Where is None if no
+    number changed, else (line, field name, largest |value| of that
+    field)."""
     lines_a, lines_b = text_a.splitlines(), text_b.splitlines()
     if len(lines_a) != len(lines_b):
-        return 0.0, 0.0, f"{len(lines_a)} lines -> {len(lines_b)}"
+        return 0.0, 0.0, None, f"{len(lines_a)} lines -> {len(lines_b)}"
     worst, problem = 0.0, None
-    # (skeleton, position) -> [largest change, largest |value|]
+    # A CSV file names its columns in its first line.
+    header = (lines_a[0].split(",") if lines_a and "," in lines_a[0]
+              and not NUMBER.search(lines_a[0]) else None)
+    # (skeleton, position) -> [largest change, largest |value|, its line,
+    # field name]
     fields = {}
     for row, (a, b) in enumerate(zip(lines_a, lines_b), 1):
         skeleton = NUMBER.sub("#", a)
         if skeleton != NUMBER.sub("#", b):
             problem = f"line {row}: text between the numbers differs"
             break
-        for pos, (x, y) in enumerate(zip(NUMBER.findall(a),
+        for pos, (x, y) in enumerate(zip(NUMBER.finditer(a),
                                          NUMBER.findall(b))):
+            start, x = x.start(), x.group()
             if x != y and not any(c in x + y for c in ".eE"):
                 problem = f"line {row}: integer {x} -> {y}"
                 break
             fx, fy = float(x), float(y)
-            field = fields.setdefault((skeleton, pos), [0.0, 0.0])
+            field = fields.setdefault((skeleton, pos), [0.0, 0.0, 0, None])
             field[1] = max(field[1], abs(fx), abs(fy))
             if fx != fy:
                 worst = max(worst, abs(fx - fy) / max(abs(fx), abs(fy)))
-                field[0] = max(field[0], abs(fx - fy))
+                if abs(fx - fy) > field[0]:
+                    field[0], field[2] = abs(fx - fy), row
+                    field[3] = field[3] or field_name(a, start, header)
         if problem:
             break
-    scaled = max((change / top for change, top in fields.values() if change),
-                 default=0.0)
-    return worst, scaled, problem
+    changed = [f for f in fields.values() if f[0]]
+    if not changed:
+        return worst, 0.0, None, problem
+    change, top, row, name = max(changed, key=lambda f: f[0] / f[1])
+    return worst, change / top, (row, name, top), problem
 
 
 def compare(out_a: Path, out_b: Path) -> int:
@@ -175,8 +202,10 @@ def compare(out_a: Path, out_b: Path) -> int:
         if a == b:
             same += 1
             continue
-        worst, scaled, problem = file_change(a, b)
-        print(f"{worst:.3g}  {f}  field-scaled {scaled:.3g}")
+        worst, scaled, where, problem = file_change(a, b)
+        source = (f" (line {where[0]}, {where[1]}, max |value| "
+                  f"{where[2]:.3g})" if where else "")
+        print(f"{worst:.3g}  {f}  field-scaled {scaled:.3g}{source}")
         if problem:
             structural.append(f"{f}: {problem}")
     print(f"{same} of {len(files[0] & files[1])} common files identical")

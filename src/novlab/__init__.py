@@ -26,8 +26,8 @@ from .metric import (NormInfo, PathOfStates, RatioRow, distance_upper,
 from .reconstruct import (EulerField, conserved_euler, crest_position,
                           euler_fields, measure_interval, sample_at)
 from .sources import (assemble_sources, exp_convolve, exp_convolve_bruteforce,
-                      half_angle_factors, kernel_accumulator, level_distance,
-                      slope_factors, xi_derivatives)
+                      kernel_accumulator, level_distance, slope_factors,
+                      xi_derivatives)
 
 __version__ = "0.1.0"
 

@@ -28,7 +28,7 @@ from .errors import AnalysisError, ContractError
 from .grid import Grid, fd_derivative, prefix_integral
 from .initial import TransformedState
 from .reconstruct import EulerField, sample_at
-from .sources import (LEVELS, TOL_PI, half_angle_factors, level_distance,
+from .sources import (LEVELS, TOL_PI, level_distance, slope_factors,
                       xi_derivatives)
 
 __all__ = [
@@ -307,8 +307,8 @@ def verify_cancellations(point: SingularPoint, state: TransformedState,
     if i_star - window_nodes < 0 or i_star + window_nodes >= grid.n:
         return CancellationReport(case_label=label, complete=False, checks=())
 
-    factors = half_angle_factors(state)
-    analytic = dict(zip("yUV", xi_derivatives(state, factors)))
+    slopes = slope_factors(state)
+    analytic = dict(zip("yUV", xi_derivatives(state, slopes)))
     patch, win, fd = _patch_derivatives(np.stack(list(analytic.values())),
                                         grid, xi, window_nodes, (1, 2, 3, 4))
     # derivs[name][k] is the (k+1)-th xi-derivative on the patch, analytic
@@ -316,11 +316,13 @@ def verify_cancellations(point: SingularPoint, state: TransformedState,
     derivs = {name: [row[patch]] + [d[j] for d in fd]
               for j, (name, row) in enumerate(analytic.items())}
 
-    (sinW, sinZ), (cw, cz), _ = factors
+    # sin(angle) = 2 T c, formed at the nodes before any interpolation.
+    T, c = slopes[0][:, patch], slopes[1][:, patch]
+    (cw, cz), (sinW, sinZ) = c, (2.0 * T) * c
     _, _, ((w1, z1), (w2, z2)) = _patch_derivatives(
         state.data[2:4], grid, xi, window_nodes, (1, 2))
-    local = {"q": state.q[patch], "cw": cw[patch], "cz": cz[patch],
-             "sinW": sinW[patch], "sinZ": sinZ[patch],
+    local = {"q": state.q[patch], "cw": cw, "cz": cz,
+             "sinW": sinW, "sinZ": sinZ,
              "w1": w1, "z1": z1, "w2": w2, "z2": z2}
     swap = _SWAP if label in _MIRROR_OF else {}
     L = SimpleNamespace(**{k.translate(swap): _interp(v, grid, xi, patch.start)

@@ -18,8 +18,7 @@ import numpy as np
 from .errors import ContractError, EvolveAbort, NumericalAbort
 from .grid import integrate, prefix_integral
 from .initial import TransformedState
-from .sources import (assemble_sources, half_angle_factors, slope_factors,
-                      xi_derivatives)
+from .sources import assemble_sources, slope_factors, xi_derivatives
 
 __all__ = [
     "OmegaBounds",
@@ -27,6 +26,7 @@ __all__ = [
     "Trajectory",
     "rhs",
     "rk4_step",
+    "densities",
     "conserved",
     "evolve",
     "check_omega",
@@ -140,21 +140,20 @@ def rk4_step(state: TransformedState, dt: float,
     return new
 
 
+def densities(u, v, ux, vx):
+    """The Eulerian densities of E_u, E_v, G and H at (u, v, u_x, v_x)."""
+    return (u * u + ux * ux, v * v + vx * vx, u * v + ux * vx,
+            3.0 * u * u * v * v + u * u * vx * vx + ux * ux * v * v
+            + 4.0 * u * ux * v * vx - ux * ux * vx * vx)
+
+
 def conserved(state: TransformedState) -> ConservedSet:
-    sin, cos2, sin2 = half_angle_factors(state)
-    (sinW, sinZ), (cw, cz), (sw, sz) = sin, cos2, sin2
-    A, q, grid = state.data[:2], state.q, state.grid
-    U, V = A
-    e_u, e_v = (integrate(energy, grid)
-                for energy in (A * A * cos2 + sin2) * (q * cos2[::-1]))
-    cross = integrate(q * (U * V * (cw * cz) + 0.25 * (sinW * sinZ)), grid)
-    quartic = integrate(
-        q * (3.0 * U * U * V * V * (cw * cz)
-             + U * U * (cw * sz) + V * V * (sw * cz)
-             + U * V * (sinW * sinZ) - (sw * sz)),
-        grid,
-    )
-    return ConservedSet(E_u=e_u, E_v=e_v, G=cross, H=quartic)
+    """The four functionals as xi-quadratures: with dx = y_xi dxi and
+    (u_x, v_x) = T, each integrand is y_xi times its Eulerian density."""
+    T, _ = slopes = slope_factors(state)
+    y_xi = xi_derivatives(state, slopes)[0]
+    return ConservedSet(*(integrate(y_xi * f, state.grid)
+                          for f in densities(state.U, state.V, *T)))
 
 
 def y_formula_gap(state: TransformedState) -> float:

@@ -19,12 +19,19 @@ import numpy as np
 from .errors import ConfigError, ContractError
 
 __all__ = [
+    "MAX_NODES",
     "Grid",
     "make_grid",
     "integrate",
     "prefix_integral",
     "fd_derivative",
 ]
+
+
+# The most nodes a grid may have: at 2**20 a (6, n) state is 50 MB and an
+# RK4 step holds a dozen such arrays, while far past it numpy cannot even
+# allocate the nodes and fails with a bare ValueError.
+MAX_NODES = 2**20
 
 
 @dataclass(frozen=True)
@@ -47,6 +54,8 @@ def make_grid(xi_min: float, xi_max: float, n: int) -> Grid:
     n = int(n)
     if n < 3:
         raise ConfigError(f"need at least 3 nodes, got {n}")
+    if n > MAX_NODES:
+        raise ConfigError(f"need at most {MAX_NODES} nodes, got {n}")
     dx = (xi_max - xi_min) / (n - 1)
     # fd_derivative divides by up to dx**4.
     with np.errstate(over="ignore"):

@@ -38,7 +38,7 @@ from .errors import AnalysisError, ContractError, NumericalAbort
 from .evolution import OmegaBounds, check_omega, evolve
 from .grid import Grid, fd_derivative, prefix_integral
 from .initial import EulerDatum, TransformedState, transform_with_map
-from .sources import TOL_PI, half_angle_factors, level_distance, xi_derivatives
+from .sources import TOL_PI, level_distance, slope_factors, xi_derivatives
 
 __all__ = [
     "PathOfStates",
@@ -93,23 +93,21 @@ class RatioRow:
     eta_iterations: int
 
 
-def _state_derivatives(state: TransformedState, factors=None):
-    y_xi, u_xi, v_xi = xi_derivatives(state, factors)
+def _state_derivatives(state: TransformedState, slopes=None):
+    y_xi, u_xi, v_xi = xi_derivatives(state, slopes)
     w_xi, z_xi, q_xi = fd_derivative(state.data[2:5], state.grid, 1)
     return y_xi, u_xi, v_xi, w_xi, z_xi, q_xi
 
 
 def z_shift(state: TransformedState, tangent: np.ndarray,
-            factors=None) -> np.ndarray:
-    """First variation of the characteristic map under the tangent.
-
-    factors is half_angle_factors(state), evaluated here if not given.
+            slopes=None) -> np.ndarray:
+    """First variation of the characteristic map under the tangent: the
+    prefix integral of (c_W c_Z) (Q - q (A T_W + B T_Z)), the variation
+    of y_xi.  slopes is slope_factors(state), evaluated here if not given.
     """
-    (sinW, sinZ), (cw, cz), _ = factors or half_angle_factors(state)
+    (TW, TZ), (cw, cz) = slopes or slope_factors(state)
     _, _, A, B, Q = tangent
-    integrand = (Q * (cw * cz)
-                 - 0.5 * state.q * A * sinW * cz
-                 - 0.5 * state.q * B * cw * sinZ)
+    integrand = (cw * cz) * (Q - state.q * (A * TW + B * TZ))
     return prefix_integral(integrand, state.grid)
 
 
@@ -118,14 +116,14 @@ _ROW_SCALE = np.array([1.0, 1.0, 1.0, 0.5, 0.5])[:, None]
 
 
 def _phi_zero(state: TransformedState, tangent: np.ndarray,
-              factors=None) -> np.ndarray:
+              slopes=None) -> np.ndarray:
     """P0, the (6, n) phi stack at eta = 0.
 
     Rows 0-4 are (z, R, S, A, B) * _ROW_SCALE * q and row 5 is Q: the
     eta terms drop out, so no xi-derivatives are needed.
     """
     P0 = np.empty((6, state.grid.n))
-    P0[:5] = (np.concatenate((z_shift(state, tangent, factors)[None],
+    P0[:5] = (np.concatenate((z_shift(state, tangent, slopes)[None],
                               tangent[:4]))
               * _ROW_SCALE * state.q)
     P0[5] = tangent[4]
@@ -177,7 +175,7 @@ class _ShiftOperator:
 
 
 def _shift_operator(state: TransformedState, eta_nodes: int,
-                    factors=None) -> _ShiftOperator:
+                    slopes=None) -> _ShiftOperator:
     if eta_nodes < 2:
         raise ContractError(f"shift field needs eta_nodes >= 2, got {eta_nodes}")
     grid = state.grid
@@ -194,7 +192,7 @@ def _shift_operator(state: TransformedState, eta_nodes: int,
             f"shift holds no grid node; need eta_nodes <= grid.n = {grid.n}")
     index = np.stack((cells, cells + 1))
     hat = np.maximum(0.0, 1.0 - np.abs(nodes - coarse[index]) / spacing)
-    *D, q_xi = _state_derivatives(state, factors)
+    *D, q_xi = _state_derivatives(state, slopes)
     band = np.empty((2, 6, grid.n))
     band[:, :5] = (np.stack(D) * _ROW_SCALE * state.q) * hat[:, None]
     band[:, 5] = q_xi * hat + np.array([[-1.0], [1.0]]) * state.q / spacing
@@ -284,16 +282,16 @@ def _coordinate_sweep(op: _ShiftOperator, weights: np.ndarray,
 
 
 def _checked_norm_inputs(state: TransformedState, tangent: np.ndarray,
-                         alpha: float, factors):
+                         alpha: float, slopes):
     """The quadrature weights and P0 of a tangent, after the shape checks;
-    factors is half_angle_factors(state)."""
+    slopes is slope_factors(state)."""
     if np.shape(tangent) != (5, state.grid.n):
         raise ContractError(f"tangent has shape {np.shape(tangent)}, "
                             f"expected (5, {state.grid.n})")
     if not 0.0 < alpha < 1.0:
         raise ContractError(f"alpha must lie strictly in (0,1), got {alpha}")
     return (_quad_weights(state.grid, state.y, alpha),
-            _phi_zero(state, tangent, factors))
+            _phi_zero(state, tangent, slopes))
 
 
 def shift_value(state: TransformedState, tangent: np.ndarray,
@@ -303,9 +301,9 @@ def shift_value(state: TransformedState, tangent: np.ndarray,
     The shift is piecewise linear with value coeffs[j] at the j-th of
     coeffs.size equispaced nodes spanning the grid; no box applies.
     """
-    factors = half_angle_factors(state)
-    weights, P0 = _checked_norm_inputs(state, tangent, alpha, factors)
-    op = _shift_operator(state, np.size(coeffs), factors)
+    slopes = slope_factors(state)
+    weights, P0 = _checked_norm_inputs(state, tangent, alpha, slopes)
+    op = _shift_operator(state, np.size(coeffs), slopes)
     return _objective(weights, P0 + op.apply(np.asarray(coeffs, dtype=float)))
 
 
@@ -322,14 +320,14 @@ def tangent_norm_info(state: TransformedState, tangent: np.ndarray,
     the eta = 0 value.  seed, eta_nodes coefficients clipped to the
     box, warm-starts the passes; None starts them cold.
     """
-    # z_shift and the shift operator share one evaluation of the factors.
-    factors = half_angle_factors(state)
-    weights, P0 = _checked_norm_inputs(state, tangent, alpha, factors)
+    # z_shift and the shift operator share one evaluation of the slopes.
+    slopes = slope_factors(state)
+    weights, P0 = _checked_norm_inputs(state, tangent, alpha, slopes)
     value0 = _objective(weights, P0)
     if iters < 1:
         return NormInfo(value=value0, iterations=0, eta_zero_value=value0,
                         best_coeffs=None)
-    op = _shift_operator(state, eta_nodes, factors)
+    op = _shift_operator(state, eta_nodes, slopes)
     best_val, best_c, used = value0, np.zeros(eta_nodes), 0
     # A zero value is already the minimum, and a non-finite one cannot
     # be improved on.

@@ -3,9 +3,9 @@
 Fields are kept in graph (parametric) form: x = y(xi) with nodal values
 carried along, never resampled onto a uniform x-grid.  Near breaking
 the graph stays smooth while u_x blows up, so slopes get a validity
-mask instead of a resample.  tan and the half-angle squares are
-2pi-periodic in the unwrapped angles, so no normalization is needed
-before evaluating them.
+mask instead of a resample.  The slopes tan(angle/2) are 2pi-periodic
+in the unwrapped angles, so no normalization is needed before
+evaluating them.
 """
 
 from __future__ import annotations
@@ -15,9 +15,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import AnalysisError, ContractError, QueryError
-from .evolution import ConservedSet
+from .evolution import ConservedSet, densities
 from .initial import TransformedState
-from .sources import half_angle_factors
+from .sources import slope_factors, xi_derivatives
 
 __all__ = [
     "EulerField",
@@ -64,7 +64,7 @@ def euler_fields(state: TransformedState, mask_tol: float = MASK_TOL) -> EulerFi
     # cos^2 = 1/(1 + T^2) < mask_tol |mask_tol| (no finite T for a negative
     # mask_tol) or T is NaN: |cos| < mask_tol exactly for mask_tol <= 0.05 or
     # outside (0, 1); nearer 1, a node ulps from the edge may round across.
-    T = np.tan(0.5 * state.data[2:4])
+    T, _ = slope_factors(state)
     valid = mask_tol * abs(mask_tol) * (1.0 + T * T) <= 1.0
     slope = np.where(valid, T, np.nan)
     return EulerField(
@@ -112,8 +112,10 @@ def sample_at(field: EulerField, x_query):
 
 
 def _measure_density(state: TransformedState) -> np.ndarray:
-    _, (cw, cz), (sw, sz) = half_angle_factors(state)
-    return state.q * (cw * sz + sw * cz + sw * sz)
+    # y_xi times the Eulerian density u_x^2 + v_x^2 + u_x^2 v_x^2.
+    T, _ = slopes = slope_factors(state)
+    tw2, tz2 = np.square(T)
+    return xi_derivatives(state, slopes)[0] * (tw2 + tz2 + tw2 * tz2)
 
 
 def _cut(y, value, side):
@@ -183,16 +185,8 @@ def conserved_euler(field: EulerField) -> ConservedSet:
         raise AnalysisError(
             f"slope masks fire on x-ranges {bad}; Eulerian functionals "
             "are only defined in the smooth regime")
-    x, u, v, ux, vx = field.x, field.u, field.v, field.ux, field.vx
-    e_u = _graph_quad(u * u + ux * ux, x)
-    e_v = _graph_quad(v * v + vx * vx, x)
-    cross = _graph_quad(u * v + ux * vx, x)
-    quartic = _graph_quad(
-        3.0 * u * u * v * v + u * u * vx * vx + ux * ux * v * v
-        + 4.0 * u * ux * v * vx - ux * ux * vx * vx,
-        x,
-    )
-    return ConservedSet(E_u=e_u, E_v=e_v, G=cross, H=quartic)
+    return ConservedSet(*(_graph_quad(f, field.x) for f in densities(
+        field.u, field.v, field.ux, field.vx)))
 
 
 def crest_position(field: EulerField, component: str = "u",

@@ -9,7 +9,9 @@ T = tan(W/2) = u_x and tan(Z/2) = v_x, c = cos^2(angle/2) = 1/(1 + T^2)
 and dx = y_xi dxi, y_xi = q c_W c_Z, each kernel integrand the code
 forms is y_xi times an Eulerian density: y_xi (f1/2 -+ f2/4), with
 f1 = u^2 v + u u_x v_x + v u_x^2/2 and f2 = u_x^2 v_x, and the same with
-u <-> v.  The rates read W and Z only through T and c.
+u <-> v.  The rates read W and Z only through T and c.  So do the
+conserved and measure densities: each is y_xi times its Eulerian
+density in (u, v, u_x, v_x).
 
 The kernel between two nodes is exp(-|G[i] - G[j]|), with G the prefix
 integral of y_xi.  Convolutions against it split into a forward and a
@@ -31,7 +33,6 @@ __all__ = [
     "LEVELS",
     "TOL_PI",
     "slope_factors",
-    "half_angle_factors",
     "level_distance",
     "xi_derivatives",
     "kernel_accumulator",
@@ -59,13 +60,6 @@ def slope_factors(state: TransformedState):
     return T, np.divide(1.0, c, out=c)
 
 
-def half_angle_factors(state: TransformedState):
-    """sin(angle) = 2T c, cos^2(angle/2) = c and sin^2(angle/2) = T^2 c,
-    each a (2, n) pair with rows W and Z, from slope_factors."""
-    T, c = slope_factors(state)
-    return (2.0 * T) * c, c, np.square(T) * c
-
-
 # The breaking levels: W or Z at +pi or -pi.  Angles stay unwrapped, so
 # both are physical.
 LEVELS = (np.pi, -np.pi)
@@ -85,18 +79,16 @@ def _y_xi(q, cw, cz):
     return q * (cw * cz)
 
 
-def xi_derivatives(state: TransformedState, factors=None):
+def xi_derivatives(state: TransformedState, slopes=None):
     """Analytic first xi-derivatives (y_xi, U_xi, V_xi) of the state:
 
-        y_xi = q cos^2(W/2) cos^2(Z/2)
-        U_xi = (q/2) sin W cos^2(Z/2)
-        V_xi = (q/2) cos^2(W/2) sin Z
+        y_xi = q cos^2(W/2) cos^2(Z/2),  U_xi = y_xi u_x,  V_xi = y_xi v_x
 
-    factors is half_angle_factors(state), evaluated here if not given.
+    slopes is slope_factors(state), evaluated here if not given.
     """
-    (sinW, sinZ), (cw, cz), _ = factors or half_angle_factors(state)
-    q = state.q
-    return _y_xi(q, cw, cz), 0.5 * q * sinW * cz, 0.5 * q * cw * sinZ
+    T, c = slopes or slope_factors(state)
+    y_xi = _y_xi(state.q, *c)
+    return (y_xi, *(y_xi * T))
 
 
 def kernel_accumulator(y_xi: np.ndarray, grid: Grid) -> np.ndarray:

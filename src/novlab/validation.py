@@ -27,8 +27,7 @@ from .metric import (DEFAULT_DESCENT_ITERS, distance_upper, shift_value,
                      tangent_norm_info)
 from .reconstruct import euler_fields, measure_interval, sample_at
 from .sources import (assemble_sources, exp_convolve, exp_convolve_bruteforce,
-                      half_angle_factors, kernel_accumulator, slope_factors,
-                      xi_derivatives)
+                      kernel_accumulator, slope_factors, xi_derivatives)
 
 __all__ = ["CheckResult", "bumps", "random_state", "random_tangent",
            "run_suite"]
@@ -116,7 +115,7 @@ def check_scan_vs_bruteforce(cfg, rng):
     return ok, f"max scan-vs-bruteforce diff = {worst:.3g} over {trials} states"
 
 
-def check_half_angle_factors(cfg, rng):
+def check_slope_factors(cfg, rng):
     special = np.pi * np.array([0.0, -0.0, 1.0, -1.0, 1.5, -1.5, 2.0, -2.0,
                                 3.0, -3.0])
     angles = np.concatenate((special, np.linspace(-7.0, 7.0, 2001),
@@ -125,12 +124,16 @@ def check_half_angle_factors(cfg, rng):
     state = TransformedState(0.0, grid, np.stack(
         (np.zeros(grid.n), np.zeros(grid.n), angles, angles[::-1],
          np.ones(grid.n), grid.nodes)))
-    half = 0.5 * state.data[2:4]
-    refs = np.sin(state.data[2:4]), np.cos(half) ** 2, np.sin(half) ** 2
+    # The forms built from the slopes: c = cos^2(angle/2), and
+    # sin(angle) = 2 T c where the breaking checks need it.
+    T, c = slope_factors(state)
+    refs = np.cos(0.5 * state.data[2:4]) ** 2, np.sin(state.data[2:4])
     worst = max(float(np.max(np.abs(got - ref) / np.finfo(float).eps))
-                for got, ref in zip(half_angle_factors(state), refs))
-    return worst <= 4.0, (f"max |factor - libm| = {worst:.3g} eps vs 4 eps "
-                          f"over {angles.size} angles in [-7, 7]")
+                for got, ref in zip((c, (2.0 * T) * c), refs))
+    finite = bool(np.isfinite(T).all())
+    return worst <= 4.0 and finite, (
+        f"max |c, 2Tc - libm| = {worst:.3g} eps vs 4 eps over {angles.size} "
+        f"angles in [-7, 7], T finite (+-pi included) {finite}")
 
 
 def check_kernel_properties(cfg, rng):
@@ -315,7 +318,7 @@ _CHECKS = [
     ("prefix_vs_integrate", check_prefix_vs_integrate),
     ("fd_polynomial_exactness", check_fd_polynomial),
     ("scan_vs_bruteforce", check_scan_vs_bruteforce),
-    ("half_angle_factors_vs_libm", check_half_angle_factors),
+    ("slope_factors_vs_libm", check_slope_factors),
     ("kernel_properties", check_kernel_properties),
     ("swap_symmetry_bitwise", check_swap_symmetry),
     ("zero_state_fixed_point", check_zero_state_rhs),

@@ -10,6 +10,7 @@ from hypothesis import HealthCheck, settings
 
 from novlab import builtin_datum, make_grid, pair_datum
 from novlab.initial import TransformedState, transform_with_map
+from novlab.validation import random_state
 
 settings.register_profile(
     "numerics",
@@ -33,6 +34,12 @@ def same_bits(a, b):
     return a.shape == b.shape and np.array_equal(
         np.ascontiguousarray(a).view(np.uint64),
         np.ascontiguousarray(b).view(np.uint64))
+
+
+def wide_random_state(n, seed=0):
+    # The kernel potential spans about 80 units: one scan block at the
+    # shipped span, 16 or more at a span of 5.
+    return random_state(np.random.default_rng(seed), make_grid(-40.0, 40.0, n))
 
 
 def two_bump_pair():

@@ -45,20 +45,20 @@ def test_patch_reports_equal_full_row_reports_bitwise(case, monkeypatch):
     assert runs[0] == runs[1]
 
 
-def test_verify_cancellations_computes_half_angle_factors_once(monkeypatch):
+def test_verify_cancellations_forms_the_slopes_once(monkeypatch):
     # The analytic derivatives and the local data share one evaluation.
     from novlab import sources
     state, pt = designed_point(3)
     point = classify(pt, state)
     calls = []
-    real = sources.half_angle_factors
+    real = sources.slope_factors
 
     def counted(st):
         calls.append(st)
         return real(st)
 
-    monkeypatch.setattr(breaking, "half_angle_factors", counted)
-    monkeypatch.setattr(sources, "half_angle_factors", counted)
+    monkeypatch.setattr(breaking, "slope_factors", counted)
+    monkeypatch.setattr(sources, "slope_factors", counted)
     verify_cancellations(point, state)
     assert len(calls) == 1
 

@@ -14,6 +14,7 @@ from novlab.cliio import datum_from_config, perturbed_datum
 from novlab.config import (_BOOL_KEYS, _FLOAT_KEYS, _INT_KEYS, _STR_KEYS,
                            ScenarioConfig, validate_config)
 from novlab.errors import ContractError
+from novlab.grid import MAX_NODES
 
 REPO = Path(__file__).resolve().parents[1]
 
@@ -80,6 +81,9 @@ def test_parse_rejects_malformed(mutation, fragment):
     ("metric.search = newton\n", "search"),
     ("validate.inject = everything\n", "inject"),  # a removed key
     ("grid.n = 2\n", "at least 3"),
+    # Past the cap numpy could not even allocate the nodes.
+    ("grid.n = 1e20\n", f"need at most {MAX_NODES} nodes"),
+    (f"grid.n = {MAX_NODES + 1}\n", f"need at most {MAX_NODES} nodes"),
     ("omega.slack = 0\n", "omega.slack"),
     ("omega.q_lo = 2\nomega.q_hi = 2\n", "omega.q_lo"),
     ("metric.iters = -3\n", "metric.iters"),

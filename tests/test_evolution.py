@@ -6,14 +6,14 @@ import pytest
 
 from novlab import (ContractError, EvolveAbort, NumericalAbort, OmegaBounds,
                     builtin_datum, check_omega, conserved, evolve,
-                    half_angle_factors, make_grid, pair_datum, rhs, rk4_step,
-                    transform_with_map, y_formula_gap)
+                    make_grid, pair_datum, rhs, rk4_step, transform_with_map,
+                    y_formula_gap)
 from novlab.grid import prefix_integral
 from novlab.initial import TransformedState
 from novlab import sources
 from novlab.validation import random_state
 
-from conftest import flat_state, same_bits, two_bump_pair
+from conftest import flat_state, same_bits, two_bump_pair, wide_random_state
 
 BOUNDS = OmegaBounds(0.01, 100.0, 1.5)
 
@@ -65,20 +65,19 @@ def test_rhs_symmetric_state_is_bitwise_symmetric():
 
 def test_rhs_forms_the_slopes_once(monkeypatch):
     # One tan per rhs: slope_factors hands T and c down to the source
-    # pass, and nothing on the stepping path asks for the trig factors.
+    # pass.
     from novlab import evolution
-    calls = {"slope_factors": 0, "half_angle_factors": 0}
-    for name in calls:
-        real = getattr(sources, name)
+    calls = []
+    real = sources.slope_factors
 
-        def counted(state, _name=name, _real=real):
-            calls[_name] += 1
-            return _real(state)
+    def counted(state):
+        calls.append(state)
+        return real(state)
 
-        monkeypatch.setattr(sources, name, counted)
-        monkeypatch.setattr(evolution, name, counted)
+    monkeypatch.setattr(sources, "slope_factors", counted)
+    monkeypatch.setattr(evolution, "slope_factors", counted)
     rhs(random_state(np.random.default_rng(6), make_grid(-8.0, 8.0, 128)))
-    assert calls == {"slope_factors": 1, "half_angle_factors": 0}
+    assert len(calls) == 1
 
 
 def test_rhs_calls_each_source_layer_once(monkeypatch):
@@ -103,12 +102,6 @@ def test_rhs_calls_each_source_layer_once(monkeypatch):
 
 # The (u, W) <-> (v, Z) swap as a permutation of the state and rhs rows.
 SWAP = [1, 0, 3, 2, 4, 5]
-
-
-def wide_random_state(n, seed=0):
-    # The kernel potential spans about 80 units: one scan block at the
-    # shipped span, 16 or more at a span of 5.
-    return random_state(np.random.default_rng(seed), make_grid(-40.0, 40.0, n))
 
 
 # Grid sizes at the shipped block span, and at a span of 5 kernel units.
@@ -296,8 +289,9 @@ def test_block_partition_matches_the_oracle_at_an_exact_tie(monkeypatch):
     # Offsets in U and V keep the integrands nonzero at the right end.
     base = wide_random_state(512, seed=1)
     state = base.with_fields(U=base.U + 0.3, V=base.V - 0.15)
-    _, cos2, _ = half_angle_factors(state)
-    G = prefix_integral(state.q * (cos2[0] * cos2[1]), state.grid)
+    _, cw, _ = _oracle_slope_factors(state.W)
+    _, cz, _ = _oracle_slope_factors(state.Z)
+    G = prefix_integral(state.q * (cw * cz), state.grid)
     results = []
     for span, blocks in [(G[-1], 1), (np.nextafter(G[-1], 0.0), 2)]:
         monkeypatch.setattr(sources, "_BLOCK_SPAN", span)

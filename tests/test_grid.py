@@ -5,6 +5,7 @@ from hypothesis import given, strategies as st
 
 from novlab import (ConfigError, ContractError, fd_derivative, integrate,
                     make_grid, prefix_integral)
+from novlab.grid import MAX_NODES
 
 
 def test_make_grid_basic():
@@ -21,6 +22,11 @@ def test_make_grid_rejects_bad_inputs():
         make_grid(0.0, 1.0, 2)
     with pytest.raises(ConfigError):
         make_grid(0.0, np.inf, 8)
+    # The node cap itself is a grid; one node past it is not.  Neither
+    # builds the nodes.
+    assert make_grid(0.0, 1.0, MAX_NODES).n == MAX_NODES
+    with pytest.raises(ConfigError, match="need at most"):
+        make_grid(0.0, 1.0, MAX_NODES + 1)
 
 
 def test_prefix_integral_matches_manual_trapezoid():

@@ -55,23 +55,23 @@ def test_norm_rejects_mis_shaped_tangent(shape):
 
 
 @pytest.mark.parametrize("iters", [0, 5])
-def test_tangent_norm_computes_half_angle_factors_once(monkeypatch, iters):
+def test_tangent_norm_forms_the_slopes_once(monkeypatch, iters):
     # z_shift and the shift operator's xi-derivatives share one
-    # evaluation of the factors.
+    # evaluation of the slopes.
     from novlab import sources
     rng = np.random.default_rng(26)
     g = make_grid(-8.0, 8.0, 128)
     state = random_state(rng, g)
     tan = random_tangent(rng, g)
     calls = []
-    real = sources.half_angle_factors
+    real = sources.slope_factors
 
     def counted(st):
         calls.append(st)
         return real(st)
 
-    monkeypatch.setattr(metric, "half_angle_factors", counted)
-    monkeypatch.setattr(sources, "half_angle_factors", counted)
+    monkeypatch.setattr(metric, "slope_factors", counted)
+    monkeypatch.setattr(sources, "slope_factors", counted)
     info = tangent_norm_info(state, tan, iters=iters)
     assert len(calls) == 1
     assert (info.iterations > 0) == (iters > 0)

@@ -1,16 +1,18 @@
 """Reconstruction of physical-space fields and the energy measure."""
+from dataclasses import astuple
+
 import numpy as np
 import pytest
 
 from novlab import (AnalysisError, ContractError, OmegaBounds, QueryError,
                     builtin_datum, conserved, conserved_euler, euler_fields,
-                    crest_position, evolve, make_grid, measure_interval,
-                    pair_datum, sample_at, transform_with_map)
+                    crest_position, evolve, integrate, make_grid,
+                    measure_interval, pair_datum, sample_at,
+                    transform_with_map)
 from novlab.reconstruct import MASK_TOL, _measure_density
-from novlab.sources import half_angle_factors
 from novlab.validation import random_state
 
-from conftest import flat_state, same_bits, two_bump_pair
+from conftest import flat_state, same_bits, two_bump_pair, wide_random_state
 
 BOUNDS = OmegaBounds(0.01, 100.0, 1.5)
 
@@ -154,20 +156,66 @@ def test_sample_at_plateau_resolves_leftmost():
     assert uq == 10.0
 
 
+def _libm_factors(state):
+    # cos^2 and sin^2 of the half angles and sin of the angles, from
+    # np.cos and np.sin, as (2, n) pairs with rows W and Z.
+    half = 0.5 * state.data[2:4]
+    return np.cos(half) ** 2, np.sin(half) ** 2, np.sin(state.data[2:4])
+
+
 def test_measure_density_pointwise_identity():
-    # q (cw sz + sw cz + sw sz) equals (ux^2 + vx^2 + ux^2 vx^2) y_xi
-    # wherever the slopes exist; both sides are polynomial in the
-    # half-angle factors so this is exact up to rounding.
+    # (ux^2 + vx^2 + ux^2 vx^2) y_xi equals q (cw sz + sw cz + sw sz)
+    # from libm; both sides are polynomial in the half-angle factors so
+    # this is exact up to rounding.
     rng = np.random.default_rng(11)
     g = make_grid(-8.0, 8.0, 512)
     state = random_state(rng, g)
-    _, (cw, cz), (sw, sz) = half_angle_factors(state)
+    (cw, cz), (sw, sz), _ = _libm_factors(state)
     dens = _measure_density(state)
-    ux = np.tan(0.5 * state.W)
-    vx = np.tan(0.5 * state.Z)
-    y_xi = state.q * cw * cz
-    rhs = (ux**2 + vx**2 + ux**2 * vx**2) * y_xi
+    rhs = state.q * (cw * sz + sw * cz + sw * sz)
     assert np.max(np.abs(dens - rhs)) < 1e-12 * max(1.0, float(np.max(np.abs(dens))))
+
+
+def _libm_conserved(state):
+    # The four functionals in the trig form, from libm factors.
+    (cw, cz), (sw, sz), (sinW, sinZ) = _libm_factors(state)
+    U, V, q = state.U, state.V, state.q
+    return (q * (U * U * cw + sw) * cz, q * (V * V * cz + sz) * cw,
+            q * (U * V * cw * cz + 0.25 * sinW * sinZ),
+            q * (3.0 * U * U * V * V * cw * cz + U * U * cw * sz
+                 + V * V * sw * cz + U * V * sinW * sinZ - sw * sz))
+
+
+# Angles at and next to the poles of u_x = tan(angle/2): the doubles
+# nearest +-pi, one ulp above pi, and one ulp inside +-3pi/2.
+POLE_ANGLES = np.array([np.pi, -np.pi, np.nextafter(np.pi, 4.0),
+                        np.nextafter(1.5 * np.pi, 0.0),
+                        -np.nextafter(1.5 * np.pi, 0.0)])
+
+
+@pytest.mark.parametrize("n", [64, 512, 2048])
+def test_slope_form_densities_stay_finite_and_match_libm_at_the_poles(n):
+    # Every 7th node carries a pair of pole angles, all 25 pairs in
+    # turn; y_xi times the Eulerian density stays finite there, and
+    # close to the trig form from libm: the integrals within 16 eps of
+    # the largest |functional|, the measure density within 4 eps of its
+    # largest |value| at every node.
+    eps = np.finfo(float).eps
+    base = wide_random_state(n, seed=n + 3)
+    W, Z = base.W.copy(), base.Z.copy()
+    k = W[::7].size
+    W[::7] = np.resize(np.repeat(POLE_ANGLES, 5), k)
+    Z[::7] = np.resize(np.tile(POLE_ANGLES, 5), k)
+    state = base.with_fields(W=W, Z=Z)
+    got = np.array(astuple(conserved(state)))
+    ref = np.array([integrate(f, state.grid) for f in _libm_conserved(state)])
+    assert np.isfinite(got).all()
+    assert np.max(np.abs(got - ref)) <= 16.0 * eps * np.max(np.abs(ref))
+    (cw, cz), (sw, sz), _ = _libm_factors(state)
+    dens = _measure_density(state)
+    ref_dens = state.q * (cw * sz + sw * cz + sw * sz)
+    assert np.isfinite(dens).all()
+    assert np.max(np.abs(dens - ref_dens)) <= 4.0 * eps * np.max(ref_dens)
 
 
 def test_measure_interval_additive_and_bounded(smooth_pair_state):

@@ -162,6 +162,10 @@ def test_artifact_digest_compare_reports_numbers_and_structure(tmp_path,
     assert "4.44e-16  run/conserved.csv" in out
     assert "2 of 3 common files identical" in out
     assert "structural" not in out
+    # The field-scaled change names its line, its CSV column and the
+    # column's largest |value|.
+    assert ("4.44e-16  run/conserved.csv  field-scaled 4.44e-16 "
+            "(line 2, E, max |value| 2)") in out
     # Near zero the pointwise change reads 1; against the largest |value|
     # of its column it reads the roundoff it is.
     near = write_tree(tmp_path / "near", dict(base, **{
@@ -169,8 +173,23 @@ def test_artifact_digest_compare_reports_numbers_and_structure(tmp_path,
     zero = write_tree(tmp_path / "zero", dict(base, **{
         "run/conserved.csv": "t,E\n0.0,2.0\n0.5,0.0\n"}))
     assert main(["--compare", str(near), str(zero)]) == 0
-    assert ("1  run/conserved.csv  field-scaled 2.2e-16"
-            in capsys.readouterr().out)
+    assert ("1  run/conserved.csv  field-scaled 2.2e-16 "
+            "(line 3, E, max |value| 2)" in capsys.readouterr().out)
+    # A field that only ever holds roundoff reads as one by its largest
+    # |value|: a JSON key, and a number of a line with neither keys nor
+    # columns by its position.
+    floor = write_tree(tmp_path / "floor", dict(base, **{
+        "run/points.jsonl": '{"case_label": 1, "measured": 4e-20}\n',
+        "run.stdout": "gap 3.0 of 2.5\n"}))
+    moved = write_tree(tmp_path / "floor_moved", dict(base, **{
+        "run/points.jsonl": '{"case_label": 1, "measured": 5e-20}\n',
+        "run.stdout": "gap 3.0 of 2.6\n"}))
+    assert main(["--compare", str(floor), str(moved)]) == 0
+    out = capsys.readouterr().out
+    assert ("0.2  run/points.jsonl  field-scaled 0.2 "
+            "(line 1, measured, max |value| 5e-20)") in out
+    assert ("0.0385  run.stdout  field-scaled 0.0385 "
+            "(line 1, number 2, max |value| 2.6)") in out
     # A case label, an event count, a row count, a null and a file list.
     changes = [("run/points.jsonl", '{"case_label": 2, "t": 1.5}\n'),
                ("run.stdout", "found 4 level events over 2 records\n"),

@@ -7,9 +7,8 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from novlab import (ContractError, NumericalAbort, assemble_sources, exp_convolve,
-                    exp_convolve_bruteforce, half_angle_factors,
-                    kernel_accumulator, level_distance, make_grid,
-                    slope_factors, xi_derivatives)
+                    exp_convolve_bruteforce, kernel_accumulator,
+                    level_distance, make_grid, slope_factors, xi_derivatives)
 from novlab import sources
 from novlab.validation import bumps, random_state
 
@@ -200,45 +199,50 @@ SPECIAL_ANGLES = np.array([0.0, -0.0, np.pi, -np.pi, 1.5 * np.pi, -1.5 * np.pi,
                            2.0 * np.pi, -2.0 * np.pi, 3.0 * np.pi, -3.0 * np.pi])
 
 
-def test_half_angle_factors_stay_within_4_eps_of_np_trig():
-    # The factors come from tan(angle/2), one call, and still match
-    # sin(angle), cos^2(angle/2) and sin^2(angle/2) from libm.
+def test_slope_factors_stay_within_4_eps_of_np_trig():
+    # From tan(angle/2), one call: c matches cos^2(angle/2) and 2 T c
+    # matches sin(angle) from libm.
     angles = np.concatenate((SPECIAL_ANGLES, np.linspace(-7.0, 7.0, 4001)))
     state = angle_state(angles)
-    half = 0.5 * state.data[2:4]
-    refs = np.sin(state.data[2:4]), np.cos(half) ** 2, np.sin(half) ** 2
-    for got, ref in zip(half_angle_factors(state), refs):
+    T, c = slope_factors(state)
+    refs = np.cos(0.5 * state.data[2:4]) ** 2, np.sin(state.data[2:4])
+    for got, ref in zip((c, (2.0 * T) * c), refs):
         assert got.shape == (2, angles.size)
         assert np.max(np.abs(got - ref)) <= 4.0 * np.finfo(float).eps
 
 
-def test_half_angle_factors_keep_the_sign_of_zero_and_the_pole():
-    sin, cos2, sin2 = half_angle_factors(angle_state(SPECIAL_ANGLES))
-    # sin(-0.0) is -0.0, and sin^2 of either zero is +0.0.
+def test_slope_factors_keep_the_sign_of_zero_and_the_pole():
+    T, c = slope_factors(angle_state(SPECIAL_ANGLES))
+    sin = (2.0 * T) * c
+    # tan(-0.0 / 2) is -0.0, and so is sin(-0.0); c of either zero is 1.
+    assert same_bits(T[0, :2], np.array([0.0, -0.0]))
+    assert same_bits(T[1, -2:], np.array([-0.0, 0.0]))
     assert same_bits(sin[0, :2], np.array([0.0, -0.0]))
-    assert same_bits(sin[1, -2:], np.array([-0.0, 0.0]))
-    assert same_bits(sin2[0, :2], np.zeros(2))
-    assert same_bits(cos2[0, :2], np.ones(2))
+    assert same_bits(c[0, :2], np.ones(2))
     # At the double nearest +-pi, tan(angle/2) is about 1.6e16: finite,
     # and so is its square.
     at_pi = (0, slice(2, 4))
-    for factor in (sin, cos2, sin2):
+    for factor in (T, np.square(T), c, sin):
         assert np.all(np.isfinite(factor))
-    assert np.all(cos2[at_pi] < 1e-32)
-    assert np.all(sin2[at_pi] == 1.0)
+    assert np.all(np.abs(T[at_pi]) > 1e16)
+    assert np.all(c[at_pi] < 1e-32)
+    assert np.all(np.square(T[at_pi]) * c[at_pi] == 1.0)
     assert np.allclose(sin[at_pi], np.sin(SPECIAL_ANGLES[2:4]), rtol=1e-15,
                        atol=0.0)
 
 
-def test_half_angle_factors_are_2pi_periodic():
+def test_slope_factors_are_2pi_periodic():
     angles = np.linspace(-3.5, 3.5, 1001)
-    base = half_angle_factors(angle_state(angles))
+    T0, c0 = slope_factors(angle_state(angles))
     for shift in (-2.0 * np.pi, 2.0 * np.pi):
-        moved = half_angle_factors(angle_state(angles + shift))
-        for got, ref in zip(moved, base):
-            # The shifted angle carries one rounding, at most half an ulp
-            # of 10 (4 eps), which the factors see at slope <= 1.
+        T, c = slope_factors(angle_state(angles + shift))
+        # The shifted angle carries one rounding, at most half an ulp of
+        # 10 (4 eps), which c and 2 T c see at slope <= 1, and T at
+        # slope (1 + T^2)/2.
+        for got, ref in ((c, c0), ((2.0 * T) * c, (2.0 * T0) * c0)):
             assert np.max(np.abs(got - ref)) <= 32.0 * np.finfo(float).eps
+        assert np.all(np.abs(T - T0) <= 32.0 * np.finfo(float).eps
+                      * (1.0 + T0 * T0))
 
 
 def test_kernel_flat_state_has_closed_form():
