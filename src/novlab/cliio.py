@@ -1,9 +1,15 @@
 """Config-to-run assembly and deterministic artifact writers.
 
-All floats are serialized with repr (str of a float is its repr), which
-round-trips exactly and makes artifacts byte-stable across reruns on the
-same platform. Flags are written as 1/0; no CSV cell needs quoting.
-JSON records are the dataclass fields, with non-finite floats as null.
+Every float cell holds the bytes of repr(float(x)) (the shortest decimal
+that reads back as x), which round-trips exactly and makes artifacts
+byte-stable across reruns on the same platform. The CSV writers make
+those bytes in numpy, not by calling repr per cell:
+`_floatcells.float_cells` formats a block of float64 values into a
+NUL-padded byte matrix, and each block of rows is one matrix with its
+NULs dropped. Only zeros, NaN, +-inf, subnormals and the rare cells
+whose rounding is too close to call in double-double go through repr
+itself. Flags are written as 1/0; no CSV cell needs quoting. JSON
+records are the dataclass fields, with non-finite floats as null.
 
 A record's state and Euler tables are written in one pass over blocks
 of rows, and each distinct column is formatted once: the xi cells are
@@ -75,17 +81,35 @@ def perturbed_datum(base: EulerDatum, cfg: ScenarioConfig) -> EulerDatum:
 _BLOCK_ROWS = 1024  # table rows formatted per write
 
 
-def _cells(column) -> list[str]:
-    """The cells of a 1-D array: a float's repr, a flag as 1/0, else str."""
-    if column.dtype == bool:
-        column = column.astype(np.int8)
-    return list(map(repr if column.dtype.kind == "f" else str,
-                    column.tolist()))
+def _cells(columns, work=None) -> list:
+    """Cell matrices of equal-length 1-D columns (see `cell_matrix`),
+    the float columns formatted together in one `float_cells` call."""
+    # The formatter is imported where a table is written, so a process
+    # that only builds a run (config, grid, datum) does not compile it.
+    from ._floatcells import WIDTH, cell_matrix, float_cells
+
+    floats = [k for k, c in enumerate(columns) if c.dtype.kind == "f"]
+    cells = [None if k in floats else cell_matrix(c)
+             for k, c in enumerate(columns)]
+    if floats:
+        block = float_cells(np.stack([columns[k] for k in floats]), work)
+        for k, m in zip(floats, block.reshape(len(floats), -1, WIDTH)):
+            cells[k] = m
+    return cells
 
 
 def _rows(cells) -> str:
-    """CSV lines of equal-length, nonempty lists of cells."""
-    return "\n".join(map(",".join, zip(*cells))) + "\n"
+    """CSV lines of cell matrices with an equal, nonzero number of rows:
+    each cell's NULs dropped, cells joined by commas."""
+    widths = [c.shape[1] + 1 for c in cells]
+    table = np.empty((cells[0].shape[0], sum(widths)), np.uint8)
+    end = 0
+    for c, width in zip(cells, widths):
+        table[:, end:end + width - 1] = c
+        end += width
+        table[:, end - 1] = ord(",")
+    table[:, -1] = ord("\n")
+    return table.tobytes().translate(None, b"\0").decode("ascii")
 
 
 def _write_table(fileobj, header, columns) -> None:
@@ -96,7 +120,7 @@ def _write_table(fileobj, header, columns) -> None:
         raise ContractError("table columns differ in length")
     fileobj.write(",".join(header) + "\n")
     for lo in range(0, n, _BLOCK_ROWS):
-        fileobj.write(_rows([_cells(c[lo:lo + _BLOCK_ROWS]) for c in columns]))
+        fileobj.write(_rows(_cells([c[lo:lo + _BLOCK_ROWS] for c in columns])))
 
 
 def write_conserved_csv(fileobj, traj) -> None:
@@ -107,9 +131,11 @@ def write_conserved_csv(fileobj, traj) -> None:
 
 
 @lru_cache(maxsize=1)
-def _xi_cells(grid) -> tuple[str, ...]:
+def _xi_cells(grid) -> np.ndarray:
     """The xi column's cells: the same in every record on one grid."""
-    return tuple(_cells(grid.nodes))
+    from ._floatcells import float_cells
+
+    return float_cells(grid.nodes)
 
 
 # Euler column -> the state row whose cells it may share (None: its own).
@@ -129,6 +155,8 @@ def write_record_csv(state_fh, euler_fh, state, field) -> None:
     field is euler_fields(state), or None when that raised: then only
     the state table is written and euler_fh is not touched.
     """
+    from ._floatcells import Workspace
+
     data, xi = state.data, _xi_cells(state.grid)
     n = len(xi)
     euler = [] if field is None else [
@@ -138,15 +166,20 @@ def write_record_csv(state_fh, euler_fh, state, field) -> None:
     state_fh.write(",".join(["xi", *FIELDS]) + "\n")
     if euler:
         euler_fh.write(",".join(_EULER_SOURCES) + "\n")
+    work = Workspace(min(n, _BLOCK_ROWS) * (len(FIELDS) + len(euler)))
     for lo in range(0, n, _BLOCK_ROWS):
         hi = lo + _BLOCK_ROWS
         rows = data[:, lo:hi]
-        cells = [_cells(row) for row in rows]
-        state_fh.write(_rows([xi[lo:hi], *cells]))
+        # A Euler column shares a state row's cells where the bits agree.
+        shared = [k if k is not None and _same_bits(c[lo:hi], rows[k])
+                  else None for c, k in euler]
+        cells = _cells([*rows, *(c[lo:hi] for (c, _), k in zip(euler, shared)
+                                 if k is None)], work)
+        state_fh.write(_rows([xi[lo:hi], *cells[:len(FIELDS)]]))
         if euler:
-            euler_fh.write(_rows([
-                cells[k] if k is not None and _same_bits(c[lo:hi], rows[k])
-                else _cells(c[lo:hi]) for c, k in euler]))
+            own = iter(cells[len(FIELDS):])
+            euler_fh.write(_rows([next(own) if k is None else cells[k]
+                                  for k in shared]))
 
 
 def write_ratios_csv(fileobj, rows) -> None:

@@ -11,6 +11,7 @@ tangents from the builders defined here.
 from __future__ import annotations
 
 import io
+import math
 import zlib
 from dataclasses import dataclass
 
@@ -314,6 +315,33 @@ def check_distance_identity(cfg, rng):
             f"d(U,U) = {d_zero:.3g} at eta = 0, {d_desc:.3g} by coarse descent")
 
 
+# Where repr switches between positional and scientific form or changes
+# its digit count, and the ends of the float64 range (the normal powers
+# of two, whose rounding range is lopsided, join them in the check).
+_REPR_EDGES = (1e-4, 1e-5, 9.999999999999999e-05, 1e15, 1e16,
+               9999999999999998.0, 2.0 ** 53 + 2, 0.1, 0.5, 1.0, 123.0,
+               5e-324, 2.2250738585072014e-308, 1.7976931348623157e308,
+               0.0, math.inf, math.nan)
+
+
+def check_float_cells(cfg, rng):
+    # The CSV writers format floats in numpy; every cell must be repr's
+    # bytes. A platform whose float rounding differs fails here.
+    bits = rng.integers(0, 2 ** 64, 20_000, dtype=np.uint64)
+    x = np.concatenate([_REPR_EDGES, np.ldexp(1.0, np.arange(-1022, 1024)),
+                        bits.view(np.float64),
+                        rng.standard_normal(10_000),
+                        1e-13 * rng.standard_normal(10_000),
+                        np.exp(rng.uniform(-700, 700, 10_000))])
+    x = np.concatenate([x, -x])
+    buf = io.StringIO()
+    cliio._write_table(buf, ["x"], [x])
+    got = buf.getvalue().split("\n")[1:-1]
+    bad = sum(a != repr(b) for a, b in zip(got, x.tolist()))
+    bad += abs(len(got) - x.size)
+    return bad == 0, f"{x.size} cells, {bad} differ from repr"
+
+
 _CHECKS = [
     ("prefix_vs_integrate", check_prefix_vs_integrate),
     ("fd_polynomial_exactness", check_fd_polynomial),
@@ -331,6 +359,7 @@ _CHECKS = [
     ("norm_axioms", check_norm_axioms),
     ("distance_self_zero", check_distance_identity),
     ("determinism_rerun", check_determinism),
+    ("float_cells_vs_repr", check_float_cells),
 ]
 
 

@@ -6,6 +6,7 @@ import io
 import json
 import math
 import tempfile
+import tracemalloc
 from pathlib import Path
 from types import SimpleNamespace
 
@@ -13,6 +14,7 @@ import numpy as np
 from hypothesis import given
 from hypothesis import strategies as st
 
+import novlab.cliio
 from novlab.breaking import (CancellationCheck, CancellationReport,
                              SingularPoint)
 from novlab.cliio import (write_conserved_csv, write_jsonl, write_ratios_csv,
@@ -21,10 +23,14 @@ from novlab.evolution import ConservedSet
 from novlab.metric import RatioRow
 
 SPECIAL = [math.nan, math.inf, -math.inf, -0.0, 0.0, 5e-324, 2.2e-308,
-           1e16, 1e-16, 1.7976931348623157e308, 0.1, -1.5]
+           1e16, 1e-16, 1.7976931348623157e308, 0.1, -1.5,
+           # where repr switches between positional and scientific form
+           1e-4, 1e-5, 9.999999999999999e-05, 1e15, 9999999999999998.0]
 
-# Lengths around the writer's row-block edge, plus the empty table.
-LENGTHS = [0, 1, 1023, 1024, 1025, 3000]
+# Lengths around the writer's row-block edge (1024 rows) and the float
+# formatter's chunk (8192 cells, the xi column's edge), plus the empty
+# table.
+LENGTHS = [0, 1, 1023, 1024, 1025, 3000, 8191, 8192, 8193]
 
 
 def reference_csv(header, rows) -> str:
@@ -121,6 +127,40 @@ def test_record_csv_matches_reference(record):
                                                    *state.data)
     expected = "" if field is None else euler_reference(field)
     assert euler_buf.getvalue() == expected
+
+
+class Discard:
+    """A text sink that keeps only the count of characters written."""
+
+    chars = 0
+
+    def write(self, text):
+        self.chars += len(text)
+
+
+def test_record_writer_memory_stays_bounded():
+    # Writing one n = 8192 record, with the xi cells built inside the
+    # measurement, allocates at most 4 MB at its peak: rows go out in
+    # blocks, whatever n is.
+    rng = np.random.default_rng(5)
+    n = 8192
+    state = SimpleNamespace(grid=StubGrid(np.linspace(-20.0, 20.0, n)),
+                            data=rng.standard_normal((6, n)))
+    field = SimpleNamespace(x=state.data[5] + 1e-3, u=state.data[0],
+                            v=state.data[1], ux=rng.standard_normal(n),
+                            vx=rng.standard_normal(n),
+                            ux_valid=rng.random(n) < 0.5,
+                            vx_valid=rng.random(n) < 0.5)
+    novlab.cliio._xi_cells.cache_clear()
+    state_fh, euler_fh = Discard(), Discard()
+    tracemalloc.start()
+    try:
+        write_record_csv(state_fh, euler_fh, state, field)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert state_fh.chars > 7 * n and euler_fh.chars > 7 * n
+    assert peak < 4_000_000, peak
 
 
 def test_ratios_csv_matches_reference():
