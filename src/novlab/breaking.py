@@ -28,8 +28,8 @@ from .errors import AnalysisError, ContractError
 from .grid import Grid, fd_derivative, prefix_integral
 from .initial import TransformedState
 from .reconstruct import EulerField, sample_at
-from .sources import (LEVELS, TOL_PI, level_distance, slope_factors,
-                      xi_derivatives)
+from .sources import (LEVELS, TOL_PI, TOL_ZERO_REL, level_distance,
+                      slope_factors, xi_derivatives)
 
 __all__ = [
     "SingularPoint",
@@ -41,8 +41,6 @@ __all__ = [
     "fit_exponent",
     "synthetic_case_state",
 ]
-
-TOL_ZERO_REL = 1e-3
 
 
 @dataclass(frozen=True)

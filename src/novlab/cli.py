@@ -18,11 +18,11 @@ import dataclasses
 import math
 import sys
 from contextlib import nullcontext
+from importlib import import_module
 from pathlib import Path
+from typing import TYPE_CHECKING
 
 from . import cliio
-from .breaking import (classify, find_crossings, fit_exponent,
-                       verify_cancellations)
 from .config import (ScenarioConfig, load_config, quick_override,
                      validate_config)
 from .errors import (AnalysisError, ConfigError, ContractError, EvolveAbort,
@@ -30,11 +30,45 @@ from .errors import (AnalysisError, ConfigError, ContractError, EvolveAbort,
 from .evolution import evolve
 from .grid import make_grid
 from .initial import transform_with_map
-from .metric import lipschitz_experiment
-from .reconstruct import euler_fields
-from .validation import run_suite
+
+if TYPE_CHECKING:
+    from .breaking import (classify, find_crossings, fit_exponent,
+                           verify_cancellations)
+    from .metric import lipschitz_experiment
+    from .reconstruct import euler_fields
+    from .validation import run_suite
 
 __all__ = ["main"]
+
+# The functions only some commands call, by defining module.  A command
+# imports its own with `_bind`, so `evolve` loads neither `breaking` nor
+# `metric`, and `metric` neither `breaking` nor `reconstruct`.  Reading
+# one as an attribute of this module imports it as well (PEP 562); once
+# imported, each is a module global that a caller may rebind.
+_DEFERRED = {
+    "euler_fields": "reconstruct",
+    "find_crossings": "breaking",
+    "classify": "breaking",
+    "fit_exponent": "breaking",
+    "verify_cancellations": "breaking",
+    "lipschitz_experiment": "metric",
+    "run_suite": "validation",
+}
+
+
+def _bind(*names: str) -> None:
+    scope = globals()
+    for name in names:
+        if name not in scope:
+            module = import_module(f".{_DEFERRED[name]}", __package__)
+            scope[name] = getattr(module, name)
+
+
+def __getattr__(name: str):
+    if name not in _DEFERRED:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    _bind(name)
+    return globals()[name]
 
 
 def _prepare(args) -> tuple[ScenarioConfig, Path]:
@@ -93,6 +127,7 @@ def _run_trajectory(cfg: ScenarioConfig, out: Path):
 
 
 def cmd_evolve(args) -> int:
+    _bind("euler_fields")
     cfg, out = _prepare(args)
     traj = _run_trajectory(cfg, out)
     files = _write_trajectory(traj, out)
@@ -108,6 +143,8 @@ def _report_skip(analysis: str, point, err: NovlabError) -> None:
 
 
 def cmd_singular(args) -> int:
+    _bind("find_crossings", "euler_fields", "classify", "fit_exponent",
+          "verify_cancellations")
     cfg, out = _prepare(args)
     traj = _run_trajectory(cfg, out)
     points = []
@@ -158,6 +195,7 @@ def cmd_singular(args) -> int:
 
 
 def cmd_metric(args) -> int:
+    _bind("lipschitz_experiment")
     cfg, out = _prepare(args)
     grid = make_grid(cfg.xi_min, cfg.xi_max, cfg.n)
     datum0 = cliio.datum_from_config(cfg)
@@ -177,6 +215,7 @@ def cmd_metric(args) -> int:
 
 
 def cmd_validate(args) -> int:
+    _bind("run_suite")
     cfg, _ = _prepare(args)
     results = run_suite(cfg)
     failed = [r for r in results if not r.passed]

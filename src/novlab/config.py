@@ -17,16 +17,24 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field, replace
 
-from .breaking import TOL_ZERO_REL
 from .errors import ConfigError
 from .evolution import OmegaBounds
 from .grid import make_grid
 from .initial import builtin_datum
-from .metric import (DEFAULT_ALPHA, DEFAULT_DESCENT_ITERS, DEFAULT_ETA_NODES,
-                     DEFAULT_M_THETA)
-from .sources import TOL_PI
+from .sources import TOL_PI, TOL_ZERO_REL
 
 SCHEMA_TAG = "novlab-config/1"
+
+# Defaults of the metric.* keys.  A config is read before any metric
+# code runs, and `novlab evolve` or `singular` never runs it, so these
+# are declared here rather than in `metric`, whose keyword defaults
+# import them: a call that names none and a config that names none
+# agree, and reading a config does not load `metric`.
+DEFAULT_ALPHA = 0.5
+DEFAULT_ETA_NODES = 17
+DEFAULT_M_THETA = 9
+# The IRLS pass cap of a shift search that names none.
+DEFAULT_DESCENT_ITERS = 200
 
 
 @dataclass(frozen=True)

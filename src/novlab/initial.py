@@ -216,7 +216,18 @@ def mirrored(base: EulerDatum) -> EulerDatum:
 
 # 10-point Gauss-Legendre on [-1, 1]; exact for polynomials to degree 19,
 # which makes per-cell errors negligible against NEWTON_TOL for smooth D0.
-_GL_NODES, _GL_WEIGHTS = np.polynomial.legendre.leggauss(10)
+# The doubles of np.polynomial.legendre.leggauss(10), written out so that
+# a transform does not import numpy.polynomial.
+_GL_NODES = np.array([
+    -0.9739065285171717, -0.8650633666889845, -0.6794095682990244,
+    -0.4333953941292472, -0.14887433898163122, 0.14887433898163122,
+    0.4333953941292472, 0.6794095682990244, 0.8650633666889845,
+    0.9739065285171717])
+_GL_WEIGHTS = np.array([
+    0.06667134430868814, 0.1494513491505804, 0.219086362515982,
+    0.2692667193099965, 0.2955242247147528, 0.2955242247147528,
+    0.2692667193099965, 0.219086362515982, 0.1494513491505804,
+    0.06667134430868814])
 
 
 class _CumulativeDensity:
@@ -233,7 +244,10 @@ class _CumulativeDensity:
         n_cells = max(int(np.ceil((hi - lo) / h)), 8)
         cuts = np.linspace(lo, hi, n_cells + 1)
         interior = [k for k in datum.kinks if lo < k < hi]
-        self.x = np.unique(np.concatenate([cuts, [0.0], interior]))
+        # The sorted distinct breakpoints, as np.unique would give them,
+        # without the numpy.ma import np.unique makes.
+        x = np.sort(np.concatenate([cuts, [0.0], interior]))
+        self.x = x[np.concatenate(([True], x[1:] != x[:-1]))]
         self.datum = datum
         cell_ints = self._panel(self.x[:-1], self.x[1:])
         cum = np.concatenate([[0.0], np.cumsum(cell_ints)])

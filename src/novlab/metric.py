@@ -34,6 +34,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .config import (DEFAULT_ALPHA, DEFAULT_DESCENT_ITERS, DEFAULT_ETA_NODES,
+                     DEFAULT_M_THETA)
 from .errors import AnalysisError, ContractError, NumericalAbort
 from .evolution import OmegaBounds, check_omega, evolve
 from .grid import Grid, fd_derivative, prefix_integral
@@ -53,11 +55,6 @@ __all__ = [
     "lipschitz_experiment",
 ]
 
-DEFAULT_ALPHA = 0.5
-DEFAULT_ETA_NODES = 17
-DEFAULT_M_THETA = 9
-# The IRLS pass cap of a shift search that names none.
-DEFAULT_DESCENT_ITERS = 200
 # IRLS stops once a pass changes the value by at most this fraction.
 _IRLS_RTOL = 1e-7
 # Residuals below this fraction of max |P0| are weighted as if this large.

@@ -17,7 +17,7 @@ import numpy as np
 from .errors import AnalysisError, ContractError, QueryError
 from .evolution import ConservedSet, densities
 from .initial import TransformedState
-from .sources import slope_factors, xi_derivatives
+from .sources import _slopes, slope_factors, xi_derivatives
 
 __all__ = [
     "EulerField",
@@ -64,7 +64,7 @@ def euler_fields(state: TransformedState, mask_tol: float = MASK_TOL) -> EulerFi
     # cos^2 = 1/(1 + T^2) < mask_tol |mask_tol| (no finite T for a negative
     # mask_tol) or T is NaN: |cos| < mask_tol exactly for mask_tol <= 0.05 or
     # outside (0, 1); nearer 1, a node ulps from the edge may round across.
-    T, _ = slope_factors(state)
+    T = _slopes(state)
     valid = mask_tol * abs(mask_tol) * (1.0 + T * T) <= 1.0
     slope = np.where(valid, T, np.nan)
     return EulerField(

@@ -32,6 +32,7 @@ from .initial import TransformedState
 __all__ = [
     "LEVELS",
     "TOL_PI",
+    "TOL_ZERO_REL",
     "slope_factors",
     "level_distance",
     "xi_derivatives",
@@ -47,14 +48,19 @@ __all__ = [
 _BLOCK_SPAN = 100.0
 
 
+def _slopes(state: TransformedState) -> np.ndarray:
+    # The package's one tan call; a fresh (2, n) array.
+    T = np.multiply(0.5, state.data[2:4])
+    return np.tan(T, out=T)
+
+
 def slope_factors(state: TransformedState):
     """The slopes T = tan(angle/2) (u_x in row W, v_x in row Z) and
     c = cos^2(angle/2) = 1/(1 + T^2), each a (2, n) pair whose reversal
-    pair[::-1] is the swap, from the package's one tan call.  At the
-    double nearest +-pi, T is about 1.6e16, so T^2 stays finite.
+    pair[::-1] is the swap.  At the double nearest +-pi, T is about
+    1.6e16, so T^2 stays finite.
     """
-    T = np.multiply(0.5, state.data[2:4])
-    np.tan(T, out=T)
+    T = _slopes(state)
     c = np.square(T)
     c += 1.0
     return T, np.divide(1.0, c, out=c)
@@ -65,6 +71,8 @@ def slope_factors(state: TransformedState):
 LEVELS = (np.pi, -np.pi)
 # An angle within this distance of a level touches it.
 TOL_PI = 1e-3
+# An angle derivative within this fraction of its local scale vanishes.
+TOL_ZERO_REL = 1e-3
 
 
 def level_distance(angle):

@@ -8,7 +8,10 @@ from hypothesis import given, strategies as st
 from novlab import (ConfigError, ContractError, builtin_datum, conserved,
                     invert_y0, make_grid, mirrored, pair_datum,
                     transform_with_map)
-from novlab.initial import TransformedState, _density_table
+from novlab.initial import (_GL_NODES, _GL_WEIGHTS, TransformedState,
+                            _CumulativeDensity, _density_table)
+
+from conftest import same_bits
 
 
 def test_builtin_families_cover_known_shapes():
@@ -117,6 +120,28 @@ def test_peakon_cumulative_closed_form_matches_table():
     expected = np.interp(x, fine, pref)
     got = table.value(x)
     assert np.max(np.abs(got - expected)) < 5e-9
+
+
+def test_gauss_legendre_literals_are_leggauss_bitwise():
+    nodes, weights = np.polynomial.legendre.leggauss(10)
+    assert same_bits(_GL_NODES, nodes)
+    assert same_bits(_GL_WEIGHTS, weights)
+
+
+@pytest.mark.parametrize("datum, lo, hi, h", [
+    # The peakon's kink at 0 is a cut and the table's added 0 as well.
+    (builtin_datum("peakon"), -20.0, 20.0, 0.25 * 40.0 / 2047),
+    # Kinks off 0 on a cut: the cuts are the multiples of 0.25 in [-3, 5].
+    (builtin_datum("peakon", {"center": 1.25}), -3.0, 5.0, 0.25),
+    (mirrored(builtin_datum("peakon", {"center": 1.25})), -3.0, 5.0, 0.25),
+])
+def test_density_breakpoints_equal_np_unique(datum, lo, hi, h):
+    n_cells = max(int(np.ceil((hi - lo) / h)), 8)
+    cuts = np.linspace(lo, hi, n_cells + 1)
+    assert np.isin(datum.kinks, cuts).all()
+    interior = [k for k in datum.kinks if lo < k < hi]
+    expected = np.unique(np.concatenate([cuts, [0.0], interior]))
+    assert same_bits(_CumulativeDensity(datum, lo, hi, h).x, expected)
 
 
 def test_transform_peakon_even_grid_conserves_h1_energy():
