@@ -18,7 +18,8 @@ import numpy as np
 from .errors import ContractError, EvolveAbort, NumericalAbort
 from .grid import integrate, prefix_integral
 from .initial import TransformedState
-from .sources import assemble_sources, slope_factors, xi_derivatives
+from .sources import (Scratch, assemble_sources, slope_factors,
+                      xi_derivatives)
 
 __all__ = [
     "OmegaBounds",
@@ -64,16 +65,21 @@ class Trajectory:
     y_checks: list[float]
 
 
-def rhs(state: TransformedState) -> np.ndarray:
-    """Time derivative of state.data, as a (6, n) array in the same row order."""
+def rhs(state: TransformedState, out=None, scratch=None) -> np.ndarray:
+    """Time derivative of state.data, as a (6, n) array in the same row order.
+
+    out, if given, receives it; scratch (a sources.Scratch) lends the
+    source pass its work arrays.
+    """
     T, c = slopes = slope_factors(state)
     # (U, V) and (V, U): each pair of rates is one formula on row pairs.
     A, B = state.data[:2], state.data[1::-1]
     # A A B feeds the integrands and both rates.
     a2b = np.multiply(A, A)
     a2b *= B
-    fwd, bwd = assemble_sources(state, slopes, a2b)
-    out = np.empty_like(state.data)
+    fwd, bwd = assemble_sources(state, slopes, a2b, scratch)
+    if out is None:
+        out = np.empty_like(state.data)
     # -dx P1 - P2, and e = A^2 B - drive with the drive P1 + dx P2 (S in
     # row 1): the angle rate is c (2 e - B T^2) and the q rate
     # q (T c (2 e + B) + the same with roles swapped).  Both c products
@@ -117,25 +123,54 @@ def check_omega(state: TransformedState, bounds: OmegaBounds) -> None:
             f"t={state.t:.6g}: max|W|={w_max:.4f}, max|Z|={z_max:.4f}", diag)
 
 
+class Workspace:
+    """What the RK4 stages of one grid reuse from step to step: the stage
+    state (one TransformedState over a buffer the stages overwrite), the
+    running stage sum, one rate buffer and the source pass's scratch."""
+
+    def __init__(self, grid):
+        self.stage = TransformedState(0.0, grid, np.empty((6, grid.n)))
+        self.acc = np.empty((6, grid.n))
+        self.k = np.empty((6, grid.n))
+        self.scratch = Scratch()
+
+
 def rk4_step(state: TransformedState, dt: float,
-             bounds: OmegaBounds = OmegaBounds()) -> TransformedState:
-    """One classical RK4 step of the state, map included; dt may be negative."""
+             bounds: OmegaBounds = OmegaBounds(),
+             work: Workspace | None = None) -> TransformedState:
+    """One classical RK4 step of the state, map included; dt may be negative.
+
+    work, a Workspace on the state's grid, lets successive steps share
+    their buffers; evolve passes one to all its steps.
+    """
     if not np.isfinite(dt) or dt == 0.0:
         raise ContractError(f"rk4_step needs a finite nonzero dt, got {dt!r}")
-    t, grid, x = state.t, state.grid, state.data
+    if work is None:
+        work = Workspace(state.grid)
+    x, stage, acc, k, scratch = (state.data, work.stage, work.acc, work.k,
+                                 work.scratch)
+    s = stage.data
     half = 0.5 * dt
-    k1 = rhs(state)
-    k2 = rhs(TransformedState(t + half, grid, x + half * k1))
-    k3 = rhs(TransformedState(t + half, grid, x + half * k2))
-    k4 = rhs(TransformedState(t + dt, grid, x + dt * k3))
-    # x + dt/6 (((k1 + 2 k2) + 2 k3) + k4), summed in place in k2.
-    k2 *= 2.0
-    k2 += k1
-    k2 += np.multiply(2.0, k3, out=k3)
-    k2 += k4
-    k2 *= dt / 6.0
-    k2 += x
-    new = TransformedState(t + dt, grid, k2)
+    # acc sums ((k1 + 2 k2) + 2 k3) + k4 while each stage x + h k forms
+    # in the stage buffer.
+    rhs(state, acc, scratch)
+    np.multiply(acc, half, out=s)
+    s += x
+    rhs(stage, k, scratch)
+    np.multiply(k, half, out=s)
+    s += x
+    k *= 2.0
+    acc += k
+    rhs(stage, k, scratch)
+    np.multiply(k, dt, out=s)
+    s += x
+    k *= 2.0
+    acc += k
+    rhs(stage, k, scratch)
+    acc += k
+    new = np.multiply(acc, dt / 6.0)
+    new += x
+    new = TransformedState(state.t + dt, state.grid, new)
     check_omega(new, bounds)
     return new
 
@@ -194,9 +229,10 @@ def evolve(state0: TransformedState, t_final: float, dt: float,
     record(state0)
     state = state0
     t0 = state0.t
+    work = Workspace(state0.grid)
     for k in range(1, n_steps + 1):
         try:
-            state = rk4_step(state, dt, bounds)
+            state = rk4_step(state, dt, bounds, work)
         except NumericalAbort as err:
             raise EvolveAbort(
                 f"evolution aborted at step {k}/{n_steps}: {err}",

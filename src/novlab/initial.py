@@ -256,22 +256,38 @@ class _CumulativeDensity:
 
     def density(self, x):
         du = self.datum.du0(x)
-        dv = self.datum.dv0(x)
+        # Every built-in family gives both components one slope callable.
+        dv = du if self.datum.dv0 is self.datum.du0 else self.datum.dv0(x)
         return (1.0 + du * du) * (1.0 + dv * dv)
 
-    def _panel(self, a, b):
+    def _samples(self, a, b):
+        # The density at the Gauss nodes of each panel [a, b], and the
+        # panels' half widths.
         a = np.asarray(a, dtype=float)
         b = np.asarray(b, dtype=float)
         mid = 0.5 * (a + b)[..., None]
         half = 0.5 * (b - a)[..., None]
-        vals = self.density(mid + half * _GL_NODES)
-        return (vals @ _GL_WEIGHTS) * half[..., 0]
+        return self.density(mid + half * _GL_NODES), half[..., 0]
 
-    def value(self, x):
+    def _panel(self, a, b):
+        vals, half = self._samples(a, b)
+        return (vals @ _GL_WEIGHTS) * half
+
+    def value(self, x, samples=None, rows=None):
+        """F at the points x.
+
+        With samples, an (N, 10) array of the density samples of N
+        points' partial panels, x holds the points of the given rows:
+        those rows are refreshed and the product runs over all N, so a
+        point's value rounds alike however few rows change.
+        """
         x = np.asarray(x, dtype=float)
         idx = np.clip(np.searchsorted(self.x, x, side="right") - 1, 0, self.x.size - 2)
-        base = self.x[idx]
-        return self.cum[idx] + self._panel(base, x)
+        vals, half = self._samples(self.x[idx], x)
+        if samples is None:
+            return self.cum[idx] + (vals @ _GL_WEIGHTS) * half
+        samples[rows] = vals
+        return self.cum[idx] + (samples @ _GL_WEIGHTS)[rows] * half
 
 
 def _density_table(datum: EulerDatum, grid: Grid) -> _CumulativeDensity:
@@ -291,25 +307,30 @@ def invert_y0(datum: EulerDatum, grid: Grid) -> np.ndarray:
     lo = np.full(grid.n, table.x[0])
     hi = np.full(grid.n, table.x[-1])
     x = np.clip(xi, lo, hi)
-    resid = table.value(x) - xi
+    # Only the nodes still active are evaluated; samples keeps every
+    # node's partial panel for the product F takes over all of them.
+    samples = np.empty((grid.n, _GL_NODES.size))
+    resid = table.value(x, samples, slice(None)) - xi
     dxold = hi - lo
     for _ in range(NEWTON_MAX_ITER):
-        active = np.abs(resid) >= NEWTON_TOL
-        if not active.any():
+        act = np.flatnonzero(np.abs(resid) >= NEWTON_TOL)
+        if not act.size:
             break
-        hi = np.where(active & (resid > 0), np.minimum(hi, x), hi)
-        lo = np.where(active & (resid < 0), np.maximum(lo, x), lo)
-        dens = table.density(x)
-        newton = x - resid / dens
+        xa, ra = x[act], resid[act]
+        hi_a = np.where(ra > 0, np.minimum(hi[act], xa), hi[act])
+        lo_a = np.where(ra < 0, np.maximum(lo[act], xa), lo[act])
+        hi[act], lo[act] = hi_a, lo_a
+        dens = table.density(xa)
+        newton = xa - ra / dens
         # Accept Newton only while it stays bracketed and keeps at least
         # halving the step; otherwise bisect.  Plain in-bracket tests let
         # Newton ping-pong between the flanks of a density spike forever.
-        ok = ((newton > lo) & (newton < hi)
-              & (np.abs(2.0 * resid) <= np.abs(dxold * dens)))
-        trial = np.where(ok, newton, 0.5 * (lo + hi))
-        dxold = np.where(active, np.abs(trial - x), dxold)
-        x = np.where(active, trial, x)
-        resid = np.where(active, table.value(x) - xi, resid)
+        ok = ((newton > lo_a) & (newton < hi_a)
+              & (np.abs(2.0 * ra) <= np.abs(dxold[act] * dens)))
+        trial = np.where(ok, newton, 0.5 * (lo_a + hi_a))
+        dxold[act] = np.abs(trial - xa)
+        x[act] = trial
+        resid[act] = table.value(trial, samples, act) - xi[act]
     worst = float(np.max(np.abs(resid)))
     if worst >= NEWTON_TOL:
         k = int(np.argmax(np.abs(resid)))

@@ -16,9 +16,15 @@ density in (u, v, u_x, v_x).
 The kernel between two nodes is exp(-|G[i] - G[j]|), with G the prefix
 integral of y_xi.  Convolutions against it split into a forward and a
 backward half; exp_convolve scans both halves of the integrand pairs the
-rates read as one (2, ..., n) stack, in one blocked O(n) pass with the
-trapezoid weights.  A quadratic-time double loop with the same weights
-serves as the oracle.
+rates read as one (2, ..., n) stack, in one blocked O(n) pass.  G and
+both halves take one quadrature, the 4-point cell rule: the integral
+over [xi_j, xi_j+1] of the cubic through the samples at xi_j-1 ..
+xi_j+2, dx/24 (13 (r_j + r_j+1) - (r_j-1 + r_j+2)).  In the
+characteristic variables the solution stays smooth in xi through
+gradient blow-up, so the rule is fourth order there, on smooth data and
+through breaking alike; at a kink of the datum it falls back to second
+order.  A quadratic-time double loop with the same rule serves as the
+oracle.
 """
 
 from __future__ import annotations
@@ -26,7 +32,7 @@ from __future__ import annotations
 import numpy as np
 
 from .errors import ContractError, NumericalAbort
-from .grid import Grid, prefix_integral
+from .grid import Grid
 from .initial import TransformedState
 
 __all__ = [
@@ -66,6 +72,11 @@ def slope_factors(state: TransformedState):
     return T, np.divide(1.0, c, out=c)
 
 
+# The 4-point cell rule: the integral over [xi_j, xi_j+1] of the cubic
+# through r at xi_j-1 .. xi_j+2, in units of dx.
+_CELL_RULE = np.array([-1.0, 13.0, 13.0, -1.0]) / 24.0
+
+
 # The breaking levels: W or Z at +pi or -pi.  Angles stay unwrapped, so
 # both are physical.
 LEVELS = (np.pi, -np.pi)
@@ -100,14 +111,38 @@ def xi_derivatives(state: TransformedState, slopes=None):
 
 
 def kernel_accumulator(y_xi: np.ndarray, grid: Grid) -> np.ndarray:
-    """G, the prefix integral of the row y_xi, nondecreasing in Omega."""
-    if (y_xi < 0.0).any():
+    """G, the prefix integral of the row r = y_xi, nondecreasing in Omega.
+
+    Each cell takes the 4-point rule dx/24 (13 (r_j + r_j+1) - (r_j-1 +
+    r_j+2)), the integral of the cubic through the four nodes.  A cell
+    that lacks a neighbour (the two end cells) or where the rule would
+    go negative (a kink, where r collapses between its neighbours)
+    keeps the trapezoid dx/24 (12 (r_j + r_j+1)), so G[0] is exactly 0
+    and G never decreases.
+    """
+    if np.shape(y_xi) != (grid.n,):
+        raise ContractError(f"expected {grid.n} samples of y_xi, got shape "
+                            f"{np.shape(y_xi)}")
+    if y_xi.min() < 0.0:
         k = int(np.argmin(y_xi))
         raise NumericalAbort(
             f"kernel integrand negative at node {k}; state left Omega",
             {"node": k, "value": float(y_xi[k])},
         )
-    return prefix_integral(y_xi, grid)
+    half = 0.5 * grid.dx
+    G = np.empty(grid.n)
+    G[0] = 0.0
+    G[1] = half * (y_xi[0] + y_xi[1])
+    if grid.n > 3:
+        # The inner cells, summed on from G[1] in place.
+        cells = np.correlate(y_xi, _CELL_RULE * grid.dx)
+        if cells.min() < 0.0:
+            kinked = np.flatnonzero(cells < 0.0)
+            cells[kinked] = half * (y_xi[kinked + 1] + y_xi[kinked + 2])
+        cells[0] += G[1]
+        cells.cumsum(out=G[2:-1])
+    G[-1] = G[-2] + half * (y_xi[-2] + y_xi[-1])
+    return G
 
 
 def _as_stack(p, G: np.ndarray, grid: Grid) -> np.ndarray:
@@ -120,54 +155,169 @@ def _as_stack(p, G: np.ndarray, grid: Grid) -> np.ndarray:
     return p
 
 
-def exp_convolve(p, G: np.ndarray, grid: Grid) -> np.ndarray:
-    """Forward and backward halves of the kernel quadrature, O(n) per row.
+def _cell_integrals(r, out):
+    # out[j], the integral of the row r over [xi_j, xi_j+1] in units of
+    # dx: the 4-point rule, and the trapezoid on the two end cells, which
+    # lack an outer neighbour.
+    if r.size > 3:
+        out[1:-1] = np.correlate(r, _CELL_RULE)
+    out[0] = 0.5 * (r[0] + r[1])
+    out[-1] = 0.5 * (r[-2] + r[-1])
 
-    p stacks the forward integrand p[0] on the backward one p[1], each
-    (n,) or (k, n).  Returns (fwd, bwd) stacked like p: fwd[..., i]
-    integrates E(xi_i, eta) p[0](eta) left of xi_i, bwd[..., i] p[1] right.
-    """
-    p = _as_stack(p, G, grid)
-    n, dx = grid.n, grid.dx
-    # Running sums at weight dx, from the half cell of node 0 or n-1;
-    # both halves live in one buffer, so one scan screens them.
-    halves = np.multiply(p, dx)
-    fwd, bwd = halves.reshape(2, -1, n)
-    fwd[:, 0] *= 0.5
-    bwd[:, -1] *= 0.5
-    # Both halves share the blocks and exp(+-L), L = G - G[block start s].
+
+def _blocks(G: np.ndarray):
+    # Node ranges [s, e] sharing their ends, each spanning at most
+    # _BLOCK_SPAN in G past its first cell; one range when G spans less.
+    n = G.size
+    if G[-1] <= G[0] + _BLOCK_SPAN:
+        return [(0, n - 1)]
     blocks, s = [], 0
     while s < n - 1:
         e = max(int(G.searchsorted(G[s] + _BLOCK_SPAN, side="right")) - 1,
                 s + 1)
-        L = G[s:e + 1] - G[s]
-        up, down = np.exp(L), np.exp(-L)
-        # F[k] = exp(-L[k]) (F[s] + sum_{s<j<=k} dx p[j] exp(L[j])); the
-        # carry F[s] is scaled by up[0] = down[0] = exp(0.0) = 1.0 exactly.
-        block = fwd[:, s:e + 1]
-        block *= up
-        block.cumsum(axis=1, out=block)
-        block *= down
-        blocks.append((s, e, up, down))
+        blocks.append((s, e))
         s = e
-    for s, e, up, down in reversed(blocks):
-        # B[k] = exp(L[k]) (sum_{k<=j<e} dx p[j] exp(-L[j]) + B[e] exp(-L[e]));
-        # the carry B[e] joins the sum at slot e-1, so slot e keeps it.
-        block = bwd[:, s:e]
-        block *= down[:-1]
-        block[:, -1] += bwd[:, e] * down[-1]
-        rev = block[:, ::-1]
-        rev.cumsum(axis=1, out=rev)
-        block *= up[:-1]
-    # Each node's own term belongs at half weight: dx p / 2 comes off.
-    halves -= np.multiply(p, 0.5 * dx)
+    return blocks
+
+
+def _fresh(name, shape):
+    return np.empty(shape)
+
+
+class Scratch:
+    """Work arrays kept from call to call: scratch(name, shape) returns
+    the same uninitialised array each time a name is asked for at one
+    shape.  A layer handed one writes its result there, so the caller
+    reads the result before the next call with the same scratch."""
+
+    def __init__(self):
+        self._arrays = {}
+
+    def __call__(self, name, shape):
+        arr = self._arrays.get(name)
+        if arr is None or arr.shape != shape:
+            arr = self._arrays[name] = np.empty(shape)
+        return arr
+
+
+def _one_block_scans(p, G, w, halves, new):
+    # With L = G - G[0], the scaled integrands Q = w p exp(+-L) of all
+    # rows lie back to back in one flat buffer with two pad slots on
+    # either side, so one correlate gives every row's cells: c[j] is the
+    # cell left of flat node j.  The cells that straddle two rows are
+    # set to zero, and the end cells of each row to the trapezoid.
+    rows, n = 2 * halves.shape[1], halves.shape[2]
+    size = rows * n
+    scale = np.empty((2, n))
+    up, down = np.exp(G if G[0] == 0.0 else G - G[0], out=scale[0]), scale[1]
+    np.divide(1.0, up, out=down)
+    q = new("scaled", (size + 4,))
+    q[:2] = q[-2:] = 0.0
+    Q = q[2:-2].reshape(rows, n)
+    np.multiply(p, (scale * w)[:, None], out=Q.reshape(p.shape))
+    c = np.correlate(q, _CELL_RULE)
+    # Columns 0 and n-2, and 1 and n-1, of every row.
+    ends = Q[:, ::n - 2][:, :2] + Q[:, 1::n - 2][:, :2]
+    np.multiply(ends, 0.5, out=c[:size].reshape(rows, n)[:, 1::n - 2][:, :2])
+    c[::n] = 0.0
+    # Left cells of each forward node, right cells of each backward one.
+    fwd = c[:size // 2].reshape(halves[0].shape)
+    bwd = c[size // 2 + 1:].reshape(halves[1].shape)
+    fwd.cumsum(axis=1, out=fwd)
+    rev = bwd[:, ::-1]
+    rev.cumsum(axis=1, out=rev)
+    np.multiply(fwd, down, out=halves[0])
+    np.multiply(bwd, up, out=halves[1])
+
+
+def _blocked_scans(p, G, dx, halves, blocks):
+    # The scans block by block, both halves sharing the blocks and
+    # exp(+-L).  A block's cells take the integrands scaled to it on the
+    # block and one node past either end, so each cell sees its outer
+    # neighbours; the forward sum carries its value at e into the next
+    # block, and the backward sum its value at s into the one before.
+    n = G.size
+    fwd, bwd = halves
+    fwd[:, 0] = 0.0
+    bwd[:, -1] = 0.0
+    scaled = []
+    for s, e in blocks:
+        lo, hi = max(s - 1, 0), min(e + 2, n)
+        L = G[lo:hi] - G[s]
+        up, down = np.exp(L), np.exp(-L)
+        q = p[..., lo:hi] * dx
+        q[0] *= up
+        q[1] *= down
+        cells = np.empty(q.shape[:-1] + (hi - lo - 1,))
+        for row, out in zip(q.reshape(-1, hi - lo),
+                            cells.reshape(-1, hi - lo - 1)):
+            _cell_integrals(row, out)
+        # The block's own cells, [s, s+1] .. [e-1, e].
+        cells = cells[..., s - lo:e - lo]
+        acc = cells[0].cumsum(axis=1)
+        acc += fwd[:, s:s + 1]
+        fwd[:, s + 1:e + 1] = acc * down[s - lo + 1:e - lo + 1]
+        scaled.append((s, e, lo, up, down, cells[1]))
+    for s, e, lo, up, down, cells in reversed(scaled):
+        acc = cells[:, ::-1].cumsum(axis=1)[:, ::-1]
+        acc += bwd[:, e:e + 1] * down[e - lo]
+        bwd[:, s:e] = acc * up[s - lo:e - lo]
+
+
+def _first_bad_node(p, G, w, blocks, halves) -> int:
+    # A scan carries a non-finite input to every node past it, and a
+    # cell to its outer neighbours, so name the first non-finite input
+    # node, then the first input that overflows once weighted by w and
+    # scaled by exp(+-L), and the first bad output else.
+    n = G.size
+    bad = ~(np.isfinite(p).reshape(-1, n).all(axis=0) & np.isfinite(G))
+    q_fwd, q_bwd = p.reshape(2, -1, n) * w
+    with np.errstate(over="ignore", invalid="ignore"):
+        for s, e in blocks if not bad.any() else ():
+            up = np.exp(G[s:e + 1] - G[s])
+            bad[s:e + 1] |= ~(np.isfinite(q_fwd[:, s:e + 1] * up)
+                              & np.isfinite(q_bwd[:, s:e + 1] / up)).all(axis=0)
+    if not bad.any():
+        bad = ~np.isfinite(halves).reshape(-1, n).all(axis=0)
+    return int(np.argmax(bad))
+
+
+def exp_convolve(p, G: np.ndarray, grid: Grid, weight=None,
+                 scratch=None) -> np.ndarray:
+    """Forward and backward halves of the kernel quadrature, O(n) per row.
+
+    p stacks the forward integrand p[0] on the backward one p[1], each
+    (n,) or (k, n), and weight (a row, 1 if not given) multiplies both.
+    Returns (fwd, bwd) stacked like p: fwd[..., i] integrates
+    E(xi_i, eta) weight p[0](eta) left of xi_i, bwd[..., i] weight p[1]
+    right of it.
+
+    In a block with L = G - G[block start], fwd is exp(-L) times the
+    prefix integral of Q = dx weight p[0] exp(L), and bwd is exp(L)
+    times the suffix integral of dx weight p[1] exp(-L).  Both are
+    smooth through eta = xi_i, where the kernel has its kink, so each
+    takes the 4-point cell rule of kernel_accumulator, fourth order on
+    smooth data.  Node by node this is the trapezoid with the
+    Euler-Maclaurin correction at the kink, fwd -= dx^2/12 (G' p[0] +
+    p[0]') and bwd -= dx^2/12 (G' p[1] - p[1]'): each running sum loses
+    Q/2 +- (Q[i+1] - Q[i-1])/24.  The two end cells keep the trapezoid.
+    scratch (a Scratch) holds the result and a work buffer if given; the
+    next call with it then overwrites the result.
+    """
+    p = _as_stack(p, G, grid)
+    n, dx = grid.n, grid.dx
+    new = scratch or _fresh
+    halves = new("halves", p.shape)
+    stack, blocks = halves.reshape(2, -1, n), _blocks(G)
+    # The node weight of the quadrature, dx times the integrands' weight.
+    w = dx if weight is None else np.multiply(weight, dx)
+    if len(blocks) == 1:
+        _one_block_scans(p.reshape(2, -1, n), G, w, stack, new)
+    else:
+        q = p if weight is None else p * weight
+        _blocked_scans(q.reshape(2, -1, n), G, dx, stack, blocks)
     if not np.isfinite(halves).all():
-        # A scan carries a non-finite input to every node past it, so name
-        # the first non-finite input node, and the first bad output else.
-        bad_in = ~(np.isfinite(p).reshape(-1, n).all(axis=0) & np.isfinite(G))
-        if not bad_in.any():
-            bad_in = ~np.isfinite(halves).reshape(-1, n).all(axis=0)
-        k = int(np.argmax(bad_in))
+        k = _first_bad_node(p, G, w, blocks, halves)
         raise NumericalAbort(
             f"exp_convolve produced a non-finite value at node {k}", {"node": k}
         )
@@ -175,25 +325,38 @@ def exp_convolve(p, G: np.ndarray, grid: Grid) -> np.ndarray:
 
 
 def exp_convolve_bruteforce(p, G: np.ndarray, grid: Grid) -> np.ndarray:
-    """Reference double-loop quadrature; identical contract, O(n^2)."""
+    """Reference double-loop quadrature; identical contract and rule, O(n^2).
+
+    Row m of the cell matrix holds the weights the 4-point rule (the
+    trapezoid on the two end cells) gives the nodes on cell [m, m+1],
+    in units of dx.  fwd[i] sums the cells left of xi_i and bwd[i] those
+    right of it, each node eta_j weighted by the one-sided kernel
+    exp(-+(G[i] - G[j])), which the cell next to xi_i continues one
+    node past it.
+    """
     p = _as_stack(p, G, grid)
-    weights = np.full(grid.n, grid.dx)
-    weights[0] = weights[-1] = 0.5 * grid.dx
-    kernel = np.exp(-np.abs(G[:, None] - G[None, :]))
-    # left[i, j] is +1 where eta_j lies left of xi_i.  Each half takes an
-    # interior self-term at half weight, but node 0 has no left integral
-    # and node n-1 no right one, so each keeps its half-cell in the other.
-    idx = np.arange(grid.n)
-    left = np.sign(np.subtract.outer(idx, idx), dtype=float)
-    left[0, 0], left[-1, -1] = -1.0, 1.0
+    n, dx = grid.n, grid.dx
+    cells = np.zeros((n - 1, n))
+    m = np.arange(n - 1)
+    cells[m, m] = cells[m, m + 1] = 0.5
+    inner = m[1:-1]
+    for offset, weight in zip((-1, 0, 1, 2), _CELL_RULE):
+        cells[inner, inner + offset] = weight
+    left = np.zeros((n, n))
+    left[1:] = np.cumsum(cells, axis=0)
+    right = np.zeros((n, n))
+    right[:-1] = np.cumsum(cells[::-1], axis=0)[::-1]
+    rise = G[None, :] - G[:, None]
+    # Only the cell next to xi_i reaches past it, and by one node.
+    fwd_w = left * np.exp(np.minimum(rise, np.diff(G, append=G[-1])[:, None]))
+    bwd_w = right * np.exp(np.minimum(-rise, np.diff(G, prepend=G[0])[:, None]))
     # Transposes put the node axis first for a (k, n) stack and are
     # no-ops on a single (n,) row.
-    fwd = ((kernel * (0.5 + 0.5 * left)) @ (weights * p[0]).T).T
-    bwd = ((kernel * (0.5 - 0.5 * left)) @ (weights * p[1]).T).T
-    return np.stack((fwd, bwd))
+    return np.stack(((fwd_w @ (dx * p[0]).T).T, (bwd_w @ (dx * p[1]).T).T))
 
 
-def assemble_sources(state: TransformedState, slopes, a2b) -> np.ndarray:
+def assemble_sources(state: TransformedState, slopes, a2b,
+                     scratch=None) -> np.ndarray:
     """The kernel halves the rates read, as a (2, 2, n) stack (fwd, bwd)
     of pairs with rows for U and V; slopes is slope_factors(state) and
     a2b the pair A^2 B, with (A, B) = (U, V) in row 0 and (V, U) in row 1.
@@ -201,13 +364,14 @@ def assemble_sources(state: TransformedState, slopes, a2b) -> np.ndarray:
     fwd is the forward half of y_xi (f1/2 - f2/4) and bwd the backward
     half of y_xi (f1/2 + f2/4), so fwd - bwd = -dx P1 - P2 and
     fwd + bwd = P1 + dx P2 in row 0, and the same of S in row 1.
+    scratch, if given, is a Scratch that holds the result.
     """
     T, c = slopes
     # (U, V) and (V, U): the S integrands are the P ones with roles swapped.
     A, B, T_r = state.data[:2], state.data[1::-1], T[::-1]
     y_xi = _y_xi(state.q, *c)
     G = kernel_accumulator(y_xi, state.grid)
-    p = np.empty((2,) + A.shape)
+    p = (scratch or _fresh)("p", (2,) + A.shape)
     p_fwd, f1 = p
     # f1 = (A T T_r + A^2 B) + B T^2/2 builds in p[1], and
     # f2/2 = (T^2/2) T_r in half_t2.
@@ -220,6 +384,5 @@ def assemble_sources(state: TransformedState, slopes, a2b) -> np.ndarray:
     half_t2 *= T_r
     np.subtract(f1, half_t2, out=p_fwd)
     f1 += half_t2
-    p *= y_xi
-    p *= 0.5
-    return exp_convolve(p, G, state.grid)
+    y_xi *= 0.5
+    return exp_convolve(p, G, state.grid, y_xi, scratch)

@@ -5,7 +5,7 @@ the measured numbers (visible under pytest -s, and in the assertion
 message on failure) and asserts the stated tolerance.
 
 Known red: test_criterion_01b_drift_shrinks_with_dt.  At this grid the
-conserved-quantity drift is a spatial floor: it falls 4x per grid
+conserved-quantity drift is a spatial floor: it falls 16x per grid
 doubling and does not move with dt, so halving the step cannot shrink
 it 8x.  The assertion is kept at full strength instead of being
 weakened to match the implementation.
@@ -77,6 +77,33 @@ def test_criterion_01c_runtime(conservation_runs):
     _, _, elapsed = conservation_runs
     _check("criterion 1c (runtime < 2 min)", elapsed < 120.0,
            f"{elapsed:.1f} s")
+
+
+# Criterion 1d: data, horizon and the least fall of the max drift from
+# n = 512 to n = 1024.  Fourth order gives 16x on smooth data and
+# through the first breaking of the steep front (t ~ 1.54); the
+# peakon's kink holds it near second order.  Fixed before the run.
+SPATIAL_ORDER_CASES = {
+    "two_bump": (two_bump_pair, 1.0, 12.0),
+    "peakon": (lambda: builtin_datum("peakon", {"c": 1.0}), 1.0, 3.5),
+    "steep_front": (lambda: pair_datum(
+        builtin_datum("gaussian_bump", {"a": 2.0, "width": 1.0}),
+        builtin_datum("gaussian_bump", {"a": 0.7, "width": 2.0})), 2.0, 12.0),
+}
+
+
+@pytest.mark.parametrize("case", sorted(SPATIAL_ORDER_CASES))
+def test_criterion_01d_spatial_order(case):
+    make_datum, t_final, bound = SPATIAL_ORDER_CASES[case]
+    drifts = []
+    for n in (512, 1024):
+        state = transform_with_map(make_datum(), make_grid(-20.0, 20.0, n))
+        traj = evolve(state, t_final, 2e-3, record_every=50)
+        drifts.append(max(_max_drifts(traj).values()))
+    fall = drifts[0] / drifts[1]
+    _check(f"criterion 1d (spatial order, {case})", fall >= bound,
+           f"max drift {drifts[0]:.3e} at n=512, {drifts[1]:.3e} at n=1024: "
+           f"{fall:.2f}x vs >= {bound}x")
 
 
 def test_criterion_02_scan_oracle_equivalence():

@@ -8,7 +8,6 @@ from novlab import (ContractError, EvolveAbort, NumericalAbort, OmegaBounds,
                     builtin_datum, check_omega, conserved, evolve,
                     make_grid, pair_datum, rhs, rk4_step, transform_with_map,
                     y_formula_gap)
-from novlab.grid import prefix_integral
 from novlab.initial import TransformedState
 from novlab import sources
 from novlab.validation import random_state
@@ -134,30 +133,72 @@ def _blocks(G, span):
     return out
 
 
-def _oracle_halves(G, grid, p_fwd, p_bwd):
+# The 4-point cell rule in units of dx, the integral over [xi_j, xi_j+1]
+# of the cubic through the samples at xi_j-1 .. xi_j+2.
+CELL_RULE = np.array([-1.0, 13.0, 13.0, -1.0]) / 24.0
+
+
+def _oracle_cells(rows, scale=1.0):
+    """Cell integrals between neighbouring columns of each row: the
+    4-point rule, formed by np.correlate as the kernel forms it so that
+    the comparison stays bitwise, and the trapezoid on the two end cells."""
+    rows = np.atleast_2d(rows)
+    out = np.empty(rows.shape[:-1] + (rows.shape[-1] - 1,))
+    for row, cells in zip(rows, out):
+        if row.size > 3:
+            cells[1:-1] = np.correlate(row, CELL_RULE * scale)
+        cells[0] = (0.5 * scale) * (row[0] + row[1])
+        cells[-1] = (0.5 * scale) * (row[-2] + row[-1])
+    return out
+
+
+def _oracle_potential(y, grid):
+    """G from 0 by the 4-point cells of y, the trapezoid on a cell where
+    the rule would go negative."""
+    cells = _oracle_cells(y, grid.dx)[0]
+    trap = (0.5 * grid.dx) * (y[:-1] + y[1:])
+    cells = np.where(cells < 0.0, trap, cells)
+    return np.concatenate(([0.0], np.cumsum(cells)))
+
+
+def _oracle_halves(G, weight, grid, p_fwd, p_bwd):
     """Both halves from one set of blocks, with fresh temporaries.
 
-    In a block [s, e] with L = G - G[s], F[k] = exp(-L[k]) (F[s] + the
-    inclusive sum of dx p_fwd exp(L) past s) and B[k] = exp(L[k]) (the
-    inclusive sum of dx p_bwd exp(-L) from k to e-1 + B[e] exp(-L[e])).
-    The sums start from the half cell of node 0 and of node n-1, and
-    half of each node's own term comes off at the end.
+    In a block [s, e] with L = G - G[s], the forward half at k > s is
+    exp(-L[k]) (F[s] + the cells of dx weight p_fwd exp(L) from s to k),
+    and the backward half at k < e is exp(L[k]) (B[e] exp(-L[e]) + the
+    cells of dx weight p_bwd exp(-L) from k to e).  A block's cells see
+    the scaled integrands one node past either end of it; one block
+    spanning the line scales dx weight into exp(L) and 1/exp(L) first.
     """
-    dx = grid.dx
+    n, dx = grid.n, grid.dx
     F, B = np.zeros(p_fwd.shape), np.zeros(p_bwd.shape)
-    F[:, 0] = (dx * p_fwd[:, 0]) * 0.5
-    B[:, -1] = (dx * p_bwd[:, -1]) * 0.5
-    blocks = [(s, e, G[s:e + 1] - G[s])
-              for s, e in _blocks(G, sources._BLOCK_SPAN)]
-    for s, e, L in blocks:
-        terms = np.concatenate(
-            (F[:, s:s + 1], dx * p_fwd[:, s + 1:e + 1] * np.exp(L[1:])), axis=1)
-        F[:, s + 1:e + 1] = np.cumsum(terms, axis=1)[:, 1:] * np.exp(-L[1:])
-    for s, e, L in reversed(blocks):
-        terms = dx * p_bwd[:, s:e] * np.exp(-L[:-1])
-        terms[:, -1] += B[:, e] * np.exp(-L[-1])
-        B[:, s:e] = np.cumsum(terms[:, ::-1], axis=1)[:, ::-1] * np.exp(L[:-1])
-    return F - 0.5 * dx * p_fwd, B - 0.5 * dx * p_bwd
+    blocks = _blocks(G, sources._BLOCK_SPAN)
+    if len(blocks) == 1:
+        up = np.exp(G - G[0])
+        down = 1.0 / up
+        cf = _oracle_cells(p_fwd * (up * (weight * dx)))
+        cb = _oracle_cells(p_bwd * (down * (weight * dx)))
+        # Each sum starts from the zero at node 0 or at node n-1.
+        F = np.cumsum(np.concatenate((F[:, :1], cf), axis=1), axis=1)
+        B = np.cumsum(np.concatenate((B[:, -1:], cb[:, ::-1]), axis=1),
+                      axis=1)[:, ::-1]
+        return F * down, B * up
+    p_fwd, p_bwd = p_fwd * weight, p_bwd * weight
+    scaled = []
+    for s, e in blocks:
+        lo, hi = max(s - 1, 0), min(e + 2, n)
+        L = G[lo:hi] - G[s]
+        cf = _oracle_cells((p_fwd[:, lo:hi] * dx) * np.exp(L))[:, s - lo:e - lo]
+        cb = _oracle_cells((p_bwd[:, lo:hi] * dx) * np.exp(-L))[:, s - lo:e - lo]
+        F[:, s + 1:e + 1] = (np.cumsum(cf, axis=1) + F[:, s:s + 1]) \
+            * np.exp(-L[s - lo + 1:e - lo + 1])
+        scaled.append((s, e, lo, L, cb))
+    for s, e, lo, L, cb in reversed(scaled):
+        B[:, s:e] = (np.cumsum(cb[:, ::-1], axis=1)[:, ::-1]
+                     + B[:, e:e + 1] * np.exp(-L[e - lo])) \
+            * np.exp(L[s - lo:e - lo])
+    return F, B
 
 
 def _cell_scan(G, b):
@@ -174,15 +215,35 @@ def _cell_scan(G, b):
     return out
 
 
-def _cell_trapezoid_halves(G, grid, p_fwd, p_bwd):
-    """The halves as two recursions over trapezoid cells, the backward
-    one on the reversed line, each cell decaying by exp(-diff(G))."""
+def _seen_from_right_cells(p, a, dx):
+    # Cell [j, j+1] of p exp(-(G[j+1] - G)), the integrand seen from
+    # xi_j+1: the 4-point rule on its values p[j-1] a[j] a[j-1], p[j] a[j],
+    # p[j+1] and p[j+2] / a[j+1], with a = exp(-diff(G)); the trapezoid
+    # on the two end cells.
+    b = (0.5 * dx) * (a * p[:, :-1] + p[:, 1:])
+    b[:, 1:-1] = (dx / 24.0) * (
+        13.0 * (a[1:-1] * p[:, 1:-2] + p[:, 2:-1])
+        - (a[1:-1] * a[:-2] * p[:, :-3] + p[:, 3:] / a[2:]))
+    return b
+
+
+def _cell_rule_halves(G, grid, p_fwd, p_bwd):
+    """The halves as two recursions over cells, the backward one on the
+    reversed line, each cell decaying by exp(-diff(G))."""
     a = np.exp(-np.diff(G))
-    half_dx = 0.5 * grid.dx
-    fwd = _cell_scan(G, half_dx * (a * p_fwd[:, :-1] + p_fwd[:, 1:]))
-    b_bwd = half_dx * (a * p_bwd[:, 1:] + p_bwd[:, :-1])
-    bwd = _cell_scan(G[-1] - G[::-1], b_bwd[:, ::-1])[:, ::-1]
+    fwd = _cell_scan(G, _seen_from_right_cells(p_fwd, a, grid.dx))
+    b_bwd = _seen_from_right_cells(p_bwd[:, ::-1], a[::-1], grid.dx)
+    bwd = _cell_scan(G[-1] - G[::-1], b_bwd)[:, ::-1]
     return fwd, bwd
+
+
+def _explicit_potential(y, grid):
+    # G with its cells written out: dx/24 (13 (y_j + y_j+1) - (y_j-1 +
+    # y_j+2)), the trapezoid on the end cells and where that is negative.
+    cells = (0.5 * grid.dx) * (y[:-1] + y[1:])
+    rule = (grid.dx / 24.0) * (13.0 * (y[1:-2] + y[2:-1]) - (y[:-3] + y[3:]))
+    cells[1:-1] = np.where(rule < 0.0, cells[1:-1], rule)
+    return np.concatenate(([0.0], np.cumsum(cells)))
 
 
 def _oracle_integrands(q, A, B, sinA, sinB, cA, sA, cB):
@@ -206,7 +267,7 @@ def _oracle_fields(state):
     U, V, W, Z, q = state.data[:5]
     sinW, cw, sw = _oracle_slope_factors(W)
     sinZ, cz, sz = _oracle_slope_factors(Z)
-    G = prefix_integral(q * (cw * cz), state.grid)
+    G = _explicit_potential(q * (cw * cz), state.grid)
     return U, V, q, sinW, sinZ, cw, sw, cz, sz, G
 
 
@@ -220,12 +281,13 @@ def _oracle_rates(U, V, q, sinW, sinZ, cw, sw, cz, sz, rate_u, rate_v,
                      dq, U * V))
 
 
-def _slope_integrands(y, A, B, TA, TB):
-    # y_xi (f1/2 -+ f2/4), f1 = A^2 B + A TA TB + B TA^2/2, f2 = TA^2 TB.
+def _slope_integrands(A, B, TA, TB):
+    # f1 -+ f2/2, f1 = A^2 B + A TA TB + B TA^2/2, f2 = TA^2 TB; the
+    # halves integrate them at weight y_xi/2.
     half_t2 = (0.5 * TA) * TA
     f1 = (A * TA * TB + A * A * B) + B * half_t2
     f2_half = half_t2 * TB
-    return ((f1 - f2_half) * y) * 0.5, ((f1 + f2_half) * y) * 0.5
+    return f1 - f2_half, f1 + f2_half
 
 
 def _slope_rates(U, V, q, TW, TZ, cw, cz, rate_u, rate_v, drive_w, drive_z):
@@ -250,9 +312,10 @@ def oracle_rhs(state):
     TW, TZ = np.tan(0.5 * W), np.tan(0.5 * Z)
     cw, cz = 1.0 / (TW * TW + 1.0), 1.0 / (TZ * TZ + 1.0)
     y = q * (cw * cz)
-    p_fwd, p_bwd = _slope_integrands(y, U, V, TW, TZ)
-    s_fwd, s_bwd = _slope_integrands(y, V, U, TZ, TW)
-    (Fp, Fs), (Bp, Bs) = _oracle_halves(prefix_integral(y, state.grid),
+    p_fwd, p_bwd = _slope_integrands(U, V, TW, TZ)
+    s_fwd, s_bwd = _slope_integrands(V, U, TZ, TW)
+    (Fp, Fs), (Bp, Bs) = _oracle_halves(_oracle_potential(y, state.grid),
+                                        y * 0.5,
                                         state.grid, np.stack((p_fwd, s_fwd)),
                                         np.stack((p_bwd, s_bwd)))
     return _slope_rates(U, V, q, TW, TZ, cw, cz,
@@ -262,12 +325,12 @@ def oracle_rhs(state):
 def four_source_rhs(state):
     """rhs from the four sources P1, P2, S1, S2 and their x-derivatives,
     each the sum and difference of its two halves, with the halves from
-    the cell-trapezoid recursions."""
+    the cell recursions and G with its cells written out."""
     U, V, q, sinW, sinZ, cw, sw, cz, sz, G = _oracle_fields(state)
     p1, p2 = _oracle_integrands(q, U, V, sinW, sinZ, cw, sw, cz)
     s1, s2 = _oracle_integrands(q, V, U, sinZ, sinW, cz, sz, cw)
     p = np.stack((p1, p2, s1, s2))
-    fwd, bwd = _cell_trapezoid_halves(G, state.grid, p, p)
+    fwd, bwd = _cell_rule_halves(G, state.grid, p, p)
     scale = np.array([0.5, 0.125, 0.5, 0.125])[:, None]
     P1, P2, S1, S2 = scale * (fwd + bwd)
     dxP1, dxP2, dxS1, dxS2 = scale * (bwd - fwd)
@@ -291,7 +354,7 @@ def test_block_partition_matches_the_oracle_at_an_exact_tie(monkeypatch):
     state = base.with_fields(U=base.U + 0.3, V=base.V - 0.15)
     _, cw, _ = _oracle_slope_factors(state.W)
     _, cz, _ = _oracle_slope_factors(state.Z)
-    G = prefix_integral(state.q * (cw * cz), state.grid)
+    G = _oracle_potential(state.q * (cw * cz), state.grid)
     results = []
     for span, blocks in [(G[-1], 1), (np.nextafter(G[-1], 0.0), 2)]:
         monkeypatch.setattr(sources, "_BLOCK_SPAN", span)
@@ -305,8 +368,8 @@ def test_block_partition_matches_the_oracle_at_an_exact_tie(monkeypatch):
 @pytest.mark.parametrize("n", [64, 512, 2048])
 def test_rhs_matches_four_source_oracle_to_roundoff(n):
     # Forming the two halves first regroups sums of the same terms, and
-    # the cell recursions weight the same trapezoid nodes in another
-    # order, so only rounding separates the two formulas.
+    # the cell recursions weight the same cells' nodes in another order,
+    # so only rounding separates the two formulas.
     state = wide_random_state(n, seed=n + 1)
     ref = four_source_rhs(state)
     bound = 64.0 * np.finfo(float).eps * np.max(np.abs(ref), axis=1)

@@ -187,3 +187,65 @@ def test_state_rejects_mis_shaped_data(shape):
 def test_gaussian_amplitude_and_center_round_trip(a, c):
     datum = builtin_datum("gaussian_bump", {"a": a, "center": c, "width": 1.0})
     assert datum.u0(c) == pytest.approx(a, rel=1e-12)
+
+
+def all_node_invert_y0(datum, grid):
+    """The Newton solve as it ran before it skipped converged nodes:
+    every iteration evaluates F and D0 at every node and keeps the
+    results of the active ones."""
+    table = _density_table(datum, grid)
+    xi = grid.nodes
+    lo = np.full(grid.n, table.x[0])
+    hi = np.full(grid.n, table.x[-1])
+    x = np.clip(xi, lo, hi)
+    resid = table.value(x) - xi
+    dxold = hi - lo
+    for _ in range(60):
+        active = np.abs(resid) >= 1e-12
+        if not active.any():
+            break
+        hi = np.where(active & (resid > 0), np.minimum(hi, x), hi)
+        lo = np.where(active & (resid < 0), np.maximum(lo, x), lo)
+        dens = table.density(x)
+        newton = x - resid / dens
+        ok = ((newton > lo) & (newton < hi)
+              & (np.abs(2.0 * resid) <= np.abs(dxold * dens)))
+        trial = np.where(ok, newton, 0.5 * (lo + hi))
+        dxold = np.where(active, np.abs(trial - x), dxold)
+        x = np.where(active, trial, x)
+        resid = np.where(active, table.value(x) - xi, resid)
+    return x
+
+
+def two_slope_density(datum):
+    # The density with du0 and dv0 called apart, as before a shared
+    # slope was evaluated once.
+    def density(x):
+        du, dv = datum.du0(x), datum.dv0(x)
+        return (1.0 + du * du) * (1.0 + dv * dv)
+    return density
+
+
+SETUP_DATA = {
+    "gaussian_bump": builtin_datum("gaussian_bump", {"a": 0.9, "width": 1.3}),
+    "sech_bump": builtin_datum("sech_bump", {"a": 1.2, "center": 0.4}),
+    "peakon": builtin_datum("peakon", {"c": 1.0, "center": 0.3}),
+    "steep_front": builtin_datum("steep_front"),
+    "pair": pair_datum(builtin_datum("gaussian_bump", {"a": 2.0}),
+                       builtin_datum("gaussian_bump", {"a": 0.7, "width": 2.0})),
+    "mirrored": mirrored(builtin_datum("peakon", {"center": -1.25})),
+}
+
+
+@pytest.mark.parametrize("n", [257, 8192])
+@pytest.mark.parametrize("name", sorted(SETUP_DATA))
+def test_transform_equals_the_all_node_solve_bitwise(name, n, monkeypatch):
+    datum = SETUP_DATA[name]
+    g = make_grid(-20.0, 20.0, n)
+    state = transform_with_map(datum, g)
+    monkeypatch.setattr(_CumulativeDensity, "density",
+                        lambda self, x: two_slope_density(self.datum)(x))
+    y0 = all_node_invert_y0(datum, g)
+    assert same_bits(state.data, np.stack((
+        datum.u0(y0), datum.v0(y0), 2.0 * np.arctan(datum.du0(y0)),
+        2.0 * np.arctan(datum.dv0(y0)), np.ones(g.n), y0)))

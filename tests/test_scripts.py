@@ -78,6 +78,22 @@ def test_two_bump_conservation_runs_backward(tmp_path, capsys):
         assert float(rows[-1].split(",")[0]) == pytest.approx(-0.1)
 
 
+def test_two_bump_conservation_grid_ladder(tmp_path, capsys):
+    # Doubling n at a fixed dt: one log and one drift line per level,
+    # then the ratio between the levels.
+    main = load_script("two_bump_conservation").main
+    out = tmp_path / "out"
+    rc = main(["--out", str(out), "--quick", "--ladder", "grid",
+               "--n", "65"])
+    assert rc == 0
+    lines = capsys.readouterr().out.splitlines()
+    assert [line.split(":")[0] for line in lines[:2]] == ["n=65", "n=130"]
+    assert lines[2].startswith("drift ratio n=65 / n=130: E_u ")
+    for level in (0, 1):
+        rows = (out / f"conserved_level{level}.csv").read_text().splitlines()
+        assert float(rows[-1].split(",")[0]) == pytest.approx(2.0)
+
+
 def test_lipschitz_ratios_runs_backward(tmp_path, capsys):
     # Both time directions run, so the sign of t_final does not matter.
     main = load_script("lipschitz_ratios").main

@@ -6,9 +6,11 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from novlab import (ContractError, NumericalAbort, assemble_sources, exp_convolve,
+from novlab import (ContractError, NumericalAbort, assemble_sources,
+                    builtin_datum, evolve, exp_convolve,
                     exp_convolve_bruteforce, kernel_accumulator,
-                    level_distance, make_grid, slope_factors, xi_derivatives)
+                    level_distance, make_grid, slope_factors,
+                    transform_with_map, xi_derivatives)
 from novlab import sources
 from novlab.validation import bumps, random_state
 
@@ -316,3 +318,77 @@ def test_zero_state_sources_vanish():
     state = flat_state(g)
     for half in assemble_sources(state, slope_factors(state), a2b(state)):
         assert same_bits(half, np.zeros((2, g.n)))
+
+
+def analytic_case(n):
+    # A strictly increasing G spanning 60 kernel units and a smooth pair
+    # of integrands that decay at both ends of [-10, 10].
+    g = make_grid(-10.0, 10.0, n)
+    x = g.nodes
+    G = 3.0 * (x + 10.0) + np.sin(x)
+    p = np.stack((np.exp(-x * x) * np.cos(x), np.exp(-(x - 1.0) ** 2)))
+    return g, G, p
+
+
+def analytic_halves(n):
+    # Both halves at the nodes of the n-grid by 10-point Gauss-Legendre
+    # on every cell: exp(-G(x)) times the integral of exp(G) p[0] from
+    # -10 to x, and exp(G(x)) times that of exp(-G) p[1] from x to 10.
+    g, G, _ = analytic_case(n)
+    nodes, weights = np.polynomial.legendre.leggauss(10)
+    mid = 0.5 * (g.nodes[:-1] + g.nodes[1:])
+    eta = mid[:, None] + 0.5 * g.dx * nodes
+    pot = 3.0 * (eta + 10.0) + np.sin(eta)
+    fwd_cells = (np.exp(pot - G[1:, None]) * np.exp(-eta * eta) * np.cos(eta)
+                 ) @ weights * (0.5 * g.dx)
+    bwd_cells = (np.exp(G[:-1, None] - pot) * np.exp(-(eta - 1.0) ** 2)
+                 ) @ weights * (0.5 * g.dx)
+    fwd, bwd = np.zeros(n), np.zeros(n)
+    # Carry each sum across a cell with its kernel factor.
+    decay = np.exp(-np.diff(G))
+    for i in range(1, n):
+        fwd[i] = decay[i - 1] * fwd[i - 1] + fwd_cells[i - 1]
+    for i in range(n - 2, -1, -1):
+        bwd[i] = decay[i] * bwd[i + 1] + bwd_cells[i]
+    return np.stack((fwd, bwd))
+
+
+@pytest.mark.parametrize("span", [None, 4.0], ids=["one-block", "span4"])
+@pytest.mark.parametrize("convolve", [exp_convolve, exp_convolve_bruteforce])
+def test_kernel_quadrature_is_fourth_order(convolve, span, monkeypatch):
+    # The error against the analytic halves falls at least 12x per grid
+    # doubling (16x for fourth order), in one block and across many.
+    if span is not None:
+        monkeypatch.setattr(sources, "_BLOCK_SPAN", span)
+    errors = []
+    for n in (129, 257, 513):
+        g, G, p = analytic_case(n)
+        assert (len(sources._blocks(G)) > 10) == (span is not None)
+        errors.append(np.max(np.abs(convolve(p, G, g) - analytic_halves(n))))
+    falls = [a / b for a, b in zip(errors, errors[1:])]
+    assert min(falls) >= 12.0, (errors, falls)
+
+
+@pytest.mark.parametrize("n", [257, 1024, 2048])
+def test_kernel_potential_never_decreases_through_the_peakon_crest(
+        n, monkeypatch):
+    # At the crest y_xi collapses between its neighbours and the 4-point
+    # rule goes negative on a cell; the trapezoid takes that cell, so G
+    # is nondecreasing in every rhs of the run.
+    real = sources.kernel_accumulator
+    rule = np.array([-1.0, 13.0, 13.0, -1.0]) / 24.0
+    seen = {"calls": 0, "guarded": 0, "dips": 0}
+
+    def checked(y_xi, grid):
+        G = real(y_xi, grid)
+        seen["calls"] += 1
+        seen["guarded"] += bool(np.correlate(y_xi, rule).min() < 0.0)
+        seen["dips"] += bool(np.diff(G).min() < 0.0)
+        return G
+
+    monkeypatch.setattr(sources, "kernel_accumulator", checked)
+    state = transform_with_map(builtin_datum("peakon", {"c": 1.0}),
+                               make_grid(-20.0, 20.0, n))
+    evolve(state, 1.0, 2e-3, record_every=500)
+    assert seen["calls"] == 4 * 500
+    assert seen["guarded"] > 0 and seen["dips"] == 0, seen
