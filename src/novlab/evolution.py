@@ -6,20 +6,21 @@ node and classical RK4 applies.  W and Z are never wrapped during
 integration; their crossings of +-pi are the wave-breaking events the
 analysis modules look for.  The characteristic positions y ride along
 with rate U*V, and each recorded frame cross-checks the integrated y
-against the static prefix-integral formula.
+against y[0] plus the kernel potential G.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import ContractError, EvolveAbort, NumericalAbort
-from .grid import integrate, prefix_integral
+from .grid import integrate
 from .initial import TransformedState
-from .sources import (Scratch, assemble_sources, slope_factors,
-                      xi_derivatives)
+from .sources import (SourcePlan, assemble_sources, kernel_accumulator,
+                      slope_factors, xi_derivatives)
 
 __all__ = [
     "OmegaBounds",
@@ -38,9 +39,12 @@ __all__ = [
 class OmegaBounds:
     """Validity region for the discrete state.
 
-    The angle bound 3*pi/2 is structural and enforced as-is; the q box
-    gets a slack factor because its endpoints are diagnostic defaults,
-    not theory.
+    The rates read the angles W and Z only through T = tan(angle/2) and
+    c = cos^2(angle/2), which repeat with period 2pi, so the equations
+    set no bound on the angles: angle_max = 3pi/2 is a guard default,
+    enforced as-is, that stops a run a quarter turn past a breaking level.
+    The q box gets a slack factor because its endpoints are diagnostic
+    defaults, not theory.
     """
 
     q_lo: float = 0.01
@@ -65,19 +69,28 @@ class Trajectory:
     y_checks: list[float]
 
 
-def rhs(state: TransformedState, out=None, scratch=None) -> np.ndarray:
+def rhs(state: TransformedState, out=None, plan=None) -> np.ndarray:
     """Time derivative of state.data, as a (6, n) array in the same row order.
 
-    out, if given, receives it; scratch (a sources.Scratch) lends the
-    source pass its work arrays.
+    out, if given, receives it; plan (a sources.SourcePlan on the
+    state's grid) lends the source pass its buffers, and a call without
+    one takes fresh ones.
     """
-    T, c = slopes = slope_factors(state)
+    if plan is None:
+        plan, slopes = SourcePlan(state.grid), slope_factors(state)
+    else:
+        if plan.shape != (2, 2, state.grid.n):
+            raise ContractError(f"a SourcePlan for stacks of shape "
+                                f"{plan.shape} cannot serve a state on "
+                                f"{state.grid.n} nodes")
+        slopes = slope_factors(state, plan.slopes)
+    T, c = slopes
     # (U, V) and (V, U): each pair of rates is one formula on row pairs.
     A, B = state.data[:2], state.data[1::-1]
     # A A B feeds the integrands and both rates.
-    a2b = np.multiply(A, A)
+    a2b = np.multiply(A, A, out=plan.a2b)
     a2b *= B
-    fwd, bwd = assemble_sources(state, slopes, a2b, scratch)
+    fwd, bwd = assemble_sources(state, slopes, a2b, plan)
     if out is None:
         out = np.empty_like(state.data)
     # -dx P1 - P2, and e = A^2 B - drive with the drive P1 + dx P2 (S in
@@ -103,10 +116,9 @@ def rhs(state: TransformedState, out=None, scratch=None) -> np.ndarray:
 def check_omega(state: TransformedState, bounds: OmegaBounds) -> None:
     # Row maxima and minima carry a NaN or an infinity of their row, so
     # they screen for non-finite entries and give the bounds at once.
-    hi, lo = state.data.max(axis=1), state.data.min(axis=1)
-    if not (np.isfinite(hi).all() and np.isfinite(lo).all()):
+    hi, lo = state.data.max(axis=1).tolist(), state.data.min(axis=1).tolist()
+    if not all(map(math.isfinite, hi + lo)):
         raise NumericalAbort("non-finite state entry", {"t": state.t})
-    hi, lo = hi.tolist(), lo.tolist()
     q_min, q_max = lo[4], hi[4]
     # max |W| is max(max W, -min W); abs only turns a -0.0 into +0.0.
     w_max, z_max = abs(max(hi[2], -lo[2])), abs(max(hi[3], -lo[3]))
@@ -126,13 +138,14 @@ def check_omega(state: TransformedState, bounds: OmegaBounds) -> None:
 class Workspace:
     """What the RK4 stages of one grid reuse from step to step: the stage
     state (one TransformedState over a buffer the stages overwrite), the
-    running stage sum, one rate buffer and the source pass's scratch."""
+    running stage sum, one rate buffer and the source pass's plan."""
 
     def __init__(self, grid):
+        self.grid = grid
         self.stage = TransformedState(0.0, grid, np.empty((6, grid.n)))
         self.acc = np.empty((6, grid.n))
         self.k = np.empty((6, grid.n))
-        self.scratch = Scratch()
+        self.plan = SourcePlan(grid)
 
 
 def rk4_step(state: TransformedState, dt: float,
@@ -147,26 +160,29 @@ def rk4_step(state: TransformedState, dt: float,
         raise ContractError(f"rk4_step needs a finite nonzero dt, got {dt!r}")
     if work is None:
         work = Workspace(state.grid)
-    x, stage, acc, k, scratch = (state.data, work.stage, work.acc, work.k,
-                                 work.scratch)
+    elif work.grid != state.grid:
+        raise ContractError(f"a Workspace on {work.grid} cannot step a state "
+                            f"on {state.grid}")
+    x, stage, acc, k, plan = (state.data, work.stage, work.acc, work.k,
+                              work.plan)
     s = stage.data
     half = 0.5 * dt
     # acc sums ((k1 + 2 k2) + 2 k3) + k4 while each stage x + h k forms
     # in the stage buffer.
-    rhs(state, acc, scratch)
+    rhs(state, acc, plan)
     np.multiply(acc, half, out=s)
     s += x
-    rhs(stage, k, scratch)
+    rhs(stage, k, plan)
     np.multiply(k, half, out=s)
     s += x
     k *= 2.0
     acc += k
-    rhs(stage, k, scratch)
+    rhs(stage, k, plan)
     np.multiply(k, dt, out=s)
     s += x
     k *= 2.0
     acc += k
-    rhs(stage, k, scratch)
+    rhs(stage, k, plan)
     acc += k
     new = np.multiply(acc, dt / 6.0)
     new += x
@@ -192,9 +208,11 @@ def conserved(state: TransformedState) -> ConservedSet:
 
 
 def y_formula_gap(state: TransformedState) -> float:
-    """Max gap between integrated y and the static prefix formula."""
+    """Max gap between the integrated y and y[0] plus the kernel
+    potential G of the state, the prefix integral of y_xi by the 4-point
+    rule the kernel integrates with."""
     y = state.y
-    y_static = y[0] + prefix_integral(xi_derivatives(state)[0], state.grid)
+    y_static = y[0] + kernel_accumulator(xi_derivatives(state)[0], state.grid)
     return float(np.max(np.abs(y - y_static)))
 
 

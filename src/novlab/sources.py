@@ -29,6 +29,8 @@ oracle.
 
 from __future__ import annotations
 
+from functools import lru_cache
+
 import numpy as np
 
 from .errors import ContractError, NumericalAbort
@@ -54,20 +56,22 @@ __all__ = [
 _BLOCK_SPAN = 100.0
 
 
-def _slopes(state: TransformedState) -> np.ndarray:
-    # The package's one tan call; a fresh (2, n) array.
-    T = np.multiply(0.5, state.data[2:4])
+def _slopes(state: TransformedState, out=None) -> np.ndarray:
+    # The package's one tan call; into out, or a fresh (2, n) array.
+    T = np.multiply(0.5, state.data[2:4], out=out)
     return np.tan(T, out=T)
 
 
-def slope_factors(state: TransformedState):
+def slope_factors(state: TransformedState, out=None):
     """The slopes T = tan(angle/2) (u_x in row W, v_x in row Z) and
     c = cos^2(angle/2) = 1/(1 + T^2), each a (2, n) pair whose reversal
     pair[::-1] is the swap.  At the double nearest +-pi, T is about
-    1.6e16, so T^2 stays finite.
+    1.6e16, so T^2 stays finite.  out, a pair of (2, n) arrays,
+    receives (T, c) if given.
     """
-    T = _slopes(state)
-    c = np.square(T)
+    T, c = (None, None) if out is None else out
+    T = _slopes(state, T)
+    c = np.square(T, out=c)
     c += 1.0
     return T, np.divide(1.0, c, out=c)
 
@@ -75,6 +79,14 @@ def slope_factors(state: TransformedState):
 # The 4-point cell rule: the integral over [xi_j, xi_j+1] of the cubic
 # through r at xi_j-1 .. xi_j+2, in units of dx.
 _CELL_RULE = np.array([-1.0, 13.0, 13.0, -1.0]) / 24.0
+
+
+@lru_cache(maxsize=8)
+def _cell_weights(dx: float) -> np.ndarray:
+    # _CELL_RULE * dx, formed once per spacing and shared read-only.
+    weights = _CELL_RULE * dx
+    weights.flags.writeable = False
+    return weights
 
 
 # The breaking levels: W or Z at +pi or -pi.  Angles stay unwrapped, so
@@ -91,11 +103,12 @@ def level_distance(angle):
     return np.min([np.abs(angle - level) for level in LEVELS], axis=0)
 
 
-def _y_xi(q, cw, cz):
+def _y_xi(q, cw, cz, out=None):
     # Grouping cw*cz first keeps y_xi, and with it the kernel potential,
     # bitwise invariant under the (u,W) <-> (v,Z) swap; IEEE
     # multiplication commutes but does not associate.
-    return q * (cw * cz)
+    out = np.multiply(cw, cz, out=out)
+    return np.multiply(q, out, out=out)
 
 
 def xi_derivatives(state: TransformedState, slopes=None):
@@ -135,12 +148,12 @@ def kernel_accumulator(y_xi: np.ndarray, grid: Grid) -> np.ndarray:
     G[1] = half * (y_xi[0] + y_xi[1])
     if grid.n > 3:
         # The inner cells, summed on from G[1] in place.
-        cells = np.correlate(y_xi, _CELL_RULE * grid.dx)
+        cells = np.correlate(y_xi, _cell_weights(grid.dx))
         if cells.min() < 0.0:
             kinked = np.flatnonzero(cells < 0.0)
             cells[kinked] = half * (y_xi[kinked + 1] + y_xi[kinked + 2])
         cells[0] += G[1]
-        cells.cumsum(out=G[2:-1])
+        np.add.accumulate(cells, out=G[2:-1])
     G[-1] = G[-2] + half * (y_xi[-2] + y_xi[-1])
     return G
 
@@ -180,54 +193,75 @@ def _blocks(G: np.ndarray):
     return blocks
 
 
-def _fresh(name, shape):
-    return np.empty(shape)
+class SourcePlan:
+    """The buffers and views of the source pass on one grid, built once
+    for a stack p of shape (2, n) or (2, k, n), by default (2, 2, n), the
+    pairs the rates read.  Every call handed the plan overwrites them, so
+    the caller reads a result before the next call with the same plan.
+
+    It holds the slopes (T, c), the pairs A^2 B and T^2/2, the y_xi and
+    node weight rows, the integrand stack p, the scale pair exp(+-L) and
+    the weight it scales, the flat buffer of scaled integrands with two
+    zero pads on either side, the places of the cells the scan sets by
+    hand, and the halves, each with the views the calls read.
+    """
+
+    def __init__(self, grid: Grid, shape=None):
+        n = grid.n
+        self.shape = (2, 2, n) if shape is None else tuple(shape)
+        self.slopes = tuple(np.empty((2, 2, n)))
+        self.a2b, self.half_t2 = np.empty((2, 2, n))
+        self.y_xi, self.weight = np.empty((2, n))
+        self.p = np.empty(self.shape)
+        self.integrands = tuple(self.p)
+        self.scale = np.empty((2, n))
+        self.up, self.down = self.scale
+        self.scaled_weight = np.empty((2, n))
+        self.halves = np.empty(self.shape)
+        self.finite = np.empty(self.shape, dtype=bool)
+        # The (2, k, n) views the scans run on.
+        self.stack = self.halves.reshape(2, -1, n)
+        self.fwd, self.bwd = self.stack
+        self.scaled_column = self.scaled_weight[:, None]
+        rows = self.p.size // n
+        self.flat = np.zeros(rows * n + 4)
+        self.scaled = self.flat[2:-2].reshape(self.stack.shape)
+        # The cells of the flat correlate that the scans overwrite: each
+        # row's two end cells, [0, 1] and [n-2, n-1], with the trapezoid
+        # of the flat nodes at left and right, then the rows + 1 cells
+        # that straddle two rows (or a pad), with zero.
+        starts = np.arange(rows) * n
+        first = np.stack((starts, starts + n - 2), axis=1).ravel()
+        self.left, self.right = first + 2, first + 3
+        self.fixed_cells = np.concatenate((first + 1, np.arange(rows + 1) * n))
+        self.fixed_values = np.zeros(self.fixed_cells.size)
+        self.ends = self.fixed_values[:2 * rows]
 
 
-class Scratch:
-    """Work arrays kept from call to call: scratch(name, shape) returns
-    the same uninitialised array each time a name is asked for at one
-    shape.  A layer handed one writes its result there, so the caller
-    reads the result before the next call with the same scratch."""
-
-    def __init__(self):
-        self._arrays = {}
-
-    def __call__(self, name, shape):
-        arr = self._arrays.get(name)
-        if arr is None or arr.shape != shape:
-            arr = self._arrays[name] = np.empty(shape)
-        return arr
-
-
-def _one_block_scans(p, G, w, halves, new):
+def _one_block_scans(p, G, w, plan):
     # With L = G - G[0], the scaled integrands Q = w p exp(+-L) of all
-    # rows lie back to back in one flat buffer with two pad slots on
-    # either side, so one correlate gives every row's cells: c[j] is the
-    # cell left of flat node j.  The cells that straddle two rows are
-    # set to zero, and the end cells of each row to the trapezoid.
-    rows, n = 2 * halves.shape[1], halves.shape[2]
-    size = rows * n
-    scale = np.empty((2, n))
-    up, down = np.exp(G if G[0] == 0.0 else G - G[0], out=scale[0]), scale[1]
+    # rows lie back to back in the plan's flat buffer, between two zero
+    # pads on either side, so one correlate gives every row's cells: c[j]
+    # is the cell left of flat node j.  The cells that straddle two rows
+    # are set to zero, and the end cells of each row to the trapezoid.
+    up, down, flat = plan.up, plan.down, plan.flat
+    size = flat.size - 4
+    np.exp(G if G[0] == 0.0 else G - G[0], out=up)
     np.divide(1.0, up, out=down)
-    q = new("scaled", (size + 4,))
-    q[:2] = q[-2:] = 0.0
-    Q = q[2:-2].reshape(rows, n)
-    np.multiply(p, (scale * w)[:, None], out=Q.reshape(p.shape))
-    c = np.correlate(q, _CELL_RULE)
-    # Columns 0 and n-2, and 1 and n-1, of every row.
-    ends = Q[:, ::n - 2][:, :2] + Q[:, 1::n - 2][:, :2]
-    np.multiply(ends, 0.5, out=c[:size].reshape(rows, n)[:, 1::n - 2][:, :2])
-    c[::n] = 0.0
+    np.multiply(plan.scale, w, out=plan.scaled_weight)
+    np.multiply(p, plan.scaled_column, out=plan.scaled)
+    c = np.correlate(flat, _CELL_RULE)
+    ends = np.add(flat[plan.left], flat[plan.right], out=plan.ends)
+    ends *= 0.5
+    c[plan.fixed_cells] = plan.fixed_values
     # Left cells of each forward node, right cells of each backward one.
-    fwd = c[:size // 2].reshape(halves[0].shape)
-    bwd = c[size // 2 + 1:].reshape(halves[1].shape)
-    fwd.cumsum(axis=1, out=fwd)
+    fwd = c[:size // 2].reshape(plan.fwd.shape)
+    bwd = c[size // 2 + 1:].reshape(plan.bwd.shape)
+    np.add.accumulate(fwd, axis=1, out=fwd)
     rev = bwd[:, ::-1]
-    rev.cumsum(axis=1, out=rev)
-    np.multiply(fwd, down, out=halves[0])
-    np.multiply(bwd, up, out=halves[1])
+    np.add.accumulate(rev, axis=1, out=rev)
+    np.multiply(fwd, down, out=plan.fwd)
+    np.multiply(bwd, up, out=plan.bwd)
 
 
 def _blocked_scans(p, G, dx, halves, blocks):
@@ -283,7 +317,7 @@ def _first_bad_node(p, G, w, blocks, halves) -> int:
 
 
 def exp_convolve(p, G: np.ndarray, grid: Grid, weight=None,
-                 scratch=None) -> np.ndarray:
+                 plan=None) -> np.ndarray:
     """Forward and backward halves of the kernel quadrature, O(n) per row.
 
     p stacks the forward integrand p[0] on the backward one p[1], each
@@ -301,22 +335,26 @@ def exp_convolve(p, G: np.ndarray, grid: Grid, weight=None,
     Euler-Maclaurin correction at the kink, fwd -= dx^2/12 (G' p[0] +
     p[0]') and bwd -= dx^2/12 (G' p[1] - p[1]'): each running sum loses
     Q/2 +- (Q[i+1] - Q[i-1])/24.  The two end cells keep the trapezoid.
-    scratch (a Scratch) holds the result and a work buffer if given; the
-    next call with it then overwrites the result.
+    plan, a SourcePlan for p's shape on the grid, holds the result and
+    the work buffers if given; the next call with it then overwrites the
+    result.
     """
     p = _as_stack(p, G, grid)
+    if plan is None:
+        plan = SourcePlan(grid, p.shape)
+    elif plan.shape != p.shape:
+        raise ContractError(f"a plan for stacks of shape {plan.shape} got "
+                            f"one of shape {p.shape}")
     n, dx = grid.n, grid.dx
-    new = scratch or _fresh
-    halves = new("halves", p.shape)
-    stack, blocks = halves.reshape(2, -1, n), _blocks(G)
+    halves, blocks = plan.halves, _blocks(G)
     # The node weight of the quadrature, dx times the integrands' weight.
-    w = dx if weight is None else np.multiply(weight, dx)
+    w = dx if weight is None else np.multiply(weight, dx, out=plan.weight)
     if len(blocks) == 1:
-        _one_block_scans(p.reshape(2, -1, n), G, w, stack, new)
+        _one_block_scans(p.reshape(2, -1, n), G, w, plan)
     else:
         q = p if weight is None else p * weight
-        _blocked_scans(q.reshape(2, -1, n), G, dx, stack, blocks)
-    if not np.isfinite(halves).all():
+        _blocked_scans(q.reshape(2, -1, n), G, dx, plan.stack, blocks)
+    if not np.isfinite(halves, out=plan.finite).all():
         k = _first_bad_node(p, G, w, blocks, halves)
         raise NumericalAbort(
             f"exp_convolve produced a non-finite value at node {k}", {"node": k}
@@ -356,7 +394,7 @@ def exp_convolve_bruteforce(p, G: np.ndarray, grid: Grid) -> np.ndarray:
 
 
 def assemble_sources(state: TransformedState, slopes, a2b,
-                     scratch=None) -> np.ndarray:
+                     plan=None) -> np.ndarray:
     """The kernel halves the rates read, as a (2, 2, n) stack (fwd, bwd)
     of pairs with rows for U and V; slopes is slope_factors(state) and
     a2b the pair A^2 B, with (A, B) = (U, V) in row 0 and (V, U) in row 1.
@@ -364,25 +402,28 @@ def assemble_sources(state: TransformedState, slopes, a2b,
     fwd is the forward half of y_xi (f1/2 - f2/4) and bwd the backward
     half of y_xi (f1/2 + f2/4), so fwd - bwd = -dx P1 - P2 and
     fwd + bwd = P1 + dx P2 in row 0, and the same of S in row 1.
-    scratch, if given, is a Scratch that holds the result.
+    plan, if given, is a SourcePlan on the state's grid that holds the
+    work rows and the result.
     """
+    if plan is None:
+        plan = SourcePlan(state.grid)
     T, c = slopes
     # (U, V) and (V, U): the S integrands are the P ones with roles swapped.
     A, B, T_r = state.data[:2], state.data[1::-1], T[::-1]
-    y_xi = _y_xi(state.q, *c)
+    y_xi = _y_xi(state.q, *c, out=plan.y_xi)
     G = kernel_accumulator(y_xi, state.grid)
-    p = (scratch or _fresh)("p", (2,) + A.shape)
-    p_fwd, f1 = p
+    p = plan.p
+    p_fwd, f1 = plan.integrands
     # f1 = (A T T_r + A^2 B) + B T^2/2 builds in p[1], and
     # f2/2 = (T^2/2) T_r in half_t2.
     np.multiply(A, T, out=f1)
     f1 *= T_r
     f1 += a2b
-    half_t2 = np.multiply(0.5, T)
+    half_t2 = np.multiply(0.5, T, out=plan.half_t2)
     half_t2 *= T
     f1 += np.multiply(B, half_t2, out=p_fwd)
     half_t2 *= T_r
     np.subtract(f1, half_t2, out=p_fwd)
     f1 += half_t2
     y_xi *= 0.5
-    return exp_convolve(p, G, state.grid, y_xi, scratch)
+    return exp_convolve(p, G, state.grid, y_xi, plan)

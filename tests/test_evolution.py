@@ -1,4 +1,5 @@
 """Time stepping, guards, and conserved quantities."""
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -8,6 +9,7 @@ from novlab import (ContractError, EvolveAbort, NumericalAbort, OmegaBounds,
                     builtin_datum, check_omega, conserved, evolve,
                     make_grid, pair_datum, rhs, rk4_step, transform_with_map,
                     y_formula_gap)
+from novlab.evolution import Workspace
 from novlab.initial import TransformedState
 from novlab import sources
 from novlab.validation import random_state
@@ -424,6 +426,75 @@ def test_rk4_rejects_zero_dt():
         rk4_step(flat_state(g), 0.0, BOUNDS)
 
 
+@pytest.mark.parametrize("other", [make_grid(-8.0, 8.0, 65),
+                                   make_grid(-9.0, 8.0, 64)],
+                         ids=["another-n", "another-span"])
+def test_rk4_rejects_a_workspace_on_another_grid(other):
+    # A Workspace for another n would fail to broadcast, and one for the
+    # same n on another span would step with its own dx.  rhs checks the
+    # size of a plan handed to it directly.
+    state = random_state(np.random.default_rng(1), make_grid(-8.0, 8.0, 64))
+    with pytest.raises(ContractError, match="Workspace"):
+        rk4_step(state, 1e-2, BOUNDS, Workspace(other))
+    if other.n != state.grid.n:
+        with pytest.raises(ContractError, match="SourcePlan"):
+            rhs(state, None, Workspace(other).plan)
+
+
+@pytest.mark.parametrize("n, span", [(64, None), (512, None), (64, 5.0),
+                                     (512, 5.0)],
+                         ids=["64", "512", "64-span5", "512-span5"])
+def test_evolve_with_one_workspace_matches_fresh_steps_bitwise(
+        n, span, monkeypatch):
+    # evolve steps through one Workspace and its source plan; each step
+    # must equal a step that builds its buffers afresh.
+    if span is not None:
+        monkeypatch.setattr(sources, "_BLOCK_SPAN", span)
+    state = wide_random_state(n, seed=n + 4)
+    G = sources.kernel_accumulator(sources.xi_derivatives(state)[0],
+                                   state.grid)
+    assert (len(sources._blocks(G)) > 1) == (span is not None)
+    traj = evolve(state, 0.05, 0.01, record_every=1, bounds=BOUNDS)
+    for recorded in traj.states[1:]:
+        state = rk4_step(state, 0.01, BOUNDS, work=None)
+        assert same_bits(recorded.data, state.data)
+
+
+def test_rk4_step_allocates_only_the_new_state_and_the_cells():
+    # After a warm-up step the plan holds every work row, so at its peak
+    # a step holds no more than the size of the new state and the
+    # correlate outputs (the kernel's n - 3 inner cells and the scans'
+    # 4n + 1).
+    # Measured: 316,053 bytes with per-call temporaries, 117,016 with the
+    # plan, against a bound of 180,208.
+    n = 2048
+    state = wide_random_state(n, seed=5)
+    work = Workspace(state.grid)
+    state = rk4_step(state, 1e-3, BOUNDS, work)
+    bound = 8 * (6 * n + (n - 3) + (4 * n + 1))
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        rk4_step(state, 1e-3, BOUNDS, work)
+        peak = tracemalloc.get_traced_memory()[1] - base
+    finally:
+        tracemalloc.stop()
+    assert peak <= bound, (peak, bound)
+
+
+def test_rhs_is_2pi_periodic_in_the_angles():
+    # The rates read W and Z only through T = tan(angle/2) and c, which
+    # repeat with period 2pi, so a shift by whole turns moves rhs by
+    # roundoff alone.
+    for n in (64, 512):
+        state = wide_random_state(n, seed=n + 3)
+        turned = state.with_fields(W=state.W + 2.0 * np.pi,
+                                   Z=state.Z - 2.0 * np.pi)
+        ref = rhs(state)
+        bound = 64.0 * np.finfo(float).eps * np.max(np.abs(ref), axis=1)
+        assert np.all(np.max(np.abs(rhs(turned) - ref), axis=1) <= bound)
+
+
 def strong_pair_state():
     # Amplitudes high enough that the dt^4 truncation error sits well
     # above roundoff over a short horizon.
@@ -569,6 +640,21 @@ def test_y_formula_gap_small_on_transformed_data():
     g = make_grid(-16.0, 16.0, 1024)
     state0 = transform_with_map(two_bump_pair(), g)
     assert y_formula_gap(state0) < 10.0 * g.dx**2
+
+
+def test_y_formula_gap_falls_at_fourth_order_on_the_steep_front():
+    # y_formula_gap compares the integrated y with the 4-point potential
+    # G, the kernel's own quadrature, so on smooth data the gap at t = 1
+    # falls at least 10x per grid doubling (about 15x measured).
+    datum = pair_datum(
+        builtin_datum("gaussian_bump", {"a": 2.0, "width": 1.0}),
+        builtin_datum("gaussian_bump", {"a": 0.7, "width": 2.0}))
+    gaps = []
+    for n in (512, 1024, 2048):
+        state = transform_with_map(datum, make_grid(-20.0, 20.0, n))
+        gaps.append(evolve(state, 1.0, 2e-3, record_every=500).y_checks[-1])
+    falls = [a / b for a, b in zip(gaps, gaps[1:])]
+    assert min(falls) >= 10.0, (gaps, falls)
 
 
 def test_zero_profile_evolution_is_static():

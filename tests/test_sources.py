@@ -191,6 +191,19 @@ def test_convolve_names_nonfinite_kernel_potential_node():
     assert err.value.diagnostics["node"] == 300
 
 
+def test_convolve_rejects_a_plan_for_another_stack_shape():
+    # A plan's buffers fit one stack shape; the rates' default is
+    # (2, 2, n).
+    g = make_grid(-8.0, 8.0, 64)
+    state = flat_state(g)
+    G = kernel_accumulator(xi_derivatives(state)[0], state.grid)
+    with pytest.raises(ContractError, match="plan"):
+        exp_convolve(np.ones((2, g.n)), G, g, None, sources.SourcePlan(g))
+    fwd, bwd = exp_convolve(np.ones((2, g.n)), G, g, None,
+                            sources.SourcePlan(g, (2, g.n)))
+    assert same_bits(np.stack((fwd, bwd)), exp_convolve(np.ones((2, g.n)), G, g))
+
+
 def angle_state(angles):
     # W runs through the angles and Z through them reversed.
     state = flat_state(make_grid(-1.0, 1.0, angles.size))
