@@ -8,13 +8,19 @@ Four subcommands share one config file format:
   validate  run the built-in property suite, one PASS/FAIL line each
 
 Exit codes: 0 success, 2 config or contract violation, 3 numerical
-abort (partial artifacts are still written), 4 analysis failure.
+abort, 4 analysis failure.  An abort names itself on stderr, and a guard
+trip in time stepping names its step.  evolve and singular step each
+record and hand it on, so a run holds one recorded state at a time.  On
+a guard trip evolve has already written the frames of the records
+before it and adds conserved.csv, and singular writes conserved.csv and
+the events of those records; metric writes nothing.
 """
 
 from __future__ import annotations
 
 import argparse
 import dataclasses
+import itertools
 import math
 import sys
 from contextlib import nullcontext
@@ -89,12 +95,13 @@ def _create(path: Path):
     return open(path, "w", encoding="utf-8", newline="")
 
 
-def _write_trajectory(traj, out: Path) -> list[str]:
-    path = out / "conserved.csv"
-    with _create(path) as fh:
-        cliio.write_conserved_csv(fh, traj)
-    written = [str(path)]
-    for i, state in enumerate(traj.states):
+def _record_writer(out: Path, files: list[str]):
+    """An on_record consumer that writes each record's state and Euler
+    frames as it is stepped, and appends their paths to files."""
+    index = itertools.count()
+
+    def write(state) -> None:
+        i = next(index)
         spath = out / f"state_{i:04d}.csv"
         epath = out / f"euler_{i:04d}.csv"
         try:
@@ -105,32 +112,46 @@ def _write_trajectory(traj, out: Path) -> list[str]:
         with _create(spath) as sfh, \
                 (nullcontext() if field is None else _create(epath)) as efh:
             cliio.write_record_csv(sfh, efh, state, field)
-        written.append(str(spath))
+        files.append(str(spath))
         if field is not None:
-            written.append(str(epath))
-    return written
+            files.append(str(epath))
+
+    return write
 
 
-def _run_trajectory(cfg: ScenarioConfig, out: Path):
+def _write_conserved(traj, out: Path) -> str:
+    path = out / "conserved.csv"
+    with _create(path) as fh:
+        cliio.write_conserved_csv(fh, traj)
+    return str(path)
+
+
+def _run_trajectory(cfg: ScenarioConfig, on_record):
+    """Evolve the configured datum, handing each record to on_record."""
     grid = make_grid(cfg.xi_min, cfg.xi_max, cfg.n)
     datum = cliio.datum_from_config(cfg)
     state = transform_with_map(datum, grid)
     dt = math.copysign(cfg.dt, cfg.t_final)  # a negative t_final runs backward
-    try:
-        return evolve(state, cfg.t_final, dt, record_every=cfg.record_every,
-                      bounds=cliio.bounds_from_config(cfg))
-    except EvolveAbort as err:
-        files = _write_trajectory(err.partial, out)
-        print(f"numerical abort: {err}", file=sys.stderr)
-        print(f"partial artifacts: {len(files)} files in {out}", file=sys.stderr)
-        raise
+    return evolve(state, cfg.t_final, dt, record_every=cfg.record_every,
+                  bounds=cliio.bounds_from_config(cfg), on_record=on_record)
+
+
+def _report_abort(err: EvolveAbort, files: list[str], out: Path) -> int:
+    print(f"numerical abort: {err}", file=sys.stderr)
+    print(f"partial artifacts: {len(files)} files in {out}", file=sys.stderr)
+    return 3
 
 
 def cmd_evolve(args) -> int:
     _bind("euler_fields")
     cfg, out = _prepare(args)
-    traj = _run_trajectory(cfg, out)
-    files = _write_trajectory(traj, out)
+    frames = []
+    try:
+        traj = _run_trajectory(cfg, _record_writer(out, frames))
+    except EvolveAbort as err:
+        return _report_abort(err, [_write_conserved(err.partial, out),
+                                   *frames], out)
+    files = [_write_conserved(traj, out), *frames]
     print(f"evolved to t={traj.times[-1]!r} in {len(traj.times)} records")
     print(f"wrote {len(files)} files in {out}")
     return 0
@@ -146,10 +167,10 @@ def cmd_singular(args) -> int:
     _bind("find_crossings", "euler_fields", "classify", "fit_exponent",
           "verify_cancellations")
     cfg, out = _prepare(args)
-    traj = _run_trajectory(cfg, out)
     points = []
     reports = []
-    for state in traj.states:
+
+    def analyse(state) -> None:
         found = find_crossings(state, tol_pi=cfg.tol_pi)
         field = field_err = None
         if found and cfg.fit_exponents:
@@ -187,10 +208,21 @@ def cmd_singular(args) -> int:
                     reports.append(verify_cancellations(point, state))
                 except AnalysisError as err:
                     _report_skip("verify_cancellations", point, err)
-    cliio.write_jsonl(points, out / "points.jsonl")
-    cliio.write_jsonl(reports, out / "cancellations.jsonl")
+
+    def write_events() -> list[str]:
+        paths = [out / "points.jsonl", out / "cancellations.jsonl"]
+        cliio.write_jsonl(points, paths[0])
+        cliio.write_jsonl(reports, paths[1])
+        return [str(path) for path in paths]
+
+    try:
+        traj = _run_trajectory(cfg, analyse)
+    except EvolveAbort as err:
+        return _report_abort(err, [_write_conserved(err.partial, out),
+                                   *write_events()], out)
+    paths = write_events()
     print(f"found {len(points)} level events over {len(traj.times)} records")
-    print(f"wrote {out / 'points.jsonl'} and {out / 'cancellations.jsonl'}")
+    print(f"wrote {paths[0]} and {paths[1]}")
     return 0
 
 
@@ -267,8 +299,6 @@ def main(argv=None) -> int:
     except ContractError as err:
         print(f"contract violation: {err}", file=sys.stderr)
         return 2
-    except EvolveAbort:
-        return 3
     except NumericalAbort as err:
         print(f"numerical abort: {err}", file=sys.stderr)
         return 3

@@ -30,7 +30,8 @@ class NumericalAbort(NovlabError):
 
 class EvolveAbort(NumericalAbort):
     """Time stepping tripped the state guard.  The partial trajectory
-    accumulated so far is attached for post-mortem output."""
+    accumulated so far is attached for post-mortem output (without its
+    states when evolve handed them to an on_record consumer)."""
 
     def __init__(self, message: str, partial, diagnostics: dict | None = None):
         super().__init__(message, diagnostics)

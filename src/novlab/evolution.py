@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import Callable
 
 import numpy as np
 
@@ -63,6 +64,9 @@ class ConservedSet:
 
 @dataclass
 class Trajectory:
+    """The records of one run, in time order.  states is empty when the
+    run handed each state to an on_record consumer instead."""
+
     times: list[float]
     states: list[TransformedState]
     conserved_log: list[ConservedSet]
@@ -218,8 +222,15 @@ def y_formula_gap(state: TransformedState) -> float:
 
 def evolve(state0: TransformedState, t_final: float, dt: float,
            record_every: int = 1,
-           bounds: OmegaBounds = OmegaBounds()) -> Trajectory:
+           bounds: OmegaBounds = OmegaBounds(),
+           on_record: Callable[[TransformedState], None] | None = None,
+           ) -> Trajectory:
     """Integrate to t_final, recording every record_every-th step.
+
+    Each record logs its time, conserved set and y check.  With
+    on_record, each recorded state, state0 first, is passed to it right
+    after its record is logged and is not kept: the trajectory's states
+    stay empty, so a run holds one recorded state at a time.
 
     On a guard violation the partial trajectory is attached to the
     raised EvolveAbort so callers can still export what was computed.
@@ -240,9 +251,12 @@ def evolve(state0: TransformedState, t_final: float, dt: float,
 
     def record(st):
         traj.times.append(st.t)
-        traj.states.append(st)
         traj.conserved_log.append(conserved(st))
         traj.y_checks.append(y_formula_gap(st))
+        if on_record is None:
+            traj.states.append(st)
+        else:
+            on_record(st)
 
     record(state0)
     state = state0

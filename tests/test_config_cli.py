@@ -1,5 +1,7 @@
 """Config grammar, artifact writers, and the CLI front end."""
 import json
+import re
+import tracemalloc
 from pathlib import Path
 
 import pytest
@@ -487,6 +489,94 @@ def test_cli_guard_abort_writes_partial(tmp_path, capsys):
             conserved[:1 + records])
         for name in frames:
             assert (out / name).read_bytes() == (ref / name).read_bytes()
+
+
+def test_cli_singular_guard_abort_writes_events_so_far(tmp_path, capsys):
+    # The steep front on 257 nodes crosses the level from t = 1.54 on,
+    # and its q_min falls below 0.2495 at t = 1.64, the step after the
+    # record at t = 1.62.  That box aborts the run after 5 records with
+    # events;
+    # what it writes is the conserved log and the events of the records
+    # before the abort, byte for byte those of the run with default
+    # bounds, and stderr repeats that run's lines up to the abort.
+    text = (REPO / "configs" / "steep_front.cfg").read_text()
+    for key, value in (("grid.n", "257"), ("time.dt", "0.01"),
+                       ("time.t_final", "1.8"), ("time.record_every", "2")):
+        text = re.sub(rf"(?m)^{re.escape(key)} = .*$", f"{key} = {value}",
+                      text)
+    cfg = write_cfg(tmp_path, text, "ref.cfg")
+    boxed = write_cfg(tmp_path, text + "omega.q_lo = 0.2495\n"
+                      "omega.slack = 1.0\n")
+    ref, out = tmp_path / "ref", tmp_path / "out"
+    assert main(["evolve", "--config", cfg, "--out", str(ref)]) == 0
+    assert main(["singular", "--config", cfg, "--out", str(ref)]) == 0
+    ref_err = capsys.readouterr().err.splitlines()
+    assert main(["singular", "--config", boxed, "--out", str(out)]) == 3
+    err = capsys.readouterr().err.splitlines()
+    assert err[-2] == ("numerical abort: evolution aborted at step 164/180: "
+                       "q left its validity box at t=1.64: "
+                       "[2.494e-01, 4.933e+00]")
+    assert err[-1] == f"partial artifacts: 3 files in {out}"
+    assert err[:-2] == ref_err[:len(err) - 2]
+    assert sorted(p.name for p in out.iterdir()) == [
+        "cancellations.jsonl", "conserved.csv", "points.jsonl"]
+    conserved = (out / "conserved.csv").read_bytes().splitlines(True)
+    assert len(conserved) == 1 + 82  # t = 0, 0.02, ..., 1.62
+    assert (ref / "conserved.csv").read_bytes().startswith(b"".join(conserved))
+    for name in ("points.jsonl", "cancellations.jsonl"):
+        lines = (out / name).read_text().splitlines()
+        ref_lines = (ref / name).read_text().splitlines()
+        assert len(lines) == 10 and len(ref_lines) == 28
+        assert lines == ref_lines[:10]
+    points = (out / "points.jsonl").read_text().splitlines()
+    assert {json.loads(line)["t"] for line in points} == {
+        1.54, 1.56, 1.58, 1.6, 1.62}
+
+
+def test_cli_metric_guard_abort_names_the_step(tmp_path, capsys):
+    # metric writes nothing on an abort, but stderr still names it.
+    text = ((REPO / "configs" / "lipschitz.cfg").read_text()
+            + "omega.q_lo = 0.999\nomega.q_hi = 1.001\nomega.slack = 1.0\n")
+    out = tmp_path / "out"
+    rc = main(["metric", "--config", write_cfg(tmp_path, text), "--quick",
+               "--out", str(out)])
+    assert rc == 3
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == ("numerical abort: evolution aborted at step 1/50: "
+                            "q left its validity box at t=-0.02: "
+                            "[9.962e-01, 1.004e+00]\n")
+    assert list(out.iterdir()) == []
+
+
+@pytest.mark.parametrize("command", ["evolve", "singular"])
+def test_cli_run_holds_one_recorded_state(tmp_path, capsys, command):
+    # Each record is handed on as it is stepped, so the peak does not
+    # grow with the record count.  Measured on 1024 nodes (a state is
+    # 49,152 bytes), 50 records against 2: the peak grew by 29,707 bytes
+    # for evolve (its file names and conserved log) and by none for
+    # singular; when the run kept every state it grew by 2,396,637 and
+    # 1,494,552 bytes.  The bound is one state.
+    n = 1024
+
+    def peak(records):
+        cfg = write_cfg(tmp_path, minimal_with(
+            f"grid.n = {n}", "time.dt = 0.002", "time.record_every = 1",
+            f"time.t_final = {0.002 * (records - 1)!r}",
+            "singular.fit = false"), f"r{records}.cfg")
+        argv = [command, "--config", cfg, "--out", str(tmp_path / "out")]
+        tracemalloc.start()
+        try:
+            assert main(argv) == 0
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert f" {records} records\n" in capsys.readouterr().out
+        return peak
+
+    peak(2)  # imports the command's layers and caches the grid's cells
+    growth = peak(50) - peak(2)
+    assert growth <= 8 * 6 * n, growth
 
 
 def test_cli_validate_quick_passes(tmp_path, capsys):

@@ -607,6 +607,41 @@ def test_evolve_guard_abort_attaches_partial():
     assert exc.value.diagnostics["step"] >= 1
 
 
+@pytest.mark.parametrize("slack", [None, 1.05], ids=["full", "abort"])
+def test_evolve_hands_each_record_to_on_record(slack):
+    # The consumer gets the states a plain run keeps, bit for bit, in
+    # order and state0 first, and the trajectory keeps every record's
+    # time, conserved set and y check but no state.  A q box with 5%
+    # slack around the initial profile trips at step 5, after 5 records.
+    g = make_grid(-16.0, 16.0, 256)
+    datum = builtin_datum("gaussian_bump", {"a": 1.0, "width": 1.0})
+    state0 = transform_with_map(datum, g)
+    bounds = BOUNDS if slack is None else OmegaBounds(
+        q_lo=float(np.min(state0.q)), q_hi=float(np.max(state0.q)),
+        slack=slack)
+
+    def run(**kw):
+        try:
+            return evolve(state0, 0.2, 0.01, record_every=1, bounds=bounds,
+                          **kw), None
+        except EvolveAbort as err:
+            return err.partial, err.diagnostics
+
+    plain, plain_diag = run()
+    handed = []
+    streamed, streamed_diag = run(on_record=handed.append)
+    assert len(plain.times) == (21 if slack is None else 5)
+    assert streamed_diag == plain_diag
+    assert streamed.states == []
+    assert handed[0] is state0
+    assert [s.t for s in handed] == [s.t for s in plain.states]
+    assert all(same_bits(a.data, b.data)
+               for a, b in zip(handed, plain.states, strict=True))
+    assert streamed.times == plain.times
+    assert streamed.conserved_log == plain.conserved_log
+    assert streamed.y_checks == plain.y_checks
+
+
 def test_conserved_zero_state():
     g = make_grid(-5.0, 5.0, 64)
     c = conserved(flat_state(g))

@@ -1,5 +1,6 @@
 """Initial-datum construction and the stretched-coordinate transform."""
 import re
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -8,8 +9,9 @@ from hypothesis import given, strategies as st
 from novlab import (ConfigError, ContractError, builtin_datum, conserved,
                     invert_y0, make_grid, mirrored, pair_datum,
                     transform_with_map)
-from novlab.initial import (_GL_NODES, _GL_WEIGHTS, TransformedState,
-                            _CumulativeDensity, _density_table)
+from novlab.initial import (_GL_NODES, _GL_WEIGHTS, _TABLE_BLOCK,
+                            TransformedState, _CumulativeDensity,
+                            _density_table)
 
 from conftest import same_bits
 
@@ -249,3 +251,37 @@ def test_transform_equals_the_all_node_solve_bitwise(name, n, monkeypatch):
     assert same_bits(state.data, np.stack((
         datum.u0(y0), datum.v0(y0), 2.0 * np.arctan(datum.du0(y0)),
         2.0 * np.arctan(datum.dv0(y0)), np.ones(g.n), y0)))
+
+
+def one_shot_cells(table):
+    """The table's cell integrals with every panel sampled at once."""
+    vals, half = table._samples(table.x[:-1], table.x[1:])
+    return (vals @ _GL_WEIGHTS) * half
+
+
+@pytest.mark.parametrize("n", [257, 2048, 8192])
+@pytest.mark.parametrize("name", sorted(SETUP_DATA))
+def test_density_table_in_blocks_equals_the_one_shot_table_bitwise(name, n):
+    # 4 cells per grid cell: one block at n = 257, 2 at 2048, 8 at 8192.
+    table = _density_table(SETUP_DATA[name], make_grid(-20.0, 20.0, n))
+    cells = table.x.size - 1
+    assert -(-cells // _TABLE_BLOCK) == {257: 1, 2048: 2, 8192: 8}[n]
+    assert same_bits(table._panel(table.x[:-1], table.x[1:]),
+                     one_shot_cells(table))
+
+
+@pytest.mark.parametrize("name", sorted(SETUP_DATA))
+def test_density_table_holds_one_sample_buffer(name):
+    # At n = 8192 (32,764 to 32,766 cells) the one-shot table peaked at
+    # 11.8-17.0 MB, 4.5-6.5 times its (N, 10) sample buffer; in blocks
+    # it peaks at 4.8-5.4 MB.  The bound is three sample buffers.
+    datum, g = SETUP_DATA[name], make_grid(-20.0, 20.0, 8192)
+    _density_table(datum, g)
+    tracemalloc.start()
+    try:
+        table = _density_table(datum, g)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    bound = 3 * 8 * _GL_NODES.size * (table.x.size - 1)
+    assert peak <= bound, (peak, bound)
