@@ -1,29 +1,32 @@
 """Finsler tangent norm, path lengths, and distance upper bounds.
 
 The norm of a tangent vector at a state is an infimum over a shift
-field eta of a weighted L1 sum of six phis.  With eta an m-node
-piecewise-linear shift with coefficients c, the (6, n) phi stack is
-affine in c: P(c) = P0 + K c, where P0 is the stack at eta = 0 and
-column j of K is the change that the j-th hat function of the shift
-causes.  Each node lies in one coarse cell and feels only that cell's
-two hats, so K is stored as two bands.  The objective sum w |P0 + K c|
-is minimized over the box |c| <= box by iteratively reweighted least
-squares (IRLS): each pass solves the tridiagonal normal equations of
-sum w / max(|P|, floor) |P0 + K c|^2, with P from the previous pass,
-over the box.  The first pass is plain weighted least squares, and the
-passes stop when one changes the value by at most _IRLS_RTOL of it.
-One exact sweep over the coordinates then leaves no single-coefficient
-move that lowers the value.  eta = 0 is always evaluated first and the
-best iterate is kept, so every reported value is a certified upper
-bound and the search can only improve it.  The pass cap iters is the
-one search knob: iters = 0, the default, returns the eta = 0 value.
-Distances are upper bounds obtained from the straight-line path
-between states.
+field eta of a weighted L1 sum of six phis, with no bound on the size
+of eta: relabeling shifts of any size are admitted, so the norm is
+positively homogeneous, |lambda v| = lambda |v| for lambda > 0.  This
+follows Bressan & Chen, "Lipschitz metrics for a class of nonlinear
+wave equations", Arch. Ration. Mech. Anal. 226 (2017).  With eta an
+m-node piecewise-linear shift with coefficients c, the (6, n) phi
+stack is affine in c: P(c) = P0 + K c, where P0 is the stack at
+eta = 0 and column j of K is the change that the j-th hat function of
+the shift causes.  Each node lies in one coarse cell and feels only
+that cell's two hats, so K is stored as two bands.  The objective
+sum w |P0 + K c| is minimized over all c by iteratively reweighted
+least squares (IRLS): each pass solves the tridiagonal normal
+equations of sum w / max(|P|, floor) |P0 + K c|^2, with P from the
+previous pass.  The first pass is plain weighted least squares, and
+the passes stop when one changes the value by at most _IRLS_RTOL of
+it.  Exact sweeps over the coordinates follow, repeated while a sweep
+lowers the value by more than _IRLS_RTOL of it.  eta = 0 is always
+evaluated first and the best iterate is kept, so every reported value
+is a certified upper bound and the search can only improve it.  The
+pass cap iters is the one search knob: it also caps the sweeps, and
+iters = 0, the default, returns the eta = 0 value.  Distances are
+upper bounds obtained from the straight-line path between states.
 
 The theta nodes of one path share a tangent and nearly a state, so
 path_length warm-starts each kept node's search from the previous kept
-node's best coefficients: the seed is evaluated as a candidate, its
-coefficients held at the box are the first active set, and its
+node's best coefficients: the seed is evaluated as a candidate and its
 residual at the new node gives the first IRLS weights.  The first kept
 node starts cold.  The seed lives inside one path_length call only.
 """
@@ -129,19 +132,19 @@ def _phi_zero(state: TransformedState, tangent: np.ndarray,
 
 @dataclass(frozen=True)
 class _ShiftOperator:
-    """K, the map from shift coefficients c to P(c) - P0, and the box.
+    """K, the map from shift coefficients c to P(c) - P0.
 
     The shift is sum_j c_j hat_j over m equispaced hat functions that
-    span the grid.  Only the two hats of the coarse cell holding node k
-    reach it, so K is banded: index[:, k] are those two coefficients and
-    band[:, :, k] their two (6,) columns, and
+    span the grid, with no bound on the size of the c_j.  Only the two
+    hats of the coarse cell holding node k reach it, so K is banded:
+    index[:, k] are those two coefficients and band[:, :, k] their two
+    (6,) columns, and
     (K c)[:, k] = band[0, :, k] c[index[0, k]] + band[1, :, k] c[index[1, k]].
     A column is (y_xi, u_xi, v_xi, w_xi, z_xi) * _ROW_SCALE * q * hat
     over q_xi * hat + q * hat', for the cell's lower and upper hat.
     """
     index: np.ndarray
     band: np.ndarray
-    box: float
     # The band products band[0]**2, band[1]**2 and band[0] * band[1]
     # that the normal matrix sums.
     products: np.ndarray
@@ -195,7 +198,7 @@ def _shift_operator(state: TransformedState, eta_nodes: int,
     band[:, 5] = q_xi * hat + np.array([[-1.0], [1.0]]) * state.q / spacing
     products = np.stack((band[0] * band[0], band[1] * band[1],
                          band[0] * band[1]))
-    return _ShiftOperator(index, band, 0.5 * spacing, products)
+    return _ShiftOperator(index, band, products)
 
 
 def _quad_weights(grid: Grid, y, alpha: float) -> np.ndarray:
@@ -208,33 +211,6 @@ def _objective(weights, phis) -> float:
     # One dot per row, summed in row order.  Not abs(phis) @ weights: a
     # matrix-vector product rounds differently from six dots.
     return float(sum(weights @ row for row in np.abs(phis)))
-
-
-def _box_least_squares(M: np.ndarray, r: np.ndarray, box: float,
-                       bound: np.ndarray):
-    """Minimize c.M c / 2 - r.c over |c| <= box by an active-set loop.
-
-    bound[j] is -1 or +1 for a coefficient held at -box or +box and 0
-    for a free one; the bounds of the previous solve are the warm start.
-    Returns c and its bounds.  A loop that does not settle returns the
-    last solution clipped to the box.
-    """
-    for _ in range(2 * r.size):
-        # The free rows of M c = r, with the held coefficients pinned.
-        held = bound != 0.0
-        A, b = M.copy(), r.copy()
-        A[held] = 0.0
-        A[held, held] = 1.0
-        b[held] = box * bound[held]
-        c = np.linalg.solve(A, b)
-        # Hold the free coefficients that leave the box and release the
-        # held ones whose gradient points into it.
-        leave = ~held & (np.abs(c) > box)
-        release = bound * (M @ c - r) > 0.0
-        if not (leave.any() or release.any()):
-            return c, bound
-        bound = np.where(leave, np.sign(c), np.where(release, 0.0, bound))
-    return np.clip(c, -box, box), bound
 
 
 def _coordinate_sweep(op: _ShiftOperator, weights: np.ndarray,
@@ -272,7 +248,7 @@ def _coordinate_sweep(op: _ShiftOperator, weights: np.ndarray,
         pos = np.clip(pos, np.searchsorted(runs, js),
                       np.searchsorted(runs, js, side="right") - 1)
         step = np.zeros(m)
-        step[js] = np.clip(c[js] + kink[order][pos], -op.box, op.box) - c[js]
+        step[js] = (c[js] + kink[order][pos]) - c[js]
         c += step
         P += col * step[coef]
     return c
@@ -296,7 +272,7 @@ def shift_value(state: TransformedState, tangent: np.ndarray,
     """The weighted phi sum of a tangent under one shift.
 
     The shift is piecewise linear with value coeffs[j] at the j-th of
-    coeffs.size equispaced nodes spanning the grid; no box applies.
+    coeffs.size equispaced nodes spanning the grid, of any size.
     """
     slopes = slope_factors(state)
     weights, P0 = _checked_norm_inputs(state, tangent, alpha, slopes)
@@ -310,12 +286,15 @@ def tangent_norm_info(state: TransformedState, tangent: np.ndarray,
                       seed: np.ndarray | None = None) -> NormInfo:
     """Finsler norm of a tangent at state.
 
-    tangent is a (5, grid.n) array with rows R, S, A, B, Q: the
-    variations of the state rows U, V, W, Z, q, in that order.  iters
-    caps the IRLS passes over an eta_nodes-coefficient shift, and
-    iterations in the result counts the passes made; iters < 1 returns
-    the eta = 0 value.  seed, eta_nodes coefficients clipped to the
-    box, warm-starts the passes; None starts them cold.
+    The norm is the infimum of the weighted phi sum over the shifts of
+    the eta_nodes-coefficient hat space, with no bound on their size,
+    so it is positively homogeneous in the tangent.  tangent is a
+    (5, grid.n) array with rows R, S, A, B, Q: the variations of the
+    state rows U, V, W, Z, q, in that order.  iters caps the IRLS
+    passes and the closing coordinate sweeps, and iterations in the
+    result counts the passes made; iters < 1 returns the eta = 0 value.
+    seed, eta_nodes finite coefficients, warm-starts the passes; None
+    starts them cold.  best_coeffs never aliases seed.
     """
     # z_shift and the shift operator share one evaluation of the slopes.
     slopes = slope_factors(state)
@@ -325,6 +304,14 @@ def tangent_norm_info(state: TransformedState, tangent: np.ndarray,
         return NormInfo(value=value0, iterations=0, eta_zero_value=value0,
                         best_coeffs=None)
     op = _shift_operator(state, eta_nodes, slopes)
+    if seed is not None:
+        # A copy, so that best_coeffs never aliases the caller's array.
+        seed = np.array(seed, dtype=float)
+        if seed.shape != (eta_nodes,) or not np.isfinite(seed).all():
+            raise ContractError(
+                f"seed must be {eta_nodes} finite coefficients, got shape "
+                f"{seed.shape} with {np.count_nonzero(~np.isfinite(seed))} "
+                f"non-finite")
     best_val, best_c, used = value0, np.zeros(eta_nodes), 0
     # A zero value is already the minimum, and a non-finite one cannot
     # be improved on.
@@ -335,26 +322,19 @@ def tangent_norm_info(state: TransformedState, tangent: np.ndarray,
     if seed is None:
         # Cold: the first pass is plain weighted least squares.
         omega = np.broadcast_to(weights, P0.shape)
-        bound = np.zeros(eta_nodes)
         prev = np.inf
     else:
-        if np.shape(seed) != (eta_nodes,):
-            raise ContractError(f"seed has shape {np.shape(seed)}, "
-                                f"expected ({eta_nodes},)")
-        seed = np.clip(seed, -op.box, op.box)
-        # Warm: the seed is a candidate, its held coefficients the first
-        # active set and its residual the first weights.
+        # Warm: the seed is a candidate and its residual the first
+        # weights.
         P = P0 + op.apply(seed)
         prev = _objective(weights, P)
         if prev < best_val:
             best_val, best_c = prev, seed
         omega = weights / np.maximum(np.abs(P), floor)
-        bound = np.where(np.abs(seed) == op.box, np.sign(seed), 0.0)
     for k in range(1, iters + 1):
         try:
-            c, bound = _box_least_squares(op.normal_matrix(omega),
-                                          -op.adjoint(omega * P0),
-                                          op.box, bound)
+            c = np.linalg.solve(op.normal_matrix(omega),
+                                -op.adjoint(omega * P0))
         except np.linalg.LinAlgError:
             break
         P = P0 + op.apply(c)
@@ -366,10 +346,14 @@ def tangent_norm_info(state: TransformedState, tangent: np.ndarray,
             break
         prev = val
         omega = weights / np.maximum(np.abs(P), floor)
-    c = _coordinate_sweep(op, weights, P0, best_c)
-    val = _objective(weights, P0 + op.apply(c))
-    if val < best_val:
-        best_val, best_c = val, c
+    for _ in range(iters):
+        c = _coordinate_sweep(op, weights, P0, best_c)
+        val = _objective(weights, P0 + op.apply(c))
+        lowered = best_val - val
+        if val < best_val:
+            best_val, best_c = val, c
+        if not lowered > _IRLS_RTOL * val:
+            break
     return NormInfo(value=best_val, iterations=used,
                     eta_zero_value=value0, best_coeffs=best_c)
 
@@ -420,7 +404,9 @@ def path_length(path: PathOfStates, alpha: float = DEFAULT_ALPHA,
                 tol_pi: float = TOL_PI, **norm_kw) -> float:
     """Trapezoid theta-integral of the tangent norm along the path.
 
-    Nodes whose state touches an angle level within tol_pi are excluded
+    The norm at each node is tangent_norm_info's infimum over the
+    hat-space shifts, with no bound on their size, and norm_kw goes to
+    it.  Nodes whose state touches an angle level within tol_pi are excluded
     and the remaining quadrature weights are renormalized, mirroring
     the removal of finitely many exceptional path parameters.
     """

@@ -267,22 +267,28 @@ def check_norm_axioms(cfg, rng):
     subadd = tangent_norm_info(state, t1 + t2).value - (n1 + n2)
     info = tangent_norm_info(state, t1, iters=120)
     descent_ok = info.value <= info.eta_zero_value
+    # The converged norm is homogeneous too: the shifts are unbounded,
+    # and the stop rule leaves a relative gap far below 1e-9.
+    homog_c = abs(tangent_norm_info(state, 2.5 * t1, iters=120).value
+                  - 2.5 * info.value) / info.value
     # The search ends at a minimum: no step of one shift coefficient,
-    # kept in the box (half the coarse spacing), lowers the value.
+    # on the scale of half the coarse spacing, lowers the value.
     c = info.best_coeffs
-    box = 0.5 * (grid.xi_max - grid.xi_min) / (c.size - 1)
+    half = 0.5 * (grid.xi_max - grid.xi_min) / (c.size - 1)
     gain = 0.0
     for j in range(c.size):
         for h in (-1e-2, -1e-4, 1e-4, 1e-2):
             moved = c.copy()
-            moved[j] = np.clip(c[j] + h * box, -box, box)
+            moved[j] = c[j] + h * half
             gain = max(gain, 1.0 - shift_value(state, t1, moved) / info.value)
     ok = (n_zero == 0.0 and homog < 1e-12 * max(n1, 1.0)
-          and subadd < 1e-12 and descent_ok and gain <= 1e-6)
+          and subadd < 1e-12 and descent_ok and homog_c <= 1e-9
+          and gain <= 1e-6)
     return ok, (f"zero={n_zero:.3g}, homogeneity gap={homog:.3g}, "
                 f"subadditivity slack={subadd:.3g}, "
                 f"descent {info.value:.6g} <= eta0 {info.eta_zero_value:.6g} "
-                f"in {info.iterations} IRLS passes, "
+                f"in {info.iterations} IRLS passes, converged homogeneity "
+                f"gap {homog_c:.3g} <= 1e-09, "
                 f"best coordinate step gain {gain:.3g} <= 1e-06")
 
 

@@ -163,27 +163,27 @@ def oracle_coarse_descent(state, tangent, alpha, eta_nodes, iters):
     return best_val, used, value0, best_c
 
 
+def dense_shift_matrix(op):
+    """K as a dense (6 n, m) matrix: the applies of the unit coefficients."""
+    return np.stack([op.apply(e).ravel() for e in np.eye(op.size)], axis=1)
+
+
 def exact_optimum(state, tangent, eta_nodes, alpha=0.5, chunk=20000):
-    # The objective is convex and piecewise linear on the box, so its
-    # minimum sits at a vertex of the arrangement of the hyperplanes
-    # {phi = 0} and the box faces: try every m-subset of them.
+    # The objective is convex and piecewise linear in c, and K has full
+    # column rank, so its minimum sits at a vertex of the arrangement of
+    # the hyperplanes {phi = 0}: try every m-subset of them.
     P0 = metric._phi_zero(state, tangent).ravel()
-    op = metric._shift_operator(state, eta_nodes)
+    K = dense_shift_matrix(metric._shift_operator(state, eta_nodes))
     w = np.tile(metric._quad_weights(state.grid, state.y, alpha), 6)
-    K = np.stack([op.apply(e).ravel() for e in np.eye(eta_nodes)], axis=1)
-    planes = np.vstack((K, np.eye(eta_nodes), np.eye(eta_nodes)))
-    levels = np.concatenate((-P0, np.full(eta_nodes, op.box),
-                             np.full(eta_nodes, -op.box)))
-    subsets = np.array(list(itertools.combinations(range(len(planes)),
+    subsets = np.array(list(itertools.combinations(range(len(K)),
                                                    eta_nodes)))
     best = np.inf
     for lo in range(0, len(subsets), chunk):
-        rows = planes[subsets[lo:lo + chunk]]
-        rhs = levels[subsets[lo:lo + chunk]]
+        rows = K[subsets[lo:lo + chunk]]
+        rhs = -P0[subsets[lo:lo + chunk]]
         scale = np.prod(np.linalg.norm(rows, axis=2), axis=1)
         regular = np.abs(np.linalg.det(rows)) > 1e-12 * scale
         c = np.linalg.solve(rows[regular], rhs[regular][..., None])[..., 0]
-        c = c[np.all(np.abs(c) <= op.box * (1.0 + 1e-12), axis=1)]
         if c.size:
             best = min(best, float(np.min(np.abs(P0 + c @ K.T) @ w)))
     return best
@@ -291,7 +291,8 @@ def operator_case(seed, eta_nodes=9):
     P0 = metric._phi_zero(state, tan)
     op = metric._shift_operator(state, eta_nodes)
     assert op.band.shape == (2, 6, g.n) and op.size == eta_nodes
-    draws = [rng.uniform(-op.box, op.box, eta_nodes) for _ in range(4)]
+    half = 0.5 * (g.xi_max - g.xi_min) / (eta_nodes - 1)
+    draws = [rng.uniform(-half, half, eta_nodes) for _ in range(4)]
     return state, tan, P0, op, draws
 
 
@@ -353,7 +354,7 @@ def test_normal_matrix_is_the_weighted_gram_of_k():
     # The tridiagonal normal matrix equals K^T diag(omega) K of the
     # dense K whose columns are the applies of the unit coefficients.
     state, _, _, op, _ = operator_case(34)
-    K = np.stack([op.apply(e).ravel() for e in np.eye(op.size)], axis=1)
+    K = dense_shift_matrix(op)
     omega = np.random.default_rng(35).uniform(0.5, 2.0, (6, state.grid.n))
     dense = K.T @ (omega.ravel()[:, None] * K)
     got = op.normal_matrix(omega)
@@ -496,17 +497,112 @@ def test_warm_chain_resumes_after_an_excluded_node(monkeypatch):
         assert seed is before.best_coeffs
 
 
-def test_seed_is_checked_and_held_in_the_box():
+def test_seed_is_checked_and_copied():
+    # A seed is eta_nodes finite coefficients.  One far from the optimum
+    # is a candidate that the search improves on, and the result holds
+    # its own coefficients, never the caller's array.
     path = lipschitz_path()
     state, tan = path.states[0], metric._path_tangent(path, 0)
-    with pytest.raises(ContractError, match="seed"):
-        tangent_norm_info(state, tan, iters=200, seed=np.zeros(9))
-    # A seed far outside the box is clipped into it, so the value stays
-    # a feasible upper bound.
-    wild = tangent_norm_info(state, tan, iters=200, seed=np.full(17, 1e3))
-    assert np.all(np.abs(wild.best_coeffs) <= metric._shift_operator(
-        state, 17).box)
+    for bad in (np.zeros(9), np.zeros((17, 1)), np.full(17, np.inf),
+                np.r_[np.zeros(16), np.nan]):
+        with pytest.raises(ContractError, match="seed"):
+            tangent_norm_info(state, tan, iters=200, seed=bad)
+    seed = np.full(17, 1e3)
+    wild = tangent_norm_info(state, tan, iters=200, seed=seed)
     assert wild.value <= wild.eta_zero_value
+    assert not np.shares_memory(wild.best_coeffs, seed)
+
+
+def relabeling_tangent(state, scale):
+    """The tangent of the relabeling eta = scale exp(-xi^2 / 8): every
+    row moves by -eta times its xi-derivative, and q by -(eta q)_xi."""
+    xi = state.grid.nodes
+    eta = scale * np.exp(-xi ** 2 / 8.0)
+    _, u_xi, v_xi, w_xi, z_xi, q_xi = metric._state_derivatives(state)
+    return -np.stack((eta * u_xi, eta * v_xi, eta * w_xi, eta * z_xi,
+                      -0.25 * xi * eta * state.q + eta * q_xi))
+
+
+def test_converged_norm_is_positively_homogeneous():
+    # The shifts are unbounded, so |lambda v| = lambda |v| holds for the
+    # converged norm, to far below the stop rule.  Powers of two scale
+    # exactly in binary, so 2.5, 10, 37 and 100 test the stop rule.
+    cfg = load_config(REPO / "configs" / "lipschitz.cfg")
+    g = make_grid(cfg.xi_min, cfg.xi_max, cfg.n)
+    bump = transform_with_map(datum_from_config(cfg), g)
+    cases = [(bump, relabeling_tangent(bump, 0.1), m,
+              (1.0, 4.0, 16.0, 64.0, 2.5, 10.0, 37.0)) for m in (17, 65)]
+    small = make_grid(-8.0, 8.0, 256)
+    for seed in range(4):
+        rng = np.random.default_rng(seed)
+        cases.append((random_state(rng, small), random_tangent(rng, small),
+                      17, (2.5, 10.0, 100.0)))
+    for state, tan, m, lams in cases:
+        value = tangent_norm_info(state, tan, eta_nodes=m, iters=200).value
+        # Off eta = 0, where homogeneity would hold anyway.
+        assert value < tangent_norm_info(state, tan).value
+        for lam in lams:
+            scaled = tangent_norm_info(state, lam * tan, eta_nodes=m,
+                                       iters=200).value
+            assert abs(scaled / lam - value) <= 1e-9 * value, (m, lam)
+
+
+def lp_optimum(state, tangent, eta_nodes, alpha=0.5):
+    """min_c sum w |P0 + K c| over all c, as the linear program in (c, t):
+    minimize w.t subject to -t <= P0 + K c <= t."""
+    pytest.importorskip("scipy")
+    from scipy import optimize, sparse
+    P0 = metric._phi_zero(state, tangent).ravel()
+    op = metric._shift_operator(state, eta_nodes)
+    w = np.tile(metric._quad_weights(state.grid, state.y, alpha), 6)
+    rows = np.broadcast_to(np.arange(P0.size).reshape(6, -1), op.band.shape)
+    cols = np.broadcast_to(op.index[:, None, :], op.band.shape)
+    K = sparse.csr_array((op.band.ravel(), (rows.ravel(), cols.ravel())),
+                         shape=(P0.size, eta_nodes))
+    eye = sparse.eye_array(P0.size)
+    res = optimize.linprog(
+        np.concatenate((np.zeros(eta_nodes), w)),
+        A_ub=sparse.vstack((sparse.hstack((K, -eye)),
+                            sparse.hstack((-K, -eye)))),
+        b_ub=np.concatenate((-P0, P0)), bounds=(None, None), method="highs",
+        options={"primal_feasibility_tolerance": 1e-10,
+                 "dual_feasibility_tolerance": 1e-10})
+    assert res.status == 0, res.message
+    return res.fun
+
+
+def assert_certified(state, tangent, eta_nodes):
+    # At or above the exact optimum (to the LP's tolerance), and above
+    # it by no more than the IRLS stop rule leaves.
+    lp = lp_optimum(state, tangent, eta_nodes)
+    info = tangent_norm_info(state, tangent, eta_nodes=eta_nodes, iters=200)
+    assert lp * (1.0 - 1e-9) <= info.value <= lp * (1.0 + 1e-4)
+
+
+@pytest.mark.parametrize("t", [-1.0, 0.0, 1.0])
+def test_path_norms_certified_by_the_lp(t):
+    cfg = load_config(REPO / "configs" / "lipschitz.cfg")
+    g = make_grid(cfg.xi_min, cfg.xi_max, cfg.n)
+    datum0 = datum_from_config(cfg)
+    ends = [transform_with_map(d, g)
+            for d in (datum0, perturbed_datum(datum0, cfg))]
+    if t:
+        steps = round(abs(t) / cfg.dt)
+        ends = [evolve(s, t, np.copysign(cfg.dt, t), steps).states[-1]
+                for s in ends]
+    path = straight_line_path(*ends, 9)
+    for j in (0, 4, 8):
+        assert_certified(path.states[j], metric._path_tangent(path, j), 17)
+
+
+@pytest.mark.parametrize("n", [64, 512])
+@pytest.mark.parametrize("eta_nodes", [9, 17])
+def test_random_norms_certified_by_the_lp(n, eta_nodes):
+    g = make_grid(-8.0, 8.0, n)
+    for seed in range(3):
+        rng = np.random.default_rng([n, eta_nodes, seed])
+        assert_certified(random_state(rng, g), random_tangent(rng, g),
+                         eta_nodes)
 
 
 def test_lipschitz_experiment_rows(monkeypatch):
