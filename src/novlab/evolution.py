@@ -21,7 +21,7 @@ from .errors import ContractError, EvolveAbort, NumericalAbort
 from .grid import integrate
 from .initial import TransformedState
 from .sources import (SourcePlan, assemble_sources, kernel_accumulator,
-                      slope_factors, xi_derivatives)
+                      kink_weights, slope_factors, xi_derivatives)
 
 __all__ = [
     "OmegaBounds",
@@ -77,16 +77,18 @@ def rhs(state: TransformedState, out=None, plan=None) -> np.ndarray:
     """Time derivative of state.data, as a (6, n) array in the same row order.
 
     out, if given, receives it; plan (a sources.SourcePlan on the
-    state's grid) lends the source pass its buffers, and a call without
-    one takes fresh ones.
+    state's grid and kinks) lends the source pass its buffers, and a call
+    without one takes fresh ones.
     """
     if plan is None:
-        plan, slopes = SourcePlan(state.grid), slope_factors(state)
+        plan = SourcePlan(state.grid, kinks=state.kinks)
+        slopes = slope_factors(state)
     else:
-        if plan.shape != (2, 2, state.grid.n):
+        if plan.shape != (2, 2, state.grid.n) or plan.kinks != state.kinks:
             raise ContractError(f"a SourcePlan for stacks of shape "
-                                f"{plan.shape} cannot serve a state on "
-                                f"{state.grid.n} nodes")
+                                f"{plan.shape} and kinks {plan.kinks} cannot "
+                                f"serve a state on {state.grid.n} nodes with "
+                                f"kinks {state.kinks}")
         slopes = slope_factors(state, plan.slopes)
     T, c = slopes
     # (U, V) and (V, U): each pair of rates is one formula on row pairs.
@@ -140,16 +142,17 @@ def check_omega(state: TransformedState, bounds: OmegaBounds) -> None:
 
 
 class Workspace:
-    """What the RK4 stages of one grid reuse from step to step: the stage
-    state (one TransformedState over a buffer the stages overwrite), the
-    running stage sum, one rate buffer and the source pass's plan."""
+    """What the RK4 stages of one grid and its kinks reuse from step to
+    step: the stage state (one TransformedState over a buffer the stages
+    overwrite), the running stage sum, one rate buffer and the source
+    pass's plan."""
 
-    def __init__(self, grid):
+    def __init__(self, grid, kinks=()):
         self.grid = grid
-        self.stage = TransformedState(0.0, grid, np.empty((6, grid.n)))
+        self.stage = TransformedState(0.0, grid, np.empty((6, grid.n)), kinks)
         self.acc = np.empty((6, grid.n))
         self.k = np.empty((6, grid.n))
-        self.plan = SourcePlan(grid)
+        self.plan = SourcePlan(grid, kinks=kinks)
 
 
 def rk4_step(state: TransformedState, dt: float,
@@ -157,13 +160,13 @@ def rk4_step(state: TransformedState, dt: float,
              work: Workspace | None = None) -> TransformedState:
     """One classical RK4 step of the state, map included; dt may be negative.
 
-    work, a Workspace on the state's grid, lets successive steps share
-    their buffers; evolve passes one to all its steps.
+    work, a Workspace on the state's grid and kinks, lets successive
+    steps share their buffers; evolve passes one to all its steps.
     """
     if not np.isfinite(dt) or dt == 0.0:
         raise ContractError(f"rk4_step needs a finite nonzero dt, got {dt!r}")
     if work is None:
-        work = Workspace(state.grid)
+        work = Workspace(state.grid, state.kinks)
     elif work.grid != state.grid:
         raise ContractError(f"a Workspace on {work.grid} cannot step a state "
                             f"on {state.grid}")
@@ -190,7 +193,7 @@ def rk4_step(state: TransformedState, dt: float,
     acc += k
     new = np.multiply(acc, dt / 6.0)
     new += x
-    new = TransformedState(state.t + dt, state.grid, new)
+    new = TransformedState(state.t + dt, state.grid, new, state.kinks)
     check_omega(new, bounds)
     return new
 
@@ -204,19 +207,30 @@ def densities(u, v, ux, vx):
 
 def conserved(state: TransformedState) -> ConservedSet:
     """The four functionals as xi-quadratures: with dx = y_xi dxi and
-    (u_x, v_x) = T, each integrand is y_xi times its Eulerian density."""
+    (u_x, v_x) = T, each integrand is y_xi times its Eulerian density.
+
+    The quadrature is the trapezoid, which a kink of the state would cut
+    to low order: near each kink it takes the node weights of the
+    piecewise 6-point composite rule instead (sources.kink_weights).
+    """
     T, _ = slopes = slope_factors(state)
     y_xi = xi_derivatives(state, slopes)[0]
-    return ConservedSet(*(integrate(y_xi * f, state.grid)
-                          for f in densities(state.U, state.V, *T)))
+    rows = [y_xi * f for f in densities(state.U, state.V, *T)]
+    values = [integrate(row, state.grid) for row in rows]
+    if state.kinks:
+        nodes, extra = kink_weights(state.grid, state.kinks)
+        values = [value + float(extra @ row[nodes])
+                  for value, row in zip(values, rows)]
+    return ConservedSet(*values)
 
 
 def y_formula_gap(state: TransformedState) -> float:
     """Max gap between the integrated y and y[0] plus the kernel
-    potential G of the state, the prefix integral of y_xi by the 4-point
-    rule the kernel integrates with."""
+    potential G of the state, the prefix integral of y_xi by the rule the
+    kernel integrates with, kinks included."""
     y = state.y
-    y_static = y[0] + kernel_accumulator(xi_derivatives(state)[0], state.grid)
+    y_static = y[0] + kernel_accumulator(xi_derivatives(state)[0], state.grid,
+                                         state.kinks)
     return float(np.max(np.abs(y - y_static)))
 
 
@@ -261,7 +275,7 @@ def evolve(state0: TransformedState, t_final: float, dt: float,
     record(state0)
     state = state0
     t0 = state0.t
-    work = Workspace(state0.grid)
+    work = Workspace(state0.grid, state0.kinks)
     for k in range(1, n_steps + 1):
         try:
             state = rk4_step(state, dt, bounds, work)

@@ -11,6 +11,7 @@ exact on polynomials up to the stencil degree.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -25,6 +26,7 @@ __all__ = [
     "integrate",
     "prefix_integral",
     "fd_derivative",
+    "kink_positions",
 ]
 
 
@@ -63,6 +65,26 @@ def make_grid(xi_min: float, xi_max: float, n: int) -> Grid:
             raise ConfigError(f"grid spacing {dx} has no finite nonzero "
                               "4th power")
     return Grid(float(xi_min), float(xi_max), n, dx)
+
+
+# A kink within this fraction of dx of a node lies on that node.
+KINK_SNAP = 1e-9
+
+
+def kink_positions(kinks, grid: Grid) -> tuple[float, ...]:
+    """The kinks xi_k strictly inside the grid, in units of dx from
+    xi_min, sorted and distinct; one within KINK_SNAP of a node is
+    rounded onto it, so it is an integer there."""
+    positions = set()
+    for k in kinks:
+        s = (float(k) - grid.xi_min) / grid.dx
+        if not math.isfinite(s):
+            raise ContractError(f"kink label {k!r} is not finite")
+        if abs(s - round(s)) <= KINK_SNAP:
+            s = float(round(s))
+        if 0.0 < s < grid.n - 1:
+            positions.add(s)
+    return tuple(sorted(positions))
 
 
 def _as_samples(samples, grid: Grid, max_ndim: int = 1) -> np.ndarray:

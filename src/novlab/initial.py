@@ -17,7 +17,7 @@ from typing import Callable
 import numpy as np
 
 from .errors import ConfigError, ContractError, NumericalAbort
-from .grid import Grid
+from .grid import Grid, kink_positions
 
 __all__ = [
     "EulerDatum",
@@ -63,11 +63,17 @@ class TransformedState:
     W and Z are kept unwrapped (no modular reduction); reconstruction
     formulas are periodic-safe so only level crossings of +-pi carry
     meaning, and those must stay visible.
+
+    kinks holds the labels xi_k = F(x_k) of the datum's kinks.  A kink
+    is a characteristic, so its label never moves, and the fields are
+    smooth in xi on either side of it: the kernel quadrature takes the
+    kinks as ends of its smooth pieces.
     """
 
     t: float
     grid: Grid
     data: np.ndarray
+    kinks: tuple[float, ...] = ()
 
     def __post_init__(self):
         data = np.asarray(self.data, dtype=float)
@@ -76,6 +82,7 @@ class TransformedState:
                 f"state data has shape {data.shape}, expected "
                 f"({len(FIELDS)}, {self.grid.n})")
         object.__setattr__(self, "data", data)
+        object.__setattr__(self, "kinks", tuple(map(float, self.kinks)))
 
     U = property(lambda self: self.data[0])
     V = property(lambda self: self.data[1])
@@ -97,7 +104,8 @@ class TransformedState:
                         f"row {name} has shape {np.shape(row)}, expected "
                         f"({self.grid.n},)")
                 data[FIELDS.index(name)] = row
-        return TransformedState(self.t if t is None else t, self.grid, data)
+        return TransformedState(self.t if t is None else t, self.grid, data,
+                                self.kinks)
 
 
 def _gaussian(a: float, center: float, width: float) -> EulerDatum:
@@ -313,7 +321,10 @@ def invert_y0(datum: EulerDatum, grid: Grid) -> np.ndarray:
     every root lies inside the grid window, which provides the initial
     bracket.
     """
-    table = _density_table(datum, grid)
+    return _invert(_density_table(datum, grid), grid)
+
+
+def _invert(table: _CumulativeDensity, grid: Grid) -> np.ndarray:
     xi = grid.nodes
     lo = np.full(grid.n, table.x[0])
     hi = np.full(grid.n, table.x[-1])
@@ -359,13 +370,36 @@ def invert_y0(datum: EulerDatum, grid: Grid) -> np.ndarray:
 
 
 def transform_with_map(datum: EulerDatum, grid: Grid) -> TransformedState:
-    """Initial transformed state, on the characteristic map y0 of the datum."""
-    y0 = invert_y0(datum, grid)
-    return TransformedState(t=0.0, grid=grid, data=np.stack((
+    """Initial transformed state, on the characteristic map y0 of the datum.
+
+    Each kink x_k of the datum inside the window becomes the label
+    xi_k = F(x_k) of the state's kinks.  A node on a label (within
+    grid.KINK_SNAP of it) takes for W and Z the mean of the two one-sided
+    angles at x_k.
+    """
+    table = _density_table(datum, grid)
+    y0 = _invert(table, grid)
+    data = np.stack((
         datum.u0(y0),
         datum.v0(y0),
         2.0 * np.arctan(datum.du0(y0)),
         2.0 * np.arctan(datum.dv0(y0)),
         np.ones(grid.n),
         y0,
-    )))
+    ))
+    kinks = []
+    for x_k in datum.kinks:
+        # |F(x)| >= |x|, so a kink outside the table lies outside the grid.
+        if not table.x[0] < x_k < table.x[-1]:
+            continue
+        xi_k = float(table.value(x_k))
+        position = kink_positions((xi_k,), grid)
+        if not position:
+            continue
+        kinks.append(xi_k)
+        if position[0].is_integer():
+            sides = np.array([np.nextafter(x_k, -np.inf),
+                              np.nextafter(x_k, np.inf)])
+            data[2:4, int(position[0])] = [np.arctan(slope(sides)).sum()
+                                           for slope in (datum.du0, datum.dv0)]
+    return TransformedState(0.0, grid, data, tuple(sorted(set(kinks))))

@@ -49,10 +49,12 @@ def euler_fields(state: TransformedState, mask_tol: float = MASK_TOL) -> EulerFi
     y = state.y
     drops = np.diff(y)
     # A cell's drop is dx times the cell mean of y_xi >= 0, and the
-    # scheme's spatial error is O(dx^2), so a collapsed arc of an
-    # integrated map may dip by O(dx^3): 0.013-0.017 dx^3 on steep_front
-    # at n = 257 ... 2048.  Dips up to dx^3, or 1e-6 of the span on fine
-    # grids, are that noise; order-one dips mean a corrupted map.
+    # integrated map carries the scheme's spatial error (sixth order on
+    # each smooth piece), so a collapsed arc of it may dip below zero; on
+    # steep_front at n = 257 and 513 none does through t = 3.36, where
+    # the angle guard stops the run.  Dips up to dx^3, or 1e-6 of the
+    # span on fine grids, are that noise; order-one dips mean a
+    # corrupted map.
     # Accepted dips are flattened so the graph stays a valid
     # nondecreasing parametrization.
     tol = max(1e-6 * max(1.0, float(np.ptp(y))), state.grid.dx ** 3)

@@ -17,24 +17,32 @@ The kernel between two nodes is exp(-|G[i] - G[j]|), with G the prefix
 integral of y_xi.  Convolutions against it split into a forward and a
 backward half; exp_convolve scans both halves of the integrand pairs the
 rates read as one (2, ..., n) stack, in one blocked O(n) pass.  G and
-both halves take one quadrature, the 4-point cell rule: the integral
-over [xi_j, xi_j+1] of the cubic through the samples at xi_j-1 ..
-xi_j+2, dx/24 (13 (r_j + r_j+1) - (r_j-1 + r_j+2)).  In the
-characteristic variables the solution stays smooth in xi through
-gradient blow-up, so the rule is fourth order there, on smooth data and
-through breaking alike; at a kink of the datum it falls back to second
-order.  A quadratic-time double loop with the same rule serves as the
-oracle.
+both halves take one quadrature, the 6-point cell rule: the integral
+over [xi_j, xi_j+1] of the quintic through the samples at xi_j-2 ..
+xi_j+3, dx/1440 (802 (r_j + r_j+1) - 93 (r_j-1 + r_j+2) + 11 (r_j-2 +
+r_j+3)).  In the characteristic variables the solution stays smooth in
+xi through gradient blow-up; the one exception is a kink of the datum
+(the peakon crest), which is a characteristic and keeps its label xi_k
+(TransformedState.kinks).  So the line splits into smooth pieces at the
+grid ends and the kinks, and no stencil reaches across a piece's end:
+a cell whose centred stencil would leave its piece takes a one-sided
+six-node stencil of the piece, and a cell that holds a kink is
+integrated in two parts, each by the quintic of its own side.  A node
+on a kink (within grid.KINK_SNAP of it) enters neither side's stencil.
+The rule is sixth order on smooth data, through breaking and across
+kinks alike.  The boundary cells are one table per grid and kinks.  A
+quadratic-time double loop with the same rule serves as the oracle.
 """
 
 from __future__ import annotations
 
+import math
 from functools import lru_cache
 
 import numpy as np
 
 from .errors import ContractError, NumericalAbort
-from .grid import Grid
+from .grid import Grid, kink_positions
 from .initial import TransformedState
 
 __all__ = [
@@ -48,6 +56,7 @@ __all__ = [
     "exp_convolve",
     "exp_convolve_bruteforce",
     "assemble_sources",
+    "kink_weights",
 ]
 
 # Bound on L = G - G[block start], set by overflow alone: the forward
@@ -76,9 +85,9 @@ def slope_factors(state: TransformedState, out=None):
     return T, np.divide(1.0, c, out=c)
 
 
-# The 4-point cell rule: the integral over [xi_j, xi_j+1] of the cubic
-# through r at xi_j-1 .. xi_j+2, in units of dx.
-_CELL_RULE = np.array([-1.0, 13.0, 13.0, -1.0]) / 24.0
+# The 6-point cell rule: the integral over [xi_j, xi_j+1] of the quintic
+# through r at xi_j-2 .. xi_j+3, in units of dx.
+_CELL_RULE = np.array([11.0, -93.0, 802.0, 802.0, -93.0, 11.0]) / 1440.0
 
 
 @lru_cache(maxsize=8)
@@ -87,6 +96,119 @@ def _cell_weights(dx: float) -> np.ndarray:
     weights = _CELL_RULE * dx
     weights.flags.writeable = False
     return weights
+
+
+def _part_weights(nodes, a: float, b: float) -> np.ndarray:
+    # The integral over [a, b] of the polynomial through the nodes, as
+    # weights of the values there, all in units of dx.  Offsets from the
+    # middle of [a, b] keep the Lagrange products small.
+    mid = 0.5 * (a + b)
+    x = np.asarray(nodes, dtype=float) - mid
+    weights = np.empty(x.size)
+    for k in range(x.size):
+        others = np.delete(x, k)
+        basis = np.polyint(np.poly(others) / np.prod(x[k] - others))
+        weights[k] = np.polyval(basis, b - mid) - np.polyval(basis, a - mid)
+    return weights
+
+
+def _pieces(n: int, positions):
+    # The smooth pieces [lo, hi] of a line of n nodes cut at the kink
+    # positions, each with its first and last node a and b; a node on a
+    # kink belongs to neither side.  A kink that would leave the piece
+    # before it no node is dropped.
+    pieces, lo = [], 0.0
+    for hi in (*positions, float(n - 1)):
+        a = math.ceil(lo) + (0.0 < lo and lo.is_integer())
+        b = math.floor(hi) - (hi < n - 1 and hi.is_integer())
+        if a <= b:
+            pieces.append((lo, hi, a, b))
+            lo = hi
+    return pieces
+
+
+@lru_cache(maxsize=16)
+def _line_table(n: int, positions: tuple[float, ...]):
+    # The boundary cells of a line of n nodes cut at the kink positions
+    # (units of dx from the first node): each cell [j, j+1] whose centred
+    # stencil j-2 .. j+3 would leave its piece, or that a kink splits.
+    # A part of a cell inside one piece takes the six nodes of the piece
+    # nearest to centred (all of them in a shorter piece).  Returns the
+    # cells j, an (R, w) array of node windows and their weights in units
+    # of dx, with w the widest window; a narrower row repeats its first
+    # node at zero weight.  Every other cell takes the centred rule.
+    pieces = _pieces(n, positions)
+    cuts = [hi for _, hi, _, _ in pieces[:-1]]
+    candidates = set()
+    for lo, hi, _, _ in pieces:
+        candidates.update(range(math.floor(lo), math.floor(lo) + 4))
+        candidates.update(range(math.ceil(hi) - 4, math.ceil(hi)))
+    rows = []
+    for j in sorted(c for c in candidates if 0 <= c <= n - 2):
+        ends = [j, *(p for p in cuts if j < p < j + 1), j + 1]
+        parts = []
+        for x0, x1 in zip(ends, ends[1:]):
+            a, b = next((a, b) for lo, hi, a, b in pieces
+                        if lo <= x0 and x1 <= hi)
+            start = min(max(j - 2, a), b - 5) if b - a >= 5 else a
+            parts.append((range(start, min(start + 6, b + 1)), x0, x1))
+        if len(parts) == 1 and parts[0][0] == range(j - 2, j + 4):
+            continue
+        row = {}
+        for nodes, x0, x1 in parts:
+            for k, w in zip(nodes, _part_weights(nodes, x0, x1)):
+                row[k] = row.get(k, 0.0) + w
+        rows.append((j, row))
+    width = max(len(row) for _, row in rows)
+    cells = np.array([j for j, _ in rows])
+    windows = np.empty((len(rows), width), dtype=np.intp)
+    weights = np.zeros((len(rows), width))
+    for i, (_, row) in enumerate(rows):
+        nodes = sorted(row)
+        windows[i] = nodes[0]
+        windows[i, :len(nodes)] = nodes
+        weights[i, :len(nodes)] = [row[k] for k in nodes]
+    for table in (cells, windows, weights):
+        table.flags.writeable = False
+    return cells, windows, weights
+
+
+@lru_cache(maxsize=16)
+def _table(grid: Grid, kinks: tuple[float, ...]):
+    # The boundary-cell table of the grid cut at the kink labels kinks,
+    # its weights also times dx, as G takes them.
+    cells, windows, weights = _line_table(grid.n, kink_positions(kinks, grid))
+    scaled = weights * grid.dx
+    scaled.flags.writeable = False
+    return cells, windows, weights, scaled
+
+
+@lru_cache(maxsize=8)
+def kink_weights(grid: Grid, kinks: tuple[float, ...]):
+    """The nodes near the kinks and what the piecewise 6-point composite
+    rule adds to the trapezoid's node weights there, as (nodes, extra);
+    both are empty without kinks.  The nodes are those whose composite
+    weight the kinks move; in the interior of a piece the composite
+    weight is dx, the trapezoid's.
+    """
+    def composite(table):
+        cells, windows, weights, _ = table
+        centred = np.ones(grid.n - 1)
+        centred[cells] = 0.0
+        # The rule is symmetric, so the convolution lays each centred
+        # cell's weights onto its nodes j-2 .. j+3.
+        w = np.convolve(centred, _CELL_RULE)[2:grid.n + 2]
+        np.add.at(w, windows, weights)
+        return w * grid.dx
+
+    with_kinks = composite(_table(grid, kinks))
+    nodes = np.flatnonzero(with_kinks != composite(_table(grid, ())))
+    trapezoid = np.full(nodes.size, grid.dx)
+    trapezoid[(nodes == 0) | (nodes == grid.n - 1)] *= 0.5
+    extra = with_kinks[nodes] - trapezoid
+    for table in (nodes, extra):
+        table.flags.writeable = False
+    return nodes, extra
 
 
 # The breaking levels: W or Z at +pi or -pi.  Angles stay unwrapped, so
@@ -123,15 +245,17 @@ def xi_derivatives(state: TransformedState, slopes=None):
     return (y_xi, *(y_xi * T))
 
 
-def kernel_accumulator(y_xi: np.ndarray, grid: Grid) -> np.ndarray:
+def kernel_accumulator(y_xi: np.ndarray, grid: Grid, kinks=()) -> np.ndarray:
     """G, the prefix integral of the row r = y_xi, nondecreasing in Omega.
 
-    Each cell takes the 4-point rule dx/24 (13 (r_j + r_j+1) - (r_j-1 +
-    r_j+2)), the integral of the cubic through the four nodes.  A cell
-    that lacks a neighbour (the two end cells) or where the rule would
-    go negative (a kink, where r collapses between its neighbours)
-    keeps the trapezoid dx/24 (12 (r_j + r_j+1)), so G[0] is exactly 0
-    and G never decreases.
+    Each cell takes the 6-point rule dx/1440 (802 (r_j + r_j+1) - 93
+    (r_j-1 + r_j+2) + 11 (r_j-2 + r_j+3)), the integral of the quintic
+    through the six nodes around it.  The grid ends and the kink labels
+    kinks cut the line into smooth pieces: a cell whose stencil would
+    leave its piece takes a one-sided one, and a cell with a kink in it
+    is integrated in two parts, each by the quintic of its own side.  A
+    cell where the rule would go negative keeps the trapezoid dx/2 (r_j +
+    r_j+1), so G[0] is exactly 0 and G never decreases.
     """
     if np.shape(y_xi) != (grid.n,):
         raise ContractError(f"expected {grid.n} samples of y_xi, got shape "
@@ -142,19 +266,18 @@ def kernel_accumulator(y_xi: np.ndarray, grid: Grid) -> np.ndarray:
             f"kernel integrand negative at node {k}; state left Omega",
             {"node": k, "value": float(y_xi[k])},
         )
-    half = 0.5 * grid.dx
+    at, windows, _, weights = _table(grid, tuple(kinks))
+    # The full correlate pads y_xi with zeros, so that entry j + 3 is the
+    # cell [j, j+1] for every j; the table sets those whose stencil would
+    # leave their piece.
+    cells = np.correlate(y_xi, _cell_weights(grid.dx), "full")[3:-3]
+    cells[at] = np.vecdot(y_xi[windows], weights)
+    if cells.min() < 0.0:
+        dips = np.flatnonzero(cells < 0.0)
+        cells[dips] = (0.5 * grid.dx) * (y_xi[dips] + y_xi[dips + 1])
     G = np.empty(grid.n)
     G[0] = 0.0
-    G[1] = half * (y_xi[0] + y_xi[1])
-    if grid.n > 3:
-        # The inner cells, summed on from G[1] in place.
-        cells = np.correlate(y_xi, _cell_weights(grid.dx))
-        if cells.min() < 0.0:
-            kinked = np.flatnonzero(cells < 0.0)
-            cells[kinked] = half * (y_xi[kinked + 1] + y_xi[kinked + 2])
-        cells[0] += G[1]
-        np.add.accumulate(cells, out=G[2:-1])
-    G[-1] = G[-2] + half * (y_xi[-2] + y_xi[-1])
+    np.add.accumulate(cells, out=G[1:])
     return G
 
 
@@ -168,14 +291,19 @@ def _as_stack(p, G: np.ndarray, grid: Grid) -> np.ndarray:
     return p
 
 
-def _cell_integrals(r, out):
-    # out[j], the integral of the row r over [xi_j, xi_j+1] in units of
-    # dx: the 4-point rule, and the trapezoid on the two end cells, which
-    # lack an outer neighbour.
-    if r.size > 3:
-        out[1:-1] = np.correlate(r, _CELL_RULE)
-    out[0] = 0.5 * (r[0] + r[1])
-    out[-1] = 0.5 * (r[-2] + r[-1])
+def _cell_integrals(q, lo: int, rows):
+    # The cells [lo, lo+1] .. of each row of q, whose nodes start at lo:
+    # the centred rule where its stencil fits in q, and the boundary
+    # table's rows (cells, windows, weights) given.
+    at, windows, weights = rows
+    at, windows = at - lo, windows - lo
+    out = np.empty(q.shape[:-1] + (q.shape[-1] - 1,))
+    for row, cells in zip(q.reshape(-1, q.shape[-1]),
+                          out.reshape(-1, out.shape[-1])):
+        if row.size > 5:
+            cells[2:-2] = np.correlate(row, _CELL_RULE)
+        cells[at] = np.vecdot(row[windows], weights)
+    return out
 
 
 def _blocks(G: np.ndarray):
@@ -194,21 +322,24 @@ def _blocks(G: np.ndarray):
 
 
 class SourcePlan:
-    """The buffers and views of the source pass on one grid, built once
-    for a stack p of shape (2, n) or (2, k, n), by default (2, 2, n), the
-    pairs the rates read.  Every call handed the plan overwrites them, so
-    the caller reads a result before the next call with the same plan.
+    """The buffers and views of the source pass on one grid and its kink
+    labels kinks, built once for a stack p of shape (2, n) or (2, k, n),
+    by default (2, 2, n), the pairs the rates read.  Every call handed
+    the plan overwrites them, so the caller reads a result before the
+    next call with the same plan.
 
     It holds the slopes (T, c), the pairs A^2 B and T^2/2, the y_xi and
     node weight rows, the integrand stack p, the scale pair exp(+-L) and
-    the weight it scales, the flat buffer of scaled integrands with two
-    zero pads on either side, the places of the cells the scan sets by
-    hand, and the halves, each with the views the calls read.
+    the weight it scales, the flat buffer of scaled integrands with three
+    zero pads on either side, the boundary-cell table of the flat buffer,
+    and the halves, each with the views the calls read.
     """
 
-    def __init__(self, grid: Grid, shape=None):
+    def __init__(self, grid: Grid, shape=None, kinks=()):
         n = grid.n
         self.shape = (2, 2, n) if shape is None else tuple(shape)
+        self.kinks = tuple(map(float, kinks))
+        self.table = _table(grid, self.kinks)[:3]
         self.slopes = tuple(np.empty((2, 2, n)))
         self.a2b, self.half_t2 = np.empty((2, 2, n))
         self.y_xi, self.weight = np.empty((2, n))
@@ -224,36 +355,39 @@ class SourcePlan:
         self.fwd, self.bwd = self.stack
         self.scaled_column = self.scaled_weight[:, None]
         rows = self.p.size // n
-        self.flat = np.zeros(rows * n + 4)
-        self.scaled = self.flat[2:-2].reshape(self.stack.shape)
-        # The cells of the flat correlate that the scans overwrite: each
-        # row's two end cells, [0, 1] and [n-2, n-1], with the trapezoid
-        # of the flat nodes at left and right, then the rows + 1 cells
-        # that straddle two rows (or a pad), with zero.
-        starts = np.arange(rows) * n
-        first = np.stack((starts, starts + n - 2), axis=1).ravel()
-        self.left, self.right = first + 2, first + 3
-        self.fixed_cells = np.concatenate((first + 1, np.arange(rows + 1) * n))
-        self.fixed_values = np.zeros(self.fixed_cells.size)
-        self.ends = self.fixed_values[:2 * rows]
+        self.flat = np.zeros(rows * n + 6)
+        self.scaled = self.flat[3:-3].reshape(self.stack.shape)
+        # The cells of the flat correlate that the scans overwrite, c[j]
+        # being the cell left of node j of the rows laid end to end: each
+        # row's boundary cells, from the table on the flat buffer, then
+        # the rows + 1 cells that straddle two rows (or a pad), with zero.
+        at, windows, weights = self.table
+        starts = np.arange(rows)[:, None] * n
+        self.cells = np.concatenate(((starts + at + 1).ravel(),
+                                     np.arange(rows + 1) * n))
+        self.windows = (starts[:, :, None] + windows + 3).reshape(
+            -1, windows.shape[1])
+        self.weights = np.tile(weights, (rows, 1))
+        self.values = np.zeros(self.cells.size)
+        self.boundary = self.values[:self.windows.shape[0]]
 
 
 def _one_block_scans(p, G, w, plan):
     # With L = G - G[0], the scaled integrands Q = w p exp(+-L) of all
-    # rows lie back to back in the plan's flat buffer, between two zero
+    # rows lie back to back in the plan's flat buffer, between three zero
     # pads on either side, so one correlate gives every row's cells: c[j]
-    # is the cell left of flat node j.  The cells that straddle two rows
-    # are set to zero, and the end cells of each row to the trapezoid.
+    # is the cell left of node j of the rows laid end to end.  One gather
+    # and one row-wise dot give the boundary cells, which replace theirs,
+    # and the cells that straddle two rows are set to zero.
     up, down, flat = plan.up, plan.down, plan.flat
-    size = flat.size - 4
+    size = flat.size - 6
     np.exp(G if G[0] == 0.0 else G - G[0], out=up)
     np.divide(1.0, up, out=down)
     np.multiply(plan.scale, w, out=plan.scaled_weight)
     np.multiply(p, plan.scaled_column, out=plan.scaled)
     c = np.correlate(flat, _CELL_RULE)
-    ends = np.add(flat[plan.left], flat[plan.right], out=plan.ends)
-    ends *= 0.5
-    c[plan.fixed_cells] = plan.fixed_values
+    np.vecdot(flat[plan.windows], plan.weights, out=plan.boundary)
+    c[plan.cells] = plan.values
     # Left cells of each forward node, right cells of each backward one.
     fwd = c[:size // 2].reshape(plan.fwd.shape)
     bwd = c[size // 2 + 1:].reshape(plan.bwd.shape)
@@ -264,30 +398,31 @@ def _one_block_scans(p, G, w, plan):
     np.multiply(bwd, up, out=plan.bwd)
 
 
-def _blocked_scans(p, G, dx, halves, blocks):
+def _blocked_scans(p, G, dx, halves, blocks, table):
     # The scans block by block, both halves sharing the blocks and
     # exp(+-L).  A block's cells take the integrands scaled to it on the
-    # block and one node past either end, so each cell sees its outer
-    # neighbours; the forward sum carries its value at e into the next
-    # block, and the backward sum its value at s into the one before.
+    # block and two nodes past either end, or as far as the windows of
+    # its boundary cells reach, so each cell sees its whole stencil; the
+    # forward sum carries its value at e into the next block, and the
+    # backward sum its value at s into the one before.
     n = G.size
+    at, windows, weights = table
     fwd, bwd = halves
     fwd[:, 0] = 0.0
     bwd[:, -1] = 0.0
     scaled = []
     for s, e in blocks:
-        lo, hi = max(s - 1, 0), min(e + 2, n)
+        mine = (s <= at) & (at < e)
+        rows = at[mine], windows[mine], weights[mine]
+        lo = max(min(s - 2, rows[1].min(initial=n)), 0)
+        hi = min(max(e + 3, rows[1].max(initial=0) + 1), n)
         L = G[lo:hi] - G[s]
         up, down = np.exp(L), np.exp(-L)
         q = p[..., lo:hi] * dx
         q[0] *= up
         q[1] *= down
-        cells = np.empty(q.shape[:-1] + (hi - lo - 1,))
-        for row, out in zip(q.reshape(-1, hi - lo),
-                            cells.reshape(-1, hi - lo - 1)):
-            _cell_integrals(row, out)
         # The block's own cells, [s, s+1] .. [e-1, e].
-        cells = cells[..., s - lo:e - lo]
+        cells = _cell_integrals(q, lo, rows)[..., s - lo:e - lo]
         acc = cells[0].cumsum(axis=1)
         acc += fwd[:, s:s + 1]
         fwd[:, s + 1:e + 1] = acc * down[s - lo + 1:e - lo + 1]
@@ -317,7 +452,7 @@ def _first_bad_node(p, G, w, blocks, halves) -> int:
 
 
 def exp_convolve(p, G: np.ndarray, grid: Grid, weight=None,
-                 plan=None) -> np.ndarray:
+                 plan=None, kinks=()) -> np.ndarray:
     """Forward and backward halves of the kernel quadrature, O(n) per row.
 
     p stacks the forward integrand p[0] on the backward one p[1], each
@@ -330,21 +465,20 @@ def exp_convolve(p, G: np.ndarray, grid: Grid, weight=None,
     prefix integral of Q = dx weight p[0] exp(L), and bwd is exp(L)
     times the suffix integral of dx weight p[1] exp(-L).  Both are
     smooth through eta = xi_i, where the kernel has its kink, so each
-    takes the 4-point cell rule of kernel_accumulator, fourth order on
-    smooth data.  Node by node this is the trapezoid with the
-    Euler-Maclaurin correction at the kink, fwd -= dx^2/12 (G' p[0] +
-    p[0]') and bwd -= dx^2/12 (G' p[1] - p[1]'): each running sum loses
-    Q/2 +- (Q[i+1] - Q[i-1])/24.  The two end cells keep the trapezoid.
-    plan, a SourcePlan for p's shape on the grid, holds the result and
-    the work buffers if given; the next call with it then overwrites the
-    result.
+    takes the cell rule of kernel_accumulator, with its one-sided
+    stencils at the grid ends and at the kink labels kinks and its split
+    cells at the kinks: sixth order on each smooth piece.  plan, a
+    SourcePlan for p's shape on the grid and the same kinks, holds the
+    result and the work buffers if given; the next call with it then
+    overwrites the result.
     """
     p = _as_stack(p, G, grid)
     if plan is None:
-        plan = SourcePlan(grid, p.shape)
-    elif plan.shape != p.shape:
-        raise ContractError(f"a plan for stacks of shape {plan.shape} got "
-                            f"one of shape {p.shape}")
+        plan = SourcePlan(grid, p.shape, kinks)
+    elif plan.shape != p.shape or plan.kinks != tuple(kinks):
+        raise ContractError(f"a plan for stacks of shape {plan.shape} and "
+                            f"kinks {plan.kinks} got one of shape {p.shape} "
+                            f"and kinks {tuple(kinks)}")
     n, dx = grid.n, grid.dx
     halves, blocks = plan.halves, _blocks(G)
     # The node weight of the quadrature, dx times the integrands' weight.
@@ -353,7 +487,8 @@ def exp_convolve(p, G: np.ndarray, grid: Grid, weight=None,
         _one_block_scans(p.reshape(2, -1, n), G, w, plan)
     else:
         q = p if weight is None else p * weight
-        _blocked_scans(q.reshape(2, -1, n), G, dx, plan.stack, blocks)
+        _blocked_scans(q.reshape(2, -1, n), G, dx, plan.stack, blocks,
+                       plan.table)
     if not np.isfinite(halves, out=plan.finite).all():
         k = _first_bad_node(p, G, w, blocks, halves)
         raise NumericalAbort(
@@ -362,32 +497,41 @@ def exp_convolve(p, G: np.ndarray, grid: Grid, weight=None,
     return halves
 
 
-def exp_convolve_bruteforce(p, G: np.ndarray, grid: Grid) -> np.ndarray:
+def exp_convolve_bruteforce(p, G: np.ndarray, grid: Grid,
+                            kinks=()) -> np.ndarray:
     """Reference double-loop quadrature; identical contract and rule, O(n^2).
 
-    Row m of the cell matrix holds the weights the 4-point rule (the
-    trapezoid on the two end cells) gives the nodes on cell [m, m+1],
-    in units of dx.  fwd[i] sums the cells left of xi_i and bwd[i] those
-    right of it, each node eta_j weighted by the one-sided kernel
-    exp(-+(G[i] - G[j])), which the cell next to xi_i continues one
-    node past it.
+    Row m of the cell matrix holds the weights the cell rule gives the
+    nodes on cell [m, m+1], in units of dx: the centred 6-point rule, or
+    the boundary table's row at the grid ends and the kink labels kinks.
+    fwd[i] sums the cells left of xi_i and bwd[i] those right of it,
+    each node eta_j weighted by the one-sided kernel exp(-+(G[i] -
+    G[j])), which the cells next to xi_i continue past it as far as
+    their stencils reach.
     """
     p = _as_stack(p, G, grid)
     n, dx = grid.n, grid.dx
+    at, windows, weights, _ = _table(grid, tuple(kinks))
     cells = np.zeros((n - 1, n))
-    m = np.arange(n - 1)
-    cells[m, m] = cells[m, m + 1] = 0.5
-    inner = m[1:-1]
-    for offset, weight in zip((-1, 0, 1, 2), _CELL_RULE):
-        cells[inner, inner + offset] = weight
+    for offset, weight in zip(range(-2, 4), _CELL_RULE):
+        m = np.arange(max(-offset, 0), min(n - 1, n - offset))
+        cells[m, m + offset] = weight
+    cells[at] = 0.0
+    np.add.at(cells, (at[:, None], windows), weights)
     left = np.zeros((n, n))
     left[1:] = np.cumsum(cells, axis=0)
     right = np.zeros((n, n))
     right[:-1] = np.cumsum(cells[::-1], axis=0)[::-1]
+    # The farthest node each half reaches past xi_i.
+    nonzero = cells != 0.0
+    last = n - 1 - np.argmax(nonzero[:, ::-1], axis=1)
+    first = np.argmax(nonzero, axis=1)
+    reach_fwd = np.concatenate(([0], np.maximum.accumulate(last)))
+    reach_bwd = np.concatenate((np.minimum.accumulate(first[::-1])[::-1],
+                                [n - 1]))
     rise = G[None, :] - G[:, None]
-    # Only the cell next to xi_i reaches past it, and by one node.
-    fwd_w = left * np.exp(np.minimum(rise, np.diff(G, append=G[-1])[:, None]))
-    bwd_w = right * np.exp(np.minimum(-rise, np.diff(G, prepend=G[0])[:, None]))
+    fwd_w = left * np.exp(np.minimum(rise, (G[reach_fwd] - G)[:, None]))
+    bwd_w = right * np.exp(np.minimum(-rise, (G - G[reach_bwd])[:, None]))
     # Transposes put the node axis first for a (k, n) stack and are
     # no-ops on a single (n,) row.
     return np.stack(((fwd_w @ (dx * p[0]).T).T, (bwd_w @ (dx * p[1]).T).T))
@@ -402,16 +546,16 @@ def assemble_sources(state: TransformedState, slopes, a2b,
     fwd is the forward half of y_xi (f1/2 - f2/4) and bwd the backward
     half of y_xi (f1/2 + f2/4), so fwd - bwd = -dx P1 - P2 and
     fwd + bwd = P1 + dx P2 in row 0, and the same of S in row 1.
-    plan, if given, is a SourcePlan on the state's grid that holds the
-    work rows and the result.
+    plan, if given, is a SourcePlan on the state's grid and kinks that
+    holds the work rows and the result.
     """
     if plan is None:
-        plan = SourcePlan(state.grid)
+        plan = SourcePlan(state.grid, kinks=state.kinks)
     T, c = slopes
     # (U, V) and (V, U): the S integrands are the P ones with roles swapped.
     A, B, T_r = state.data[:2], state.data[1::-1], T[::-1]
     y_xi = _y_xi(state.q, *c, out=plan.y_xi)
-    G = kernel_accumulator(y_xi, state.grid)
+    G = kernel_accumulator(y_xi, state.grid, state.kinks)
     p = plan.p
     p_fwd, f1 = plan.integrands
     # f1 = (A T T_r + A^2 B) + B T^2/2 builds in p[1], and
@@ -426,4 +570,4 @@ def assemble_sources(state: TransformedState, slopes, a2b,
     np.subtract(f1, half_t2, out=p_fwd)
     f1 += half_t2
     y_xi *= 0.5
-    return exp_convolve(p, G, state.grid, y_xi, plan)
+    return exp_convolve(p, G, state.grid, y_xi, plan, state.kinks)

@@ -102,18 +102,24 @@ def check_fd_polynomial(cfg, rng):
 
 
 def check_scan_vs_bruteforce(cfg, rng):
+    # The trials cycle through no kink, a kink between two nodes and a
+    # kink on a node, each in the middle half of the window.
     trials = 20
     grid = make_grid(-10.0, 10.0, 512)
     worst = 0.0
-    for _ in range(trials):
+    for trial in range(trials):
         state = random_state(rng, grid)
-        G = kernel_accumulator(xi_derivatives(state)[0], grid)
+        node = grid.nodes[rng.integers(128, 384)]
+        kinks = ((), (node + 0.4 * grid.dx,), (node,))[trial % 3]
+        G = kernel_accumulator(xi_derivatives(state)[0], grid, kinks)
         p = np.stack([bumps(rng, grid, 3, 1.0)] * 2)
-        for fast, slow in zip(exp_convolve(p, G, grid),
-                              exp_convolve_bruteforce(p, G, grid)):
+        for fast, slow in zip(exp_convolve(p, G, grid, kinks=kinks),
+                              exp_convolve_bruteforce(p, G, grid, kinks)):
             worst = max(worst, float(np.max(np.abs(fast - slow))))
     ok = worst < 1e-12
-    return ok, f"max scan-vs-bruteforce diff = {worst:.3g} over {trials} states"
+    return ok, (f"max scan-vs-bruteforce diff = {worst:.3g} over {trials} "
+                f"states, with no kink, a kink between nodes or one on a "
+                f"node in turn")
 
 
 def check_slope_factors(cfg, rng):
@@ -192,9 +198,9 @@ def check_transform_identity(cfg, rng):
     datum = cliio.datum_from_config(cfg)
     state = transform_with_map(datum, grid)
     gap = np.abs(fd_derivative(state.y, grid, 1) - xi_derivatives(state)[0])
-    # y_xi jumps at the label F(x_k) of a datum kink x_k, so a node whose
-    # 5-point stencil reaches that label is skipped.
-    labels = _density_table(datum, grid).value(np.array(datum.kinks))
+    # y_xi jumps at the label xi_k of a datum kink, so a node whose 5-point
+    # stencil reaches that label is skipped.
+    labels = np.array(state.kinks)
     skip = np.any(np.abs(grid.nodes[:, None] - labels) <= 2.0 * grid.dx,
                   axis=1)
     err = float(np.max(gap[~skip]))

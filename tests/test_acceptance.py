@@ -10,6 +10,7 @@ doubling and does not move with dt, so halving the step cannot shrink
 it 8x.  The assertion is kept at full strength instead of being
 weakened to match the implementation.
 """
+import functools
 import time
 
 import numpy as np
@@ -80,9 +81,9 @@ def test_criterion_01c_runtime(conservation_runs):
 
 
 # Criterion 1d: data, horizon and the least fall of the max drift from
-# n = 512 to n = 1024.  Fourth order gives 16x on smooth data and
-# through the first breaking of the steep front (t ~ 1.54); the
-# peakon's kink holds it near second order.  Fixed before the run.
+# n = 512 to n = 1024, fixed before the run for a fourth-order kernel
+# rule: 16x on smooth data and through the first breaking of the steep
+# front (t ~ 1.54), and near second order at the peakon's kink.
 SPATIAL_ORDER_CASES = {
     "two_bump": (two_bump_pair, 1.0, 12.0),
     "peakon": (lambda: builtin_datum("peakon", {"c": 1.0}), 1.0, 3.5),
@@ -92,18 +93,42 @@ SPATIAL_ORDER_CASES = {
 }
 
 
-@pytest.mark.parametrize("case", sorted(SPATIAL_ORDER_CASES))
-def test_criterion_01d_spatial_order(case):
-    make_datum, t_final, bound = SPATIAL_ORDER_CASES[case]
+@functools.lru_cache(maxsize=None)
+def _order_drifts(case):
+    # The max drift of the case at n = 512 and 1024, dt = 2e-3.
+    make_datum, t_final, _ = SPATIAL_ORDER_CASES[case]
     drifts = []
     for n in (512, 1024):
         state = transform_with_map(make_datum(), make_grid(-20.0, 20.0, n))
         traj = evolve(state, t_final, 2e-3, record_every=50)
         drifts.append(max(_max_drifts(traj).values()))
+    return tuple(drifts)
+
+
+@pytest.mark.parametrize("case", sorted(SPATIAL_ORDER_CASES))
+def test_criterion_01d_spatial_order(case):
+    bound = SPATIAL_ORDER_CASES[case][2]
+    drifts = _order_drifts(case)
     fall = drifts[0] / drifts[1]
     _check(f"criterion 1d (spatial order, {case})", fall >= bound,
            f"max drift {drifts[0]:.3e} at n=512, {drifts[1]:.3e} at n=1024: "
            f"{fall:.2f}x vs >= {bound}x")
+
+
+# Criterion 1e: sixth order, where 1d asks for fourth.  The kernel rule
+# is exact on quintics, so the drift falls 64x per doubling on smooth
+# data and through the steep front's first breaking; the bound, fixed
+# before the run, is 40x from n = 512 to 1024.
+SIXTH_ORDER_BOUND = 40.0
+
+
+@pytest.mark.parametrize("case", ["steep_front", "two_bump"])
+def test_criterion_01e_sixth_order(case):
+    drifts = _order_drifts(case)
+    fall = drifts[0] / drifts[1]
+    _check(f"criterion 1e (sixth order, {case})", fall >= SIXTH_ORDER_BOUND,
+           f"max drift {drifts[0]:.3e} at n=512, {drifts[1]:.3e} at n=1024: "
+           f"{fall:.2f}x vs >= {SIXTH_ORDER_BOUND}x")
 
 
 def test_criterion_02_scan_oracle_equivalence():
@@ -144,6 +169,33 @@ def test_criterion_04_scalar_peakon():
            abs(e_u - 2.0) < 1e-3 and abs(x_star - 1.0) < 0.01,
            f"E_u - 2 = {e_u - 2.0:.3e} vs 1e-3, "
            f"crest at t=1: {x_star:.5f} vs 1.0 +- 0.01")
+
+
+@pytest.mark.parametrize("grids", [(512, 1024, 2048), (513, 1025, 2049)],
+                         ids=["kink-between-nodes", "kink-on-a-node"])
+def test_criterion_04b_peakon_nodes_match_the_exact_wave(grids):
+    # The unit-speed peakon against the exact wave e^{-|y - t|} at t = 1,
+    # max over the nodes with |y| < 8 of the U and V errors.  On odd
+    # grids a node sits on the crest.  Bounds fixed before the run: a
+    # fall of at least 16x per doubling, at most 1e-6 on the finest grid,
+    # and no node of U above the crest 1 by more than 1e-6.
+    datum = builtin_datum("peakon", {"c": 1.0})
+    errors, tops = [], []
+    for n in grids:
+        state = transform_with_map(datum, make_grid(-20.0, 20.0, n))
+        last = evolve(state, 1.0, 2e-3, record_every=500).states[-1]
+        near = np.abs(last.y) < 8.0
+        exact = np.exp(-np.abs(last.y[near] - 1.0))
+        errors.append(float(max(np.max(np.abs(last.U[near] - exact)),
+                                np.max(np.abs(last.V[near] - exact)))))
+        tops.append(float(np.max(last.U)))
+    falls = [a / b for a, b in zip(errors, errors[1:])]
+    _check("criterion 4b (peakon nodes against the exact wave)",
+           min(falls) >= 16.0 and errors[-1] <= 1e-6
+           and max(tops) <= 1.0 + 1e-6,
+           f"errors {', '.join(f'{e:.3e}' for e in errors)} at n = {grids}, "
+           f"falls {', '.join(f'{f:.1f}x' for f in falls)} vs >= 16x, "
+           f"max U {max(tops):.7f} vs <= 1 + 1e-6")
 
 
 def test_criterion_05_symmetry_reductions():

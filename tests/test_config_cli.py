@@ -515,7 +515,7 @@ def test_cli_singular_guard_abort_writes_events_so_far(tmp_path, capsys):
     err = capsys.readouterr().err.splitlines()
     assert err[-2] == ("numerical abort: evolution aborted at step 164/180: "
                        "q left its validity box at t=1.64: "
-                       "[2.494e-01, 4.933e+00]")
+                       "[2.494e-01, 4.934e+00]")
     assert err[-1] == f"partial artifacts: 3 files in {out}"
     assert err[:-2] == ref_err[:len(err) - 2]
     assert sorted(p.name for p in out.iterdir()) == [
@@ -597,8 +597,8 @@ def test_cli_validate_injected_fault_fails(tmp_path, capsys, monkeypatch):
     # A scan that is off by 1e-9 must turn its check red and the exit 4.
     real = novlab.validation.exp_convolve
 
-    def broken(p, G, grid):
-        fwd, bwd = real(p, G, grid)
+    def broken(p, G, grid, **kw):
+        fwd, bwd = real(p, G, grid, **kw)
         return fwd, bwd + 1e-9
 
     monkeypatch.setattr(novlab.validation, "exp_convolve", broken)

@@ -135,27 +135,33 @@ def _blocks(G, span):
     return out
 
 
-# The 4-point cell rule in units of dx, the integral over [xi_j, xi_j+1]
-# of the cubic through the samples at xi_j-1 .. xi_j+2.
-CELL_RULE = np.array([-1.0, 13.0, 13.0, -1.0]) / 24.0
+# The 6-point cell rule in units of dx, the integral over [xi_j, xi_j+1]
+# of the quintic through the samples at xi_j-2 .. xi_j+3.
+CELL_RULE = np.array([11.0, -93.0, 802.0, 802.0, -93.0, 11.0]) / 1440.0
+# The one-sided rules on the first two cells, [xi_0, xi_1] and [xi_1,
+# xi_2], over the first six samples; mirrored on the last two cells.
+FIRST_CELL = np.array([475.0, 1427.0, -798.0, 482.0, -173.0, 27.0]) / 1440.0
+SECOND_CELL = np.array([-27.0, 637.0, 1022.0, -258.0, 77.0, -11.0]) / 1440.0
 
 
 def _oracle_cells(rows, scale=1.0):
     """Cell integrals between neighbouring columns of each row: the
-    4-point rule, formed by np.correlate as the kernel forms it so that
-    the comparison stays bitwise, and the trapezoid on the two end cells."""
+    6-point rule, formed by np.correlate as the kernel forms it so that
+    the comparison stays bitwise, and on the two cells at either end the
+    rows of the kernel's boundary table, by one row-wise dot as the
+    kernel forms them."""
     rows = np.atleast_2d(rows)
+    at, windows, weights = sources._line_table(rows.shape[-1], ())
     out = np.empty(rows.shape[:-1] + (rows.shape[-1] - 1,))
     for row, cells in zip(rows, out):
-        if row.size > 3:
-            cells[1:-1] = np.correlate(row, CELL_RULE * scale)
-        cells[0] = (0.5 * scale) * (row[0] + row[1])
-        cells[-1] = (0.5 * scale) * (row[-2] + row[-1])
+        if row.size > 5:
+            cells[2:-2] = np.correlate(row, CELL_RULE * scale)
+        cells[at] = np.vecdot(row[windows], weights * scale)
     return out
 
 
 def _oracle_potential(y, grid):
-    """G from 0 by the 4-point cells of y, the trapezoid on a cell where
+    """G from 0 by the 6-point cells of y, the trapezoid on a cell where
     the rule would go negative."""
     cells = _oracle_cells(y, grid.dx)[0]
     trap = (0.5 * grid.dx) * (y[:-1] + y[1:])
@@ -170,7 +176,7 @@ def _oracle_halves(G, weight, grid, p_fwd, p_bwd):
     exp(-L[k]) (F[s] + the cells of dx weight p_fwd exp(L) from s to k),
     and the backward half at k < e is exp(L[k]) (B[e] exp(-L[e]) + the
     cells of dx weight p_bwd exp(-L) from k to e).  A block's cells see
-    the scaled integrands one node past either end of it; one block
+    the scaled integrands two nodes past either end of it; one block
     spanning the line scales dx weight into exp(L) and 1/exp(L) first.
     """
     n, dx = grid.n, grid.dx
@@ -189,7 +195,9 @@ def _oracle_halves(G, weight, grid, p_fwd, p_bwd):
     p_fwd, p_bwd = p_fwd * weight, p_bwd * weight
     scaled = []
     for s, e in blocks:
-        lo, hi = max(s - 1, 0), min(e + 2, n)
+        # The one-sided end cells reach the six nodes at their end.
+        lo = max(min(s - 2, n - 6 if e > n - 3 else s), 0)
+        hi = min(max(e + 3, 6 if s < 2 else e), n)
         L = G[lo:hi] - G[s]
         cf = _oracle_cells((p_fwd[:, lo:hi] * dx) * np.exp(L))[:, s - lo:e - lo]
         cb = _oracle_cells((p_bwd[:, lo:hi] * dx) * np.exp(-L))[:, s - lo:e - lo]
@@ -217,34 +225,46 @@ def _cell_scan(G, b):
     return out
 
 
-def _seen_from_right_cells(p, a, dx):
+def _line_rules(n):
+    # The first node and the weights of each cell's six samples: centred,
+    # and one-sided on the two cells at either end.
+    start = np.clip(np.arange(n - 1) - 2, 0, n - 6)
+    weights = np.tile(CELL_RULE, (n - 1, 1))
+    weights[[0, 1, -2, -1]] = (FIRST_CELL, SECOND_CELL, SECOND_CELL[::-1],
+                               FIRST_CELL[::-1])
+    return start[:, None] + np.arange(6), weights
+
+
+def _seen_from_right_cells(p, G, dx):
     # Cell [j, j+1] of p exp(-(G[j+1] - G)), the integrand seen from
-    # xi_j+1: the 4-point rule on its values p[j-1] a[j] a[j-1], p[j] a[j],
-    # p[j+1] and p[j+2] / a[j+1], with a = exp(-diff(G)); the trapezoid
-    # on the two end cells.
-    b = (0.5 * dx) * (a * p[:, :-1] + p[:, 1:])
-    b[:, 1:-1] = (dx / 24.0) * (
-        13.0 * (a[1:-1] * p[:, 1:-2] + p[:, 2:-1])
-        - (a[1:-1] * a[:-2] * p[:, :-3] + p[:, 3:] / a[2:]))
-    return b
+    # xi_j+1: the cell rule on its values at the six nodes of the cell,
+    # each p[k] exp(G[k] - G[j+1]).
+    nodes, weights = _line_rules(G.size)
+    seen = p[:, nodes] * np.exp(G[nodes] - G[1:, None])
+    return dx * np.einsum("kjw,jw->kj", seen, weights)
 
 
 def _cell_rule_halves(G, grid, p_fwd, p_bwd):
     """The halves as two recursions over cells, the backward one on the
     reversed line, each cell decaying by exp(-diff(G))."""
-    a = np.exp(-np.diff(G))
-    fwd = _cell_scan(G, _seen_from_right_cells(p_fwd, a, grid.dx))
-    b_bwd = _seen_from_right_cells(p_bwd[:, ::-1], a[::-1], grid.dx)
-    bwd = _cell_scan(G[-1] - G[::-1], b_bwd)[:, ::-1]
+    fwd = _cell_scan(G, _seen_from_right_cells(p_fwd, G, grid.dx))
+    G_rev = G[-1] - G[::-1]
+    b_bwd = _seen_from_right_cells(p_bwd[:, ::-1], G_rev, grid.dx)
+    bwd = _cell_scan(G_rev, b_bwd)[:, ::-1]
     return fwd, bwd
 
 
 def _explicit_potential(y, grid):
-    # G with its cells written out: dx/24 (13 (y_j + y_j+1) - (y_j-1 +
-    # y_j+2)), the trapezoid on the end cells and where that is negative.
-    cells = (0.5 * grid.dx) * (y[:-1] + y[1:])
-    rule = (grid.dx / 24.0) * (13.0 * (y[1:-2] + y[2:-1]) - (y[:-3] + y[3:]))
-    cells[1:-1] = np.where(rule < 0.0, cells[1:-1], rule)
+    # G with its cells written out: dx/1440 (802 (y_j + y_j+1) - 93 (y_j-1
+    # + y_j+2) + 11 (y_j-2 + y_j+3)), the one-sided rules on the two cells
+    # at either end, and the trapezoid where a cell is negative.
+    nodes, weights = _line_rules(y.size)
+    cells = grid.dx * np.einsum("jw,jw->j", y[nodes], weights)
+    cells[2:-2] = (grid.dx / 1440.0) * (
+        802.0 * (y[2:-3] + y[3:-2]) - 93.0 * (y[1:-4] + y[4:-1])
+        + 11.0 * (y[:-5] + y[5:]))
+    trap = (0.5 * grid.dx) * (y[:-1] + y[1:])
+    cells = np.where(cells < 0.0, trap, cells)
     return np.concatenate(([0.0], np.cumsum(cells)))
 
 
@@ -656,6 +676,37 @@ def test_conserved_peakon_energy_oracle():
     assert conserved(state).E_u == pytest.approx(2.0, abs=1e-3)
 
 
+@pytest.mark.parametrize("n", [512, 513],
+                         ids=["kink-between-nodes", "kink-on-a-node"])
+def test_conserved_reads_the_peakon_kink(n):
+    # For u0 = v0 = e^{-|x|}, E_u = E_v = G = 2 and H = 4 (H's density is
+    # 8 u^4).  Near the crest's label the quadrature takes the piecewise
+    # 6-point weights, so every functional lands within 1e-8 (7.9e-9 at
+    # most, measured); the trapezoid across the kink misses H by 5e-4,
+    # and every functional by 4e-2 where a node sits on the kink.
+    g = make_grid(-20.0, 20.0, n)
+    state = transform_with_map(builtin_datum("peakon", {"c": 1.0}), g)
+    c = conserved(state)
+    assert state.kinks == (0.0,)
+    errors = [abs(c.E_u - 2.0), abs(c.E_v - 2.0), abs(c.G - 2.0),
+              abs(c.H - 4.0)]
+    assert max(errors) <= 1e-8, errors
+
+
+def test_kinks_ride_along_and_a_plan_must_match_them():
+    g = make_grid(-20.0, 20.0, 256)
+    state = transform_with_map(builtin_datum("peakon", {"c": 1.0}), g)
+    assert state.kinks == (0.0,)
+    assert rk4_step(state, 1e-3).kinks == (0.0,)
+    assert state.with_fields(t=1.0, U=state.V).kinks == (0.0,)
+    traj = evolve(state, 0.01, 1e-3, record_every=5)
+    assert [s.kinks for s in traj.states] == [(0.0,)] * 3
+    with pytest.raises(ContractError, match="kinks"):
+        rhs(state, plan=sources.SourcePlan(g))
+    with pytest.raises(ContractError, match="kinks"):
+        rk4_step(state, 1e-3, work=Workspace(g))
+
+
 def test_conserved_positivity_combination():
     # 7 E_u E_v - H stays nonnegative on transformed data.
     for seed in range(5):
@@ -678,9 +729,9 @@ def test_y_formula_gap_small_on_transformed_data():
 
 
 def test_y_formula_gap_falls_at_fourth_order_on_the_steep_front():
-    # y_formula_gap compares the integrated y with the 4-point potential
+    # y_formula_gap compares the integrated y with the 6-point potential
     # G, the kernel's own quadrature, so on smooth data the gap at t = 1
-    # falls at least 10x per grid doubling (about 15x measured).
+    # falls at least 10x per grid doubling.
     datum = pair_datum(
         builtin_datum("gaussian_bump", {"a": 2.0, "width": 1.0}),
         builtin_datum("gaussian_bump", {"a": 0.7, "width": 2.0}))

@@ -5,7 +5,7 @@ from hypothesis import given, strategies as st
 
 from novlab import (ConfigError, ContractError, fd_derivative, integrate,
                     make_grid, prefix_integral)
-from novlab.grid import MAX_NODES
+from novlab.grid import MAX_NODES, kink_positions
 
 
 def test_make_grid_basic():
@@ -13,6 +13,20 @@ def test_make_grid_basic():
     assert g.n == 5
     assert g.dx == pytest.approx(1.0)
     assert np.allclose(g.nodes, [-2, -1, 0, 1, 2])
+
+
+def test_kink_positions_snap_onto_nodes_and_keep_the_interior():
+    # A label within 1e-9 dx of a node lies on it; labels at or past the
+    # grid ends cut nothing, and a repeated label counts once.
+    g = make_grid(-1.0, 1.0, 11)
+    between = float(g.nodes[3] + 0.5 * g.dx)
+    near = float(g.nodes[6] + 2e-10 * g.dx)
+    positions = kink_positions((near, between, -1.0, 1.0, 7.0, near), g)
+    assert positions[0] == pytest.approx(3.5, abs=1e-12)
+    assert positions[1:] == (6.0,)
+    assert kink_positions((float(g.nodes[6] + 2e-9 * g.dx),), g) != (6.0,)
+    with pytest.raises(ContractError, match="not finite"):
+        kink_positions((np.nan,), g)
 
 
 def test_make_grid_rejects_bad_inputs():

@@ -148,13 +148,36 @@ def test_density_breakpoints_equal_np_unique(datum, lo, hi, h):
 
 def test_transform_peakon_even_grid_conserves_h1_energy():
     # E_u for e^{-|x|} is exactly 2.  An even node count keeps the kink
-    # off the grid so the trapezoid error stays at the smooth O(dx^2).
+    # off the grid.
     g = make_grid(-20.0, 20.0, 2048)
     datum = builtin_datum("peakon", {"c": 1.0, "center": 0.0})
     state = transform_with_map(datum, g)
     c = conserved(state)
     assert c.E_u == pytest.approx(2.0, abs=1e-6)
     assert c.E_v == pytest.approx(2.0, abs=1e-6)
+
+
+def test_transform_labels_the_kinks_and_averages_a_node_on_one():
+    # Each kink x_k in the window gets the label xi_k = F(x_k), between
+    # the labels of the two nodes whose y0 bracket x_k; one outside the
+    # window gets none.  On an odd grid a node sits on the crest at 0,
+    # and its W and Z are the mean of the one-sided angles +-pi/2.
+    two = mirrored(builtin_datum("peakon", {"center": 1.3}))
+    for n in (512, 513):
+        g = make_grid(-20.0, 20.0, n)
+        state = transform_with_map(two, g)
+        assert len(state.kinks) == 2 and list(state.kinks) == sorted(state.kinks)
+        for x_k, xi_k in zip((-1.3, 1.3), state.kinks):
+            m = int(np.searchsorted(state.y, x_k))
+            assert g.nodes[m - 1] < xi_k <= g.nodes[m]
+    far = builtin_datum("peakon", {"center": 30.0})
+    assert transform_with_map(far, make_grid(-20.0, 20.0, 512)).kinks == ()
+    state = transform_with_map(builtin_datum("peakon"),
+                               make_grid(-20.0, 20.0, 513))
+    assert state.kinks == (0.0,)
+    assert same_bits(state.data[2:4, 256], np.zeros(2))
+    assert np.all(state.data[2:4, 255] > 1.5) and np.all(
+        state.data[2:4, 257] < -1.5)
 
 
 def test_transform_fields_match_datum_composition():

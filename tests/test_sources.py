@@ -86,6 +86,71 @@ def test_distinct_halves_match_bruteforce_across_blocks(monkeypatch):
                               exp_convolve(np.stack((p_fwd, p_fwd)), G, g)[1])
 
 
+@pytest.mark.parametrize("span", [None, 5.0], ids=["one-block", "span5"])
+@pytest.mark.parametrize("offset", [0.37, 3e-10],
+                         ids=["between-nodes", "on-a-node"])
+def test_scan_matches_bruteforce_with_kinks(offset, span, monkeypatch):
+    # Two kinks, each offset dx from a node (3e-10 dx lies on it), cut
+    # the line into three pieces; at a span of 5 kernel units the kinks'
+    # cells fall inside blocks.
+    if span is not None:
+        monkeypatch.setattr(sources, "_BLOCK_SPAN", span)
+    rng = np.random.default_rng(11)
+    g = make_grid(-40.0, 40.0, 1024)
+    state = random_state(rng, g)
+    kinks = tuple(float(g.nodes[k] + offset * g.dx) for k in (300, 701))
+    G = kernel_accumulator(xi_derivatives(state)[0], g, kinks)
+    assert (len(sources._blocks(G)) > 10) == (span is not None)
+    p = np.stack((random_stack(rng, g)[:2], random_stack(rng, g)[:2]))
+    fast = exp_convolve(p, G, g, kinks=kinks)
+    slow = exp_convolve_bruteforce(p, G, g, kinks)
+    for f, s in zip(fast, slow):
+        assert np.max(np.abs(f - s)) < 1e-12
+    assert not np.array_equal(fast, exp_convolve(p, G, g))
+
+
+def _piece_of(nodes, positions):
+    # The piece each node lies in, counted from 0 at the left end, and -1
+    # for a node on a kink.
+    nodes = np.asarray(nodes, dtype=float)
+    piece = np.searchsorted(positions, nodes, side="left")
+    on = np.isin(nodes, positions)
+    return np.where(on, -1, piece)
+
+
+@pytest.mark.parametrize("positions", [(), (31.37,), (31.0,),
+                                       (3.5, 9.0, 12.25, 50.75)])
+def test_boundary_rows_integrate_quintics_exactly(positions):
+    # Each row of the boundary table integrates every polynomial of degree
+    # <= 5 of each piece exactly over its part of the cell: a polynomial
+    # on one piece that is zero on the others (and huge on a node on a
+    # kink, which no row may read) integrates to its integral over the
+    # part of the cell in that piece.  A piece of k < 6 nodes takes
+    # degree k - 1: the last case has pieces of 4, 5 and 3 nodes.
+    n = 64
+    at, windows, weights = sources._line_table(n, positions)
+    bounds = np.array([0.0, *positions, n - 1.0])
+    sizes = np.bincount(_piece_of(np.arange(n), positions) + 1)[1:]
+    assert {0, 1, n - 3, n - 2} <= set(at.tolist())
+    for j, window, w in zip(at, windows, weights):
+        for piece in range(len(bounds) - 1):
+            a = max(j, bounds[piece])
+            b = min(j + 1, bounds[piece + 1])
+            if a >= b:
+                continue
+            owner = _piece_of(window, positions)
+            for degree in range(min(sizes[piece], 6)):
+                mid = j + 0.5
+                values = np.where(owner == piece, (window - mid) ** degree,
+                                  0.0)
+                exact = ((b - mid) ** (degree + 1)
+                         - (a - mid) ** (degree + 1)) / (degree + 1)
+                scale = np.sum(np.abs(w * values)) + abs(exact)
+                values[owner == -1] = 1e30
+                assert abs(w @ values - exact) <= 1e-14 * scale, (j, piece,
+                                                                 degree)
+
+
 @pytest.mark.parametrize("value, node", [
     # A NaN spreads along both scan directions over the whole row; the
     # diagnostic names the input node that holds it.
@@ -370,7 +435,8 @@ def analytic_halves(n):
 @pytest.mark.parametrize("convolve", [exp_convolve, exp_convolve_bruteforce])
 def test_kernel_quadrature_is_fourth_order(convolve, span, monkeypatch):
     # The error against the analytic halves falls at least 12x per grid
-    # doubling (16x for fourth order), in one block and across many.
+    # doubling (16x for fourth order; 64x is measured with the 6-point
+    # rule), in one block and across many.
     if span is not None:
         monkeypatch.setattr(sources, "_BLOCK_SPAN", span)
     errors = []
@@ -385,15 +451,16 @@ def test_kernel_quadrature_is_fourth_order(convolve, span, monkeypatch):
 @pytest.mark.parametrize("n", [257, 1024, 2048])
 def test_kernel_potential_never_decreases_through_the_peakon_crest(
         n, monkeypatch):
-    # At the crest y_xi collapses between its neighbours and the 4-point
-    # rule goes negative on a cell; the trapezoid takes that cell, so G
-    # is nondecreasing in every rhs of the run.
+    # At the crest y_xi jumps about 50x between its neighbours, and the
+    # centred 6-point rule across the jump goes negative on a cell.  The
+    # kink's split cell and one-sided stencils (and the trapezoid, on any
+    # cell still negative) keep G nondecreasing in every rhs of the run.
     real = sources.kernel_accumulator
-    rule = np.array([-1.0, 13.0, 13.0, -1.0]) / 24.0
+    rule = np.array([11.0, -93.0, 802.0, 802.0, -93.0, 11.0]) / 1440.0
     seen = {"calls": 0, "guarded": 0, "dips": 0}
 
-    def checked(y_xi, grid):
-        G = real(y_xi, grid)
+    def checked(y_xi, grid, kinks=()):
+        G = real(y_xi, grid, kinks)
         seen["calls"] += 1
         seen["guarded"] += bool(np.correlate(y_xi, rule).min() < 0.0)
         seen["dips"] += bool(np.diff(G).min() < 0.0)
