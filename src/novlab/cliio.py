@@ -24,13 +24,16 @@ import dataclasses
 import json
 import math
 from functools import lru_cache
+from typing import TYPE_CHECKING
 
 import numpy as np
 
 from .config import ScenarioConfig
 from .errors import ConfigError, ContractError
-from .evolution import OmegaBounds
 from .initial import FIELDS, EulerDatum, builtin_datum, mirrored, pair_datum
+
+if TYPE_CHECKING:
+    from .evolution import OmegaBounds
 
 __all__ = [
     "bounds_from_config",
@@ -44,6 +47,7 @@ __all__ = [
 
 
 def bounds_from_config(cfg: ScenarioConfig) -> OmegaBounds:
+    from .evolution import OmegaBounds  # set-up need not load stepping
     return OmegaBounds(q_lo=cfg.q_lo, q_hi=cfg.q_hi, slack=cfg.slack)
 
 

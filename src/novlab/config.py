@@ -18,10 +18,8 @@ import math
 from dataclasses import dataclass, field, replace
 
 from .errors import ConfigError
-from .evolution import OmegaBounds
 from .grid import make_grid
 from .initial import builtin_datum
-from .sources import TOL_PI, TOL_ZERO_REL
 
 SCHEMA_TAG = "novlab-config/1"
 
@@ -35,6 +33,15 @@ DEFAULT_ETA_NODES = 17
 DEFAULT_M_THETA = 9
 # The IRLS pass cap of a shift search that names none.
 DEFAULT_DESCENT_ITERS = 200
+# Defaults of the guard and breaking keys, likewise: evolution reads the
+# first three, sources (and through it breaking and metric) the others.
+DEFAULT_Q_LO = 0.01
+DEFAULT_Q_HI = 100.0
+DEFAULT_SLACK = 1.5
+# An angle within this distance of a level touches it.
+TOL_PI = 1e-3
+# An angle derivative within this fraction of its local scale vanishes.
+TOL_ZERO_REL = 1e-3
 
 
 @dataclass(frozen=True)
@@ -52,9 +59,9 @@ class ScenarioConfig:
     t_final: float = 1.0
     dt: float = 1e-3
     record_every: int = 100
-    q_lo: float = OmegaBounds.q_lo
-    q_hi: float = OmegaBounds.q_hi
-    slack: float = OmegaBounds.slack
+    q_lo: float = DEFAULT_Q_LO
+    q_hi: float = DEFAULT_Q_HI
+    slack: float = DEFAULT_SLACK
     tol_pi: float = TOL_PI
     tol_zero_rel: float = TOL_ZERO_REL
     fit_exponents: bool = True

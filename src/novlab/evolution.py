@@ -17,6 +17,7 @@ from typing import Callable
 
 import numpy as np
 
+from .config import DEFAULT_Q_HI, DEFAULT_Q_LO, DEFAULT_SLACK
 from .errors import ContractError, EvolveAbort, NumericalAbort
 from .grid import integrate
 from .initial import TransformedState
@@ -48,9 +49,9 @@ class OmegaBounds:
     defaults, not theory.
     """
 
-    q_lo: float = 0.01
-    q_hi: float = 100.0
-    slack: float = 1.5
+    q_lo: float = DEFAULT_Q_LO
+    q_hi: float = DEFAULT_Q_HI
+    slack: float = DEFAULT_SLACK
     angle_max: float = 1.5 * np.pi
 
 

@@ -16,7 +16,9 @@ density in (u, v, u_x, v_x).
 The kernel between two nodes is exp(-|G[i] - G[j]|), with G the prefix
 integral of y_xi.  Convolutions against it split into a forward and a
 backward half; exp_convolve scans both halves of the integrand pairs the
-rates read as one (2, ..., n) stack, in one blocked O(n) pass.  G and
+rates read as one (2, ..., n) stack, in one O(n) pass over the line, or
+where G spans more than _BLOCK_SPAN, one pass of the same scan body per
+block, with the carries across block ends added after the scans.  G and
 both halves take one quadrature, the 6-point cell rule: the integral
 over [xi_j, xi_j+1] of the quintic through the samples at xi_j-2 ..
 xi_j+3, dx/1440 (802 (r_j + r_j+1) - 93 (r_j-1 + r_j+2) + 11 (r_j-2 +
@@ -41,6 +43,7 @@ from functools import lru_cache
 
 import numpy as np
 
+from .config import TOL_PI, TOL_ZERO_REL
 from .errors import ContractError, NumericalAbort
 from .grid import Grid, kink_positions
 from .initial import TransformedState
@@ -59,9 +62,9 @@ __all__ = [
     "kink_weights",
 ]
 
-# Bound on L = G - G[block start], set by overflow alone: the forward
-# sum scales the integrand by exp(L) <= e^100 (2.7e43) past one cell.
-# Every shipped config's G spans less, so its sums run in one block.
+# Bound on G[e] - G[s] past the first cell of a block [s, e], set by
+# overflow alone: the forward sum scales by exp(G - G[lo]), about e^100
+# (2.7e43).  Every shipped config's G spans less: one block, the line.
 _BLOCK_SPAN = 100.0
 
 
@@ -214,10 +217,6 @@ def kink_weights(grid: Grid, kinks: tuple[float, ...]):
 # The breaking levels: W or Z at +pi or -pi.  Angles stay unwrapped, so
 # both are physical.
 LEVELS = (np.pi, -np.pi)
-# An angle within this distance of a level touches it.
-TOL_PI = 1e-3
-# An angle derivative within this fraction of its local scale vanishes.
-TOL_ZERO_REL = 1e-3
 
 
 def level_distance(angle):
@@ -291,21 +290,6 @@ def _as_stack(p, G: np.ndarray, grid: Grid) -> np.ndarray:
     return p
 
 
-def _cell_integrals(q, lo: int, rows):
-    # The cells [lo, lo+1] .. of each row of q, whose nodes start at lo:
-    # the centred rule where its stencil fits in q, and the boundary
-    # table's rows (cells, windows, weights) given.
-    at, windows, weights = rows
-    at, windows = at - lo, windows - lo
-    out = np.empty(q.shape[:-1] + (q.shape[-1] - 1,))
-    for row, cells in zip(q.reshape(-1, q.shape[-1]),
-                          out.reshape(-1, out.shape[-1])):
-        if row.size > 5:
-            cells[2:-2] = np.correlate(row, _CELL_RULE)
-        cells[at] = np.vecdot(row[windows], weights)
-    return out
-
-
 def _blocks(G: np.ndarray):
     # Node ranges [s, e] sharing their ends, each spanning at most
     # _BLOCK_SPAN in G past its first cell; one range when G spans less.
@@ -321,18 +305,57 @@ def _blocks(G: np.ndarray):
     return blocks
 
 
-class SourcePlan:
+class _Block:
+    """The buffers and views of one scan pass over the cells [s, s+1] ..
+    [e-1, e] of a (2, ..., n) stack on a line with boundary cells table,
+    which reads the nodes lo .. hi-1: the scale pair exp(+-L) and the
+    weight it scales, the flat buffer of scaled integrands between zero
+    pads, and the cells of the flat correlate that the scans overwrite,
+    the block's boundary cells, then with zero the cells outside [s, e]
+    and those that straddle two rows (or a pad).
+    """
+
+    def __init__(self, table, shape, s, e):
+        n = shape[-1]
+        at, windows, weights = table
+        mine = (s <= at) & (at < e)
+        at, windows, weights = at[mine], windows[mine], weights[mine]
+        self.lo = lo = max(min(s - 2, windows.min(initial=n)), 0)
+        self.hi = hi = min(max(e + 3, windows.max(initial=0) + 1), n)
+        m = hi - lo
+        self.scale = np.empty((2, m))
+        self.up, self.down = self.scale
+        self.scaled_weight = np.empty((2, m))
+        self.halves = np.empty(shape[:-1] + (m,))
+        # The (k, m) views the scans run on.
+        self.fwd, self.bwd = self.halves.reshape(2, -1, m)
+        self.scaled_column = self.scaled_weight[:, None]
+        rows = self.halves.size // m
+        self.flat = np.zeros(rows * m + 6)
+        self.scaled = self.flat[3:-3].reshape(2, -1, m)
+        # c[r m + j + 1] is the cell [j, j+1] of row r, so c[r m] is the
+        # straddle left of the row.
+        starts = np.arange(rows)[:, None] * m
+        outside = np.r_[:s - lo + 1, e - lo + 1:m]
+        self.cells = np.concatenate(((starts + at - lo + 1).ravel(),
+                                     (starts + outside).ravel(), [rows * m]))
+        self.windows = (starts[:, :, None] + windows - lo + 3).reshape(
+            -1, windows.shape[1])
+        self.weights = np.tile(weights, (rows, 1))
+        self.values = np.zeros(self.cells.size)
+        self.boundary = self.values[:self.windows.shape[0]]
+
+
+class SourcePlan(_Block):
     """The buffers and views of the source pass on one grid and its kink
     labels kinks, built once for a stack p of shape (2, n) or (2, k, n),
     by default (2, 2, n), the pairs the rates read.  Every call handed
     the plan overwrites them, so the caller reads a result before the
     next call with the same plan.
 
-    It holds the slopes (T, c), the pairs A^2 B and T^2/2, the y_xi and
-    node weight rows, the integrand stack p, the scale pair exp(+-L) and
-    the weight it scales, the flat buffer of scaled integrands with three
-    zero pads on either side, the boundary-cell table of the flat buffer,
-    and the halves, each with the views the calls read.
+    It is the block of the whole line, with the slopes (T, c), the pairs
+    A^2 B and T^2/2, the y_xi and node weight rows, the integrand stack
+    p and the line's boundary-cell table besides.
     """
 
     def __init__(self, grid: Grid, shape=None, kinks=()):
@@ -345,107 +368,45 @@ class SourcePlan:
         self.y_xi, self.weight = np.empty((2, n))
         self.p = np.empty(self.shape)
         self.integrands = tuple(self.p)
-        self.scale = np.empty((2, n))
-        self.up, self.down = self.scale
-        self.scaled_weight = np.empty((2, n))
-        self.halves = np.empty(self.shape)
         self.finite = np.empty(self.shape, dtype=bool)
-        # The (2, k, n) views the scans run on.
-        self.stack = self.halves.reshape(2, -1, n)
-        self.fwd, self.bwd = self.stack
-        self.scaled_column = self.scaled_weight[:, None]
-        rows = self.p.size // n
-        self.flat = np.zeros(rows * n + 6)
-        self.scaled = self.flat[3:-3].reshape(self.stack.shape)
-        # The cells of the flat correlate that the scans overwrite, c[j]
-        # being the cell left of node j of the rows laid end to end: each
-        # row's boundary cells, from the table on the flat buffer, then
-        # the rows + 1 cells that straddle two rows (or a pad), with zero.
-        at, windows, weights = self.table
-        starts = np.arange(rows)[:, None] * n
-        self.cells = np.concatenate(((starts + at + 1).ravel(),
-                                     np.arange(rows + 1) * n))
-        self.windows = (starts[:, :, None] + windows + 3).reshape(
-            -1, windows.shape[1])
-        self.weights = np.tile(weights, (rows, 1))
-        self.values = np.zeros(self.cells.size)
-        self.boundary = self.values[:self.windows.shape[0]]
+        super().__init__(self.table, self.shape, 0, n - 1)
 
 
-def _one_block_scans(p, G, w, plan):
+def _scans(p, G, w, block):
     # With L = G - G[0], the scaled integrands Q = w p exp(+-L) of all
-    # rows lie back to back in the plan's flat buffer, between three zero
-    # pads on either side, so one correlate gives every row's cells: c[j]
-    # is the cell left of node j of the rows laid end to end.  One gather
-    # and one row-wise dot give the boundary cells, which replace theirs,
-    # and the cells that straddle two rows are set to zero.
-    up, down, flat = plan.up, plan.down, plan.flat
+    # rows lie back to back in the block's flat buffer, between three
+    # zero pads on either side, so one correlate gives every row's cells:
+    # c[j] is the cell left of node j of the rows laid end to end.  One
+    # gather and one row-wise dot give the boundary cells, which replace
+    # theirs, and the cells outside the block are set to zero.
+    up, down, flat = block.up, block.down, block.flat
     size = flat.size - 6
     np.exp(G if G[0] == 0.0 else G - G[0], out=up)
     np.divide(1.0, up, out=down)
-    np.multiply(plan.scale, w, out=plan.scaled_weight)
-    np.multiply(p, plan.scaled_column, out=plan.scaled)
+    np.multiply(block.scale, w, out=block.scaled_weight)
+    np.multiply(p, block.scaled_column, out=block.scaled)
     c = np.correlate(flat, _CELL_RULE)
-    np.vecdot(flat[plan.windows], plan.weights, out=plan.boundary)
-    c[plan.cells] = plan.values
+    np.vecdot(flat[block.windows], block.weights, out=block.boundary)
+    c[block.cells] = block.values
     # Left cells of each forward node, right cells of each backward one.
-    fwd = c[:size // 2].reshape(plan.fwd.shape)
-    bwd = c[size // 2 + 1:].reshape(plan.bwd.shape)
+    fwd = c[:size // 2].reshape(block.fwd.shape)
+    bwd = c[size // 2 + 1:].reshape(block.bwd.shape)
     np.add.accumulate(fwd, axis=1, out=fwd)
     rev = bwd[:, ::-1]
     np.add.accumulate(rev, axis=1, out=rev)
-    np.multiply(fwd, down, out=plan.fwd)
-    np.multiply(bwd, up, out=plan.bwd)
+    np.multiply(fwd, down, out=block.fwd)
+    np.multiply(bwd, up, out=block.bwd)
 
 
-def _blocked_scans(p, G, dx, halves, blocks, table):
-    # The scans block by block, both halves sharing the blocks and
-    # exp(+-L).  A block's cells take the integrands scaled to it on the
-    # block and two nodes past either end, or as far as the windows of
-    # its boundary cells reach, so each cell sees its whole stencil; the
-    # forward sum carries its value at e into the next block, and the
-    # backward sum its value at s into the one before.
-    n = G.size
-    at, windows, weights = table
-    fwd, bwd = halves
-    fwd[:, 0] = 0.0
-    bwd[:, -1] = 0.0
-    scaled = []
-    for s, e in blocks:
-        mine = (s <= at) & (at < e)
-        rows = at[mine], windows[mine], weights[mine]
-        lo = max(min(s - 2, rows[1].min(initial=n)), 0)
-        hi = min(max(e + 3, rows[1].max(initial=0) + 1), n)
-        L = G[lo:hi] - G[s]
-        up, down = np.exp(L), np.exp(-L)
-        q = p[..., lo:hi] * dx
-        q[0] *= up
-        q[1] *= down
-        # The block's own cells, [s, s+1] .. [e-1, e].
-        cells = _cell_integrals(q, lo, rows)[..., s - lo:e - lo]
-        acc = cells[0].cumsum(axis=1)
-        acc += fwd[:, s:s + 1]
-        fwd[:, s + 1:e + 1] = acc * down[s - lo + 1:e - lo + 1]
-        scaled.append((s, e, lo, up, down, cells[1]))
-    for s, e, lo, up, down, cells in reversed(scaled):
-        acc = cells[:, ::-1].cumsum(axis=1)[:, ::-1]
-        acc += bwd[:, e:e + 1] * down[e - lo]
-        bwd[:, s:e] = acc * up[s - lo:e - lo]
-
-
-def _first_bad_node(p, G, w, blocks, halves) -> int:
+def _first_bad_node(p, G, blocks, halves) -> int:
     # A scan carries a non-finite input to every node past it, and a
     # cell to its outer neighbours, so name the first non-finite input
-    # node, then the first input that overflows once weighted by w and
-    # scaled by exp(+-L), and the first bad output else.
+    # node, then the first that overflowed in a block's scaled buffer,
+    # weighted and scaled by its exp(+-L), and the first bad output else.
     n = G.size
     bad = ~(np.isfinite(p).reshape(-1, n).all(axis=0) & np.isfinite(G))
-    q_fwd, q_bwd = p.reshape(2, -1, n) * w
-    with np.errstate(over="ignore", invalid="ignore"):
-        for s, e in blocks if not bad.any() else ():
-            up = np.exp(G[s:e + 1] - G[s])
-            bad[s:e + 1] |= ~(np.isfinite(q_fwd[:, s:e + 1] * up)
-                              & np.isfinite(q_bwd[:, s:e + 1] / up)).all(axis=0)
+    for b in blocks if not bad.any() else ():
+        bad[b.lo:b.hi] |= ~np.isfinite(b.scaled).all(axis=(0, 1))
     if not bad.any():
         bad = ~np.isfinite(halves).reshape(-1, n).all(axis=0)
     return int(np.argmax(bad))
@@ -461,16 +422,20 @@ def exp_convolve(p, G: np.ndarray, grid: Grid, weight=None,
     E(xi_i, eta) weight p[0](eta) left of xi_i, bwd[..., i] weight p[1]
     right of it.
 
-    In a block with L = G - G[block start], fwd is exp(-L) times the
-    prefix integral of Q = dx weight p[0] exp(L), and bwd is exp(L)
-    times the suffix integral of dx weight p[1] exp(-L).  Both are
-    smooth through eta = xi_i, where the kernel has its kink, so each
-    takes the cell rule of kernel_accumulator, with its one-sided
-    stencils at the grid ends and at the kink labels kinks and its split
-    cells at the kinks: sixth order on each smooth piece.  plan, a
-    SourcePlan for p's shape on the grid and the same kinks, holds the
-    result and the work buffers if given; the next call with it then
-    overwrites the result.
+    The line is one block, or where G spans more than _BLOCK_SPAN, the
+    blocks [s, e] of _blocks.  In a block with L = G - G[lo], lo the
+    first node its cells read, one scan body gives fwd as exp(-L) times
+    the prefix integral from s of dx weight p[0] exp(L), and bwd as
+    exp(L) times the suffix integral to e of dx weight p[1] exp(-L).
+    After the scans, fwd at s times exp(G[s] - G) joins the block right
+    of s, and bwd at e times exp(G - G[e]) the block left of e.  Both
+    integrands are smooth through eta = xi_i, where the kernel has its
+    kink, so each takes the cell rule of kernel_accumulator, with its
+    one-sided stencils at the grid ends and at the kink labels kinks and
+    its split cells at the kinks: sixth order on each smooth piece.
+    plan, a SourcePlan for p's shape on the grid and the same kinks,
+    holds the result and the work buffers if given; the next call with
+    it then overwrites the result.
     """
     p = _as_stack(p, G, grid)
     if plan is None:
@@ -480,17 +445,31 @@ def exp_convolve(p, G: np.ndarray, grid: Grid, weight=None,
                             f"kinks {plan.kinks} got one of shape {p.shape} "
                             f"and kinks {tuple(kinks)}")
     n, dx = grid.n, grid.dx
-    halves, blocks = plan.halves, _blocks(G)
+    halves, spans = plan.halves, _blocks(G)
     # The node weight of the quadrature, dx times the integrands' weight.
     w = dx if weight is None else np.multiply(weight, dx, out=plan.weight)
-    if len(blocks) == 1:
-        _one_block_scans(p.reshape(2, -1, n), G, w, plan)
+    q = p.reshape(2, -1, n)
+    if len(spans) == 1:
+        blocks = [plan]
+        _scans(q, G, w, plan)
     else:
-        q = p if weight is None else p * weight
-        _blocked_scans(q.reshape(2, -1, n), G, dx, plan.stack, blocks,
-                       plan.table)
+        # Each block sums from zero; then fwd at s decays into the block
+        # right of s, from the left, and bwd at e into the one left of e.
+        blocks = [_Block(plan.table, p.shape, s, e) for s, e in spans]
+        fwd, bwd = plan.fwd, plan.bwd
+        fwd[:, 0] = bwd[:, -1] = 0.0
+        for b, (s, e) in zip(blocks, spans):
+            at = slice(b.lo, b.hi)
+            _scans(q[..., at], G[at], w if weight is None else w[at], b)
+            fwd[:, s + 1:e + 1] = b.fwd[:, s + 1 - b.lo:e + 1 - b.lo]
+            bwd[:, s:e] = b.bwd[:, s - b.lo:e - b.lo]
+        for s, e in spans[1:]:
+            fwd[:, s + 1:e + 1] += fwd[:, s:s + 1] * np.exp(G[s]
+                                                          - G[s + 1:e + 1])
+        for s, e in spans[-2::-1]:
+            bwd[:, s:e] += bwd[:, e:e + 1] * np.exp(G[s:e] - G[e])
     if not np.isfinite(halves, out=plan.finite).all():
-        k = _first_bad_node(p, G, w, blocks, halves)
+        k = _first_bad_node(p, G, blocks, halves)
         raise NumericalAbort(
             f"exp_convolve produced a non-finite value at node {k}", {"node": k}
         )

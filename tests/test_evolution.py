@@ -170,44 +170,37 @@ def _oracle_potential(y, grid):
 
 
 def _oracle_halves(G, weight, grid, p_fwd, p_bwd):
-    """Both halves from one set of blocks, with fresh temporaries.
-
-    In a block [s, e] with L = G - G[s], the forward half at k > s is
-    exp(-L[k]) (F[s] + the cells of dx weight p_fwd exp(L) from s to k),
-    and the backward half at k < e is exp(L[k]) (B[e] exp(-L[e]) + the
-    cells of dx weight p_bwd exp(-L) from k to e).  A block's cells see
-    the scaled integrands two nodes past either end of it; one block
-    spanning the line scales dx weight into exp(L) and 1/exp(L) first.
+    """Both halves block by block, with fresh temporaries: a block [s, e]
+    scales dx weight p_fwd by exp(L) and dx weight p_bwd by 1/exp(L),
+    L = G - G[lo], on the nodes lo .. hi-1 its cells read (two past
+    either end, or the six at a line end); its halves at k are exp(-L[k])
+    times its cells' sum from s to k and exp(L[k]) times their sum from
+    k to e.  Then from the left each k > s gains F[s] exp(G[s] - G[k]),
+    and from the right each k < e gains B[e] exp(G[k] - G[e]).
     """
     n, dx = grid.n, grid.dx
     F, B = np.zeros(p_fwd.shape), np.zeros(p_bwd.shape)
     blocks = _blocks(G, sources._BLOCK_SPAN)
-    if len(blocks) == 1:
-        up = np.exp(G - G[0])
-        down = 1.0 / up
-        cf = _oracle_cells(p_fwd * (up * (weight * dx)))
-        cb = _oracle_cells(p_bwd * (down * (weight * dx)))
-        # Each sum starts from the zero at node 0 or at node n-1.
-        F = np.cumsum(np.concatenate((F[:, :1], cf), axis=1), axis=1)
-        B = np.cumsum(np.concatenate((B[:, -1:], cb[:, ::-1]), axis=1),
-                      axis=1)[:, ::-1]
-        return F * down, B * up
-    p_fwd, p_bwd = p_fwd * weight, p_bwd * weight
-    scaled = []
     for s, e in blocks:
-        # The one-sided end cells reach the six nodes at their end.
         lo = max(min(s - 2, n - 6 if e > n - 3 else s), 0)
         hi = min(max(e + 3, 6 if s < 2 else e), n)
-        L = G[lo:hi] - G[s]
-        cf = _oracle_cells((p_fwd[:, lo:hi] * dx) * np.exp(L))[:, s - lo:e - lo]
-        cb = _oracle_cells((p_bwd[:, lo:hi] * dx) * np.exp(-L))[:, s - lo:e - lo]
-        F[:, s + 1:e + 1] = (np.cumsum(cf, axis=1) + F[:, s:s + 1]) \
-            * np.exp(-L[s - lo + 1:e - lo + 1])
-        scaled.append((s, e, lo, L, cb))
-    for s, e, lo, L, cb in reversed(scaled):
-        B[:, s:e] = (np.cumsum(cb[:, ::-1], axis=1)[:, ::-1]
-                     + B[:, e:e + 1] * np.exp(-L[e - lo])) \
-            * np.exp(L[s - lo:e - lo])
+        up = np.exp(G[lo:hi] - G[lo])
+        down = 1.0 / up
+        w = (weight * dx)[lo:hi]
+        line = np.zeros((2,) + p_fwd.shape)
+        line[0, :, lo:hi] = p_fwd[:, lo:hi] * (up * w)
+        line[1, :, lo:hi] = p_bwd[:, lo:hi] * (down * w)
+        # The block's cells [s, s+1] .. [e-1, e], between two zeros.
+        cf, cb = (np.pad(_oracle_cells(q)[:, s:e], ((0, 0), (1, 1)))
+                  for q in line)
+        F[:, s + 1:e + 1] = (np.cumsum(cf, axis=1)[:, 1:-1]
+                             * down[s + 1 - lo:e + 1 - lo])
+        B[:, s:e] = (np.cumsum(cb[:, ::-1], axis=1)[:, -2:0:-1]
+                     * up[s - lo:e - lo])
+    for s, e in blocks[1:]:
+        F[:, s + 1:e + 1] += F[:, s:s + 1] * np.exp(G[s] - G[s + 1:e + 1])
+    for s, e in blocks[-2::-1]:
+        B[:, s:e] += B[:, e:e + 1] * np.exp(G[s:e] - G[e])
     return F, B
 
 
@@ -584,8 +577,10 @@ def test_evolve_contract_errors():
     (evolve, (np.nan, 0.1), "t_final"),
     (rk4_step, (np.nan,), "dt"),
     (rk4_step, (-np.inf,), "dt"),
+    (rk4_step, (np.inf,), "dt"),
 ], ids=["evolve-dt-nan", "evolve-t_final-inf", "evolve-dt-inf",
-        "evolve-t_final-nan", "rk4_step-dt-nan", "rk4_step-dt--inf"])
+        "evolve-t_final-nan", "rk4_step-dt-nan", "rk4_step-dt--inf",
+        "rk4_step-dt-inf"])
 def test_nonfinite_time_arguments_are_contract_errors(step, times, name):
     state = flat_state(make_grid(-5.0, 5.0, 64))
     with pytest.raises(ContractError, match=rf"\b{name}\b"):

@@ -29,8 +29,9 @@ PUBLIC_NAMES = (
     "synthetic_case_state tangent_norm_info transform_with_map "
     "verify_cancellations xi_derivatives y_formula_gap z_shift").split()
 
-UNUSED_BY_SETUP = ("novlab.breaking", "novlab.metric", "novlab.reconstruct",
-                   "novlab.validation", "numpy.ma", "numpy.polynomial")
+UNUSED_BY_SETUP = ("novlab.breaking", "novlab.evolution", "novlab.metric",
+                   "novlab.reconstruct", "novlab.sources", "novlab.validation",
+                   "numpy.ma", "numpy.polynomial")
 
 PROBE = """
 import json, sys

@@ -151,20 +151,30 @@ def test_boundary_rows_integrate_quintics_exactly(positions):
                                                                  degree)
 
 
-@pytest.mark.parametrize("value, node", [
+@pytest.mark.parametrize("value, node, span", [
     # A NaN spreads along both scan directions over the whole row; the
     # diagnostic names the input node that holds it.
-    (np.nan, 250),
+    (np.nan, 250, None),
     # 1e300 overflows the forward sum only.  The one block starts at
     # node 0 and node 250 sits 25 kernel units into it, so the forward
     # sum scales dx * 1e300 by exp(25) past max float, while the backward
     # sum scales it by exp(-25) and the output left of it stays finite.
-    (1e300, 250),
-])
-def test_stacked_convolve_names_first_bad_node(value, node):
+    (1e300, 250, None),
+    # At a span of 5 kernel units the NaN spreads across blocks, and the
+    # block [199, 248], whose stencils read node 250 at L = G - G[197] =
+    # 5.3, scales dx * 1e308 past max float; [248, 297] reads it at 0.4.
+    (np.nan, 250, 5.0),
+    (1e308, 250, 5.0),
+], ids=["nan-250", "1e+300-250", "nan-250-span5", "1e+308-250-span5"])
+def test_stacked_convolve_names_first_bad_node(value, node, span,
+                                               monkeypatch):
+    if span is not None:
+        monkeypatch.setattr(sources, "_BLOCK_SPAN", span)
     g = make_grid(-35.0, 35.0, 701)
     state = flat_state(g)
     G = kernel_accumulator(xi_derivatives(state)[0], state.grid)
+    blocks = set(sources._blocks(G))
+    assert ({(199, 248), (248, 297)} <= blocks) == (span is not None)
     p = np.ones((4, g.n))
     p[2, 250] = value
     with np.errstate(over="ignore", invalid="ignore"):
