@@ -1,5 +1,7 @@
 """What `import novlab`, the set-up path and each command load, checked in
-a fresh interpreter so that no other test's imports count."""
+a fresh interpreter so that no other test's imports count.  numpy is the
+package's one dependency: no path loads scipy, which only the tests'
+LP oracle uses."""
 import json
 import os
 import subprocess
@@ -62,6 +64,8 @@ def test_setup_path_loads_only_the_layers_it_runs():
     seen = fresh_run(PROBE, str(REPO / "configs" / "steep_front.cfg"),
                      *PUBLIC_NAMES)
     assert sorted(set(UNUSED_BY_SETUP) & set(seen["loaded"])) == []
+    # Loading any scipy module loads the package first.
+    assert "scipy" not in seen["loaded"]
     # Every name of the eager namespace still resolves and is listed.
     assert seen["missing"] == []
     assert seen["unlisted"] == []
@@ -76,7 +80,8 @@ layers = lambda: sorted(name for name in sys.modules
 on_import = layers()
 code = novlab.cli.main([sys.argv[1], "--quick", "--config", sys.argv[2],
                         "--out", sys.argv[3]])
-print(json.dumps({"code": code, "on_import": on_import, "after": layers()}))
+print(json.dumps({"code": code, "on_import": on_import, "after": layers(),
+                  "loaded": sorted(sys.modules)}))
 """
 
 DEFERRED = {"novlab.breaking", "novlab.metric", "novlab.reconstruct",
@@ -87,6 +92,8 @@ DEFERRED = {"novlab.breaking", "novlab.metric", "novlab.reconstruct",
     ("evolve", "two_bump", {"novlab.reconstruct"}),
     ("singular", "steep_front", {"novlab.breaking", "novlab.reconstruct"}),
     ("metric", "lipschitz", {"novlab.metric"}),
+    ("validate", "two_bump", {"novlab.metric", "novlab.reconstruct",
+                              "novlab.validation"}),
 ])
 def test_each_command_loads_only_the_layers_it_runs(tmp_path, command, cfg,
                                                     runs):
@@ -95,6 +102,7 @@ def test_each_command_loads_only_the_layers_it_runs(tmp_path, command, cfg,
     assert seen["code"] == 0
     assert DEFERRED & set(seen["on_import"]) == set()
     assert DEFERRED & set(seen["after"]) == runs
+    assert "scipy" not in seen["loaded"]
 
 
 def test_cli_attributes_resolve_to_their_layer_functions():
