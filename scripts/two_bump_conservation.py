@@ -10,7 +10,7 @@ level's evolve took.
 the ratios show that the drift is a spatial floor, not time error.
 --ladder grid doubles the node count at the configured time step (from
 --n, the config's grid.n if not given): the ratios show the spatial
-order, about 64x per doubling for the sixth-order kernel quadrature
+order, about 256x per doubling for the eighth-order kernel quadrature
 until the drift meets the roundoff floor near 1e-14, and drift against
 seconds is the accuracy per cost.
 """

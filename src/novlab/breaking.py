@@ -123,7 +123,7 @@ def find_crossings(state: TransformedState,
     """Locate all level events of W and Z at +-pi, sub-cell accurate."""
     grid = state.grid
     pair = state.data[2:4]
-    slope = fd_derivative(pair, grid, 1)
+    slope = fd_derivative(pair, grid, 1, state.kinks)
     raw = []  # (xi, which, tangential)
     for which, angle in zip("WZ", pair):
         for level in LEVELS:
@@ -183,16 +183,17 @@ _PATCH_MARGIN = 12
 
 
 def _patch_derivatives(rows: np.ndarray, grid: Grid, xi: float,
-                       window_nodes: int, orders):
+                       window_nodes: int, orders, kinks=()):
     """(patch, win, derivs): the patch around xi, its window as a slice
-    of it, and fd_derivative of rows on the patch alone for each order."""
+    of it, and fd_derivative of rows on the patch alone, cut at the kink
+    labels kinks, for each order."""
     win = _window(grid, xi, window_nodes)
     patch = _window(grid, xi, window_nodes + _PATCH_MARGIN)
     lo, n = patch.start, patch.stop - patch.start
     sub = Grid(grid.xi_min + lo * grid.dx, grid.xi_min + (lo + n - 1) * grid.dx,
                n, grid.dx)
     return patch, slice(win.start - lo, win.stop - lo), [
-        fd_derivative(rows[..., patch], sub, k) for k in orders]
+        fd_derivative(rows[..., patch], sub, k, kinks) for k in orders]
 
 
 def classify(point: SingularPoint, state: TransformedState,
@@ -208,7 +209,8 @@ def classify(point: SingularPoint, state: TransformedState,
     """
     grid = state.grid
     patch, win, (d1, d2) = _patch_derivatives(
-        state.data[2:4], grid, point.xi_star, window_nodes, (1, 2))
+        state.data[2:4], grid, point.xi_star, window_nodes, (1, 2),
+        state.kinks)
     slope = np.array([point.w_xi, point.z_xi])
     curvature = np.array([_interp(row, grid, point.xi_star, patch.start)
                           for row in d2])
@@ -308,7 +310,8 @@ def verify_cancellations(point: SingularPoint, state: TransformedState,
     slopes = slope_factors(state)
     analytic = dict(zip("yUV", xi_derivatives(state, slopes)))
     patch, win, fd = _patch_derivatives(np.stack(list(analytic.values())),
-                                        grid, xi, window_nodes, (1, 2, 3, 4))
+                                        grid, xi, window_nodes, (1, 2, 3, 4),
+                                        state.kinks)
     # derivs[name][k] is the (k+1)-th xi-derivative on the patch, analytic
     # for k = 0; the amplitude fits read the analytic rows whole.
     derivs = {name: [row[patch]] + [d[j] for d in fd]
@@ -318,7 +321,7 @@ def verify_cancellations(point: SingularPoint, state: TransformedState,
     T, c = slopes[0][:, patch], slopes[1][:, patch]
     (cw, cz), (sinW, sinZ) = c, (2.0 * T) * c
     _, _, ((w1, z1), (w2, z2)) = _patch_derivatives(
-        state.data[2:4], grid, xi, window_nodes, (1, 2))
+        state.data[2:4], grid, xi, window_nodes, (1, 2), state.kinks)
     local = {"q": state.q[patch], "cw": cw, "cz": cz,
              "sinW": sinW, "sinZ": sinZ,
              "w1": w1, "z1": z1, "w2": w2, "z2": z2}

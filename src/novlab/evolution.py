@@ -83,17 +83,14 @@ def rhs(state: TransformedState, out=None, plan=None) -> np.ndarray:
     """
     if plan is None:
         plan = SourcePlan(state.grid, kinks=state.kinks)
-        slopes = slope_factors(state)
-    else:
-        if plan.shape != (2, 2, state.grid.n) or plan.kinks != state.kinks:
-            raise ContractError(f"a SourcePlan for stacks of shape "
-                                f"{plan.shape} and kinks {plan.kinks} cannot "
-                                f"serve a state on {state.grid.n} nodes with "
-                                f"kinks {state.kinks}")
-        slopes = slope_factors(state, plan.slopes)
-    T, c = slopes
+    elif plan.shape != (2, 2, state.grid.n) or plan.kinks != state.kinks:
+        raise ContractError(f"a SourcePlan for stacks of shape "
+                            f"{plan.shape} and kinks {plan.kinks} cannot "
+                            f"serve a state on {state.grid.n} nodes with "
+                            f"kinks {state.kinks}")
+    T, c = slopes = slope_factors(state, plan.slopes)
     # (U, V) and (V, U): each pair of rates is one formula on row pairs.
-    A, B = state.data[:2], state.data[1::-1]
+    A, (B, _) = state.data[:2], plan.swap(state)
     # A A B feeds the integrands and both rates.
     a2b = np.multiply(A, A, out=plan.a2b)
     a2b *= B
@@ -212,7 +209,7 @@ def conserved(state: TransformedState) -> ConservedSet:
 
     The quadrature is the trapezoid, which a kink of the state would cut
     to low order: near each kink it takes the node weights of the
-    piecewise 6-point composite rule instead (sources.kink_weights).
+    piecewise 8-point composite rule instead (sources.kink_weights).
     """
     T, _ = slopes = slope_factors(state)
     y_xi = xi_derivatives(state, slopes)[0]

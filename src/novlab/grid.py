@@ -6,7 +6,9 @@ piecewise linear reading of sampled fields and is spectrally accurate
 for smooth integrands that decay at the window ends.  Derivatives are
 centred finite differences of fourth order in the interior; near the
 boundary the same-width stencil slides one-sided, which keeps every row
-exact on polynomials up to the stencil degree.
+exact on polynomials up to the stencil degree.  Kinks of the data cut
+the line into smooth pieces, and the stencils slide one-sided at their
+ends too.
 """
 
 from __future__ import annotations
@@ -87,6 +89,28 @@ def kink_positions(kinks, grid: Grid) -> tuple[float, ...]:
     return tuple(sorted(positions))
 
 
+def _pieces(n: int, positions):
+    # The smooth pieces [lo, hi] of a line of n nodes cut at the kink
+    # positions, each with its first and last node a and b; a node on a
+    # kink belongs to neither side.  A kink that would leave the piece
+    # before it no node is dropped.
+    pieces, lo = [], 0.0
+    for hi in (*positions, float(n - 1)):
+        a = math.ceil(lo) + (0.0 < lo and lo.is_integer())
+        b = math.floor(hi) - (hi < n - 1 and hi.is_integer())
+        if a <= b:
+            pieces.append((lo, hi, a, b))
+            lo = hi
+    return pieces
+
+
+def _piece_nodes(first: int, width: int, a: int, b: int) -> range:
+    # The width nodes of the piece of nodes a .. b nearest to the window
+    # that starts at node first; all of them in a shorter piece.
+    start = max(min(first, b + 1 - width), a)
+    return range(start, min(start + width, b + 1))
+
+
 def _as_samples(samples, grid: Grid, max_ndim: int = 1) -> np.ndarray:
     """samples as floats: shape (n,), or (k, n) when max_ndim is 2."""
     arr = np.asarray(samples, dtype=float)
@@ -149,11 +173,48 @@ def _fornberg_weights(offsets: tuple[int, ...], order: int) -> np.ndarray:
 _HALF_WIDTH = {1: 2, 2: 2, 3: 3, 4: 3}
 
 
-def fd_derivative(samples, grid: Grid, order: int) -> np.ndarray:
+@lru_cache(maxsize=32)
+def _edge_stencils(n: int, positions: tuple[float, ...], order: int):
+    # The nodes whose centred stencil would leave their piece, each with
+    # the first node and the weights of its stencil: the nodes of the
+    # piece nearest to centred (all of them in a shorter piece).  A node
+    # on a kink takes half of each side's stencil, read at the node.
+    w = _HALF_WIDTH[order]
+    npts = 2 * w + 1
+
+    def stencil(i, a, b):
+        nodes = _piece_nodes(i - w, npts, a, b)
+        offsets = tuple(k - i for k in nodes)
+        return nodes.start, _fornberg_weights(offsets, order)
+
+    pieces = _pieces(n, positions)
+    rows = []
+    for _, _, a, b in pieces:
+        for i in sorted({*range(a, min(a + w, b + 1)),
+                         *range(max(b + 1 - w, a), b + 1)}):
+            rows.append((i, *stencil(i, a, b)))
+    for p in positions:
+        if p.is_integer() and not any(a <= p <= b for _, _, a, b in pieces):
+            i = int(p)
+            (start, left), (end, right) = (
+                stencil(i, a, b) for lo, hi, a, b in pieces
+                if p in (lo, hi))
+            weights = np.zeros(end + right.size - start)
+            weights[:left.size] += 0.5 * left
+            weights[end - start:] += 0.5 * right
+            rows.append((i, start, weights))
+    return rows
+
+
+def fd_derivative(samples, grid: Grid, order: int, kinks=()) -> np.ndarray:
     """order-th xi-derivative of samples, shape (n,) or a (k, n) stack.
 
     A stack is differentiated row by row, each row bit for bit its 1-D
-    result.
+    result.  The grid ends and the kink labels kinks cut the line into
+    smooth pieces: a node whose centred stencil would leave its piece
+    takes the one-sided stencil of its piece, and a node on a kink
+    (within KINK_SNAP of it), which belongs to neither piece, the mean of
+    the two sides' values at it.
     """
     if order not in _HALF_WIDTH:
         raise ContractError(f"derivative order must be 1..4, got {order}")
@@ -165,13 +226,11 @@ def fd_derivative(samples, grid: Grid, order: int) -> np.ndarray:
     arr = _as_samples(samples, grid, max_ndim=2)
     out = np.empty(arr.shape)
     centre = _fornberg_weights(tuple(range(-w, w + 1)), order)
+    edges = _edge_stencils(grid.n, kink_positions(kinks, grid), order)
     for row, res in zip(arr.reshape(-1, grid.n), out.reshape(-1, grid.n)):
         # correlate(row, centre) at full stencils covers nodes w .. n-1-w
         res[w:grid.n - w] = np.correlate(row, centre, mode="valid")
-        for i in range(w):
-            left = _fornberg_weights(tuple(range(-i, npts - i)), order)
-            res[i] = left @ row[:npts]
-            right = _fornberg_weights(tuple(range(i + 1 - npts, i + 1)), order)
-            res[grid.n - 1 - i] = right @ row[grid.n - npts:]
+        for i, start, weights in edges:
+            res[i] = weights @ row[start:start + weights.size]
     out /= grid.dx ** order
     return out

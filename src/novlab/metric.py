@@ -95,7 +95,8 @@ class RatioRow:
 
 def _state_derivatives(state: TransformedState, slopes=None):
     y_xi, u_xi, v_xi = xi_derivatives(state, slopes)
-    w_xi, z_xi, q_xi = fd_derivative(state.data[2:5], state.grid, 1)
+    w_xi, z_xi, q_xi = fd_derivative(state.data[2:5], state.grid, 1,
+                                     state.kinks)
     return y_xi, u_xi, v_xi, w_xi, z_xi, q_xi
 
 

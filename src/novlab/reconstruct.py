@@ -49,7 +49,7 @@ def euler_fields(state: TransformedState, mask_tol: float = MASK_TOL) -> EulerFi
     y = state.y
     drops = np.diff(y)
     # A cell's drop is dx times the cell mean of y_xi >= 0, and the
-    # integrated map carries the scheme's spatial error (sixth order on
+    # integrated map carries the scheme's spatial error (eighth order on
     # each smooth piece), so a collapsed arc of it may dip below zero; on
     # steep_front at n = 257 and 513 none does through t = 3.36, where
     # the angle guard stops the run.  Dips up to dx^3, or 1e-6 of the

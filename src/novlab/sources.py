@@ -19,21 +19,23 @@ backward half; exp_convolve scans both halves of the integrand pairs the
 rates read as one (2, ..., n) stack, in one O(n) pass over the line, or
 where G spans more than _BLOCK_SPAN, one pass of the same scan body per
 block, with the carries across block ends added after the scans.  G and
-both halves take one quadrature, the 6-point cell rule: the integral
-over [xi_j, xi_j+1] of the quintic through the samples at xi_j-2 ..
-xi_j+3, dx/1440 (802 (r_j + r_j+1) - 93 (r_j-1 + r_j+2) + 11 (r_j-2 +
-r_j+3)).  In the characteristic variables the solution stays smooth in
-xi through gradient blow-up; the one exception is a kink of the datum
+both halves take one quadrature, the 8-point cell rule: the integral
+over [xi_j, xi_j+1] of the degree-7 polynomial through the samples at
+xi_j-3 .. xi_j+4, dx/120960 (68323 (r_j + r_j+1) - 9531 (r_j-1 +
+r_j+2) + 1879 (r_j-2 + r_j+3) - 191 (r_j-3 + r_j+4)).  In the
+characteristic variables the solution stays smooth in xi through
+gradient blow-up; the one exception is a kink of the datum
 (the peakon crest), which is a characteristic and keeps its label xi_k
 (TransformedState.kinks).  So the line splits into smooth pieces at the
 grid ends and the kinks, and no stencil reaches across a piece's end:
 a cell whose centred stencil would leave its piece takes a one-sided
-six-node stencil of the piece, and a cell that holds a kink is
-integrated in two parts, each by the quintic of its own side.  A node
-on a kink (within grid.KINK_SNAP of it) enters neither side's stencil.
-The rule is sixth order on smooth data, through breaking and across
-kinks alike.  The boundary cells are one table per grid and kinks.  A
-quadratic-time double loop with the same rule serves as the oracle.
+eight-node stencil of the piece, and a cell that holds a kink is
+integrated in two parts, each by the polynomial of its own side.  A
+node on a kink (within grid.KINK_SNAP of it) enters neither side's
+stencil.  The rule is eighth order on smooth data, through breaking
+and across kinks alike.  The boundary cells are one table per grid and
+kinks.  A quadratic-time double loop with the same rule serves as the
+oracle.
 """
 
 from __future__ import annotations
@@ -45,7 +47,7 @@ import numpy as np
 
 from .config import TOL_PI, TOL_ZERO_REL
 from .errors import ContractError, NumericalAbort
-from .grid import Grid, kink_positions
+from .grid import Grid, _piece_nodes, _pieces, kink_positions
 from .initial import TransformedState
 
 __all__ = [
@@ -88,9 +90,15 @@ def slope_factors(state: TransformedState, out=None):
     return T, np.divide(1.0, c, out=c)
 
 
-# The 6-point cell rule: the integral over [xi_j, xi_j+1] of the quintic
-# through r at xi_j-2 .. xi_j+3, in units of dx.
-_CELL_RULE = np.array([11.0, -93.0, 802.0, 802.0, -93.0, 11.0]) / 1440.0
+# The 8-point cell rule: the integral over [xi_j, xi_j+1] of the degree-7
+# polynomial through r at xi_j-3 .. xi_j+4, in units of dx.
+_CELL_RULE = np.array([-191.0, 1879.0, -9531.0, 68323.0, 68323.0, -9531.0,
+                       1879.0, -191.0]) / 120960.0
+# Every stencil offset of the quadrature follows from the rule's length:
+# the centred stencil of the cell [j, j+1] is the nodes j + 1 - _HALF ..
+# j + _HALF, and _HALF zeros pad either side of a correlated row.
+_TAPS = len(_CELL_RULE)
+_HALF = _TAPS // 2
 
 
 @lru_cache(maxsize=8)
@@ -115,37 +123,22 @@ def _part_weights(nodes, a: float, b: float) -> np.ndarray:
     return weights
 
 
-def _pieces(n: int, positions):
-    # The smooth pieces [lo, hi] of a line of n nodes cut at the kink
-    # positions, each with its first and last node a and b; a node on a
-    # kink belongs to neither side.  A kink that would leave the piece
-    # before it no node is dropped.
-    pieces, lo = [], 0.0
-    for hi in (*positions, float(n - 1)):
-        a = math.ceil(lo) + (0.0 < lo and lo.is_integer())
-        b = math.floor(hi) - (hi < n - 1 and hi.is_integer())
-        if a <= b:
-            pieces.append((lo, hi, a, b))
-            lo = hi
-    return pieces
-
-
 @lru_cache(maxsize=16)
 def _line_table(n: int, positions: tuple[float, ...]):
     # The boundary cells of a line of n nodes cut at the kink positions
     # (units of dx from the first node): each cell [j, j+1] whose centred
-    # stencil j-2 .. j+3 would leave its piece, or that a kink splits.
-    # A part of a cell inside one piece takes the six nodes of the piece
-    # nearest to centred (all of them in a shorter piece).  Returns the
-    # cells j, an (R, w) array of node windows and their weights in units
-    # of dx, with w the widest window; a narrower row repeats its first
-    # node at zero weight.  Every other cell takes the centred rule.
+    # stencil would leave its piece, or that a kink splits.  A part of a
+    # cell inside one piece takes the _TAPS nodes of the piece nearest to
+    # centred (all of them in a shorter piece).  Returns the cells j, an
+    # (R, w) array of node windows and their weights in units of dx, with
+    # w the widest window; a narrower row repeats its first node at zero
+    # weight.  Every other cell takes the centred rule.
     pieces = _pieces(n, positions)
     cuts = [hi for _, hi, _, _ in pieces[:-1]]
     candidates = set()
     for lo, hi, _, _ in pieces:
-        candidates.update(range(math.floor(lo), math.floor(lo) + 4))
-        candidates.update(range(math.ceil(hi) - 4, math.ceil(hi)))
+        candidates.update(range(math.floor(lo), math.floor(lo) + _HALF + 1))
+        candidates.update(range(math.ceil(hi) - _HALF - 1, math.ceil(hi)))
     rows = []
     for j in sorted(c for c in candidates if 0 <= c <= n - 2):
         ends = [j, *(p for p in cuts if j < p < j + 1), j + 1]
@@ -153,9 +146,9 @@ def _line_table(n: int, positions: tuple[float, ...]):
         for x0, x1 in zip(ends, ends[1:]):
             a, b = next((a, b) for lo, hi, a, b in pieces
                         if lo <= x0 and x1 <= hi)
-            start = min(max(j - 2, a), b - 5) if b - a >= 5 else a
-            parts.append((range(start, min(start + 6, b + 1)), x0, x1))
-        if len(parts) == 1 and parts[0][0] == range(j - 2, j + 4):
+            parts.append((_piece_nodes(j + 1 - _HALF, _TAPS, a, b), x0, x1))
+        if len(parts) == 1 and parts[0][0] == range(j + 1 - _HALF,
+                                                     j + 1 + _HALF):
             continue
         row = {}
         for nodes, x0, x1 in parts:
@@ -188,7 +181,7 @@ def _table(grid: Grid, kinks: tuple[float, ...]):
 
 @lru_cache(maxsize=8)
 def kink_weights(grid: Grid, kinks: tuple[float, ...]):
-    """The nodes near the kinks and what the piecewise 6-point composite
+    """The nodes near the kinks and what the piecewise 8-point composite
     rule adds to the trapezoid's node weights there, as (nodes, extra);
     both are empty without kinks.  The nodes are those whose composite
     weight the kinks move; in the interior of a piece the composite
@@ -199,8 +192,8 @@ def kink_weights(grid: Grid, kinks: tuple[float, ...]):
         centred = np.ones(grid.n - 1)
         centred[cells] = 0.0
         # The rule is symmetric, so the convolution lays each centred
-        # cell's weights onto its nodes j-2 .. j+3.
-        w = np.convolve(centred, _CELL_RULE)[2:grid.n + 2]
+        # cell's weights onto its nodes j + 1 - _HALF .. j + _HALF.
+        w = np.convolve(centred, _CELL_RULE)[_HALF - 1:grid.n + _HALF - 1]
         np.add.at(w, windows, weights)
         return w * grid.dx
 
@@ -247,14 +240,15 @@ def xi_derivatives(state: TransformedState, slopes=None):
 def kernel_accumulator(y_xi: np.ndarray, grid: Grid, kinks=()) -> np.ndarray:
     """G, the prefix integral of the row r = y_xi, nondecreasing in Omega.
 
-    Each cell takes the 6-point rule dx/1440 (802 (r_j + r_j+1) - 93
-    (r_j-1 + r_j+2) + 11 (r_j-2 + r_j+3)), the integral of the quintic
-    through the six nodes around it.  The grid ends and the kink labels
-    kinks cut the line into smooth pieces: a cell whose stencil would
-    leave its piece takes a one-sided one, and a cell with a kink in it
-    is integrated in two parts, each by the quintic of its own side.  A
-    cell where the rule would go negative keeps the trapezoid dx/2 (r_j +
-    r_j+1), so G[0] is exactly 0 and G never decreases.
+    Each cell takes the 8-point rule dx/120960 (68323 (r_j + r_j+1) -
+    9531 (r_j-1 + r_j+2) + 1879 (r_j-2 + r_j+3) - 191 (r_j-3 + r_j+4)),
+    the integral of the degree-7 polynomial through the eight nodes
+    around it.  The grid ends and the kink labels kinks cut the line into
+    smooth pieces: a cell whose stencil would leave its piece takes a
+    one-sided one, and a cell with a kink in it is integrated in two
+    parts, each by the polynomial of its own side.  A cell where the rule
+    would go negative keeps the trapezoid dx/2 (r_j + r_j+1), so G[0] is
+    exactly 0 and G never decreases.
     """
     if np.shape(y_xi) != (grid.n,):
         raise ContractError(f"expected {grid.n} samples of y_xi, got shape "
@@ -266,10 +260,10 @@ def kernel_accumulator(y_xi: np.ndarray, grid: Grid, kinks=()) -> np.ndarray:
             {"node": k, "value": float(y_xi[k])},
         )
     at, windows, _, weights = _table(grid, tuple(kinks))
-    # The full correlate pads y_xi with zeros, so that entry j + 3 is the
-    # cell [j, j+1] for every j; the table sets those whose stencil would
-    # leave their piece.
-    cells = np.correlate(y_xi, _cell_weights(grid.dx), "full")[3:-3]
+    # The full correlate pads y_xi with zeros, so that entry j + _HALF is
+    # the cell [j, j+1] for every j; the table sets those whose stencil
+    # would leave their piece.
+    cells = np.correlate(y_xi, _cell_weights(grid.dx), "full")[_HALF:-_HALF]
     cells[at] = np.vecdot(y_xi[windows], weights)
     if cells.min() < 0.0:
         dips = np.flatnonzero(cells < 0.0)
@@ -320,8 +314,8 @@ class _Block:
         at, windows, weights = table
         mine = (s <= at) & (at < e)
         at, windows, weights = at[mine], windows[mine], weights[mine]
-        self.lo = lo = max(min(s - 2, windows.min(initial=n)), 0)
-        self.hi = hi = min(max(e + 3, windows.max(initial=0) + 1), n)
+        self.lo = lo = max(min(s + 1 - _HALF, windows.min(initial=n)), 0)
+        self.hi = hi = min(max(e + _HALF, windows.max(initial=0) + 1), n)
         m = hi - lo
         self.scale = np.empty((2, m))
         self.up, self.down = self.scale
@@ -331,15 +325,15 @@ class _Block:
         self.fwd, self.bwd = self.halves.reshape(2, -1, m)
         self.scaled_column = self.scaled_weight[:, None]
         rows = self.halves.size // m
-        self.flat = np.zeros(rows * m + 6)
-        self.scaled = self.flat[3:-3].reshape(2, -1, m)
+        self.flat = np.zeros(rows * m + 2 * _HALF)
+        self.scaled = self.flat[_HALF:-_HALF].reshape(2, -1, m)
         # c[r m + j + 1] is the cell [j, j+1] of row r, so c[r m] is the
         # straddle left of the row.
         starts = np.arange(rows)[:, None] * m
         outside = np.r_[:s - lo + 1, e - lo + 1:m]
         self.cells = np.concatenate(((starts + at - lo + 1).ravel(),
                                      (starts + outside).ravel(), [rows * m]))
-        self.windows = (starts[:, :, None] + windows - lo + 3).reshape(
+        self.windows = (starts[:, :, None] + windows - lo + _HALF).reshape(
             -1, windows.shape[1])
         self.weights = np.tile(weights, (rows, 1))
         self.values = np.zeros(self.cells.size)
@@ -353,9 +347,10 @@ class SourcePlan(_Block):
     the plan overwrites them, so the caller reads a result before the
     next call with the same plan.
 
-    It is the block of the whole line, with the slopes (T, c), the pairs
-    A^2 B and T^2/2, the y_xi and node weight rows, the integrand stack
-    p and the line's boundary-cell table besides.
+    It is the block of the whole line, with the slopes (T, c) and the
+    swaps (V, U) and (T_Z, T_W) of (U, V) and T, the pairs A^2 B and
+    T^2/2, the y_xi and node weight rows, the integrand stack p and the
+    line's boundary-cell table besides.
     """
 
     def __init__(self, grid: Grid, shape=None, kinks=()):
@@ -363,7 +358,11 @@ class SourcePlan(_Block):
         self.shape = (2, 2, n) if shape is None else tuple(shape)
         self.kinks = tuple(map(float, kinks))
         self.table = _table(grid, self.kinks)[:3]
-        self.slopes = tuple(np.empty((2, 2, n)))
+        # Rows T_W, T_Z, T_W, so that T and its swap are forward views: a
+        # row-reversed operand costs numpy about twice a forward one.
+        self.slope_rows = np.empty((3, n))
+        self.slopes = (self.slope_rows[:2], np.empty((2, n)))
+        self.swapped = (np.empty((2, n)), self.slope_rows[1:])
         self.a2b, self.half_t2 = np.empty((2, 2, n))
         self.y_xi, self.weight = np.empty((2, n))
         self.p = np.empty(self.shape)
@@ -371,16 +370,24 @@ class SourcePlan(_Block):
         self.finite = np.empty(self.shape, dtype=bool)
         super().__init__(self.table, self.shape, 0, n - 1)
 
+    def swap(self, state: TransformedState):
+        """Fill and return the swaps (V, U) of the state's (U, V) and
+        (T_Z, T_W) of the slopes T in self.slopes."""
+        pair = self.swapped[0]
+        pair[0], pair[1] = state.data[1], state.data[0]
+        self.slope_rows[2] = self.slope_rows[0]
+        return self.swapped
+
 
 def _scans(p, G, w, block):
     # With L = G - G[0], the scaled integrands Q = w p exp(+-L) of all
-    # rows lie back to back in the block's flat buffer, between three
+    # rows lie back to back in the block's flat buffer, between _HALF
     # zero pads on either side, so one correlate gives every row's cells:
     # c[j] is the cell left of node j of the rows laid end to end.  One
     # gather and one row-wise dot give the boundary cells, which replace
     # theirs, and the cells outside the block are set to zero.
     up, down, flat = block.up, block.down, block.flat
-    size = flat.size - 6
+    size = flat.size - 2 * _HALF
     np.exp(G if G[0] == 0.0 else G - G[0], out=up)
     np.divide(1.0, up, out=down)
     np.multiply(block.scale, w, out=block.scaled_weight)
@@ -432,7 +439,7 @@ def exp_convolve(p, G: np.ndarray, grid: Grid, weight=None,
     integrands are smooth through eta = xi_i, where the kernel has its
     kink, so each takes the cell rule of kernel_accumulator, with its
     one-sided stencils at the grid ends and at the kink labels kinks and
-    its split cells at the kinks: sixth order on each smooth piece.
+    its split cells at the kinks: eighth order on each smooth piece.
     plan, a SourcePlan for p's shape on the grid and the same kinks,
     holds the result and the work buffers if given; the next call with
     it then overwrites the result.
@@ -481,7 +488,7 @@ def exp_convolve_bruteforce(p, G: np.ndarray, grid: Grid,
     """Reference double-loop quadrature; identical contract and rule, O(n^2).
 
     Row m of the cell matrix holds the weights the cell rule gives the
-    nodes on cell [m, m+1], in units of dx: the centred 6-point rule, or
+    nodes on cell [m, m+1], in units of dx: the centred 8-point rule, or
     the boundary table's row at the grid ends and the kink labels kinks.
     fwd[i] sums the cells left of xi_i and bwd[i] those right of it,
     each node eta_j weighted by the one-sided kernel exp(-+(G[i] -
@@ -492,7 +499,7 @@ def exp_convolve_bruteforce(p, G: np.ndarray, grid: Grid,
     n, dx = grid.n, grid.dx
     at, windows, weights, _ = _table(grid, tuple(kinks))
     cells = np.zeros((n - 1, n))
-    for offset, weight in zip(range(-2, 4), _CELL_RULE):
+    for offset, weight in zip(range(1 - _HALF, 1 + _HALF), _CELL_RULE):
         m = np.arange(max(-offset, 0), min(n - 1, n - offset))
         cells[m, m + offset] = weight
     cells[at] = 0.0
@@ -526,13 +533,16 @@ def assemble_sources(state: TransformedState, slopes, a2b,
     half of y_xi (f1/2 + f2/4), so fwd - bwd = -dx P1 - P2 and
     fwd + bwd = P1 + dx P2 in row 0, and the same of S in row 1.
     plan, if given, is a SourcePlan on the state's grid and kinks that
-    holds the work rows and the result.
+    holds the work rows and the result; slopes are then its plan.slopes,
+    and plan.swap(state) has filled their swaps and the state's.
     """
     if plan is None:
         plan = SourcePlan(state.grid, kinks=state.kinks)
+        np.copyto(plan.slopes[0], slopes[0])
+        plan.swap(state)
     T, c = slopes
     # (U, V) and (V, U): the S integrands are the P ones with roles swapped.
-    A, B, T_r = state.data[:2], state.data[1::-1], T[::-1]
+    A, (B, T_r) = state.data[:2], plan.swapped
     y_xi = _y_xi(state.q, *c, out=plan.y_xi)
     G = kernel_accumulator(y_xi, state.grid, state.kinks)
     p = plan.p

@@ -68,17 +68,20 @@ def test_verify_cancellations_forms_the_slopes_once(monkeypatch):
 def test_patch_derivatives_equal_full_rows_bitwise(center, half):
     # Patches inside the grid, at either edge and wider than the grid;
     # only the 3 nodes next to an end cut inside the grid may differ.
+    # The same holds with a kink between two nodes or on one.
     g = make_grid(-3.0, 3.0, 64)
     rows = np.random.default_rng(center).normal(size=(2, g.n))
     orders = (1, 2, 3, 4)
-    patch, win, derivs = breaking._patch_derivatives(
-        rows, g, float(g.nodes[center]), half, orders)
-    lo = patch.start + (3 if patch.start > 0 else 0)
-    hi = patch.stop - (3 if patch.stop < g.n else 0)
-    assert lo <= patch.start + win.start and patch.start + win.stop <= hi
-    for order, local in zip(orders, derivs):
-        assert same_bits(local[:, lo - patch.start:hi - patch.start],
-                         fd_derivative(rows, g, order)[:, lo:hi])
+    for kinks in ((), (float(g.nodes[center] + 0.37 * g.dx),),
+                  (float(g.nodes[max(center - 2, 1)]),)):
+        patch, win, derivs = breaking._patch_derivatives(
+            rows, g, float(g.nodes[center]), half, orders, kinks)
+        lo = patch.start + (3 if patch.start > 0 else 0)
+        hi = patch.stop - (3 if patch.stop < g.n else 0)
+        assert lo <= patch.start + win.start and patch.start + win.stop <= hi
+        for order, local in zip(orders, derivs):
+            assert same_bits(local[:, lo - patch.start:hi - patch.start],
+                             fd_derivative(rows, g, order, kinks)[:, lo:hi])
 
 
 @pytest.mark.parametrize("case", range(1, 9))

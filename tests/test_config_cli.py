@@ -515,7 +515,7 @@ def test_cli_singular_guard_abort_writes_events_so_far(tmp_path, capsys):
     err = capsys.readouterr().err.splitlines()
     assert err[-2] == ("numerical abort: evolution aborted at step 164/180: "
                        "q left its validity box at t=1.64: "
-                       "[2.494e-01, 4.934e+00]")
+                       "[2.494e-01, 4.935e+00]")
     assert err[-1] == f"partial artifacts: 3 files in {out}"
     assert err[:-2] == ref_err[:len(err) - 2]
     assert sorted(p.name for p in out.iterdir()) == [

@@ -71,9 +71,9 @@ def test_rhs_forms_the_slopes_once(monkeypatch):
     calls = []
     real = sources.slope_factors
 
-    def counted(state):
+    def counted(state, *args):
         calls.append(state)
-        return real(state)
+        return real(state, *args)
 
     monkeypatch.setattr(sources, "slope_factors", counted)
     monkeypatch.setattr(evolution, "slope_factors", counted)
@@ -135,33 +135,38 @@ def _blocks(G, span):
     return out
 
 
-# The 6-point cell rule in units of dx, the integral over [xi_j, xi_j+1]
-# of the quintic through the samples at xi_j-2 .. xi_j+3.
-CELL_RULE = np.array([11.0, -93.0, 802.0, 802.0, -93.0, 11.0]) / 1440.0
-# The one-sided rules on the first two cells, [xi_0, xi_1] and [xi_1,
-# xi_2], over the first six samples; mirrored on the last two cells.
-FIRST_CELL = np.array([475.0, 1427.0, -798.0, 482.0, -173.0, 27.0]) / 1440.0
-SECOND_CELL = np.array([-27.0, 637.0, 1022.0, -258.0, 77.0, -11.0]) / 1440.0
+# The 8-point cell rule in units of dx, the integral over [xi_j, xi_j+1]
+# of the degree-7 polynomial through the samples at xi_j-3 .. xi_j+4.
+CELL_RULE = np.array([-191.0, 1879.0, -9531.0, 68323.0, 68323.0, -9531.0,
+                      1879.0, -191.0]) / 120960.0
+# The one-sided rules on the first three cells, [xi_0, xi_1] .. [xi_2,
+# xi_3], over the first eight samples; mirrored on the last three cells.
+FIRST_CELL = np.array([36799.0, 139849.0, -121797.0, 123133.0, -88547.0,
+                       41499.0, -11351.0, 1375.0]) / 120960.0
+SECOND_CELL = np.array([-1375.0, 47799.0, 101349.0, -44797.0, 26883.0,
+                        -11547.0, 2999.0, -351.0]) / 120960.0
+THIRD_CELL = np.array([351.0, -4183.0, 57627.0, 81693.0, -20227.0, 7227.0,
+                       -1719.0, 191.0]) / 120960.0
 
 
 def _oracle_cells(rows, scale=1.0):
     """Cell integrals between neighbouring columns of each row: the
-    6-point rule, formed by np.correlate as the kernel forms it so that
-    the comparison stays bitwise, and on the two cells at either end the
+    8-point rule, formed by np.correlate as the kernel forms it so that
+    the comparison stays bitwise, and on the three cells at either end the
     rows of the kernel's boundary table, by one row-wise dot as the
     kernel forms them."""
     rows = np.atleast_2d(rows)
     at, windows, weights = sources._line_table(rows.shape[-1], ())
     out = np.empty(rows.shape[:-1] + (rows.shape[-1] - 1,))
     for row, cells in zip(rows, out):
-        if row.size > 5:
-            cells[2:-2] = np.correlate(row, CELL_RULE * scale)
+        if row.size > 7:
+            cells[3:-3] = np.correlate(row, CELL_RULE * scale)
         cells[at] = np.vecdot(row[windows], weights * scale)
     return out
 
 
 def _oracle_potential(y, grid):
-    """G from 0 by the 6-point cells of y, the trapezoid on a cell where
+    """G from 0 by the 8-point cells of y, the trapezoid on a cell where
     the rule would go negative."""
     cells = _oracle_cells(y, grid.dx)[0]
     trap = (0.5 * grid.dx) * (y[:-1] + y[1:])
@@ -172,8 +177,9 @@ def _oracle_potential(y, grid):
 def _oracle_halves(G, weight, grid, p_fwd, p_bwd):
     """Both halves block by block, with fresh temporaries: a block [s, e]
     scales dx weight p_fwd by exp(L) and dx weight p_bwd by 1/exp(L),
-    L = G - G[lo], on the nodes lo .. hi-1 its cells read (two past
-    either end, or the six at a line end); its halves at k are exp(-L[k])
+    L = G - G[lo], on the nodes lo .. hi-1 its cells read (three past
+    its left end and four past its right one, or the eight at a line
+    end); its halves at k are exp(-L[k])
     times its cells' sum from s to k and exp(L[k]) times their sum from
     k to e.  Then from the left each k > s gains F[s] exp(G[s] - G[k]),
     and from the right each k < e gains B[e] exp(G[k] - G[e]).
@@ -182,8 +188,8 @@ def _oracle_halves(G, weight, grid, p_fwd, p_bwd):
     F, B = np.zeros(p_fwd.shape), np.zeros(p_bwd.shape)
     blocks = _blocks(G, sources._BLOCK_SPAN)
     for s, e in blocks:
-        lo = max(min(s - 2, n - 6 if e > n - 3 else s), 0)
-        hi = min(max(e + 3, 6 if s < 2 else e), n)
+        lo = max(min(s - 3, n - 8 if e > n - 4 else s), 0)
+        hi = min(max(e + 4, 8 if s < 3 else e), n)
         up = np.exp(G[lo:hi] - G[lo])
         down = 1.0 / up
         w = (weight * dx)[lo:hi]
@@ -219,18 +225,19 @@ def _cell_scan(G, b):
 
 
 def _line_rules(n):
-    # The first node and the weights of each cell's six samples: centred,
-    # and one-sided on the two cells at either end.
-    start = np.clip(np.arange(n - 1) - 2, 0, n - 6)
+    # The first node and the weights of each cell's eight samples:
+    # centred, and one-sided on the three cells at either end.
+    start = np.clip(np.arange(n - 1) - 3, 0, n - 8)
     weights = np.tile(CELL_RULE, (n - 1, 1))
-    weights[[0, 1, -2, -1]] = (FIRST_CELL, SECOND_CELL, SECOND_CELL[::-1],
-                               FIRST_CELL[::-1])
-    return start[:, None] + np.arange(6), weights
+    weights[[0, 1, 2, -3, -2, -1]] = (FIRST_CELL, SECOND_CELL, THIRD_CELL,
+                                      THIRD_CELL[::-1], SECOND_CELL[::-1],
+                                      FIRST_CELL[::-1])
+    return start[:, None] + np.arange(8), weights
 
 
 def _seen_from_right_cells(p, G, dx):
     # Cell [j, j+1] of p exp(-(G[j+1] - G)), the integrand seen from
-    # xi_j+1: the cell rule on its values at the six nodes of the cell,
+    # xi_j+1: the cell rule on its values at the eight nodes of the cell,
     # each p[k] exp(G[k] - G[j+1]).
     nodes, weights = _line_rules(G.size)
     seen = p[:, nodes] * np.exp(G[nodes] - G[1:, None])
@@ -248,14 +255,15 @@ def _cell_rule_halves(G, grid, p_fwd, p_bwd):
 
 
 def _explicit_potential(y, grid):
-    # G with its cells written out: dx/1440 (802 (y_j + y_j+1) - 93 (y_j-1
-    # + y_j+2) + 11 (y_j-2 + y_j+3)), the one-sided rules on the two cells
-    # at either end, and the trapezoid where a cell is negative.
+    # G with its cells written out: dx/120960 (68323 (y_j + y_j+1) - 9531
+    # (y_j-1 + y_j+2) + 1879 (y_j-2 + y_j+3) - 191 (y_j-3 + y_j+4)), the
+    # one-sided rules on the three cells at either end, and the trapezoid
+    # where a cell is negative.
     nodes, weights = _line_rules(y.size)
     cells = grid.dx * np.einsum("jw,jw->j", y[nodes], weights)
-    cells[2:-2] = (grid.dx / 1440.0) * (
-        802.0 * (y[2:-3] + y[3:-2]) - 93.0 * (y[1:-4] + y[4:-1])
-        + 11.0 * (y[:-5] + y[5:]))
+    cells[3:-3] = (grid.dx / 120960.0) * (
+        68323.0 * (y[3:-4] + y[4:-3]) - 9531.0 * (y[2:-5] + y[5:-2])
+        + 1879.0 * (y[1:-6] + y[6:-1]) - 191.0 * (y[:-7] + y[7:]))
     trap = (0.5 * grid.dx) * (y[:-1] + y[1:])
     cells = np.where(cells < 0.0, trap, cells)
     return np.concatenate(([0.0], np.cumsum(cells)))
@@ -676,7 +684,7 @@ def test_conserved_peakon_energy_oracle():
 def test_conserved_reads_the_peakon_kink(n):
     # For u0 = v0 = e^{-|x|}, E_u = E_v = G = 2 and H = 4 (H's density is
     # 8 u^4).  Near the crest's label the quadrature takes the piecewise
-    # 6-point weights, so every functional lands within 1e-8 (7.9e-9 at
+    # 8-point weights, so every functional lands within 1e-8 (2.2e-9 at
     # most, measured); the trapezoid across the kink misses H by 5e-4,
     # and every functional by 4e-2 where a node sits on the kink.
     g = make_grid(-20.0, 20.0, n)
@@ -724,7 +732,7 @@ def test_y_formula_gap_small_on_transformed_data():
 
 
 def test_y_formula_gap_falls_at_fourth_order_on_the_steep_front():
-    # y_formula_gap compares the integrated y with the 6-point potential
+    # y_formula_gap compares the integrated y with the 8-point potential
     # G, the kernel's own quadrature, so on smooth data the gap at t = 1
     # falls at least 10x per grid doubling.
     datum = pair_datum(

@@ -3,8 +3,8 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
-from novlab import (ConfigError, ContractError, fd_derivative, integrate,
-                    make_grid, prefix_integral)
+from novlab import (ConfigError, ContractError, builtin_datum, fd_derivative,
+                    integrate, make_grid, prefix_integral, transform_with_map)
 from novlab.grid import MAX_NODES, kink_positions
 
 
@@ -142,3 +142,42 @@ def test_fd_rejects_unsupported_order():
     g = make_grid(0.0, 1.0, 16)
     with pytest.raises(ContractError):
         fd_derivative(np.zeros(g.n), g, 5)
+
+
+@pytest.mark.parametrize("order", [1, 2, 3, 4])
+def test_fd_derivative_is_exact_on_each_side_of_a_kink(order):
+    # Two kinks, one between nodes and one on node 40, cut the line into
+    # three pieces, each a polynomial of the stencil's full degree: every
+    # node of a piece gets its own polynomial's derivative, and the node
+    # on the kink, which neither side reads (it holds 1e30), the mean of
+    # the two sides' derivatives there.
+    g = make_grid(-1.5, 2.5, 61)
+    x = g.nodes
+    kinks = (float(x[20] + 0.37 * g.dx), float(x[40]))
+    degree = 2 * {1: 2, 2: 2, 3: 3, 4: 3}[order]
+    polys = [np.polynomial.Polynomial(c) for c in
+             np.random.default_rng(order).normal(size=(3, degree + 1))]
+    piece = np.searchsorted(kinks, x)
+    f = np.choose(piece, [p(x) for p in polys])
+    f[40] = 1e30
+    expected = np.choose(piece, [p.deriv(order)(x) for p in polys])
+    expected[40] = 0.5 * (polys[1].deriv(order)(x[40])
+                          + polys[2].deriv(order)(x[40]))
+    got = fd_derivative(f, g, order, kinks)
+    scale = max(1.0, float(np.max(np.abs(expected))))
+    assert np.max(np.abs(got - expected)) < 1e-8 * scale
+    # Without the kinks the stencils reach across them.
+    assert np.max(np.abs(fd_derivative(np.choose(piece, [p(x) for p in polys]),
+                                       g, order) - expected)) > 1e-2 * scale
+
+
+def test_peakon_angle_slopes_stay_bounded_at_the_crest():
+    # W jumps at the crest's label; cut there, W_xi stays below 1 at
+    # every node, where the stencils across the jump read about 93.
+    for n in (2048, 2049):
+        state = transform_with_map(builtin_datum("peakon", {"c": 1.0}),
+                                   make_grid(-20.0, 20.0, n))
+        pair = state.data[2:4]
+        assert np.max(np.abs(fd_derivative(pair, state.grid, 1,
+                                           state.kinks))) < 1.0
+        assert np.max(np.abs(fd_derivative(pair, state.grid, 1))) > 90.0

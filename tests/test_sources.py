@@ -122,16 +122,16 @@ def _piece_of(nodes, positions):
                                        (3.5, 9.0, 12.25, 50.75)])
 def test_boundary_rows_integrate_quintics_exactly(positions):
     # Each row of the boundary table integrates every polynomial of degree
-    # <= 5 of each piece exactly over its part of the cell: a polynomial
+    # <= 7 of each piece exactly over its part of the cell: a polynomial
     # on one piece that is zero on the others (and huge on a node on a
     # kink, which no row may read) integrates to its integral over the
-    # part of the cell in that piece.  A piece of k < 6 nodes takes
+    # part of the cell in that piece.  A piece of k < 8 nodes takes
     # degree k - 1: the last case has pieces of 4, 5 and 3 nodes.
     n = 64
     at, windows, weights = sources._line_table(n, positions)
     bounds = np.array([0.0, *positions, n - 1.0])
     sizes = np.bincount(_piece_of(np.arange(n), positions) + 1)[1:]
-    assert {0, 1, n - 3, n - 2} <= set(at.tolist())
+    assert {0, 1, 2, n - 4, n - 3, n - 2} <= set(at.tolist())
     for j, window, w in zip(at, windows, weights):
         for piece in range(len(bounds) - 1):
             a = max(j, bounds[piece])
@@ -139,7 +139,7 @@ def test_boundary_rows_integrate_quintics_exactly(positions):
             if a >= b:
                 continue
             owner = _piece_of(window, positions)
-            for degree in range(min(sizes[piece], 6)):
+            for degree in range(min(sizes[piece], 8)):
                 mid = j + 0.5
                 values = np.where(owner == piece, (window - mid) ** degree,
                                   0.0)
@@ -149,6 +149,17 @@ def test_boundary_rows_integrate_quintics_exactly(positions):
                 values[owner == -1] = 1e30
                 assert abs(w @ values - exact) <= 1e-14 * scale, (j, piece,
                                                                  degree)
+
+
+def test_cell_rule_integrates_the_degree_7_polynomial():
+    # The centred rule is the integral over [xi_j, xi_j+1] of the
+    # polynomial through the eight nodes xi_j-3 .. xi_j+4, to an ulp of
+    # each weight, and it sums to 1 exactly.
+    rule = sources._CELL_RULE
+    exact = sources._part_weights(range(-3, 5), 0.0, 1.0)
+    assert rule.size == 8
+    assert np.all(np.abs(rule - exact) <= np.spacing(np.abs(rule)))
+    assert np.sum(rule) == 1.0
 
 
 @pytest.mark.parametrize("value, node, span", [
@@ -445,7 +456,7 @@ def analytic_halves(n):
 @pytest.mark.parametrize("convolve", [exp_convolve, exp_convolve_bruteforce])
 def test_kernel_quadrature_is_fourth_order(convolve, span, monkeypatch):
     # The error against the analytic halves falls at least 12x per grid
-    # doubling (16x for fourth order; 64x is measured with the 6-point
+    # doubling (16x for fourth order; 256x is measured with the 8-point
     # rule), in one block and across many.
     if span is not None:
         monkeypatch.setattr(sources, "_BLOCK_SPAN", span)
@@ -462,11 +473,12 @@ def test_kernel_quadrature_is_fourth_order(convolve, span, monkeypatch):
 def test_kernel_potential_never_decreases_through_the_peakon_crest(
         n, monkeypatch):
     # At the crest y_xi jumps about 50x between its neighbours, and the
-    # centred 6-point rule across the jump goes negative on a cell.  The
+    # centred 8-point rule across the jump goes negative on a cell.  The
     # kink's split cell and one-sided stencils (and the trapezoid, on any
     # cell still negative) keep G nondecreasing in every rhs of the run.
     real = sources.kernel_accumulator
-    rule = np.array([11.0, -93.0, 802.0, 802.0, -93.0, 11.0]) / 1440.0
+    rule = np.array([-191.0, 1879.0, -9531.0, 68323.0, 68323.0, -9531.0,
+                     1879.0, -191.0]) / 120960.0
     seen = {"calls": 0, "guarded": 0, "dips": 0}
 
     def checked(y_xi, grid, kinks=()):
