@@ -237,9 +237,8 @@ _GL_WEIGHTS = np.array([
     0.2692667193099965, 0.219086362515982, 0.1494513491505804,
     0.06667134430868814])
 
-# Panels of the density table sampled at once: the samples of 4096
-# panels take 320 KB, where the whole table's at n = 8192 take 2.6 MB
-# per temporary.
+# Panels of the density table integrated at once: a block's temporaries
+# take 32 KB each, where the whole table's at n = 8192 take 262 KB.
 _TABLE_BLOCK = 4096
 
 
@@ -248,7 +247,9 @@ class _CumulativeDensity:
 
     The table cells are split at datum kinks so every Gauss panel sees a
     smooth integrand.  Point evaluations add a partial-cell panel to the
-    tabulated prefix.
+    tabulated prefix.  A panel's ten Gauss terms are added in node order,
+    elementwise, so its integral, and F at a point, take the same bits
+    whatever else shares the call.
     """
 
     def __init__(self, datum: EulerDatum, lo: float, hi: float, h: float):
@@ -262,10 +263,13 @@ class _CumulativeDensity:
         x = np.sort(np.concatenate([cuts, [0.0], interior]))
         self.x = x[np.concatenate(([True], x[1:] != x[:-1]))]
         self.datum = datum
-        cell_ints = self._panel(self.x[:-1], self.x[1:])
-        cum = np.concatenate([[0.0], np.cumsum(cell_ints)])
-        i0 = int(np.searchsorted(self.x, 0.0))
-        self.cum = cum - cum[i0]
+        a, b = self.x[:-1], self.x[1:]
+        cum = np.zeros(self.x.size)
+        for start in range(0, a.size, _TABLE_BLOCK):
+            block = slice(start, start + _TABLE_BLOCK)
+            cum[1:][block] = self._panel(a[block], b[block])
+        np.cumsum(cum, out=cum)
+        self.cum = cum - cum[int(np.searchsorted(self.x, 0.0))]
 
     def density(self, x):
         du = self.datum.du0(x)
@@ -273,40 +277,20 @@ class _CumulativeDensity:
         dv = du if self.datum.dv0 is self.datum.du0 else self.datum.dv0(x)
         return (1.0 + du * du) * (1.0 + dv * dv)
 
-    def _samples(self, a, b):
-        # The density at the Gauss nodes of each panel [a, b], and the
-        # panels' half widths.
-        a = np.asarray(a, dtype=float)
-        b = np.asarray(b, dtype=float)
-        mid = 0.5 * (a + b)[..., None]
-        half = 0.5 * (b - a)[..., None]
-        return self.density(mid + half * _GL_NODES), half[..., 0]
-
     def _panel(self, a, b):
-        # The density is sampled _TABLE_BLOCK panels at a time into one
-        # buffer, then weighed by one product over all its rows: the
-        # BLAS rounds a product over a subset of rows differently.
-        vals = np.empty((a.size, _GL_NODES.size))
-        for lo in range(0, a.size, _TABLE_BLOCK):
-            hi = lo + _TABLE_BLOCK
-            vals[lo:hi] = self._samples(a[lo:hi], b[lo:hi])[0]
-        return (vals @ _GL_WEIGHTS) * (0.5 * (b - a))
+        # The integral of D0 over each panel [a, b].
+        mid = 0.5 * (a + b)
+        half = 0.5 * (b - a)
+        total = 0.0
+        for node, weight in zip(_GL_NODES, _GL_WEIGHTS):
+            total = total + weight * self.density(mid + half * node)
+        return total * half
 
-    def value(self, x, samples=None, rows=None):
-        """F at the points x.
-
-        With samples, an (N, 10) array of the density samples of N
-        points' partial panels, x holds the points of the given rows:
-        those rows are refreshed and the product runs over all N, so a
-        point's value rounds alike however few rows change.
-        """
+    def value(self, x):
+        """F at the points x."""
         x = np.asarray(x, dtype=float)
         idx = np.clip(np.searchsorted(self.x, x, side="right") - 1, 0, self.x.size - 2)
-        vals, half = self._samples(self.x[idx], x)
-        if samples is None:
-            return self.cum[idx] + (vals @ _GL_WEIGHTS) * half
-        samples[rows] = vals
-        return self.cum[idx] + (samples @ _GL_WEIGHTS)[rows] * half
+        return self.cum[idx] + self._panel(self.x[idx], x)
 
 
 def _density_table(datum: EulerDatum, grid: Grid) -> _CumulativeDensity:
@@ -329,10 +313,7 @@ def _invert(table: _CumulativeDensity, grid: Grid) -> np.ndarray:
     lo = np.full(grid.n, table.x[0])
     hi = np.full(grid.n, table.x[-1])
     x = np.clip(xi, lo, hi)
-    # Only the nodes still active are evaluated; samples keeps every
-    # node's partial panel for the product F takes over all of them.
-    samples = np.empty((grid.n, _GL_NODES.size))
-    resid = table.value(x, samples, slice(None)) - xi
+    resid = table.value(x) - xi
     dxold = hi - lo
     for _ in range(NEWTON_MAX_ITER):
         act = np.flatnonzero(np.abs(resid) >= NEWTON_TOL)
@@ -352,7 +333,7 @@ def _invert(table: _CumulativeDensity, grid: Grid) -> np.ndarray:
         trial = np.where(ok, newton, 0.5 * (lo_a + hi_a))
         dxold[act] = np.abs(trial - xa)
         x[act] = trial
-        resid[act] = table.value(trial, samples, act) - xi[act]
+        resid[act] = table.value(trial) - xi[act]
     worst = float(np.max(np.abs(resid)))
     if worst >= NEWTON_TOL:
         k = int(np.argmax(np.abs(resid)))

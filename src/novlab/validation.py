@@ -22,8 +22,8 @@ from .config import ScenarioConfig
 from .errors import NovlabError
 from .evolution import evolve, rhs
 from .grid import Grid, fd_derivative, integrate, make_grid, prefix_integral
-from .initial import (TransformedState, _density_table, builtin_datum,
-                      invert_y0, transform_with_map)
+from .initial import (TransformedState, _density_table, _invert,
+                      builtin_datum, transform_with_map)
 from .metric import (DEFAULT_DESCENT_ITERS, distance_upper, shift_value,
                      tangent_norm_info)
 from .reconstruct import euler_fields, measure_interval, sample_at
@@ -185,8 +185,8 @@ def check_y0_round_trip(cfg, rng):
     n = 1024
     grid = make_grid(cfg.xi_min, cfg.xi_max, n)
     datum = cliio.datum_from_config(cfg)
-    y0 = invert_y0(datum, grid)
     table = _density_table(datum, grid)
+    y0 = _invert(table, grid)
     resid = np.abs(table.value(y0) - grid.nodes)
     worst = float(np.max(resid))
     ok = worst < 1e-12 and bool(np.all(np.diff(y0) > 0))

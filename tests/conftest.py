@@ -4,6 +4,8 @@ Random states and tangents come from novlab.validation, which draws
 them inside the validity region so that property tests exercise the
 contracts, not the guards.
 """
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import HealthCheck, settings
@@ -34,6 +36,17 @@ def same_bits(a, b):
     return a.shape == b.shape and np.array_equal(
         np.ascontiguousarray(a).view(np.uint64),
         np.ascontiguousarray(b).view(np.uint64))
+
+
+def traced_peak(fn, *args):
+    """The tracemalloc peak of fn(*args), less what was traced at its start."""
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        fn(*args)
+        return tracemalloc.get_traced_memory()[1] - base
+    finally:
+        tracemalloc.stop()
 
 
 def wide_random_state(n, seed=0):

@@ -6,7 +6,6 @@ import io
 import json
 import math
 import tempfile
-import tracemalloc
 from pathlib import Path
 from types import SimpleNamespace
 
@@ -21,6 +20,8 @@ from novlab.cliio import (write_conserved_csv, write_jsonl, write_ratios_csv,
                           write_record_csv)
 from novlab.evolution import ConservedSet
 from novlab.metric import RatioRow
+
+from conftest import traced_peak
 
 SPECIAL = [math.nan, math.inf, -math.inf, -0.0, 0.0, 5e-324, 2.2e-308,
            1e16, 1e-16, 1.7976931348623157e308, 0.1, -1.5,
@@ -153,12 +154,7 @@ def test_record_writer_memory_stays_bounded():
                             vx_valid=rng.random(n) < 0.5)
     novlab.cliio._xi_cells.cache_clear()
     state_fh, euler_fh = Discard(), Discard()
-    tracemalloc.start()
-    try:
-        write_record_csv(state_fh, euler_fh, state, field)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
+    peak = traced_peak(write_record_csv, state_fh, euler_fh, state, field)
     assert state_fh.chars > 7 * n and euler_fh.chars > 7 * n
     assert peak < 4_000_000, peak
 

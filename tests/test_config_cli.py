@@ -1,7 +1,6 @@
 """Config grammar, artifact writers, and the CLI front end."""
 import json
 import re
-import tracemalloc
 from pathlib import Path
 
 import pytest
@@ -17,6 +16,8 @@ from novlab.config import (_BOOL_KEYS, _FLOAT_KEYS, _INT_KEYS, _STR_KEYS,
                            ScenarioConfig, validate_config)
 from novlab.errors import ContractError
 from novlab.grid import MAX_NODES
+
+from conftest import traced_peak
 
 REPO = Path(__file__).resolve().parents[1]
 
@@ -565,12 +566,11 @@ def test_cli_run_holds_one_recorded_state(tmp_path, capsys, command):
             f"time.t_final = {0.002 * (records - 1)!r}",
             "singular.fit = false"), f"r{records}.cfg")
         argv = [command, "--config", cfg, "--out", str(tmp_path / "out")]
-        tracemalloc.start()
-        try:
+
+        def run():
             assert main(argv) == 0
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
+
+        peak = traced_peak(run)
         assert f" {records} records\n" in capsys.readouterr().out
         return peak
 

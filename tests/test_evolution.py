@@ -1,5 +1,4 @@
 """Time stepping, guards, and conserved quantities."""
-import tracemalloc
 import warnings
 
 import numpy as np
@@ -14,7 +13,8 @@ from novlab.initial import TransformedState
 from novlab import sources
 from novlab.validation import random_state
 
-from conftest import flat_state, same_bits, two_bump_pair, wide_random_state
+from conftest import (flat_state, same_bits, traced_peak, two_bump_pair,
+                      wide_random_state)
 
 BOUNDS = OmegaBounds(0.01, 100.0, 1.5)
 
@@ -493,13 +493,7 @@ def test_rk4_step_allocates_only_the_new_state_and_the_cells():
     work = Workspace(state.grid)
     state = rk4_step(state, 1e-3, BOUNDS, work)
     bound = 8 * (6 * n + (n - 3) + (4 * n + 1))
-    tracemalloc.start()
-    try:
-        base = tracemalloc.get_traced_memory()[0]
-        rk4_step(state, 1e-3, BOUNDS, work)
-        peak = tracemalloc.get_traced_memory()[1] - base
-    finally:
-        tracemalloc.stop()
+    peak = traced_peak(rk4_step, state, 1e-3, BOUNDS, work)
     assert peak <= bound, (peak, bound)
 
 

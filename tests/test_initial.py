@@ -1,6 +1,5 @@
 """Initial-datum construction and the stretched-coordinate transform."""
 import re
-import tracemalloc
 
 import numpy as np
 import pytest
@@ -13,7 +12,7 @@ from novlab.initial import (_GL_NODES, _GL_WEIGHTS, _TABLE_BLOCK,
                             TransformedState, _CumulativeDensity,
                             _density_table)
 
-from conftest import same_bits
+from conftest import same_bits, traced_peak
 
 
 def test_builtin_families_cover_known_shapes():
@@ -276,35 +275,50 @@ def test_transform_equals_the_all_node_solve_bitwise(name, n, monkeypatch):
         2.0 * np.arctan(datum.dv0(y0)), np.ones(g.n), y0)))
 
 
-def one_shot_cells(table):
-    """The table's cell integrals with every panel sampled at once."""
-    vals, half = table._samples(table.x[:-1], table.x[1:])
-    return (vals @ _GL_WEIGHTS) * half
+def fixed_order_panels(density, a, b):
+    """Each panel's 10-point Gauss integral: the density at its ten nodes
+    in one call, then the weighted terms added in node order."""
+    half = 0.5 * (b - a)
+    samples = density((0.5 * (a + b))[:, None] + half[:, None] * _GL_NODES)
+    total = np.zeros(a.size)
+    for k in range(_GL_NODES.size):
+        total += _GL_WEIGHTS[k] * samples[:, k]
+    return total * half
 
 
 @pytest.mark.parametrize("n", [257, 2048, 8192])
 @pytest.mark.parametrize("name", sorted(SETUP_DATA))
 def test_density_table_in_blocks_equals_the_one_shot_table_bitwise(name, n):
+    # A cell, and F at a point, take the same bits evaluated alone, in
+    # the table's _TABLE_BLOCK blocks or with every panel in one call.
     # 4 cells per grid cell: one block at n = 257, 2 at 2048, 8 at 8192.
     table = _density_table(SETUP_DATA[name], make_grid(-20.0, 20.0, n))
-    cells = table.x.size - 1
-    assert -(-cells // _TABLE_BLOCK) == {257: 1, 2048: 2, 8192: 8}[n]
-    assert same_bits(table._panel(table.x[:-1], table.x[1:]),
-                     one_shot_cells(table))
+    a, b = table.x[:-1], table.x[1:]
+    assert -(-a.size // _TABLE_BLOCK) == {257: 1, 2048: 2, 8192: 8}[n]
+    cells = fixed_order_panels(table.density, a, b)
+    cum = np.cumsum(np.concatenate(([0.0], cells)))
+    assert same_bits(table.cum, cum - cum[np.searchsorted(table.x, 0.0)])
+    x = np.linspace(a[0], b[-1], 2 * n + 1)
+    idx = np.searchsorted(a, x, side="right") - 1
+    F = table.cum[idx] + fixed_order_panels(table.density, a[idx], x)
+    assert same_bits(table._panel(a, b), cells)
+    assert same_bits(table.value(x), F)
+    # Alone: a spread of cells, both ends of every block, and points.
+    alone = np.r_[0:a.size:a.size // 100, _TABLE_BLOCK - 1:a.size:_TABLE_BLOCK,
+                  _TABLE_BLOCK:a.size:_TABLE_BLOCK]
+    assert same_bits(np.array([table._panel(a[i], b[i]) for i in alone]),
+                     cells[alone])
+    some = slice(None, None, x.size // 100)
+    assert same_bits(np.array([table.value(p) for p in x[some]]), F[some])
 
 
 @pytest.mark.parametrize("name", sorted(SETUP_DATA))
 def test_density_table_holds_one_sample_buffer(name):
-    # At n = 8192 (32,764 to 32,766 cells) the one-shot table peaked at
-    # 11.8-17.0 MB, 4.5-6.5 times its (N, 10) sample buffer; in blocks
-    # it peaks at 4.8-5.4 MB.  The bound is three sample buffers.
+    # The transform at n = 8192: 32,764 to 32,766 table cells and a
+    # 393 KB state.  With (N, 10) density sample buffers, weighed by one
+    # product over all rows, its peak was 4.99-6.30 MB.  The bound is
+    # half the smallest of those peaks.
     datum, g = SETUP_DATA[name], make_grid(-20.0, 20.0, 8192)
-    _density_table(datum, g)
-    tracemalloc.start()
-    try:
-        table = _density_table(datum, g)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    bound = 3 * 8 * _GL_NODES.size * (table.x.size - 1)
-    assert peak <= bound, (peak, bound)
+    transform_with_map(datum, g)
+    peak = traced_peak(transform_with_map, datum, g)
+    assert peak <= 2_490_000, peak
