@@ -8,7 +8,9 @@ centred finite differences of fourth order in the interior; near the
 boundary the same-width stencil slides one-sided, which keeps every row
 exact on polynomials up to the stencil degree.  Kinks of the data cut
 the line into smooth pieces, and the stencils slide one-sided at their
-ends too.
+ends too.  One builder, stencil_table, gives these stencils to the
+derivative's nodes and to the kernel's cells; a node on a kink, which
+belongs to neither piece, takes the mean of the two sides.
 """
 
 from __future__ import annotations
@@ -29,6 +31,7 @@ __all__ = [
     "prefix_integral",
     "fd_derivative",
     "kink_positions",
+    "stencil_table",
 ]
 
 
@@ -104,13 +107,6 @@ def _pieces(n: int, positions):
     return pieces
 
 
-def _piece_nodes(first: int, width: int, a: int, b: int) -> range:
-    # The width nodes of the piece of nodes a .. b nearest to the window
-    # that starts at node first; all of them in a shorter piece.
-    start = max(min(first, b + 1 - width), a)
-    return range(start, min(start + width, b + 1))
-
-
 def _as_samples(samples, grid: Grid, max_ndim: int = 1) -> np.ndarray:
     """samples as floats: shape (n,), or (k, n) when max_ndim is 2."""
     arr = np.asarray(samples, dtype=float)
@@ -169,68 +165,89 @@ def _fornberg_weights(offsets: tuple[int, ...], order: int) -> np.ndarray:
     return c[:, m].copy()
 
 
+@lru_cache(maxsize=48)
+def stencil_table(n: int, positions: tuple[float, ...], span: int,
+                  first: int, width: int, weigh):
+    """The stencils near the ends of the smooth pieces of a line of n
+    nodes cut at the kink positions (units of dx from node 0).
+
+    A target t is the cell [t, t+1] (span 1) or the node t (span 0), its
+    centred stencil the width nodes from t + first.  A target whose
+    centred stencil would leave its piece, or that holds a kink, splits
+    at the kinks into parts; a part [x0, x1] takes the width nodes of each
+    piece that holds it, nearest to centred (all of them in a shorter
+    piece), weighted by weigh(nodes, x0, x1).  A node on a kink, which
+    both pieces hold and neither reads, takes the mean of the two.
+    Returns the targets, an (R, w) array of node windows and their
+    weights; a row narrower than w repeats its first node at zero weight.
+    """
+    pieces = _pieces(n, positions)
+    cuts = [hi for _, hi, _, _ in pieces[:-1]]
+    near = {t for lo, hi, _, _ in pieces for x in (lo, hi)
+            for t in range(math.floor(x) - width, math.ceil(x) + width)}
+    rows = []
+    for t in sorted(t for t in near if 0 <= t < n - span):
+        ends = [t, *(p for p in cuts if t < p < t + span), t + span]
+        parts = []
+        for x0, x1 in zip(ends, ends[1:]):
+            held = [(a, b) for lo, hi, a, b in pieces if lo <= x0 and x1 <= hi]
+            for a, b in held:
+                start = max(min(t + first, b + 1 - width), a)
+                parts.append((range(start, min(start + width, b + 1)), x0, x1,
+                              len(held)))
+        if len(parts) > 1 or parts[0][0] != range(t + first,
+                                                   t + first + width):
+            # Parts and their pieces run left to right, so the nodes come
+            # sorted and distinct.
+            rows.append((t, [k for nodes, *_ in parts for k in nodes],
+                         [w for nodes, x0, x1, share in parts
+                          for w in weigh(nodes, x0, x1) / share]))
+    widest = max(len(nodes) for _, nodes, _ in rows)
+    targets = np.array([t for t, _, _ in rows])
+    windows = np.array([nodes + nodes[:1] * (widest - len(nodes))
+                        for _, nodes, _ in rows], dtype=np.intp)
+    weights = np.array([w + [0.0] * (widest - len(w)) for _, _, w in rows])
+    for table in (targets, windows, weights):
+        table.flags.writeable = False
+    return targets, windows, weights
+
+
 # Stencil half widths: 5 points for orders 1 and 2, 7 points for 3 and 4.
 _HALF_WIDTH = {1: 2, 2: 2, 3: 3, 4: 3}
 
 
-@lru_cache(maxsize=32)
-def _edge_stencils(n: int, positions: tuple[float, ...], order: int):
-    # The nodes whose centred stencil would leave their piece, each with
-    # the first node and the weights of its stencil: the nodes of the
-    # piece nearest to centred (all of them in a shorter piece).  A node
-    # on a kink takes half of each side's stencil, read at the node.
-    w = _HALF_WIDTH[order]
-    npts = 2 * w + 1
-
-    def stencil(i, a, b):
-        nodes = _piece_nodes(i - w, npts, a, b)
-        offsets = tuple(k - i for k in nodes)
-        return nodes.start, _fornberg_weights(offsets, order)
-
-    pieces = _pieces(n, positions)
-    rows = []
-    for _, _, a, b in pieces:
-        for i in sorted({*range(a, min(a + w, b + 1)),
-                         *range(max(b + 1 - w, a), b + 1)}):
-            rows.append((i, *stencil(i, a, b)))
-    for p in positions:
-        if p.is_integer() and not any(a <= p <= b for _, _, a, b in pieces):
-            i = int(p)
-            (start, left), (end, right) = (
-                stencil(i, a, b) for lo, hi, a, b in pieces
-                if p in (lo, hi))
-            weights = np.zeros(end + right.size - start)
-            weights[:left.size] += 0.5 * left
-            weights[end - start:] += 0.5 * right
-            rows.append((i, start, weights))
-    return rows
+@lru_cache(maxsize=None)
+def _derivative_rule(order: int):
+    # weigh for stencil_table: the order-th derivative at the node x0.
+    return lambda nodes, x0, x1: _fornberg_weights(
+        tuple(k - x0 for k in nodes), order)
 
 
 def fd_derivative(samples, grid: Grid, order: int, kinks=()) -> np.ndarray:
     """order-th xi-derivative of samples, shape (n,) or a (k, n) stack.
 
     A stack is differentiated row by row, each row bit for bit its 1-D
-    result.  The grid ends and the kink labels kinks cut the line into
-    smooth pieces: a node whose centred stencil would leave its piece
-    takes the one-sided stencil of its piece, and a node on a kink
-    (within KINK_SNAP of it), which belongs to neither piece, the mean of
-    the two sides' values at it.
+    result.  The nodes near the grid ends and the kink labels kinks take
+    the stencils of stencil_table: one-sided in their piece, or on a kink
+    (within KINK_SNAP of it) the mean of the two sides.
     """
     if order not in _HALF_WIDTH:
         raise ContractError(f"derivative order must be 1..4, got {order}")
     w = _HALF_WIDTH[order]
-    npts = 2 * w + 1
-    if grid.n < 2 * order + 5 or grid.n < npts:
+    if grid.n < 2 * order + 5:
         raise ContractError(
             f"grid too small for order-{order} derivative: n={grid.n}")
     arr = _as_samples(samples, grid, max_ndim=2)
     out = np.empty(arr.shape)
     centre = _fornberg_weights(tuple(range(-w, w + 1)), order)
-    edges = _edge_stencils(grid.n, kink_positions(kinks, grid), order)
     for row, res in zip(arr.reshape(-1, grid.n), out.reshape(-1, grid.n)):
         # correlate(row, centre) at full stencils covers nodes w .. n-1-w
         res[w:grid.n - w] = np.correlate(row, centre, mode="valid")
-        for i, start, weights in edges:
-            res[i] = weights @ row[start:start + weights.size]
+    at, windows, weights = stencil_table(
+        grid.n, kink_positions(kinks, grid), 0, -w, 2 * w + 1,
+        _derivative_rule(order))
+    # take lays each row's windows out contiguously, so that every dot
+    # sums in the order of the 1-D case.
+    out[..., at] = np.vecdot(np.take(arr, windows, axis=-1), weights)
     out /= grid.dx ** order
     return out

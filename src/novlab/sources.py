@@ -28,26 +28,22 @@ gradient blow-up; the one exception is a kink of the datum
 (the peakon crest), which is a characteristic and keeps its label xi_k
 (TransformedState.kinks).  So the line splits into smooth pieces at the
 grid ends and the kinks, and no stencil reaches across a piece's end:
-a cell whose centred stencil would leave its piece takes a one-sided
-eight-node stencil of the piece, and a cell that holds a kink is
-integrated in two parts, each by the polynomial of its own side.  A
-node on a kink (within grid.KINK_SNAP of it) enters neither side's
-stencil.  The rule is eighth order on smooth data, through breaking
-and across kinks alike.  The boundary cells are one table per grid and
-kinks.  A quadratic-time double loop with the same rule serves as the
+the cells near one, and those a kink splits, take the one-sided
+stencils of grid.stencil_table, one table per grid and kinks.  The rule
+is eighth order on smooth data, through breaking and across kinks
+alike.  A quadratic-time double loop with the same rule serves as the
 oracle.
 """
 
 from __future__ import annotations
 
-import math
 from functools import lru_cache
 
 import numpy as np
 
 from .config import TOL_PI, TOL_ZERO_REL
 from .errors import ContractError, NumericalAbort
-from .grid import Grid, _piece_nodes, _pieces, kink_positions
+from .grid import Grid, kink_positions, stencil_table
 from .initial import TransformedState
 
 __all__ = [
@@ -118,62 +114,21 @@ def _part_weights(nodes, a: float, b: float) -> np.ndarray:
     weights = np.empty(x.size)
     for k in range(x.size):
         others = np.delete(x, k)
-        basis = np.polyint(np.poly(others) / np.prod(x[k] - others))
+        # np.poly of no roots (a one-node part) is the scalar 1.
+        basis = np.polyint(np.atleast_1d(np.poly(others))
+                           / np.prod(x[k] - others))
         weights[k] = np.polyval(basis, b - mid) - np.polyval(basis, a - mid)
     return weights
 
 
 @lru_cache(maxsize=16)
-def _line_table(n: int, positions: tuple[float, ...]):
-    # The boundary cells of a line of n nodes cut at the kink positions
-    # (units of dx from the first node): each cell [j, j+1] whose centred
-    # stencil would leave its piece, or that a kink splits.  A part of a
-    # cell inside one piece takes the _TAPS nodes of the piece nearest to
-    # centred (all of them in a shorter piece).  Returns the cells j, an
-    # (R, w) array of node windows and their weights in units of dx, with
-    # w the widest window; a narrower row repeats its first node at zero
-    # weight.  Every other cell takes the centred rule.
-    pieces = _pieces(n, positions)
-    cuts = [hi for _, hi, _, _ in pieces[:-1]]
-    candidates = set()
-    for lo, hi, _, _ in pieces:
-        candidates.update(range(math.floor(lo), math.floor(lo) + _HALF + 1))
-        candidates.update(range(math.ceil(hi) - _HALF - 1, math.ceil(hi)))
-    rows = []
-    for j in sorted(c for c in candidates if 0 <= c <= n - 2):
-        ends = [j, *(p for p in cuts if j < p < j + 1), j + 1]
-        parts = []
-        for x0, x1 in zip(ends, ends[1:]):
-            a, b = next((a, b) for lo, hi, a, b in pieces
-                        if lo <= x0 and x1 <= hi)
-            parts.append((_piece_nodes(j + 1 - _HALF, _TAPS, a, b), x0, x1))
-        if len(parts) == 1 and parts[0][0] == range(j + 1 - _HALF,
-                                                     j + 1 + _HALF):
-            continue
-        row = {}
-        for nodes, x0, x1 in parts:
-            for k, w in zip(nodes, _part_weights(nodes, x0, x1)):
-                row[k] = row.get(k, 0.0) + w
-        rows.append((j, row))
-    width = max(len(row) for _, row in rows)
-    cells = np.array([j for j, _ in rows])
-    windows = np.empty((len(rows), width), dtype=np.intp)
-    weights = np.zeros((len(rows), width))
-    for i, (_, row) in enumerate(rows):
-        nodes = sorted(row)
-        windows[i] = nodes[0]
-        windows[i, :len(nodes)] = nodes
-        weights[i, :len(nodes)] = [row[k] for k in nodes]
-    for table in (cells, windows, weights):
-        table.flags.writeable = False
-    return cells, windows, weights
-
-
-@lru_cache(maxsize=16)
 def _table(grid: Grid, kinks: tuple[float, ...]):
-    # The boundary-cell table of the grid cut at the kink labels kinks,
-    # its weights also times dx, as G takes them.
-    cells, windows, weights = _line_table(grid.n, kink_positions(kinks, grid))
+    # The boundary cells of the grid cut at the kink labels kinks, their
+    # weights in units of dx and also times dx, as G takes them.  Every
+    # other cell takes the centred rule.
+    cells, windows, weights = stencil_table(
+        grid.n, kink_positions(kinks, grid), 1, 1 - _HALF, _TAPS,
+        _part_weights)
     scaled = weights * grid.dx
     scaled.flags.writeable = False
     return cells, windows, weights, scaled

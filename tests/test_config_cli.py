@@ -418,6 +418,19 @@ def test_cli_singular_on_quiet_run(tmp_path, capsys):
     assert (out / "cancellations.jsonl").exists()
 
 
+@pytest.mark.parametrize("center", ["-18.4", "18.4"])
+@pytest.mark.parametrize("command", ["evolve", "singular"])
+def test_cli_runs_a_kink_in_an_end_cell(tmp_path, capsys, command, center):
+    # The peakon's crest label lies in the first (last) cell of the grid,
+    # so the kink leaves a one-node piece at that end.
+    cfg = write_cfg(tmp_path, "schema = novlab-config/1\n" + "".join(
+        f"{line}\n" for line in ("grid.xi_min = -20", "grid.xi_max = 20",
+                                 "grid.n = 64", "datum.u.family = peakon",
+                                 f"datum.u.center = {center}",
+                                 "time.t_final = 0.01", "time.dt = 0.01")))
+    assert main([command, "--config", cfg, "--out", str(tmp_path / "o")]) == 0
+
+
 @pytest.mark.parametrize("t_final", ["0.1", "-0.1"])
 def test_cli_metric_writes_ratios(tmp_path, capsys, t_final):
     # Both time directions run, so the sign of t_final does not matter.

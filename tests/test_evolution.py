@@ -156,7 +156,8 @@ def _oracle_cells(rows, scale=1.0):
     rows of the kernel's boundary table, by one row-wise dot as the
     kernel forms them."""
     rows = np.atleast_2d(rows)
-    at, windows, weights = sources._line_table(rows.shape[-1], ())
+    n = rows.shape[-1]
+    at, windows, weights, _ = sources._table(make_grid(0.0, n - 1.0, n), ())
     out = np.empty(rows.shape[:-1] + (rows.shape[-1] - 1,))
     for row, cells in zip(rows, out):
         if row.size > 7:

@@ -144,25 +144,33 @@ def test_fd_rejects_unsupported_order():
         fd_derivative(np.zeros(g.n), g, 5)
 
 
-@pytest.mark.parametrize("order", [1, 2, 3, 4])
-def test_fd_derivative_is_exact_on_each_side_of_a_kink(order):
-    # Two kinks, one between nodes and one on node 40, cut the line into
-    # three pieces, each a polynomial of the stencil's full degree: every
-    # node of a piece gets its own polynomial's derivative, and the node
-    # on the kink, which neither side reads (it holds 1e30), the mean of
-    # the two sides' derivatives there.
+@pytest.mark.parametrize("order, layout", [
+    pytest.param(order, layout, id=f"{name}{order}")
+    for name, layout in (("", ((20, 0.37), (40, 0.0))),
+                         ("end-cells-", ((0, 0.5), (59, 0.5))))
+    for order in (1, 2, 3, 4)])
+def test_fd_derivative_is_exact_on_each_side_of_a_kink(order, layout):
+    # Two kinks, each at node k plus offset dx, cut the line into three
+    # pieces, each a polynomial of the stencil's full degree: a node gets
+    # its piece's derivative, a one-node piece 0, and a node on a kink,
+    # which neither side reads (it holds 1e30), the mean of the two sides.
+    # First a kink between nodes and one on node 40, then a kink in the
+    # first and in the last cell, so that each end is a one-node piece.
     g = make_grid(-1.5, 2.5, 61)
     x = g.nodes
-    kinks = (float(x[20] + 0.37 * g.dx), float(x[40]))
+    kinks = tuple(float(x[k] + offset * g.dx) for k, offset in layout)
     degree = 2 * {1: 2, 2: 2, 3: 3, 4: 3}[order]
     polys = [np.polynomial.Polynomial(c) for c in
              np.random.default_rng(order).normal(size=(3, degree + 1))]
     piece = np.searchsorted(kinks, x)
     f = np.choose(piece, [p(x) for p in polys])
-    f[40] = 1e30
     expected = np.choose(piece, [p.deriv(order)(x) for p in polys])
-    expected[40] = 0.5 * (polys[1].deriv(order)(x[40])
-                          + polys[2].deriv(order)(x[40]))
+    expected[np.bincount(piece)[piece] == 1] = 0.0
+    on = np.flatnonzero(np.isin(x, kinks))
+    f[on] = 1e30
+    for i in on:
+        expected[i] = 0.5 * (polys[piece[i]].deriv(order)(x[i])
+                             + polys[piece[i] + 1].deriv(order)(x[i]))
     got = fd_derivative(f, g, order, kinks)
     scale = max(1.0, float(np.max(np.abs(expected))))
     assert np.max(np.abs(got - expected)) < 1e-8 * scale

@@ -119,16 +119,20 @@ def _piece_of(nodes, positions):
 
 
 @pytest.mark.parametrize("positions", [(), (31.37,), (31.0,),
-                                       (3.5, 9.0, 12.25, 50.75)])
+                                       (3.5, 9.0, 12.25, 50.75),
+                                       (0.5, 62.5)])
 def test_boundary_rows_integrate_quintics_exactly(positions):
     # Each row of the boundary table integrates every polynomial of degree
     # <= 7 of each piece exactly over its part of the cell: a polynomial
     # on one piece that is zero on the others (and huge on a node on a
     # kink, which no row may read) integrates to its integral over the
     # part of the cell in that piece.  A piece of k < 8 nodes takes
-    # degree k - 1: the last case has pieces of 4, 5 and 3 nodes.
+    # degree k - 1: the fourth case has pieces of 4, 5 and 3 nodes, and
+    # the last a one-node piece at either end.  On the grid [0, n - 1],
+    # dx = 1, so the kink labels are the positions.
     n = 64
-    at, windows, weights = sources._line_table(n, positions)
+    at, windows, weights, _ = sources._table(make_grid(0.0, n - 1.0, n),
+                                             positions)
     bounds = np.array([0.0, *positions, n - 1.0])
     sizes = np.bincount(_piece_of(np.arange(n), positions) + 1)[1:]
     assert {0, 1, 2, n - 4, n - 3, n - 2} <= set(at.tolist())

@@ -34,8 +34,8 @@ def test_check_passes(config, name):
 
 
 def test_transform_identity_fails_away_from_kink(monkeypatch):
-    # Only the nodes next to the peakon's kink are skipped: a map y that
-    # is wrong elsewhere still fails the check.
+    # Only the node on the peakon's kink is skipped: a map y that is
+    # wrong elsewhere still fails the check.
     real = novlab.validation.transform_with_map
 
     def perturbed(datum, grid):
@@ -48,7 +48,7 @@ def test_transform_identity_fails_away_from_kink(monkeypatch):
     monkeypatch.setattr(novlab.validation, "transform_with_map", perturbed)
     ok, detail = check_transform_identity(cfg, None)
     assert not ok, detail
-    assert "5 nodes at kinks skipped" in detail
+    assert "nodes on a kink skipped: 1" in detail
 
 
 @pytest.mark.parametrize("seed", [3, 17, 28])
