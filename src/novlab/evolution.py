@@ -120,7 +120,8 @@ def rhs(state: TransformedState, out=None, plan=None) -> np.ndarray:
 def check_omega(state: TransformedState, bounds: OmegaBounds) -> None:
     # Row maxima and minima carry a NaN or an infinity of their row, so
     # they screen for non-finite entries and give the bounds at once.
-    hi, lo = state.data.max(axis=1).tolist(), state.data.min(axis=1).tolist()
+    hi = np.maximum.reduce(state.data, axis=1).tolist()
+    lo = np.minimum.reduce(state.data, axis=1).tolist()
     if not all(map(math.isfinite, hi + lo)):
         raise NumericalAbort("non-finite state entry", {"t": state.t})
     q_min, q_max = lo[4], hi[4]
@@ -161,7 +162,7 @@ def rk4_step(state: TransformedState, dt: float,
     work, a Workspace on the state's grid and kinks, lets successive
     steps share their buffers; evolve passes one to all its steps.
     """
-    if not np.isfinite(dt) or dt == 0.0:
+    if not math.isfinite(dt) or dt == 0.0:
         raise ContractError(f"rk4_step needs a finite nonzero dt, got {dt!r}")
     if work is None:
         work = Workspace(state.grid, state.kinks)

@@ -34,6 +34,7 @@ node starts cold.  The seed lives inside one path_length call only.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
@@ -131,6 +132,43 @@ def _phi_zero(state: TransformedState, tangent: np.ndarray,
     return P0
 
 
+@lru_cache(maxsize=8)
+def _hat_space(grid: Grid, eta_nodes: int):
+    """The coarse cells of the eta_nodes-node hat space on grid, built
+    once per pair as read-only arrays: index, the two coefficients of
+    the cell that holds each node (the last cell is closed); hat, their
+    two hats there; the coarse spacing; and for each parity of the
+    coefficients, what _coordinate_sweep moves: which hat of each node
+    has that parity, its coefficient, the parity's coefficients and the
+    first node of each.
+    """
+    if eta_nodes < 2:
+        raise ContractError(f"shift field needs eta_nodes >= 2, got {eta_nodes}")
+    nodes = grid.nodes
+    coarse = np.linspace(grid.xi_min, grid.xi_max, eta_nodes)
+    spacing = coarse[1] - coarse[0]
+    cells = np.clip(np.searchsorted(coarse, nodes, side="right") - 1,
+                    0, eta_nodes - 2)
+    counts = np.bincount(cells, minlength=eta_nodes - 1)
+    if not counts.all():
+        raise ContractError(
+            f"coarse cell {int(np.argmin(counts))} of the {eta_nodes}-node "
+            f"shift holds no grid node; need eta_nodes <= grid.n = {grid.n}")
+    index = np.stack((cells, cells + 1))
+    hat = np.maximum(0.0, 1.0 - np.abs(nodes - coarse[index]) / spacing)
+    parities = []
+    for parity in (0, 1):
+        upper = index[0] % 2 != parity
+        coef = np.where(upper, index[1], index[0])
+        # Every cell holds a node, so every coefficient reaches one, and
+        # coef is nondecreasing along the nodes.
+        ids = np.arange(parity, eta_nodes, 2)
+        parities.append((upper, coef, ids, np.searchsorted(coef, ids)))
+    for table in (index, hat, *(a for group in parities for a in group)):
+        table.flags.writeable = False
+    return index, hat, spacing, tuple(parities)
+
+
 @dataclass(frozen=True)
 class _ShiftOperator:
     """K, the map from shift coefficients c to P(c) - P0.
@@ -149,6 +187,8 @@ class _ShiftOperator:
     # The band products band[0]**2, band[1]**2 and band[0] * band[1]
     # that the normal matrix sums.
     products: np.ndarray
+    # _hat_space's per-parity tables, which _coordinate_sweep reads.
+    parities: tuple
 
     @property
     def size(self) -> int:
@@ -177,29 +217,14 @@ class _ShiftOperator:
 
 def _shift_operator(state: TransformedState, eta_nodes: int,
                     slopes=None) -> _ShiftOperator:
-    if eta_nodes < 2:
-        raise ContractError(f"shift field needs eta_nodes >= 2, got {eta_nodes}")
-    grid = state.grid
-    nodes = grid.nodes
-    coarse = np.linspace(grid.xi_min, grid.xi_max, eta_nodes)
-    spacing = coarse[1] - coarse[0]
-    # The coarse cell holding each node; the last cell is closed.
-    cells = np.clip(np.searchsorted(coarse, nodes, side="right") - 1,
-                    0, eta_nodes - 2)
-    counts = np.bincount(cells, minlength=eta_nodes - 1)
-    if not counts.all():
-        raise ContractError(
-            f"coarse cell {int(np.argmin(counts))} of the {eta_nodes}-node "
-            f"shift holds no grid node; need eta_nodes <= grid.n = {grid.n}")
-    index = np.stack((cells, cells + 1))
-    hat = np.maximum(0.0, 1.0 - np.abs(nodes - coarse[index]) / spacing)
+    index, hat, spacing, parities = _hat_space(state.grid, eta_nodes)
     *D, q_xi = _state_derivatives(state, slopes)
-    band = np.empty((2, 6, grid.n))
+    band = np.empty((2, 6, state.grid.n))
     band[:, :5] = (np.stack(D) * _ROW_SCALE * state.q) * hat[:, None]
     band[:, 5] = q_xi * hat + np.array([[-1.0], [1.0]]) * state.q / spacing
     products = np.stack((band[0] * band[0], band[1] * band[1],
                          band[0] * band[1]))
-    return _ShiftOperator(index, band, products)
+    return _ShiftOperator(index, band, products, parities)
 
 
 def _quad_weights(grid: Grid, y, alpha: float) -> np.ndarray:
@@ -221,35 +246,42 @@ def _coordinate_sweep(op: _ShiftOperator, weights: np.ndarray,
     Along coefficient j the value is sum w |P + t K_j|, least at the
     weighted median of the kinks -P / K_j, weighted by w |K_j|.  No two
     even coefficients share a node, nor two odd ones, so each parity
-    moves at once.
+    moves at once.  Laid node-major, a parity's entries run in
+    coefficient order, so one sort of each run by kink orders them.
     """
     m = op.size
     c = c.copy()
     P = P0 + op.apply(c)
-    w = np.broadcast_to(weights, P.shape).ravel()
-    for parity in (0, 1):
-        upper = op.index[0] % 2 != parity
-        coef = np.where(upper, op.index[1], op.index[0])
+    alive = (weights > 0.0)[:, None]
+    for upper, coef, ids, firsts in op.parities:
         col = np.where(upper, op.band[1], op.band[0])
-        k = col.ravel()
-        live = (k != 0.0) & (w > 0.0)
-        seg = np.broadcast_to(coef, P.shape).ravel()[live]
-        kink = -P.ravel()[live] / k[live]
-        weight = w[live] * np.abs(k[live])
-        by_kink = np.argsort(kink)
-        order = by_kink[np.argsort(seg[by_kink], kind="stable")]
-        total = np.bincount(seg, weight, m)
-        js = np.arange(parity, m, 2)
-        js = js[total[js] > 0.0]
+        scale = np.abs(col)
+        scale *= weights
+        # Each coefficient's total weight, summed row by row, the order
+        # that fixes its bits; a dead entry adds an exact zero.
+        total = np.bincount(np.broadcast_to(coef, P.shape).ravel(),
+                            scale.ravel(), m)
+        # The live entries node-major, and where each coefficient's run
+        # of them ends.
+        live = (col.T != 0.0) & alive
+        kink = -P.T[live] / col.T[live]
+        weight = scale.T[live]
+        counts = np.add.reduceat(np.add.reduce(live, axis=1, dtype=np.intp),
+                                 firsts)
+        ends = np.cumsum(counts)
+        starts = ends - counts
+        order = np.empty(kink.size, dtype=np.intp)
+        for a, b in zip(starts.tolist(), ends.tolist()):
+            order[a:b] = a + np.argsort(kink[a:b])
+        moves = total[ids] > 0.0
+        js = ids[moves]
         # First sorted kink whose cumulative weight reaches half its
         # coefficient's total, kept inside that coefficient's run.
         pos = np.searchsorted(np.cumsum(weight[order]),
                               np.cumsum(total)[js] - 0.5 * total[js])
-        runs = seg[order]
-        pos = np.clip(pos, np.searchsorted(runs, js),
-                      np.searchsorted(runs, js, side="right") - 1)
+        pos = np.clip(pos, starts[moves], ends[moves] - 1)
         step = np.zeros(m)
-        step[js] = (c[js] + kink[order][pos]) - c[js]
+        step[js] = (c[js] + kink[order[pos]]) - c[js]
         c += step
         P += col * step[coef]
     return c

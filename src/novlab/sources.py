@@ -37,6 +37,7 @@ oracle.
 
 from __future__ import annotations
 
+import math
 from functools import lru_cache
 
 import numpy as np
@@ -208,7 +209,7 @@ def kernel_accumulator(y_xi: np.ndarray, grid: Grid, kinks=()) -> np.ndarray:
     if np.shape(y_xi) != (grid.n,):
         raise ContractError(f"expected {grid.n} samples of y_xi, got shape "
                             f"{np.shape(y_xi)}")
-    if y_xi.min() < 0.0:
+    if np.minimum.reduce(y_xi) < 0.0:
         k = int(np.argmin(y_xi))
         raise NumericalAbort(
             f"kernel integrand negative at node {k}; state left Omega",
@@ -220,7 +221,7 @@ def kernel_accumulator(y_xi: np.ndarray, grid: Grid, kinks=()) -> np.ndarray:
     # would leave their piece.
     cells = np.correlate(y_xi, _cell_weights(grid.dx), "full")[_HALF:-_HALF]
     cells[at] = np.vecdot(y_xi[windows], weights)
-    if cells.min() < 0.0:
+    if np.minimum.reduce(cells) < 0.0:
         dips = np.flatnonzero(cells < 0.0)
         cells[dips] = (0.5 * grid.dx) * (y_xi[dips] + y_xi[dips + 1])
     G = np.empty(grid.n)
@@ -304,8 +305,9 @@ class SourcePlan(_Block):
 
     It is the block of the whole line, with the slopes (T, c) and the
     swaps (V, U) and (T_Z, T_W) of (U, V) and T, the pairs A^2 B and
-    T^2/2, the y_xi and node weight rows, the integrand stack p and the
-    line's boundary-cell table besides.
+    T^2/2, the y_xi and node weight rows, the integrand stack p, the
+    line's boundary-cell table and exp_convolve's finiteness screen
+    besides.
     """
 
     def __init__(self, grid: Grid, shape=None, kinks=()):
@@ -322,14 +324,18 @@ class SourcePlan(_Block):
         self.y_xi, self.weight = np.empty((2, n))
         self.p = np.empty(self.shape)
         self.integrands = tuple(self.p)
-        self.finite = np.empty(self.shape, dtype=bool)
         super().__init__(self.table, self.shape, 0, n - 1)
+        # exp_convolve's screen: the halves, flat, dot 2^-64.  A finite
+        # entry times 2^-64 is below 2^960, so the sum of fewer than 2^64
+        # of them cannot overflow, and it is finite exactly when every
+        # entry is.
+        self.flat_halves = self.halves.reshape(-1)
+        self.screen = np.full(self.halves.size, 2.0 ** -64)
 
     def swap(self, state: TransformedState):
         """Fill and return the swaps (V, U) of the state's (U, V) and
         (T_Z, T_W) of the slopes T in self.slopes."""
-        pair = self.swapped[0]
-        pair[0], pair[1] = state.data[1], state.data[0]
+        np.copyto(self.swapped[0], state.data[1::-1])
         self.slope_rows[2] = self.slope_rows[0]
         return self.swapped
 
@@ -397,9 +403,18 @@ def exp_convolve(p, G: np.ndarray, grid: Grid, weight=None,
     its split cells at the kinks: eighth order on each smooth piece.
     plan, a SourcePlan for p's shape on the grid and the same kinks,
     holds the result and the work buffers if given; the next call with
-    it then overwrites the result.
+    it then overwrites the result.  p may be the plan's own stack
+    plan.p, whose shape the plan has settled, so it skips the shape
+    checks.
+
+    One sum screens the halves for a non-finite entry: the plan's
+    screen, the dot product of the halves with 2^-64, which no finite
+    stack can overflow (a plain sum can, and then warns).  Where it is
+    not finite, the first bad node is found entry by entry and named in
+    the NumericalAbort raised.
     """
-    p = _as_stack(p, G, grid)
+    if plan is None or p is not plan.p:
+        p = _as_stack(p, G, grid)
     if plan is None:
         plan = SourcePlan(grid, p.shape, kinks)
     elif plan.shape != p.shape or plan.kinks != tuple(kinks):
@@ -430,7 +445,7 @@ def exp_convolve(p, G: np.ndarray, grid: Grid, weight=None,
                                                           - G[s + 1:e + 1])
         for s, e in spans[-2::-1]:
             bwd[:, s:e] += bwd[:, e:e + 1] * np.exp(G[s:e] - G[e])
-    if not np.isfinite(halves, out=plan.finite).all():
+    if not math.isfinite(np.dot(plan.flat_halves, plan.screen)):
         k = _first_bad_node(p, G, blocks, halves)
         raise NumericalAbort(
             f"exp_convolve produced a non-finite value at node {k}", {"node": k}

@@ -13,6 +13,8 @@ from novlab import metric
 from novlab.cliio import datum_from_config, perturbed_datum
 from novlab.validation import random_state, random_tangent
 
+from conftest import same_bits
+
 BOUNDS = OmegaBounds(0.01, 100.0, 1.5)
 REPO = Path(__file__).resolve().parents[1]
 
@@ -240,6 +242,93 @@ def test_normal_matrix_is_the_weighted_gram_of_k():
     np.testing.assert_allclose(got, dense, rtol=0.0,
                                atol=1e-13 * np.max(np.abs(dense)))
     assert not np.any(np.triu(got, 2)) and not np.any(np.tril(got, -2))
+
+
+def test_hat_space_is_built_once_per_grid_and_size():
+    # The coarse cells depend on the grid and eta_nodes only: two norms
+    # on one pair share them, read-only, and an empty cell still raises.
+    state, other = random_draw(128, 36)[0], random_draw(128, 37)[0]
+    ops = [metric._shift_operator(st, 9) for st in (state, other)]
+    assert ops[0].index is ops[1].index
+    assert ops[0].parities is ops[1].parities
+    assert not ops[0].index.flags.writeable
+    assert metric._shift_operator(state, 17).index is not ops[0].index
+    for _ in range(2):
+        with pytest.raises(ContractError, match="holds no grid node"):
+            metric._shift_operator(state, 200)
+
+
+def two_sort_sweep(op, weights, P0, c):
+    """The coordinate sweep with its entries row-major, ordered by two
+    argsorts over all of them: by kink, then stably by coefficient."""
+    m = op.size
+    c = c.copy()
+    P = P0 + op.apply(c)
+    w = np.broadcast_to(weights, P.shape).ravel()
+    for parity in (0, 1):
+        upper = op.index[0] % 2 != parity
+        coef = np.where(upper, op.index[1], op.index[0])
+        col = np.where(upper, op.band[1], op.band[0])
+        k = col.ravel()
+        live = (k != 0.0) & (w > 0.0)
+        seg = np.broadcast_to(coef, P.shape).ravel()[live]
+        kink = -P.ravel()[live] / k[live]
+        weight = w[live] * np.abs(k[live])
+        by_kink = np.argsort(kink)
+        order = by_kink[np.argsort(seg[by_kink], kind="stable")]
+        total = np.bincount(seg, weight, m)
+        js = np.arange(parity, m, 2)
+        js = js[total[js] > 0.0]
+        pos = np.searchsorted(np.cumsum(weight[order]),
+                              np.cumsum(total)[js] - 0.5 * total[js])
+        runs = seg[order]
+        pos = np.clip(pos, np.searchsorted(runs, js),
+                      np.searchsorted(runs, js, side="right") - 1)
+        step = np.zeros(m)
+        step[js] = (c[js] + kink[order][pos]) - c[js]
+        c += step
+        P += col * step[coef]
+    return c
+
+
+def assert_sweeps_match(state, tangent, eta_nodes, seed):
+    """Three chained sweeps from each of three starts, bit for bit those
+    of two_sort_sweep: eta = 0, a random shift and a searched one."""
+    weights = metric._quad_weights(state.grid, state.y, 0.5)
+    P0 = metric._phi_zero(state, tangent)
+    op = metric._shift_operator(state, eta_nodes)
+    half = 0.5 * (state.grid.xi_max - state.grid.xi_min) / (eta_nodes - 1)
+    starts = (np.zeros(eta_nodes),
+              np.random.default_rng(seed).uniform(-half, half, eta_nodes),
+              tangent_norm_info(state, tangent, eta_nodes=eta_nodes,
+                                iters=3).best_coeffs)
+    for c in starts:
+        for _ in range(3):
+            got = metric._coordinate_sweep(op, weights, P0, c)
+            assert same_bits(got, two_sort_sweep(op, weights, P0, c))
+            c = got
+
+
+@pytest.mark.parametrize("n", [64, 128, 512])
+@pytest.mark.parametrize("eta_nodes", [9, 17])
+def test_sweep_matches_the_two_sort_order_bitwise(n, eta_nodes):
+    # Node-major, each coefficient's live entries are one run, which one
+    # sort by kink orders as the two sorts over all entries do.
+    for seed in range(3):
+        assert_sweeps_match(*random_draw(n, [n, eta_nodes, seed]),
+                            eta_nodes, seed)
+
+
+def test_sweep_matches_the_two_sort_order_through_zero_kinks():
+    # At t = 0 the two data share q, so the Q row of the path tangents
+    # vanishes, and on the searched shift about 90 entries of that row
+    # are zero: many kinks tie at zero, and ties may order differently
+    # in the two sorts.
+    path = lipschitz_path()
+    for j in (0, 4, 8):
+        state, tan = path.states[j], metric._path_tangent(path, j)
+        assert not np.any(tan[4])
+        assert_sweeps_match(state, tan, 17, j)
 
 
 def endpoint_states():

@@ -248,6 +248,26 @@ def test_convolve_passes_finite_halves_whose_sum_overflows():
         assert np.max(np.abs(fast - slow)) <= 1e-12 * 1e306
 
 
+def test_plan_held_stack_passes_finite_halves_whose_sum_overflows():
+    # The plan's own stack skips the shape checks, and one scaled sum
+    # screens its halves: every entry is finite though a plain sum of
+    # them overflows, so nothing aborts or warns, and the halves are
+    # those of a call on a copy of the stack, checked entry by entry.
+    g = make_grid(-2.0, 2.0, 401)
+    state = flat_state(g)
+    G = kernel_accumulator(xi_derivatives(state)[0], state.grid)
+    plan = sources.SourcePlan(g)
+    plan.p[...] = 1e306
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        halves = exp_convolve(plan.p, G, g, None, plan)
+    assert halves is plan.halves
+    with np.errstate(over="ignore"):
+        assert np.add.reduce(halves, axis=None) == np.inf
+    assert np.isfinite(halves).all()
+    assert same_bits(halves, exp_convolve(plan.p.copy(), G, g))
+
+
 @pytest.mark.parametrize("convolve", [exp_convolve, exp_convolve_bruteforce])
 @pytest.mark.parametrize("shape", [(10,), (65,), (2, 3, 64)])
 def test_convolutions_reject_a_shape_mismatch(convolve, shape):
