@@ -50,12 +50,12 @@ def main(argv=None) -> int:
     first_t = label = None
     points = []
     rows = []
-    for t, state in zip(traj.times, traj.states):
+    for state in traj:
         pts = find_crossings(state, tol_pi=cfg.tol_pi)
         if not pts:
             continue
         if first_t is None:
-            first_t = t
+            first_t = state.t
             label = classify(pts[0], state, tol_pi=cfg.tol_pi,
                              tol_zero_rel=cfg.tol_zero_rel).case_label
         points.extend(pts)
@@ -65,7 +65,7 @@ def main(argv=None) -> int:
                                      cfg.min_gap, component=args.component)
         except (AnalysisError, ContractError):
             continue
-        rows.append((t, pts[0].x_star, len(pts), alpha, r2))
+        rows.append((state.t, pts[0].x_star, len(pts), alpha, r2))
 
     write_jsonl(points, out / "points.jsonl")
     fits_path = out / "slice_fits.csv"

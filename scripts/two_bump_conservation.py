@@ -79,6 +79,8 @@ def main(argv=None) -> int:
         start = time.perf_counter()
         traj = evolve(state0, cfg.t_final, dt, record_every=rec,
                       bounds=cliio.bounds_from_config(cfg))
+        for _ in traj:  # stepping fills the conserved log
+            pass
         seconds = time.perf_counter() - start
         path = out / f"conserved_level{level}.csv"
         with open(path, "w", newline="") as fh:

@@ -9,18 +9,18 @@ Four subcommands share one config file format:
 
 Exit codes: 0 success, 2 config or contract violation, 3 numerical
 abort, 4 analysis failure.  An abort names itself on stderr, and a guard
-trip in time stepping names its step.  evolve and singular step each
-record and hand it on, so a run holds one recorded state at a time.  On
-a guard trip evolve has already written the frames of the records
+trip in time stepping names its step.  A command reads each run as a
+stream of records, so it holds one recorded state per run at a time.
+On a guard trip evolve has already written the frames of the records
 before it and adds conserved.csv, and singular writes conserved.csv and
-the events of those records; metric writes nothing.
+the events of those records; metric writes nothing, and exits 4
+instead if a straight-line path left the box at an earlier record.
 """
 
 from __future__ import annotations
 
 import argparse
 import dataclasses
-import itertools
 import math
 import sys
 from contextlib import nullcontext
@@ -95,28 +95,22 @@ def _create(path: Path):
     return open(path, "w", encoding="utf-8", newline="")
 
 
-def _record_writer(out: Path, files: list[str]):
-    """An on_record consumer that writes each record's state and Euler
-    frames as it is stepped, and appends their paths to files."""
-    index = itertools.count()
-
-    def write(state) -> None:
-        i = next(index)
-        spath = out / f"state_{i:04d}.csv"
-        epath = out / f"euler_{i:04d}.csv"
-        try:
-            field = euler_fields(state)
-        except ContractError as err:
-            print(f"skipped {epath.name}: {err}", file=sys.stderr)
-            field = None
-        with _create(spath) as sfh, \
-                (nullcontext() if field is None else _create(epath)) as efh:
-            cliio.write_record_csv(sfh, efh, state, field)
-        files.append(str(spath))
-        if field is not None:
-            files.append(str(epath))
-
-    return write
+def _write_frames(out: Path, i: int, state, files: list[str]) -> None:
+    """Write the state and Euler frames of record i and append their
+    paths to files."""
+    spath = out / f"state_{i:04d}.csv"
+    epath = out / f"euler_{i:04d}.csv"
+    try:
+        field = euler_fields(state)
+    except ContractError as err:
+        print(f"skipped {epath.name}: {err}", file=sys.stderr)
+        field = None
+    with _create(spath) as sfh, \
+            (nullcontext() if field is None else _create(epath)) as efh:
+        cliio.write_record_csv(sfh, efh, state, field)
+    files.append(str(spath))
+    if field is not None:
+        files.append(str(epath))
 
 
 def _write_conserved(traj, out: Path) -> str:
@@ -126,14 +120,14 @@ def _write_conserved(traj, out: Path) -> str:
     return str(path)
 
 
-def _run_trajectory(cfg: ScenarioConfig, on_record):
-    """Evolve the configured datum, handing each record to on_record."""
+def _run_trajectory(cfg: ScenarioConfig):
+    """The run of the configured datum, as evolve's record stream."""
     grid = make_grid(cfg.xi_min, cfg.xi_max, cfg.n)
     datum = cliio.datum_from_config(cfg)
     state = transform_with_map(datum, grid)
     dt = math.copysign(cfg.dt, cfg.t_final)  # a negative t_final runs backward
     return evolve(state, cfg.t_final, dt, record_every=cfg.record_every,
-                  bounds=cliio.bounds_from_config(cfg), on_record=on_record)
+                  bounds=cliio.bounds_from_config(cfg))
 
 
 def _report_abort(err: EvolveAbort, files: list[str], out: Path) -> int:
@@ -145,12 +139,13 @@ def _report_abort(err: EvolveAbort, files: list[str], out: Path) -> int:
 def cmd_evolve(args) -> int:
     _bind("euler_fields")
     cfg, out = _prepare(args)
+    traj = _run_trajectory(cfg)
     frames = []
     try:
-        traj = _run_trajectory(cfg, _record_writer(out, frames))
+        for i, state in enumerate(traj):
+            _write_frames(out, i, state, frames)
     except EvolveAbort as err:
-        return _report_abort(err, [_write_conserved(err.partial, out),
-                                   *frames], out)
+        return _report_abort(err, [_write_conserved(traj, out), *frames], out)
     files = [_write_conserved(traj, out), *frames]
     print(f"evolved to t={traj.times[-1]!r} in {len(traj.times)} records")
     print(f"wrote {len(files)} files in {out}")
@@ -163,64 +158,66 @@ def _report_skip(analysis: str, point, err: NovlabError) -> None:
           f"xi={float(point.xi_star)!r}: {err}", file=sys.stderr)
 
 
+def _analyse(state, cfg: ScenarioConfig, points: list, reports: list) -> None:
+    """Append the level events of one record and their checks."""
+    found = find_crossings(state, tol_pi=cfg.tol_pi)
+    field = field_err = None
+    if found and cfg.fit_exponents:
+        # The graph the exponent fits run on.
+        try:
+            field = euler_fields(state)
+        except ContractError as err:
+            field_err = err
+    for point in found:
+        try:
+            point = classify(point, state, tol_pi=cfg.tol_pi,
+                             tol_zero_rel=cfg.tol_zero_rel)
+        except AnalysisError as err:
+            _report_skip("classify", point, err)
+        if cfg.fit_exponents:
+            fits = {}
+            for comp in ("u", "v"):
+                analysis = f"fit_exponent ({comp})"
+                if field is None:
+                    # No graph to fit on: the map y is not monotone.
+                    _report_skip(analysis, point, field_err)
+                    continue
+                try:
+                    slope, _ = fit_exponent(field, point.x_star,
+                                            cfg.side_window, cfg.min_gap,
+                                            component=comp)
+                    fits[f"fitted_exponent_{comp}"] = slope
+                except AnalysisError as err:
+                    _report_skip(analysis, point, err)
+            if fits:
+                point = dataclasses.replace(point, **fits)
+        points.append(point)
+        if cfg.run_cancellations and point.case_label is not None:
+            try:
+                reports.append(verify_cancellations(point, state))
+            except AnalysisError as err:
+                _report_skip("verify_cancellations", point, err)
+
+
 def cmd_singular(args) -> int:
     _bind("find_crossings", "euler_fields", "classify", "fit_exponent",
           "verify_cancellations")
     cfg, out = _prepare(args)
+    traj = _run_trajectory(cfg)
     points = []
     reports = []
-
-    def analyse(state) -> None:
-        found = find_crossings(state, tol_pi=cfg.tol_pi)
-        field = field_err = None
-        if found and cfg.fit_exponents:
-            # The graph the exponent fits run on.
-            try:
-                field = euler_fields(state)
-            except ContractError as err:
-                field_err = err
-        for point in found:
-            try:
-                point = classify(point, state, tol_pi=cfg.tol_pi,
-                                 tol_zero_rel=cfg.tol_zero_rel)
-            except AnalysisError as err:
-                _report_skip("classify", point, err)
-            if cfg.fit_exponents:
-                fits = {}
-                for comp in ("u", "v"):
-                    analysis = f"fit_exponent ({comp})"
-                    if field is None:
-                        # No graph to fit on: the map y is not monotone.
-                        _report_skip(analysis, point, field_err)
-                        continue
-                    try:
-                        slope, _ = fit_exponent(field, point.x_star,
-                                                cfg.side_window, cfg.min_gap,
-                                                component=comp)
-                        fits[f"fitted_exponent_{comp}"] = slope
-                    except AnalysisError as err:
-                        _report_skip(analysis, point, err)
-                if fits:
-                    point = dataclasses.replace(point, **fits)
-            points.append(point)
-            if cfg.run_cancellations and point.case_label is not None:
-                try:
-                    reports.append(verify_cancellations(point, state))
-                except AnalysisError as err:
-                    _report_skip("verify_cancellations", point, err)
-
-    def write_events() -> list[str]:
-        paths = [out / "points.jsonl", out / "cancellations.jsonl"]
-        cliio.write_jsonl(points, paths[0])
-        cliio.write_jsonl(reports, paths[1])
-        return [str(path) for path in paths]
-
+    abort = None
     try:
-        traj = _run_trajectory(cfg, analyse)
+        for state in traj:
+            _analyse(state, cfg, points, reports)
     except EvolveAbort as err:
-        return _report_abort(err, [_write_conserved(err.partial, out),
-                                   *write_events()], out)
-    paths = write_events()
+        abort = err
+    paths = [out / "points.jsonl", out / "cancellations.jsonl"]
+    cliio.write_jsonl(points, paths[0])
+    cliio.write_jsonl(reports, paths[1])
+    if abort is not None:
+        return _report_abort(abort, [_write_conserved(traj, out),
+                                     *map(str, paths)], out)
     print(f"found {len(points)} level events over {len(traj.times)} records")
     print(f"wrote {paths[0]} and {paths[1]}")
     return 0

@@ -29,13 +29,9 @@ class NumericalAbort(NovlabError):
 
 
 class EvolveAbort(NumericalAbort):
-    """Time stepping tripped the state guard.  The partial trajectory
-    accumulated so far is attached for post-mortem output (without its
-    states when evolve handed them to an on_record consumer)."""
-
-    def __init__(self, message: str, partial, diagnostics: dict | None = None):
-        super().__init__(message, diagnostics)
-        self.partial = partial
+    """Time stepping tripped the state guard.  It is raised from the
+    iteration of a Trajectory, whose logs keep the records before the
+    trip, and its diagnostics name the step."""
 
 
 class AnalysisError(NovlabError):

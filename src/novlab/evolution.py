@@ -12,8 +12,8 @@ against y[0] plus the kernel potential G.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
-from typing import Callable
+from collections.abc import Iterator
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -65,13 +65,21 @@ class ConservedSet:
 
 @dataclass
 class Trajectory:
-    """The records of one run, in time order.  states is empty when the
-    run handed each state to an on_record consumer instead."""
+    """One run of evolve, a single-pass iterator over its recorded states,
+    state0 first.  Iterating steps the run; before each state is yielded,
+    its time, conserved set and y check are appended to the logs, which
+    are never rebound.  No state is kept."""
 
     times: list[float]
-    states: list[TransformedState]
     conserved_log: list[ConservedSet]
     y_checks: list[float]
+    _steps: Iterator[TransformedState] = field(repr=False)
+
+    def __iter__(self) -> Trajectory:
+        return self
+
+    def __next__(self) -> TransformedState:
+        return next(self._steps)
 
 
 def rhs(state: TransformedState, out=None, plan=None) -> np.ndarray:
@@ -235,18 +243,10 @@ def y_formula_gap(state: TransformedState) -> float:
 
 def evolve(state0: TransformedState, t_final: float, dt: float,
            record_every: int = 1,
-           bounds: OmegaBounds = OmegaBounds(),
-           on_record: Callable[[TransformedState], None] | None = None,
-           ) -> Trajectory:
-    """Integrate to t_final, recording every record_every-th step.
-
-    Each record logs its time, conserved set and y check.  With
-    on_record, each recorded state, state0 first, is passed to it right
-    after its record is logged and is not kept: the trajectory's states
-    stay empty, so a run holds one recorded state at a time.
-
-    On a guard violation the partial trajectory is attached to the
-    raised EvolveAbort so callers can still export what was computed.
+           bounds: OmegaBounds = OmegaBounds()) -> Trajectory:
+    """The run to t_final, recording every record_every-th step and the
+    last, as a Trajectory.  The arguments and state0 are checked here; a
+    guard trip raises EvolveAbort, naming its step, from the iteration.
     """
     if record_every < 1:
         raise ContractError(f"record_every must be >= 1, got {record_every}")
@@ -260,32 +260,28 @@ def evolve(state0: TransformedState, t_final: float, dt: float,
         raise ContractError(
             f"t_final/dt = {ratio!r} is not a nonnegative integer")
     check_omega(state0, bounds)
-    traj = Trajectory(times=[], states=[], conserved_log=[], y_checks=[])
+    logs = ([], [], [])
+    return Trajectory(*logs, _records(state0, dt, n_steps, record_every,
+                                      bounds, *logs))
 
-    def record(st):
-        traj.times.append(st.t)
-        traj.conserved_log.append(conserved(st))
-        traj.y_checks.append(y_formula_gap(st))
-        if on_record is None:
-            traj.states.append(st)
-        else:
-            on_record(st)
 
-    record(state0)
-    state = state0
-    t0 = state0.t
-    work = Workspace(state0.grid, state0.kinks)
-    for k in range(1, n_steps + 1):
-        try:
-            state = rk4_step(state, dt, bounds, work)
-        except NumericalAbort as err:
-            raise EvolveAbort(
-                f"evolution aborted at step {k}/{n_steps}: {err}",
-                traj,
-                dict(err.diagnostics if isinstance(err.diagnostics, dict) else {},
-                     step=k),
-            ) from err
-        state = state.with_fields(t=t0 + k * dt)
+def _records(state, dt, n_steps, record_every, bounds, times, conserved_log,
+             y_checks):
+    # It appends to the logs, not to the Trajectory, so that the two form
+    # no reference cycle: a dropped run frees its state and buffers at once.
+    t0 = state.t
+    work = Workspace(state.grid, state.kinks)
+    for k in range(n_steps + 1):
+        if k > 0:
+            try:
+                state = rk4_step(state, dt, bounds, work)
+            except NumericalAbort as err:
+                raise EvolveAbort(
+                    f"evolution aborted at step {k}/{n_steps}: {err}",
+                    dict(err.diagnostics, step=k)) from err
+            state = state.with_fields(t=t0 + k * dt)
         if k % record_every == 0 or k == n_steps:
-            record(state)
-    return traj
+            times.append(state.t)
+            conserved_log.append(conserved(state))
+            y_checks.append(y_formula_gap(state))
+            yield state

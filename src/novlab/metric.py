@@ -485,22 +485,18 @@ def lipschitz_experiment(datum0: EulerDatum, datum1: EulerDatum, grid: Grid,
                          bounds: OmegaBounds = OmegaBounds(), iters: int = 0,
                          **norm_kw) -> list[RatioRow]:
     """Distance ratios d(t)/d(0) along both time directions; every norm
-    caps its IRLS passes at iters."""
+    caps its IRLS passes at iters.  The two runs of a direction step in
+    lockstep, each distance taken as its pair of records arrives."""
     state0 = transform_with_map(datum0, grid)
     state1 = transform_with_map(datum1, grid)
-    runs = []
+    rows = {}
     for sgn in (-1.0, 1.0):
         tr0 = evolve(state0, sgn * T, sgn * dt, record_every, bounds)
         tr1 = evolve(state1, sgn * T, sgn * dt, record_every, bounds)
-        runs.append((tr0, tr1))
-    rows = {}
-    for tr0, tr1 in runs:
-        for i, t in enumerate(tr0.times):
-            if t in rows:
-                continue  # t = 0: both directions start from the same states
-            rows[t] = distance_upper(tr0.states[i], tr1.states[i], alpha,
-                                     m_theta, bounds, iters=iters,
-                                     **norm_kw)
+        for end0, end1 in zip(tr0, tr1):
+            if end0.t not in rows:  # t = 0: both directions start there
+                rows[end0.t] = distance_upper(end0, end1, alpha, m_theta,
+                                              bounds, iters=iters, **norm_kw)
     d0 = rows.get(0.0)
     if d0 is None:
         raise AnalysisError("no t=0 record in the Lipschitz experiment")

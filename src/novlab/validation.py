@@ -213,9 +213,9 @@ def check_transform_identity(cfg, rng):
 def check_symmetric_evolution(cfg, rng):
     grid = make_grid(-10.0, 10.0, 512)
     datum = builtin_datum("gaussian_bump", {"a": 0.5, "width": 1.5})
-    traj = evolve(transform_with_map(datum, grid), 0.1, 0.01, record_every=5)
-    worst_u = max(float(np.max(np.abs(s.U - s.V))) for s in traj.states)
-    worst_w = max(float(np.max(np.abs(s.W - s.Z))) for s in traj.states)
+    states = list(evolve(transform_with_map(datum, grid), 0.1, 0.01, 5))
+    worst_u = max(float(np.max(np.abs(s.U - s.V))) for s in states)
+    worst_w = max(float(np.max(np.abs(s.W - s.Z))) for s in states)
     ok = worst_u == 0.0 and worst_w == 0.0
     return ok, f"max|U-V| = {worst_u:.3g}, max|W-Z| = {worst_w:.3g} (bitwise)"
 
@@ -252,6 +252,8 @@ def check_conservation_short(cfg, rng):
     grid = make_grid(-12.0, 12.0, 1025)
     datum = builtin_datum("gaussian_bump", {"a": 0.4, "width": 1.5})
     traj = evolve(transform_with_map(datum, grid), 0.2, 0.005, record_every=10)
+    for _ in traj:  # stepping fills the conserved log
+        pass
     c0 = traj.conserved_log[0]
     worst = 0.0
     for c in traj.conserved_log[1:]:
@@ -306,6 +308,8 @@ def check_determinism(cfg, rng):
     def run_once() -> str:
         traj = evolve(transform_with_map(datum, grid), 0.1, 0.01,
                       record_every=5)
+        for _ in traj:
+            pass
         buf = io.StringIO()
         cliio.write_conserved_csv(buf, traj)
         return buf.getvalue()

@@ -36,6 +36,8 @@ def _check(tag, ok, detail):
 
 
 def _max_drifts(traj):
+    for _ in traj:  # the steps left fill the log
+        pass
     c0 = traj.conserved_log[0]
     out = {}
     for name in ("E_u", "E_v", "G", "H"):
@@ -51,13 +53,14 @@ def conservation_runs():
     state = transform_with_map(two_bump_pair(), grid)
     start = time.perf_counter()
     traj = evolve(state, 2.0, 1e-3, record_every=250)
+    states = list(traj)
     elapsed = time.perf_counter() - start
     traj_half = evolve(state, 2.0, 5e-4, record_every=500)
-    return traj, traj_half, elapsed
+    return traj, traj_half, elapsed, states
 
 
 def test_criterion_01a_conservation_drift(conservation_runs):
-    traj, _, _ = conservation_runs
+    traj, _, _, _ = conservation_runs
     drifts = _max_drifts(traj)
     detail = ", ".join(f"{k} {v:.3e}" for k, v in drifts.items())
     _check("criterion 1a (relative drift < 1e-6)",
@@ -65,7 +68,7 @@ def test_criterion_01a_conservation_drift(conservation_runs):
 
 
 def test_criterion_01b_drift_shrinks_with_dt(conservation_runs):
-    traj, traj_half, _ = conservation_runs
+    traj, traj_half, _, _ = conservation_runs
     full = _max_drifts(traj)
     half = _max_drifts(traj_half)
     ratios = {k: full[k] / half[k] for k in full}
@@ -75,7 +78,7 @@ def test_criterion_01b_drift_shrinks_with_dt(conservation_runs):
 
 
 def test_criterion_01c_runtime(conservation_runs):
-    _, _, elapsed = conservation_runs
+    _, _, elapsed, _ = conservation_runs
     _check("criterion 1c (runtime < 2 min)", elapsed < 120.0,
            f"{elapsed:.1f} s")
 
@@ -160,11 +163,11 @@ def test_criterion_02_scan_oracle_equivalence():
 
 
 def test_criterion_03_identity_suite(conservation_runs):
-    traj, _, _ = conservation_runs
-    grid = traj.states[0].grid
+    *_, states = conservation_runs
+    grid = states[0].grid
     tol = 5.0 * grid.dx**2
     worst_y = worst_u = 0.0
-    for state in traj.states:
+    for state in states:
         # Independent libm factors: sin W and cos^2 of the half angles.
         sinW = np.sin(state.W)
         cw, cz = np.cos(0.5 * state.data[2:4]) ** 2
@@ -183,8 +186,8 @@ def test_criterion_04_scalar_peakon():
     grid = make_grid(-20.0, 20.0, 2048)
     state = transform_with_map(builtin_datum("peakon", {"c": 1.0}), grid)
     e_u = conserved(state).E_u
-    traj = evolve(state, 1.0, 1e-3, record_every=1000)
-    field = euler_fields(traj.states[-1])
+    *_, last = evolve(state, 1.0, 1e-3, record_every=1000)
+    field = euler_fields(last)
     x_star, _ = crest_position(field)
     _check("criterion 4 (unit-speed peaked wave)",
            abs(e_u - 2.0) < 1e-3 and abs(x_star - 1.0) < 0.01,
@@ -204,7 +207,7 @@ def test_criterion_04b_peakon_nodes_match_the_exact_wave(grids):
     errors, tops = [], []
     for n in grids:
         state = transform_with_map(datum, make_grid(-20.0, 20.0, n))
-        last = evolve(state, 1.0, 2e-3, record_every=500).states[-1]
+        *_, last = evolve(state, 1.0, 2e-3, record_every=500)
         near = np.abs(last.y) < 8.0
         exact = np.exp(-np.abs(last.y[near] - 1.0))
         errors.append(float(max(np.max(np.abs(last.U[near] - exact)),
@@ -224,9 +227,8 @@ def test_criterion_05_symmetry_reductions():
     sym = builtin_datum("gaussian_bump",
                         {"a": 0.4, "center": 0.3, "width": 1.3})
     state = transform_with_map(pair_datum(sym, sym), grid)
-    traj = evolve(state, 1.0, 2e-3, record_every=100)
     bitwise = all(np.array_equal(s.U, s.V) and np.array_equal(s.W, s.Z)
-                  for s in traj.states)
+                  for s in evolve(state, 1.0, 2e-3, record_every=100))
 
     mir = mirrored(builtin_datum("gaussian_bump",
                                  {"a": 0.3, "center": -0.8, "width": 1.2}))
@@ -234,12 +236,10 @@ def test_criterion_05_symmetry_reductions():
     fwd = evolve(state_m, 1.0, 2e-3, record_every=100)
     bwd = evolve(state_m, -1.0, -2e-3, record_every=100)
     worst = worst_grid = 0.0
-    for k in range(len(fwd.times)):
-        assert fwd.times[k] == -bwd.times[k]
-        worst_grid = max(worst_grid, float(np.max(np.abs(
-            fwd.states[k].y + bwd.states[k].y[::-1]))))
-        worst = max(worst, float(np.max(np.abs(
-            fwd.states[k].V - bwd.states[k].U[::-1]))))
+    for f, b in zip(fwd, bwd, strict=True):
+        assert f.t == -b.t
+        worst_grid = max(worst_grid, float(np.max(np.abs(f.y + b.y[::-1]))))
+        worst = max(worst, float(np.max(np.abs(f.V - b.U[::-1]))))
     _check("criterion 5 (scalar and mirrored reductions)",
            bitwise and worst < 1e-8 and worst_grid < 1e-8,
            f"bitwise equal: {bitwise}, mirrored gap {worst:.3e}, "
@@ -280,15 +280,14 @@ def _first_event_fit(datum, t_final, band):
     """
     grid = make_grid(-20.0, 20.0, 2048)
     state = transform_with_map(datum, grid)
-    traj = evolve(state, t_final, 5e-4, record_every=20)
     first_t = label = None
     rows = []
-    for k, s in enumerate(traj.states):
+    for s in evolve(state, t_final, 5e-4, record_every=20):
         pts = find_crossings(s, tol_pi=1e-3)
         if not pts:
             continue
         if first_t is None:
-            first_t = traj.times[k]
+            first_t = s.t
             label = classify(pts[0], s, tol_pi=1e-3).case_label
         field = euler_fields(s)
         try:
@@ -296,7 +295,7 @@ def _first_event_fit(datum, t_final, band):
                                      component="u")
         except AnalysisError:
             continue
-        rows.append((traj.times[k], alpha, r2))
+        rows.append((s.t, alpha, r2))
     assert first_t is not None, "no level event detected"
     sel = [(a, r) for t, a, r in rows
            if band[0] - 1e-9 <= t - first_t <= band[1] + 1e-9]
@@ -330,9 +329,8 @@ def test_criterion_08_measure_consistency():
     grid = make_grid(-12.0, 12.0, 8193)
     datum = builtin_datum("gaussian_bump", {"a": 0.3, "width": 1.5})
     state = transform_with_map(datum, grid)
-    traj = evolve(state, 0.5, 1e-3, record_every=500)
     worst = 0.0
-    for s in traj.states:
+    for s in evolve(state, 0.5, 1e-3, record_every=500):
         fld = euler_fields(s)
         dens = fld.ux**2 + fld.vx**2 + fld.ux**2 * fld.vx**2
         eulerian = float(np.trapezoid(dens, fld.x))

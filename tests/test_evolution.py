@@ -1,5 +1,6 @@
 """Time stepping, guards, and conserved quantities."""
 import warnings
+from contextlib import nullcontext
 
 import numpy as np
 import pytest
@@ -477,7 +478,8 @@ def test_evolve_with_one_workspace_matches_fresh_steps_bitwise(
                                    state.grid)
     assert (len(sources._blocks(G)) > 1) == (span is not None)
     traj = evolve(state, 0.05, 0.01, record_every=1, bounds=BOUNDS)
-    for recorded in traj.states[1:]:
+    assert next(traj) is state
+    for recorded in traj:
         state = rk4_step(state, 0.01, BOUNDS, work=None)
         assert same_bits(recorded.data, state.data)
 
@@ -556,13 +558,15 @@ def test_evolve_trajectory_shape_and_times():
     g = make_grid(-16.0, 16.0, 256)
     state0 = transform_with_map(two_bump_pair(), g)
     traj = evolve(state0, 0.2, 0.01, record_every=5, bounds=BOUNDS)
-    assert traj.times == pytest.approx([0.0, 0.05, 0.1, 0.15, 0.2])
-    for t, s in zip(traj.times, traj.states):
-        assert s.t == pytest.approx(t)
+    for s in traj:
+        assert s.t == traj.times[-1]
         assert np.min(np.diff(s.y)) > -1e-9
+    assert traj.times == pytest.approx([0.0, 0.05, 0.1, 0.15, 0.2])
 
 
 def test_evolve_contract_errors():
+    # Bad arguments and a state0 outside the box raise at the call,
+    # before any iteration.
     g = make_grid(-16.0, 16.0, 256)
     state0 = transform_with_map(two_bump_pair(), g)
     with pytest.raises(ContractError):
@@ -571,6 +575,9 @@ def test_evolve_contract_errors():
         evolve(state0, 0.05, 0.02, bounds=BOUNDS)
     with pytest.raises(ContractError):
         evolve(state0, 0.2, 0.01, record_every=0, bounds=BOUNDS)
+    with pytest.raises(NumericalAbort, match="q left") as exc:
+        evolve(state0, 0.2, 0.01, bounds=OmegaBounds(q_lo=2.0, q_hi=3.0))
+    assert not isinstance(exc.value, EvolveAbort)
 
 
 @pytest.mark.parametrize("step, times, name", [
@@ -595,7 +602,7 @@ def test_evolve_symmetric_data_stays_bitwise_symmetric():
     datum = builtin_datum("gaussian_bump", {"a": 0.6, "width": 1.2})
     state0 = transform_with_map(datum, g)
     traj = evolve(state0, 0.5, 0.005, record_every=20, bounds=BOUNDS)
-    for s in traj.states:
+    for s in traj:
         assert np.array_equal(s.U, s.V)
         assert np.array_equal(s.W, s.Z)
     for c in traj.conserved_log:
@@ -606,58 +613,50 @@ def test_evolve_backward_time():
     g = make_grid(-16.0, 16.0, 256)
     state0 = transform_with_map(two_bump_pair(), g)
     traj = evolve(state0, -0.1, -0.01, record_every=10, bounds=BOUNDS)
-    assert traj.times[-1] == pytest.approx(-0.1)
+    assert [s.t for s in traj] == traj.times == pytest.approx([0.0, -0.1])
 
 
-def test_evolve_guard_abort_attaches_partial():
-    # A q-box with no slack around the initial profile must trip within
-    # a few steps, and the abort carries everything recorded so far.
-    g = make_grid(-16.0, 16.0, 256)
-    datum = builtin_datum("gaussian_bump", {"a": 1.0, "width": 1.0})
-    state0 = transform_with_map(datum, g)
-    tight = OmegaBounds(q_lo=float(np.min(state0.q)),
-                        q_hi=float(np.max(state0.q)), slack=1.0 + 1e-12)
-    with pytest.raises(EvolveAbort) as exc:
-        evolve(state0, 1.0, 0.01, record_every=1, bounds=tight)
-    partial = exc.value.partial
-    assert len(partial.times) >= 1
-    assert partial.times[0] == 0.0
-    assert exc.value.diagnostics["step"] >= 1
-
-
-@pytest.mark.parametrize("slack", [None, 1.05], ids=["full", "abort"])
-def test_evolve_hands_each_record_to_on_record(slack):
-    # The consumer gets the states a plain run keeps, bit for bit, in
-    # order and state0 first, and the trajectory keeps every record's
-    # time, conserved set and y check but no state.  A q box with 5%
-    # slack around the initial profile trips at step 5, after 5 records.
+@pytest.mark.parametrize("slack, records", [(None, 21), (1.05, 5),
+                                             (1.0 + 1e-12, 1)],
+                         ids=["full", "abort", "abort-at-once"])
+def test_evolve_streams_each_record(slack, records):
+    # Iteration yields state0 first, by identity, then the states of a
+    # hand-chained rk4_step loop re-timed to t0 + k dt, bit for bit, and
+    # before each one appends its time, conserved set and y check to
+    # logs that are never rebound.  A q box with 5% slack around the
+    # initial profile trips at step 5, one with none at step 1:
+    # EvolveAbort comes from the iteration, names the step, and the logs
+    # hold the records before it.  A second iteration steps nothing.
     g = make_grid(-16.0, 16.0, 256)
     datum = builtin_datum("gaussian_bump", {"a": 1.0, "width": 1.0})
     state0 = transform_with_map(datum, g)
     bounds = BOUNDS if slack is None else OmegaBounds(
         q_lo=float(np.min(state0.q)), q_hi=float(np.max(state0.q)),
         slack=slack)
-
-    def run(**kw):
-        try:
-            return evolve(state0, 0.2, 0.01, record_every=1, bounds=bounds,
-                          **kw), None
-        except EvolveAbort as err:
-            return err.partial, err.diagnostics
-
-    plain, plain_diag = run()
-    handed = []
-    streamed, streamed_diag = run(on_record=handed.append)
-    assert len(plain.times) == (21 if slack is None else 5)
-    assert streamed_diag == plain_diag
-    assert streamed.states == []
-    assert handed[0] is state0
-    assert [s.t for s in handed] == [s.t for s in plain.states]
-    assert all(same_bits(a.data, b.data)
-               for a, b in zip(handed, plain.states, strict=True))
-    assert streamed.times == plain.times
-    assert streamed.conserved_log == plain.conserved_log
-    assert streamed.y_checks == plain.y_checks
+    traj = evolve(state0, 0.2, 0.01, record_every=1, bounds=bounds)
+    logs = (traj.times, traj.conserved_log, traj.y_checks)
+    assert logs == ([], [], [])
+    yielded = []
+    with pytest.raises(EvolveAbort) if slack else nullcontext() as exc:
+        for state in traj:
+            yielded.append(state)
+    assert len(yielded) == records
+    assert yielded[0] is state0
+    state = state0
+    for k, got in enumerate(yielded[1:], 1):
+        state = rk4_step(state, 0.01, bounds)
+        state = state.with_fields(t=state0.t + k * 0.01)
+        assert got.t == state.t and same_bits(got.data, state.data)
+    if slack:
+        assert exc.value.diagnostics["step"] == records
+        with pytest.raises(NumericalAbort):
+            rk4_step(state, 0.01, bounds)
+    assert all(a is b for a, b in zip(
+        logs, (traj.times, traj.conserved_log, traj.y_checks), strict=True))
+    assert traj.times == [s.t for s in yielded]
+    assert traj.conserved_log == [conserved(s) for s in yielded]
+    assert traj.y_checks == [y_formula_gap(s) for s in yielded]
+    assert list(traj) == [] and len(traj.times) == len(yielded)
 
 
 def test_conserved_zero_state():
@@ -698,7 +697,7 @@ def test_kinks_ride_along_and_a_plan_must_match_them():
     assert rk4_step(state, 1e-3).kinks == (0.0,)
     assert state.with_fields(t=1.0, U=state.V).kinks == (0.0,)
     traj = evolve(state, 0.01, 1e-3, record_every=5)
-    assert [s.kinks for s in traj.states] == [(0.0,)] * 3
+    assert [s.kinks for s in traj] == [(0.0,)] * 3
     with pytest.raises(ContractError, match="kinks"):
         rhs(state, plan=sources.SourcePlan(g))
     with pytest.raises(ContractError, match="kinks"):
@@ -736,7 +735,8 @@ def test_y_formula_gap_falls_at_fourth_order_on_the_steep_front():
     gaps = []
     for n in (512, 1024, 2048):
         state = transform_with_map(datum, make_grid(-20.0, 20.0, n))
-        gaps.append(evolve(state, 1.0, 2e-3, record_every=500).y_checks[-1])
+        *_, last = evolve(state, 1.0, 2e-3, record_every=500)
+        gaps.append(y_formula_gap(last))
     falls = [a / b for a, b in zip(gaps, gaps[1:])]
     assert min(falls) >= 10.0, (gaps, falls)
 
@@ -745,8 +745,7 @@ def test_zero_profile_evolution_is_static():
     g = make_grid(-8.0, 8.0, 128)
     zero = builtin_datum("gaussian_bump", {"a": 0.0})
     state0 = transform_with_map(zero, g)
-    traj = evolve(state0, 0.3, 0.01, record_every=10, bounds=BOUNDS)
-    last = traj.states[-1]
+    *_, last = evolve(state0, 0.3, 0.01, record_every=10, bounds=BOUNDS)
     assert np.max(np.abs(last.U)) == 0.0
     assert np.max(np.abs(last.q - 1.0)) == 0.0
 

@@ -13,7 +13,7 @@ from novlab import metric
 from novlab.cliio import datum_from_config, perturbed_datum
 from novlab.validation import random_state, random_tangent
 
-from conftest import same_bits
+from conftest import same_bits, traced_peak
 
 BOUNDS = OmegaBounds(0.01, 100.0, 1.5)
 REPO = Path(__file__).resolve().parents[1]
@@ -331,6 +331,24 @@ def test_sweep_matches_the_two_sort_order_through_zero_kinks():
         assert_sweeps_match(state, tan, 17, j)
 
 
+def test_sweep_keeps_one_ulp_targets_in_their_run():
+    # A unit band on 6 nodes and kinks 6k + r, so each run sorts
+    # node-major.  Run 0 (nodes 0-2) weighs 1, 2^-52 and 2^-52 per entry:
+    # in sorted order they add to 6, row by row to 6 + 2^-50, one ulp
+    # above.  Run 2 weighs 2^-90 per entry, far below that ulp, so the
+    # target of coefficient 2 lies one ulp above every cumulative weight
+    # of its run: the clip to the run's end, less one, keeps it at its
+    # own last kink, 35.  A node-major total reads 6 and moves
+    # coefficients 0 and 2 to the kinks 2 and 18.
+    index, _, _, parities = metric._hat_space(make_grid(0.0, 1.0, 6), 3)
+    op = metric._ShiftOperator(index, np.ones((2, 6, 6)), None, parities)
+    weights = np.array([1.0, 2.0**-52, 2.0**-52] + [2.0**-90] * 3)
+    P0 = -np.arange(36.0).reshape(6, 6).T
+    c = metric._coordinate_sweep(op, weights, P0, np.zeros(3))
+    assert c.tolist() == [3.0, 0.0, 35.0]
+    assert same_bits(c, two_sort_sweep(op, weights, P0, np.zeros(3)))
+
+
 def endpoint_states():
     g = make_grid(-12.0, 12.0, 256)
     d0 = pair_datum(builtin_datum("gaussian_bump", {"a": 0.5, "width": 1.5}),
@@ -562,7 +580,7 @@ def test_path_norms_certified_by_the_lp(t):
     cfg, ends = lipschitz_ends()
     if t:
         steps = round(abs(t) / cfg.dt)
-        ends = [evolve(s, t, np.copysign(cfg.dt, t), steps).states[-1]
+        ends = [list(evolve(s, t, np.copysign(cfg.dt, t), steps))[-1]
                 for s in ends]
     path = straight_line_path(*ends, 9)
     for j in (0, 4, 8):
@@ -619,11 +637,11 @@ def test_lipschitz_experiment_rows(monkeypatch):
     s1 = transform_with_map(d1, g)
     every = {}
     for sgn in (-1.0, 1.0):
-        tr0 = evolve(s0, sgn * 0.2, sgn * 0.01, 10, BOUNDS)
-        tr1 = evolve(s1, sgn * 0.2, sgn * 0.01, 10, BOUNDS)
-        assert len(tr0.times) == 3
-        for i, t in enumerate(tr0.times):
-            every[t] = distance_upper(tr0.states[i], tr1.states[i])
+        pairs = list(zip(evolve(s0, sgn * 0.2, sgn * 0.01, 10, BOUNDS),
+                         evolve(s1, sgn * 0.2, sgn * 0.01, 10, BOUNDS)))
+        assert len(pairs) == 3
+        for end0, end1 in pairs:
+            every[end0.t] = distance_upper(end0, end1)
     assert len(calls) == len(every) == 2 * (3 - 1) + 1
     assert [(r.t, r.d_t_upper) for r in rows] == sorted(every.items())
     assert [r.ratio for r in rows] == [d / every[0.0] for _, d in
@@ -634,3 +652,26 @@ def test_lipschitz_experiment_rows(monkeypatch):
         assert np.isfinite(r.d_t_upper) and r.d_t_upper >= 0.0
         assert np.isfinite(r.ratio) and r.ratio > 0.0
         assert r.eta_iterations == 0
+
+
+def test_lipschitz_experiment_holds_one_state_per_run():
+    # The two runs of a direction step in lockstep and each distance is
+    # taken as its records arrive, so the peak does not grow with the
+    # record count but for the logs and rows.  Measured on 256 nodes (a
+    # state is 12,288 bytes), 21 records per run against 3: the peak grew
+    # by 14,000 to 33,000 bytes, the logs and rows of the 72 more
+    # records; when the experiment kept its four runs it grew by 928,000.
+    # The bound is four states.
+    g = make_grid(-12.0, 12.0, 256)
+    d0 = pair_datum(builtin_datum("gaussian_bump", {"a": 0.5, "width": 1.5}),
+                    builtin_datum("gaussian_bump", {"a": 0.5, "width": 1.5}))
+    d1 = pair_datum(builtin_datum("gaussian_bump", {"a": 0.6, "width": 1.3}),
+                    builtin_datum("gaussian_bump", {"a": 0.4, "width": 1.7}))
+
+    def peak(record_every):
+        return traced_peak(lipschitz_experiment, d0, d1, g, 0.2, 0.01,
+                           0.5, 5, record_every, BOUNDS)
+
+    peak(10)  # builds the grid's cached tables
+    growth = peak(1) - peak(10)
+    assert growth <= 4 * 8 * 6 * g.n, growth
