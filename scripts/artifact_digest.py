@@ -35,7 +35,8 @@ Integers are counts, labels and indices (row, record and event counts,
 case labels, frame numbers), so a changed integer is a structural
 change, and so are a changed file list, line count or any text between
 the numbers.  Each structural change is printed and makes the exit
-status 1.
+status 1.  A reader that closes stdout early (`| head -1`) ends the
+script quietly, with status 141, as SIGPIPE would.
 """
 import argparse
 import contextlib
@@ -43,6 +44,7 @@ import hashlib
 import io
 import os
 import re
+import signal
 import sys
 import tempfile
 from pathlib import Path
@@ -243,4 +245,13 @@ def main(argv=None) -> int:
 
 
 if __name__ == "__main__":
-    sys.exit(main())
+    try:
+        status = main()
+        sys.stdout.flush()
+    except BrokenPipeError:
+        # The reader closed stdout (`| head`): stop quietly, by the recipe
+        # of the Python signal docs, with the status a shell gives a
+        # process that SIGPIPE ended, so that 1 keeps its meaning.
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        status = 128 + signal.SIGPIPE
+    sys.exit(status)

@@ -91,18 +91,11 @@ def rhs(state: TransformedState, out=None, plan=None) -> np.ndarray:
     """
     if plan is None:
         plan = SourcePlan(state.grid, kinks=state.kinks)
-    elif plan.shape != (2, 2, state.grid.n) or plan.kinks != state.kinks:
-        raise ContractError(f"a SourcePlan for stacks of shape "
-                            f"{plan.shape} and kinks {plan.kinks} cannot "
-                            f"serve a state on {state.grid.n} nodes with "
-                            f"kinks {state.kinks}")
-    T, c = slopes = slope_factors(state, plan.slopes)
+    fwd, bwd = assemble_sources(state, plan)
+    # The source pass leaves T, c, the swap B and A A B in the plan.
     # (U, V) and (V, U): each pair of rates is one formula on row pairs.
-    A, (B, _) = state.data[:2], plan.swap(state)
-    # A A B feeds the integrands and both rates.
-    a2b = np.multiply(A, A, out=plan.a2b)
-    a2b *= B
-    fwd, bwd = assemble_sources(state, slopes, a2b, plan)
+    (T, c), A, B, a2b = (plan.slopes, state.data[:2], plan.swapped[0],
+                         plan.a2b)
     if out is None:
         out = np.empty_like(state.data)
     # -dx P1 - P2, and e = A^2 B - drive with the drive P1 + dx P2 (S in
@@ -155,7 +148,6 @@ class Workspace:
     pass's plan."""
 
     def __init__(self, grid, kinks=()):
-        self.grid = grid
         self.stage = TransformedState(0.0, grid, np.empty((6, grid.n)), kinks)
         self.acc = np.empty((6, grid.n))
         self.k = np.empty((6, grid.n))
@@ -168,15 +160,13 @@ def rk4_step(state: TransformedState, dt: float,
     """One classical RK4 step of the state, map included; dt may be negative.
 
     work, a Workspace on the state's grid and kinks, lets successive
-    steps share their buffers; evolve passes one to all its steps.
+    steps share their buffers; evolve passes one to all its steps.  Its
+    plan checks them: one for another grid or kinks raises ContractError.
     """
     if not math.isfinite(dt) or dt == 0.0:
         raise ContractError(f"rk4_step needs a finite nonzero dt, got {dt!r}")
     if work is None:
         work = Workspace(state.grid, state.kinks)
-    elif work.grid != state.grid:
-        raise ContractError(f"a Workspace on {work.grid} cannot step a state "
-                            f"on {state.grid}")
     x, stage, acc, k, plan = (state.data, work.stage, work.acc, work.k,
                               work.plan)
     s = stage.data

@@ -9,7 +9,9 @@ boundary the same-width stencil slides one-sided, which keeps every row
 exact on polynomials up to the stencil degree.  Kinks of the data cut
 the line into smooth pieces, and the stencils slide one-sided at their
 ends too.  One builder, stencil_table, gives these stencils to the
-derivative's nodes and to the kernel's cells; a node on a kink, which
+derivative's nodes and to the kernel's cells, each row the Lagrange
+weights of its functional (an integral over a cell or part of one, a
+derivative at a node) on the nodes it reads; a node on a kink, which
 belongs to neither piece, takes the mean of the two sides.
 """
 
@@ -132,55 +134,45 @@ def integrate(samples, grid: Grid) -> float:
     return float(prefix_integral(samples, grid)[-1])
 
 
-@lru_cache(maxsize=None)
-def _fornberg_weights(offsets: tuple[int, ...], order: int) -> np.ndarray:
-    """Weights for the order-th derivative at offset 0, in units dx**-order.
-
-    Classic recursion over incrementally added nodes; exact for
-    polynomials of degree < len(offsets).
-    """
-    x = np.asarray(offsets, dtype=float)
-    m = order
-    npts = x.size
-    c = np.zeros((npts, m + 1))
-    c1 = 1.0
-    c4 = x[0]
-    c[0, 0] = 1.0
-    for i in range(1, npts):
-        mn = min(i, m)
-        c2 = 1.0
-        c5 = c4
-        c4 = x[i]
-        for j in range(i):
-            c3 = x[i] - x[j]
-            c2 *= c3
-            if j == i - 1:
-                for k in range(mn, 0, -1):
-                    c[i, k] = c1 * (k * c[i - 1, k - 1] - c5 * c[i - 1, k]) / c2
-                c[i, 0] = -c1 * c5 * c[i - 1, 0] / c2
-            for k in range(mn, 0, -1):
-                c[j, k] = (c4 * c[j, k] - k * c[j, k - 1]) / c3
-            c[j, 0] = c4 * c[j, 0] / c3
-        c1 = c2
-    return c[:, m].copy()
+def _lagrange_weights(nodes, x0: float, x1: float, order: int) -> np.ndarray:
+    """The weights of the values at nodes that give, for the polynomial
+    through them, its integral over [x0, x1] (order 0) or its order-th
+    derivative at x0 = x1, all in units of dx.  Offsets from the middle
+    of [x0, x1] keep the Lagrange products small."""
+    mid = 0.5 * (x0 + x1)
+    x = np.asarray(nodes, dtype=float) - mid
+    weights = np.empty(x.size)
+    for k in range(x.size):
+        others = np.delete(x, k)
+        # np.poly of no roots (a one-node part) is the scalar 1.
+        basis = np.atleast_1d(np.poly(others)) / np.prod(x[k] - others)
+        if order:
+            weights[k] = np.polyval(np.polyder(basis, order), 0.0)
+        else:
+            basis = np.polyint(basis)
+            weights[k] = (np.polyval(basis, x1 - mid)
+                          - np.polyval(basis, x0 - mid))
+    return weights
 
 
 @lru_cache(maxsize=48)
-def stencil_table(n: int, positions: tuple[float, ...], span: int,
-                  first: int, width: int, weigh):
+def stencil_table(n: int, positions: tuple[float, ...], order: int,
+                  first: int, width: int):
     """The stencils near the ends of the smooth pieces of a line of n
     nodes cut at the kink positions (units of dx from node 0).
 
-    A target t is the cell [t, t+1] (span 1) or the node t (span 0), its
-    centred stencil the width nodes from t + first.  A target whose
-    centred stencil would leave its piece, or that holds a kink, splits
-    at the kinks into parts; a part [x0, x1] takes the width nodes of each
-    piece that holds it, nearest to centred (all of them in a shorter
-    piece), weighted by weigh(nodes, x0, x1).  A node on a kink, which
-    both pieces hold and neither reads, takes the mean of the two.
-    Returns the targets, an (R, w) array of node windows and their
-    weights; a row narrower than w repeats its first node at zero weight.
+    A target t is the cell [t, t+1] of the integral (order 0) or the node
+    t of the order-th derivative, its centred stencil the width nodes
+    from t + first.  A target whose centred stencil would leave its
+    piece, or that holds a kink, splits at the kinks into parts; a part
+    [x0, x1] takes the width nodes of each piece that holds it, nearest
+    to centred (all of them in a shorter piece), with the Lagrange
+    weights of the functional on them.  A node on a kink, which both
+    pieces hold and neither reads, takes the mean of the two.  Returns
+    the targets, an (R, w) array of node windows and their weights; a
+    row narrower than w repeats its first node at zero weight.
     """
+    span = 0 if order else 1
     pieces = _pieces(n, positions)
     cuts = [hi for _, hi, _, _ in pieces[:-1]]
     near = {t for lo, hi, _, _ in pieces for x in (lo, hi)
@@ -201,7 +193,8 @@ def stencil_table(n: int, positions: tuple[float, ...], span: int,
             # sorted and distinct.
             rows.append((t, [k for nodes, *_ in parts for k in nodes],
                          [w for nodes, x0, x1, share in parts
-                          for w in weigh(nodes, x0, x1) / share]))
+                          for w in _lagrange_weights(nodes, x0, x1, order)
+                          / share]))
     widest = max(len(nodes) for _, nodes, _ in rows)
     targets = np.array([t for t, _, _ in rows])
     windows = np.array([nodes + nodes[:1] * (widest - len(nodes))
@@ -217,10 +210,12 @@ _HALF_WIDTH = {1: 2, 2: 2, 3: 3, 4: 3}
 
 
 @lru_cache(maxsize=None)
-def _derivative_rule(order: int):
-    # weigh for stencil_table: the order-th derivative at the node x0.
-    return lambda nodes, x0, x1: _fornberg_weights(
-        tuple(k - x0 for k in nodes), order)
+def _centred(order: int) -> np.ndarray:
+    # The centred row of the order-th derivative, shared read-only.
+    w = _HALF_WIDTH[order]
+    row = _lagrange_weights(range(-w, w + 1), 0.0, 0.0, order)
+    row.flags.writeable = False
+    return row
 
 
 def fd_derivative(samples, grid: Grid, order: int, kinks=()) -> np.ndarray:
@@ -239,13 +234,12 @@ def fd_derivative(samples, grid: Grid, order: int, kinks=()) -> np.ndarray:
             f"grid too small for order-{order} derivative: n={grid.n}")
     arr = _as_samples(samples, grid, max_ndim=2)
     out = np.empty(arr.shape)
-    centre = _fornberg_weights(tuple(range(-w, w + 1)), order)
+    centre = _centred(order)
     for row, res in zip(arr.reshape(-1, grid.n), out.reshape(-1, grid.n)):
         # correlate(row, centre) at full stencils covers nodes w .. n-1-w
         res[w:grid.n - w] = np.correlate(row, centre, mode="valid")
     at, windows, weights = stencil_table(
-        grid.n, kink_positions(kinks, grid), 0, -w, 2 * w + 1,
-        _derivative_rule(order))
+        grid.n, kink_positions(kinks, grid), order, -w, 2 * w + 1)
     # take lays each row's windows out contiguously, so that every dot
     # sums in the order of the 1-D case.
     out[..., at] = np.vecdot(np.take(arr, windows, axis=-1), weights)

@@ -167,17 +167,11 @@ def _graph_quad(f, x) -> float:
 
 
 def _mask_ranges(x, valid) -> list[tuple[float, float]]:
-    ranges = []
-    bad = ~valid
-    k = 0
-    while k < bad.size:
-        if bad[k]:
-            start = k
-            while k + 1 < bad.size and bad[k + 1]:
-                k += 1
-            ranges.append((float(x[start]), float(x[k])))
-        k += 1
-    return ranges
+    # The first and last x of each run of invalid nodes: a run starts
+    # where the padded mask steps up and ends a node before it steps down.
+    steps = np.diff(np.concatenate(([0], ~valid, [0])))
+    first, end = np.flatnonzero(steps > 0), np.flatnonzero(steps < 0)
+    return list(zip(x[first].tolist(), x[end - 1].tolist()))
 
 
 def conserved_euler(field: EulerField) -> ConservedSet:

@@ -29,7 +29,8 @@ gradient blow-up; the one exception is a kink of the datum
 (TransformedState.kinks).  So the line splits into smooth pieces at the
 grid ends and the kinks, and no stencil reaches across a piece's end:
 the cells near one, and those a kink splits, take the one-sided
-stencils of grid.stencil_table, one table per grid and kinks.  The rule
+stencils of grid.stencil_table, each part the integral of the Lagrange
+polynomial through its nodes, one table per grid and kinks.  The rule
 is eighth order on smooth data, through breaking and across kinks
 alike.  A quadratic-time double loop with the same rule serves as the
 oracle.
@@ -98,41 +99,17 @@ _TAPS = len(_CELL_RULE)
 _HALF = _TAPS // 2
 
 
-@lru_cache(maxsize=8)
-def _cell_weights(dx: float) -> np.ndarray:
-    # _CELL_RULE * dx, formed once per spacing and shared read-only.
-    weights = _CELL_RULE * dx
-    weights.flags.writeable = False
-    return weights
-
-
-def _part_weights(nodes, a: float, b: float) -> np.ndarray:
-    # The integral over [a, b] of the polynomial through the nodes, as
-    # weights of the values there, all in units of dx.  Offsets from the
-    # middle of [a, b] keep the Lagrange products small.
-    mid = 0.5 * (a + b)
-    x = np.asarray(nodes, dtype=float) - mid
-    weights = np.empty(x.size)
-    for k in range(x.size):
-        others = np.delete(x, k)
-        # np.poly of no roots (a one-node part) is the scalar 1.
-        basis = np.polyint(np.atleast_1d(np.poly(others))
-                           / np.prod(x[k] - others))
-        weights[k] = np.polyval(basis, b - mid) - np.polyval(basis, a - mid)
-    return weights
-
-
 @lru_cache(maxsize=16)
 def _table(grid: Grid, kinks: tuple[float, ...]):
     # The boundary cells of the grid cut at the kink labels kinks, their
-    # weights in units of dx and also times dx, as G takes them.  Every
-    # other cell takes the centred rule.
+    # weights in units of dx and also times dx, as G takes them, and the
+    # centred rule times dx, which every other cell takes.
     cells, windows, weights = stencil_table(
-        grid.n, kink_positions(kinks, grid), 1, 1 - _HALF, _TAPS,
-        _part_weights)
-    scaled = weights * grid.dx
-    scaled.flags.writeable = False
-    return cells, windows, weights, scaled
+        grid.n, kink_positions(kinks, grid), 0, 1 - _HALF, _TAPS)
+    scaled, rule = weights * grid.dx, _CELL_RULE * grid.dx
+    for table in (scaled, rule):
+        table.flags.writeable = False
+    return cells, windows, weights, scaled, rule
 
 
 @lru_cache(maxsize=8)
@@ -144,7 +121,7 @@ def kink_weights(grid: Grid, kinks: tuple[float, ...]):
     weight is dx, the trapezoid's.
     """
     def composite(table):
-        cells, windows, weights, _ = table
+        cells, windows, weights = table[:3]
         centred = np.ones(grid.n - 1)
         centred[cells] = 0.0
         # The rule is symmetric, so the convolution lays each centred
@@ -215,11 +192,11 @@ def kernel_accumulator(y_xi: np.ndarray, grid: Grid, kinks=()) -> np.ndarray:
             f"kernel integrand negative at node {k}; state left Omega",
             {"node": k, "value": float(y_xi[k])},
         )
-    at, windows, _, weights = _table(grid, tuple(kinks))
+    at, windows, _, weights, rule = _table(grid, tuple(kinks))
     # The full correlate pads y_xi with zeros, so that entry j + _HALF is
     # the cell [j, j+1] for every j; the table sets those whose stencil
     # would leave their piece.
-    cells = np.correlate(y_xi, _cell_weights(grid.dx), "full")[_HALF:-_HALF]
+    cells = np.correlate(y_xi, rule, "full")[_HALF:-_HALF]
     cells[at] = np.vecdot(y_xi[windows], weights)
     if np.minimum.reduce(cells) < 0.0:
         dips = np.flatnonzero(cells < 0.0)
@@ -301,7 +278,8 @@ class SourcePlan(_Block):
     labels kinks, built once for a stack p of shape (2, n) or (2, k, n),
     by default (2, 2, n), the pairs the rates read.  Every call handed
     the plan overwrites them, so the caller reads a result before the
-    next call with the same plan.
+    next call with the same plan; a call for another grid, shape or
+    kinks raises ContractError.
 
     It is the block of the whole line, with the slopes (T, c) and the
     swaps (V, U) and (T_Z, T_W) of (U, V) and T, the pairs A^2 B and
@@ -312,6 +290,7 @@ class SourcePlan(_Block):
 
     def __init__(self, grid: Grid, shape=None, kinks=()):
         n = grid.n
+        self.grid = grid
         self.shape = (2, 2, n) if shape is None else tuple(shape)
         self.kinks = tuple(map(float, kinks))
         self.table = _table(grid, self.kinks)[:3]
@@ -338,6 +317,22 @@ class SourcePlan(_Block):
         np.copyto(self.swapped[0], state.data[1::-1])
         self.slope_rows[2] = self.slope_rows[0]
         return self.swapped
+
+
+def _plan(plan, grid: Grid, shape, kinks) -> SourcePlan:
+    # plan, checked against the grid, stack shape and kinks of the call,
+    # or a fresh plan for them; the identity test spares the stepping
+    # the comparison of the grids.
+    kinks = tuple(kinks)
+    if plan is None:
+        return SourcePlan(grid, shape, kinks)
+    if ((plan.grid is not grid and plan.grid != grid)
+            or plan.shape != shape or plan.kinks != kinks):
+        raise ContractError(f"the plan, a SourcePlan on {plan.grid} for "
+                            f"stacks of shape {plan.shape} and kinks "
+                            f"{plan.kinks}, cannot serve a stack of shape "
+                            f"{shape} and kinks {kinks} on {grid}")
+    return plan
 
 
 def _scans(p, G, w, block):
@@ -403,7 +398,8 @@ def exp_convolve(p, G: np.ndarray, grid: Grid, weight=None,
     its split cells at the kinks: eighth order on each smooth piece.
     plan, a SourcePlan for p's shape on the grid and the same kinks,
     holds the result and the work buffers if given; the next call with
-    it then overwrites the result.  p may be the plan's own stack
+    it then overwrites the result, and a plan for another grid, shape or
+    kinks raises ContractError.  p may be the plan's own stack
     plan.p, whose shape the plan has settled, so it skips the shape
     checks.
 
@@ -415,12 +411,7 @@ def exp_convolve(p, G: np.ndarray, grid: Grid, weight=None,
     """
     if plan is None or p is not plan.p:
         p = _as_stack(p, G, grid)
-    if plan is None:
-        plan = SourcePlan(grid, p.shape, kinks)
-    elif plan.shape != p.shape or plan.kinks != tuple(kinks):
-        raise ContractError(f"a plan for stacks of shape {plan.shape} and "
-                            f"kinks {plan.kinks} got one of shape {p.shape} "
-                            f"and kinks {tuple(kinks)}")
+    plan = _plan(plan, grid, p.shape, kinks)
     n, dx = grid.n, grid.dx
     halves, spans = plan.halves, _blocks(G)
     # The node weight of the quadrature, dx times the integrands' weight.
@@ -467,7 +458,7 @@ def exp_convolve_bruteforce(p, G: np.ndarray, grid: Grid,
     """
     p = _as_stack(p, G, grid)
     n, dx = grid.n, grid.dx
-    at, windows, weights, _ = _table(grid, tuple(kinks))
+    at, windows, weights = _table(grid, tuple(kinks))[:3]
     cells = np.zeros((n - 1, n))
     for offset, weight in zip(range(1 - _HALF, 1 + _HALF), _CELL_RULE):
         m = np.arange(max(-offset, 0), min(n - 1, n - offset))
@@ -493,26 +484,25 @@ def exp_convolve_bruteforce(p, G: np.ndarray, grid: Grid,
     return np.stack(((fwd_w @ (dx * p[0]).T).T, (bwd_w @ (dx * p[1]).T).T))
 
 
-def assemble_sources(state: TransformedState, slopes, a2b,
-                     plan=None) -> np.ndarray:
+def assemble_sources(state: TransformedState, plan=None) -> np.ndarray:
     """The kernel halves the rates read, as a (2, 2, n) stack (fwd, bwd)
-    of pairs with rows for U and V; slopes is slope_factors(state) and
-    a2b the pair A^2 B, with (A, B) = (U, V) in row 0 and (V, U) in row 1.
+    of pairs with rows for U and V.
 
     fwd is the forward half of y_xi (f1/2 - f2/4) and bwd the backward
     half of y_xi (f1/2 + f2/4), so fwd - bwd = -dx P1 - P2 and
     fwd + bwd = P1 + dx P2 in row 0, and the same of S in row 1.
-    plan, if given, is a SourcePlan on the state's grid and kinks that
-    holds the work rows and the result; slopes are then its plan.slopes,
-    and plan.swap(state) has filled their swaps and the state's.
+    plan, a SourcePlan on the state's grid and kinks (a fresh one if not
+    given), holds the work rows and the result; the call leaves in it
+    the slopes (T, c) in plan.slopes, their swaps and the state's in
+    plan.swapped, and the pair A^2 B in plan.a2b, with (A, B) = (U, V)
+    in row 0 and (V, U) in row 1.
     """
-    if plan is None:
-        plan = SourcePlan(state.grid, kinks=state.kinks)
-        np.copyto(plan.slopes[0], slopes[0])
-        plan.swap(state)
-    T, c = slopes
+    plan = _plan(plan, state.grid, (2, 2, state.grid.n), state.kinks)
+    T, c = slope_factors(state, plan.slopes)
     # (U, V) and (V, U): the S integrands are the P ones with roles swapped.
-    A, (B, T_r) = state.data[:2], plan.swapped
+    A, (B, T_r) = state.data[:2], plan.swap(state)
+    a2b = np.multiply(A, A, out=plan.a2b)
+    a2b *= B
     y_xi = _y_xi(state.q, *c, out=plan.y_xi)
     G = kernel_accumulator(y_xi, state.grid, state.kinks)
     p = plan.p

@@ -1,4 +1,5 @@
 """Time stepping, guards, and conserved quantities."""
+import re
 import warnings
 from contextlib import nullcontext
 
@@ -158,7 +159,7 @@ def _oracle_cells(rows, scale=1.0):
     kernel forms them."""
     rows = np.atleast_2d(rows)
     n = rows.shape[-1]
-    at, windows, weights, _ = sources._table(make_grid(0.0, n - 1.0, n), ())
+    at, windows, weights = sources._table(make_grid(0.0, n - 1.0, n), ())[:3]
     out = np.empty(rows.shape[:-1] + (rows.shape[-1] - 1,))
     for row, cells in zip(rows, out):
         if row.size > 7:
@@ -454,14 +455,30 @@ def test_rk4_rejects_zero_dt():
                          ids=["another-n", "another-span"])
 def test_rk4_rejects_a_workspace_on_another_grid(other):
     # A Workspace for another n would fail to broadcast, and one for the
-    # same n on another span would step with its own dx.  rhs checks the
-    # size of a plan handed to it directly.
+    # same n on another span would step with its own dx.  Its plan names
+    # both grids, in rk4_step and in rhs handed the plan directly.
     state = random_state(np.random.default_rng(1), make_grid(-8.0, 8.0, 64))
-    with pytest.raises(ContractError, match="Workspace"):
+    mismatch = re.escape(f"SourcePlan on {other} ") + ".*" + re.escape(
+        f"on {state.grid}")
+    with pytest.raises(ContractError, match=mismatch):
         rk4_step(state, 1e-2, BOUNDS, Workspace(other))
-    if other.n != state.grid.n:
-        with pytest.raises(ContractError, match="SourcePlan"):
-            rhs(state, None, Workspace(other).plan)
+    with pytest.raises(ContractError, match=mismatch):
+        rhs(state, None, Workspace(other).plan)
+
+
+def test_rhs_rejects_a_kinked_plan_on_another_span():
+    # Same n, same kink labels, another span: such a plan reads the kinks
+    # at the wrong positions, and on this peakon its rhs was off by 2.4e-3
+    # relative, with no error.
+    g = make_grid(-20.0, 20.0, 513)
+    state = transform_with_map(
+        builtin_datum("peakon", {"c": 1.0, "center": 3.0}), g)
+    plan = sources.SourcePlan(make_grid(-10.0, 10.0, g.n), kinks=state.kinks)
+    with pytest.raises(ContractError, match="SourcePlan on Grid"):
+        rhs(state, None, plan)
+    # A plan on an equal grid passes.
+    equal = sources.SourcePlan(make_grid(-20.0, 20.0, g.n), None, state.kinks)
+    assert same_bits(rhs(state, None, equal), rhs(state))
 
 
 @pytest.mark.parametrize("n, span", [(64, None), (512, None), (64, 5.0),

@@ -1,11 +1,14 @@
 """Grid, quadrature, and finite-difference contracts."""
+import math
+from fractions import Fraction
+
 import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
 from novlab import (ConfigError, ContractError, builtin_datum, fd_derivative,
                     integrate, make_grid, prefix_integral, transform_with_map)
-from novlab.grid import MAX_NODES, kink_positions
+from novlab.grid import MAX_NODES, _lagrange_weights, kink_positions
 
 
 def test_make_grid_basic():
@@ -177,6 +180,55 @@ def test_fd_derivative_is_exact_on_each_side_of_a_kink(order, layout):
     # Without the kinks the stencils reach across them.
     assert np.max(np.abs(fd_derivative(np.choose(piece, [p(x) for p in polys]),
                                        g, order) - expected)) > 1e-2 * scale
+
+
+def exact_lagrange_weights(nodes, x0, x1, order):
+    # The weights of _lagrange_weights in rational arithmetic on the same
+    # doubles: each Lagrange basis polynomial in powers of x - x0, then
+    # its integral over [x0, x1] or order! times its order-th coefficient.
+    nodes = [Fraction(float(x)) for x in nodes]
+    x0, x1 = Fraction(float(x0)), Fraction(float(x1))
+    weights = []
+    for j, xj in enumerate(nodes):
+        coef = [Fraction(1)]
+        for m, xm in enumerate(nodes):
+            if m != j:
+                # times ((x - x0) + (x0 - xm)) / (xj - xm)
+                coef = [(a + b * (x0 - xm)) / (xj - xm)
+                        for a, b in zip([0, *coef], [*coef, 0])]
+        if order:
+            weights.append(coef[order] * math.factorial(order)
+                           if order < len(coef) else Fraction(0))
+        else:
+            weights.append(sum(c * (x1 - x0) ** (i + 1) / (i + 1)
+                               for i, c in enumerate(coef)))
+    return weights
+
+
+@pytest.mark.parametrize("nodes, x0, x1, order", [
+    # The centred rows of fd_derivative, orders 1 to 4.
+    *((range(-w, w + 1), 0.0, 0.0, order)
+      for order, w in ((1, 2), (2, 2), (3, 3), (4, 3))),
+    # The kernel's 8-point cell rule.
+    (range(-3, 5), 0.0, 1.0, 0),
+    # A one-sided row at the grid's first node or cell, per functional.
+    *((range(0, 2 * w + 1), 0.0, 0.0, order)
+      for order, w in ((1, 2), (2, 2), (3, 3), (4, 3))),
+    (range(0, 8), 0.0, 1.0, 0),
+    # The two parts of the cell [20, 21] that a kink 0.37 dx past node
+    # 20 splits, each on the eight nodes of its own side.
+    (range(13, 21), 20.0, 20.37, 0),
+    (range(21, 29), 20.37, 21.0, 0),
+])
+def test_lagrange_weights_lie_within_8_ulps_of_exact(nodes, x0, x1, order):
+    # The bound is fixed; measured at most 0.67 ulp on the derivative
+    # rows, 0.66 on the cell rules and 0.9 on the kink parts.
+    got = _lagrange_weights(nodes, x0, x1, order)
+    exact = exact_lagrange_weights(nodes, x0, x1, order)
+    assert len(got) == len(exact) == len(nodes)
+    for value, want in zip(got.tolist(), exact):
+        ulp = Fraction(float(np.spacing(abs(float(want)))))
+        assert abs(Fraction(value) - want) <= 8 * ulp, (value, float(want))
 
 
 def test_peakon_angle_slopes_stay_bounded_at_the_crest():

@@ -1,4 +1,5 @@
 """Reconstruction of physical-space fields and the energy measure."""
+import re
 from dataclasses import astuple
 
 import numpy as np
@@ -9,7 +10,7 @@ from novlab import (AnalysisError, ContractError, OmegaBounds, QueryError,
                     crest_position, evolve, integrate, make_grid,
                     measure_interval, pair_datum, sample_at,
                     transform_with_map)
-from novlab.reconstruct import MASK_TOL, _measure_density
+from novlab.reconstruct import EulerField, MASK_TOL, _measure_density
 from novlab.validation import random_state
 
 from conftest import flat_state, same_bits, two_bump_pair, wide_random_state
@@ -113,6 +114,19 @@ def test_conserved_euler_requires_smooth_regime():
     state = base.with_fields(W=W)
     with pytest.raises(AnalysisError):
         conserved_euler(euler_fields(state))
+
+
+def test_conserved_euler_names_each_masked_x_range():
+    # Runs at both ends and one inside, the inner one joined from the u
+    # and v masks; each range runs from its first to its last node.
+    x = np.linspace(0.0, 4.5, 10)
+    ux_valid, vx_valid = np.ones((2, x.size), dtype=bool)
+    ux_valid[[0, 1, 4, 5, 9]] = False
+    vx_valid[[1, 6]] = False
+    field = EulerField(x, x, x, x, x, ux_valid, vx_valid)
+    ranges = "[(0.0, 0.5), (2.0, 3.0), (4.5, 4.5)]"
+    with pytest.raises(AnalysisError, match=re.escape(f"x-ranges {ranges};")):
+        conserved_euler(field)
 
 
 def test_conserved_matches_eulerian_route(smooth_grid, smooth_pair_state):

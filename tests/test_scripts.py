@@ -2,7 +2,9 @@
 and the bench tracer's bindings into novlab."""
 import hashlib
 import importlib.util
+import os
 import re
+import subprocess
 import sys
 from collections import Counter
 from pathlib import Path
@@ -217,3 +219,19 @@ def test_artifact_digest_compare_reports_numbers_and_structure(tmp_path,
         assert main(["--compare", str(a), str(c)]) == 1
         out = capsys.readouterr().out
         assert "structural change: " in out and rel in out
+
+
+def test_artifact_digest_ends_quietly_on_a_closed_stdout(tmp_path):
+    # A reader that closed the pipe gets no traceback, and the status is
+    # SIGPIPE's 141, not the 1 of a structural change.
+    a = write_tree(tmp_path / "a", {"run.stdout": "gap 3.0\n"})
+    b = write_tree(tmp_path / "b", {"run.stdout": "gap 3.5\n"})
+    read, write = os.pipe()
+    os.close(read)
+    with os.fdopen(write, "wb") as stdout:
+        done = subprocess.run(
+            [sys.executable, str(REPO / "scripts" / "artifact_digest.py"),
+             "--compare", str(a), str(b)], stdout=stdout,
+            stderr=subprocess.PIPE, text=True,
+            env=dict(os.environ, PYTHONPATH=str(REPO / "src")))
+    assert (done.returncode, done.stderr) == (141, "")

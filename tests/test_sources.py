@@ -11,15 +11,10 @@ from novlab import (ContractError, NumericalAbort, assemble_sources,
                     exp_convolve_bruteforce, kernel_accumulator,
                     level_distance, make_grid, slope_factors,
                     transform_with_map, xi_derivatives)
-from novlab import sources
+from novlab import grid, sources
 from novlab.validation import bumps, random_state
 
 from conftest import flat_state, same_bits
-
-
-def a2b(state):
-    # The pair A^2 B with (A, B) = (U, V) in row 0 and (V, U) in row 1.
-    return state.data[:2] * state.data[:2] * state.data[1::-1]
 
 
 @given(st.integers(min_value=0, max_value=2**32 - 1))
@@ -131,8 +126,8 @@ def test_boundary_rows_integrate_quintics_exactly(positions):
     # the last a one-node piece at either end.  On the grid [0, n - 1],
     # dx = 1, so the kink labels are the positions.
     n = 64
-    at, windows, weights, _ = sources._table(make_grid(0.0, n - 1.0, n),
-                                             positions)
+    at, windows, weights = sources._table(make_grid(0.0, n - 1.0, n),
+                                          positions)[:3]
     bounds = np.array([0.0, *positions, n - 1.0])
     sizes = np.bincount(_piece_of(np.arange(n), positions) + 1)[1:]
     assert {0, 1, 2, n - 4, n - 3, n - 2} <= set(at.tolist())
@@ -160,7 +155,7 @@ def test_cell_rule_integrates_the_degree_7_polynomial():
     # polynomial through the eight nodes xi_j-3 .. xi_j+4, to an ulp of
     # each weight, and it sums to 1 exactly.
     rule = sources._CELL_RULE
-    exact = sources._part_weights(range(-3, 5), 0.0, 1.0)
+    exact = grid._lagrange_weights(range(-3, 5), 0.0, 1.0, 0)
     assert rule.size == 8
     assert np.all(np.abs(rule - exact) <= np.spacing(np.abs(rule)))
     assert np.sum(rule) == 1.0
@@ -314,6 +309,19 @@ def test_convolve_rejects_a_plan_for_another_stack_shape():
     assert same_bits(np.stack((fwd, bwd)), exp_convolve(np.ones((2, g.n)), G, g))
 
 
+def test_convolve_rejects_a_kinked_plan_on_another_span():
+    # A plan for the same stack shape and kink labels on another span
+    # would read the kinks at the wrong positions.
+    g = make_grid(-20.0, 20.0, 513)
+    state = transform_with_map(
+        builtin_datum("peakon", {"c": 1.0, "center": 3.0}), g)
+    G = kernel_accumulator(xi_derivatives(state)[0], g, state.kinks)
+    plan = sources.SourcePlan(make_grid(-10.0, 10.0, g.n), (2, g.n),
+                              state.kinks)
+    with pytest.raises(ContractError, match="SourcePlan on Grid"):
+        exp_convolve(np.ones((2, g.n)), G, g, None, plan, state.kinks)
+
+
 def angle_state(angles):
     # W runs through the angles and Z through them reversed.
     state = flat_state(make_grid(-1.0, 1.0, angles.size))
@@ -425,13 +433,13 @@ def test_symmetric_state_sources_collapse():
     base = random_state(rng, g)
     state = base.with_fields(V=base.U, Z=base.W)
     # The U and V rows of both halves are equal bitwise.
-    for half in assemble_sources(state, slope_factors(state), a2b(state)):
+    for half in assemble_sources(state):
         assert same_bits(half[0], half[1])
 
 
 def test_sources_finite_and_shaped(smooth_pair_state):
     state = smooth_pair_state
-    for half in assemble_sources(state, slope_factors(state), a2b(state)):
+    for half in assemble_sources(state):
         assert half.shape == (2, state.grid.n)
         assert np.all(np.isfinite(half))
 
@@ -439,7 +447,7 @@ def test_sources_finite_and_shaped(smooth_pair_state):
 def test_zero_state_sources_vanish():
     g = make_grid(-5.0, 5.0, 64)
     state = flat_state(g)
-    for half in assemble_sources(state, slope_factors(state), a2b(state)):
+    for half in assemble_sources(state):
         assert same_bits(half, np.zeros((2, g.n)))
 
 
